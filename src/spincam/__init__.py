@@ -19,18 +19,20 @@ from .camera import (
     DEFAULT_INTRINSICS,
     FrameAnnotation,
     ImagePoint,
+    FrameRecord,
     NeighborAnnotation,
     RotationGrid,
     annotate_frame,
+    annotate_tracks,
     back_project,
     camera_for_pitch,
     project,
+    project_points,
     refine_extrinsic_rotation,
     relative_transform,
 )
 from .datasets import (
     Dataset,
-    FrameRecord,
     GyroSequence,
     estimate_time_offset,
     export_labels,
@@ -65,6 +67,7 @@ from .geometry import (
     Quaternion,
     RigidTransform,
     RobotGeometry,
+    interpolate,
     interpolate_pose,
     slerp,
 )

@@ -3,17 +3,34 @@
 The camera frame is the usual computer-vision one (+z optical axis, +x right,
 +y down); the robot frame is +x forward, +y left, +z up. Pixel coordinates are
 continuous with (0, 0) at the top-left image corner.
+
+`project_points` is the one projection kernel and `annotate_tracks` the one
+annotation pipeline: it projects every frame x neighbor x corner of a run in
+a few array operations. `project` and `annotate_frame` are their one-point and
+one-frame cases.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
 from .errors import NonPositiveDepth, NoObservations
-from .geometry import Pose, Quaternion, RigidTransform, RobotGeometry, as_vec3
+from .geometry import (
+    Pose,
+    PoseTrack,
+    Quaternion,
+    RigidTransform,
+    RobotGeometry,
+    as_vec3,
+    compose,
+    interpolate,
+    invert,
+    quat_rotate,
+)
 
 # 25 iterations invert k1 ~ +0.1 to below 1e-8 px across the full image
 # (barrel coefficients converge slightly looser at the corners); the break
@@ -158,13 +175,24 @@ def undistort_normalized(xd: float, yd: float, k1: float) -> tuple[float, float]
     return xn, yn
 
 
+def project_points(points, intr: CameraIntrinsics) -> np.ndarray:
+    """Camera-frame points (..., 3) to pixels (..., 2).
+
+    Depth is not checked: points with z <= 0 give meaningless pixels (or
+    inf/nan), so callers mask them out.
+    """
+    p = np.asarray(points, dtype=float)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        xd, yd = distort_normalized(p[..., 0] / p[..., 2], p[..., 1] / p[..., 2], intr.k1)
+    return np.stack([intr.fx * xd + intr.cx, intr.fy * yd + intr.cy], axis=-1)
+
+
 def project(point_camera, intr: CameraIntrinsics) -> ImagePoint:
     """Camera-frame point to pixel; raises NonPositiveDepth when z <= 0."""
     p = as_vec3(point_camera)
     if p[2] <= 0.0:
         raise NonPositiveDepth(f"point depth {p[2]} is not positive")
-    xd, yd = distort_normalized(p[0] / p[2], p[1] / p[2], intr.k1)
-    return ImagePoint(float(intr.fx * xd + intr.cx), float(intr.fy * yd + intr.cy))
+    return ImagePoint(*project_points(p, intr).tolist())
 
 
 def back_project(pixel: ImagePoint, depth_z: float, intr: CameraIntrinsics) -> np.ndarray:
@@ -191,12 +219,18 @@ def in_image(point: ImagePoint, intr: CameraIntrinsics) -> bool:
     return 0.0 < point.u < intr.width and 0.0 < point.v < intr.height
 
 
+def in_view(points_camera, intr: CameraIntrinsics) -> np.ndarray:
+    """Mask of camera-frame points (..., 3) with positive depth whose pixel
+    lies strictly inside the image."""
+    p = np.asarray(points_camera, dtype=float)
+    px = project_points(p, intr)
+    u, v = px[..., 0], px[..., 1]
+    return (p[..., 2] > 0.0) & (0.0 < u) & (u < intr.width) & (0.0 < v) & (v < intr.height)
+
+
 def projects_into_image(point_camera, intr: CameraIntrinsics) -> bool:
     """True when the camera-frame point has positive depth and lands in-frame."""
-    p = as_vec3(point_camera)
-    if p[2] <= 0.0:
-        return False
-    return in_image(project(p, intr), intr)
+    return bool(in_view(as_vec3(point_camera), intr))
 
 
 def relative_transform(ego_pose: Pose, neighbor_pose: Pose, camera: CameraModel) -> RigidTransform:
@@ -216,6 +250,20 @@ def camera_to_world(ego_pose: Pose, camera: CameraModel) -> RigidTransform:
     return ego_pose.transform @ camera.extrinsic.inverse()
 
 
+def _extrinsic_arrays(camera: CameraModel) -> tuple[np.ndarray, np.ndarray]:
+    return camera.extrinsic.rotation.as_array(), camera.extrinsic.translation
+
+
+def world_to_camera_arrays(ego_q, ego_t, camera: CameraModel):
+    """Stacked `world_to_camera` for ego orientations (..., 4) and positions (..., 3)."""
+    return compose(*_extrinsic_arrays(camera), *invert(ego_q, ego_t))
+
+
+def camera_to_world_arrays(ego_q, ego_t, camera: CameraModel):
+    """Stacked `camera_to_world` for ego orientations (..., 4) and positions (..., 3)."""
+    return compose(ego_q, ego_t, *invert(*_extrinsic_arrays(camera)))
+
+
 @dataclass(frozen=True, eq=False)
 class NeighborAnnotation:
     robot_id: str
@@ -232,6 +280,63 @@ class FrameAnnotation:
     neighbors: list[NeighborAnnotation]
 
 
+@dataclass(eq=False)
+class FrameRecord:
+    """One frame: its annotation plus the world poses of every robot."""
+
+    annotation: FrameAnnotation
+    poses: dict[str, Pose]
+
+
+def _annotate_neighbors(
+    ego_q: np.ndarray,
+    ego_t: np.ndarray,
+    neighbor_q: np.ndarray,
+    neighbor_t: np.ndarray,
+    neighbor_ids: Sequence[str],
+    camera: CameraModel,
+    geom: RobotGeometry,
+) -> list[list[NeighborAnnotation]]:
+    """Visible-neighbor annotations of F frames, one list per frame.
+
+    Ego poses are (F, 4) / (F, 3) arrays, neighbor poses (F, K, 4) / (F, K, 3)
+    with K following neighbor_ids. Every center goes through one projection
+    call, and so do the 8 corners of every neighbor whose center is in view.
+    """
+    intr = camera.intrinsics
+    w2c_q, w2c_t = world_to_camera_arrays(ego_q, ego_t, camera)
+    centers = quat_rotate(w2c_q[:, None], neighbor_t) + w2c_t[:, None]
+    frame, slot = np.nonzero(in_view(centers, intr))
+    rel_q, rel_t = compose(w2c_q[frame], w2c_t[frame], neighbor_q[frame, slot],
+                           neighbor_t[frame, slot])
+    corners = quat_rotate(rel_q[:, None], geom.corners()) + rel_t[:, None]
+    # corners on or behind the image plane: degenerate close-range case
+    keep = np.all(corners[..., 2] > 0.0, axis=1)
+    frame, slot, rel_t = frame[keep], slot[keep], rel_t[keep]
+    center_px = project_points(rel_t, intr)
+    pixels = project_points(corners[keep], intr)
+    boxes = np.stack(
+        [
+            np.clip(pixels[..., 0].min(axis=1), 0.0, intr.width),
+            np.clip(pixels[..., 1].min(axis=1), 0.0, intr.height),
+            np.clip(pixels[..., 0].max(axis=1), 0.0, intr.width),
+            np.clip(pixels[..., 1].max(axis=1), 0.0, intr.height),
+        ],
+        axis=-1,
+    )
+    per_frame: list[list[NeighborAnnotation]] = [[] for _ in range(len(ego_q))]
+    for f, k, position, center, box in zip(
+        frame.tolist(), slot.tolist(), rel_t, center_px.tolist(), boxes.tolist()
+    ):
+        per_frame[f].append(
+            NeighborAnnotation(
+                robot_id=neighbor_ids[k], rel_position=position,
+                center=ImagePoint(*center), bbox=BoundingBox(*box),
+            )
+        )
+    return per_frame
+
+
 def annotate_frame(
     ego_pose: Pose,
     neighbor_poses: dict[str, Pose],
@@ -246,40 +351,58 @@ def annotate_frame(
     with positive depth. Its box is the min/max of the 8 projected body
     corners, clipped to the image; corners share the center's distortion
     model. Neighbors with any corner on or behind the image plane are dropped
-    (degenerate close-range case).
+    (degenerate close-range case). This is the one-frame case of
+    `annotate_tracks`.
     """
-    intr = camera.intrinsics
-    corners_body = geom.corners()
-    annotations = []
-    for robot_id in sorted(neighbor_poses):
-        rel = relative_transform(ego_pose, neighbor_poses[robot_id], camera)
-        center_cam = rel.translation
-        if center_cam[2] <= 0.0:
-            continue
-        center_px = project(center_cam, intr)
-        if not in_image(center_px, intr):
-            continue
-        corners_cam = rel.apply(corners_body)
-        if np.any(corners_cam[:, 2] <= 0.0):
-            continue
-        pixels = np.array([project(c, intr).as_array() for c in corners_cam])
-        bbox = BoundingBox(
-            u_min=float(np.clip(pixels[:, 0].min(), 0.0, intr.width)),
-            v_min=float(np.clip(pixels[:, 1].min(), 0.0, intr.height)),
-            u_max=float(np.clip(pixels[:, 0].max(), 0.0, intr.width)),
-            v_max=float(np.clip(pixels[:, 1].max(), 0.0, intr.height)),
-        )
-        annotations.append(
-            NeighborAnnotation(
-                robot_id=robot_id, rel_position=center_cam, center=center_px, bbox=bbox
-            )
-        )
+    ids = sorted(neighbor_poses)
+    poses = [neighbor_poses[rid] for rid in ids]
+    neighbors = _annotate_neighbors(
+        ego_pose.orientation.as_array()[None],
+        ego_pose.position[None],
+        np.array([p.orientation.as_array() for p in poses]).reshape(1, -1, 4),
+        np.array([p.position for p in poses]).reshape(1, -1, 3),
+        ids, camera, geom,
+    )[0]
     return FrameAnnotation(
-        frame_id=frame_id,
-        timestamp=ego_pose.timestamp,
-        ego_id=ego_id,
-        neighbors=annotations,
+        frame_id=frame_id, timestamp=ego_pose.timestamp, ego_id=ego_id, neighbors=neighbors
     )
+
+
+def annotate_tracks(
+    tracks: Sequence[PoseTrack],
+    camera: CameraModel,
+    geom: RobotGeometry,
+    times,
+    ego_id: str = "r0",
+) -> list[FrameRecord]:
+    """Annotated frame records at the given times (frame ids 0, 1, ...).
+
+    Every track is interpolated at all times at once, then all frames are
+    annotated in one `_annotate_neighbors` pass.
+    Each record carries the poses of all robots, the ego's included.
+    """
+    by_id = {track.robot_id: track for track in tracks}
+    if ego_id not in by_id:
+        raise ValueError(f"ego robot {ego_id!r} not among tracks")
+    times = np.asarray(times, dtype=float).reshape(-1)
+    states = {rid: interpolate(track, times) for rid, track in by_id.items()}
+    ids = sorted(rid for rid in by_id if rid != ego_id)
+    ego_t, ego_q = states[ego_id]
+    neighbor_t = np.zeros((len(times), len(ids), 3))
+    neighbor_q = np.zeros((len(times), len(ids), 4))
+    for k, rid in enumerate(ids):
+        neighbor_t[:, k], neighbor_q[:, k] = states[rid]
+    annotations = _annotate_neighbors(ego_q, ego_t, neighbor_q, neighbor_t, ids, camera, geom)
+    quats = {rid: q.tolist() for rid, (_p, q) in states.items()}
+    records = []
+    for f, (t, neighbors) in enumerate(zip(times.tolist(), annotations)):
+        poses = {
+            rid: Pose(t, RigidTransform(Quaternion(*quats[rid][f]), positions[f]))
+            for rid, (positions, _q) in states.items()
+        }
+        annotation = FrameAnnotation(frame_id=f, timestamp=t, ego_id=ego_id, neighbors=neighbors)
+        records.append(FrameRecord(annotation=annotation, poses=poses))
+    return records
 
 
 @dataclass(frozen=True, eq=False)
@@ -358,13 +481,7 @@ def refine_extrinsic_rotation(
                 cam_pts = rotation.rotate(points) + translation
                 if np.any(cam_pts[:, 2] <= 0.0):
                     continue
-                xn = cam_pts[:, 0] / cam_pts[:, 2]
-                yn = cam_pts[:, 1] / cam_pts[:, 2]
-                r2 = xn * xn + yn * yn
-                factor = 1.0 + intr.k1 * r2
-                u = intr.fx * xn * factor + intr.cx
-                v = intr.fy * yn * factor + intr.cy
-                err = float(np.mean((u - observed[:, 0]) ** 2 + (v - observed[:, 1]) ** 2))
+                err = float(np.mean(np.sum((project_points(cam_pts, intr) - observed) ** 2, axis=1)))
                 if err < best_error:
                     best_error = err
                     best_rotation = rotation

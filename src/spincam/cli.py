@@ -16,10 +16,9 @@ from dataclasses import replace
 from pathlib import Path
 
 from . import __version__
-from .camera import annotate_frame, camera_for_pitch
+from .camera import annotate_tracks, camera_for_pitch
 from .datasets import (
     Dataset,
-    FrameRecord,
     SCHEMA_VERSION,
     estimate_time_offset,
     load_noise_model,
@@ -31,7 +30,6 @@ from .datasets import (
 )
 from .downwash import EllipsoidSpec, evaluate_downwash_records, run_downwash_eval
 from .errors import InvalidConfig, SpincamError
-from .geometry import interpolate_pose
 from .metrics import ConfusionCounts, classification_metrics
 from .scenarios import CAMERA_PITCHES, frame_schedule, generate_scenario
 
@@ -41,14 +39,21 @@ EXIT_DATA = 3
 
 EGO_ID = "r0"
 
+# The args each re-runnable command records in its manifest, in order.
+_MANIFEST_ARGS = {
+    "simulate": ("config", "out", "seed"),
+    "downwash-eval": ("dataset", "out", "oracle", "noise", "mode", "ellipsoid"),
+    "benchmark": ("config", "out", "yaw_rates", "pitches", "oracle", "noise", "mode", "seed"),
+}
 
-def _write_manifest(out_dir: Path, command: str, args: dict, outputs: list[str]) -> None:
+
+def _write_manifest(out_dir: Path, command: str, args, outputs: list[str]) -> None:
     """Record the run before producing outputs; enough to replay it exactly."""
     manifest = {
         "schema_version": SCHEMA_VERSION,
         "toolkit_version": __version__,
         "command": command,
-        "args": args,
+        "args": {key: getattr(args, key) for key in _MANIFEST_ARGS[command]},
         "outputs": outputs,
     }
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -57,27 +62,15 @@ def _write_manifest(out_dir: Path, command: str, args: dict, outputs: list[str])
         fh.write("\n")
 
 
-def _simulate(config_path: str, out: str, seed: int | None) -> int:
-    spec = load_simulation_config(config_path)
-    scenario = spec.scenario if seed is None else replace(spec.scenario, rng_seed=seed)
-    out_dir = Path(out)
-    _write_manifest(
-        out_dir,
-        "simulate",
-        {"config": config_path, "out": out, "seed": seed},
-        ["dataset.ndjson"],
-    )
+def _simulate(args) -> int:
+    spec = load_simulation_config(args.config)
+    scenario = spec.scenario if args.seed is None else replace(spec.scenario, rng_seed=args.seed)
+    out_dir = Path(args.out)
+    _write_manifest(out_dir, "simulate", args, ["dataset.ndjson"])
     tracks = generate_scenario(scenario)
-    by_id = {t.robot_id: t for t in tracks}
-    frames = []
-    for frame_id, t in enumerate(frame_schedule(scenario)):
-        poses = {rid: interpolate_pose(track, float(t)) for rid, track in by_id.items()}
-        neighbor_poses = {rid: p for rid, p in poses.items() if rid != EGO_ID}
-        annotation = annotate_frame(
-            poses[EGO_ID], neighbor_poses, spec.camera, spec.geometry,
-            frame_id=frame_id, ego_id=EGO_ID,
-        )
-        frames.append(FrameRecord(annotation=annotation, poses=poses))
+    frames = annotate_tracks(
+        tracks, spec.camera, spec.geometry, frame_schedule(scenario), ego_id=EGO_ID
+    )
     dataset = Dataset(
         camera=spec.camera,
         geometry=spec.geometry,
@@ -111,15 +104,7 @@ def _eval_mode(args) -> tuple[str, object]:
 def _downwash_eval(args) -> int:
     mode, noise = _eval_mode(args)
     out_dir = Path(args.out)
-    _write_manifest(
-        out_dir,
-        "downwash-eval",
-        {
-            "dataset": args.dataset, "out": args.out, "oracle": args.oracle,
-            "noise": args.noise, "mode": args.mode, "ellipsoid": args.ellipsoid,
-        },
-        ["report.csv"],
-    )
+    _write_manifest(out_dir, "downwash-eval", args, ["report.csv"])
     dataset = read_dataset(args.dataset)
     ellipsoid = _parse_ellipsoid(args.ellipsoid) if args.ellipsoid else dataset.ellipsoid
     results = evaluate_downwash_records(
@@ -158,16 +143,7 @@ def _benchmark(args) -> int:
     rates = _parse_rates(args.yaw_rates)
     pitches = _parse_pitches(args.pitches)
     out_dir = Path(args.out)
-    _write_manifest(
-        out_dir,
-        "benchmark",
-        {
-            "config": args.config, "out": args.out, "yaw_rates": args.yaw_rates,
-            "pitches": args.pitches, "oracle": args.oracle, "noise": args.noise,
-            "mode": args.mode, "seed": args.seed,
-        },
-        ["benchmark.csv"],
-    )
+    _write_manifest(out_dir, "benchmark", args, ["benchmark.csv"])
     rows = []
     for rate in rates:
         for pitch in pitches:
@@ -211,19 +187,37 @@ def _timesync(args) -> int:
     return EXIT_OK
 
 
+def _read_manifest(path: str) -> tuple[str, dict]:
+    """The command and args of a manifest; InvalidConfig names the path."""
+    with open(path, "r", encoding="utf-8") as fh:
+        try:
+            manifest = json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise InvalidConfig(f"{path}: not valid JSON: {exc}") from exc
+    if not isinstance(manifest, dict):
+        raise InvalidConfig(f"{path}: manifest must be a JSON object")
+    for key in ("command", "args"):
+        if key not in manifest:
+            raise InvalidConfig(f"{path}: manifest lacks {key!r}")
+    command, stored = manifest["command"], manifest["args"]
+    if not isinstance(command, str) or command not in _MANIFEST_ARGS:
+        raise InvalidConfig(f"{path}: manifest command {command!r} cannot be re-run")
+    if not isinstance(stored, dict):
+        raise InvalidConfig(f"{path}: manifest 'args' must be an object")
+    missing = set(_MANIFEST_ARGS[command]) - set(stored)
+    if missing:
+        raise InvalidConfig(f"{path}: manifest args lack {sorted(missing)}")
+    return command, stored
+
+
 def _rerun(args) -> int:
-    with open(args.manifest, "r", encoding="utf-8") as fh:
-        manifest = json.load(fh)
-    command = manifest["command"]
-    stored = manifest["args"]
-    if command == "simulate":
-        return _simulate(stored["config"], stored["out"], stored["seed"])
+    command, stored = _read_manifest(args.manifest)
     rebuilt = argparse.Namespace(**stored)
+    if command == "simulate":
+        return _simulate(rebuilt)
     if command == "downwash-eval":
         return _downwash_eval(rebuilt)
-    if command == "benchmark":
-        return _benchmark(rebuilt)
-    raise InvalidConfig(f"manifest command {command!r} cannot be re-run")
+    return _benchmark(rebuilt)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -275,7 +269,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         if args.command == "simulate":
-            return _simulate(args.config, args.out, args.seed)
+            return _simulate(args)
         if args.command == "downwash-eval":
             return _downwash_eval(args)
         if args.command == "benchmark":

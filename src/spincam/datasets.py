@@ -9,6 +9,7 @@ shortest round-trip decimal form, so read(write(x)) is exact.
 from __future__ import annotations
 
 import csv
+import dataclasses
 import json
 import math
 import warnings
@@ -19,9 +20,11 @@ import numpy as np
 
 from .camera import (
     BoundingBox,
+    DEFAULT_INTRINSICS,
     CameraIntrinsics,
     CameraModel,
     FrameAnnotation,
+    FrameRecord,
     ImagePoint,
     NeighborAnnotation,
     camera_for_pitch,
@@ -146,14 +149,6 @@ def _annotation_from(obj: dict) -> FrameAnnotation:
 # Dataset files
 
 @dataclass(eq=False)
-class FrameRecord:
-    """One frame: its annotation plus the world poses of every robot."""
-
-    annotation: FrameAnnotation
-    poses: dict[str, Pose]
-
-
-@dataclass(eq=False)
 class Dataset:
     camera: CameraModel
     geometry: RobotGeometry
@@ -220,12 +215,15 @@ def read_dataset(path) -> Dataset:
         raise ParseError(
             f"{path}: header announces {expected} frames but file holds {len(frames)}"
         )
-    return Dataset(
-        camera=_camera_from(header["camera"]),
-        geometry=_geometry_from(header["geometry"]),
-        ellipsoid=EllipsoidSpec(*header["ellipsoid"]),
-        frames=frames,
-    )
+    try:
+        return Dataset(
+            camera=_camera_from(header["camera"]),
+            geometry=_geometry_from(header["geometry"]),
+            ellipsoid=EllipsoidSpec(*header["ellipsoid"]),
+            frames=frames,
+        )
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ParseError(f"{path}:1: malformed header record: {exc}") from exc
 
 
 # ---------------------------------------------------------------------------
@@ -276,7 +274,7 @@ def export_labels(
 
 def ingest_pose_log(path) -> list[PoseTrack]:
     """Read a motion-capture style CSV into per-robot pose tracks."""
-    rows_by_robot: dict[str, list[tuple[float, np.ndarray, Quaternion]]] = {}
+    rows_by_robot: dict[str, list[tuple[float, list[float], Quaternion]]] = {}
     with open(path, "r", encoding="utf-8", newline="") as fh:
         reader = csv.DictReader(fh)
         if reader.fieldnames is None or [c.strip() for c in reader.fieldnames] != POSE_LOG_COLUMNS:
@@ -300,15 +298,22 @@ def ingest_pose_log(path) -> list[PoseTrack]:
                     stacklevel=2,
                 )
             q = Quaternion(qw, qx, qy, qz).normalized()
-            rows_by_robot.setdefault(row["robot_id"], []).append((t, np.array([x, y, z]), q))
+            rows_by_robot.setdefault(row["robot_id"], []).append((t, [x, y, z], q))
     tracks = []
     for robot_id in sorted(rows_by_robot):
         entries = sorted(rows_by_robot[robot_id], key=lambda e: e[0])
         times = [e[0] for e in entries]
         if len(set(times)) != len(times):
             raise ParseError(f"{path}: robot {robot_id!r} has duplicate timestamps")
-        samples = [Pose(t, RigidTransform(q, p)) for t, p, q in entries]
-        tracks.append(PoseTrack(robot_id=robot_id, samples=samples))
+        try:
+            tracks.append(PoseTrack(
+                robot_id,
+                np.array(times),
+                np.array([p for _t, p, _q in entries]),
+                np.array([q.as_array() for _t, _p, q in entries]),
+            ))
+        except ValueError as exc:
+            raise ParseError(f"{path}: {exc}") from exc
     return tracks
 
 
@@ -316,13 +321,9 @@ def write_pose_log(tracks: Sequence[PoseTrack], path) -> None:
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(",".join(POSE_LOG_COLUMNS) + "\n")
         for track in tracks:
-            for pose in track.samples:
-                q = pose.orientation
-                p = pose.position
-                fields = [track.robot_id] + [
-                    repr(float(v)) for v in (pose.timestamp, p[0], p[1], p[2], q.w, q.x, q.y, q.z)
-                ]
-                fh.write(",".join(fields) + "\n")
+            rows = np.column_stack([track.times, track.positions, track.quats]).tolist()
+            for row in rows:
+                fh.write(",".join([track.robot_id] + [repr(v) for v in row]) + "\n")
 
 
 # ---------------------------------------------------------------------------
@@ -510,19 +511,18 @@ def load_simulation_config(path) -> SimulationSpec:
         if key not in raw:
             raise InvalidConfig(f"{path}: missing required key {key!r}")
 
-    scenario_kwargs = {}
-    for key in _SCENARIO_KEYS & set(raw):
-        value = raw[key]
-        scenario_kwargs[key] = tuple(value) if key in _TUPLE_KEYS else value
-    if "ellipsoid" in raw:
-        scenario_kwargs["ellipsoid"] = EllipsoidSpec(*raw["ellipsoid"])
     try:
+        scenario_kwargs = {}
+        for key in _SCENARIO_KEYS & set(raw):
+            value = raw[key]
+            scenario_kwargs[key] = tuple(value) if key in _TUPLE_KEYS else value
+        if "ellipsoid" in raw:
+            scenario_kwargs["ellipsoid"] = EllipsoidSpec(*raw["ellipsoid"])
         scenario = ScenarioConfig(**scenario_kwargs)
         scenario.validate()
 
         intr_kwargs = {k: raw[k] for k in _CAMERA_KEYS & set(raw) if k != "camera_translation"}
-        base = DEFAULT_INTRINSICS_DICT | intr_kwargs
-        intrinsics = CameraIntrinsics(**base)
+        intrinsics = CameraIntrinsics(**(dataclasses.asdict(DEFAULT_INTRINSICS) | intr_kwargs))
         camera = camera_for_pitch(
             scenario.camera_pitch, intrinsics, raw.get("camera_translation", (0.0, 0.0, 0.0))
         )
@@ -541,11 +541,6 @@ def load_simulation_config(path) -> SimulationSpec:
         raise InvalidConfig(f"{path}: {exc}") from exc
     return SimulationSpec(scenario=scenario, camera=camera, geometry=geometry)
 
-
-DEFAULT_INTRINSICS_DICT = {
-    "fx": 170.0, "fy": 170.0, "cx": 160.0, "cy": 160.0,
-    "k1": 0.0, "width": 320, "height": 320,
-}
 
 _NOISE_KEYS = {
     "pixel_sigma", "depth_rel_sigma", "miss_rate", "false_positive_rate",

@@ -9,17 +9,19 @@ simply tests the ellipsoid condition against every surviving belief.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
 from .camera import (
     CameraModel,
-    annotate_frame,
-    camera_to_world,
-    projects_into_image,
-    world_to_camera,
+    FrameRecord,
+    annotate_tracks,
+    camera_to_world_arrays,
+    in_view,
+    world_to_camera_arrays,
 )
 from .geometry import (
     DEFAULT_ROBOT_GEOMETRY,
@@ -27,7 +29,7 @@ from .geometry import (
     PoseTrack,
     RobotGeometry,
     as_vec3,
-    interpolate_pose,
+    quat_rotate,
 )
 from .perception import (
     DEFAULT_GRID_COLS,
@@ -55,6 +57,9 @@ class EllipsoidSpec:
     rz: float = 0.3
 
     def __post_init__(self):
+        radii = (self.rx, self.ry, self.rz)
+        if not all(math.isfinite(r) for r in radii):
+            raise ValueError(f"ellipsoid radii must be finite, got {radii}")
         if self.rx <= 0.0 or self.ry <= 0.0 or self.rz <= 0.0:
             raise ValueError("ellipsoid radii must be positive")
 
@@ -62,10 +67,14 @@ class EllipsoidSpec:
         return np.array([self.rx, self.ry, self.rz])
 
 
+def ellipsoid_margins(deltas, ellipsoid: EllipsoidSpec) -> np.ndarray:
+    """Ellipsoid-normalized lengths of separation vectors (..., 3)."""
+    return np.linalg.norm(np.asarray(deltas, dtype=float) / ellipsoid.as_array(), axis=-1)
+
+
 def ellipsoid_margin(p_i, p_j, ellipsoid: EllipsoidSpec) -> float:
     """Ellipsoid-normalized separation; values below 2 mean downwash danger."""
-    delta = as_vec3(p_i) - as_vec3(p_j)
-    return float(np.linalg.norm(delta / ellipsoid.as_array()))
+    return float(ellipsoid_margins(as_vec3(p_i) - as_vec3(p_j), ellipsoid))
 
 
 def is_downwash(p_i, p_j, ellipsoid: EllipsoidSpec) -> bool:
@@ -98,18 +107,40 @@ class BeliefSet:
         return np.array([b.position for b in self.beliefs])
 
 
-def _update_with_world_positions(
-    beliefs: BeliefSet,
-    world_positions: Sequence[np.ndarray],
-    timestamp: float,
-    visible: Callable[[np.ndarray], bool],
+def _visible(positions: np.ndarray, w2c_q, w2c_t, camera: CameraModel) -> np.ndarray:
+    """Mask of world positions (B, 3) that reproject into the image of the
+    camera whose world->camera transform is (w2c_q, w2c_t)."""
+    return in_view(quat_rotate(w2c_q, positions) + w2c_t, camera.intrinsics)
+
+
+def _predict(positions: np.ndarray, ego_position: np.ndarray, ellipsoid: EllipsoidSpec) -> bool:
+    """True when any world position (B, 3) violates the ellipsoid condition."""
+    return bool(np.any(ellipsoid_margins(positions - ego_position, ellipsoid) < DOWNWASH_MARGIN))
+
+
+def _belief_step(
+    positions: np.ndarray,
+    visible: np.ndarray,
+    seen: np.ndarray,
     merge_radius: float,
-) -> BeliefSet:
-    kept = [b for b in beliefs if not visible(b.position)]
-    for position in world_positions:
-        kept = [b for b in kept if np.linalg.norm(b.position - position) >= merge_radius]
-        kept.append(Belief(position=np.array(position, dtype=float), born_at=timestamp))
-    return BeliefSet(tuple(kept))
+) -> tuple[np.ndarray, np.ndarray]:
+    """One frame of the belief rule on arrays.
+
+    Beliefs (B, 3) that reproject into the image (`visible`) are dropped; then
+    each perceived world position of `seen` (P, 3) is added in turn, absorbing
+    every earlier belief within merge_radius. Returns the indices of the
+    surviving old beliefs and of the surviving new ones; the next belief set
+    is the old survivors followed by the new ones, both in order.
+    """
+    old = np.flatnonzero(~visible)
+    if not len(seen):
+        return old, np.arange(0)
+    near_old = np.linalg.norm(positions[old, None] - seen[None], axis=-1) < merge_radius
+    old = old[~near_old.any(axis=1)]
+    # a new position is absorbed by any position perceived after it
+    near_new = np.linalg.norm(seen[:, None] - seen[None], axis=-1) < merge_radius
+    new = np.flatnonzero(~np.triu(near_new, k=1).any(axis=1))
+    return old, new
 
 
 def update_belief(
@@ -125,25 +156,27 @@ def update_belief(
     Predictions arrive in the camera frame and are stored in the world frame.
     `visibility` overrides the reprojection test (the omnidirectional oracle
     passes an always-true one); new beliefs absorb older ones within
-    merge_radius.
+    merge_radius. Shares `_visible` and `_belief_step` with the evaluation loop.
     """
+    positions = beliefs.positions()
+    ego_q, ego_t = ego_pose.orientation.as_array(), ego_pose.position
     if visibility is None:
-        to_camera = world_to_camera(ego_pose, camera)
-
-        def visibility(world_point: np.ndarray) -> bool:
-            return projects_into_image(to_camera.apply(world_point), camera.intrinsics)
-
-    to_world = camera_to_world(ego_pose, camera)
-    world_positions = [to_world.apply(p.position) for p in predictions]
-    return _update_with_world_positions(
-        beliefs, world_positions, ego_pose.timestamp, visibility, merge_radius
+        visible = _visible(positions, *world_to_camera_arrays(ego_q, ego_t, camera), camera)
+    else:
+        visible = np.array([bool(visibility(p)) for p in positions], dtype=bool)
+    c2w_q, c2w_t = camera_to_world_arrays(ego_q, ego_t, camera)
+    estimates = np.array([p.position for p in predictions], dtype=float).reshape(-1, 3)
+    seen = quat_rotate(c2w_q, estimates) + c2w_t
+    old, new = _belief_step(positions, visible, seen, merge_radius)
+    return BeliefSet(
+        tuple(beliefs.beliefs[i] for i in old)
+        + tuple(Belief(position=seen[j], born_at=ego_pose.timestamp) for j in new)
     )
 
 
 def predict_downwash(beliefs: BeliefSet, ego_position, ellipsoid: EllipsoidSpec) -> bool:
     """True when any believed neighbor violates the ellipsoid condition."""
-    ego = as_vec3(ego_position)
-    return any(is_downwash(b.position, ego, ellipsoid) for b in beliefs)
+    return _predict(beliefs.positions(), as_vec3(ego_position), ellipsoid)
 
 
 @dataclass(frozen=True)
@@ -153,47 +186,40 @@ class DownwashFrameResult:
     pred_downwash: bool
 
 
-def _frame_estimates(
-    annotation,
-    neighbor_world: dict[str, np.ndarray],
-    ego_pose: Pose,
+def _perceived(
+    records: Sequence[FrameRecord],
     camera: CameraModel,
     mode: str,
     noise: NoiseModel | None,
     geom: RobotGeometry,
     grid_threshold: float,
     grid_dims: tuple[int, int],
-):
-    """Perceived neighbor positions for one frame, per evaluation mode.
-
-    Returns (world_positions, visibility or None); None keeps the default
-    reprojection visibility.
-    """
-    if mode == "omni":
-        return list(neighbor_world.values()), (lambda _p: True)
+) -> tuple[list[int], np.ndarray]:
+    """Camera-frame position estimates of every frame, stacked (E, 3), and
+    how many of them belong to each frame."""
     if mode == "oracle":
-        estimates = oracle_estimates(annotation)
+        per_frame = (oracle_estimates(r.annotation) for r in records)
     else:
         if noise is None:
             raise ValueError(f"mode {mode!r} needs a NoiseModel")
-        output = simulate_detector(
-            annotation,
-            noise,
-            camera.intrinsics,
-            mode,
-            radius=geom.sphere_radius,
-            rows=grid_dims[0],
-            cols=grid_dims[1],
+        intr, radius = camera.intrinsics, geom.sphere_radius
+        per_frame = (
+            decode_detections(
+                simulate_detector(r.annotation, noise, intr, mode, radius=radius,
+                                  rows=grid_dims[0], cols=grid_dims[1]),
+                intr, radius=radius, threshold=grid_threshold,
+            )
+            for r in records
         )
-        estimates = decode_detections(
-            output, camera.intrinsics, radius=geom.sphere_radius, threshold=grid_threshold
-        )
-    to_world = camera_to_world(ego_pose, camera)
-    return [to_world.apply(e.position) for e in estimates], None
+    counts, positions = [], []
+    for estimates in per_frame:
+        counts.append(len(estimates))
+        positions.extend(e.position for e in estimates)
+    return counts, np.array(positions, dtype=float).reshape(-1, 3)
 
 
-def evaluate_downwash_frames(
-    frame_data: Iterable[tuple[int, Pose, dict[str, Pose], "FrameAnnotation"]],
+def evaluate_downwash_records(
+    records: Sequence[FrameRecord],
     camera: CameraModel,
     ellipsoid: EllipsoidSpec,
     mode: str = "oracle",
@@ -203,53 +229,59 @@ def evaluate_downwash_frames(
     grid_dims: tuple[int, int] = (DEFAULT_GRID_ROWS, DEFAULT_GRID_COLS),
     merge_radius: float = DEFAULT_MERGE_RADIUS,
 ) -> list[DownwashFrameResult]:
-    """Run the belief protocol over prepared frames, in timestamp order.
+    """Run the belief protocol over annotated frame records.
 
-    frame_data yields (frame_id, ego pose, neighbor poses, annotation).
+    Records are processed in timestamp order regardless of input order; the
+    belief update is order-dependent. Ground truth, perception and every
+    frame's camera transforms are computed up front; only the belief update
+    runs frame by frame, on a (B, 3) array of world positions.
     """
     if mode not in EVAL_MODES:
         raise ValueError(f"unknown evaluation mode {mode!r}; expected one of {EVAL_MODES}")
-    beliefs = BeliefSet.empty()
-    results = []
-    for frame_id, ego_pose, neighbor_poses, annotation in frame_data:
-        neighbor_world = {rid: p.position for rid, p in neighbor_poses.items()}
-        gt = any(
-            is_downwash(pos, ego_pose.position, ellipsoid) for pos in neighbor_world.values()
-        )
-        world_positions, visibility = _frame_estimates(
-            annotation, neighbor_world, ego_pose, camera, mode, noise, geom,
-            grid_threshold, grid_dims,
-        )
-        if visibility is None:
-            to_camera = world_to_camera(ego_pose, camera)
-
-            def visibility(world_point, _to_camera=to_camera):
-                return projects_into_image(_to_camera.apply(world_point), camera.intrinsics)
-
-        beliefs = _update_with_world_positions(
-            beliefs, world_positions, ego_pose.timestamp, visibility, merge_radius
-        )
-        pred = predict_downwash(beliefs, ego_pose.position, ellipsoid)
-        results.append(DownwashFrameResult(frame_id=frame_id, gt_downwash=gt, pred_downwash=pred))
-    return results
-
-
-def evaluate_downwash_records(records, camera: CameraModel, ellipsoid: EllipsoidSpec, **kwargs):
-    """Evaluate pre-annotated frame records (objects with .annotation/.poses).
-
-    Records are processed in timestamp order regardless of file order; the
-    belief update is order-dependent.
-    """
     ordered = sorted(records, key=lambda record: record.annotation.timestamp)
+    egos = [r.poses[r.annotation.ego_id] for r in ordered]
+    ego_q = np.array([p.orientation.as_array() for p in egos]).reshape(-1, 4)
+    ego_t = np.array([p.position for p in egos]).reshape(-1, 3)
 
-    def frame_iter():
-        for record in ordered:
-            annotation = record.annotation
-            poses = dict(record.poses)
-            ego_pose = poses.pop(annotation.ego_id)
-            yield annotation.frame_id, ego_pose, poses, annotation
+    # ground truth: any neighbor inside the ellipsoid condition
+    owner, neighbors = [], []
+    for f, record in enumerate(ordered):
+        for rid, pose in record.poses.items():
+            if rid != record.annotation.ego_id:
+                owner.append(f)
+                neighbors.append(pose.position)
+    owner = np.array(owner, dtype=int)
+    neighbors = np.array(neighbors, dtype=float).reshape(-1, 3)
+    gt = np.zeros(len(ordered), dtype=bool)
+    gt[owner[ellipsoid_margins(neighbors - ego_t[owner], ellipsoid) < DOWNWASH_MARGIN]] = True
 
-    return evaluate_downwash_frames(frame_iter(), camera, ellipsoid, **kwargs)
+    # perceived positions in the world frame, one (P, 3) block per frame
+    if mode == "omni":
+        seen, owner_seen = neighbors, owner
+    else:
+        counts, estimates = _perceived(ordered, camera, mode, noise, geom, grid_threshold,
+                                       grid_dims)
+        owner_seen = np.repeat(np.arange(len(ordered)), counts)
+        c2w_q, c2w_t = camera_to_world_arrays(ego_q, ego_t, camera)
+        seen = quat_rotate(c2w_q[owner_seen], estimates) + c2w_t[owner_seen]
+    bounds = np.searchsorted(owner_seen, np.arange(len(ordered) + 1)).tolist()
+    w2c_q, w2c_t = world_to_camera_arrays(ego_q, ego_t, camera)
+
+    positions = np.zeros((0, 3))
+    results = []
+    for f, record in enumerate(ordered):
+        if mode == "omni":
+            visible = np.ones(len(positions), dtype=bool)
+        else:
+            visible = _visible(positions, w2c_q[f], w2c_t[f], camera)
+        frame_seen = seen[bounds[f]:bounds[f + 1]]
+        old, new = _belief_step(positions, visible, frame_seen, merge_radius)
+        positions = np.concatenate([positions[old], frame_seen[new]])
+        results.append(DownwashFrameResult(
+            frame_id=record.annotation.frame_id, gt_downwash=bool(gt[f]),
+            pred_downwash=_predict(positions, ego_t[f], ellipsoid),
+        ))
+    return results
 
 
 def run_downwash_eval(
@@ -268,21 +300,10 @@ def run_downwash_eval(
     """Full per-frame evaluation from pose tracks and a frame schedule."""
     if ego_id is None:
         ego_id = tracks[0].robot_id
-    by_id = {t.robot_id: t for t in tracks}
-    if ego_id not in by_id:
-        raise ValueError(f"ego robot {ego_id!r} not among tracks")
-
-    def frame_iter():
-        for frame_id, t in enumerate(sorted(frames)):
-            poses = {rid: interpolate_pose(track, t) for rid, track in by_id.items()}
-            ego_pose = poses.pop(ego_id)
-            annotation = annotate_frame(
-                ego_pose, poses, camera, geom, frame_id=frame_id, ego_id=ego_id
-            )
-            yield frame_id, ego_pose, poses, annotation
-
-    return evaluate_downwash_frames(
-        frame_iter(), camera, ellipsoid,
+    records = annotate_tracks(tracks, camera, geom, np.sort(np.asarray(frames, dtype=float)),
+                              ego_id)
+    return evaluate_downwash_records(
+        records, camera, ellipsoid,
         mode=mode, noise=noise, geom=geom,
         grid_threshold=grid_threshold, grid_dims=grid_dims, merge_radius=merge_radius,
     )

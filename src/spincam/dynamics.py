@@ -11,9 +11,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .downwash import EllipsoidSpec
 from .errors import InfeasibleWrench
-from .geometry import DEFAULT_ROBOT_GEOMETRY, Quaternion, RobotGeometry, as_vec3
+from .geometry import Quaternion, as_vec3
 
 GRAVITY = 9.81
 MAX_STEP = 0.01
@@ -39,8 +38,6 @@ class QuadrotorParams:
     inertia: np.ndarray  # 3x3, kg*m^2
     kappa_f: float  # thrust per squared-motor-speed unit
     b0: np.ndarray  # 4x4 wrench-from-motors matrix, first row all kappa_f
-    ellipsoid: EllipsoidSpec = EllipsoidSpec()
-    geometry: RobotGeometry = DEFAULT_ROBOT_GEOMETRY
 
     def __post_init__(self):
         inertia = np.asarray(self.inertia, dtype=float)
@@ -75,10 +72,7 @@ def x_configuration_mixer(
     )
 
 
-def crazyflie_params(
-    ellipsoid: EllipsoidSpec = EllipsoidSpec(),
-    geometry: RobotGeometry = DEFAULT_ROBOT_GEOMETRY,
-) -> QuadrotorParams:
+def crazyflie_params() -> QuadrotorParams:
     """Plausible nano-quadrotor defaults (not calibrated to any airframe).
 
     Motor commands are normalized squared speeds in [0, 1], so kappa_f is the
@@ -89,8 +83,6 @@ def crazyflie_params(
         inertia=np.diag([1.66e-5, 1.66e-5, 2.93e-5]),
         kappa_f=0.15,
         b0=x_configuration_mixer(0.15, arm_length=0.046, drag_to_thrust=0.006),
-        ellipsoid=ellipsoid,
-        geometry=geometry,
     )
 
 

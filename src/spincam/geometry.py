@@ -3,12 +3,20 @@
 Conventions: quaternions are Hamilton (w, x, y, z) and rotate body-frame
 vectors into the parent frame; all distances are meters, angles radians,
 timestamps seconds.
+
+Two layers share one set of formulas. The array kernels (`quat_rotate`,
+`quat_multiply`, `compose`, `invert`, `slerp_arrays`, `interpolate`) take
+stacks of quaternions (..., 4) and vectors (..., 3) and broadcast; the value
+types (`Quaternion`, `RigidTransform`, `Pose`) are the one-element case. The
+batched slerp and rotation algebra follow Sola, "Quaternion kinematics for the
+error-state Kalman filter" (arXiv 1711.02508).
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
@@ -22,9 +30,71 @@ def as_vec3(value) -> np.ndarray:
     v = np.asarray(value, dtype=float)
     if v.shape != (3,):
         raise ValueError(f"expected a 3-vector, got shape {v.shape}")
-    if not np.all(np.isfinite(v)):
+    if not np.isfinite(v).all():
         raise ValueError("vector components must be finite")
     return v
+
+
+def _rotate(w, x, y, z, vx, vy, vz):
+    """Components of q v q* as v + w t + q_xyz x t, with t = 2 q_xyz x v.
+
+    Takes floats or broadcasting arrays. The cross products are spelled out
+    with the multiplications and subtractions `np.cross` performs, in the
+    same order, so the result equals the cross-product formula bit for bit.
+    """
+    tx = 2.0 * (y * vz - z * vy)
+    ty = 2.0 * (z * vx - x * vz)
+    tz = 2.0 * (x * vy - y * vx)
+    return (
+        vx + w * tx + (y * tz - z * ty),
+        vy + w * ty + (z * tx - x * tz),
+        vz + w * tz + (x * ty - y * tx),
+    )
+
+
+def _multiply(w1, x1, y1, z1, w2, x2, y2, z2):
+    """Components of the Hamilton product; floats or broadcasting arrays."""
+    return (
+        w1 * w2 - x1 * x2 - y1 * y2 - z1 * z2,
+        w1 * x2 + x1 * w2 + y1 * z2 - z1 * y2,
+        w1 * y2 - x1 * z2 + y1 * w2 + z1 * x2,
+        w1 * z2 + x1 * y2 - y1 * x2 + z1 * w2,
+    )
+
+
+def _split(a: np.ndarray) -> tuple[np.ndarray, ...]:
+    return tuple(a[..., i] for i in range(a.shape[-1]))
+
+
+def quat_rotate(q, v) -> np.ndarray:
+    """Rotate vectors (..., 3) by quaternions (..., 4); shapes broadcast."""
+    q = np.asarray(q, dtype=float)
+    v = np.asarray(v, dtype=float)
+    return np.stack(_rotate(*_split(q), *_split(v)), axis=-1)
+
+
+def quat_multiply(a, b) -> np.ndarray:
+    """Hamilton products of quaternion stacks (..., 4); shapes broadcast."""
+    a = np.asarray(a, dtype=float)
+    b = np.asarray(b, dtype=float)
+    return np.stack(_multiply(*_split(a), *_split(b)), axis=-1)
+
+
+def quat_normalize(q) -> np.ndarray:
+    q = np.asarray(q, dtype=float)
+    w, x, y, z = _split(q)
+    return q / np.sqrt(w * w + x * x + y * y + z * z)[..., None]
+
+
+def compose(qa, ta, qb, tb) -> tuple[np.ndarray, np.ndarray]:
+    """Stacked `RigidTransform.__matmul__`: (a @ b)(x) == a(b(x))."""
+    return quat_normalize(quat_multiply(qa, qb)), quat_rotate(qa, tb) + ta
+
+
+def invert(q, t) -> tuple[np.ndarray, np.ndarray]:
+    """Stacked `RigidTransform.inverse` of unit-quaternion transforms."""
+    q_inv = np.asarray(q, dtype=float) * np.array([1.0, -1.0, -1.0, -1.0])
+    return q_inv, -quat_rotate(q_inv, t)
 
 
 @dataclass(frozen=True, eq=False)
@@ -79,13 +149,8 @@ class Quaternion:
         return self.w * other.w + self.x * other.x + self.y * other.y + self.z * other.z
 
     def __mul__(self, other: "Quaternion") -> "Quaternion":
-        w1, x1, y1, z1 = self.w, self.x, self.y, self.z
-        w2, x2, y2, z2 = other.w, other.x, other.y, other.z
         return Quaternion(
-            w1 * w2 - x1 * x2 - y1 * y2 - z1 * z2,
-            w1 * x2 + x1 * w2 + y1 * z2 - z1 * y2,
-            w1 * y2 - x1 * z2 + y1 * w2 + z1 * x2,
-            w1 * z2 + x1 * y2 - y1 * x2 + z1 * w2,
+            *_multiply(self.w, self.x, self.y, self.z, other.w, other.x, other.y, other.z)
         )
 
     def conjugate(self) -> "Quaternion":
@@ -97,10 +162,7 @@ class Quaternion:
 
     def rotate(self, v) -> np.ndarray:
         """Rotate a 3-vector (or (N, 3) stack) by this quaternion."""
-        vec = np.asarray(v, dtype=float)
-        q = np.array([self.x, self.y, self.z])
-        t = 2.0 * np.cross(q, vec)
-        return vec + self.w * t + np.cross(q, t)
+        return quat_rotate(self.as_array(), np.asarray(v, dtype=float))
 
     def to_matrix(self) -> np.ndarray:
         w, x, y, z = self.w, self.x, self.y, self.z
@@ -123,31 +185,28 @@ class Quaternion:
         return np.array([self.w, self.x, self.y, self.z])
 
 
+def slerp_arrays(q0, q1, t) -> np.ndarray:
+    """Shortest-arc spherical interpolation of quaternion stacks (..., 4) at
+    fractions t (...); nearly parallel pairs blend linearly. Unit output."""
+    q0 = np.asarray(q0, dtype=float)
+    q1 = np.asarray(q1, dtype=float)
+    t = np.asarray(t, dtype=float)[..., None]
+    w0, x0, y0, z0 = _split(q0)
+    w1, x1, y1, z1 = _split(q1)
+    dot = w0 * w1 + x0 * x1 + y0 * y1 + z0 * z1
+    b = np.where((dot < 0.0)[..., None], -q1, q1)
+    dot = np.abs(dot)[..., None]
+    theta = np.arccos(np.minimum(1.0, dot))
+    s = np.sin(theta)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        spherical = np.sin((1.0 - t) * theta) / s * q0 + np.sin(t * theta) / s * b
+    linear = q0 + t * (b - q0)
+    return quat_normalize(np.where(dot > 1.0 - 1e-12, linear, spherical))
+
+
 def slerp(q0: Quaternion, q1: Quaternion, t: float) -> Quaternion:
     """Shortest-arc spherical interpolation between two unit quaternions."""
-    dot = q0.dot(q1)
-    b = q1
-    if dot < 0.0:
-        dot = -dot
-        b = Quaternion(-q1.w, -q1.x, -q1.y, -q1.z)
-    if dot > 1.0 - 1e-12:
-        # nearly parallel: linear blend then renormalize
-        return Quaternion(
-            q0.w + t * (b.w - q0.w),
-            q0.x + t * (b.x - q0.x),
-            q0.y + t * (b.y - q0.y),
-            q0.z + t * (b.z - q0.z),
-        ).normalized()
-    theta = math.acos(min(1.0, dot))
-    s = math.sin(theta)
-    c0 = math.sin((1.0 - t) * theta) / s
-    c1 = math.sin(t * theta) / s
-    return Quaternion(
-        c0 * q0.w + c1 * b.w,
-        c0 * q0.x + c1 * b.x,
-        c0 * q0.y + c1 * b.y,
-        c0 * q0.z + c1 * b.z,
-    ).normalized()
+    return Quaternion(*slerp_arrays(q0.as_array(), q1.as_array(), t).tolist())
 
 
 @dataclass(frozen=True, eq=False)
@@ -209,53 +268,93 @@ class Pose:
 
 @dataclass(eq=False)
 class PoseTrack:
-    """Time-ordered pose samples for one robot."""
+    """Time-ordered pose samples for one robot, held as arrays.
+
+    `times` (N,) are strictly increasing non-negative seconds, `positions`
+    (N, 3) world positions and `quats` (N, 4) unit robot-to-world rotations.
+    """
 
     robot_id: str
-    samples: list[Pose]
-    _times: np.ndarray = field(init=False, repr=False)
+    times: np.ndarray
+    positions: np.ndarray
+    quats: np.ndarray
 
     def __post_init__(self):
-        times = np.array([p.timestamp for p in self.samples], dtype=float)
-        if len(times) >= 2 and not np.all(np.diff(times) > 0.0):
+        self.times = np.asarray(self.times, dtype=float)
+        self.positions = np.asarray(self.positions, dtype=float)
+        self.quats = np.asarray(self.quats, dtype=float)
+        n = len(self.times)
+        if self.times.shape != (n,) or self.positions.shape != (n, 3) \
+                or self.quats.shape != (n, 4):
+            raise ValueError(
+                f"track {self.robot_id!r}: expected times (N,), positions (N, 3), "
+                f"quats (N, 4); got {self.times.shape}, {self.positions.shape}, "
+                f"{self.quats.shape}"
+            )
+        if not all(np.all(np.isfinite(a)) for a in (self.times, self.positions, self.quats)):
+            raise ValueError(f"track {self.robot_id!r}: samples must be finite")
+        if n and self.times[0] < 0.0:
+            raise ValueError(f"track {self.robot_id!r}: timestamps must be non-negative")
+        if n >= 2 and not np.all(np.diff(self.times) > 0.0):
             raise ValueError(f"track {self.robot_id!r}: timestamps must be strictly increasing")
-        self._times = times
+        norms = np.sqrt(np.sum(self.quats * self.quats, axis=1))
+        if np.any(np.abs(norms - 1.0) > UNIT_NORM_TOL):
+            raise ValueError(f"track {self.robot_id!r}: quaternions must be unit-norm")
+
+    @staticmethod
+    def from_poses(robot_id: str, poses: Sequence[Pose]) -> "PoseTrack":
+        return PoseTrack(
+            robot_id,
+            np.array([p.timestamp for p in poses], dtype=float),
+            np.array([p.position for p in poses], dtype=float).reshape(-1, 3),
+            np.array([p.orientation.as_array() for p in poses], dtype=float).reshape(-1, 4),
+        )
 
     def __len__(self) -> int:
-        return len(self.samples)
+        return len(self.times)
 
     @property
-    def start_time(self) -> float:
-        return float(self._times[0])
+    def samples(self) -> list[Pose]:
+        """The samples as Pose values (built on each access)."""
+        return [
+            Pose(t, RigidTransform(Quaternion(*q), np.array(p)))
+            for t, p, q in zip(self.times.tolist(), self.positions.tolist(), self.quats.tolist())
+        ]
 
-    @property
-    def end_time(self) -> float:
-        return float(self._times[-1])
 
+def interpolate(track: PoseTrack, t) -> tuple[np.ndarray, np.ndarray]:
+    """Positions (M, 3) and orientations (M, 4) of a track at times t (M,).
 
-def interpolate_pose(track: PoseTrack, t: float) -> Pose:
-    """Pose at time t: linear in position, spherical shortest-arc in orientation.
-
-    Raises OutOfRange outside the track span; sample times return the stored
-    sample exactly.
+    Linear in position, spherical shortest-arc in orientation. Raises
+    OutOfRange when any time lies outside the track span; sample times return
+    the stored sample exactly.
     """
     if len(track) < 2:
         raise ValueError("interpolation needs a track with at least 2 samples")
-    times = track._times
-    if t < times[0] or t > times[-1]:
+    t = np.asarray(t, dtype=float).reshape(-1)
+    times = track.times
+    outside = ~((t >= times[0]) & (t <= times[-1]))
+    if np.any(outside):
+        bad = t[outside][0]
         raise OutOfRange(
-            f"t={t} outside track {track.robot_id!r} span [{times[0]}, {times[-1]}]"
+            f"t={bad} outside track {track.robot_id!r} span [{times[0]}, {times[-1]}]"
         )
-    idx = int(np.searchsorted(times, t, side="right")) - 1
-    if idx >= 0 and times[idx] == t:
-        return track.samples[idx]
-    if idx >= len(times) - 1:
-        idx = len(times) - 2
-    lo, hi = track.samples[idx], track.samples[idx + 1]
-    alpha = (t - lo.timestamp) / (hi.timestamp - lo.timestamp)
-    position = (1.0 - alpha) * lo.position + alpha * hi.position
-    orientation = slerp(lo.orientation, hi.orientation, alpha)
-    return Pose(t, RigidTransform(orientation, position))
+    idx = np.searchsorted(times, t, side="right") - 1
+    exact = times[idx] == t
+    lo = np.minimum(idx, len(times) - 2)
+    alpha = (t - times[lo]) / (times[lo + 1] - times[lo])
+    a = alpha[:, None]
+    positions = (1.0 - a) * track.positions[lo] + a * track.positions[lo + 1]
+    quats = slerp_arrays(track.quats[lo], track.quats[lo + 1], alpha)
+    positions[exact] = track.positions[idx[exact]]
+    quats[exact] = track.quats[idx[exact]]
+    return positions, quats
+
+
+def interpolate_pose(track: PoseTrack, t: float) -> Pose:
+    """One-time `interpolate`, as a Pose stamped t."""
+    positions, quats = interpolate(track, t)
+    return Pose(float(t), RigidTransform(Quaternion(*quats[0].tolist()), positions[0]))
 
 
 @dataclass(frozen=True, eq=False)

@@ -10,19 +10,22 @@ robots spin about +z at the configured auto-yaw rate.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .downwash import EllipsoidSpec, ellipsoid_margin
 from .errors import InvalidConfig
-from .geometry import Pose, PoseTrack, Quaternion, RigidTransform
+from .geometry import PoseTrack
 
 SCENARIO_KINDS = ("random_waypoint", "hover_orbit", "swap")
 CAMERA_PITCHES = ("forward", "tilt45", "up")
 
 DEFAULT_HOVER_HEIGHTS = (0.6, 1.0, 1.4)
 WAYPOINT_REJECTION_LIMIT = 1000
+# Upper bound on pose samples (duration x sample_rate) and on camera frames
+# (duration x frame_rate) per run; track arrays scale with these products.
+MAX_SAMPLES = 10**7
 
 
 @dataclass(frozen=True)
@@ -58,10 +61,23 @@ class ScenarioConfig:
             raise InvalidConfig(f"unknown camera pitch {self.camera_pitch!r}")
         if not 1 <= self.num_robots <= 4:
             raise InvalidConfig(f"num_robots must be 1..4, got {self.num_robots}")
+        for name in _FLOAT_FIELDS:
+            if not math.isfinite(getattr(self, name)):
+                raise InvalidConfig(f"{name} must be finite, got {getattr(self, name)}")
+        for name in _VECTOR_FIELDS:
+            value = getattr(self, name)
+            if value is not None and not np.all(np.isfinite(np.asarray(value, dtype=float))):
+                raise InvalidConfig(f"{name} must be finite, got {value}")
         if self.duration <= 0.0 or self.frame_rate <= 0.0 or self.sample_rate < 100.0:
             raise InvalidConfig("duration and rates must be positive (sample_rate >= 100 Hz)")
         if self.yaw_rate < 0.0:
             raise InvalidConfig("yaw_rate must be non-negative")
+        for rate in ("sample_rate", "frame_rate"):
+            if self.duration * getattr(self, rate) > MAX_SAMPLES:
+                raise InvalidConfig(
+                    f"duration x {rate} = {self.duration * getattr(self, rate):g} "
+                    f"exceeds the limit of {MAX_SAMPLES} per run"
+                )
         lo, hi = np.array(self.arena_min), np.array(self.arena_max)
         if not np.all(lo < hi):
             raise InvalidConfig("arena bounds must satisfy min < max per axis")
@@ -82,6 +98,11 @@ class ScenarioConfig:
                 raise InvalidConfig("speed and acceleration must be positive")
 
 
+_FLOAT_FIELDS = ("duration", "frame_rate", "sample_rate", "yaw_rate", "max_speed", "accel",
+                 "orbit_radius", "orbit_height", "orbit_speed")
+_VECTOR_FIELDS = ("arena_min", "arena_max", "hover_heights", "swap_start_a", "swap_start_b")
+
+
 def frame_schedule(cfg: ScenarioConfig) -> np.ndarray:
     """Camera timestamps 0, 1/fps, ... up to and including the duration."""
     count = int(math.floor(cfg.duration * cfg.frame_rate + 1e-9)) + 1
@@ -95,16 +116,17 @@ def _sample_times(cfg: ScenarioConfig) -> np.ndarray:
 
 def _spinning_track(robot_id: str, times: np.ndarray, positions: np.ndarray,
                     yaw_rate: float) -> PoseTrack:
-    samples = [
-        Pose(float(t), RigidTransform(Quaternion.from_yaw(yaw_rate * float(t)), p))
-        for t, p in zip(times, positions)
-    ]
-    return PoseTrack(robot_id=robot_id, samples=samples)
+    half_yaw = 0.5 * (yaw_rate * times)
+    quats = np.zeros((len(times), 4))
+    quats[:, 0] = np.cos(half_yaw)
+    quats[:, 3] = np.sin(half_yaw)
+    return PoseTrack(robot_id, times, positions, quats)
 
 
 def _static_track(robot_id: str, times: np.ndarray, position) -> PoseTrack:
-    transform = RigidTransform(Quaternion.identity(), np.asarray(position, dtype=float))
-    return PoseTrack(robot_id=robot_id, samples=[Pose(float(t), transform) for t in times])
+    positions = np.tile(np.asarray(position, dtype=float), (len(times), 1))
+    quats = np.tile([1.0, 0.0, 0.0, 0.0], (len(times), 1))
+    return PoseTrack(robot_id, times, positions, quats)
 
 
 def _smoothstep(tau: np.ndarray) -> np.ndarray:
@@ -166,24 +188,22 @@ def _trapezoid_duration(length: float, vmax: float, accel: float) -> float:
     return 2.0 * vmax / accel + (length - 2.0 * ramp_dist) / vmax
 
 
-def _trapezoid_position(t: float, length: float, vmax: float, accel: float) -> float:
-    """Distance along a leg at time t under the trapezoidal speed profile."""
+def _trapezoid_position(t: np.ndarray, length: float, vmax: float,
+                        accel: float) -> np.ndarray:
+    """Distance along a leg at times t (>= 0) under the trapezoidal speed
+    profile; the leg holds its end after it finishes."""
     ramp_dist = vmax * vmax / (2.0 * accel)
     if length <= 2.0 * ramp_dist:
-        peak_t = math.sqrt(length / accel)
-        total = 2.0 * peak_t
-        if t <= peak_t:
-            return 0.5 * accel * t * t
-        t = min(t, total)
-        return length - 0.5 * accel * (total - t) ** 2
-    ramp_t = vmax / accel
-    total = 2.0 * ramp_t + (length - 2.0 * ramp_dist) / vmax
-    if t <= ramp_t:
-        return 0.5 * accel * t * t
-    if t <= total - ramp_t:
-        return ramp_dist + vmax * (t - ramp_t)
-    t = min(t, total)
-    return length - 0.5 * accel * (total - t) ** 2
+        ramp_t = math.sqrt(length / accel)
+        total = 2.0 * ramp_t
+    else:
+        ramp_t = vmax / accel
+        total = 2.0 * ramp_t + (length - 2.0 * ramp_dist) / vmax
+    t = np.minimum(t, total)
+    speeding = 0.5 * accel * t * t
+    cruising = ramp_dist + vmax * (t - ramp_t)
+    braking = length - 0.5 * accel * (total - t) ** 2
+    return np.where(t <= ramp_t, speeding, np.where(t <= total - ramp_t, cruising, braking))
 
 
 def _draw_waypoints(cfg: ScenarioConfig, rng: np.random.Generator) -> list[np.ndarray]:
@@ -213,25 +233,18 @@ def _draw_waypoints(cfg: ScenarioConfig, rng: np.random.Generator) -> list[np.nd
 
 def _waypoint_positions(times: np.ndarray, waypoints: np.ndarray, vmax: float,
                         accel: float) -> np.ndarray:
-    legs = []
+    """Each sample follows the last leg that has started by its time."""
+    positions = np.tile(waypoints[-1], (len(times), 1))
     t_start = 0.0
     for k in range(len(waypoints) - 1):
         delta = waypoints[k + 1] - waypoints[k]
         length = float(np.linalg.norm(delta))
         if length < 1e-12:
             continue
-        legs.append((t_start, length, waypoints[k], delta / length))
+        started = times >= t_start
+        s = _trapezoid_position(times[started] - t_start, length, vmax, accel)
+        positions[started] = waypoints[k] + s[:, None] * (delta / length)
         t_start += _trapezoid_duration(length, vmax, accel)
-
-    positions = np.zeros((len(times), 3))
-    for i, t in enumerate(times):
-        pos = waypoints[-1]
-        for start, length, origin, direction in legs:
-            if t < start:
-                break
-            s = _trapezoid_position(t - start, length, vmax, accel)
-            pos = origin + s * direction
-        positions[i] = pos
     return positions
 
 
@@ -260,7 +273,3 @@ def generate_scenario(cfg: ScenarioConfig) -> list[PoseTrack]:
         return _generate_hover_orbit(cfg, times)
     return _generate_waypoint(cfg, times, rng)
 
-
-def with_settings(cfg: ScenarioConfig, **overrides) -> ScenarioConfig:
-    """Copy of a config with selected fields replaced (benchmark sweeps)."""
-    return replace(cfg, **overrides)

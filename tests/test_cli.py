@@ -63,6 +63,16 @@ class TestSimulate:
         assert main(["simulate", "--config", str(tmp_path / "nope.json"),
                      "--out", str(tmp_path / "x")]) == 2
 
+    def test_nan_duration_exits_2(self, tmp_path, capsys):
+        config = write_config(tmp_path / "nan.json", duration=float("nan"))
+        assert main(["simulate", "--config", str(config), "--out", str(tmp_path / "x")]) == 2
+        assert "duration must be finite" in capsys.readouterr().err
+
+    def test_non_finite_config_ellipsoid_exits_2(self, tmp_path, capsys):
+        config = write_config(tmp_path / "inf.json", ellipsoid=[float("inf"), 0.1, 0.1])
+        assert main(["simulate", "--config", str(config), "--out", str(tmp_path / "x")]) == 2
+        assert "finite" in capsys.readouterr().err
+
     def test_same_seed_byte_identical(self, tmp_path, swap_config):
         out1, out2 = tmp_path / "a", tmp_path / "b"
         main(["simulate", "--config", str(swap_config), "--out", str(out1), "--seed", "11"])
@@ -125,6 +135,24 @@ class TestDownwashEval:
         path.write_text('{"record": "header", "schema_version": 1}\nnot json\n')
         assert main(["downwash-eval", "--dataset", str(path), "--oracle",
                      "--out", str(tmp_path / "e")]) == 3
+
+    def test_non_finite_ellipsoid_override_exits_2(self, tmp_path, capsys):
+        dataset = self.simulate(tmp_path)
+        capsys.readouterr()
+        assert main(["downwash-eval", "--dataset", str(dataset), "--oracle",
+                     "--ellipsoid", "nan,0.1,0.1", "--out", str(tmp_path / "e")]) == 2
+        err = capsys.readouterr().err
+        assert "--ellipsoid" in err and "finite" in err
+
+    def test_non_finite_dataset_ellipsoid_exits_3(self, tmp_path, capsys):
+        dataset = self.simulate(tmp_path)
+        lines = dataset.read_text().splitlines()
+        header = json.loads(lines[0])
+        header["ellipsoid"][2] = float("nan")
+        dataset.write_text("\n".join([json.dumps(header)] + lines[1:]) + "\n")
+        assert main(["downwash-eval", "--dataset", str(dataset), "--oracle",
+                     "--out", str(tmp_path / "e")]) == 3
+        assert "header" in capsys.readouterr().err
 
     def test_ellipsoid_override(self, tmp_path):
         dataset = self.simulate(tmp_path)
@@ -218,3 +246,21 @@ class TestRerun:
         first = (eval_out / "report.csv").read_bytes()
         assert main(["rerun", "--manifest", str(eval_out / "manifest.json")]) == 0
         assert (eval_out / "report.csv").read_bytes() == first
+
+    @pytest.mark.parametrize("text", [
+        "{not json",
+        "[\"simulate\"]",
+        json.dumps({"args": {"config": "c", "out": "o", "seed": None}}),
+        json.dumps({"command": "simulate"}),
+        json.dumps({"command": "simulate", "args": ["c", "o"]}),
+        json.dumps({"command": "simulate", "args": {"config": "c"}}),
+        json.dumps({"command": "downwash-eval", "args": {"dataset": "d", "out": "o"}}),
+        json.dumps({"command": "timesync", "args": {}}),
+        json.dumps({"command": ["simulate"], "args": {}}),
+        json.dumps({"command": {}, "args": {}}),
+    ])
+    def test_malformed_manifest_exits_2_naming_it(self, tmp_path, capsys, text):
+        manifest = tmp_path / "manifest.json"
+        manifest.write_text(text)
+        assert main(["rerun", "--manifest", str(manifest)]) == 2
+        assert str(manifest) in capsys.readouterr().err

@@ -206,7 +206,7 @@ class TestPoseLog:
     def test_round_trip(self, tmp_path):
         rng = np.random.default_rng(5)
         tracks = [
-            PoseTrack(robot_id=rid, samples=[random_pose(rng, float(k)) for k in range(4)])
+            PoseTrack.from_poses(rid, [random_pose(rng, float(k)) for k in range(4)])
             for rid in ("cf1", "cf2")
         ]
         path = tmp_path / "poses.csv"

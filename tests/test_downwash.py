@@ -69,6 +69,11 @@ class TestEllipsoidMargin:
         with pytest.raises(ValueError):
             EllipsoidSpec(0.0, 0.1, 0.1)
 
+    @pytest.mark.parametrize("radius", [math.nan, math.inf])
+    def test_finite_radii_required(self, radius):
+        with pytest.raises(ValueError, match="finite"):
+            EllipsoidSpec(radius, 0.1, 0.1)
+
 
 class TestPredictDownwash:
     def test_empty_beliefs(self):

@@ -166,7 +166,7 @@ def make_track(entries) -> PoseTrack:
         Pose(t, RigidTransform(Quaternion.from_yaw(yaw), np.asarray(p, dtype=float)))
         for t, p, yaw in entries
     ]
-    return PoseTrack(robot_id="r0", samples=samples)
+    return PoseTrack.from_poses("r0", samples)
 
 
 class TestInterpolatePose:
@@ -174,7 +174,9 @@ class TestInterpolatePose:
         track = make_track([(0.0, (0, 0, 0), 0.0), (1.0, (2, 0, 0), 0.5), (2.5, (1, 1, 1), 1.0)])
         for sample in track.samples:
             pose = interpolate_pose(track, sample.timestamp)
-            assert pose is sample
+            assert pose.timestamp == sample.timestamp
+            assert pose.position.tolist() == sample.position.tolist()
+            assert pose.orientation.as_array().tolist() == sample.orientation.as_array().tolist()
 
     def test_linear_midpoint(self):
         track = make_track([(0.0, (0, 0, 0), 0.0), (1.0, (2, 0, 0), 0.0)])
@@ -195,9 +197,8 @@ class TestInterpolatePose:
 
     def test_orientation_always_unit(self):
         rng = np.random.default_rng(10)
-        track = PoseTrack(
-            robot_id="r0",
-            samples=[Pose(float(k), random_transform(rng)) for k in range(10)],
+        track = PoseTrack.from_poses(
+            "r0", [Pose(float(k), random_transform(rng)) for k in range(10)]
         )
         for t in rng.uniform(0.0, 9.0, 200):
             assert interpolate_pose(track, float(t)).orientation.norm() == pytest.approx(

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from spincam import scenarios
 from spincam.downwash import ellipsoid_margin
 from spincam.errors import InvalidConfig
 from spincam.scenarios import ScenarioConfig, frame_schedule, generate_scenario
@@ -162,3 +163,32 @@ class TestValidation:
     def test_bad_arena_bounds(self):
         with pytest.raises(InvalidConfig):
             swap_config(arena_min=(1, 0, 0), arena_max=(-1, 1, 1)).validate()
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("name", ["duration", "frame_rate", "sample_rate", "yaw_rate"])
+    def test_non_finite_rates_rejected(self, name, value):
+        with pytest.raises(InvalidConfig, match=name):
+            swap_config(**{name: value}).validate()
+
+    def test_non_finite_start_rejected(self):
+        with pytest.raises(InvalidConfig, match="swap_start_a"):
+            swap_config(swap_start_a=(0.0, math.nan, 0.5)).validate()
+
+    @pytest.mark.parametrize("overrides", [
+        dict(duration=2e5, sample_rate=100.0),
+        dict(duration=10.0, sample_rate=2e6),
+        dict(duration=100.0, frame_rate=2e5),
+    ])
+    def test_sample_cap_rejects_before_allocating(self, monkeypatch, overrides):
+        def no_allocation(cfg):
+            raise AssertionError("track arrays allocated for a rejected config")
+
+        monkeypatch.setattr(scenarios, "_sample_times", no_allocation)
+        monkeypatch.setattr(scenarios, "frame_schedule", no_allocation)
+        with pytest.raises(InvalidConfig, match="exceeds the limit"):
+            generate_scenario(swap_config(**overrides))
+
+    def test_sample_cap_admits_the_limit(self):
+        cfg = swap_config(duration=1e5, sample_rate=100.0)
+        assert cfg.duration * cfg.sample_rate == scenarios.MAX_SAMPLES
+        cfg.validate()
