@@ -282,10 +282,26 @@ class FrameAnnotation:
 
 @dataclass(eq=False)
 class FrameRecord:
-    """One frame: its annotation plus the world poses of every robot."""
+    """One frame: its annotation plus the world poses of every robot.
+
+    Row r of `positions` (R, 3) and `quats` (R, 4) is the robot-to-world pose
+    of `robot_ids[r]` at the frame's timestamp. Row 0 is the ego robot; the
+    neighbors follow in sorted id order.
+    """
 
     annotation: FrameAnnotation
-    poses: dict[str, Pose]
+    robot_ids: tuple[str, ...]
+    positions: np.ndarray
+    quats: np.ndarray
+
+    def __post_init__(self):
+        ids = self.robot_ids = tuple(self.robot_ids)
+        ego = self.annotation.ego_id
+        if ids[:1] != (ego,) or list(ids[1:]) != sorted(set(ids) - {ego}) \
+                or self.positions.shape != (len(ids), 3) or self.quats.shape != (len(ids), 4):
+            raise ValueError(f"robot_ids {ids} must be the ego {ego!r}, then the others sorted, "
+                             f"with one row each in positions {self.positions.shape} and quats "
+                             f"{self.quats.shape}")
 
 
 def _annotate_neighbors(
@@ -377,32 +393,28 @@ def annotate_tracks(
 ) -> list[FrameRecord]:
     """Annotated frame records at the given times (frame ids 0, 1, ...).
 
-    Every track is interpolated at all times at once, then all frames are
-    annotated in one `_annotate_neighbors` pass.
-    Each record carries the poses of all robots, the ego's included.
+    Every track is interpolated at all times at once into (F, R, ·) stacks in
+    `FrameRecord` row order, all frames are annotated in one
+    `_annotate_neighbors` pass, and each record holds its frame's slice.
     """
     by_id = {track.robot_id: track for track in tracks}
     if ego_id not in by_id:
         raise ValueError(f"ego robot {ego_id!r} not among tracks")
     times = np.asarray(times, dtype=float).reshape(-1)
-    states = {rid: interpolate(track, times) for rid, track in by_id.items()}
-    ids = sorted(rid for rid in by_id if rid != ego_id)
-    ego_t, ego_q = states[ego_id]
-    neighbor_t = np.zeros((len(times), len(ids), 3))
-    neighbor_q = np.zeros((len(times), len(ids), 4))
-    for k, rid in enumerate(ids):
-        neighbor_t[:, k], neighbor_q[:, k] = states[rid]
-    annotations = _annotate_neighbors(ego_q, ego_t, neighbor_q, neighbor_t, ids, camera, geom)
-    quats = {rid: q.tolist() for rid, (_p, q) in states.items()}
-    records = []
-    for f, (t, neighbors) in enumerate(zip(times.tolist(), annotations)):
-        poses = {
-            rid: Pose(t, RigidTransform(Quaternion(*quats[rid][f]), positions[f]))
-            for rid, (positions, _q) in states.items()
-        }
-        annotation = FrameAnnotation(frame_id=f, timestamp=t, ego_id=ego_id, neighbors=neighbors)
-        records.append(FrameRecord(annotation=annotation, poses=poses))
-    return records
+    ids = (ego_id, *sorted(rid for rid in by_id if rid != ego_id))
+    states = [interpolate(by_id[rid], times) for rid in ids]
+    positions = np.stack([p for p, _q in states], axis=1)
+    quats = np.stack([q for _p, q in states], axis=1)
+    annotations = _annotate_neighbors(
+        quats[:, 0], positions[:, 0], quats[:, 1:], positions[:, 1:], ids[1:], camera, geom
+    )
+    return [
+        FrameRecord(
+            FrameAnnotation(frame_id=f, timestamp=t, ego_id=ego_id, neighbors=neighbors),
+            ids, positions[f], quats[f],
+        )
+        for f, (t, neighbors) in enumerate(zip(times.tolist(), annotations))
+    ]
 
 
 @dataclass(frozen=True, eq=False)

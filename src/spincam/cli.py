@@ -20,6 +20,7 @@ from .camera import annotate_tracks, camera_for_pitch
 from .datasets import (
     Dataset,
     SCHEMA_VERSION,
+    _load_json_object,
     estimate_time_offset,
     load_noise_model,
     load_simulation_config,
@@ -189,13 +190,7 @@ def _timesync(args) -> int:
 
 def _read_manifest(path: str) -> tuple[str, dict]:
     """The command and args of a manifest; InvalidConfig names the path."""
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            manifest = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise InvalidConfig(f"{path}: not valid JSON: {exc}") from exc
-    if not isinstance(manifest, dict):
-        raise InvalidConfig(f"{path}: manifest must be a JSON object")
+    manifest = _load_json_object(path)
     for key in ("command", "args"):
         if key not in manifest:
             raise InvalidConfig(f"{path}: manifest lacks {key!r}")

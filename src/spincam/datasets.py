@@ -39,11 +39,11 @@ from .errors import (
 )
 from .geometry import (
     DEFAULT_ROBOT_GEOMETRY,
-    Pose,
     PoseTrack,
     Quaternion,
     RigidTransform,
     RobotGeometry,
+    invalid_pose_row,
 )
 from .metrics import ConfusionCounts, classification_metrics
 from .perception import NoiseModel, encode_grid
@@ -58,42 +58,23 @@ GYRO_LOG_COLUMNS = ["t", "gx", "gy", "gz"]
 # ---------------------------------------------------------------------------
 # JSON encoding helpers
 
-def _quaternion_obj(q: Quaternion) -> list[float]:
-    return [float(q.w), float(q.x), float(q.y), float(q.z)]
-
-
-def _transform_obj(t: RigidTransform) -> dict:
-    return {"q": _quaternion_obj(t.rotation), "t": [float(v) for v in t.translation]}
-
-
-def _transform_from(obj: dict) -> RigidTransform:
-    return RigidTransform(Quaternion(*obj["q"]), np.array(obj["t"], dtype=float))
-
-
-def _pose_obj(pose: Pose) -> dict:
-    return {"time": float(pose.timestamp), **_transform_obj(pose.transform)}
-
-
-def _pose_from(obj: dict) -> Pose:
-    return Pose(float(obj["time"]), _transform_from(obj))
-
-
 def _camera_obj(camera: CameraModel) -> dict:
-    intr = camera.intrinsics
+    extrinsic = camera.extrinsic
     return {
-        "intrinsics": {
-            "fx": intr.fx, "fy": intr.fy, "cx": intr.cx, "cy": intr.cy,
-            "k1": intr.k1, "width": intr.width, "height": intr.height,
+        "intrinsics": dataclasses.asdict(camera.intrinsics),
+        "extrinsic": {
+            "q": extrinsic.rotation.as_array().tolist(), "t": extrinsic.translation.tolist()
         },
-        "extrinsic": _transform_obj(camera.extrinsic),
         "pitch_label": camera.pitch_label,
     }
 
 
 def _camera_from(obj: dict) -> CameraModel:
+    extrinsic = obj["extrinsic"]
     return CameraModel(
         intrinsics=CameraIntrinsics(**obj["intrinsics"]),
-        extrinsic=_transform_from(obj["extrinsic"]),
+        extrinsic=RigidTransform(Quaternion(*extrinsic["q"]),
+                                 np.array(extrinsic["t"], dtype=float)),
         pitch_label=obj["pitch_label"],
     )
 
@@ -168,10 +149,16 @@ def write_dataset(dataset: Dataset, path) -> None:
         }
         fh.write(json.dumps(header) + "\n")
         for record in dataset.frames:
+            time = float(record.annotation.timestamp)
+            ids = record.robot_ids
+            quats, positions = record.quats.tolist(), record.positions.tolist()
             obj = {
                 "record": "frame",
                 **_annotation_obj(record.annotation),
-                "poses": {rid: _pose_obj(p) for rid, p in sorted(record.poses.items())},
+                "poses": {
+                    ids[r]: {"time": time, "q": quats[r], "t": positions[r]}
+                    for r in sorted(range(len(ids)), key=ids.__getitem__)
+                },
             }
             fh.write(json.dumps(obj) + "\n")
 
@@ -186,7 +173,39 @@ def _parse_json_line(line: str, line_no: int, path) -> dict:
     return obj
 
 
+def _pose_arrays(path, row_lines: list[int], times: list, translations: list,
+                 rotations: list) -> list[np.ndarray]:
+    """A dataset's frame poses as times (N,), positions (N, 3), quats (N, 4).
+
+    The stacked rows get the `Pose` checks in one pass; only rows that do not
+    stack are checked one by one. ParseError names the line (from
+    `row_lines`) of the first invalid row.
+    """
+    if not row_lines:
+        return [np.zeros(0), np.zeros((0, 3)), np.zeros((0, 4))]
+    try:
+        arrays = [np.array(rows, dtype=float) for rows in (times, translations, rotations)]
+        bad = invalid_pose_row(*arrays)
+    except (TypeError, ValueError):  # some row does not stack: find the first
+        for row, fields in enumerate(zip(times, translations, rotations)):
+            try:
+                bad = invalid_pose_row(*(np.array([field], dtype=float) for field in fields))
+            except (TypeError, ValueError) as exc:
+                bad = row, f"pose values must be numbers: {exc}"
+            if bad is not None:
+                bad = row, bad[1]
+                break
+    if bad is not None:
+        raise ParseError(f"{path}:{row_lines[bad[0]]}: malformed frame record: {bad[1]}")
+    return arrays
+
+
 def read_dataset(path) -> Dataset:
+    """Read a dataset file; ParseError names the line of a malformed record.
+
+    Each frame's poses are held in `FrameRecord` row order; a pose's `time`
+    is its frame's timestamp, as `write_dataset` writes it.
+    """
     with open(path, "r", encoding="utf-8") as fh:
         lines = fh.read().splitlines()
     if not lines:
@@ -197,7 +216,8 @@ def read_dataset(path) -> Dataset:
     version = header.get("schema_version")
     if version != SCHEMA_VERSION:
         raise VersionMismatch(f"{path}: schema_version {version!r}, supported {SCHEMA_VERSION}")
-    frames = []
+    records: list[tuple[FrameAnnotation, tuple[str, ...]]] = []
+    row_lines, times, translations, rotations = [], [], [], []
     for line_no, line in enumerate(lines[1:], start=2):
         if not line.strip():
             continue
@@ -206,24 +226,37 @@ def read_dataset(path) -> Dataset:
             raise ParseError(f"{path}:{line_no}: unexpected record type {obj['record']!r}")
         try:
             annotation = _annotation_from(obj)
-            poses = {rid: _pose_from(p) for rid, p in obj["poses"].items()}
+            poses, ego = obj["poses"], annotation.ego_id
+            if ego not in poses:
+                raise ValueError(f"no pose for ego robot {ego!r}")
+            ids = (ego, *sorted(rid for rid in poses if rid != ego))
+            for rid in ids:
+                times.append(poses[rid]["time"])
+                translations.append(poses[rid]["t"])
+                rotations.append(poses[rid]["q"])
         except (KeyError, TypeError, ValueError) as exc:
             raise ParseError(f"{path}:{line_no}: malformed frame record: {exc}") from exc
-        frames.append(FrameRecord(annotation=annotation, poses=poses))
+        records.append((annotation, ids))
+        row_lines += [line_no] * len(ids)
     expected = header.get("frame_count")
-    if expected is not None and expected != len(frames):
+    if expected is not None and expected != len(records):
         raise ParseError(
-            f"{path}: header announces {expected} frames but file holds {len(frames)}"
+            f"{path}: header announces {expected} frames but file holds {len(records)}"
         )
+    _times, positions, quats = _pose_arrays(path, row_lines, times, translations, rotations)
     try:
-        return Dataset(
-            camera=_camera_from(header["camera"]),
-            geometry=_geometry_from(header["geometry"]),
-            ellipsoid=EllipsoidSpec(*header["ellipsoid"]),
-            frames=frames,
-        )
+        camera = _camera_from(header["camera"])
+        geometry = _geometry_from(header["geometry"])
+        ellipsoid = EllipsoidSpec(*header["ellipsoid"])
     except (KeyError, TypeError, ValueError) as exc:
         raise ParseError(f"{path}:1: malformed header record: {exc}") from exc
+    bounds = np.cumsum([len(ids) for _annotation, ids in records])[:-1]
+    frames = [
+        FrameRecord(annotation, ids, frame_positions, frame_quats)
+        for (annotation, ids), frame_positions, frame_quats
+        in zip(records, np.split(positions, bounds), np.split(quats, bounds))
+    ]
+    return Dataset(camera=camera, geometry=geometry, ellipsoid=ellipsoid, frames=frames)
 
 
 # ---------------------------------------------------------------------------
@@ -484,57 +517,59 @@ class SimulationSpec:
     geometry: RobotGeometry
 
 
-_SCENARIO_KEYS = {
-    "kind", "num_robots", "duration", "yaw_rate", "camera_pitch", "frame_rate",
-    "sample_rate", "arena_min", "arena_max", "rng_seed", "waypoint_count",
-    "max_speed", "accel", "hover_heights", "orbit_radius", "orbit_height",
-    "orbit_speed", "swap_start_a", "swap_start_b",
-}
-_CAMERA_KEYS = {"fx", "fy", "cx", "cy", "k1", "width", "height", "camera_translation"}
-_TUPLE_KEYS = {"arena_min", "arena_max", "hover_heights", "swap_start_a", "swap_start_b"}
+def _field_names(cls) -> set[str]:
+    return {f.name for f in dataclasses.fields(cls)}
+
+
+_SCENARIO_KEYS = _field_names(ScenarioConfig) - {"ellipsoid"}
+_INTRINSICS_KEYS = _field_names(CameraIntrinsics)
+_GEOMETRY_KEYS = _field_names(RobotGeometry)
+_NOISE_KEYS = _field_names(NoiseModel)
+
+
+def _load_json_object(path) -> dict:
+    """The top-level object of a JSON file; InvalidConfig names the path when
+    the file is not valid JSON or its top level is not an object."""
+    with open(path, "r", encoding="utf-8") as fh:
+        try:
+            raw = json.load(fh)
+        except ValueError as exc:  # invalid JSON or not UTF-8
+            raise InvalidConfig(f"{path}: not valid JSON: {exc}") from exc
+    if not isinstance(raw, dict):
+        raise InvalidConfig(f"{path}: top level must be a JSON object")
+    return raw
+
+
+def _load_config(path, known: set[str]) -> dict:
+    """A config object whose keys are all known, with JSON lists as tuples."""
+    raw = _load_json_object(path)
+    unknown = set(raw) - known
+    if unknown:
+        raise InvalidConfig(f"{path}: unknown keys {sorted(unknown)}")
+    return {key: tuple(value) if isinstance(value, list) else value
+            for key, value in raw.items()}
 
 
 def load_simulation_config(path) -> SimulationSpec:
     """Parse the flat key-value run configuration (JSON object)."""
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            raw = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise InvalidConfig(f"{path}: not valid JSON: {exc}") from exc
-    if not isinstance(raw, dict):
-        raise InvalidConfig(f"{path}: top level must be an object")
-    known = _SCENARIO_KEYS | _CAMERA_KEYS | {"ellipsoid", "half_extents", "sphere_radius"}
-    unknown = set(raw) - known
-    if unknown:
-        raise InvalidConfig(f"{path}: unknown keys {sorted(unknown)}")
-    for key in ("kind", "num_robots", "duration"):
-        if key not in raw:
-            raise InvalidConfig(f"{path}: missing required key {key!r}")
-
+    raw = _load_config(path, _SCENARIO_KEYS | _INTRINSICS_KEYS | _GEOMETRY_KEYS
+                       | {"camera_translation", "ellipsoid"})
     try:
-        scenario_kwargs = {}
-        for key in _SCENARIO_KEYS & set(raw):
-            value = raw[key]
-            scenario_kwargs[key] = tuple(value) if key in _TUPLE_KEYS else value
+        scenario_kwargs = {key: raw[key] for key in _SCENARIO_KEYS & set(raw)}
         if "ellipsoid" in raw:
             scenario_kwargs["ellipsoid"] = EllipsoidSpec(*raw["ellipsoid"])
         scenario = ScenarioConfig(**scenario_kwargs)
         scenario.validate()
 
-        intr_kwargs = {k: raw[k] for k in _CAMERA_KEYS & set(raw) if k != "camera_translation"}
-        intrinsics = CameraIntrinsics(**(dataclasses.asdict(DEFAULT_INTRINSICS) | intr_kwargs))
+        intrinsics = dataclasses.replace(
+            DEFAULT_INTRINSICS, **{key: raw[key] for key in _INTRINSICS_KEYS & set(raw)}
+        )
         camera = camera_for_pitch(
             scenario.camera_pitch, intrinsics, raw.get("camera_translation", (0.0, 0.0, 0.0))
         )
-
-        geometry = DEFAULT_ROBOT_GEOMETRY
-        if "half_extents" in raw or "sphere_radius" in raw:
-            geometry = RobotGeometry(
-                half_extents=np.array(
-                    raw.get("half_extents", DEFAULT_ROBOT_GEOMETRY.half_extents), dtype=float
-                ),
-                sphere_radius=raw.get("sphere_radius", DEFAULT_ROBOT_GEOMETRY.sphere_radius),
-            )
+        geometry = dataclasses.replace(
+            DEFAULT_ROBOT_GEOMETRY, **{key: raw[key] for key in _GEOMETRY_KEYS & set(raw)}
+        )
     except (TypeError, ValueError) as exc:
         if isinstance(exc, InvalidConfig):
             raise
@@ -542,24 +577,8 @@ def load_simulation_config(path) -> SimulationSpec:
     return SimulationSpec(scenario=scenario, camera=camera, geometry=geometry)
 
 
-_NOISE_KEYS = {
-    "pixel_sigma", "depth_rel_sigma", "miss_rate", "false_positive_rate",
-    "true_confidence", "false_confidence", "rng_seed",
-}
-
-
 def load_noise_model(path) -> NoiseModel:
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            raw = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise InvalidConfig(f"{path}: not valid JSON: {exc}") from exc
-    unknown = set(raw) - _NOISE_KEYS
-    if unknown:
-        raise InvalidConfig(f"{path}: unknown keys {sorted(unknown)}")
-    for key in ("true_confidence", "false_confidence"):
-        if key in raw:
-            raw[key] = tuple(raw[key])
+    raw = _load_config(path, _NOISE_KEYS)
     try:
         return NoiseModel(**raw)
     except (TypeError, ValueError) as exc:

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -25,16 +25,12 @@ from .camera import (
 )
 from .geometry import (
     DEFAULT_ROBOT_GEOMETRY,
-    Pose,
     PoseTrack,
     RobotGeometry,
     as_vec3,
     quat_rotate,
 )
 from .perception import (
-    DEFAULT_GRID_COLS,
-    DEFAULT_GRID_ROWS,
-    DEFAULT_GRID_THRESHOLD,
     NoiseModel,
     PositionEstimate,
     decode_detections,
@@ -43,7 +39,7 @@ from .perception import (
 )
 
 DOWNWASH_MARGIN = 2.0
-DEFAULT_MERGE_RADIUS = 0.1
+MERGE_RADIUS = 0.1
 
 EVAL_MODES = ("oracle", "omni", "box", "grid")
 
@@ -119,55 +115,47 @@ def _predict(positions: np.ndarray, ego_position: np.ndarray, ellipsoid: Ellipso
 
 
 def _belief_step(
-    positions: np.ndarray,
-    visible: np.ndarray,
-    seen: np.ndarray,
-    merge_radius: float,
+    positions: np.ndarray, visible: np.ndarray, seen: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
     """One frame of the belief rule on arrays.
 
     Beliefs (B, 3) that reproject into the image (`visible`) are dropped; then
     each perceived world position of `seen` (P, 3) is added in turn, absorbing
-    every earlier belief within merge_radius. Returns the indices of the
+    every earlier belief within MERGE_RADIUS. Returns the indices of the
     surviving old beliefs and of the surviving new ones; the next belief set
     is the old survivors followed by the new ones, both in order.
     """
     old = np.flatnonzero(~visible)
     if not len(seen):
         return old, np.arange(0)
-    near_old = np.linalg.norm(positions[old, None] - seen[None], axis=-1) < merge_radius
+    near_old = np.linalg.norm(positions[old, None] - seen[None], axis=-1) < MERGE_RADIUS
     old = old[~near_old.any(axis=1)]
     # a new position is absorbed by any position perceived after it
-    near_new = np.linalg.norm(seen[:, None] - seen[None], axis=-1) < merge_radius
+    near_new = np.linalg.norm(seen[:, None] - seen[None], axis=-1) < MERGE_RADIUS
     new = np.flatnonzero(~np.triu(near_new, k=1).any(axis=1))
     return old, new
 
 
 def update_belief(
     beliefs: BeliefSet,
-    ego_pose: Pose,
+    ego_pose,
     camera: CameraModel,
     predictions: Sequence[PositionEstimate],
-    merge_radius: float = DEFAULT_MERGE_RADIUS,
-    visibility: Callable[[np.ndarray], bool] | None = None,
 ) -> BeliefSet:
     """One frame of the belief rule: drop what reprojects, add what was seen.
 
-    Predictions arrive in the camera frame and are stored in the world frame.
-    `visibility` overrides the reprojection test (the omnidirectional oracle
-    passes an always-true one); new beliefs absorb older ones within
-    merge_radius. Shares `_visible` and `_belief_step` with the evaluation loop.
+    `ego_pose` is the ego robot's `geometry.Pose`. Predictions arrive in the
+    camera frame and are stored in the world frame; new beliefs absorb older
+    ones within MERGE_RADIUS. Shares `_visible` and `_belief_step` with the
+    evaluation loop.
     """
     positions = beliefs.positions()
     ego_q, ego_t = ego_pose.orientation.as_array(), ego_pose.position
-    if visibility is None:
-        visible = _visible(positions, *world_to_camera_arrays(ego_q, ego_t, camera), camera)
-    else:
-        visible = np.array([bool(visibility(p)) for p in positions], dtype=bool)
+    visible = _visible(positions, *world_to_camera_arrays(ego_q, ego_t, camera), camera)
     c2w_q, c2w_t = camera_to_world_arrays(ego_q, ego_t, camera)
     estimates = np.array([p.position for p in predictions], dtype=float).reshape(-1, 3)
     seen = quat_rotate(c2w_q, estimates) + c2w_t
-    old, new = _belief_step(positions, visible, seen, merge_radius)
+    old, new = _belief_step(positions, visible, seen)
     return BeliefSet(
         tuple(beliefs.beliefs[i] for i in old)
         + tuple(Belief(position=seen[j], born_at=ego_pose.timestamp) for j in new)
@@ -192,8 +180,6 @@ def _perceived(
     mode: str,
     noise: NoiseModel | None,
     geom: RobotGeometry,
-    grid_threshold: float,
-    grid_dims: tuple[int, int],
 ) -> tuple[list[int], np.ndarray]:
     """Camera-frame position estimates of every frame, stacked (E, 3), and
     how many of them belong to each frame."""
@@ -205,9 +191,8 @@ def _perceived(
         intr, radius = camera.intrinsics, geom.sphere_radius
         per_frame = (
             decode_detections(
-                simulate_detector(r.annotation, noise, intr, mode, radius=radius,
-                                  rows=grid_dims[0], cols=grid_dims[1]),
-                intr, radius=radius, threshold=grid_threshold,
+                simulate_detector(r.annotation, noise, intr, mode, radius=radius),
+                intr, radius=radius,
             )
             for r in records
         )
@@ -225,9 +210,6 @@ def evaluate_downwash_records(
     mode: str = "oracle",
     noise: NoiseModel | None = None,
     geom: RobotGeometry = DEFAULT_ROBOT_GEOMETRY,
-    grid_threshold: float = DEFAULT_GRID_THRESHOLD,
-    grid_dims: tuple[int, int] = (DEFAULT_GRID_ROWS, DEFAULT_GRID_COLS),
-    merge_radius: float = DEFAULT_MERGE_RADIUS,
 ) -> list[DownwashFrameResult]:
     """Run the belief protocol over annotated frame records.
 
@@ -239,19 +221,13 @@ def evaluate_downwash_records(
     if mode not in EVAL_MODES:
         raise ValueError(f"unknown evaluation mode {mode!r}; expected one of {EVAL_MODES}")
     ordered = sorted(records, key=lambda record: record.annotation.timestamp)
-    egos = [r.poses[r.annotation.ego_id] for r in ordered]
-    ego_q = np.array([p.orientation.as_array() for p in egos]).reshape(-1, 4)
-    ego_t = np.array([p.position for p in egos]).reshape(-1, 3)
+    ego_q = np.array([r.quats[0] for r in ordered]).reshape(-1, 4)
+    ego_t = np.array([r.positions[0] for r in ordered]).reshape(-1, 3)
 
     # ground truth: any neighbor inside the ellipsoid condition
-    owner, neighbors = [], []
-    for f, record in enumerate(ordered):
-        for rid, pose in record.poses.items():
-            if rid != record.annotation.ego_id:
-                owner.append(f)
-                neighbors.append(pose.position)
-    owner = np.array(owner, dtype=int)
-    neighbors = np.array(neighbors, dtype=float).reshape(-1, 3)
+    owner = np.repeat(np.arange(len(ordered)),
+                      np.array([len(r.robot_ids) - 1 for r in ordered], dtype=int))
+    neighbors = np.concatenate([np.zeros((0, 3)), *(r.positions[1:] for r in ordered)])
     gt = np.zeros(len(ordered), dtype=bool)
     gt[owner[ellipsoid_margins(neighbors - ego_t[owner], ellipsoid) < DOWNWASH_MARGIN]] = True
 
@@ -259,8 +235,7 @@ def evaluate_downwash_records(
     if mode == "omni":
         seen, owner_seen = neighbors, owner
     else:
-        counts, estimates = _perceived(ordered, camera, mode, noise, geom, grid_threshold,
-                                       grid_dims)
+        counts, estimates = _perceived(ordered, camera, mode, noise, geom)
         owner_seen = np.repeat(np.arange(len(ordered)), counts)
         c2w_q, c2w_t = camera_to_world_arrays(ego_q, ego_t, camera)
         seen = quat_rotate(c2w_q[owner_seen], estimates) + c2w_t[owner_seen]
@@ -275,7 +250,7 @@ def evaluate_downwash_records(
         else:
             visible = _visible(positions, w2c_q[f], w2c_t[f], camera)
         frame_seen = seen[bounds[f]:bounds[f + 1]]
-        old, new = _belief_step(positions, visible, frame_seen, merge_radius)
+        old, new = _belief_step(positions, visible, frame_seen)
         positions = np.concatenate([positions[old], frame_seen[new]])
         results.append(DownwashFrameResult(
             frame_id=record.annotation.frame_id, gt_downwash=bool(gt[f]),
@@ -293,17 +268,10 @@ def run_downwash_eval(
     geom: RobotGeometry = DEFAULT_ROBOT_GEOMETRY,
     mode: str = "oracle",
     noise: NoiseModel | None = None,
-    grid_threshold: float = DEFAULT_GRID_THRESHOLD,
-    grid_dims: tuple[int, int] = (DEFAULT_GRID_ROWS, DEFAULT_GRID_COLS),
-    merge_radius: float = DEFAULT_MERGE_RADIUS,
 ) -> list[DownwashFrameResult]:
     """Full per-frame evaluation from pose tracks and a frame schedule."""
     if ego_id is None:
         ego_id = tracks[0].robot_id
     records = annotate_tracks(tracks, camera, geom, np.sort(np.asarray(frames, dtype=float)),
                               ego_id)
-    return evaluate_downwash_records(
-        records, camera, ellipsoid,
-        mode=mode, noise=noise, geom=geom,
-        grid_threshold=grid_threshold, grid_dims=grid_dims, merge_radius=merge_radius,
-    )
+    return evaluate_downwash_records(records, camera, ellipsoid, mode=mode, noise=noise, geom=geom)

@@ -266,6 +266,25 @@ class Pose:
         return self.transform.rotation
 
 
+def invalid_pose_row(times, positions, quats) -> tuple[int, str] | None:
+    """The first row of float arrays times (N,), positions (N, 3) and quats
+    (N, 4) that fails a `Pose` check (finite values, non-negative time, unit
+    quaternion within UNIT_NORM_TOL), and why; a wrong shape is row 0."""
+    n = len(times)
+    if times.shape != (n,) or positions.shape != (n, 3) or quats.shape != (n, 4):
+        return 0, (f"expected times (N,), positions (N, 3), quats (N, 4); got "
+                   f"{times.shape}, {positions.shape}, {quats.shape}")
+    checks = {
+        "pose values must be finite": np.isfinite(times)
+        & np.isfinite(positions).all(axis=1) & np.isfinite(quats).all(axis=1),
+        "time must be non-negative": times >= 0.0,
+        "quaternion must be unit-norm":
+            np.abs(np.sqrt(np.sum(quats * quats, axis=1)) - 1.0) <= UNIT_NORM_TOL,
+    }
+    failed = [(int(np.argmin(ok)), reason) for reason, ok in checks.items() if not ok.all()]
+    return min(failed, default=None)
+
+
 @dataclass(eq=False)
 class PoseTrack:
     """Time-ordered pose samples for one robot, held as arrays.
@@ -283,23 +302,11 @@ class PoseTrack:
         self.times = np.asarray(self.times, dtype=float)
         self.positions = np.asarray(self.positions, dtype=float)
         self.quats = np.asarray(self.quats, dtype=float)
-        n = len(self.times)
-        if self.times.shape != (n,) or self.positions.shape != (n, 3) \
-                or self.quats.shape != (n, 4):
-            raise ValueError(
-                f"track {self.robot_id!r}: expected times (N,), positions (N, 3), "
-                f"quats (N, 4); got {self.times.shape}, {self.positions.shape}, "
-                f"{self.quats.shape}"
-            )
-        if not all(np.all(np.isfinite(a)) for a in (self.times, self.positions, self.quats)):
-            raise ValueError(f"track {self.robot_id!r}: samples must be finite")
-        if n and self.times[0] < 0.0:
-            raise ValueError(f"track {self.robot_id!r}: timestamps must be non-negative")
-        if n >= 2 and not np.all(np.diff(self.times) > 0.0):
+        bad = invalid_pose_row(self.times, self.positions, self.quats)
+        if bad is not None:
+            raise ValueError(f"track {self.robot_id!r}: sample {bad[0]}: {bad[1]}")
+        if len(self.times) >= 2 and not np.all(np.diff(self.times) > 0.0):
             raise ValueError(f"track {self.robot_id!r}: timestamps must be strictly increasing")
-        norms = np.sqrt(np.sum(self.quats * self.quats, axis=1))
-        if np.any(np.abs(norms - 1.0) > UNIT_NORM_TOL):
-            raise ValueError(f"track {self.robot_id!r}: quaternions must be unit-norm")
 
     @staticmethod
     def from_poses(robot_id: str, poses: Sequence[Pose]) -> "PoseTrack":

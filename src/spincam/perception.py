@@ -201,8 +201,6 @@ def simulate_detector(
     intr: CameraIntrinsics,
     mode: str,
     radius: float = 0.05,
-    rows: int = DEFAULT_GRID_ROWS,
-    cols: int = DEFAULT_GRID_COLS,
 ):
     """Noisy detector output for one annotated frame.
 
@@ -245,7 +243,7 @@ def simulate_detector(
             )
         return detections
 
-    gmap = GridDetectionMap.zeros(rows, cols)
+    gmap = GridDetectionMap.zeros()
     for neighbor in kept:
         center = neighbor.center.as_array() + rng.normal(0.0, noise.pixel_sigma, size=2)
         center = ImagePoint(
@@ -254,14 +252,14 @@ def simulate_detector(
         )
         depth = float(neighbor.rel_position[2]) * (1.0 + rng.normal(0.0, noise.depth_rel_sigma))
         depth = max(depth, 1e-3)
-        row, col = grid_cell_of(center, intr, rows, cols)
+        row, col = grid_cell_of(center, intr, gmap.rows, gmap.cols)
         if gmap.confidence[row, col] > 0.0 and gmap.depth[row, col] <= depth:
             continue
         gmap.confidence[row, col] = float(rng.uniform(*noise.true_confidence))
         gmap.depth[row, col] = depth
     for _ in range(n_false):
-        row = int(rng.integers(0, rows))
-        col = int(rng.integers(0, cols))
+        row = int(rng.integers(0, gmap.rows))
+        col = int(rng.integers(0, gmap.cols))
         if gmap.confidence[row, col] > 0.0:
             continue
         gmap.confidence[row, col] = float(rng.uniform(*noise.false_confidence))
@@ -273,11 +271,10 @@ def decode_detections(
     output,
     intr: CameraIntrinsics,
     radius: float = 0.05,
-    threshold: float = DEFAULT_GRID_THRESHOLD,
 ) -> list[PositionEstimate]:
     """Decode either detector output form into position estimates."""
     if isinstance(output, GridDetectionMap):
-        return decode_grid(output, intr, threshold)
+        return decode_grid(output, intr)
     estimates = []
     for det in output:
         try:

@@ -14,12 +14,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .camera import PITCH_ANGLES
 from .downwash import EllipsoidSpec, ellipsoid_margin
 from .errors import InvalidConfig
 from .geometry import PoseTrack
 
 SCENARIO_KINDS = ("random_waypoint", "hover_orbit", "swap")
-CAMERA_PITCHES = ("forward", "tilt45", "up")
+CAMERA_PITCHES = tuple(PITCH_ANGLES)
 
 DEFAULT_HOVER_HEIGHTS = (0.6, 1.0, 1.4)
 WAYPOINT_REJECTION_LIMIT = 1000

@@ -19,6 +19,7 @@ from spincam.camera import (
     BoundingBox,
     CameraIntrinsics,
     FrameAnnotation,
+    FrameRecord,
     ImagePoint,
     NeighborAnnotation,
     annotate_tracks,
@@ -198,12 +199,24 @@ def test_annotate_tracks_matches_per_frame_oracle(kind, pitch, k1):
             np.testing.assert_allclose(
                 [n.bbox.u_min, n.bbox.v_min, n.bbox.u_max, n.bbox.v_max], bbox, atol=TOL, rtol=0
             )
-        assert set(record.poses) == {track.robot_id for track in tracks}
-        for rid, pose in {"r0": ego, **neighbors}.items():
-            np.testing.assert_allclose(record.poses[rid].position, pose.position, atol=TOL, rtol=0)
+        assert record.robot_ids == ("r0", *sorted(neighbors))
+        for rid, position in zip(record.robot_ids, record.positions):
+            pose = {"r0": ego, **neighbors}[rid]
+            np.testing.assert_allclose(position, pose.position, atol=TOL, rtol=0)
         seen += len(visible)
     if pitch != "forward":
         assert seen > 0, "scenario never shows a neighbor; the comparison is vacuous"
+
+
+@pytest.mark.parametrize("ids", [
+    ("r1", "r0", "r2"), ("r0", "r2", "r1"), ("r0", "r1", "r1"), ("r0", "r0", "r1"), ("r0", "r1"),
+])
+def test_frame_record_enforces_row_layout(ids):
+    annotation = FrameAnnotation(0, 0.0, "r0", [])
+    rows = np.zeros((3, 3)), np.tile([1.0, 0.0, 0.0, 0.0], (3, 1))
+    assert FrameRecord(annotation, ("r0", "r1", "r2"), *rows).robot_ids == ("r0", "r1", "r2")
+    with pytest.raises(ValueError, match="robot_ids"):
+        FrameRecord(annotation, ids, *rows)
 
 
 def oracle_downwash(tracks, camera, cfg, mode, noise, geom=DEFAULT_ROBOT_GEOMETRY,
@@ -270,3 +283,24 @@ def test_rotate_calls_do_not_grow_with_frames(tmp_path, monkeypatch):
                          "--oracle", "--out", str(out / "eval")]) == 0
         counts.append(len(calls))
     assert counts[0] == counts[1]
+
+
+def test_pipeline_builds_no_pose_objects(tmp_path, monkeypatch):
+    """simulate, downwash-eval and benchmark carry poses as arrays, not Poses."""
+    built = []
+    post_init = Pose.__post_init__
+    monkeypatch.setattr(Pose, "__post_init__", lambda pose: built.append(1) or post_init(pose))
+    config = tmp_path / "wp.json"
+    config.write_text(json.dumps({
+        "kind": "random_waypoint", "num_robots": 4, "duration": 5.0, "frame_rate": 30.0,
+        "camera_pitch": "up", "rng_seed": 1,
+    }))
+    out = tmp_path / "run"
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(["simulate", "--config", str(config), "--out", str(out)]) == 0
+        assert main(["downwash-eval", "--dataset", str(out / "dataset.ndjson"),
+                     "--oracle", "--out", str(out / "eval")]) == 0
+        assert len(built) == 0
+        assert main(["benchmark", "--config", str(config), "--oracle",
+                     "--out", str(tmp_path / "bench")]) == 0
+    assert len(built) == 0

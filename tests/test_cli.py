@@ -49,9 +49,10 @@ class TestSimulate:
         dataset = read_dataset(out / "dataset.ndjson")
         hits = 0
         for record in dataset.frames:
-            ego = record.poses["r0"].position
-            for rid, pose in record.poses.items():
-                if rid != "r0" and ellipsoid_margin(pose.position, ego, dataset.ellipsoid) < 2.0:
+            assert record.robot_ids[0] == "r0"
+            ego = record.positions[0]
+            for position in record.positions[1:]:
+                if ellipsoid_margin(position, ego, dataset.ellipsoid) < 2.0:
                     hits += 1
         assert hits >= 1
 
@@ -153,6 +154,33 @@ class TestDownwashEval:
         assert main(["downwash-eval", "--dataset", str(dataset), "--oracle",
                      "--out", str(tmp_path / "e")]) == 3
         assert "header" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("edit", [
+        lambda poses: poses.pop("r0"),
+        lambda poses: poses["r1"].update(t=[0.0, 1.0]),
+        lambda poses: poses["r1"].update(t=["x", 0.0, 1.0]),
+        lambda poses: poses["r1"].update(q=[2.0, 0.0, 0.0, 0.0]),
+        lambda poses: poses["r0"].update(time=-1.0),
+    ], ids=["no-ego-pose", "two-component-t", "non-number-t", "non-unit-q", "negative-time"])
+    def test_malformed_frame_pose_exits_3_naming_line(self, tmp_path, capsys, edit):
+        dataset = self.simulate(tmp_path)
+        lines = dataset.read_text().splitlines()
+        frame = json.loads(lines[4])
+        edit(frame["poses"])
+        lines[4] = json.dumps(frame)
+        dataset.write_text("\n".join(lines) + "\n")
+        capsys.readouterr()
+        assert main(["downwash-eval", "--dataset", str(dataset), "--oracle",
+                     "--out", str(tmp_path / "e")]) == 3
+        assert f"{dataset}:5: malformed frame record" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("text", ["5", "[0.5]", "{not json"])
+    def test_malformed_noise_config_exits_2_naming_it(self, tmp_path, capsys, text):
+        noise = tmp_path / "noise.json"
+        noise.write_text(text)
+        assert main(["downwash-eval", "--dataset", str(tmp_path / "unread.ndjson"),
+                     "--noise", str(noise), "--out", str(tmp_path / "e")]) == 2
+        assert str(noise) in capsys.readouterr().err
 
     def test_ellipsoid_override(self, tmp_path):
         dataset = self.simulate(tmp_path)

@@ -1,5 +1,6 @@
 """File format round trips, log ingestion, and time-offset estimation."""
 
+import dataclasses
 import json
 import math
 
@@ -45,6 +46,7 @@ from spincam.geometry import (
     Quaternion,
     RigidTransform,
 )
+from spincam.scenarios import ScenarioConfig
 
 
 def random_pose(rng, t: float) -> Pose:
@@ -70,8 +72,13 @@ def random_dataset(rng, n_frames: int) -> Dataset:
                 )
             )
         annotation = FrameAnnotation(frame_id=k, timestamp=t, ego_id="r0", neighbors=neighbors)
-        poses = {f"r{j}": random_pose(rng, t) for j in range(3)}
-        frames.append(FrameRecord(annotation=annotation, poses=poses))
+        poses = [random_pose(rng, t) for _ in range(3)]
+        frames.append(FrameRecord(
+            annotation=annotation,
+            robot_ids=("r0", "r1", "r2"),
+            positions=np.array([p.position for p in poses]),
+            quats=np.array([p.orientation.as_array() for p in poses]),
+        ))
     return Dataset(
         camera=camera_for_pitch("tilt45"),
         geometry=DEFAULT_ROBOT_GEOMETRY,
@@ -100,12 +107,9 @@ def assert_datasets_equal(a: Dataset, b: Dataset) -> None:
             assert (na.center.u, na.center.v) == (nb.center.u, nb.center.v)
             assert (na.bbox.u_min, na.bbox.v_min, na.bbox.u_max, na.bbox.v_max) == \
                 (nb.bbox.u_min, nb.bbox.v_min, nb.bbox.u_max, nb.bbox.v_max)
-        assert set(fa.poses) == set(fb.poses)
-        for rid in fa.poses:
-            assert fa.poses[rid].timestamp == fb.poses[rid].timestamp
-            assert fa.poses[rid].position.tolist() == fb.poses[rid].position.tolist()
-            assert fa.poses[rid].orientation.as_array().tolist() == \
-                fb.poses[rid].orientation.as_array().tolist()
+        assert fa.robot_ids == fb.robot_ids
+        assert fa.positions.tolist() == fb.positions.tolist()
+        assert fa.quats.tolist() == fb.quats.tolist()
 
 
 class TestDatasetRoundTrip:
@@ -380,6 +384,15 @@ class TestConfigLoaders:
         assert spec.camera.intrinsics.fx == 200.0
         assert spec.geometry.sphere_radius == 0.045
         assert spec.scenario.ellipsoid == EllipsoidSpec(0.2, 0.2, 0.4)
+
+    def test_every_scenario_field_is_a_config_key(self, tmp_path):
+        scenario = ScenarioConfig(kind="hover_orbit", num_robots=3, duration=8.0,
+                                  hover_heights=(0.5, 0.8))
+        fields = dataclasses.asdict(scenario)
+        del fields["ellipsoid"]  # a config gives it as [rx, ry, rz]
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(fields))
+        assert load_simulation_config(path).scenario == scenario
 
     def test_unknown_key_rejected(self, tmp_path):
         path = tmp_path / "cfg.json"

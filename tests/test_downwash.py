@@ -142,15 +142,16 @@ class TestUpdateBelief:
         np.testing.assert_allclose(beliefs.positions(), [[1.0, 4.0, 0.5]], atol=1e-9)
 
     def test_merge_radius_replaces_nearby_belief(self, identity_camera):
-        stale = Belief(np.array([0.0, 0.0, 2.0]), 0.0)
+        # the stale belief projects just outside the image (u = 321.5), so it
+        # is not removed by reprojection; the estimate lands just inside
+        stale = Belief(np.array([1.9, 0.0, 2.0]), 0.0)
         nearby = update_belief(
             BeliefSet((stale,)), pose((0, 0, 0), t=1.0), identity_camera,
-            [PositionEstimate(np.array([0.03, 0.0, 2.0]), "oracle")],
-            visibility=lambda p: False,  # force the merge path, not removal
+            [PositionEstimate(np.array([1.85, 0.0, 2.0]), "oracle")],
         )
         assert len(nearby) == 1
         assert nearby.beliefs[0].born_at == 1.0
-        np.testing.assert_allclose(nearby.positions(), [[0.03, 0.0, 2.0]])
+        np.testing.assert_allclose(nearby.positions(), [[1.85, 0.0, 2.0]])
 
     def test_idempotent_on_empty_frames(self, identity_camera):
         stale = BeliefSet((Belief(np.array([0.0, 0.0, -1.5]), 0.0),))
