@@ -118,9 +118,12 @@ def _annotation_obj(ann: FrameAnnotation) -> dict:
 
 
 def _annotation_from(obj: dict) -> FrameAnnotation:
+    timestamp = float(obj["timestamp"])
+    if not math.isfinite(timestamp):  # frames are ordered by timestamp
+        raise ValueError(f"frame timestamp must be finite, got {timestamp}")
     return FrameAnnotation(
         frame_id=int(obj["frame_id"]),
-        timestamp=float(obj["timestamp"]),
+        timestamp=timestamp,
         ego_id=obj["ego_id"],
         neighbors=[_neighbor_from(n) for n in obj["neighbors"]],
     )

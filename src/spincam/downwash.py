@@ -40,6 +40,8 @@ from .perception import (
 
 DOWNWASH_MARGIN = 2.0
 MERGE_RADIUS = 0.1
+# belief-frame pairs one lifetime-scan step tests at most; bounds its temporaries
+SCAN_PAIRS = 4096
 
 EVAL_MODES = ("oracle", "omni", "box", "grid")
 
@@ -104,14 +106,27 @@ class BeliefSet:
 
 
 def _visible(positions: np.ndarray, w2c_q, w2c_t, camera: CameraModel) -> np.ndarray:
-    """Mask of world positions (B, 3) that reproject into the image of the
-    camera whose world->camera transform is (w2c_q, w2c_t)."""
+    """Mask of world positions (..., 3) that reproject into the image of the
+    camera whose world->camera transform is (w2c_q, w2c_t); shapes broadcast."""
     return in_view(quat_rotate(w2c_q, positions) + w2c_t, camera.intrinsics)
 
 
-def _predict(positions: np.ndarray, ego_position: np.ndarray, ellipsoid: EllipsoidSpec) -> bool:
-    """True when any world position (B, 3) violates the ellipsoid condition."""
-    return bool(np.any(ellipsoid_margins(positions - ego_position, ellipsoid) < DOWNWASH_MARGIN))
+def _near(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """The merge test: mask of position pairs (..., 3) closer than MERGE_RADIUS;
+    shapes broadcast."""
+    return np.linalg.norm(a - b, axis=-1) < MERGE_RADIUS
+
+
+def _absorbed(seen: np.ndarray) -> np.ndarray:
+    """Mask of perceived positions (..., P, 3) that a later position of the
+    same frame absorbs; NaN rows absorb nothing."""
+    return np.triu(_near(seen[..., :, None, :], seen[..., None, :, :]), k=1).any(axis=-1)
+
+
+def _violates(positions: np.ndarray, ego_position, ellipsoid: EllipsoidSpec) -> np.ndarray:
+    """Mask of world positions (..., 3) that violate the ellipsoid condition
+    around the ego position; shapes broadcast."""
+    return ellipsoid_margins(positions - ego_position, ellipsoid) < DOWNWASH_MARGIN
 
 
 def _belief_step(
@@ -126,14 +141,8 @@ def _belief_step(
     is the old survivors followed by the new ones, both in order.
     """
     old = np.flatnonzero(~visible)
-    if not len(seen):
-        return old, np.arange(0)
-    near_old = np.linalg.norm(positions[old, None] - seen[None], axis=-1) < MERGE_RADIUS
-    old = old[~near_old.any(axis=1)]
-    # a new position is absorbed by any position perceived after it
-    near_new = np.linalg.norm(seen[:, None] - seen[None], axis=-1) < MERGE_RADIUS
-    new = np.flatnonzero(~np.triu(near_new, k=1).any(axis=1))
-    return old, new
+    old = old[~_near(positions[old, None], seen[None]).any(axis=1)]
+    return old, np.flatnonzero(~_absorbed(seen))
 
 
 def update_belief(
@@ -164,7 +173,7 @@ def update_belief(
 
 def predict_downwash(beliefs: BeliefSet, ego_position, ellipsoid: EllipsoidSpec) -> bool:
     """True when any believed neighbor violates the ellipsoid condition."""
-    return _predict(beliefs.positions(), as_vec3(ego_position), ellipsoid)
+    return bool(np.any(_violates(beliefs.positions(), as_vec3(ego_position), ellipsoid)))
 
 
 @dataclass(frozen=True)
@@ -203,6 +212,48 @@ def _perceived(
     return counts, np.array(positions, dtype=float).reshape(-1, 3)
 
 
+def _scan_lifetimes(
+    positions: np.ndarray,
+    born_at: np.ndarray,
+    frame_seen: np.ndarray,
+    ego_q: np.ndarray,
+    ego_t: np.ndarray,
+    camera: CameraModel,
+    ellipsoid: EllipsoidSpec,
+) -> np.ndarray:
+    """Frames (F,) at which a belief violates the ellipsoid condition after
+    the frame it was born in.
+
+    A belief at world position `positions[i]`, born in frame `born_at[i]`,
+    dies at the first later frame where it reprojects into the image or lies
+    within MERGE_RADIUS of a position perceived in that frame (`frame_seen`,
+    (F, P, 3) padded with NaN); no other belief affects that. Each step tests
+    the live beliefs against their next `width` frames, at most SCAN_PAIRS
+    belief-frame pairs at a time (one belief when `width` is larger); `width`
+    doubles, up to F, while beliefs survive.
+    """
+    n_frames = len(ego_t)
+    w2c_q, w2c_t = world_to_camera_arrays(ego_q, ego_t, camera)
+    pred = np.zeros(n_frames, dtype=bool)
+    live, start, width = np.arange(len(positions)), born_at + 1, 1
+    while live.size:
+        survivors, size = [], max(1, SCAN_PAIRS // width)
+        for chunk in (live[lo:lo + size] for lo in range(0, live.size, size)):
+            frames = start[chunk, None] + np.arange(width)
+            past_end = frames >= n_frames
+            frames = np.minimum(frames, n_frames - 1)
+            belief = positions[chunk, None]
+            dies = (past_end | _visible(belief, w2c_q[frames], w2c_t[frames], camera)
+                    | _near(belief[:, :, None], frame_seen[frames]).any(axis=-1))
+            lives = ~np.logical_or.accumulate(dies, axis=1)
+            pred[frames[lives & _violates(belief, ego_t[frames], ellipsoid)]] = True
+            survivors.append(chunk[lives[:, -1]])
+        live = np.concatenate(survivors)
+        start[live] += width
+        width = min(2 * width, n_frames)
+    return pred
+
+
 def evaluate_downwash_records(
     records: Sequence[FrameRecord],
     camera: CameraModel,
@@ -215,48 +266,49 @@ def evaluate_downwash_records(
 
     Records are processed in timestamp order regardless of input order; the
     belief update is order-dependent. Ground truth, perception and every
-    frame's camera transforms are computed up front; only the belief update
-    runs frame by frame, on a (B, 3) array of world positions.
+    frame's camera transforms are computed up front. Every perceived
+    position that no later position of its frame absorbs is born as a
+    belief, and a belief's lifetime depends on no other belief, so
+    prediction is the birth frames plus `_scan_lifetimes` over all beliefs
+    at once. In `omni` mode every belief dies in the frame after its birth.
     """
     if mode not in EVAL_MODES:
         raise ValueError(f"unknown evaluation mode {mode!r}; expected one of {EVAL_MODES}")
     ordered = sorted(records, key=lambda record: record.annotation.timestamp)
+    n_frames = len(ordered)
     ego_q = np.array([r.quats[0] for r in ordered]).reshape(-1, 4)
     ego_t = np.array([r.positions[0] for r in ordered]).reshape(-1, 3)
 
     # ground truth: any neighbor inside the ellipsoid condition
-    owner = np.repeat(np.arange(len(ordered)),
+    owner = np.repeat(np.arange(n_frames),
                       np.array([len(r.robot_ids) - 1 for r in ordered], dtype=int))
     neighbors = np.concatenate([np.zeros((0, 3)), *(r.positions[1:] for r in ordered)])
-    gt = np.zeros(len(ordered), dtype=bool)
-    gt[owner[ellipsoid_margins(neighbors - ego_t[owner], ellipsoid) < DOWNWASH_MARGIN]] = True
+    gt = np.zeros(n_frames, dtype=bool)
+    gt[owner[_violates(neighbors, ego_t[owner], ellipsoid)]] = True
 
-    # perceived positions in the world frame, one (P, 3) block per frame
+    # perceived positions in the world frame, padded to (F, P, 3) by frame
     if mode == "omni":
         seen, owner_seen = neighbors, owner
     else:
         counts, estimates = _perceived(ordered, camera, mode, noise, geom)
-        owner_seen = np.repeat(np.arange(len(ordered)), counts)
+        owner_seen = np.repeat(np.arange(n_frames), counts)
         c2w_q, c2w_t = camera_to_world_arrays(ego_q, ego_t, camera)
         seen = quat_rotate(c2w_q[owner_seen], estimates) + c2w_t[owner_seen]
-    bounds = np.searchsorted(owner_seen, np.arange(len(ordered) + 1)).tolist()
-    w2c_q, w2c_t = world_to_camera_arrays(ego_q, ego_t, camera)
+    first = np.searchsorted(owner_seen, np.arange(n_frames))
+    slot = np.arange(len(seen)) - first[owner_seen]
+    frame_seen = np.full((n_frames, int(slot.max(initial=-1)) + 1, 3), np.nan)
+    frame_seen[owner_seen, slot] = seen
 
-    positions = np.zeros((0, 3))
-    results = []
-    for f, record in enumerate(ordered):
-        if mode == "omni":
-            visible = np.ones(len(positions), dtype=bool)
-        else:
-            visible = _visible(positions, w2c_q[f], w2c_t[f], camera)
-        frame_seen = seen[bounds[f]:bounds[f + 1]]
-        old, new = _belief_step(positions, visible, frame_seen)
-        positions = np.concatenate([positions[old], frame_seen[new]])
-        results.append(DownwashFrameResult(
-            frame_id=record.annotation.frame_id, gt_downwash=bool(gt[f]),
-            pred_downwash=_predict(positions, ego_t[f], ellipsoid),
-        ))
-    return results
+    born = ~_absorbed(frame_seen)[owner_seen, slot]
+    positions, born_at = seen[born], owner_seen[born]
+    pred = np.zeros(n_frames, dtype=bool)
+    pred[born_at[_violates(positions, ego_t[born_at], ellipsoid)]] = True
+    if mode != "omni":
+        pred |= _scan_lifetimes(positions, born_at, frame_seen, ego_q, ego_t, camera, ellipsoid)
+    return [
+        DownwashFrameResult(frame_id=record.annotation.frame_id, gt_downwash=g, pred_downwash=p)
+        for record, g, p in zip(ordered, gt.tolist(), pred.tolist())
+    ]
 
 
 def run_downwash_eval(

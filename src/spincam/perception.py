@@ -53,6 +53,8 @@ class GridDetectionMap:
         expected = (self.rows, self.cols)
         if self.confidence.shape != expected or self.depth.shape != expected:
             raise ValueError(f"channel shapes must be {expected}")
+        if not (np.isfinite(self.confidence).all() and np.isfinite(self.depth).all()):
+            raise ValueError("confidence and depth must be finite")
 
     @staticmethod
     def zeros(rows: int = DEFAULT_GRID_ROWS, cols: int = DEFAULT_GRID_COLS) -> "GridDetectionMap":
@@ -163,23 +165,21 @@ def decode_grid(
     intr: CameraIntrinsics,
     threshold: float = DEFAULT_GRID_THRESHOLD,
 ) -> list[PositionEstimate]:
-    """Back-project every thresholded 8-connected confidence peak."""
+    """Back-project every thresholded 8-connected confidence peak.
+
+    Only cells not below the threshold are visited, in row-major order; a
+    cell below the maximum of its 3x3 window is not a peak.
+    """
     conf = gmap.confidence
     estimates = []
-    for row in range(gmap.rows):
-        for col in range(gmap.cols):
-            value = conf[row, col]
-            if value < threshold:
-                continue
-            window = conf[
-                max(0, row - 1) : min(gmap.rows, row + 2),
-                max(0, col - 1) : min(gmap.cols, col + 2),
-            ]
-            if value < window.max():
-                continue
-            center = grid_cell_center(row, col, intr, gmap.rows, gmap.cols)
-            position = back_project(center, float(gmap.depth[row, col]), intr)
-            estimates.append(PositionEstimate(position=position, source="grid_decoder"))
+    rows, cols = np.nonzero(~(conf < threshold))
+    for row, col in zip(rows.tolist(), cols.tolist()):
+        window = conf[max(0, row - 1) : row + 2, max(0, col - 1) : col + 2]
+        if conf[row, col] < window.max():
+            continue
+        center = grid_cell_center(row, col, intr, gmap.rows, gmap.cols)
+        position = back_project(center, float(gmap.depth[row, col]), intr)
+        estimates.append(PositionEstimate(position=position, source="grid_decoder"))
     return estimates
 
 

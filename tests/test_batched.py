@@ -32,7 +32,12 @@ from spincam.camera import (
     world_to_camera,
 )
 from spincam.cli import main
-from spincam.downwash import is_downwash, run_downwash_eval
+from spincam.downwash import (
+    EllipsoidSpec,
+    evaluate_downwash_records,
+    is_downwash,
+    run_downwash_eval,
+)
 from spincam.geometry import (
     DEFAULT_ROBOT_GEOMETRY,
     Pose,
@@ -219,48 +224,135 @@ def test_frame_record_enforces_row_layout(ids):
         FrameRecord(annotation, ids, *rows)
 
 
-def oracle_downwash(tracks, camera, cfg, mode, noise, geom=DEFAULT_ROBOT_GEOMETRY,
-                    merge_radius=0.1):
+def oracle_downwash(tracks, camera, times, ellipsoid, mode, noise,
+                    geom=DEFAULT_ROBOT_GEOMETRY, merge_radius=0.1):
     """(gt, pred) per frame from the list-based belief rule and RigidTransforms."""
     intr = camera.intrinsics
     pairs, beliefs = [], []
-    frames = oracle_frames(tracks, camera, geom, frame_schedule(cfg))
-    for frame_id, (ego, neighbors, visible) in enumerate(frames):
-        gt = any(is_downwash(p.position, ego.position, cfg.ellipsoid) for p in neighbors.values())
-        if mode == "oracle":
-            estimates = [rel for rel, _center, _bbox in visible.values()]
+    for frame_id, (ego, neighbors, visible) in enumerate(
+            oracle_frames(tracks, camera, geom, times)):
+        gt = any(is_downwash(p.position, ego.position, ellipsoid) for p in neighbors.values())
+        if mode == "omni":
+            # an all-round view reprojects every belief and perceives every neighbor
+            beliefs = []
+            seen = [pose.position for _rid, pose in sorted(neighbors.items())]
         else:
-            annotation = FrameAnnotation(frame_id, ego.timestamp, "r0", [
-                NeighborAnnotation(rid, rel, ImagePoint(*center), BoundingBox(*bbox))
-                for rid, (rel, center, bbox) in visible.items()
-            ])
-            output = simulate_detector(annotation, noise, intr, mode, radius=geom.sphere_radius)
-            estimates = [e.position for e in
-                         decode_detections(output, intr, radius=geom.sphere_radius)]
-        to_world = camera_to_world(ego, camera)
-        to_camera = world_to_camera(ego, camera)
-        beliefs = [b for b in beliefs if not projects_into_image(to_camera.apply(b), intr)]
-        for estimate in estimates:
-            world = to_world.apply(estimate)
+            if mode == "oracle":
+                estimates = [rel for rel, _center, _bbox in visible.values()]
+            else:
+                annotation = FrameAnnotation(frame_id, ego.timestamp, "r0", [
+                    NeighborAnnotation(rid, rel, ImagePoint(*center), BoundingBox(*bbox))
+                    for rid, (rel, center, bbox) in visible.items()
+                ])
+                output = simulate_detector(annotation, noise, intr, mode,
+                                           radius=geom.sphere_radius)
+                estimates = [e.position for e in
+                             decode_detections(output, intr, radius=geom.sphere_radius)]
+            to_camera = world_to_camera(ego, camera)
+            beliefs = [b for b in beliefs if not projects_into_image(to_camera.apply(b), intr)]
+            seen = [camera_to_world(ego, camera).apply(e) for e in estimates]
+        for world in seen:
             beliefs = [b for b in beliefs if np.linalg.norm(b - world) >= merge_radius]
             beliefs.append(world)
-        pred = any(is_downwash(b, ego.position, cfg.ellipsoid) for b in beliefs)
+        pred = any(is_downwash(b, ego.position, ellipsoid) for b in beliefs)
         pairs.append((gt, pred))
     return pairs
 
 
-@pytest.mark.parametrize("mode", ("oracle", "box", "grid"))
+def assert_matches_oracle(tracks, camera, times, ellipsoid, mode, noise):
+    results = run_downwash_eval(tracks, camera, times, ellipsoid, ego_id="r0", mode=mode,
+                                noise=noise)
+    expected = oracle_downwash(tracks, camera, times, ellipsoid, mode, noise)
+    assert [(r.gt_downwash, r.pred_downwash) for r in results] == expected
+    assert [r.frame_id for r in results] == list(range(len(expected)))
+    return results
+
+
+@pytest.mark.parametrize("mode", ("oracle", "omni", "box", "grid"))
 @pytest.mark.parametrize("pitch", PITCHES)
 @pytest.mark.parametrize("kind", sorted(KINDS))
 def test_belief_loop_matches_per_frame_oracle(kind, pitch, mode):
     cfg, tracks = scenario(kind, pitch)
-    camera = camera_for_pitch(pitch)
-    noise = NoiseModel(rng_seed=5) if mode != "oracle" else None
-    results = run_downwash_eval(tracks, camera, frame_schedule(cfg), cfg.ellipsoid,
-                                ego_id="r0", mode=mode, noise=noise)
-    expected = oracle_downwash(tracks, camera, cfg, mode, noise)
-    assert [(r.gt_downwash, r.pred_downwash) for r in results] == expected
-    assert [r.frame_id for r in results] == list(range(len(expected)))
+    noise = NoiseModel(rng_seed=5) if mode in ("box", "grid") else None
+    assert_matches_oracle(tracks, camera_for_pitch(pitch), frame_schedule(cfg), cfg.ellipsoid,
+                          mode, noise)
+
+
+def climb_past_and_return(rate=30.0):
+    """An up-camera ego climbs past a hovering neighbor, waits above it, then
+    descends back into its downwash: the neighbor's last belief sits below
+    the camera, out of view, for several seconds."""
+    times = np.arange(0.0, 10.0 + 1e-9, 0.01)
+    ego_z = np.interp(times, [0.0, 3.0, 6.0, 8.0, 10.0], [0.0, 3.0, 3.0, 1.95, 1.95])
+    ego = np.stack([np.zeros_like(times), np.zeros_like(times), ego_z], axis=1)
+    hover = np.tile([0.05, 0.0, 1.5], (len(times), 1))
+    identity = np.tile([1.0, 0.0, 0.0, 0.0], (len(times), 1))
+    tracks = [PoseTrack("r0", times, ego, identity), PoseTrack("r1", times, hover, identity)]
+    return tracks, np.arange(0.0, 10.0 + 1e-9, 1.0 / rate)
+
+
+# not box: its decoder places the neighbor short of its range (the box spans
+# the body's corners, the decoder assumes a smaller sphere), so the last belief
+# does not sit where the ego descends
+@pytest.mark.parametrize("mode", ("oracle", "grid"))
+def test_belief_outlives_several_scan_windows(mode):
+    tracks, times = climb_past_and_return()
+    noise = NoiseModel(rng_seed=5, false_positive_rate=0.0) if mode != "oracle" else None
+    camera = camera_for_pitch("up")
+    results = assert_matches_oracle(tracks, camera, times, EllipsoidSpec(), mode, noise)
+    records = annotate_tracks(tracks, camera, DEFAULT_ROBOT_GEOMETRY, times, ego_id="r0")
+    last_seen = max(f for f, r in enumerate(records) if r.annotation.neighbors)
+    late = [f for f, r in enumerate(results) if r.pred_downwash and f > last_seen + 100]
+    assert late, "no prediction from a belief older than 100 frames"
+
+
+@pytest.mark.parametrize("mode", ("oracle", "box", "grid"))
+def test_frames_without_estimates_predict_nothing(mode):
+    tracks, times = climb_past_and_return(rate=10.0)
+    camera = camera_for_pitch("forward")  # never sees the neighbor overhead
+    noise = NoiseModel(miss_rate=1.0, false_positive_rate=0.0) if mode != "oracle" else None
+    records = annotate_tracks(tracks, camera, DEFAULT_ROBOT_GEOMETRY, times, ego_id="r0")
+    assert not any(r.annotation.neighbors for r in records)
+    results = assert_matches_oracle(tracks, camera, times, EllipsoidSpec(), mode, noise)
+    assert any(r.gt_downwash for r in results)
+    assert not any(r.pred_downwash for r in results)
+
+
+def test_later_estimate_absorbs_earlier_and_beliefs_die_on_reprojection():
+    """Hand-built frames for a forward camera. Frame 0 sees two positions
+    0.09 m apart on the optical axis; only the farther, later one, outside
+    the ellipsoid, becomes a belief. Frame 1 turns the camera away and steps
+    toward it: the belief survives and now violates the ellipsoid. Frame 2
+    turns back: the belief reprojects and is dropped."""
+    camera = camera_for_pitch("forward")
+    identity, turned = [1.0, 0.0, 0.0, 0.0], [0.0, 0.0, 0.0, 1.0]
+    ego = Pose(0.0, RigidTransform(Quaternion(*identity), np.zeros(3)))
+    near, far = (camera_to_world(ego, camera).apply([0.0, 0.0, z]) for z in (1.0, 1.09))
+    step = 0.1 * (far - near) / np.linalg.norm(far - near)
+    ellipsoid = EllipsoidSpec(0.52, 0.52, 0.52)
+    assert is_downwash(near, ego.position, ellipsoid)
+    assert not is_downwash(far, ego.position, ellipsoid)
+    assert is_downwash(far, step, ellipsoid)
+    no_box = ImagePoint(0.0, 0.0), BoundingBox(0.0, 0.0, 1.0, 1.0)
+    seen = [NeighborAnnotation(f"e{i}", np.array([0.0, 0.0, z]), *no_box)
+            for i, z in enumerate((1.0, 1.09))]
+    records = [
+        FrameRecord(FrameAnnotation(f, float(f), "r0", seen if f == 0 else []), ("r0",),
+                    position[None], np.array([quat]))
+        for f, (position, quat) in enumerate([(np.zeros(3), identity), (step, turned),
+                                              (step, identity)])
+    ]
+    for ordered in (records, records[::-1]):
+        results = evaluate_downwash_records(ordered, camera, ellipsoid)
+        assert [(r.frame_id, r.gt_downwash, r.pred_downwash) for r in results] == [
+            (0, False, False), (1, False, True), (2, False, False)]
+
+
+@pytest.mark.parametrize("mode", ("oracle", "omni", "box", "grid"))
+def test_empty_record_list_gives_no_results(mode):
+    noise = NoiseModel() if mode in ("box", "grid") else None
+    assert evaluate_downwash_records([], camera_for_pitch("up"), EllipsoidSpec(), mode=mode,
+                                     noise=noise) == []
 
 
 def test_rotate_calls_do_not_grow_with_frames(tmp_path, monkeypatch):

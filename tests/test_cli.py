@@ -1,6 +1,7 @@
 """Command-line interface: exit codes, outputs, determinism, rerun."""
 
 import json
+import math
 
 import numpy as np
 import pytest
@@ -167,6 +168,19 @@ class TestDownwashEval:
         lines = dataset.read_text().splitlines()
         frame = json.loads(lines[4])
         edit(frame["poses"])
+        lines[4] = json.dumps(frame)
+        dataset.write_text("\n".join(lines) + "\n")
+        capsys.readouterr()
+        assert main(["downwash-eval", "--dataset", str(dataset), "--oracle",
+                     "--out", str(tmp_path / "e")]) == 3
+        assert f"{dataset}:5: malformed frame record" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("timestamp", [math.nan, math.inf, -math.inf])
+    def test_non_finite_frame_timestamp_exits_3_naming_line(self, tmp_path, capsys, timestamp):
+        dataset = self.simulate(tmp_path)
+        lines = dataset.read_text().splitlines()
+        frame = json.loads(lines[4])
+        frame["timestamp"] = timestamp
         lines[4] = json.dumps(frame)
         dataset.write_text("\n".join(lines) + "\n")
         capsys.readouterr()

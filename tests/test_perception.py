@@ -13,6 +13,7 @@ from spincam.camera import (
     ImagePoint,
     NeighborAnnotation,
     annotate_frame,
+    back_project,
     project,
 )
 from spincam.errors import DegenerateBox
@@ -26,6 +27,7 @@ from spincam.perception import (
     decode_grid,
     decode_rays,
     encode_grid,
+    grid_cell_center,
     simulate_detector,
     sphere_distance_from_angle,
 )
@@ -189,6 +191,70 @@ class TestDecodeGrid:
                 assert estimate.position[2] == z  # depth channel is exact
                 assert abs(estimate.position[0] - closest.rel_position[0]) <= z * bound_x + 1e-12
                 assert abs(estimate.position[1] - closest.rel_position[1]) <= z * bound_y + 1e-12
+
+
+def decode_grid_cell_by_cell(gmap, intr, threshold=0.5):
+    """Reference decoder: visit every cell and compare it with its 3x3 window."""
+    conf = gmap.confidence
+    estimates = []
+    for row in range(gmap.rows):
+        for col in range(gmap.cols):
+            value = conf[row, col]
+            if value < threshold:
+                continue
+            window = conf[
+                max(0, row - 1) : min(gmap.rows, row + 2),
+                max(0, col - 1) : min(gmap.cols, col + 2),
+            ]
+            if value < window.max():
+                continue
+            center = grid_cell_center(row, col, intr, gmap.rows, gmap.cols)
+            estimates.append(back_project(center, float(gmap.depth[row, col]), intr))
+    return estimates
+
+
+def grids_with_plateaus(rng):
+    """Sparse grids whose confidences come from a few levels, so that equal
+    neighbors (plateaus) and cells exactly at the threshold are common."""
+    levels = np.array([0.0, 0.3, 0.5, 0.5, 0.7, 1.0])
+    for rows, cols in [(28, 40)] * 40 + [(1, 1), (1, 7), (6, 1), (2, 2), (5, 5)] * 40:
+        confidence = np.where(rng.random((rows, cols)) < rng.uniform(0.05, 0.6),
+                              rng.choice(levels, size=(rows, cols)), 0.0)
+        yield GridDetectionMap(rows, cols, confidence, rng.uniform(0.2, 4.0, size=(rows, cols)))
+
+
+def corner_and_edge_grids():
+    for row, col in [(0, 0), (0, 39), (27, 0), (27, 39), (0, 17), (27, 5), (13, 0), (9, 39)]:
+        gmap = GridDetectionMap(28, 40, np.zeros((28, 40)), np.ones((28, 40)))
+        gmap.confidence[row, col] = 0.9
+        gmap.depth[row, col] = 1.0 + 0.1 * row + 0.01 * col
+        yield gmap
+        gmap = GridDetectionMap(28, 40, gmap.confidence.copy(), gmap.depth.copy())
+        gmap.confidence[min(row + 1, 27), col] = 0.9  # a two-cell plateau on the edge
+        yield gmap
+
+
+class TestDecodeGridEquivalence:
+    def test_bitwise_equal_to_cell_by_cell_decoder(self, intr):
+        rng = np.random.default_rng(11)
+        decoded = 0
+        grids = [*grids_with_plateaus(rng), *corner_and_edge_grids()]
+        for gmap in grids:
+            for threshold in (0.5, 0.3, 0.0):
+                expected = decode_grid_cell_by_cell(gmap, intr, threshold)
+                estimates = decode_grid(gmap, intr, threshold)
+                assert [e.position.tolist() for e in estimates] == \
+                    [p.tolist() for p in expected]
+                decoded += len(estimates)
+        assert decoded > 1000
+
+    @pytest.mark.parametrize("channel", ["confidence", "depth"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_non_finite_cells_rejected(self, channel, value):
+        channels = {"confidence": np.zeros((3, 4)), "depth": np.ones((3, 4))}
+        channels[channel][1, 2] = value
+        with pytest.raises(ValueError, match="finite"):
+            GridDetectionMap(3, 4, **channels)
 
 
 class TestSimulateDetector:
