@@ -22,7 +22,6 @@ from .camera import (
     FrameRecord,
     NeighborAnnotation,
     RotationGrid,
-    annotate_frame,
     annotate_tracks,
     back_project,
     camera_for_pitch,
@@ -41,14 +40,10 @@ from .datasets import (
     write_dataset,
 )
 from .downwash import (
-    Belief,
-    BeliefSet,
     DownwashFrameResult,
     EllipsoidSpec,
     ellipsoid_margin,
-    predict_downwash,
     run_downwash_eval,
-    update_belief,
 )
 from .dynamics import (
     QuadrotorParams,
@@ -68,8 +63,6 @@ from .geometry import (
     RigidTransform,
     RobotGeometry,
     interpolate,
-    interpolate_pose,
-    slerp,
 )
 from .metrics import (
     AssignmentResult,

@@ -6,8 +6,7 @@ continuous with (0, 0) at the top-left image corner.
 
 `project_points` is the one projection kernel and `annotate_tracks` the one
 annotation pipeline: it projects every frame x neighbor x corner of a run in
-a few array operations. `project` and `annotate_frame` are their one-point and
-one-frame cases.
+a few array operations. `project` is the kernel's one-point case.
 """
 
 from __future__ import annotations
@@ -54,6 +53,8 @@ class CameraIntrinsics:
     height: int = 320
 
     def __post_init__(self):
+        if not all(math.isfinite(v) for v in (self.fx, self.fy, self.k1)):
+            raise ValueError(f"fx, fy and k1 must be finite, got {(self.fx, self.fy, self.k1)}")
         if self.fx <= 0.0 or self.fy <= 0.0:
             raise ValueError("focal lengths must be positive")
         if not (0.0 <= self.cx < self.width and 0.0 <= self.cy < self.height):
@@ -353,37 +354,6 @@ def _annotate_neighbors(
     return per_frame
 
 
-def annotate_frame(
-    ego_pose: Pose,
-    neighbor_poses: dict[str, Pose],
-    camera: CameraModel,
-    geom: RobotGeometry,
-    frame_id: int = 0,
-    ego_id: str = "r0",
-) -> FrameAnnotation:
-    """Ground-truth annotation of one frame.
-
-    A neighbor is visible when its center projects strictly inside the image
-    with positive depth. Its box is the min/max of the 8 projected body
-    corners, clipped to the image; corners share the center's distortion
-    model. Neighbors with any corner on or behind the image plane are dropped
-    (degenerate close-range case). This is the one-frame case of
-    `annotate_tracks`.
-    """
-    ids = sorted(neighbor_poses)
-    poses = [neighbor_poses[rid] for rid in ids]
-    neighbors = _annotate_neighbors(
-        ego_pose.orientation.as_array()[None],
-        ego_pose.position[None],
-        np.array([p.orientation.as_array() for p in poses]).reshape(1, -1, 4),
-        np.array([p.position for p in poses]).reshape(1, -1, 3),
-        ids, camera, geom,
-    )[0]
-    return FrameAnnotation(
-        frame_id=frame_id, timestamp=ego_pose.timestamp, ego_id=ego_id, neighbors=neighbors
-    )
-
-
 def annotate_tracks(
     tracks: Sequence[PoseTrack],
     camera: CameraModel,
@@ -392,6 +362,12 @@ def annotate_tracks(
     ego_id: str = "r0",
 ) -> list[FrameRecord]:
     """Annotated frame records at the given times (frame ids 0, 1, ...).
+
+    A neighbor is visible when its center projects strictly inside the image
+    with positive depth. Its box is the min/max of the 8 projected body
+    corners, clipped to the image; corners share the center's distortion
+    model. Neighbors with any corner on or behind the image plane are dropped
+    (degenerate close-range case).
 
     Every track is interpolated at all times at once into (F, R, ·) stacks in
     `FrameRecord` row order, all frames are annotated in one

@@ -46,7 +46,7 @@ from .geometry import (
     invalid_pose_row,
 )
 from .metrics import ConfusionCounts, classification_metrics
-from .perception import NoiseModel, encode_grid
+from .perception import DEFAULT_GRID_COLS, DEFAULT_GRID_ROWS, NoiseModel, encode_grid
 from .scenarios import ScenarioConfig
 
 SCHEMA_VERSION = 1
@@ -270,8 +270,6 @@ def export_labels(
     mode: str,
     path,
     intr: CameraIntrinsics | None = None,
-    rows: int = 28,
-    cols: int = 40,
 ) -> None:
     """Per-frame training labels: box centers or sparse grid targets."""
     if mode not in ("bbox", "grid"):
@@ -281,8 +279,8 @@ def export_labels(
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         header = {"record": "header", "schema_version": SCHEMA_VERSION, "mode": mode}
         if mode == "grid":
-            header["rows"] = rows
-            header["cols"] = cols
+            header["rows"] = DEFAULT_GRID_ROWS
+            header["cols"] = DEFAULT_GRID_COLS
         fh.write(json.dumps(header) + "\n")
         for ann in annotations:
             if mode == "bbox":
@@ -292,7 +290,7 @@ def export_labels(
                     "labels": [_neighbor_obj(n) for n in ann.neighbors],
                 }
             else:
-                gmap = encode_grid(ann, intr, rows, cols)
+                gmap = encode_grid(ann, intr)
                 occupied = np.argwhere(gmap.confidence > 0.0)
                 obj = {
                     "record": "labels",

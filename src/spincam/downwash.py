@@ -5,6 +5,8 @@ them drops below 2. The ego robot keeps a set of believed neighbor positions
 in the world frame: any belief that reprojects into the current image is
 dropped, then this frame's perceived neighbors are added back. Prediction
 simply tests the ellipsoid condition against every surviving belief.
+`evaluate_downwash_records` holds the one implementation of this rule and
+applies it to a whole run at once.
 """
 
 from __future__ import annotations
@@ -32,7 +34,6 @@ from .geometry import (
 )
 from .perception import (
     NoiseModel,
-    PositionEstimate,
     decode_detections,
     oracle_estimates,
     simulate_detector,
@@ -79,32 +80,6 @@ def is_downwash(p_i, p_j, ellipsoid: EllipsoidSpec) -> bool:
     return ellipsoid_margin(p_i, p_j, ellipsoid) < DOWNWASH_MARGIN
 
 
-@dataclass(frozen=True, eq=False)
-class Belief:
-    position: np.ndarray  # world frame
-    born_at: float
-
-
-@dataclass(frozen=True, eq=False)
-class BeliefSet:
-    beliefs: tuple[Belief, ...] = ()
-
-    @staticmethod
-    def empty() -> "BeliefSet":
-        return BeliefSet(())
-
-    def __len__(self) -> int:
-        return len(self.beliefs)
-
-    def __iter__(self):
-        return iter(self.beliefs)
-
-    def positions(self) -> np.ndarray:
-        if not self.beliefs:
-            return np.zeros((0, 3))
-        return np.array([b.position for b in self.beliefs])
-
-
 def _visible(positions: np.ndarray, w2c_q, w2c_t, camera: CameraModel) -> np.ndarray:
     """Mask of world positions (..., 3) that reproject into the image of the
     camera whose world->camera transform is (w2c_q, w2c_t); shapes broadcast."""
@@ -127,53 +102,6 @@ def _violates(positions: np.ndarray, ego_position, ellipsoid: EllipsoidSpec) -> 
     """Mask of world positions (..., 3) that violate the ellipsoid condition
     around the ego position; shapes broadcast."""
     return ellipsoid_margins(positions - ego_position, ellipsoid) < DOWNWASH_MARGIN
-
-
-def _belief_step(
-    positions: np.ndarray, visible: np.ndarray, seen: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """One frame of the belief rule on arrays.
-
-    Beliefs (B, 3) that reproject into the image (`visible`) are dropped; then
-    each perceived world position of `seen` (P, 3) is added in turn, absorbing
-    every earlier belief within MERGE_RADIUS. Returns the indices of the
-    surviving old beliefs and of the surviving new ones; the next belief set
-    is the old survivors followed by the new ones, both in order.
-    """
-    old = np.flatnonzero(~visible)
-    old = old[~_near(positions[old, None], seen[None]).any(axis=1)]
-    return old, np.flatnonzero(~_absorbed(seen))
-
-
-def update_belief(
-    beliefs: BeliefSet,
-    ego_pose,
-    camera: CameraModel,
-    predictions: Sequence[PositionEstimate],
-) -> BeliefSet:
-    """One frame of the belief rule: drop what reprojects, add what was seen.
-
-    `ego_pose` is the ego robot's `geometry.Pose`. Predictions arrive in the
-    camera frame and are stored in the world frame; new beliefs absorb older
-    ones within MERGE_RADIUS. Shares `_visible` and `_belief_step` with the
-    evaluation loop.
-    """
-    positions = beliefs.positions()
-    ego_q, ego_t = ego_pose.orientation.as_array(), ego_pose.position
-    visible = _visible(positions, *world_to_camera_arrays(ego_q, ego_t, camera), camera)
-    c2w_q, c2w_t = camera_to_world_arrays(ego_q, ego_t, camera)
-    estimates = np.array([p.position for p in predictions], dtype=float).reshape(-1, 3)
-    seen = quat_rotate(c2w_q, estimates) + c2w_t
-    old, new = _belief_step(positions, visible, seen)
-    return BeliefSet(
-        tuple(beliefs.beliefs[i] for i in old)
-        + tuple(Belief(position=seen[j], born_at=ego_pose.timestamp) for j in new)
-    )
-
-
-def predict_downwash(beliefs: BeliefSet, ego_position, ellipsoid: EllipsoidSpec) -> bool:
-    """True when any believed neighbor violates the ellipsoid condition."""
-    return bool(np.any(_violates(beliefs.positions(), as_vec3(ego_position), ellipsoid)))
 
 
 @dataclass(frozen=True)

@@ -204,11 +204,6 @@ def slerp_arrays(q0, q1, t) -> np.ndarray:
     return quat_normalize(np.where(dot > 1.0 - 1e-12, linear, spherical))
 
 
-def slerp(q0: Quaternion, q1: Quaternion, t: float) -> Quaternion:
-    """Shortest-arc spherical interpolation between two unit quaternions."""
-    return Quaternion(*slerp_arrays(q0.as_array(), q1.as_array(), t).tolist())
-
-
 @dataclass(frozen=True, eq=False)
 class RigidTransform:
     """Rotation-then-translation map between two frames."""
@@ -358,12 +353,6 @@ def interpolate(track: PoseTrack, t) -> tuple[np.ndarray, np.ndarray]:
     return positions, quats
 
 
-def interpolate_pose(track: PoseTrack, t: float) -> Pose:
-    """One-time `interpolate`, as a Pose stamped t."""
-    positions, quats = interpolate(track, t)
-    return Pose(float(t), RigidTransform(Quaternion(*quats[0].tolist()), positions[0]))
-
-
 @dataclass(frozen=True, eq=False)
 class RobotGeometry:
     """Physical robot extent: corner box for annotation, sphere for decoding."""
@@ -373,6 +362,8 @@ class RobotGeometry:
 
     def __post_init__(self):
         object.__setattr__(self, "half_extents", as_vec3(self.half_extents))
+        if not math.isfinite(self.sphere_radius):
+            raise ValueError(f"sphere_radius must be finite, got {self.sphere_radius}")
         if np.any(self.half_extents <= 0.0) or self.sphere_radius <= 0.0:
             raise ValueError("robot dimensions must be positive")
 

@@ -22,10 +22,14 @@ from .camera import (
     pixel_to_ray,
 )
 from .errors import DegenerateBox
+from .geometry import DEFAULT_ROBOT_GEOMETRY
 
 DEFAULT_GRID_ROWS = 28
 DEFAULT_GRID_COLS = 40
 DEFAULT_GRID_THRESHOLD = 0.5
+# Upper bound on NoiseModel.false_positive_rate, the mean number of fabricated
+# detections per frame; each one is drawn one by one.
+MAX_FALSE_POSITIVE_RATE = 100.0
 
 
 @dataclass(frozen=True, eq=False)
@@ -74,12 +78,22 @@ class NoiseModel:
     rng_seed: int = 0
 
     def __post_init__(self):
-        if self.pixel_sigma < 0.0 or self.depth_rel_sigma < 0.0:
-            raise ValueError("noise sigmas must be non-negative")
+        for name in ("pixel_sigma", "depth_rel_sigma"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value >= 0.0):
+                raise ValueError(f"{name} must be finite and non-negative, got {value}")
         if not 0.0 <= self.miss_rate <= 1.0:
             raise ValueError("miss_rate must be in [0, 1]")
-        if self.false_positive_rate < 0.0:
-            raise ValueError("false_positive_rate must be non-negative")
+        if not 0.0 <= self.false_positive_rate <= MAX_FALSE_POSITIVE_RATE:
+            raise ValueError(f"false_positive_rate must be in [0, {MAX_FALSE_POSITIVE_RATE}], "
+                             f"got {self.false_positive_rate}")
+        for name in ("true_confidence", "false_confidence"):
+            pair = getattr(self, name)
+            if len(pair) != 2 or not 0.0 <= pair[0] <= pair[1] <= 1.0:
+                raise ValueError(f"{name} must be [lo, hi] with 0 <= lo <= hi <= 1, got {pair}")
+        if isinstance(self.rng_seed, bool) or not isinstance(self.rng_seed, int) \
+                or self.rng_seed < 0:
+            raise ValueError(f"rng_seed must be a non-negative integer, got {self.rng_seed!r}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -138,6 +152,12 @@ def grid_cell_of(pixel: ImagePoint, intr: CameraIntrinsics, rows: int, cols: int
     return row, col
 
 
+def _claims_cell(gmap: GridDetectionMap, row: int, col: int, depth: float) -> bool:
+    """The grid's one slot per cell: a detection takes its cell unless the
+    cell already holds one at the same or a nearer depth."""
+    return not (gmap.confidence[row, col] > 0.0 and gmap.depth[row, col] <= depth)
+
+
 def encode_grid(
     annotation: FrameAnnotation,
     intr: CameraIntrinsics,
@@ -153,10 +173,9 @@ def encode_grid(
     for neighbor in annotation.neighbors:
         row, col = grid_cell_of(neighbor.center, intr, rows, cols)
         depth = float(neighbor.rel_position[2])
-        if gmap.confidence[row, col] > 0.0 and gmap.depth[row, col] <= depth:
-            continue
-        gmap.confidence[row, col] = 1.0
-        gmap.depth[row, col] = depth
+        if _claims_cell(gmap, row, col, depth):
+            gmap.confidence[row, col] = 1.0
+            gmap.depth[row, col] = depth
     return gmap
 
 
@@ -200,7 +219,7 @@ def simulate_detector(
     noise: NoiseModel,
     intr: CameraIntrinsics,
     mode: str,
-    radius: float = 0.05,
+    radius: float = DEFAULT_ROBOT_GEOMETRY.sphere_radius,
 ):
     """Noisy detector output for one annotated frame.
 
@@ -253,10 +272,9 @@ def simulate_detector(
         depth = float(neighbor.rel_position[2]) * (1.0 + rng.normal(0.0, noise.depth_rel_sigma))
         depth = max(depth, 1e-3)
         row, col = grid_cell_of(center, intr, gmap.rows, gmap.cols)
-        if gmap.confidence[row, col] > 0.0 and gmap.depth[row, col] <= depth:
-            continue
-        gmap.confidence[row, col] = float(rng.uniform(*noise.true_confidence))
-        gmap.depth[row, col] = depth
+        if _claims_cell(gmap, row, col, depth):
+            gmap.confidence[row, col] = float(rng.uniform(*noise.true_confidence))
+            gmap.depth[row, col] = depth
     for _ in range(n_false):
         row = int(rng.integers(0, gmap.rows))
         col = int(rng.integers(0, gmap.cols))
@@ -270,7 +288,7 @@ def simulate_detector(
 def decode_detections(
     output,
     intr: CameraIntrinsics,
-    radius: float = 0.05,
+    radius: float = DEFAULT_ROBOT_GEOMETRY.sphere_radius,
 ) -> list[PositionEstimate]:
     """Decode either detector output form into position estimates."""
     if isinstance(output, GridDetectionMap):

@@ -79,6 +79,14 @@ class ScenarioConfig:
                     f"duration x {rate} = {self.duration * getattr(self, rate):g} "
                     f"exceeds the limit of {MAX_SAMPLES} per run"
                 )
+        # shortest-arc slerp between samples cannot tell a yaw step of pi or
+        # more from the shorter turn the other way
+        yaw_step = self.yaw_rate * self.duration / max(1, _sample_steps(self))
+        if yaw_step >= math.pi:
+            raise InvalidConfig(
+                f"yaw_rate {self.yaw_rate:g} rad/s turns {yaw_step:g} rad between pose "
+                f"samples at sample_rate {self.sample_rate:g} Hz; it must stay below pi"
+            )
         lo, hi = np.array(self.arena_min), np.array(self.arena_max)
         if not np.all(lo < hi):
             raise InvalidConfig("arena bounds must satisfy min < max per axis")
@@ -110,9 +118,12 @@ def frame_schedule(cfg: ScenarioConfig) -> np.ndarray:
     return np.arange(count) / cfg.frame_rate
 
 
+def _sample_steps(cfg: ScenarioConfig) -> int:
+    return int(round(cfg.duration * cfg.sample_rate))
+
+
 def _sample_times(cfg: ScenarioConfig) -> np.ndarray:
-    steps = int(round(cfg.duration * cfg.sample_rate))
-    return np.linspace(0.0, cfg.duration, steps + 1)
+    return np.linspace(0.0, cfg.duration, _sample_steps(cfg) + 1)
 
 
 def _spinning_track(robot_id: str, times: np.ndarray, positions: np.ndarray,

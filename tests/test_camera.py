@@ -11,7 +11,7 @@ from spincam.camera import (
     CameraModel,
     ImagePoint,
     RotationGrid,
-    annotate_frame,
+    annotate_tracks,
     back_project,
     camera_for_pitch,
     in_image,
@@ -22,7 +22,7 @@ from spincam.camera import (
     world_to_camera,
 )
 from spincam.errors import NoObservations, NonPositiveDepth
-from spincam.geometry import Pose, Quaternion, RigidTransform
+from spincam.geometry import Pose, PoseTrack, Quaternion, RigidTransform
 
 
 class TestProject:
@@ -94,9 +94,22 @@ def static_pose(position, yaw: float = 0.0, t: float = 0.0) -> Pose:
     return Pose(t, RigidTransform(Quaternion.from_yaw(yaw), np.asarray(position, dtype=float)))
 
 
+def still_track(robot_id: str, pose: Pose, t: float = 0.0) -> PoseTrack:
+    """Two samples, at t and t + 1, of a robot holding `pose`."""
+    return PoseTrack(robot_id, [t, t + 1.0], np.tile(pose.position, (2, 1)),
+                     np.tile(pose.orientation.as_array(), (2, 1)))
+
+
+def annotate_still(ego_pose: Pose, neighbor_poses: dict, camera, geom):
+    """The frame at time 0 of an ego "r0" and neighbors holding still."""
+    tracks = [still_track("r0", ego_pose)] + [
+        still_track(rid, pose) for rid, pose in neighbor_poses.items()]
+    return annotate_tracks(tracks, camera, geom, [0.0])[0].annotation
+
+
 class TestAnnotateFrame:
     def test_no_neighbors(self, identity_camera, cube_geom):
-        ann = annotate_frame(static_pose((0, 0, 0)), {}, identity_camera, cube_geom)
+        ann = annotate_still(static_pose((0, 0, 0)), {}, identity_camera, cube_geom)
         assert ann.neighbors == []
 
     def test_cube_bbox_half_width(self, cube_geom):
@@ -104,7 +117,7 @@ class TestAnnotateFrame:
         intr = CameraIntrinsics(fx=200.0, fy=200.0, cx=160.0, cy=160.0)
         camera = CameraModel(intrinsics=intr, extrinsic=RigidTransform.identity(),
                              pitch_label="up")
-        ann = annotate_frame(
+        ann = annotate_still(
             static_pose((0, 0, 0)), {"r1": static_pose((0, 0, 1))}, camera, cube_geom
         )
         (neighbor,) = ann.neighbors
@@ -118,14 +131,14 @@ class TestAnnotateFrame:
         np.testing.assert_allclose(neighbor.rel_position, [0.0, 0.0, 1.0], atol=1e-12)
 
     def test_neighbor_behind_camera_excluded(self, identity_camera, cube_geom):
-        ann = annotate_frame(
+        ann = annotate_still(
             static_pose((0, 0, 0)), {"r1": static_pose((0, 0, -1))}, identity_camera, cube_geom
         )
         assert ann.neighbors == []
 
     def test_center_outside_image_excluded(self, identity_camera, cube_geom):
         # center projects far past the right edge even though depth is positive
-        ann = annotate_frame(
+        ann = annotate_still(
             static_pose((0, 0, 0)), {"r1": static_pose((5, 0, 1))}, identity_camera, cube_geom
         )
         assert ann.neighbors == []
@@ -133,7 +146,7 @@ class TestAnnotateFrame:
     def test_bbox_clipped_to_image(self, identity_camera, cube_geom):
         intr = identity_camera.intrinsics
         # close neighbor near the left edge: raw bbox exceeds the image
-        ann = annotate_frame(
+        ann = annotate_still(
             static_pose((0, 0, 0)), {"r1": static_pose((-0.35, 0, 0.4))},
             identity_camera, cube_geom,
         )
@@ -146,7 +159,7 @@ class TestAnnotateFrame:
         hits = 0
         for _ in range(200):
             neighbor = static_pose(rng.uniform((-1, -1, 0.5), (1, 1, 3.0)), yaw=rng.uniform(0, 7))
-            ann = annotate_frame(
+            ann = annotate_still(
                 static_pose((0, 0, 0)), {"r1": neighbor}, identity_camera, cube_geom
             )
             if not ann.neighbors:
@@ -171,11 +184,11 @@ class TestAnnotateFrame:
         assert hits > 50
 
     def test_annotation_records_frame_metadata(self, identity_camera, cube_geom):
-        ann = annotate_frame(
-            static_pose((0, 0, 0), t=1.5), {"r2": static_pose((0, 0, 1), t=1.5)},
-            identity_camera, cube_geom, frame_id=9, ego_id="r0",
-        )
-        assert ann.frame_id == 9 and ann.timestamp == 1.5 and ann.ego_id == "r0"
+        tracks = [still_track("r1", static_pose((0, 0, 0)), t=0.5),
+                  still_track("r2", static_pose((0, 0, 1)), t=0.5)]
+        records = annotate_tracks(tracks, identity_camera, cube_geom, [0.5, 1.5], ego_id="r1")
+        ann = records[1].annotation
+        assert ann.frame_id == 1 and ann.timestamp == 1.5 and ann.ego_id == "r1"
         assert ann.neighbors[0].robot_id == "r2"
 
 

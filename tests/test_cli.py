@@ -75,6 +75,16 @@ class TestSimulate:
         assert main(["simulate", "--config", str(config), "--out", str(tmp_path / "x")]) == 2
         assert "finite" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("key,value", [
+        ("fx", math.nan), ("fy", math.inf), ("k1", math.nan), ("sphere_radius", math.nan),
+    ])
+    def test_non_finite_camera_or_geometry_exits_2_naming_it(self, tmp_path, capsys, key,
+                                                             value):
+        config = write_config(tmp_path / "bad.json", **{key: value})
+        assert main(["simulate", "--config", str(config), "--out", str(tmp_path / "x")]) == 2
+        err = capsys.readouterr().err
+        assert str(config) in err and key in err and "finite" in err
+
     def test_same_seed_byte_identical(self, tmp_path, swap_config):
         out1, out2 = tmp_path / "a", tmp_path / "b"
         main(["simulate", "--config", str(swap_config), "--out", str(out1), "--seed", "11"])
@@ -156,6 +166,24 @@ class TestDownwashEval:
                      "--out", str(tmp_path / "e")]) == 3
         assert "header" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("section,key,value", [
+        ("camera", "fx", math.nan), ("camera", "fy", math.inf), ("camera", "k1", math.nan),
+        ("geometry", "sphere_radius", math.nan),
+    ])
+    def test_non_finite_dataset_camera_or_geometry_exits_3(self, tmp_path, capsys, section,
+                                                           key, value):
+        dataset = self.simulate(tmp_path)
+        lines = dataset.read_text().splitlines()
+        header = json.loads(lines[0])
+        fields = header["camera"]["intrinsics"] if section == "camera" else header["geometry"]
+        fields[key] = value
+        dataset.write_text("\n".join([json.dumps(header)] + lines[1:]) + "\n")
+        capsys.readouterr()
+        assert main(["downwash-eval", "--dataset", str(dataset), "--oracle",
+                     "--out", str(tmp_path / "e")]) == 3
+        err = capsys.readouterr().err
+        assert f"{dataset}:1: malformed header record" in err and key in err
+
     @pytest.mark.parametrize("edit", [
         lambda poses: poses.pop("r0"),
         lambda poses: poses["r1"].update(t=[0.0, 1.0]),
@@ -188,7 +216,19 @@ class TestDownwashEval:
                      "--out", str(tmp_path / "e")]) == 3
         assert f"{dataset}:5: malformed frame record" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("text", ["5", "[0.5]", "{not json"])
+    @pytest.mark.parametrize("text", [
+        "5", "[0.5]", "{not json",
+        '{"pixel_sigma": NaN}',
+        '{"depth_rel_sigma": Infinity}',
+        '{"false_positive_rate": NaN}',
+        '{"false_positive_rate": 1e30}',
+        '{"true_confidence": [NaN, 1.0]}',
+        '{"true_confidence": [1.5, 2.0]}',
+        '{"true_confidence": [0.5]}',
+        '{"false_confidence": [0.7, 0.3]}',
+        '{"rng_seed": -1}',
+        '{"rng_seed": 1.5}',
+    ])
     def test_malformed_noise_config_exits_2_naming_it(self, tmp_path, capsys, text):
         noise = tmp_path / "noise.json"
         noise.write_text(text)

@@ -1,30 +1,30 @@
-"""Ellipsoid condition, belief-set updates, and the evaluation protocol."""
+"""Ellipsoid condition, the belief rule, and the evaluation protocol."""
 
 import math
 
 import numpy as np
 import pytest
 
-from spincam.camera import camera_for_pitch
+from spincam.camera import (
+    BoundingBox,
+    FrameAnnotation,
+    FrameRecord,
+    ImagePoint,
+    NeighborAnnotation,
+    camera_for_pitch,
+)
 from spincam.downwash import (
-    Belief,
-    BeliefSet,
+    MERGE_RADIUS,
     EllipsoidSpec,
     ellipsoid_margin,
+    evaluate_downwash_records,
     is_downwash,
-    predict_downwash,
     run_downwash_eval,
-    update_belief,
 )
-from spincam.geometry import Pose, Quaternion, RigidTransform
-from spincam.perception import PositionEstimate
+from spincam.geometry import Quaternion
 from spincam.scenarios import ScenarioConfig, frame_schedule, generate_scenario
 
 E = EllipsoidSpec(0.15, 0.15, 0.3)
-
-
-def pose(position, yaw: float = 0.0, t: float = 0.0) -> Pose:
-    return Pose(t, RigidTransform(Quaternion.from_yaw(yaw), np.asarray(position, dtype=float)))
 
 
 class TestEllipsoidMargin:
@@ -75,89 +75,102 @@ class TestEllipsoidMargin:
             EllipsoidSpec(radius, 0.1, 0.1)
 
 
+def record(frame, estimates=(), position=(0.0, 0.0, 0.0),
+           quat=(1.0, 0.0, 0.0, 0.0)) -> FrameRecord:
+    """Frame `frame`, stamped `frame` seconds, of a lone ego at `position` and
+    `quat` whose perception sees the camera-frame positions `estimates`."""
+    no_box = ImagePoint(0.0, 0.0), BoundingBox(0.0, 0.0, 1.0, 1.0)
+    seen = [NeighborAnnotation(f"e{i}", np.array(e, dtype=float), *no_box)
+            for i, e in enumerate(estimates)]
+    return FrameRecord(FrameAnnotation(frame, float(frame), "r0", seen), ("r0",),
+                       np.array([position], dtype=float), np.array([quat], dtype=float))
+
+
+def predictions(records, camera, ellipsoid=E) -> list[bool]:
+    return [r.pred_downwash for r in evaluate_downwash_records(records, camera, ellipsoid)]
+
+
 class TestPredictDownwash:
-    def test_empty_beliefs(self):
-        assert predict_downwash(BeliefSet.empty(), (0, 0, 0), E) is False
+    def test_empty_beliefs(self, identity_camera):
+        # a neighbor in the ellipsoid that perception never saw predicts nothing
+        unseen = FrameRecord(FrameAnnotation(0, 0.0, "r0", []), ("r0", "r1"),
+                             np.array([[0.0, 0.0, 0.0], [0.0, 0.0, 0.2]]),
+                             np.tile([1.0, 0.0, 0.0, 0.0], (2, 1)))
+        (result,) = evaluate_downwash_records([unseen], identity_camera, E)
+        assert result.gt_downwash and not result.pred_downwash
 
-    def test_belief_directly_overhead(self):
-        beliefs = BeliefSet((Belief(np.array([0.0, 0.0, 1.2]), 0.0),))
-        # margin 0.2/0.3 = 0.667 < 2
-        assert predict_downwash(beliefs, (0, 0, 1.0), E) is True
+    def test_belief_directly_overhead(self, identity_camera):
+        # identity extrinsic: camera looks along world +z; margin 0.2/0.3 = 0.667 < 2
+        records = [record(0, [(0.0, 0.0, 0.2)], position=(0.0, 0.0, 1.0))]
+        assert predictions(records, identity_camera) == [True]
 
-    def test_far_belief(self):
-        beliefs = BeliefSet((Belief(np.array([1.0, 1.0, 0.0]), 0.0),))
-        assert predict_downwash(beliefs, (0, 0, 0), E) is False
+    def test_far_belief(self, identity_camera):
+        assert predictions([record(0, [(1.0, 1.0, 1.0)])], identity_camera) == [False]
 
-    def test_monotone_in_beliefs(self):
+    def test_monotone_in_beliefs(self, identity_camera):
         rng = np.random.default_rng(3)
         for _ in range(50):
-            positions = rng.uniform(-1, 1, (4, 3))
-            ego = rng.uniform(-1, 1, 3)
-            beliefs = BeliefSet(tuple(Belief(p, 0.0) for p in positions))
-            extended = BeliefSet(beliefs.beliefs + (Belief(rng.uniform(-1, 1, 3), 0.0),))
-            if predict_downwash(beliefs, ego, E):
-                assert predict_downwash(extended, ego, E)
+            positions = rng.uniform((-0.5, -0.5, 0.05), (0.5, 0.5, 1), (4, 3))
+            extra = rng.uniform((-0.5, -0.5, 0.05), (0.5, 0.5, 1))
+            if np.linalg.norm(positions - extra, axis=1).min() < MERGE_RADIUS:
+                continue  # a nearby later estimate absorbs an earlier one
+            if predictions([record(0, positions)], identity_camera) == [True]:
+                assert predictions([record(0, [*positions, extra])], identity_camera) == [True]
 
 
 class TestUpdateBelief:
     def test_empty_stays_empty(self, identity_camera):
-        updated = update_belief(BeliefSet.empty(), pose((0, 0, 0)), identity_camera, [])
-        assert len(updated) == 0
+        records = [record(f, position=(0.0, 0.0, 0.1 * f)) for f in range(4)]
+        assert predictions(records, identity_camera) == [False] * 4
 
     def test_belief_behind_camera_is_retained(self, identity_camera):
-        # identity extrinsic: camera looks along world +z from the origin
-        stale = Belief(np.array([0.0, 0.0, -1.0]), 0.0)
-        updated = update_belief(BeliefSet((stale,)), pose((0, 0, 0)), identity_camera, [])
-        assert list(updated) == [stale]
+        # frame 0 sees a neighbor 1 m above; from frame 1 the ego hovers 0.2 m
+        # above it, so it lies behind the upward camera and its belief stays
+        records = [record(0, [(0.0, 0.0, 1.0)]), record(1, position=(0.0, 0.0, 1.2))]
+        assert predictions(records, identity_camera) == [False, True]
 
     def test_three_frame_hand_trace(self, identity_camera):
-        # frame 0: perceive q0 at (0,0,2) in camera frame -> belief appears
-        beliefs = BeliefSet.empty()
-        beliefs = update_belief(
-            beliefs, pose((0, 0, 0), t=0.0), identity_camera,
-            [PositionEstimate(np.array([0.0, 0.0, 2.0]), "oracle")],
-        )
-        assert len(beliefs) == 1
-        np.testing.assert_allclose(beliefs.positions(), [[0.0, 0.0, 2.0]])
-        # frame 1: old belief reprojects (removed); new perception elsewhere
-        beliefs = update_belief(
-            beliefs, pose((0, 0, 0), t=1.0), identity_camera,
-            [PositionEstimate(np.array([0.5, 0.0, 2.0]), "oracle")],
-        )
-        assert len(beliefs) == 1
-        np.testing.assert_allclose(beliefs.positions(), [[0.5, 0.0, 2.0]])
-        assert beliefs.beliefs[0].born_at == 1.0
+        # frame 0: perceive q0 at (0,0,2) -> belief appears
+        # frame 1: old belief reprojects (removed); new perception at (0.5,0,2)
         # frame 2: belief still in view, nothing perceived -> belief set empties
-        beliefs = update_belief(beliefs, pose((0, 0, 0), t=2.0), identity_camera, [])
-        assert len(beliefs) == 0
+        records = [record(0, [(0.0, 0.0, 2.0)]), record(1, [(0.5, 0.0, 2.0)]), record(2)]
+        # only (0,0,2) violates a narrow ellipsoid, both violate a wide one
+        assert predictions(records, identity_camera, EllipsoidSpec(0.2, 0.2, 1.5)) == [
+            True, False, False]
+        assert predictions(records, identity_camera, EllipsoidSpec(1.5, 1.5, 1.5)) == [
+            True, True, False]
 
     def test_predictions_transform_to_world_frame(self, intr):
         camera = camera_for_pitch("forward", intr)
-        ego = pose((1.0, 2.0, 0.5), yaw=math.pi / 2, t=0.0)
-        # camera optical axis: robot +x rotated by yaw 90 deg -> world +y
-        beliefs = update_belief(
-            BeliefSet.empty(), ego, camera,
-            [PositionEstimate(np.array([0.0, 0.0, 2.0]), "oracle")],
-        )
-        np.testing.assert_allclose(beliefs.positions(), [[1.0, 4.0, 0.5]], atol=1e-9)
+        # camera optical axis: robot +x rotated by yaw 90 deg -> world +y, so
+        # the estimate 2 m ahead is the world point (1, 4, 0.5). Frame 1 puts
+        # the ego on that point (depth 0: out of view), where an ellipsoid of
+        # 5e-10 m radii fires only if the belief lies within 1e-9 m of it.
+        yaw = Quaternion.from_yaw(math.pi / 2).as_array()
+        records = [record(0, [(0.0, 0.0, 2.0)], position=(1.0, 2.0, 0.5), quat=yaw),
+                   record(1, position=(1.0, 4.0, 0.5))]
+        tiny = EllipsoidSpec(5e-10, 5e-10, 5e-10)
+        assert predictions(records, camera, tiny) == [False, True]
 
     def test_merge_radius_replaces_nearby_belief(self, identity_camera):
         # the stale belief projects just outside the image (u = 321.5), so it
-        # is not removed by reprojection; the estimate lands just inside
-        stale = Belief(np.array([1.9, 0.0, 2.0]), 0.0)
-        nearby = update_belief(
-            BeliefSet((stale,)), pose((0, 0, 0), t=1.0), identity_camera,
-            [PositionEstimate(np.array([1.85, 0.0, 2.0]), "oracle")],
-        )
-        assert len(nearby) == 1
-        assert nearby.beliefs[0].born_at == 1.0
-        np.testing.assert_allclose(nearby.positions(), [[1.85, 0.0, 2.0]])
+        # is not removed by reprojection; the estimate lands just inside.
+        # Frame 2 turns the camera down from (1.95, 0, 2): the stale belief
+        # lies 0.05 m away, the nearby one 0.1 m, both out of view.
+        down = (0.0, 1.0, 0.0, 0.0)
+        stale = [record(0, [(1.9, 0.0, 2.0)])]
+        last = record(2, position=(1.95, 0.0, 2.0), quat=down)
+        merged = stale + [record(1, [(1.85, 0.0, 2.0)]), last]
+        kept = stale + [record(1), last]
+        within_8cm, within_12cm = EllipsoidSpec(0.04, 0.04, 0.04), EllipsoidSpec(0.06, 0.06, 0.06)
+        assert predictions(kept, identity_camera, within_8cm) == [False, False, True]
+        assert predictions(merged, identity_camera, within_8cm) == [False, False, False]
+        assert predictions(merged, identity_camera, within_12cm) == [False, False, True]
 
     def test_idempotent_on_empty_frames(self, identity_camera):
-        stale = BeliefSet((Belief(np.array([0.0, 0.0, -1.5]), 0.0),))
-        once = update_belief(stale, pose((0, 0, 0), t=1.0), identity_camera, [])
-        twice = update_belief(once, pose((0, 0, 0), t=2.0), identity_camera, [])
-        assert [tuple(b.position) for b in once] == [tuple(b.position) for b in twice]
+        records = [record(0, [(0.0, 0.0, 1.5)])] + [
+            record(f, position=(0.0, 0.0, 1.6)) for f in range(1, 5)]
+        assert predictions(records, identity_camera) == [False] + [True] * 4
 
 
 class TestRunDownwashEval:

@@ -14,8 +14,8 @@ from spincam.geometry import (
     Quaternion,
     RigidTransform,
     RobotGeometry,
-    interpolate_pose,
-    slerp,
+    interpolate,
+    slerp_arrays,
 )
 
 
@@ -142,23 +142,27 @@ class TestRelativeTransform:
 
 class TestSlerp:
     def test_halfway_between_yaw_0_and_90(self):
-        q = slerp(Quaternion.from_yaw(0.0), Quaternion.from_yaw(math.pi / 2), 0.5)
-        assert q.yaw() == pytest.approx(math.pi / 4, abs=1e-12)
+        q = slerp_arrays(Quaternion.from_yaw(0.0).as_array(),
+                         Quaternion.from_yaw(math.pi / 2).as_array(), 0.5)
+        assert Quaternion(*q).yaw() == pytest.approx(math.pi / 4, abs=1e-12)
 
     def test_matches_scipy_slerp(self):
         rng = np.random.default_rng(8)
+        ts = np.array([0.0, 0.25, 0.6, 1.0])
         for _ in range(50):
             q0, q1 = random_quaternion(rng), random_quaternion(rng)
             ref = Slerp([0.0, 1.0], Rotation.concatenate([to_scipy(q0), to_scipy(q1)]))
-            for t in (0.0, 0.25, 0.6, 1.0):
-                ours = slerp(q0, q1, t).to_matrix()
-                np.testing.assert_allclose(ref([t]).as_matrix()[0], ours, atol=1e-9)
+            ours = slerp_arrays(q0.as_array(), q1.as_array(), ts)
+            for expected, q in zip(ref(ts).as_matrix(), ours):
+                np.testing.assert_allclose(expected, Quaternion(*q).to_matrix(), atol=1e-9)
 
     def test_output_unit_norm(self):
         rng = np.random.default_rng(9)
-        for _ in range(100):
-            q = slerp(random_quaternion(rng), random_quaternion(rng), rng.random())
-            assert q.norm() == pytest.approx(1.0, abs=1e-9)
+        q0, q1 = rng.normal(size=(2, 100, 4))
+        q0 /= np.linalg.norm(q0, axis=1, keepdims=True)
+        q1 /= np.linalg.norm(q1, axis=1, keepdims=True)
+        norms = np.linalg.norm(slerp_arrays(q0, q1, rng.random(100)), axis=1)
+        np.testing.assert_allclose(norms, 1.0, rtol=0.0, atol=1e-9)
 
 
 def make_track(entries) -> PoseTrack:
@@ -172,38 +176,34 @@ def make_track(entries) -> PoseTrack:
 class TestInterpolatePose:
     def test_exact_at_sample_times(self):
         track = make_track([(0.0, (0, 0, 0), 0.0), (1.0, (2, 0, 0), 0.5), (2.5, (1, 1, 1), 1.0)])
-        for sample in track.samples:
-            pose = interpolate_pose(track, sample.timestamp)
-            assert pose.timestamp == sample.timestamp
-            assert pose.position.tolist() == sample.position.tolist()
-            assert pose.orientation.as_array().tolist() == sample.orientation.as_array().tolist()
+        positions, quats = interpolate(track, track.times)
+        assert positions.tolist() == track.positions.tolist()
+        assert quats.tolist() == track.quats.tolist()
 
     def test_linear_midpoint(self):
         track = make_track([(0.0, (0, 0, 0), 0.0), (1.0, (2, 0, 0), 0.0)])
-        pose = interpolate_pose(track, 0.25)
-        np.testing.assert_allclose(pose.position, [0.5, 0.0, 0.0], atol=1e-12)
+        positions, _quats = interpolate(track, 0.25)
+        np.testing.assert_allclose(positions[0], [0.5, 0.0, 0.0], atol=1e-12)
 
     def test_rotation_halfway(self):
         track = make_track([(0.0, (0, 0, 0), 0.0), (1.0, (0, 0, 0), math.pi / 2)])
-        pose = interpolate_pose(track, 0.5)
-        assert pose.orientation.yaw() == pytest.approx(math.pi / 4, abs=1e-12)
+        _positions, quats = interpolate(track, 0.5)
+        assert Quaternion(*quats[0]).yaw() == pytest.approx(math.pi / 4, abs=1e-12)
 
     def test_out_of_range(self):
         track = make_track([(0.0, (0, 0, 0), 0.0), (1.0, (1, 0, 0), 0.0)])
         with pytest.raises(OutOfRange):
-            interpolate_pose(track, 1.0001)
+            interpolate(track, 1.0001)
         with pytest.raises(OutOfRange):
-            interpolate_pose(track, -0.0001)
+            interpolate(track, -0.0001)
 
     def test_orientation_always_unit(self):
         rng = np.random.default_rng(10)
         track = PoseTrack.from_poses(
             "r0", [Pose(float(k), random_transform(rng)) for k in range(10)]
         )
-        for t in rng.uniform(0.0, 9.0, 200):
-            assert interpolate_pose(track, float(t)).orientation.norm() == pytest.approx(
-                1.0, abs=1e-9
-            )
+        _positions, quats = interpolate(track, rng.uniform(0.0, 9.0, 200))
+        np.testing.assert_allclose(np.linalg.norm(quats, axis=1), 1.0, rtol=0.0, atol=1e-9)
 
     def test_track_requires_increasing_timestamps(self):
         with pytest.raises(ValueError):

@@ -12,12 +12,12 @@ from spincam.camera import (
     FrameAnnotation,
     ImagePoint,
     NeighborAnnotation,
-    annotate_frame,
+    annotate_tracks,
     back_project,
     project,
 )
 from spincam.errors import DegenerateBox
-from spincam.geometry import Pose, Quaternion, RigidTransform, RobotGeometry
+from spincam.geometry import PoseTrack, RigidTransform, RobotGeometry
 from spincam.perception import (
     BoxDetection,
     GridDetectionMap,
@@ -267,9 +267,11 @@ class TestSimulateDetector:
         geom = RobotGeometry(half_extents=np.array([0.05, 0.05, 0.05]), sphere_radius=0.05)
         camera = CameraModel(intrinsics=intr, extrinsic=RigidTransform.identity(),
                              pitch_label="up")
-        ego = Pose(0.0, RigidTransform.identity())
-        neighbor = Pose(0.0, RigidTransform(Quaternion.identity(), np.array([0.2, -0.1, 2.0])))
-        return annotate_frame(ego, {"r1": neighbor}, camera, geom)
+        # two-sample tracks of robots holding still
+        quats = np.tile([1.0, 0.0, 0.0, 0.0], (2, 1))
+        tracks = [PoseTrack("r0", [0.0, 1.0], np.zeros((2, 3)), quats),
+                  PoseTrack("r1", [0.0, 1.0], np.tile([0.2, -0.1, 2.0], (2, 1)), quats)]
+        return annotate_tracks(tracks, camera, geom, [0.0])[0].annotation
 
     def test_zero_noise_box_mode_is_identity(self, intr):
         # sphere-silhouette box passes through untouched and decodes exactly

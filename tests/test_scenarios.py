@@ -188,6 +188,12 @@ class TestValidation:
         with pytest.raises(InvalidConfig, match="exceeds the limit"):
             generate_scenario(swap_config(**overrides))
 
+    def test_yaw_step_of_pi_or_more_rejected(self):
+        # at 100 Hz, 400 rad/s turns 4 rad between samples, which slerp would alias
+        with pytest.raises(InvalidConfig, match="yaw_rate"):
+            swap_config(yaw_rate=400.0, sample_rate=100.0).validate()
+        swap_config(yaw_rate=300.0, sample_rate=100.0).validate()
+
     def test_sample_cap_admits_the_limit(self):
         cfg = swap_config(duration=1e5, sample_rate=100.0)
         assert cfg.duration * cfg.sample_rate == scenarios.MAX_SAMPLES
