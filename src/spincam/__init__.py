@@ -22,6 +22,7 @@ from .camera import (
     FrameRecord,
     NeighborAnnotation,
     RotationGrid,
+    RunRecords,
     annotate_tracks,
     back_project,
     camera_for_pitch,

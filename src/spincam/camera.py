@@ -6,7 +6,8 @@ continuous with (0, 0) at the top-left image corner.
 
 `project_points` is the one projection kernel and `annotate_tracks` the one
 annotation pipeline: it projects every frame x neighbor x corner of a run in
-a few array operations. `project` is the kernel's one-point case.
+a few array operations and returns the run as `RunRecords` columns.
+`project` is the kernel's one-point case.
 """
 
 from __future__ import annotations
@@ -283,7 +284,8 @@ class FrameAnnotation:
 
 @dataclass(eq=False)
 class FrameRecord:
-    """One frame: its annotation plus the world poses of every robot.
+    """One frame: its annotation plus the world poses of every robot; the
+    per-frame view of a `RunRecords` frame row.
 
     Row r of `positions` (R, 3) and `quats` (R, 4) is the robot-to-world pose
     of `robot_ids[r]` at the frame's timestamp. Row 0 is the ego robot; the
@@ -298,11 +300,118 @@ class FrameRecord:
     def __post_init__(self):
         ids = self.robot_ids = tuple(self.robot_ids)
         ego = self.annotation.ego_id
-        if ids[:1] != (ego,) or list(ids[1:]) != sorted(set(ids) - {ego}) \
+        if ids[:1] != (ego,) or not _ego_then_sorted(ids) \
                 or self.positions.shape != (len(ids), 3) or self.quats.shape != (len(ids), 4):
             raise ValueError(f"robot_ids {ids} must be the ego {ego!r}, then the others sorted, "
                              f"with one row each in positions {self.positions.shape} and quats "
                              f"{self.quats.shape}")
+
+
+def _ego_then_sorted(ids: tuple[str, ...]) -> bool:
+    """The robot-row rule: the ego, then the other robots in sorted order."""
+    return list(ids[1:]) == sorted(set(ids) - set(ids[:1]))
+
+
+_INDEX_COLUMNS = ("frame_ids", "owner", "robot")
+
+
+@dataclass(eq=False)
+class RunRecords:
+    """A run's annotated frames as columns.
+
+    Frame rows, F of them in schedule or file order: `frame_ids` (F,),
+    `timestamps` (F,), and the robot-to-world poses `positions` (F, R, 3) and
+    `quats` (F, R, 4) of `robot_ids`, the ego first and the others sorted.
+
+    Neighbor rows, one per visible neighbor, grouped by frame in frame order:
+    `owner` (K,) frame row, `robot` (K,) index into `robot_ids` (never the
+    ego), `rel_positions` (K, 3) camera-frame position, `centers` (K, 2)
+    pixel and `bboxes` (K, 4) box as (u_min, v_min, u_max, v_max).
+    """
+
+    frame_ids: np.ndarray
+    timestamps: np.ndarray
+    robot_ids: tuple[str, ...]
+    positions: np.ndarray
+    quats: np.ndarray
+    owner: np.ndarray
+    robot: np.ndarray
+    rel_positions: np.ndarray
+    centers: np.ndarray
+    bboxes: np.ndarray
+
+    def __post_init__(self):
+        ids = self.robot_ids = tuple(self.robot_ids)
+        n_frames, n_rows = len(self.frame_ids), len(self.owner)
+        shapes = {
+            "frame_ids": (n_frames,), "timestamps": (n_frames,),
+            "positions": (n_frames, len(ids), 3), "quats": (n_frames, len(ids), 4),
+            "owner": (n_rows,), "robot": (n_rows,), "rel_positions": (n_rows, 3),
+            "centers": (n_rows, 2), "bboxes": (n_rows, 4),
+        }
+        for name, shape in shapes.items():
+            column = np.asarray(getattr(self, name),
+                                dtype=np.int64 if name in _INDEX_COLUMNS else float)
+            if column.shape != shape:
+                raise ValueError(f"{name} has shape {column.shape}, expected {shape}")
+            setattr(self, name, column)
+        if (n_frames and not ids) or not _ego_then_sorted(ids):
+            raise ValueError(f"robot_ids {ids} must be the ego, then the others sorted")
+        if n_rows and not (np.all(np.diff(self.owner) >= 0) and 0 <= self.owner[0]
+                           and self.owner[-1] < n_frames and np.all(self.robot >= 1)
+                           and np.all(self.robot < len(ids))):
+            raise ValueError("neighbor rows must be grouped by frame in frame order and "
+                             "name a robot other than the ego")
+
+    def __len__(self) -> int:
+        return len(self.frame_ids)
+
+    @classmethod
+    def from_frames(cls, records: Sequence[FrameRecord]) -> "RunRecords":
+        """The columns of per-frame records that all hold the same robot_ids."""
+        ids = records[0].robot_ids if records else ()
+        if any(record.robot_ids != ids for record in records):
+            raise ValueError(f"every frame must hold the same robots as the first, {ids}")
+        # a neighbor that is the ego or no robot of the run gets index 0,
+        # which __post_init__ rejects
+        index = {rid: r for r, rid in enumerate(ids[1:], start=1)}
+        rows = [(f, n) for f, record in enumerate(records) for n in record.annotation.neighbors]
+        return cls(
+            frame_ids=[record.annotation.frame_id for record in records],
+            timestamps=[record.annotation.timestamp for record in records],
+            robot_ids=ids,
+            positions=np.reshape([r.positions for r in records], (len(records), len(ids), 3)),
+            quats=np.reshape([r.quats for r in records], (len(records), len(ids), 4)),
+            owner=[f for f, _n in rows],
+            robot=[index.get(n.robot_id, 0) for _f, n in rows],
+            rel_positions=np.reshape([n.rel_position for _f, n in rows], (-1, 3)),
+            centers=np.reshape([(n.center.u, n.center.v) for _f, n in rows], (-1, 2)),
+            bboxes=np.reshape([(n.bbox.u_min, n.bbox.v_min, n.bbox.u_max, n.bbox.v_max)
+                               for _f, n in rows], (-1, 4)),
+        )
+
+    def annotations(self) -> list[FrameAnnotation]:
+        """One `FrameAnnotation` per frame row, built from the columns."""
+        ids = self.robot_ids
+        neighbors = [
+            NeighborAnnotation(ids[r], position, ImagePoint(*center), BoundingBox(*box))
+            for r, position, center, box in zip(
+                self.robot.tolist(), self.rel_positions, self.centers.tolist(),
+                self.bboxes.tolist())
+        ]
+        bounds = np.searchsorted(self.owner, np.arange(len(self) + 1)).tolist()
+        return [
+            FrameAnnotation(frame_id, timestamp, ids[0], neighbors[lo:hi])
+            for frame_id, timestamp, lo, hi in zip(
+                self.frame_ids.tolist(), self.timestamps.tolist(), bounds, bounds[1:])
+        ]
+
+    def frames(self) -> list[FrameRecord]:
+        """One `FrameRecord` per frame row, built from the columns."""
+        return [
+            FrameRecord(annotation, self.robot_ids, positions, quats)
+            for annotation, positions, quats in zip(self.annotations(), self.positions, self.quats)
+        ]
 
 
 def _annotate_neighbors(
@@ -310,15 +419,15 @@ def _annotate_neighbors(
     ego_t: np.ndarray,
     neighbor_q: np.ndarray,
     neighbor_t: np.ndarray,
-    neighbor_ids: Sequence[str],
     camera: CameraModel,
     geom: RobotGeometry,
-) -> list[list[NeighborAnnotation]]:
-    """Visible-neighbor annotations of F frames, one list per frame.
+) -> tuple[np.ndarray, ...]:
+    """Visible neighbors of F frames as rows (frame, slot, rel_position,
+    center, bbox), grouped by frame.
 
-    Ego poses are (F, 4) / (F, 3) arrays, neighbor poses (F, K, 4) / (F, K, 3)
-    with K following neighbor_ids. Every center goes through one projection
-    call, and so do the 8 corners of every neighbor whose center is in view.
+    Ego poses are (F, 4) / (F, 3) arrays, neighbor poses (F, N, 4) / (F, N, 3)
+    with `slot` indexing N. Every center goes through one projection call,
+    and so do the 8 corners of every neighbor whose center is in view.
     """
     intr = camera.intrinsics
     w2c_q, w2c_t = world_to_camera_arrays(ego_q, ego_t, camera)
@@ -329,8 +438,6 @@ def _annotate_neighbors(
     corners = quat_rotate(rel_q[:, None], geom.corners()) + rel_t[:, None]
     # corners on or behind the image plane: degenerate close-range case
     keep = np.all(corners[..., 2] > 0.0, axis=1)
-    frame, slot, rel_t = frame[keep], slot[keep], rel_t[keep]
-    center_px = project_points(rel_t, intr)
     pixels = project_points(corners[keep], intr)
     boxes = np.stack(
         [
@@ -341,17 +448,8 @@ def _annotate_neighbors(
         ],
         axis=-1,
     )
-    per_frame: list[list[NeighborAnnotation]] = [[] for _ in range(len(ego_q))]
-    for f, k, position, center, box in zip(
-        frame.tolist(), slot.tolist(), rel_t, center_px.tolist(), boxes.tolist()
-    ):
-        per_frame[f].append(
-            NeighborAnnotation(
-                robot_id=neighbor_ids[k], rel_position=position,
-                center=ImagePoint(*center), bbox=BoundingBox(*box),
-            )
-        )
-    return per_frame
+    rel_t = rel_t[keep]
+    return frame[keep], slot[keep], rel_t, project_points(rel_t, intr), boxes
 
 
 def annotate_tracks(
@@ -360,8 +458,8 @@ def annotate_tracks(
     geom: RobotGeometry,
     times,
     ego_id: str = "r0",
-) -> list[FrameRecord]:
-    """Annotated frame records at the given times (frame ids 0, 1, ...).
+) -> RunRecords:
+    """The annotated run at the given times (frame ids 0, 1, ...).
 
     A neighbor is visible when its center projects strictly inside the image
     with positive depth. Its box is the min/max of the 8 projected body
@@ -369,9 +467,8 @@ def annotate_tracks(
     model. Neighbors with any corner on or behind the image plane are dropped
     (degenerate close-range case).
 
-    Every track is interpolated at all times at once into (F, R, ·) stacks in
-    `FrameRecord` row order, all frames are annotated in one
-    `_annotate_neighbors` pass, and each record holds its frame's slice.
+    Every track is interpolated at all times at once into the (F, R, ·) pose
+    columns, and all frames are annotated in one `_annotate_neighbors` pass.
     """
     by_id = {track.robot_id: track for track in tracks}
     if ego_id not in by_id:
@@ -381,16 +478,11 @@ def annotate_tracks(
     states = [interpolate(by_id[rid], times) for rid in ids]
     positions = np.stack([p for p, _q in states], axis=1)
     quats = np.stack([q for _p, q in states], axis=1)
-    annotations = _annotate_neighbors(
-        quats[:, 0], positions[:, 0], quats[:, 1:], positions[:, 1:], ids[1:], camera, geom
+    frame, slot, rel_positions, centers, bboxes = _annotate_neighbors(
+        quats[:, 0], positions[:, 0], quats[:, 1:], positions[:, 1:], camera, geom
     )
-    return [
-        FrameRecord(
-            FrameAnnotation(frame_id=f, timestamp=t, ego_id=ego_id, neighbors=neighbors),
-            ids, positions[f], quats[f],
-        )
-        for f, (t, neighbors) in enumerate(zip(times.tolist(), annotations))
-    ]
+    return RunRecords(np.arange(len(times)), times, ids, positions, quats,
+                      frame, slot + 1, rel_positions, centers, bboxes)
 
 
 @dataclass(frozen=True, eq=False)

@@ -69,18 +69,18 @@ def _simulate(args) -> int:
     out_dir = Path(args.out)
     _write_manifest(out_dir, "simulate", args, ["dataset.ndjson"])
     tracks = generate_scenario(scenario)
-    frames = annotate_tracks(
+    records = annotate_tracks(
         tracks, spec.camera, spec.geometry, frame_schedule(scenario), ego_id=EGO_ID
     )
     dataset = Dataset(
         camera=spec.camera,
         geometry=spec.geometry,
         ellipsoid=scenario.ellipsoid,
-        frames=frames,
+        records=records,
     )
     dataset_path = out_dir / "dataset.ndjson"
     write_dataset(dataset, dataset_path)
-    print(f"wrote {dataset_path} ({len(frames)} frames, {len(tracks)} robots)")
+    print(f"wrote {dataset_path} ({len(records)} frames, {len(tracks)} robots)")
     return EXIT_OK
 
 
@@ -109,7 +109,7 @@ def _downwash_eval(args) -> int:
     dataset = read_dataset(args.dataset)
     ellipsoid = _parse_ellipsoid(args.ellipsoid) if args.ellipsoid else dataset.ellipsoid
     results = evaluate_downwash_records(
-        dataset.frames, dataset.camera, ellipsoid,
+        dataset.records, dataset.camera, ellipsoid,
         mode=mode, noise=noise, geom=dataset.geometry,
     )
     report_path = out_dir / "report.csv"
@@ -147,14 +147,15 @@ def _benchmark(args) -> int:
     _write_manifest(out_dir, "benchmark", args, ["benchmark.csv"])
     rows = []
     for rate in rates:
+        # the camera pitch does not enter the tracks: one flight per yaw rate
+        scenario = replace(spec.scenario, yaw_rate=rate)
+        if args.seed is not None:
+            scenario = replace(scenario, rng_seed=args.seed)
+        tracks = generate_scenario(scenario)
         for pitch in pitches:
-            scenario = replace(spec.scenario, yaw_rate=rate, camera_pitch=pitch)
-            if args.seed is not None:
-                scenario = replace(scenario, rng_seed=args.seed)
             camera = camera_for_pitch(
                 pitch, spec.camera.intrinsics, spec.camera.extrinsic.translation
             )
-            tracks = generate_scenario(scenario)
             results = run_downwash_eval(
                 tracks, camera, frame_schedule(scenario), scenario.ellipsoid,
                 ego_id=EGO_ID, geom=spec.geometry, mode=mode, noise=noise,

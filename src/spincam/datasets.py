@@ -14,19 +14,19 @@ import json
 import math
 import warnings
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Sequence
 
 import numpy as np
 
 from .camera import (
-    BoundingBox,
     DEFAULT_INTRINSICS,
     CameraIntrinsics,
     CameraModel,
     FrameAnnotation,
     FrameRecord,
-    ImagePoint,
     NeighborAnnotation,
+    RunRecords,
     camera_for_pitch,
 )
 from .downwash import DownwashFrameResult, EllipsoidSpec
@@ -43,6 +43,7 @@ from .geometry import (
     Quaternion,
     RigidTransform,
     RobotGeometry,
+    first_failure,
     invalid_pose_row,
 )
 from .metrics import ConfusionCounts, classification_metrics
@@ -99,34 +100,41 @@ def _neighbor_obj(n: NeighborAnnotation) -> dict:
     }
 
 
-def _neighbor_from(obj: dict) -> NeighborAnnotation:
-    return NeighborAnnotation(
-        robot_id=obj["robot_id"],
-        rel_position=np.array(obj["rel_position"], dtype=float),
-        center=ImagePoint(*obj["center"]),
-        bbox=BoundingBox(*obj["bbox"]),
-    )
+class _NonFiniteNumber(ValueError):
+    pass
 
 
-def _annotation_obj(ann: FrameAnnotation) -> dict:
-    return {
-        "frame_id": ann.frame_id,
-        "timestamp": float(ann.timestamp),
-        "ego_id": ann.ego_id,
-        "neighbors": [_neighbor_obj(n) for n in ann.neighbors],
-    }
+def _reject_constant(name: str):
+    raise _NonFiniteNumber(name)
 
 
-def _annotation_from(obj: dict) -> FrameAnnotation:
-    timestamp = float(obj["timestamp"])
-    if not math.isfinite(timestamp):  # frames are ordered by timestamp
-        raise ValueError(f"frame timestamp must be finite, got {timestamp}")
-    return FrameAnnotation(
-        frame_id=int(obj["frame_id"]),
-        timestamp=timestamp,
-        ego_id=obj["ego_id"],
-        neighbors=[_neighbor_from(n) for n in obj["neighbors"]],
-    )
+_STRICT_JSON = json.JSONDecoder(parse_constant=_reject_constant)
+
+
+def _non_finite_key(value, where: str = "") -> str | None:
+    """Key path (`camera.intrinsics.fx`, `neighbors[0].bbox[2]`) of the first
+    non-finite float in a parsed JSON value, or None."""
+    if isinstance(value, float):
+        return None if math.isfinite(value) else where or "value"
+    if isinstance(value, dict):
+        items = ((f"{where}.{key}" if where else key, item) for key, item in value.items())
+    elif isinstance(value, list):
+        items = ((f"{where}[{k}]", item) for k, item in enumerate(value))
+    else:
+        return None
+    return next((found for key, item in items
+                 if (found := _non_finite_key(item, key)) is not None), None)
+
+
+def _loads_finite(text: str):
+    """JSON text as Python values. NaN, Infinity and -Infinity are rejected
+    with a _NonFiniteNumber naming the key path of the first one; invalid
+    JSON raises ValueError."""
+    try:
+        return _STRICT_JSON.decode(text)
+    except _NonFiniteNumber as exc:
+        where = _non_finite_key(json.loads(text))
+        raise _NonFiniteNumber(f"{where} must be finite, got {exc}") from None
 
 
 # ---------------------------------------------------------------------------
@@ -137,129 +145,214 @@ class Dataset:
     camera: CameraModel
     geometry: RobotGeometry
     ellipsoid: EllipsoidSpec
-    frames: list[FrameRecord]
+    records: RunRecords
+
+    @cached_property
+    def frames(self) -> list[FrameRecord]:
+        """Per-frame views of `records`, built on first access."""
+        return self.records.frames()
+
+
+_NEIGHBOR_LINE = (', "rel_position": [%r, %r, %r], "center": [%r, %r], '
+                  '"bbox": [%r, %r, %r, %r]}')
+_POSE_LINE = ': {"time": %r, "q": [%r, %r, %r, %r], "t": [%r, %r, %r]}'
+
+
+def _json_literal(text: str) -> str:
+    """A JSON string for `text`, escaped for a %-format template."""
+    return json.dumps(text).replace("%", "%%")
+
+
+def _frame_lines(records: RunRecords) -> list[str]:
+    """The frame lines of a dataset file, formatted straight from the columns.
+
+    Each line is what `json.dumps` gives for the frame's record object: keys
+    in the same order, `", "` and `": "` separators, floats as their `repr`,
+    and the poses keyed by robot id in sorted order, each with its frame's
+    timestamp as `time`.
+    """
+    ids = records.robot_ids
+    n_frames, n_robots = len(records), len(ids)
+    if not n_frames:
+        return []
+    neighbor_line = ['{"robot_id": ' + _json_literal(rid) + _NEIGHBOR_LINE for rid in ids]
+    values = np.concatenate([records.rel_positions, records.centers, records.bboxes], axis=1)
+    neighbors = [neighbor_line[r] % tuple(row)
+                 for r, row in zip(records.robot.tolist(), values.tolist())]
+    by_name = sorted(range(n_robots), key=ids.__getitem__)
+    line = ('{"record": "frame", "frame_id": %d, "timestamp": %r, "ego_id": '
+            + _json_literal(ids[0]) + ', "neighbors": [%s], "poses": {'
+            + ", ".join(_json_literal(ids[r]) + _POSE_LINE for r in by_name) + "}}\n")
+    times = np.broadcast_to(records.timestamps[:, None, None], (n_frames, n_robots, 1))
+    poses = np.concatenate([times, records.quats, records.positions], axis=2)[:, by_name]
+    bounds = np.searchsorted(records.owner, np.arange(n_frames + 1)).tolist()
+    return [
+        line % (frame_id, timestamp, ", ".join(neighbors[lo:hi]), *pose)
+        for frame_id, timestamp, lo, hi, pose in zip(
+            records.frame_ids.tolist(), records.timestamps.tolist(), bounds, bounds[1:],
+            poses.reshape(n_frames, -1).tolist())
+    ]
 
 
 def write_dataset(dataset: Dataset, path) -> None:
+    """Write a dataset file: the header line, then one line per frame row."""
+    records = dataset.records
+    header = {
+        "record": "header",
+        "schema_version": SCHEMA_VERSION,
+        "camera": _camera_obj(dataset.camera),
+        "geometry": _geometry_obj(dataset.geometry),
+        "ellipsoid": [dataset.ellipsoid.rx, dataset.ellipsoid.ry, dataset.ellipsoid.rz],
+        "frame_count": len(records),
+    }
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        header = {
-            "record": "header",
-            "schema_version": SCHEMA_VERSION,
-            "camera": _camera_obj(dataset.camera),
-            "geometry": _geometry_obj(dataset.geometry),
-            "ellipsoid": [dataset.ellipsoid.rx, dataset.ellipsoid.ry, dataset.ellipsoid.rz],
-            "frame_count": len(dataset.frames),
-        }
         fh.write(json.dumps(header) + "\n")
-        for record in dataset.frames:
-            time = float(record.annotation.timestamp)
-            ids = record.robot_ids
-            quats, positions = record.quats.tolist(), record.positions.tolist()
-            obj = {
-                "record": "frame",
-                **_annotation_obj(record.annotation),
-                "poses": {
-                    ids[r]: {"time": time, "q": quats[r], "t": positions[r]}
-                    for r in sorted(range(len(ids)), key=ids.__getitem__)
-                },
-            }
-            fh.write(json.dumps(obj) + "\n")
+        fh.writelines(_frame_lines(records))
 
 
-def _parse_json_line(line: str, line_no: int, path) -> dict:
+def _parse_json_line(line: str, line_no: int, path, kind: str) -> dict:
+    """The object on one dataset line, which should be a `kind` record."""
     try:
-        obj = json.loads(line)
-    except json.JSONDecodeError as exc:
+        obj = _loads_finite(line)
+    except _NonFiniteNumber as exc:
+        raise ParseError(f"{path}:{line_no}: malformed {kind} record: {exc}") from None
+    except ValueError as exc:
         raise ParseError(f"{path}:{line_no}: invalid record: {exc}") from exc
     if not isinstance(obj, dict) or "record" not in obj:
         raise ParseError(f"{path}:{line_no}: expected an object with a 'record' field")
+    if obj["record"] != kind:
+        raise ParseError(f"{path}:{line_no}: expected a {kind} record, got {obj['record']!r}")
     return obj
 
 
-def _pose_arrays(path, row_lines: list[int], times: list, translations: list,
-                 rotations: list) -> list[np.ndarray]:
-    """A dataset's frame poses as times (N,), positions (N, 3), quats (N, 4).
+def _reject(path, row_lines, failure: tuple[int, str] | None) -> None:
+    """ParseError naming the line of a failed row check's (row, reason)."""
+    if failure is not None:
+        raise ParseError(f"{path}:{row_lines[failure[0]]}: malformed frame record: {failure[1]}")
 
-    The stacked rows get the `Pose` checks in one pass; only rows that do not
-    stack are checked one by one. ParseError names the line (from
-    `row_lines`) of the first invalid row.
-    """
-    if not row_lines:
-        return [np.zeros(0), np.zeros((0, 3)), np.zeros((0, 4))]
+
+def _float_rows(path, row_lines, rows: list, shape: tuple, name: str) -> np.ndarray:
+    """JSON numbers, each row of the given shape, as a float array
+    (N, *shape); ParseError names the line of the first row that is not."""
     try:
-        arrays = [np.array(rows, dtype=float) for rows in (times, translations, rotations)]
-        bad = invalid_pose_row(*arrays)
-    except (TypeError, ValueError):  # some row does not stack: find the first
-        for row, fields in enumerate(zip(times, translations, rotations)):
-            try:
-                bad = invalid_pose_row(*(np.array([field], dtype=float) for field in fields))
-            except (TypeError, ValueError) as exc:
-                bad = row, f"pose values must be numbers: {exc}"
-            if bad is not None:
-                bad = row, bad[1]
-                break
-    if bad is not None:
-        raise ParseError(f"{path}:{row_lines[bad[0]]}: malformed frame record: {bad[1]}")
-    return arrays
+        array = np.array(rows, dtype=float)
+        if array.shape == (len(rows), *shape):
+            return array
+    except (TypeError, ValueError):
+        pass
+    if not rows:
+        return np.zeros((0, *shape))
+    row = next((r for r, value in enumerate(rows) if not _has_shape(value, shape)), 0)
+    what = f"{shape[0]} numbers" if shape else "a number"
+    raise ParseError(f"{path}:{row_lines[row]}: malformed frame record: "
+                     f"{name} must be {what}, got {rows[row]!r}")
+
+
+def _has_shape(value, shape: tuple) -> bool:
+    try:
+        return np.shape(np.array(value, dtype=float)) == shape
+    except (TypeError, ValueError):
+        return False
 
 
 def read_dataset(path) -> Dataset:
-    """Read a dataset file; ParseError names the line of a malformed record.
+    """Read a dataset file into columns; ParseError names the line of a
+    malformed record.
 
-    Each frame's poses are held in `FrameRecord` row order; a pose's `time`
-    is its frame's timestamp, as `write_dataset` writes it.
+    Every frame must hold the same robots, with the same ego, as the first
+    one, and every value must be finite. A pose's `time` is checked but not
+    kept: it is its frame's timestamp, as `write_dataset` writes it.
     """
     with open(path, "r", encoding="utf-8") as fh:
         lines = fh.read().splitlines()
     if not lines:
         raise ParseError(f"{path}:1: empty dataset file (missing header record)")
-    header = _parse_json_line(lines[0], 1, path)
-    if header.get("record") != "header":
-        raise ParseError(f"{path}:1: first record must be the dataset header")
+    header = _parse_json_line(lines[0], 1, path, "header")
     version = header.get("schema_version")
     if version != SCHEMA_VERSION:
         raise VersionMismatch(f"{path}: schema_version {version!r}, supported {SCHEMA_VERSION}")
-    records: list[tuple[FrameAnnotation, tuple[str, ...]]] = []
-    row_lines, times, translations, rotations = [], [], [], []
+    ids, index = (), {}
+    frame_lines, frame_ids, timestamps, counts = [], [], [], []
+    times, translations, rotations = [], [], []
+    robot, rel_positions, centers, bboxes = [], [], [], []
     for line_no, line in enumerate(lines[1:], start=2):
         if not line.strip():
             continue
-        obj = _parse_json_line(line, line_no, path)
-        if obj["record"] != "frame":
-            raise ParseError(f"{path}:{line_no}: unexpected record type {obj['record']!r}")
+        obj = _parse_json_line(line, line_no, path, "frame")
         try:
-            annotation = _annotation_from(obj)
-            poses, ego = obj["poses"], annotation.ego_id
-            if ego not in poses:
-                raise ValueError(f"no pose for ego robot {ego!r}")
-            ids = (ego, *sorted(rid for rid in poses if rid != ego))
+            ego, poses, neighbors = obj["ego_id"], obj["poses"], obj["neighbors"]
+            if not (isinstance(poses, dict) and isinstance(neighbors, list)):
+                raise TypeError("poses must be an object and neighbors a list")
+            if not ids:
+                if ego not in poses:
+                    raise ValueError(f"no pose for ego robot {ego!r}")
+                ids = (ego, *sorted(rid for rid in poses if rid != ego))
+                index = {rid: r for r, rid in enumerate(ids)}
+            elif ego != ids[0] or poses.keys() != index.keys():
+                raise ValueError(f"robots {sorted(poses)} with ego {ego!r} differ from the "
+                                 f"first frame's {sorted(ids)} with ego {ids[0]!r}")
+            frame_id = int(obj["frame_id"])
+            if not 0 <= frame_id < 2**63:  # it seeds the detector's rng stream
+                raise ValueError(f"frame_id {frame_id} is not in [0, 2**63)")
+            frame_ids.append(frame_id)
+            timestamps.append(float(obj["timestamp"]))
             for rid in ids:
-                times.append(poses[rid]["time"])
-                translations.append(poses[rid]["t"])
-                rotations.append(poses[rid]["q"])
-        except (KeyError, TypeError, ValueError) as exc:
+                pose = poses[rid]
+                times.append(pose["time"])
+                translations.append(pose["t"])
+                rotations.append(pose["q"])
+            for neighbor in neighbors:
+                r = index.get(neighbor["robot_id"])
+                if not r:  # unknown, or the ego
+                    raise ValueError(f"neighbor {neighbor['robot_id']!r} is not one of the "
+                                     f"frame's other robots {list(ids[1:])}")
+                robot.append(r)
+                rel_positions.append(neighbor["rel_position"])
+                centers.append(neighbor["center"])
+                bboxes.append(neighbor["bbox"])
+            counts.append(len(neighbors))
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise ParseError(f"{path}:{line_no}: malformed frame record: {exc}") from exc
-        records.append((annotation, ids))
-        row_lines += [line_no] * len(ids)
+        frame_lines.append(line_no)
     expected = header.get("frame_count")
-    if expected is not None and expected != len(records):
+    if expected is not None and expected != len(frame_lines):
         raise ParseError(
-            f"{path}: header announces {expected} frames but file holds {len(records)}"
+            f"{path}: header announces {expected} frames but file holds {len(frame_lines)}"
         )
-    _times, positions, quats = _pose_arrays(path, row_lines, times, translations, rotations)
+    timestamps = np.array(timestamps)
+    _reject(path, frame_lines,
+            first_failure({"timestamp must be finite": np.isfinite(timestamps)}))
+    pose_lines = np.repeat(frame_lines, len(ids))
+    pose_times, positions, quats = (
+        _float_rows(path, pose_lines, rows, shape, name)
+        for rows, shape, name in ((times, (), "time"), (translations, (3,), "t"),
+                                  (rotations, (4,), "q")))
+    _reject(path, pose_lines, invalid_pose_row(pose_times, positions, quats))
+    row_lines = np.repeat(frame_lines, counts)
+    rel_positions, centers, bboxes = (
+        _float_rows(path, row_lines, rows, (width,), name)
+        for rows, width, name in ((rel_positions, 3, "rel_position"), (centers, 2, "center"),
+                                  (bboxes, 4, "bbox")))
+    _reject(path, row_lines, first_failure({
+        "neighbor values must be finite":
+            np.isfinite(np.concatenate([rel_positions, centers, bboxes], axis=1)).all(axis=1),
+        "rel_position depth must be positive": rel_positions[:, 2] > 0.0,
+        "bbox corners must be ordered":
+            (bboxes[:, 0] <= bboxes[:, 2]) & (bboxes[:, 1] <= bboxes[:, 3]),
+    }))
     try:
         camera = _camera_from(header["camera"])
         geometry = _geometry_from(header["geometry"])
         ellipsoid = EllipsoidSpec(*header["ellipsoid"])
     except (KeyError, TypeError, ValueError) as exc:
         raise ParseError(f"{path}:1: malformed header record: {exc}") from exc
-    bounds = np.cumsum([len(ids) for _annotation, ids in records])[:-1]
-    frames = [
-        FrameRecord(annotation, ids, frame_positions, frame_quats)
-        for (annotation, ids), frame_positions, frame_quats
-        in zip(records, np.split(positions, bounds), np.split(quats, bounds))
-    ]
-    return Dataset(camera=camera, geometry=geometry, ellipsoid=ellipsoid, frames=frames)
+    n_frames = len(frame_lines)
+    records = RunRecords(
+        frame_ids, timestamps, ids, positions.reshape(n_frames, len(ids), 3),
+        quats.reshape(n_frames, len(ids), 4), np.repeat(np.arange(n_frames), counts), robot,
+        rel_positions, centers, bboxes,
+    )
+    return Dataset(camera=camera, geometry=geometry, ellipsoid=ellipsoid, records=records)
 
 
 # ---------------------------------------------------------------------------
@@ -530,10 +623,11 @@ _NOISE_KEYS = _field_names(NoiseModel)
 
 def _load_json_object(path) -> dict:
     """The top-level object of a JSON file; InvalidConfig names the path when
-    the file is not valid JSON or its top level is not an object."""
+    the file is not valid JSON (NaN and Infinity are not), or its top level
+    is not an object."""
     with open(path, "r", encoding="utf-8") as fh:
         try:
-            raw = json.load(fh)
+            raw = _loads_finite(fh.read())
         except ValueError as exc:  # invalid JSON or not UTF-8
             raise InvalidConfig(f"{path}: not valid JSON: {exc}") from exc
     if not isinstance(raw, dict):

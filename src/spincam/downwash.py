@@ -19,7 +19,7 @@ import numpy as np
 
 from .camera import (
     CameraModel,
-    FrameRecord,
+    RunRecords,
     annotate_tracks,
     camera_to_world_arrays,
     in_view,
@@ -32,12 +32,7 @@ from .geometry import (
     as_vec3,
     quat_rotate,
 )
-from .perception import (
-    NoiseModel,
-    decode_detections,
-    oracle_estimates,
-    simulate_detector,
-)
+from .perception import NoiseModel, decode_detections, simulate_detector
 
 DOWNWASH_MARGIN = 2.0
 MERGE_RADIUS = 0.1
@@ -112,32 +107,34 @@ class DownwashFrameResult:
 
 
 def _perceived(
-    records: Sequence[FrameRecord],
+    records: RunRecords,
+    order: np.ndarray,
     camera: CameraModel,
     mode: str,
-    noise: NoiseModel | None,
+    noise: NoiseModel,
     geom: RobotGeometry,
-) -> tuple[list[int], np.ndarray]:
-    """Camera-frame position estimates of every frame, stacked (E, 3), and
-    how many of them belong to each frame."""
+) -> tuple[np.ndarray, np.ndarray]:
+    """Perception of the frames taken in `order`: each estimate's frame as
+    its place in `order` (E,), ascending, and the camera-frame estimates
+    (E, 3)."""
     if mode == "oracle":
-        per_frame = (oracle_estimates(r.annotation) for r in records)
-    else:
-        if noise is None:
-            raise ValueError(f"mode {mode!r} needs a NoiseModel")
-        intr, radius = camera.intrinsics, geom.sphere_radius
-        per_frame = (
-            decode_detections(
-                simulate_detector(r.annotation, noise, intr, mode, radius=radius),
-                intr, radius=radius,
-            )
-            for r in records
-        )
+        rank = np.empty_like(order)
+        rank[order] = np.arange(len(order))
+        owner = rank[records.owner]
+        rows = np.argsort(owner, kind="stable")
+        return owner[rows], records.rel_positions[rows]
+    intr, radius = camera.intrinsics, geom.sphere_radius
+    annotations = records.annotations()
     counts, positions = [], []
-    for estimates in per_frame:
+    for f in order.tolist():
+        estimates = decode_detections(
+            simulate_detector(annotations[f], noise, intr, mode, radius=radius),
+            intr, radius=radius,
+        )
         counts.append(len(estimates))
         positions.extend(e.position for e in estimates)
-    return counts, np.array(positions, dtype=float).reshape(-1, 3)
+    return (np.repeat(np.arange(len(order)), counts),
+            np.array(positions, dtype=float).reshape(-1, 3))
 
 
 def _scan_lifetimes(
@@ -183,16 +180,16 @@ def _scan_lifetimes(
 
 
 def evaluate_downwash_records(
-    records: Sequence[FrameRecord],
+    records: RunRecords,
     camera: CameraModel,
     ellipsoid: EllipsoidSpec,
     mode: str = "oracle",
     noise: NoiseModel | None = None,
     geom: RobotGeometry = DEFAULT_ROBOT_GEOMETRY,
 ) -> list[DownwashFrameResult]:
-    """Run the belief protocol over annotated frame records.
+    """Run the belief protocol over an annotated run.
 
-    Records are processed in timestamp order regardless of input order; the
+    Frames are processed in timestamp order regardless of row order; the
     belief update is order-dependent. Ground truth, perception and every
     frame's camera transforms are computed up front. Every perceived
     position that no later position of its frame absorbs is born as a
@@ -202,24 +199,24 @@ def evaluate_downwash_records(
     """
     if mode not in EVAL_MODES:
         raise ValueError(f"unknown evaluation mode {mode!r}; expected one of {EVAL_MODES}")
-    ordered = sorted(records, key=lambda record: record.annotation.timestamp)
-    n_frames = len(ordered)
-    ego_q = np.array([r.quats[0] for r in ordered]).reshape(-1, 4)
-    ego_t = np.array([r.positions[0] for r in ordered]).reshape(-1, 3)
+    if mode in ("box", "grid") and noise is None:
+        raise ValueError(f"mode {mode!r} needs a NoiseModel")
+    order = np.argsort(records.timestamps, kind="stable")
+    n_frames = len(order)
+    if not n_frames:
+        return []
+    ego_q, ego_t = records.quats[order, 0], records.positions[order, 0]
 
     # ground truth: any neighbor inside the ellipsoid condition
-    owner = np.repeat(np.arange(n_frames),
-                      np.array([len(r.robot_ids) - 1 for r in ordered], dtype=int))
-    neighbors = np.concatenate([np.zeros((0, 3)), *(r.positions[1:] for r in ordered)])
-    gt = np.zeros(n_frames, dtype=bool)
-    gt[owner[_violates(neighbors, ego_t[owner], ellipsoid)]] = True
+    neighbors = records.positions[order, 1:]
+    gt = _violates(neighbors, ego_t[:, None], ellipsoid).any(axis=1)
 
     # perceived positions in the world frame, padded to (F, P, 3) by frame
     if mode == "omni":
-        seen, owner_seen = neighbors, owner
+        seen = neighbors.reshape(-1, 3)
+        owner_seen = np.repeat(np.arange(n_frames), neighbors.shape[1])
     else:
-        counts, estimates = _perceived(ordered, camera, mode, noise, geom)
-        owner_seen = np.repeat(np.arange(n_frames), counts)
+        owner_seen, estimates = _perceived(records, order, camera, mode, noise, geom)
         c2w_q, c2w_t = camera_to_world_arrays(ego_q, ego_t, camera)
         seen = quat_rotate(c2w_q[owner_seen], estimates) + c2w_t[owner_seen]
     first = np.searchsorted(owner_seen, np.arange(n_frames))
@@ -234,8 +231,8 @@ def evaluate_downwash_records(
     if mode != "omni":
         pred |= _scan_lifetimes(positions, born_at, frame_seen, ego_q, ego_t, camera, ellipsoid)
     return [
-        DownwashFrameResult(frame_id=record.annotation.frame_id, gt_downwash=g, pred_downwash=p)
-        for record, g, p in zip(ordered, gt.tolist(), pred.tolist())
+        DownwashFrameResult(frame_id=f, gt_downwash=g, pred_downwash=p)
+        for f, g, p in zip(records.frame_ids[order].tolist(), gt.tolist(), pred.tolist())
     ]
 
 

@@ -269,15 +269,20 @@ def invalid_pose_row(times, positions, quats) -> tuple[int, str] | None:
     if times.shape != (n,) or positions.shape != (n, 3) or quats.shape != (n, 4):
         return 0, (f"expected times (N,), positions (N, 3), quats (N, 4); got "
                    f"{times.shape}, {positions.shape}, {quats.shape}")
-    checks = {
+    return first_failure({
         "pose values must be finite": np.isfinite(times)
         & np.isfinite(positions).all(axis=1) & np.isfinite(quats).all(axis=1),
         "time must be non-negative": times >= 0.0,
         "quaternion must be unit-norm":
             np.abs(np.sqrt(np.sum(quats * quats, axis=1)) - 1.0) <= UNIT_NORM_TOL,
-    }
+    })
+
+
+def first_failure(checks: dict[str, np.ndarray]) -> tuple[int, str] | None:
+    """The first row that fails one of the checks {reason: mask of the rows
+    that pass}, and why; at one row the earlier check wins."""
     failed = [(int(np.argmin(ok)), reason) for reason, ok in checks.items() if not ok.all()]
-    return min(failed, default=None)
+    return min(failed, key=lambda failure: failure[0], default=None)
 
 
 @dataclass(eq=False)

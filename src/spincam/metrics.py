@@ -8,7 +8,6 @@ from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
 
 from .errors import CardinalityMismatch
 
@@ -37,6 +36,10 @@ def hungarian(cost) -> AssignmentResult:
         raise ValueError("cost must be a 2-D matrix")
     if not np.all(np.isfinite(matrix)):
         raise ValueError("cost matrix must be finite")
+    # imported here: scipy.optimize is most of the package's import time, and
+    # no CLI command matches detections
+    from scipy.optimize import linear_sum_assignment
+
     rows, cols = linear_sum_assignment(matrix)
     pairs = tuple(sorted(zip(rows.tolist(), cols.tolist())))
     total = float(matrix[rows, cols].sum())

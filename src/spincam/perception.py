@@ -99,7 +99,7 @@ class NoiseModel:
 @dataclass(frozen=True, eq=False)
 class PositionEstimate:
     position: np.ndarray  # camera frame
-    source: str  # box_decoder | grid_decoder | oracle
+    source: str  # box_decoder | grid_decoder
 
     def __post_init__(self):
         if self.position[2] <= 0.0:
@@ -200,14 +200,6 @@ def decode_grid(
         position = back_project(center, float(gmap.depth[row, col]), intr)
         estimates.append(PositionEstimate(position=position, source="grid_decoder"))
     return estimates
-
-
-def oracle_estimates(annotation: FrameAnnotation) -> list[PositionEstimate]:
-    """Perfect perception: the annotated relative positions, unchanged."""
-    return [
-        PositionEstimate(position=n.rel_position.copy(), source="oracle")
-        for n in annotation.neighbors
-    ]
 
 
 def _frame_rng(noise: NoiseModel, frame_id: int) -> np.random.Generator:

@@ -10,6 +10,7 @@ robots spin about +z at the configured auto-yaw rate.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -60,6 +61,10 @@ class ScenarioConfig:
             raise InvalidConfig(f"unknown scenario kind {self.kind!r}")
         if self.camera_pitch not in CAMERA_PITCHES:
             raise InvalidConfig(f"unknown camera pitch {self.camera_pitch!r}")
+        for name in _COUNT_FIELDS:
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < 0:
+                raise InvalidConfig(f"{name} must be a non-negative integer, got {value!r}")
         if not 1 <= self.num_robots <= 4:
             raise InvalidConfig(f"num_robots must be 1..4, got {self.num_robots}")
         for name in _FLOAT_FIELDS:
@@ -79,9 +84,14 @@ class ScenarioConfig:
                     f"duration x {rate} = {self.duration * getattr(self, rate):g} "
                     f"exceeds the limit of {MAX_SAMPLES} per run"
                 )
+        if _sample_steps(self) < 1:
+            raise InvalidConfig(
+                f"duration {self.duration:g} s at sample_rate {self.sample_rate:g} Hz gives "
+                f"fewer than the 2 pose samples a track needs"
+            )
         # shortest-arc slerp between samples cannot tell a yaw step of pi or
         # more from the shorter turn the other way
-        yaw_step = self.yaw_rate * self.duration / max(1, _sample_steps(self))
+        yaw_step = self.yaw_rate * self.duration / _sample_steps(self)
         if yaw_step >= math.pi:
             raise InvalidConfig(
                 f"yaw_rate {self.yaw_rate:g} rad/s turns {yaw_step:g} rad between pose "
@@ -107,6 +117,7 @@ class ScenarioConfig:
                 raise InvalidConfig("speed and acceleration must be positive")
 
 
+_COUNT_FIELDS = ("num_robots", "waypoint_count", "rng_seed")
 _FLOAT_FIELDS = ("duration", "frame_rate", "sample_rate", "yaw_rate", "max_speed", "accel",
                  "orbit_radius", "orbit_height", "orbit_speed")
 _VECTOR_FIELDS = ("arena_min", "arena_max", "hover_heights", "swap_start_a", "swap_start_b")

@@ -1,9 +1,9 @@
 """The batched kernels against per-frame oracles built from the value types.
 
 The oracles interpolate every pose with a scalar slerp, chain
-`relative_transform` and `project` neighbor by neighbor, and run the belief
-rule on lists of world positions, the way the pipeline worked before it was
-vectorized.
+`relative_transform` and `project` neighbor by neighbor, run the belief rule
+on lists of world positions, and write dataset lines with `json.dumps` of
+one dict per frame, the way the pipeline worked before it was vectorized.
 """
 
 import bisect
@@ -22,6 +22,7 @@ from spincam.camera import (
     FrameRecord,
     ImagePoint,
     NeighborAnnotation,
+    RunRecords,
     annotate_tracks,
     camera_for_pitch,
     camera_to_world,
@@ -32,6 +33,7 @@ from spincam.camera import (
     world_to_camera,
 )
 from spincam.cli import main
+from spincam.datasets import Dataset, read_dataset, write_dataset
 from spincam.downwash import (
     EllipsoidSpec,
     evaluate_downwash_records,
@@ -192,23 +194,23 @@ def test_annotate_tracks_matches_per_frame_oracle(kind, pitch, k1):
     records = annotate_tracks(tracks, camera, DEFAULT_ROBOT_GEOMETRY, times, ego_id="r0")
     oracle = oracle_frames(tracks, camera, DEFAULT_ROBOT_GEOMETRY, times)
     assert len(records) == len(oracle) == len(times)
+    assert records.frame_ids.tolist() == list(range(len(times)))
+    assert records.timestamps.tolist() == times.tolist()
+    ids = records.robot_ids
     seen = 0
-    for f, (record, (ego, neighbors, visible)) in enumerate(zip(records, oracle)):
-        annotation = record.annotation
-        assert annotation.frame_id == f and annotation.timestamp == times[f]
-        assert [n.robot_id for n in annotation.neighbors] == list(visible)
-        for n in annotation.neighbors:
-            rel, center, bbox = visible[n.robot_id]
-            np.testing.assert_allclose(n.rel_position, rel, atol=TOL, rtol=0)
-            np.testing.assert_allclose(n.center.as_array(), center, atol=TOL, rtol=0)
-            np.testing.assert_allclose(
-                [n.bbox.u_min, n.bbox.v_min, n.bbox.u_max, n.bbox.v_max], bbox, atol=TOL, rtol=0
-            )
-        assert record.robot_ids == ("r0", *sorted(neighbors))
-        for rid, position in zip(record.robot_ids, record.positions):
+    for f, (ego, neighbors, visible) in enumerate(oracle):
+        assert ids == ("r0", *sorted(neighbors))
+        rows = np.flatnonzero(records.owner == f)
+        assert [ids[r] for r in records.robot[rows]] == list(visible)
+        for k, (rel, center, bbox) in zip(rows, visible.values()):
+            np.testing.assert_allclose(records.rel_positions[k], rel, atol=TOL, rtol=0)
+            np.testing.assert_allclose(records.centers[k], center, atol=TOL, rtol=0)
+            np.testing.assert_allclose(records.bboxes[k], bbox, atol=TOL, rtol=0)
+        for rid, position in zip(ids, records.positions[f]):
             pose = {"r0": ego, **neighbors}[rid]
             np.testing.assert_allclose(position, pose.position, atol=TOL, rtol=0)
         seen += len(visible)
+    assert seen == len(records.owner)
     if pitch != "forward":
         assert seen > 0, "scenario never shows a neighbor; the comparison is vacuous"
 
@@ -222,6 +224,111 @@ def test_frame_record_enforces_row_layout(ids):
     assert FrameRecord(annotation, ("r0", "r1", "r2"), *rows).robot_ids == ("r0", "r1", "r2")
     with pytest.raises(ValueError, match="robot_ids"):
         FrameRecord(annotation, ids, *rows)
+
+
+def frame_obj(record: FrameRecord) -> dict:
+    """A frame's dataset record, as the writer built it before it formatted
+    lines straight from the columns."""
+    ann, ids = record.annotation, record.robot_ids
+    return {
+        "record": "frame",
+        "frame_id": ann.frame_id,
+        "timestamp": float(ann.timestamp),
+        "ego_id": ann.ego_id,
+        "neighbors": [
+            {
+                "robot_id": n.robot_id,
+                "rel_position": [float(v) for v in n.rel_position],
+                "center": [float(n.center.u), float(n.center.v)],
+                "bbox": [float(n.bbox.u_min), float(n.bbox.v_min), float(n.bbox.u_max),
+                         float(n.bbox.v_max)],
+            }
+            for n in ann.neighbors
+        ],
+        "poses": {
+            ids[r]: {"time": float(ann.timestamp), "q": record.quats[r].tolist(),
+                     "t": record.positions[r].tolist()}
+            for r in sorted(range(len(ids)), key=ids.__getitem__)
+        },
+    }
+
+
+COLUMNS = ("frame_ids", "timestamps", "positions", "quats", "owner", "robot", "rel_positions",
+           "centers", "bboxes")
+
+
+def assert_same_columns(a: RunRecords, b: RunRecords) -> None:
+    """Bitwise-equal columns of the same dtype and shape."""
+    assert a.robot_ids == b.robot_ids
+    for name in COLUMNS:
+        x, y = getattr(a, name), getattr(b, name)
+        assert (x.dtype, x.shape, x.tobytes()) == (y.dtype, y.shape, y.tobytes()), name
+
+
+@pytest.mark.parametrize("k1", DISTORTIONS)
+@pytest.mark.parametrize("pitch", PITCHES)
+@pytest.mark.parametrize("kind", sorted(KINDS))
+def test_dataset_lines_match_json_dumps_oracle(tmp_path, kind, pitch, k1):
+    cfg, tracks = scenario(kind, pitch)
+    camera = camera_for_pitch(pitch, CameraIntrinsics(fx=170.0, fy=170.0, cx=160.0, cy=160.0,
+                                                      k1=k1))
+    records = annotate_tracks(tracks, camera, DEFAULT_ROBOT_GEOMETRY, frame_schedule(cfg))
+    path = tmp_path / "dataset.ndjson"
+    write_dataset(Dataset(camera, DEFAULT_ROBOT_GEOMETRY, cfg.ellipsoid, records), path)
+    _header, *lines = path.read_text(encoding="utf-8").split("\n")[:-1]
+    assert lines == [json.dumps(frame_obj(record)) for record in records.frames()]
+    assert_same_columns(read_dataset(path).records, records)
+    assert_same_columns(RunRecords.from_frames(records.frames()), records)
+
+
+@pytest.mark.parametrize("mode", ("oracle", "omni", "box", "grid"))
+@pytest.mark.parametrize("kind", sorted(KINDS))
+def test_evaluation_of_columns_matches_evaluation_of_views(tmp_path, kind, mode):
+    """The columns read from a file, the columns of its per-frame views, and
+    the columns of the same file with its frame lines reversed all give the
+    same per-frame results."""
+    cfg, tracks = scenario(kind, "tilt45")
+    camera = camera_for_pitch("tilt45")
+    noise = NoiseModel(rng_seed=5) if mode in ("box", "grid") else None
+    path = tmp_path / "dataset.ndjson"
+    write_dataset(Dataset(camera, DEFAULT_ROBOT_GEOMETRY, cfg.ellipsoid,
+                          annotate_tracks(tracks, camera, DEFAULT_ROBOT_GEOMETRY,
+                                          frame_schedule(cfg))), path)
+    header, *lines = path.read_text(encoding="utf-8").splitlines()
+    reversed_path = tmp_path / "reversed.ndjson"
+    reversed_path.write_text("\n".join([header, *lines[::-1]]) + "\n", encoding="utf-8")
+    dataset, flipped = read_dataset(path), read_dataset(reversed_path)
+    assert flipped.records.frame_ids.tolist() == dataset.records.frame_ids.tolist()[::-1]
+
+    def evaluate(records):
+        return [(r.frame_id, r.gt_downwash, r.pred_downwash) for r in evaluate_downwash_records(
+            records, camera, cfg.ellipsoid, mode=mode, noise=noise)]
+
+    expected = evaluate(dataset.records)
+    assert any(pred for _f, _gt, pred in expected)
+    assert evaluate(RunRecords.from_frames(dataset.frames)) == expected
+    assert evaluate(flipped.records) == expected
+
+
+def test_run_records_reject_rows_out_of_layout():
+    records = RunRecords.from_frames([
+        FrameRecord(FrameAnnotation(f, float(f), "r0", []), ("r0", "r1"), np.zeros((2, 3)),
+                    np.tile([1.0, 0.0, 0.0, 0.0], (2, 1)))
+        for f in range(2)
+    ])
+    row = dict(rel_positions=[[0.0, 0.0, 1.0]] * 2, centers=[[1.0, 1.0]] * 2,
+               bboxes=[[0.0, 0.0, 2.0, 2.0]] * 2)
+    fields = {name: getattr(records, name) for name in ("frame_ids", "timestamps", "robot_ids",
+                                                        "positions", "quats")}
+    assert len(RunRecords(**fields, owner=[0, 1], robot=[1, 1], **row).owner) == 2
+    for owner, robot in (([1, 0], [1, 1]), ([0, 2], [1, 1]), ([0, 1], [0, 1]),
+                         ([0, 1], [1, 2])):
+        with pytest.raises(ValueError, match="neighbor rows"):
+            RunRecords(**fields, owner=owner, robot=robot, **row)
+    with pytest.raises(ValueError, match="same robot"):
+        RunRecords.from_frames([*records.frames(), FrameRecord(
+            FrameAnnotation(2, 2.0, "r0", []), ("r0",), np.zeros((1, 3)),
+            np.array([[1.0, 0.0, 0.0, 0.0]]))])
 
 
 def oracle_downwash(tracks, camera, times, ellipsoid, mode, noise,
@@ -301,7 +408,7 @@ def test_belief_outlives_several_scan_windows(mode):
     camera = camera_for_pitch("up")
     results = assert_matches_oracle(tracks, camera, times, EllipsoidSpec(), mode, noise)
     records = annotate_tracks(tracks, camera, DEFAULT_ROBOT_GEOMETRY, times, ego_id="r0")
-    last_seen = max(f for f, r in enumerate(records) if r.annotation.neighbors)
+    last_seen = int(records.owner.max())
     late = [f for f, r in enumerate(results) if r.pred_downwash and f > last_seen + 100]
     assert late, "no prediction from a belief older than 100 frames"
 
@@ -312,7 +419,7 @@ def test_frames_without_estimates_predict_nothing(mode):
     camera = camera_for_pitch("forward")  # never sees the neighbor overhead
     noise = NoiseModel(miss_rate=1.0, false_positive_rate=0.0) if mode != "oracle" else None
     records = annotate_tracks(tracks, camera, DEFAULT_ROBOT_GEOMETRY, times, ego_id="r0")
-    assert not any(r.annotation.neighbors for r in records)
+    assert len(records.owner) == 0
     results = assert_matches_oracle(tracks, camera, times, EllipsoidSpec(), mode, noise)
     assert any(r.gt_downwash for r in results)
     assert not any(r.pred_downwash for r in results)
@@ -334,16 +441,19 @@ def test_later_estimate_absorbs_earlier_and_beliefs_die_on_reprojection():
     assert not is_downwash(far, ego.position, ellipsoid)
     assert is_downwash(far, step, ellipsoid)
     no_box = ImagePoint(0.0, 0.0), BoundingBox(0.0, 0.0, 1.0, 1.0)
-    seen = [NeighborAnnotation(f"e{i}", np.array([0.0, 0.0, z]), *no_box)
-            for i, z in enumerate((1.0, 1.09))]
+    # the seen robots r1 and r2 are parked 100 m below, out of the ellipsoid
+    seen = [NeighborAnnotation(rid, np.array([0.0, 0.0, z]), *no_box)
+            for rid, z in (("r1", 1.0), ("r2", 1.09))]
+    parked = np.tile([0.0, 0.0, -100.0], (2, 1))
     records = [
-        FrameRecord(FrameAnnotation(f, float(f), "r0", seen if f == 0 else []), ("r0",),
-                    position[None], np.array([quat]))
+        FrameRecord(FrameAnnotation(f, float(f), "r0", seen if f == 0 else []),
+                    ("r0", "r1", "r2"), np.vstack([position, parked]),
+                    np.array([quat, identity, identity]))
         for f, (position, quat) in enumerate([(np.zeros(3), identity), (step, turned),
                                               (step, identity)])
     ]
     for ordered in (records, records[::-1]):
-        results = evaluate_downwash_records(ordered, camera, ellipsoid)
+        results = evaluate_downwash_records(RunRecords.from_frames(ordered), camera, ellipsoid)
         assert [(r.frame_id, r.gt_downwash, r.pred_downwash) for r in results] == [
             (0, False, False), (1, False, True), (2, False, False)]
 
@@ -351,8 +461,8 @@ def test_later_estimate_absorbs_earlier_and_beliefs_die_on_reprojection():
 @pytest.mark.parametrize("mode", ("oracle", "omni", "box", "grid"))
 def test_empty_record_list_gives_no_results(mode):
     noise = NoiseModel() if mode in ("box", "grid") else None
-    assert evaluate_downwash_records([], camera_for_pitch("up"), EllipsoidSpec(), mode=mode,
-                                     noise=noise) == []
+    assert evaluate_downwash_records(RunRecords.from_frames([]), camera_for_pitch("up"),
+                                     EllipsoidSpec(), mode=mode, noise=noise) == []
 
 
 def test_rotate_calls_do_not_grow_with_frames(tmp_path, monkeypatch):
@@ -396,3 +506,28 @@ def test_pipeline_builds_no_pose_objects(tmp_path, monkeypatch):
         assert main(["benchmark", "--config", str(config), "--oracle",
                      "--out", str(tmp_path / "bench")]) == 0
     assert len(built) == 0
+
+
+def test_cli_builds_no_per_frame_objects(tmp_path, monkeypatch):
+    """simulate, downwash-eval --oracle and benchmark --oracle carry frames as
+    columns, not as per-frame records."""
+    built = []
+    for cls in (FrameRecord, FrameAnnotation, NeighborAnnotation):
+        init = cls.__init__
+        monkeypatch.setattr(cls, "__init__", lambda self, *args, init=init, **kwargs:
+                            built.append(type(self).__name__) or init(self, *args, **kwargs))
+    config = tmp_path / "wp.json"
+    config.write_text(json.dumps({
+        "kind": "random_waypoint", "num_robots": 4, "duration": 5.0, "frame_rate": 30.0,
+        "camera_pitch": "up", "rng_seed": 1,
+    }))
+    out = tmp_path / "run"
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(["simulate", "--config", str(config), "--out", str(out)]) == 0
+        assert main(["downwash-eval", "--dataset", str(out / "dataset.ndjson"),
+                     "--oracle", "--out", str(out / "eval")]) == 0
+        assert main(["benchmark", "--config", str(config), "--oracle",
+                     "--out", str(tmp_path / "bench")]) == 0
+    assert built == []
+    assert RunRecords.from_frames(read_dataset(out / "dataset.ndjson").frames)
+    assert set(built) == {"FrameRecord", "FrameAnnotation", "NeighborAnnotation"}

@@ -104,7 +104,7 @@ def annotate_still(ego_pose: Pose, neighbor_poses: dict, camera, geom):
     """The frame at time 0 of an ego "r0" and neighbors holding still."""
     tracks = [still_track("r0", ego_pose)] + [
         still_track(rid, pose) for rid, pose in neighbor_poses.items()]
-    return annotate_tracks(tracks, camera, geom, [0.0])[0].annotation
+    return annotate_tracks(tracks, camera, geom, [0.0]).annotations()[0]
 
 
 class TestAnnotateFrame:
@@ -187,7 +187,7 @@ class TestAnnotateFrame:
         tracks = [still_track("r1", static_pose((0, 0, 0)), t=0.5),
                   still_track("r2", static_pose((0, 0, 1)), t=0.5)]
         records = annotate_tracks(tracks, identity_camera, cube_geom, [0.5, 1.5], ego_id="r1")
-        ann = records[1].annotation
+        ann = records.annotations()[1]
         assert ann.frame_id == 1 and ann.timestamp == 1.5 and ann.ego_id == "r1"
         assert ann.neighbors[0].robot_id == "r2"
 

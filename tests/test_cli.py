@@ -17,7 +17,7 @@ from spincam.datasets import (
 )
 from spincam.downwash import EllipsoidSpec, ellipsoid_margin
 from spincam.geometry import DEFAULT_ROBOT_GEOMETRY
-from spincam.camera import camera_for_pitch
+from spincam.camera import RunRecords, camera_for_pitch
 
 
 def write_config(path, **overrides):
@@ -85,6 +85,22 @@ class TestSimulate:
         err = capsys.readouterr().err
         assert str(config) in err and key in err and "finite" in err
 
+    @pytest.mark.parametrize("overrides,key", [
+        ({"duration": 0.001}, "duration"),
+        ({"kind": "random_waypoint", "num_robots": 2.5}, "num_robots"),
+        ({"kind": "random_waypoint", "waypoint_count": 2.5}, "waypoint_count"),
+        ({"rng_seed": -1}, "rng_seed"),
+    ])
+    def test_malformed_scenario_exits_2_naming_the_key(self, tmp_path, capsys, overrides, key):
+        config = write_config(tmp_path / "bad.json", **overrides)
+        assert main(["simulate", "--config", str(config), "--out", str(tmp_path / "x")]) == 2
+        assert key in capsys.readouterr().err
+
+    def test_negative_seed_flag_exits_2(self, tmp_path, capsys, swap_config):
+        assert main(["simulate", "--config", str(swap_config), "--out", str(tmp_path / "x"),
+                     "--seed", "-1"]) == 2
+        assert "rng_seed" in capsys.readouterr().err
+
     def test_same_seed_byte_identical(self, tmp_path, swap_config):
         out1, out2 = tmp_path / "a", tmp_path / "b"
         main(["simulate", "--config", str(swap_config), "--out", str(out1), "--seed", "11"])
@@ -119,7 +135,7 @@ class TestDownwashEval:
             camera=camera_for_pitch("up"),
             geometry=DEFAULT_ROBOT_GEOMETRY,
             ellipsoid=EllipsoidSpec(),
-            frames=[],
+            records=RunRecords.from_frames([]),
         )
         path = tmp_path / "empty.ndjson"
         write_dataset(dataset, path)
@@ -190,7 +206,10 @@ class TestDownwashEval:
         lambda poses: poses["r1"].update(t=["x", 0.0, 1.0]),
         lambda poses: poses["r1"].update(q=[2.0, 0.0, 0.0, 0.0]),
         lambda poses: poses["r0"].update(time=-1.0),
-    ], ids=["no-ego-pose", "two-component-t", "non-number-t", "non-unit-q", "negative-time"])
+        lambda poses: poses.pop("r1"),
+        lambda poses: poses.update(r2=poses["r1"]),
+    ], ids=["no-ego-pose", "two-component-t", "non-number-t", "non-unit-q", "negative-time",
+            "robot-missing", "extra-robot"])
     def test_malformed_frame_pose_exits_3_naming_line(self, tmp_path, capsys, edit):
         dataset = self.simulate(tmp_path)
         lines = dataset.read_text().splitlines()
@@ -200,6 +219,69 @@ class TestDownwashEval:
         dataset.write_text("\n".join(lines) + "\n")
         capsys.readouterr()
         assert main(["downwash-eval", "--dataset", str(dataset), "--oracle",
+                     "--out", str(tmp_path / "e")]) == 3
+        assert f"{dataset}:5: malformed frame record" in capsys.readouterr().err
+
+    def edit_neighbor_frame(self, tmp_path, edit) -> tuple:
+        """The dataset of `simulate` with `edit` applied in place to the
+        first frame that sees a neighbor, and that frame's line number."""
+        dataset = self.simulate(tmp_path)
+        lines = dataset.read_text().splitlines()
+        index = next(k for k, line in enumerate(lines[1:], start=1)
+                     if json.loads(line)["neighbors"])
+        frame = json.loads(lines[index])
+        edit(frame)
+        lines[index] = json.dumps(frame)
+        dataset.write_text("\n".join(lines) + "\n")
+        return dataset, index + 1
+
+    @pytest.mark.parametrize("mode", ["oracle", "box", "grid"])
+    @pytest.mark.parametrize("field,text", [
+        ("rel_position", "[NaN, 0.1, 1.0]"),
+        ("rel_position", "[0.1, 1e400, 1.0]"),
+        ("bbox", "[NaN, 10.0, 20.0, 30.0]"),
+        ("center", "[Infinity, 5.0]"),
+        ("center", "[5.0, -1e999]"),
+    ])
+    def test_non_finite_neighbor_value_exits_3_naming_line(self, tmp_path, capsys, mode, field,
+                                                           text):
+        dataset, line_no = self.edit_neighbor_frame(
+            tmp_path, lambda frame: frame["neighbors"][0].update({field: "VALUE"}))
+        dataset.write_text(dataset.read_text().replace('"VALUE"', text))
+        noise = tmp_path / "noise.json"
+        noise.write_text('{"rng_seed": 1}')
+        flags = ["--oracle"] if mode == "oracle" else ["--noise", str(noise), "--mode", mode]
+        capsys.readouterr()
+        assert main(["downwash-eval", "--dataset", str(dataset), *flags,
+                     "--out", str(tmp_path / "e")]) == 3
+        err = capsys.readouterr().err
+        assert f"{dataset}:{line_no}: malformed frame record" in err and "finite" in err
+
+    @pytest.mark.parametrize("edit", [
+        lambda frame: frame.update(ego_id="r1"),
+        lambda frame: frame["neighbors"][0].update(robot_id="r7"),
+        lambda frame: frame["neighbors"][0].update(robot_id="r0"),
+        lambda frame: frame.update(neighbors={}),
+    ], ids=["other-ego", "unknown-neighbor", "ego-neighbor", "neighbors-object"])
+    def test_malformed_frame_exits_3_naming_line(self, tmp_path, capsys, edit):
+        dataset, line_no = self.edit_neighbor_frame(tmp_path, edit)
+        capsys.readouterr()
+        assert main(["downwash-eval", "--dataset", str(dataset), "--oracle",
+                     "--out", str(tmp_path / "e")]) == 3
+        assert f"{dataset}:{line_no}: malformed frame record" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("frame_id", [-1, 2**63])
+    def test_frame_id_out_of_range_exits_3_naming_line(self, tmp_path, capsys, frame_id):
+        dataset = self.simulate(tmp_path)
+        lines = dataset.read_text().splitlines()
+        frame = json.loads(lines[4])
+        frame["frame_id"] = frame_id
+        lines[4] = json.dumps(frame)
+        dataset.write_text("\n".join(lines) + "\n")
+        noise = tmp_path / "noise.json"
+        noise.write_text('{"rng_seed": 1}')
+        capsys.readouterr()
+        assert main(["downwash-eval", "--dataset", str(dataset), "--noise", str(noise),
                      "--out", str(tmp_path / "e")]) == 3
         assert f"{dataset}:5: malformed frame record" in capsys.readouterr().err
 
@@ -265,6 +347,17 @@ class TestBenchmark:
     def test_missing_config_exits_2(self, tmp_path):
         assert main(["benchmark", "--config", str(tmp_path / "nope.json"),
                      "--out", str(tmp_path / "b"), "--oracle"]) == 2
+
+    def test_builds_one_flight_per_yaw_rate(self, tmp_path, swap_config, monkeypatch):
+        import spincam.cli
+
+        rates = []
+        generate = spincam.cli.generate_scenario
+        monkeypatch.setattr(spincam.cli, "generate_scenario",
+                            lambda cfg: rates.append(cfg.yaw_rate) or generate(cfg))
+        assert main(["benchmark", "--config", str(swap_config), "--out", str(tmp_path / "b"),
+                     "--oracle"]) == 0
+        assert rates == [2.0, 4.0, 6.0, 8.0]
 
     def test_bad_pitch_exits_2(self, tmp_path, swap_config):
         assert main(["benchmark", "--config", str(swap_config), "--out", str(tmp_path / "b"),
@@ -340,6 +433,7 @@ class TestRerun:
         json.dumps({"command": "timesync", "args": {}}),
         json.dumps({"command": ["simulate"], "args": {}}),
         json.dumps({"command": {}, "args": {}}),
+        '{"command": "simulate", "args": {"config": "c", "out": "o", "seed": NaN}}',
     ])
     def test_malformed_manifest_exits_2_naming_it(self, tmp_path, capsys, text):
         manifest = tmp_path / "manifest.json"

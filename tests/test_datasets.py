@@ -12,6 +12,7 @@ from spincam.camera import (
     FrameAnnotation,
     ImagePoint,
     NeighborAnnotation,
+    RunRecords,
     camera_for_pitch,
 )
 from spincam.datasets import (
@@ -83,7 +84,7 @@ def random_dataset(rng, n_frames: int) -> Dataset:
         camera=camera_for_pitch("tilt45"),
         geometry=DEFAULT_ROBOT_GEOMETRY,
         ellipsoid=EllipsoidSpec(0.15, 0.15, 0.3),
-        frames=frames,
+        records=RunRecords.from_frames(frames),
     )
 
 

@@ -11,6 +11,7 @@ from spincam.camera import (
     FrameRecord,
     ImagePoint,
     NeighborAnnotation,
+    RunRecords,
     camera_for_pitch,
 )
 from spincam.downwash import (
@@ -75,19 +76,28 @@ class TestEllipsoidMargin:
             EllipsoidSpec(radius, 0.1, 0.1)
 
 
+# the robots the hand-built frames perceive, parked 100 m below the ego's
+# flights so that they never enter its ellipsoid
+SEEN_IDS = ("r1", "r2", "r3", "r4", "r5")
+PARKED = np.tile([0.0, 0.0, -100.0], (len(SEEN_IDS), 1))
+
+
 def record(frame, estimates=(), position=(0.0, 0.0, 0.0),
            quat=(1.0, 0.0, 0.0, 0.0)) -> FrameRecord:
-    """Frame `frame`, stamped `frame` seconds, of a lone ego at `position` and
-    `quat` whose perception sees the camera-frame positions `estimates`."""
+    """Frame `frame`, stamped `frame` seconds, of an ego at `position` and
+    `quat` whose perception sees the camera-frame positions `estimates`, as
+    robots r1, r2, ... in turn."""
     no_box = ImagePoint(0.0, 0.0), BoundingBox(0.0, 0.0, 1.0, 1.0)
-    seen = [NeighborAnnotation(f"e{i}", np.array(e, dtype=float), *no_box)
-            for i, e in enumerate(estimates)]
-    return FrameRecord(FrameAnnotation(frame, float(frame), "r0", seen), ("r0",),
-                       np.array([position], dtype=float), np.array([quat], dtype=float))
+    seen = [NeighborAnnotation(rid, np.array(e, dtype=float), *no_box)
+            for rid, e in zip(SEEN_IDS[:len(estimates)], estimates, strict=True)]
+    identity = [(1.0, 0.0, 0.0, 0.0)] * len(SEEN_IDS)
+    return FrameRecord(FrameAnnotation(frame, float(frame), "r0", seen), ("r0", *SEEN_IDS),
+                       np.vstack([position, PARKED]), np.array([quat, *identity], dtype=float))
 
 
 def predictions(records, camera, ellipsoid=E) -> list[bool]:
-    return [r.pred_downwash for r in evaluate_downwash_records(records, camera, ellipsoid)]
+    results = evaluate_downwash_records(RunRecords.from_frames(records), camera, ellipsoid)
+    return [r.pred_downwash for r in results]
 
 
 class TestPredictDownwash:
@@ -96,7 +106,8 @@ class TestPredictDownwash:
         unseen = FrameRecord(FrameAnnotation(0, 0.0, "r0", []), ("r0", "r1"),
                              np.array([[0.0, 0.0, 0.0], [0.0, 0.0, 0.2]]),
                              np.tile([1.0, 0.0, 0.0, 0.0], (2, 1)))
-        (result,) = evaluate_downwash_records([unseen], identity_camera, E)
+        (result,) = evaluate_downwash_records(RunRecords.from_frames([unseen]),
+                                              identity_camera, E)
         assert result.gt_downwash and not result.pred_downwash
 
     def test_belief_directly_overhead(self, identity_camera):

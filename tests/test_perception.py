@@ -271,7 +271,7 @@ class TestSimulateDetector:
         quats = np.tile([1.0, 0.0, 0.0, 0.0], (2, 1))
         tracks = [PoseTrack("r0", [0.0, 1.0], np.zeros((2, 3)), quats),
                   PoseTrack("r1", [0.0, 1.0], np.tile([0.2, -0.1, 2.0], (2, 1)), quats)]
-        return annotate_tracks(tracks, camera, geom, [0.0])[0].annotation
+        return annotate_tracks(tracks, camera, geom, [0.0]).annotations()[0]
 
     def test_zero_noise_box_mode_is_identity(self, intr):
         # sphere-silhouette box passes through untouched and decodes exactly
