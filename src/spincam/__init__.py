@@ -13,7 +13,6 @@ __version__ = "0.1.0"
 
 from .camera import (
     BoundingBox,
-    CalibrationFrame,
     CameraIntrinsics,
     CameraModel,
     DEFAULT_INTRINSICS,
@@ -29,7 +28,6 @@ from .camera import (
     project,
     project_points,
     refine_extrinsic_rotation,
-    relative_transform,
 )
 from .datasets import (
     Dataset,
@@ -58,7 +56,6 @@ from .dynamics import (
 from .errors import SpincamError
 from .geometry import (
     DEFAULT_ROBOT_GEOMETRY,
-    Pose,
     PoseTrack,
     Quaternion,
     RigidTransform,

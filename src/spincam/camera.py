@@ -12,6 +12,7 @@ a few array operations and returns the run as `RunRecords` columns.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Sequence
@@ -20,7 +21,6 @@ import numpy as np
 
 from .errors import NonPositiveDepth, NoObservations
 from .geometry import (
-    Pose,
     PoseTrack,
     Quaternion,
     RigidTransform,
@@ -235,34 +235,19 @@ def projects_into_image(point_camera, intr: CameraIntrinsics) -> bool:
     return bool(in_view(as_vec3(point_camera), intr))
 
 
-def relative_transform(ego_pose: Pose, neighbor_pose: Pose, camera: CameraModel) -> RigidTransform:
-    """Neighbor robot frame into the ego camera frame.
-
-    Chains the camera mount with the inverse ego pose and the neighbor pose,
-    so the translation part is the neighbor origin seen from the camera.
-    """
-    return camera.extrinsic @ ego_pose.transform.inverse() @ neighbor_pose.transform
-
-
-def world_to_camera(ego_pose: Pose, camera: CameraModel) -> RigidTransform:
-    return camera.extrinsic @ ego_pose.transform.inverse()
-
-
-def camera_to_world(ego_pose: Pose, camera: CameraModel) -> RigidTransform:
-    return ego_pose.transform @ camera.extrinsic.inverse()
-
-
 def _extrinsic_arrays(camera: CameraModel) -> tuple[np.ndarray, np.ndarray]:
     return camera.extrinsic.rotation.as_array(), camera.extrinsic.translation
 
 
 def world_to_camera_arrays(ego_q, ego_t, camera: CameraModel):
-    """Stacked `world_to_camera` for ego orientations (..., 4) and positions (..., 3)."""
+    """World-to-camera transforms (mount after inverse ego pose) for ego
+    orientations (..., 4) and positions (..., 3)."""
     return compose(*_extrinsic_arrays(camera), *invert(ego_q, ego_t))
 
 
 def camera_to_world_arrays(ego_q, ego_t, camera: CameraModel):
-    """Stacked `camera_to_world` for ego orientations (..., 4) and positions (..., 3)."""
+    """Camera-to-world transforms (ego pose after inverse mount) for ego
+    orientations (..., 4) and positions (..., 3)."""
     return compose(ego_q, ego_t, *invert(*_extrinsic_arrays(camera)))
 
 
@@ -485,14 +470,6 @@ def annotate_tracks(
                       frame, slot + 1, rel_positions, centers, bboxes)
 
 
-@dataclass(frozen=True, eq=False)
-class CalibrationFrame:
-    """One frame of mount-calibration data: ego pose plus observed centers."""
-
-    ego_pose: Pose
-    observations: list[tuple[Pose, ImagePoint]]  # (neighbor ground-truth pose, seen center)
-
-
 @dataclass(frozen=True)
 class RotationGrid:
     """Axis-aligned rotation-vector cube searched exhaustively."""
@@ -505,64 +482,55 @@ class RotationGrid:
         return np.arange(-n, n + 1) * self.step
 
 
-def reprojection_mse(frames, camera: CameraModel) -> float:
-    """Mean squared pixel error of ground-truth centers vs observed centers."""
-    intr = camera.intrinsics
-    total = 0.0
-    count = 0
-    for frame in frames:
-        world_to_cam = world_to_camera(frame.ego_pose, camera)
-        for neighbor_pose, observed in frame.observations:
-            p_cam = world_to_cam.apply(neighbor_pose.position)
-            if p_cam[2] <= 0.0:
-                return math.inf
-            px = project(p_cam, intr)
-            total += (px.u - observed.u) ** 2 + (px.v - observed.v) ** 2
-            count += 1
-    if count == 0:
+def _ego_frame_points(records: RunRecords) -> np.ndarray:
+    """The true position of every neighbor row's robot (K, 3) in its frame's
+    ego robot frame: the part of the world-to-camera chain that does not
+    depend on the mount. Raises NoObservations when there are no rows."""
+    if not len(records.owner):
         raise NoObservations("no center correspondences available")
-    return total / count
+    to_ego_q, to_ego_t = invert(records.quats[records.owner, 0],
+                                records.positions[records.owner, 0])
+    return quat_rotate(to_ego_q, records.positions[records.owner, records.robot]) + to_ego_t
+
+
+def _mean_squared_error(points, observed, rotation: Quaternion, translation,
+                        intr: CameraIntrinsics) -> float:
+    """Mean squared pixel distance between ego-frame points (K, 3) seen
+    through the mount (rotation, translation) and the observed pixels (K, 2);
+    inf when a point lies on or behind the image plane."""
+    cam_pts = quat_rotate(rotation.as_array(), points) + translation
+    if np.any(cam_pts[:, 2] <= 0.0):
+        return math.inf
+    return float(np.mean(np.sum((project_points(cam_pts, intr) - observed) ** 2, axis=1)))
+
+
+def reprojection_mse(records: RunRecords, camera: CameraModel) -> float:
+    """Mean squared pixel error of the true neighbor centers, projected
+    through the camera, vs the observed `centers` of a run's neighbor rows."""
+    return _mean_squared_error(_ego_frame_points(records), records.centers,
+                               camera.extrinsic.rotation, camera.extrinsic.translation,
+                               camera.intrinsics)
 
 
 def refine_extrinsic_rotation(
-    frames, camera: CameraModel, search: RotationGrid = RotationGrid()
+    records: RunRecords, camera: CameraModel, search: RotationGrid = RotationGrid()
 ) -> RigidTransform:
     """Exhaustive grid search over mount-rotation perturbations.
 
     Every rotation vector on the grid perturbs the current mount rotation (in
-    camera coordinates); the candidate minimizing the mean squared
-    reprojection error of the observed robot centers wins. Translation is
-    kept as-is.
+    camera coordinates); the candidate minimizing `reprojection_mse` of the
+    run's observed neighbor centers wins. Translation is kept as-is.
     """
-    if not any(frame.observations for frame in frames):
-        raise NoObservations("no center correspondences available")
-    # Neighbor centers in the ego robot frame do not depend on the candidate
-    # mount rotation, so hoist that part of the chain out of the search loop.
-    robot_frame_points = []
-    observed_pixels = []
-    for frame in frames:
-        to_robot = frame.ego_pose.transform.inverse()
-        for neighbor_pose, observed in frame.observations:
-            robot_frame_points.append(to_robot.apply(neighbor_pose.position))
-            observed_pixels.append(observed.as_array())
-    points = np.array(robot_frame_points)
-    observed = np.array(observed_pixels)
-    intr = camera.intrinsics
+    points = _ego_frame_points(records)
     base_rotation = camera.extrinsic.rotation
     translation = camera.extrinsic.translation
-
-    values = search.axis_values()
     best_error = math.inf
     best_rotation = base_rotation
-    for rx in values:
-        for ry in values:
-            for rz in values:
-                rotation = (Quaternion.from_rotvec((rx, ry, rz)) * base_rotation).normalized()
-                cam_pts = rotation.rotate(points) + translation
-                if np.any(cam_pts[:, 2] <= 0.0):
-                    continue
-                err = float(np.mean(np.sum((project_points(cam_pts, intr) - observed) ** 2, axis=1)))
-                if err < best_error:
-                    best_error = err
-                    best_rotation = rotation
+    for rotvec in itertools.product(search.axis_values(), repeat=3):
+        rotation = (Quaternion.from_rotvec(rotvec) * base_rotation).normalized()
+        err = _mean_squared_error(points, records.centers, rotation, translation,
+                                  camera.intrinsics)
+        if err < best_error:
+            best_error = err
+            best_rotation = rotation
     return RigidTransform(best_rotation, translation)

@@ -85,11 +85,8 @@ def _simulate(args) -> int:
 
 
 def _parse_ellipsoid(text: str) -> EllipsoidSpec:
-    parts = text.split(",")
-    if len(parts) != 3:
-        raise InvalidConfig("--ellipsoid expects 'rx,ry,rz'")
     try:
-        return EllipsoidSpec(*(float(p) for p in parts))
+        return EllipsoidSpec.from_radii([float(p) for p in text.split(",")])
     except ValueError as exc:
         raise InvalidConfig(f"--ellipsoid: {exc}") from exc
 

@@ -260,8 +260,9 @@ def read_dataset(path) -> Dataset:
     malformed record.
 
     Every frame must hold the same robots, with the same ego, as the first
-    one, and every value must be finite. A pose's `time` is checked but not
-    kept: it is its frame's timestamp, as `write_dataset` writes it.
+    one, and a `frame_id` no earlier frame holds; every value must be
+    finite. A pose's `time` is checked but not kept: it is its frame's
+    timestamp, as `write_dataset` writes it.
     """
     with open(path, "r", encoding="utf-8") as fh:
         lines = fh.read().splitlines()
@@ -320,8 +321,12 @@ def read_dataset(path) -> Dataset:
             f"{path}: header announces {expected} frames but file holds {len(frame_lines)}"
         )
     timestamps = np.array(timestamps)
-    _reject(path, frame_lines,
-            first_failure({"timestamp must be finite": np.isfinite(timestamps)}))
+    first_of_id = np.zeros(len(frame_ids), dtype=bool)
+    first_of_id[np.unique(np.array(frame_ids, dtype=np.int64), return_index=True)[1]] = True
+    _reject(path, frame_lines, first_failure({
+        "timestamp must be finite": np.isfinite(timestamps),
+        "frame_id repeats an earlier frame's": first_of_id,
+    }))
     pose_lines = np.repeat(frame_lines, len(ids))
     pose_times, positions, quats = (
         _float_rows(path, pose_lines, rows, shape, name)
@@ -343,7 +348,7 @@ def read_dataset(path) -> Dataset:
     try:
         camera = _camera_from(header["camera"])
         geometry = _geometry_from(header["geometry"])
-        ellipsoid = EllipsoidSpec(*header["ellipsoid"])
+        ellipsoid = EllipsoidSpec.from_radii(header["ellipsoid"])
     except (KeyError, TypeError, ValueError) as exc:
         raise ParseError(f"{path}:1: malformed header record: {exc}") from exc
     n_frames = len(frame_lines)
@@ -401,7 +406,7 @@ def export_labels(
 
 def ingest_pose_log(path) -> list[PoseTrack]:
     """Read a motion-capture style CSV into per-robot pose tracks."""
-    rows_by_robot: dict[str, list[tuple[float, list[float], Quaternion]]] = {}
+    rows_by_robot: dict[str, list[list[float]]] = {}
     with open(path, "r", encoding="utf-8", newline="") as fh:
         reader = csv.DictReader(fh)
         if reader.fieldnames is None or [c.strip() for c in reader.fieldnames] != POSE_LOG_COLUMNS:
@@ -415,8 +420,8 @@ def ingest_pose_log(path) -> list[PoseTrack]:
                 raise ParseError(f"{path}:{line_no}: non-numeric field: {exc}") from exc
             if not all(math.isfinite(v) for v in values):
                 raise NonFiniteValue(f"{path}:{line_no}: non-finite value")
-            t, x, y, z, qw, qx, qy, qz = values
-            norm = math.sqrt(qw * qw + qx * qx + qy * qy + qz * qz)
+            quat = values[4:]
+            norm = math.sqrt(sum(v * v for v in quat))
             if norm < 1e-6:
                 raise NonFiniteValue(f"{path}:{line_no}: quaternion norm is zero")
             if abs(norm - 1.0) > 1e-3:
@@ -424,21 +429,15 @@ def ingest_pose_log(path) -> list[PoseTrack]:
                     f"{path}:{line_no}: quaternion norm {norm:.6f} deviates from 1; normalizing",
                     stacklevel=2,
                 )
-            q = Quaternion(qw, qx, qy, qz).normalized()
-            rows_by_robot.setdefault(row["robot_id"], []).append((t, [x, y, z], q))
+            rows_by_robot.setdefault(row["robot_id"], []).append(
+                values[:4] + [v / norm for v in quat])
     tracks = []
     for robot_id in sorted(rows_by_robot):
-        entries = sorted(rows_by_robot[robot_id], key=lambda e: e[0])
-        times = [e[0] for e in entries]
-        if len(set(times)) != len(times):
+        rows = np.array(sorted(rows_by_robot[robot_id], key=lambda r: r[0]))
+        if np.any(np.diff(rows[:, 0]) == 0.0):
             raise ParseError(f"{path}: robot {robot_id!r} has duplicate timestamps")
         try:
-            tracks.append(PoseTrack(
-                robot_id,
-                np.array(times),
-                np.array([p for _t, p, _q in entries]),
-                np.array([q.as_array() for _t, _p, q in entries]),
-            ))
+            tracks.append(PoseTrack(robot_id, rows[:, 0], rows[:, 1:4], rows[:, 4:]))
         except ValueError as exc:
             raise ParseError(f"{path}: {exc}") from exc
     return tracks
@@ -652,7 +651,7 @@ def load_simulation_config(path) -> SimulationSpec:
     try:
         scenario_kwargs = {key: raw[key] for key in _SCENARIO_KEYS & set(raw)}
         if "ellipsoid" in raw:
-            scenario_kwargs["ellipsoid"] = EllipsoidSpec(*raw["ellipsoid"])
+            scenario_kwargs["ellipsoid"] = EllipsoidSpec.from_radii(raw["ellipsoid"])
         scenario = ScenarioConfig(**scenario_kwargs)
         scenario.validate()
 

@@ -57,6 +57,13 @@ class EllipsoidSpec:
         if self.rx <= 0.0 or self.ry <= 0.0 or self.rz <= 0.0:
             raise ValueError("ellipsoid radii must be positive")
 
+    @classmethod
+    def from_radii(cls, radii) -> "EllipsoidSpec":
+        """The spec of a [rx, ry, rz] list or tuple; ValueError for any other count."""
+        if not isinstance(radii, (list, tuple)) or len(radii) != 3:
+            raise ValueError(f"ellipsoid must be 3 radii [rx, ry, rz], got {radii!r}")
+        return cls(*radii)
+
     def as_array(self) -> np.ndarray:
         return np.array([self.rx, self.ry, self.rz])
 

@@ -7,17 +7,16 @@ timestamps seconds.
 Two layers share one set of formulas. The array kernels (`quat_rotate`,
 `quat_multiply`, `compose`, `invert`, `slerp_arrays`, `interpolate`) take
 stacks of quaternions (..., 4) and vectors (..., 3) and broadcast; the value
-types (`Quaternion`, `RigidTransform`, `Pose`) are the one-element case. The
-batched slerp and rotation algebra follow Sola, "Quaternion kinematics for the
-error-state Kalman filter" (arXiv 1711.02508).
+types (`Quaternion`, `RigidTransform`) are the one-element case. A pose track
+is a `PoseTrack` of arrays. The batched slerp and rotation algebra follow
+Sola, "Quaternion kinematics for the error-state Kalman filter" (arXiv
+1711.02508).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
-
 import numpy as np
 
 from .errors import OutOfRange
@@ -241,30 +240,10 @@ class RigidTransform:
         return m
 
 
-@dataclass(frozen=True, eq=False)
-class Pose:
-    """Robot-to-world transform stamped with its sample time."""
-
-    timestamp: float
-    transform: RigidTransform
-
-    def __post_init__(self):
-        if not math.isfinite(self.timestamp) or self.timestamp < 0.0:
-            raise ValueError("timestamp must be finite and non-negative")
-
-    @property
-    def position(self) -> np.ndarray:
-        return self.transform.translation
-
-    @property
-    def orientation(self) -> Quaternion:
-        return self.transform.rotation
-
-
 def invalid_pose_row(times, positions, quats) -> tuple[int, str] | None:
     """The first row of float arrays times (N,), positions (N, 3) and quats
-    (N, 4) that fails a `Pose` check (finite values, non-negative time, unit
-    quaternion within UNIT_NORM_TOL), and why; a wrong shape is row 0."""
+    (N, 4) that fails a pose-sample check (finite values, non-negative time,
+    unit quaternion within UNIT_NORM_TOL), and why; a wrong shape is row 0."""
     n = len(times)
     if times.shape != (n,) or positions.shape != (n, 3) or quats.shape != (n, 4):
         return 0, (f"expected times (N,), positions (N, 3), quats (N, 4); got "
@@ -308,25 +287,8 @@ class PoseTrack:
         if len(self.times) >= 2 and not np.all(np.diff(self.times) > 0.0):
             raise ValueError(f"track {self.robot_id!r}: timestamps must be strictly increasing")
 
-    @staticmethod
-    def from_poses(robot_id: str, poses: Sequence[Pose]) -> "PoseTrack":
-        return PoseTrack(
-            robot_id,
-            np.array([p.timestamp for p in poses], dtype=float),
-            np.array([p.position for p in poses], dtype=float).reshape(-1, 3),
-            np.array([p.orientation.as_array() for p in poses], dtype=float).reshape(-1, 4),
-        )
-
     def __len__(self) -> int:
         return len(self.times)
-
-    @property
-    def samples(self) -> list[Pose]:
-        """The samples as Pose values (built on each access)."""
-        return [
-            Pose(t, RigidTransform(Quaternion(*q), np.array(p)))
-            for t, p, q in zip(self.times.tolist(), self.positions.tolist(), self.quats.tolist())
-        ]
 
 
 def interpolate(track: PoseTrack, t) -> tuple[np.ndarray, np.ndarray]:

@@ -70,9 +70,14 @@ class ScenarioConfig:
         for name in _FLOAT_FIELDS:
             if not math.isfinite(getattr(self, name)):
                 raise InvalidConfig(f"{name} must be finite, got {getattr(self, name)}")
-        for name in _VECTOR_FIELDS:
+        for name, size in _VECTOR_FIELDS.items():
             value = getattr(self, name)
-            if value is not None and not np.all(np.isfinite(np.asarray(value, dtype=float))):
+            if value is None and size is None:  # hover_heights: the default heights
+                continue
+            if not _is_numbers(value, size):
+                what = "a list of numbers" if size is None else f"{size} numbers"
+                raise InvalidConfig(f"{name} must be {what}, got {value!r}")
+            if not all(math.isfinite(v) for v in value):
                 raise InvalidConfig(f"{name} must be finite, got {value}")
         if self.duration <= 0.0 or self.frame_rate <= 0.0 or self.sample_rate < 100.0:
             raise InvalidConfig("duration and rates must be positive (sample_rate >= 100 Hz)")
@@ -120,13 +125,24 @@ class ScenarioConfig:
 _COUNT_FIELDS = ("num_robots", "waypoint_count", "rng_seed")
 _FLOAT_FIELDS = ("duration", "frame_rate", "sample_rate", "yaw_rate", "max_speed", "accel",
                  "orbit_radius", "orbit_height", "orbit_speed")
-_VECTOR_FIELDS = ("arena_min", "arena_max", "hover_heights", "swap_start_a", "swap_start_b")
+# vector fields and their lengths (None: any)
+_VECTOR_FIELDS = {"arena_min": 3, "arena_max": 3, "hover_heights": None, "swap_start_a": 3,
+                  "swap_start_b": 3}
+
+
+def _is_numbers(value, size: int | None) -> bool:
+    """True for a list or tuple of real numbers, `size` of them unless None."""
+    return (isinstance(value, (list, tuple)) and size in (None, len(value))
+            and all(isinstance(v, numbers.Real) and not isinstance(v, bool) for v in value))
 
 
 def frame_schedule(cfg: ScenarioConfig) -> np.ndarray:
     """Camera timestamps 0, 1/fps, ... up to and including the duration."""
+    # the slack keeps a frame at the duration when duration x fps rounds just
+    # below an integer; a time past the duration, the end of the tracks, is dropped
     count = int(math.floor(cfg.duration * cfg.frame_rate + 1e-9)) + 1
-    return np.arange(count) / cfg.frame_rate
+    times = np.arange(count) / cfg.frame_rate
+    return times[times <= cfg.duration]
 
 
 def _sample_steps(cfg: ScenarioConfig) -> int:
@@ -204,11 +220,15 @@ def _generate_hover_orbit(cfg: ScenarioConfig, times: np.ndarray) -> list[PoseTr
     return tracks
 
 
-def _trapezoid_duration(length: float, vmax: float, accel: float) -> float:
+def _trapezoid_timing(length: float, vmax: float, accel: float) -> tuple[float, float]:
+    """Ramp time and total time of a leg under the trapezoidal speed profile
+    (a triangle when the leg is too short to reach vmax)."""
     ramp_dist = vmax * vmax / (2.0 * accel)
     if length <= 2.0 * ramp_dist:
-        return 2.0 * math.sqrt(length / accel)
-    return 2.0 * vmax / accel + (length - 2.0 * ramp_dist) / vmax
+        ramp_t = math.sqrt(length / accel)
+        return ramp_t, 2.0 * ramp_t
+    ramp_t = vmax / accel
+    return ramp_t, 2.0 * ramp_t + (length - 2.0 * ramp_dist) / vmax
 
 
 def _trapezoid_position(t: np.ndarray, length: float, vmax: float,
@@ -216,12 +236,7 @@ def _trapezoid_position(t: np.ndarray, length: float, vmax: float,
     """Distance along a leg at times t (>= 0) under the trapezoidal speed
     profile; the leg holds its end after it finishes."""
     ramp_dist = vmax * vmax / (2.0 * accel)
-    if length <= 2.0 * ramp_dist:
-        ramp_t = math.sqrt(length / accel)
-        total = 2.0 * ramp_t
-    else:
-        ramp_t = vmax / accel
-        total = 2.0 * ramp_t + (length - 2.0 * ramp_dist) / vmax
+    ramp_t, total = _trapezoid_timing(length, vmax, accel)
     t = np.minimum(t, total)
     speeding = 0.5 * accel * t * t
     cruising = ramp_dist + vmax * (t - ramp_t)
@@ -267,7 +282,7 @@ def _waypoint_positions(times: np.ndarray, waypoints: np.ndarray, vmax: float,
         started = times >= t_start
         s = _trapezoid_position(times[started] - t_start, length, vmax, accel)
         positions[started] = waypoints[k] + s[:, None] * (delta / length)
-        t_start += _trapezoid_duration(length, vmax, accel)
+        t_start += _trapezoid_timing(length, vmax, accel)[1]
     return positions
 
 

@@ -1,9 +1,10 @@
 """The batched kernels against per-frame oracles built from the value types.
 
-The oracles interpolate every pose with a scalar slerp, chain
-`relative_transform` and `project` neighbor by neighbor, run the belief rule
-on lists of world positions, and write dataset lines with `json.dumps` of
-one dict per frame, the way the pipeline worked before it was vectorized.
+The oracles interpolate every pose with a scalar slerp, chain the camera
+mount, the inverse ego pose and the neighbor pose as `RigidTransform`s and
+`project` neighbor by neighbor, run the belief rule on lists of world
+positions, and write dataset lines with `json.dumps` of one dict per frame,
+the way the pipeline worked before it was vectorized.
 """
 
 import bisect
@@ -25,12 +26,9 @@ from spincam.camera import (
     RunRecords,
     annotate_tracks,
     camera_for_pitch,
-    camera_to_world,
     in_image,
     project,
     projects_into_image,
-    relative_transform,
-    world_to_camera,
 )
 from spincam.cli import main
 from spincam.datasets import Dataset, read_dataset, write_dataset
@@ -42,7 +40,6 @@ from spincam.downwash import (
 )
 from spincam.geometry import (
     DEFAULT_ROBOT_GEOMETRY,
-    Pose,
     PoseTrack,
     Quaternion,
     RigidTransform,
@@ -86,17 +83,17 @@ def scalar_slerp(q0: Quaternion, q1: Quaternion, t: float) -> Quaternion:
         .normalized()
 
 
-def scalar_pose(track: PoseTrack, t: float) -> Pose:
-    """Pose at t, one sample pair at a time."""
+def scalar_pose(track: PoseTrack, t: float) -> RigidTransform:
+    """Robot-to-world transform at t, one sample pair at a time."""
     times = track.times.tolist()
     idx = bisect.bisect_right(times, t) - 1
     if times[idx] == t:
-        return Pose(t, RigidTransform(Quaternion(*track.quats[idx]), track.positions[idx]))
+        return RigidTransform(Quaternion(*track.quats[idx]), track.positions[idx])
     alpha = (t - times[idx]) / (times[idx + 1] - times[idx])
     position = (1.0 - alpha) * track.positions[idx] + alpha * track.positions[idx + 1]
     orientation = scalar_slerp(Quaternion(*track.quats[idx]), Quaternion(*track.quats[idx + 1]),
                                alpha)
-    return Pose(t, RigidTransform(orientation, position))
+    return RigidTransform(orientation, position)
 
 
 def oracle_frames(tracks, camera, geom, times, ego_id="r0"):
@@ -108,7 +105,7 @@ def oracle_frames(tracks, camera, geom, times, ego_id="r0"):
         ego = poses.pop(ego_id)
         visible = {}
         for rid, pose in sorted(poses.items()):
-            rel = relative_transform(ego, pose, camera)
+            rel = camera.extrinsic @ ego.inverse() @ pose
             if rel.translation[2] <= 0.0:
                 continue
             center = project(rel.translation, intr)
@@ -179,8 +176,8 @@ class TestPoseTrackArrays:
             positions, quats = interpolate(track, times)
             for t, p, q in zip(times.tolist(), positions, quats):
                 pose = scalar_pose(track, t)
-                np.testing.assert_allclose(p, pose.position, atol=TOL, rtol=0)
-                np.testing.assert_allclose(q, pose.orientation.as_array(), atol=TOL, rtol=0)
+                np.testing.assert_allclose(p, pose.translation, atol=TOL, rtol=0)
+                np.testing.assert_allclose(q, pose.rotation.as_array(), atol=TOL, rtol=0)
 
 
 @pytest.mark.parametrize("k1", DISTORTIONS)
@@ -208,7 +205,7 @@ def test_annotate_tracks_matches_per_frame_oracle(kind, pitch, k1):
             np.testing.assert_allclose(records.bboxes[k], bbox, atol=TOL, rtol=0)
         for rid, position in zip(ids, records.positions[f]):
             pose = {"r0": ego, **neighbors}[rid]
-            np.testing.assert_allclose(position, pose.position, atol=TOL, rtol=0)
+            np.testing.assert_allclose(position, pose.translation, atol=TOL, rtol=0)
         seen += len(visible)
     assert seen == len(records.owner)
     if pitch != "forward":
@@ -336,18 +333,19 @@ def oracle_downwash(tracks, camera, times, ellipsoid, mode, noise,
     """(gt, pred) per frame from the list-based belief rule and RigidTransforms."""
     intr = camera.intrinsics
     pairs, beliefs = [], []
-    for frame_id, (ego, neighbors, visible) in enumerate(
-            oracle_frames(tracks, camera, geom, times)):
-        gt = any(is_downwash(p.position, ego.position, ellipsoid) for p in neighbors.values())
+    for frame_id, (t, (ego, neighbors, visible)) in enumerate(
+            zip(times.tolist(), oracle_frames(tracks, camera, geom, times))):
+        gt = any(is_downwash(p.translation, ego.translation, ellipsoid)
+                 for p in neighbors.values())
         if mode == "omni":
             # an all-round view reprojects every belief and perceives every neighbor
             beliefs = []
-            seen = [pose.position for _rid, pose in sorted(neighbors.items())]
+            seen = [pose.translation for _rid, pose in sorted(neighbors.items())]
         else:
             if mode == "oracle":
                 estimates = [rel for rel, _center, _bbox in visible.values()]
             else:
-                annotation = FrameAnnotation(frame_id, ego.timestamp, "r0", [
+                annotation = FrameAnnotation(frame_id, t, "r0", [
                     NeighborAnnotation(rid, rel, ImagePoint(*center), BoundingBox(*bbox))
                     for rid, (rel, center, bbox) in visible.items()
                 ])
@@ -355,13 +353,13 @@ def oracle_downwash(tracks, camera, times, ellipsoid, mode, noise,
                                            radius=geom.sphere_radius)
                 estimates = [e.position for e in
                              decode_detections(output, intr, radius=geom.sphere_radius)]
-            to_camera = world_to_camera(ego, camera)
+            to_camera = camera.extrinsic @ ego.inverse()
             beliefs = [b for b in beliefs if not projects_into_image(to_camera.apply(b), intr)]
-            seen = [camera_to_world(ego, camera).apply(e) for e in estimates]
+            seen = [(ego @ camera.extrinsic.inverse()).apply(e) for e in estimates]
         for world in seen:
             beliefs = [b for b in beliefs if np.linalg.norm(b - world) >= merge_radius]
             beliefs.append(world)
-        pred = any(is_downwash(b, ego.position, ellipsoid) for b in beliefs)
+        pred = any(is_downwash(b, ego.translation, ellipsoid) for b in beliefs)
         pairs.append((gt, pred))
     return pairs
 
@@ -433,12 +431,12 @@ def test_later_estimate_absorbs_earlier_and_beliefs_die_on_reprojection():
     turns back: the belief reprojects and is dropped."""
     camera = camera_for_pitch("forward")
     identity, turned = [1.0, 0.0, 0.0, 0.0], [0.0, 0.0, 0.0, 1.0]
-    ego = Pose(0.0, RigidTransform(Quaternion(*identity), np.zeros(3)))
-    near, far = (camera_to_world(ego, camera).apply([0.0, 0.0, z]) for z in (1.0, 1.09))
+    to_world = RigidTransform(Quaternion(*identity), np.zeros(3)) @ camera.extrinsic.inverse()
+    near, far = (to_world.apply([0.0, 0.0, z]) for z in (1.0, 1.09))
     step = 0.1 * (far - near) / np.linalg.norm(far - near)
     ellipsoid = EllipsoidSpec(0.52, 0.52, 0.52)
-    assert is_downwash(near, ego.position, ellipsoid)
-    assert not is_downwash(far, ego.position, ellipsoid)
+    assert is_downwash(near, np.zeros(3), ellipsoid)
+    assert not is_downwash(far, np.zeros(3), ellipsoid)
     assert is_downwash(far, step, ellipsoid)
     no_box = ImagePoint(0.0, 0.0), BoundingBox(0.0, 0.0, 1.0, 1.0)
     # the seen robots r1 and r2 are parked 100 m below, out of the ellipsoid
@@ -488,24 +486,31 @@ def test_rotate_calls_do_not_grow_with_frames(tmp_path, monkeypatch):
 
 
 def test_pipeline_builds_no_pose_objects(tmp_path, monkeypatch):
-    """simulate, downwash-eval and benchmark carry poses as arrays, not Poses."""
+    """simulate, downwash-eval and benchmark carry poses as arrays: the
+    Quaternion and RigidTransform values they build do not grow with the
+    frame count."""
     built = []
-    post_init = Pose.__post_init__
-    monkeypatch.setattr(Pose, "__post_init__", lambda pose: built.append(1) or post_init(pose))
-    config = tmp_path / "wp.json"
-    config.write_text(json.dumps({
-        "kind": "random_waypoint", "num_robots": 4, "duration": 5.0, "frame_rate": 30.0,
-        "camera_pitch": "up", "rng_seed": 1,
-    }))
-    out = tmp_path / "run"
-    with contextlib.redirect_stdout(io.StringIO()):
-        assert main(["simulate", "--config", str(config), "--out", str(out)]) == 0
-        assert main(["downwash-eval", "--dataset", str(out / "dataset.ndjson"),
-                     "--oracle", "--out", str(out / "eval")]) == 0
-        assert len(built) == 0
-        assert main(["benchmark", "--config", str(config), "--oracle",
-                     "--out", str(tmp_path / "bench")]) == 0
-    assert len(built) == 0
+    for cls in (Quaternion, RigidTransform):
+        post_init = cls.__post_init__
+        monkeypatch.setattr(cls, "__post_init__", lambda self, post_init=post_init:
+                            built.append(type(self).__name__) or post_init(self))
+    counts = []
+    for duration in (5.0, 20.0):
+        config = tmp_path / f"wp{duration}.json"
+        config.write_text(json.dumps({
+            "kind": "random_waypoint", "num_robots": 4, "duration": duration,
+            "frame_rate": 30.0, "camera_pitch": "up", "rng_seed": 1,
+        }))
+        out = tmp_path / f"run{duration}"
+        built.clear()
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert main(["simulate", "--config", str(config), "--out", str(out)]) == 0
+            assert main(["downwash-eval", "--dataset", str(out / "dataset.ndjson"),
+                         "--oracle", "--out", str(out / "eval")]) == 0
+            assert main(["benchmark", "--config", str(config), "--oracle",
+                         "--out", str(tmp_path / f"bench{duration}")]) == 0
+        counts.append(sorted(built))
+    assert counts[0] == counts[1]
 
 
 def test_cli_builds_no_per_frame_objects(tmp_path, monkeypatch):

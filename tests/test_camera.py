@@ -6,11 +6,11 @@ import numpy as np
 import pytest
 
 from spincam.camera import (
-    CalibrationFrame,
     CameraIntrinsics,
     CameraModel,
     ImagePoint,
     RotationGrid,
+    RunRecords,
     annotate_tracks,
     back_project,
     camera_for_pitch,
@@ -19,10 +19,9 @@ from spincam.camera import (
     project,
     refine_extrinsic_rotation,
     reprojection_mse,
-    world_to_camera,
 )
 from spincam.errors import NoObservations, NonPositiveDepth
-from spincam.geometry import Pose, PoseTrack, Quaternion, RigidTransform
+from spincam.geometry import DEFAULT_ROBOT_GEOMETRY, PoseTrack, Quaternion, RigidTransform
 
 
 class TestProject:
@@ -90,17 +89,18 @@ class TestBackProject:
             assert abs(px.u - u) < 1e-8 and abs(px.v - v) < 1e-8
 
 
-def static_pose(position, yaw: float = 0.0, t: float = 0.0) -> Pose:
-    return Pose(t, RigidTransform(Quaternion.from_yaw(yaw), np.asarray(position, dtype=float)))
+def static_pose(position, yaw: float = 0.0) -> RigidTransform:
+    """The robot-to-world transform of a robot at `position` turned by `yaw`."""
+    return RigidTransform(Quaternion.from_yaw(yaw), np.asarray(position, dtype=float))
 
 
-def still_track(robot_id: str, pose: Pose, t: float = 0.0) -> PoseTrack:
+def still_track(robot_id: str, pose: RigidTransform, t: float = 0.0) -> PoseTrack:
     """Two samples, at t and t + 1, of a robot holding `pose`."""
-    return PoseTrack(robot_id, [t, t + 1.0], np.tile(pose.position, (2, 1)),
-                     np.tile(pose.orientation.as_array(), (2, 1)))
+    return PoseTrack(robot_id, [t, t + 1.0], np.tile(pose.translation, (2, 1)),
+                     np.tile(pose.rotation.as_array(), (2, 1)))
 
 
-def annotate_still(ego_pose: Pose, neighbor_poses: dict, camera, geom):
+def annotate_still(ego_pose: RigidTransform, neighbor_poses: dict, camera, geom):
     """The frame at time 0 of an ego "r0" and neighbors holding still."""
     tracks = [still_track("r0", ego_pose)] + [
         still_track(rid, pose) for rid, pose in neighbor_poses.items()]
@@ -168,7 +168,7 @@ class TestAnnotateFrame:
             (n,) = ann.neighbors
             assert n.bbox.contains(n.center)
             # independent recomputation: min/max over the projected corners
-            rel = world_to_camera(static_pose((0, 0, 0)), identity_camera) @ neighbor.transform
+            rel = identity_camera.extrinsic @ static_pose((0, 0, 0)).inverse() @ neighbor
             pixels = np.array(
                 [project(c, identity_camera.intrinsics).as_array()
                  for c in rel.apply(cube_geom.corners())]
@@ -215,86 +215,100 @@ class TestPitchRotation:
             camera_for_pitch("sideways", intr)
 
 
-def synthesize_calibration_frames(camera: CameraModel, count: int, rng) -> list[CalibrationFrame]:
-    frames = []
-    for k in range(count):
-        ego = Pose(float(k), RigidTransform(Quaternion.from_yaw(rng.uniform(0, 2 * math.pi)),
-                                            rng.uniform((-1, -1, 1.0), (1, 1, 2.0))))
-        observations = []
-        for _ in range(4):
-            offset = rng.uniform((-0.8, -0.8, 0.6), (0.8, 0.8, 2.5))
-            point_cam = offset  # sample directly in front of the camera
-            world = (world_to_camera(ego, camera).inverse()).apply(point_cam)
-            neighbor = Pose(float(k), RigidTransform(Quaternion.identity(), world))
-            px = project(point_cam, camera.intrinsics)
-            if in_image(px, camera.intrinsics):
-                observations.append((neighbor, px))
-        if observations:
-            frames.append(CalibrationFrame(ego_pose=ego, observations=observations))
-    return frames
+def synthesize_calibration_records(camera: CameraModel, count: int, rng) -> RunRecords:
+    """A run of `count` frames annotated through `camera`: in frame k the ego
+    holds a random pose and four neighbors sit at random points in front of
+    the camera; the neighbors whose centers leave the image are not seen."""
+    ego, neighbors = [], []
+    for _ in range(count):
+        pose = static_pose(rng.uniform((-1, -1, 1.0), (1, 1, 2.0)),
+                           yaw=rng.uniform(0, 2 * math.pi))
+        to_world = pose @ camera.extrinsic.inverse()
+        ego.append(pose)
+        neighbors.append([to_world.apply(rng.uniform((-0.8, -0.8, 0.6), (0.8, 0.8, 2.5)))
+                          for _ in range(4)])
+    times = np.arange(float(count))
+    identity = np.tile([1.0, 0.0, 0.0, 0.0], (count, 1))
+    tracks = [PoseTrack("r0", times, [p.translation for p in ego],
+                        [p.rotation.as_array() for p in ego])]
+    tracks += [PoseTrack(f"r{j + 1}", times, [frame[j] for frame in neighbors], identity)
+               for j in range(4)]
+    return annotate_tracks(tracks, camera, DEFAULT_ROBOT_GEOMETRY, times)
+
+
+def perturbed(camera: CameraModel, rotvec) -> CameraModel:
+    """The camera with its mount turned by a rotation vector (camera frame)."""
+    rotation = (Quaternion.from_rotvec(rotvec) * camera.extrinsic.rotation).normalized()
+    return CameraModel(intrinsics=camera.intrinsics,
+                       extrinsic=RigidTransform(rotation, camera.extrinsic.translation),
+                       pitch_label=camera.pitch_label)
 
 
 class TestRefineExtrinsicRotation:
     def test_zero_perturbation_is_self_consistent(self, intr):
         camera = camera_for_pitch("forward", intr)
-        frames = synthesize_calibration_frames(camera, 4, np.random.default_rng(4))
-        refined = refine_extrinsic_rotation(frames, camera, RotationGrid(extent=0.02, step=0.01))
+        records = synthesize_calibration_records(camera, 4, np.random.default_rng(4))
+        refined = refine_extrinsic_rotation(records, camera, RotationGrid(extent=0.02, step=0.01))
         delta = refined.rotation * camera.extrinsic.rotation.inverse()
         assert 2.0 * math.acos(min(1.0, abs(delta.w))) < 1e-9
 
     def test_recovers_on_grid_perturbation(self, intr):
         camera = camera_for_pitch("forward", intr)
-        true_rv = np.array([0.02, -0.01, 0.01])
-        perturbed = CameraModel(
-            intrinsics=intr,
-            extrinsic=RigidTransform(
-                (Quaternion.from_rotvec(true_rv) * camera.extrinsic.rotation).normalized(),
-                camera.extrinsic.translation,
-            ),
-            pitch_label="forward",
-        )
-        frames = synthesize_calibration_frames(perturbed, 5, np.random.default_rng(5))
-        refined = refine_extrinsic_rotation(frames, camera, RotationGrid(extent=0.03, step=0.01))
-        delta = refined.rotation * perturbed.extrinsic.rotation.inverse()
+        mounted = perturbed(camera, np.array([0.02, -0.01, 0.01]))
+        records = synthesize_calibration_records(mounted, 5, np.random.default_rng(5))
+        assert len(records.owner) > 5
+        refined = refine_extrinsic_rotation(records, camera, RotationGrid(extent=0.03, step=0.01))
+        delta = refined.rotation * mounted.extrinsic.rotation.inverse()
         assert 2.0 * math.acos(min(1.0, abs(delta.w))) < 1e-9
         np.testing.assert_allclose(refined.translation, camera.extrinsic.translation)
 
     def test_no_observations(self, intr):
         camera = camera_for_pitch("forward", intr)
-        with pytest.raises(NoObservations):
-            refine_extrinsic_rotation([], camera)
-        empty = CalibrationFrame(ego_pose=static_pose((0, 0, 1)), observations=[])
-        with pytest.raises(NoObservations):
-            refine_extrinsic_rotation([empty], camera)
+        # the neighbor sits behind the forward camera: frames, but no neighbor rows
+        unseen = annotate_tracks([still_track("r0", static_pose((0, 0, 1))),
+                                  still_track("r1", static_pose((-1, 0, 1)))],
+                                 camera, DEFAULT_ROBOT_GEOMETRY, [0.0, 1.0])
+        assert len(unseen) == 2 and len(unseen.owner) == 0
+        for records in (RunRecords.from_frames([]), unseen):
+            with pytest.raises(NoObservations):
+                refine_extrinsic_rotation(records, camera)
+            with pytest.raises(NoObservations):
+                reprojection_mse(records, camera)
+
+    def test_reprojection_mse_matches_per_row_oracle(self, intr):
+        """The mean over neighbor rows of the squared pixel error, each row's
+        true center projected through `extrinsic @ ego.inverse()`."""
+        records = synthesize_calibration_records(camera_for_pitch("up", intr), 4,
+                                                 np.random.default_rng(8))
+        camera = perturbed(camera_for_pitch("up", intr), (0.01, -0.02, 0.0))
+        errors = []
+        for f, r, observed in zip(records.owner, records.robot, records.centers):
+            ego = RigidTransform(Quaternion(*records.quats[f, 0]), records.positions[f, 0])
+            pixel = project((camera.extrinsic @ ego.inverse()).apply(records.positions[f, r]),
+                            intr)
+            errors.append((pixel.u - observed[0]) ** 2 + (pixel.v - observed[1]) ** 2)
+        assert len(errors) > 5 and min(errors) > 0.0
+        assert reprojection_mse(records, camera) == pytest.approx(np.mean(errors), rel=1e-12)
+
+    def test_points_behind_the_mount_score_inf(self, intr):
+        camera = camera_for_pitch("forward", intr)
+        records = synthesize_calibration_records(camera, 3, np.random.default_rng(7))
+        assert reprojection_mse(records, camera) < 1e-18
+        assert reprojection_mse(records, perturbed(camera, (0.0, math.pi, 0.0))) == math.inf
 
     def test_returned_rotation_beats_every_grid_point(self, intr):
         # exhaustiveness: evaluate the objective at all candidates independently
         camera = camera_for_pitch("tilt45", intr)
         rng = np.random.default_rng(6)
-        true_rv = np.array([0.015, 0.005, -0.01])
-        data_camera = CameraModel(
-            intrinsics=intr,
-            extrinsic=RigidTransform(
-                (Quaternion.from_rotvec(true_rv) * camera.extrinsic.rotation).normalized(),
-                camera.extrinsic.translation,
-            ),
-            pitch_label="tilt45",
-        )
-        frames = synthesize_calibration_frames(data_camera, 3, rng)
+        data_camera = perturbed(camera, np.array([0.015, 0.005, -0.01]))
+        records = synthesize_calibration_records(data_camera, 3, rng)
         grid = RotationGrid(extent=0.02, step=0.01)
-        refined = refine_extrinsic_rotation(frames, camera, grid)
+        refined = refine_extrinsic_rotation(records, camera, grid)
         refined_camera = CameraModel(intrinsics=intr, extrinsic=refined, pitch_label="tilt45")
-        best = reprojection_mse(frames, refined_camera)
+        best = reprojection_mse(records, refined_camera)
         values = grid.axis_values()
         for rx in values:
             for ry in values:
                 for rz in values:
-                    rotation = (
-                        Quaternion.from_rotvec((rx, ry, rz)) * camera.extrinsic.rotation
-                    ).normalized()
-                    candidate = CameraModel(
-                        intrinsics=intr,
-                        extrinsic=RigidTransform(rotation, camera.extrinsic.translation),
-                        pitch_label="tilt45",
-                    )
-                    assert best <= reprojection_mse(frames, candidate) + 1e-12
+                    candidate = perturbed(camera, (rx, ry, rz))
+                    assert best <= reprojection_mse(records, candidate) + 1e-12

@@ -90,11 +90,32 @@ class TestSimulate:
         ({"kind": "random_waypoint", "num_robots": 2.5}, "num_robots"),
         ({"kind": "random_waypoint", "waypoint_count": 2.5}, "waypoint_count"),
         ({"rng_seed": -1}, "rng_seed"),
+        ({"swap_start_a": [1, 2]}, "swap_start_a"),
+        ({"swap_start_b": [0.7, 0.7, 0.9, 1.0]}, "swap_start_b"),
+        ({"arena_min": [1]}, "arena_min"),
+        ({"arena_max": ["1.5", 1.5, 2.0]}, "arena_max"),
+        ({"kind": "hover_orbit", "num_robots": 3, "hover_heights": 2}, "hover_heights"),
+        ({"kind": "hover_orbit", "num_robots": 3, "hover_heights": [0.6, "1.0"]},
+         "hover_heights"),
+        ({"ellipsoid": [0.1, 0.1]}, "ellipsoid"),
+        ({"ellipsoid": [0.1, 0.1, 0.3, 0.3]}, "ellipsoid"),
+        ({"ellipsoid": 0.1}, "ellipsoid"),
     ])
     def test_malformed_scenario_exits_2_naming_the_key(self, tmp_path, capsys, overrides, key):
         config = write_config(tmp_path / "bad.json", **overrides)
         assert main(["simulate", "--config", str(config), "--out", str(tmp_path / "x")]) == 2
         assert key in capsys.readouterr().err
+
+    def test_duration_just_short_of_a_frame_time_runs(self, tmp_path):
+        # duration x frame_rate falls 3e-11 short of 6: the schedule ends at 5/3 s,
+        # not at 2 s past the tracks' end
+        config = write_config(tmp_path / "short.json", duration=1.99999999999, frame_rate=3.0)
+        out = tmp_path / "run"
+        assert main(["simulate", "--config", str(config), "--out", str(out)]) == 0
+        assert read_dataset(out / "dataset.ndjson").records.timestamps.tolist() == [
+            k / 3.0 for k in range(6)]
+        assert main(["benchmark", "--config", str(config), "--oracle",
+                     "--out", str(tmp_path / "bench")]) == 0
 
     def test_negative_seed_flag_exits_2(self, tmp_path, capsys, swap_config):
         assert main(["simulate", "--config", str(swap_config), "--out", str(tmp_path / "x"),
@@ -181,6 +202,36 @@ class TestDownwashEval:
         assert main(["downwash-eval", "--dataset", str(dataset), "--oracle",
                      "--out", str(tmp_path / "e")]) == 3
         assert "header" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("radii", [[0.15, 0.15], [0.15, 0.15, 0.3, 0.3], 0.15])
+    def test_dataset_ellipsoid_without_three_radii_exits_3(self, tmp_path, capsys, radii):
+        dataset = self.simulate(tmp_path)
+        lines = dataset.read_text().splitlines()
+        header = json.loads(lines[0])
+        header["ellipsoid"] = radii
+        dataset.write_text("\n".join([json.dumps(header)] + lines[1:]) + "\n")
+        capsys.readouterr()
+        assert main(["downwash-eval", "--dataset", str(dataset), "--oracle",
+                     "--out", str(tmp_path / "e")]) == 3
+        err = capsys.readouterr().err
+        assert f"{dataset}:1: malformed header record" in err and "ellipsoid" in err
+
+    @pytest.mark.parametrize("mode", ["oracle", "box"])
+    def test_repeated_frame_id_exits_3_naming_line(self, tmp_path, capsys, mode):
+        dataset = self.simulate(tmp_path)
+        lines = dataset.read_text().splitlines()
+        frame = json.loads(lines[6])
+        frame["frame_id"] = 4  # frame 5 repeats frame 4's id
+        lines[6] = json.dumps(frame)
+        dataset.write_text("\n".join(lines) + "\n")
+        noise = tmp_path / "noise.json"
+        noise.write_text('{"rng_seed": 1}')
+        flags = ["--oracle"] if mode == "oracle" else ["--noise", str(noise), "--mode", mode]
+        capsys.readouterr()
+        assert main(["downwash-eval", "--dataset", str(dataset), *flags,
+                     "--out", str(tmp_path / "e")]) == 3
+        err = capsys.readouterr().err
+        assert f"{dataset}:7: malformed frame record" in err and "frame_id" in err
 
     @pytest.mark.parametrize("section,key,value", [
         ("camera", "fx", math.nan), ("camera", "fy", math.inf), ("camera", "k1", math.nan),

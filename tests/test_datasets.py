@@ -40,20 +40,21 @@ from spincam.errors import (
     ParseError,
     VersionMismatch,
 )
-from spincam.geometry import (
-    DEFAULT_ROBOT_GEOMETRY,
-    Pose,
-    PoseTrack,
-    Quaternion,
-    RigidTransform,
-)
+from spincam.geometry import DEFAULT_ROBOT_GEOMETRY, PoseTrack
 from spincam.scenarios import ScenarioConfig
 
 
-def random_pose(rng, t: float) -> Pose:
+def random_pose(rng) -> tuple[np.ndarray, np.ndarray]:
+    """A random position and unit quaternion."""
     q = rng.normal(size=4)
     q /= np.linalg.norm(q)
-    return Pose(t, RigidTransform(Quaternion(*q), rng.uniform(-2, 2, 3)))
+    return rng.uniform(-2, 2, 3), q
+
+
+def random_track(rng, robot_id: str, n: int) -> PoseTrack:
+    """Random poses at times 0, 1, ..., n - 1."""
+    positions, quats = zip(*[random_pose(rng) for _ in range(n)])
+    return PoseTrack(robot_id, np.arange(float(n)), positions, quats)
 
 
 def random_dataset(rng, n_frames: int) -> Dataset:
@@ -73,12 +74,12 @@ def random_dataset(rng, n_frames: int) -> Dataset:
                 )
             )
         annotation = FrameAnnotation(frame_id=k, timestamp=t, ego_id="r0", neighbors=neighbors)
-        poses = [random_pose(rng, t) for _ in range(3)]
+        positions, quats = zip(*[random_pose(rng) for _ in range(3)])
         frames.append(FrameRecord(
             annotation=annotation,
             robot_ids=("r0", "r1", "r2"),
-            positions=np.array([p.position for p in poses]),
-            quats=np.array([p.orientation.as_array() for p in poses]),
+            positions=np.array(positions),
+            quats=np.array(quats),
         ))
     return Dataset(
         camera=camera_for_pitch("tilt45"),
@@ -210,18 +211,14 @@ class TestExportLabels:
 class TestPoseLog:
     def test_round_trip(self, tmp_path):
         rng = np.random.default_rng(5)
-        tracks = [
-            PoseTrack.from_poses(rid, [random_pose(rng, float(k)) for k in range(4)])
-            for rid in ("cf1", "cf2")
-        ]
+        tracks = [random_track(rng, rid, 4) for rid in ("cf1", "cf2")]
         path = tmp_path / "poses.csv"
         write_pose_log(tracks, path)
         loaded = ingest_pose_log(path)
         assert [t.robot_id for t in loaded] == ["cf1", "cf2"]
         for orig, back in zip(tracks, loaded):
-            for a, b in zip(orig.samples, back.samples):
-                assert a.timestamp == b.timestamp
-                assert a.position.tolist() == b.position.tolist()
+            assert back.times.tolist() == orig.times.tolist()
+            assert back.positions.tolist() == orig.positions.tolist()
 
     def test_interleaved_rows_grouped_and_sorted(self, tmp_path):
         path = tmp_path / "poses.csv"
@@ -234,8 +231,8 @@ class TestPoseLog:
         )
         tracks = ingest_pose_log(path)
         assert [t.robot_id for t in tracks] == ["a", "b"]
-        assert [p.timestamp for p in tracks[0].samples] == [0.5, 1.5]
-        assert [p.timestamp for p in tracks[1].samples] == [0.5, 1.0]
+        assert tracks[0].times.tolist() == [0.5, 1.5]
+        assert tracks[1].times.tolist() == [0.5, 1.0]
 
     def test_zero_norm_quaternion_rejected(self, tmp_path):
         path = tmp_path / "poses.csv"
@@ -248,7 +245,7 @@ class TestPoseLog:
         path.write_text("robot_id,t,x,y,z,qw,qx,qy,qz\nr0,0.0,0,0,0,1.01,0,0,0\n")
         with pytest.warns(UserWarning, match="normalizing"):
             tracks = ingest_pose_log(path)
-        assert tracks[0].samples[0].orientation.norm() == pytest.approx(1.0, abs=1e-12)
+        assert np.linalg.norm(tracks[0].quats[0]) == pytest.approx(1.0, abs=1e-12)
 
     def test_bad_header_rejected(self, tmp_path):
         path = tmp_path / "poses.csv"

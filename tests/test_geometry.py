@@ -6,14 +6,14 @@ import numpy as np
 import pytest
 from scipy.spatial.transform import Rotation, Slerp
 
-from spincam.camera import relative_transform
+from spincam.camera import world_to_camera_arrays
 from spincam.errors import OutOfRange
 from spincam.geometry import (
-    Pose,
     PoseTrack,
     Quaternion,
     RigidTransform,
     RobotGeometry,
+    compose,
     interpolate,
     slerp_arrays,
 )
@@ -101,25 +101,31 @@ class TestRigidTransform:
             RigidTransform(Quaternion(1.0, 1.0, 0.0, 0.0), np.zeros(3))
 
 
+def neighbor_in_camera(ego: RigidTransform, neighbor: RigidTransform, camera) -> RigidTransform:
+    """The neighbor robot frame in the ego camera frame, through the array kernels."""
+    q, t = compose(*world_to_camera_arrays(ego.rotation.as_array(), ego.translation, camera),
+                   neighbor.rotation.as_array(), neighbor.translation)
+    return RigidTransform(Quaternion(*q), t)
+
+
 class TestRelativeTransform:
     def test_identity_case(self, identity_camera):
-        ego = Pose(0.0, RigidTransform.identity())
-        rel = relative_transform(ego, ego, identity_camera)
+        ego = RigidTransform.identity()
+        rel = neighbor_in_camera(ego, ego, identity_camera)
         np.testing.assert_allclose(rel.translation, np.zeros(3), atol=1e-12)
         assert abs(rel.rotation.w) == pytest.approx(1.0, abs=1e-12)
 
     def test_single_term_chain(self, identity_camera):
-        ego = Pose(0.0, RigidTransform.identity())
-        neighbor = Pose(0.0, RigidTransform(Quaternion.identity(), np.array([1.0, 0.0, 0.0])))
-        rel = relative_transform(ego, neighbor, identity_camera)
+        ego = RigidTransform.identity()
+        neighbor = RigidTransform(Quaternion.identity(), np.array([1.0, 0.0, 0.0]))
+        rel = neighbor_in_camera(ego, neighbor, identity_camera)
         np.testing.assert_allclose(rel.translation, [1.0, 0.0, 0.0], atol=1e-12)
 
     def test_yawed_ego_matrix_oracle(self, identity_camera):
         # derived via independent 4x4 homogeneous-matrix chain with scipy rotations
         ego_rot = Rotation.from_euler("z", 90, degrees=True)
-        ego = Pose(0.0, RigidTransform(Quaternion(*np.roll(ego_rot.as_quat(), 1)),
-                                       np.array([1.0, 2.0, 3.0])))
-        neighbor = Pose(0.0, RigidTransform(Quaternion.identity(), np.array([2.0, 2.0, 3.0])))
+        ego = RigidTransform(Quaternion(*np.roll(ego_rot.as_quat(), 1)), np.array([1.0, 2.0, 3.0]))
+        neighbor = RigidTransform(Quaternion.identity(), np.array([2.0, 2.0, 3.0]))
 
         t_ego = np.eye(4)
         t_ego[:3, :3] = ego_rot.as_matrix()
@@ -128,14 +134,14 @@ class TestRelativeTransform:
         t_nb[:3, 3] = [2.0, 2.0, 3.0]
         expected = np.linalg.inv(t_ego) @ t_nb
 
-        rel = relative_transform(ego, neighbor, identity_camera)
+        rel = neighbor_in_camera(ego, neighbor, identity_camera)
         np.testing.assert_allclose(rel.to_matrix(), expected, atol=1e-12)
 
     def test_neighbor_equals_ego_for_random_poses(self, identity_camera):
         rng = np.random.default_rng(7)
         for _ in range(100):
-            pose = Pose(1.0, random_transform(rng))
-            rel = relative_transform(pose, pose, identity_camera)
+            pose = random_transform(rng)
+            rel = neighbor_in_camera(pose, pose, identity_camera)
             np.testing.assert_allclose(rel.translation, np.zeros(3), atol=1e-9)
             assert abs(rel.rotation.dot(Quaternion.identity())) == pytest.approx(1.0, abs=1e-9)
 
@@ -166,11 +172,9 @@ class TestSlerp:
 
 
 def make_track(entries) -> PoseTrack:
-    samples = [
-        Pose(t, RigidTransform(Quaternion.from_yaw(yaw), np.asarray(p, dtype=float)))
-        for t, p, yaw in entries
-    ]
-    return PoseTrack.from_poses("r0", samples)
+    return PoseTrack("r0", [t for t, _p, _yaw in entries],
+                     np.array([p for _t, p, _yaw in entries], dtype=float),
+                     [Quaternion.from_yaw(yaw).as_array() for _t, _p, yaw in entries])
 
 
 class TestInterpolatePose:
@@ -199,9 +203,9 @@ class TestInterpolatePose:
 
     def test_orientation_always_unit(self):
         rng = np.random.default_rng(10)
-        track = PoseTrack.from_poses(
-            "r0", [Pose(float(k), random_transform(rng)) for k in range(10)]
-        )
+        transforms = [random_transform(rng) for _ in range(10)]
+        track = PoseTrack("r0", np.arange(10.0), [t.translation for t in transforms],
+                          [t.rotation.as_array() for t in transforms])
         _positions, quats = interpolate(track, rng.uniform(0.0, 9.0, 200))
         np.testing.assert_allclose(np.linalg.norm(quats, axis=1), 1.0, rtol=0.0, atol=1e-9)
 

@@ -4,10 +4,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from spincam import scenarios
 from spincam.downwash import ellipsoid_margin
 from spincam.errors import InvalidConfig
+from spincam.geometry import Quaternion
 from spincam.scenarios import ScenarioConfig, frame_schedule, generate_scenario
 
 
@@ -32,6 +35,33 @@ class TestFrameSchedule:
         assert len(ts) == 61
         np.testing.assert_allclose(np.diff(ts), np.full(60, 1.0 / 6.0), atol=1e-12)
 
+    def test_time_past_the_duration_dropped(self):
+        # 1.99999999999 x 3 fps falls 3e-11 short of 6 frame periods
+        ts = frame_schedule(swap_config(duration=1.99999999999, frame_rate=3.0))
+        np.testing.assert_array_equal(ts, np.arange(6) / 3.0)
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        frame_rate=st.floats(0.5, 240.0),
+        periods=st.integers(1, 2000),
+        shortfall=st.one_of(st.floats(0.0, 2e-9), st.floats(-0.5, 0.5)),
+    )
+    def test_last_frame_never_passes_the_track_end(self, frame_rate, periods, shortfall):
+        """Durations `shortfall` frame periods short of a whole number of
+        them; within 1e-9 the slack that keeps a frame at the duration used to
+        push the last frame past it."""
+        duration = (periods - shortfall) / frame_rate
+        assume(0.01 <= duration <= 1000.0)
+        cfg = swap_config(duration=duration, frame_rate=frame_rate)
+        cfg.validate()
+        ts = frame_schedule(cfg)
+        assert ts[-1] <= scenarios._sample_times(cfg)[-1]
+        # every schedule that stayed inside the tracks before is unchanged
+        count = int(math.floor(duration * frame_rate + 1e-9)) + 1
+        kept = np.arange(count) / frame_rate
+        kept = kept[:-1] if kept[-1] > duration else kept
+        assert ts.tolist() == kept.tolist()
+
 
 class TestSwapScenario:
     def test_endpoints_exchange_xy_and_keep_heights(self):
@@ -39,22 +69,22 @@ class TestSwapScenario:
             duration=4.0, swap_start_a=(0.0, 0.0, 0.5), swap_start_b=(1.0, 1.0, 1.0)
         )
         tracks = {t.robot_id: t for t in generate_scenario(cfg)}
-        r0_end = tracks["r0"].samples[-1].position
-        r1_end = tracks["r1"].samples[-1].position
+        r0_end = tracks["r0"].positions[-1]
+        r1_end = tracks["r1"].positions[-1]
         np.testing.assert_allclose(r0_end, [1.0, 1.0, 0.5], atol=1e-12)
         np.testing.assert_allclose(r1_end, [0.0, 0.0, 1.0], atol=1e-12)
 
     def test_camera_robot_is_the_lower_one(self):
         cfg = swap_config(swap_start_a=(0.5, 0.5, 1.2), swap_start_b=(-0.5, -0.5, 0.6))
         tracks = {t.robot_id: t for t in generate_scenario(cfg)}
-        assert tracks["r0"].samples[0].position[2] == 0.6
+        assert tracks["r0"].positions[0, 2] == 0.6
 
     def test_downwash_event_guaranteed(self):
         # some sample has horizontal distance below r_x at the initial height gap
         cfg = swap_config()
         tracks = generate_scenario(cfg)
-        p0 = np.array([p.position for p in tracks[0].samples])
-        p1 = np.array([p.position for p in tracks[1].samples])
+        p0 = tracks[0].positions
+        p1 = tracks[1].positions
         horizontal = np.linalg.norm((p0 - p1)[:, :2], axis=1)
         vertical = np.abs((p0 - p1)[:, 2])
         idx = int(np.argmin(horizontal))
@@ -84,9 +114,9 @@ class TestHoverOrbit:
         tracks = {t.robot_id: t for t in generate_scenario(cfg)}
         assert set(tracks) == {"r0", "r1", "r2", "r3"}
         for rid in ("r1", "r2", "r3"):
-            positions = np.array([p.position for p in tracks[rid].samples])
+            positions = tracks[rid].positions
             assert np.ptp(positions, axis=0).max() == 0.0
-        orbit = np.array([p.position for p in tracks["r0"].samples])
+        orbit = tracks["r0"].positions
         radii = np.linalg.norm(orbit[:, :2], axis=1)
         np.testing.assert_allclose(radii, cfg.orbit_radius, atol=1e-9)
         np.testing.assert_allclose(orbit[:, 2], cfg.orbit_height, atol=1e-12)
@@ -105,21 +135,21 @@ class TestRandomWaypoint:
     def test_tracks_stay_in_bounds(self):
         cfg = self.config()
         for track in generate_scenario(cfg):
-            positions = np.array([p.position for p in track.samples])
+            positions = track.positions
             assert np.all(positions >= np.array(cfg.arena_min) - 1e-9)
             assert np.all(positions <= np.array(cfg.arena_max) + 1e-9)
 
     def test_timestamps_strictly_increasing(self):
         for track in generate_scenario(self.config()):
-            times = np.array([p.timestamp for p in track.samples])
-            assert np.all(np.diff(times) > 0.0)
+            assert np.all(np.diff(track.times) > 0.0)
 
     def test_yaw_follows_configured_rate(self):
         cfg = self.config(yaw_rate=8.0)
         track = generate_scenario(cfg)[0]
-        for a, b in zip(track.samples[:100], track.samples[1:101]):
-            expected = 8.0 * (b.timestamp - a.timestamp)
-            delta = (b.orientation.yaw() - a.orientation.yaw()) % (2.0 * math.pi)
+        yaws = [Quaternion(*q).yaw() for q in track.quats[:101]]
+        for k in range(100):
+            expected = 8.0 * (track.times[k + 1] - track.times[k])
+            delta = (yaws[k + 1] - yaws[k]) % (2.0 * math.pi)
             assert delta == pytest.approx(expected, abs=1e-9)
 
     def test_deterministic_in_seed(self):
@@ -128,16 +158,25 @@ class TestRandomWaypoint:
         second = generate_scenario(cfg)
         for t1, t2 in zip(first, second):
             assert t1.robot_id == t2.robot_id
-            for p1, p2 in zip(t1.samples, t2.samples):
-                assert p1.timestamp == p2.timestamp
-                assert np.array_equal(p1.position, p2.position)
-                assert p1.orientation.as_array().tolist() == p2.orientation.as_array().tolist()
+            assert t1.times.tolist() == t2.times.tolist()
+            assert np.array_equal(t1.positions, t2.positions)
+            assert t1.quats.tolist() == t2.quats.tolist()
+
+    @pytest.mark.parametrize("length", [0.2, 0.25, 3.0])  # triangle, boundary, trapezoid
+    def test_leg_timing_matches_its_profile(self, length):
+        vmax, accel = 0.5, 1.0
+        ramp_t, total = scenarios._trapezoid_timing(length, vmax, accel)
+        assert ramp_t == min(vmax / accel, math.sqrt(length / accel))
+        position = scenarios._trapezoid_position(np.array([ramp_t, total, total + 1.0]),
+                                                 length, vmax, accel)
+        np.testing.assert_allclose(position, [0.5 * accel * ramp_t**2, length, length],
+                                   rtol=0, atol=1e-12)
 
     def test_same_index_waypoints_keep_separation_margin(self):
         # robots hold their first waypoint before moving: margin >= 2 at t=0
         cfg = self.config(num_robots=4, rng_seed=9)
         tracks = generate_scenario(cfg)
-        starts = [t.samples[0].position for t in tracks]
+        starts = [t.positions[0] for t in tracks]
         for i in range(len(starts)):
             for j in range(i + 1, len(starts)):
                 assert ellipsoid_margin(starts[i], starts[j], cfg.ellipsoid) >= 2.0
@@ -167,6 +206,20 @@ class TestValidation:
     @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
     @pytest.mark.parametrize("name", ["duration", "frame_rate", "sample_rate", "yaw_rate"])
     def test_non_finite_rates_rejected(self, name, value):
+        with pytest.raises(InvalidConfig, match=name):
+            swap_config(**{name: value}).validate()
+
+    def test_vector_fields_take_lists_or_tuples(self):
+        swap_config(arena_min=[-1, -1, 0.1], swap_start_b=(0.7, 0.7, 0.9)).validate()
+        for heights in (None, (), [0.6, 1.0]):
+            ScenarioConfig(kind="hover_orbit", num_robots=3, duration=5.0,
+                           hover_heights=heights).validate()
+
+    @pytest.mark.parametrize("name,value", [
+        ("arena_min", (1.0, 2.0)), ("arena_max", np.ones(3)), ("swap_start_a", (0.0, True, 0.5)),
+        ("swap_start_b", "0.7"), ("hover_heights", 1.0), ("hover_heights", ((0.6,),)),
+    ])
+    def test_malformed_vector_rejected(self, name, value):
         with pytest.raises(InvalidConfig, match=name):
             swap_config(**{name: value}).validate()
 
