@@ -30,6 +30,7 @@ from .geometry import (
     interpolate,
     invert,
     quat_rotate,
+    require_finite,
 )
 
 # 25 iterations invert k1 ~ +0.1 to below 1e-8 px across the full image
@@ -54,8 +55,8 @@ class CameraIntrinsics:
     height: int = 320
 
     def __post_init__(self):
-        if not all(math.isfinite(v) for v in (self.fx, self.fy, self.k1)):
-            raise ValueError(f"fx, fy and k1 must be finite, got {(self.fx, self.fy, self.k1)}")
+        for name in ("fx", "fy", "cx", "cy", "k1", "width", "height"):
+            require_finite(name, getattr(self, name))
         if self.fx <= 0.0 or self.fy <= 0.0:
             raise ValueError("focal lengths must be positive")
         if not (0.0 <= self.cx < self.width and 0.0 <= self.cy < self.height):
@@ -85,17 +86,6 @@ class BoundingBox:
     def __post_init__(self):
         if self.u_min > self.u_max or self.v_min > self.v_max:
             raise ValueError("bounding box corners must be ordered")
-
-    @property
-    def width(self) -> float:
-        return self.u_max - self.u_min
-
-    @property
-    def height(self) -> float:
-        return self.v_max - self.v_min
-
-    def contains(self, point: ImagePoint) -> bool:
-        return self.u_min <= point.u <= self.u_max and self.v_min <= point.v <= self.v_max
 
 
 @dataclass(frozen=True, eq=False)
@@ -132,7 +122,8 @@ def camera_for_pitch(
     """Camera model for one of the supported mount labels."""
     if label not in PITCH_ANGLES:
         raise ValueError(f"unknown camera pitch {label!r}; expected one of {sorted(PITCH_ANGLES)}")
-    extrinsic = RigidTransform(pitch_rotation(PITCH_ANGLES[label]), as_vec3(translation))
+    extrinsic = RigidTransform(pitch_rotation(PITCH_ANGLES[label]),
+                               as_vec3(translation, "camera_translation"))
     return CameraModel(intrinsics=intrinsics, extrinsic=extrinsic, pitch_label=label)
 
 
@@ -209,10 +200,7 @@ def back_project(pixel: ImagePoint, depth_z: float, intr: CameraIntrinsics) -> n
 
 def pixel_to_ray(pixel: ImagePoint, intr: CameraIntrinsics) -> np.ndarray:
     """Unit direction through a pixel after undistortion."""
-    xn, yn = undistort_normalized(
-        (pixel.u - intr.cx) / intr.fx, (pixel.v - intr.cy) / intr.fy, intr.k1
-    )
-    ray = np.array([xn, yn, 1.0])
+    ray = back_project(pixel, 1.0, intr)
     return ray / np.linalg.norm(ray)
 
 
@@ -228,11 +216,6 @@ def in_view(points_camera, intr: CameraIntrinsics) -> np.ndarray:
     px = project_points(p, intr)
     u, v = px[..., 0], px[..., 1]
     return (p[..., 2] > 0.0) & (0.0 < u) & (u < intr.width) & (0.0 < v) & (v < intr.height)
-
-
-def projects_into_image(point_camera, intr: CameraIntrinsics) -> bool:
-    """True when the camera-frame point has positive depth and lands in-frame."""
-    return bool(in_view(as_vec3(point_camera), intr))
 
 
 def _extrinsic_arrays(camera: CameraModel) -> tuple[np.ndarray, np.ndarray]:

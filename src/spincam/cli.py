@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from dataclasses import replace
 from pathlib import Path
@@ -40,21 +41,13 @@ EXIT_DATA = 3
 
 EGO_ID = "r0"
 
-# The args each re-runnable command records in its manifest, in order.
-_MANIFEST_ARGS = {
-    "simulate": ("config", "out", "seed"),
-    "downwash-eval": ("dataset", "out", "oracle", "noise", "mode", "ellipsoid"),
-    "benchmark": ("config", "out", "yaw_rates", "pitches", "oracle", "noise", "mode", "seed"),
-}
-
-
 def _write_manifest(out_dir: Path, command: str, args, outputs: list[str]) -> None:
     """Record the run before producing outputs; enough to replay it exactly."""
     manifest = {
         "schema_version": SCHEMA_VERSION,
         "toolkit_version": __version__,
         "command": command,
-        "args": {key: getattr(args, key) for key in _MANIFEST_ARGS[command]},
+        "args": {key: getattr(args, key) for key in _COMMANDS[command][1]},
         "outputs": outputs,
     }
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -179,6 +172,9 @@ def _benchmark(args) -> int:
 
 
 def _timesync(args) -> int:
+    if not (math.isfinite(args.window) and args.window > 0.0):
+        raise InvalidConfig(f"--window must be a finite positive number of seconds, "
+                            f"got {args.window}")
     a = read_gyro_log(args.log_a)
     b = read_gyro_log(args.log_b)
     offset = estimate_time_offset(a, b, args.window)
@@ -186,31 +182,59 @@ def _timesync(args) -> int:
     return EXIT_OK
 
 
-def _read_manifest(path: str) -> tuple[str, dict]:
-    """The command and args of a manifest; InvalidConfig names the path."""
+def _manifest_argv(path: str) -> list[str]:
+    """The command line a manifest records, its args turned back into flags;
+    InvalidConfig names the path."""
     manifest = _load_json_object(path)
     for key in ("command", "args"):
         if key not in manifest:
             raise InvalidConfig(f"{path}: manifest lacks {key!r}")
     command, stored = manifest["command"], manifest["args"]
-    if not isinstance(command, str) or command not in _MANIFEST_ARGS:
+    recorded = _COMMANDS.get(command, (None, None))[1] if isinstance(command, str) else None
+    if recorded is None:
         raise InvalidConfig(f"{path}: manifest command {command!r} cannot be re-run")
     if not isinstance(stored, dict):
         raise InvalidConfig(f"{path}: manifest 'args' must be an object")
-    missing = set(_MANIFEST_ARGS[command]) - set(stored)
+    missing = set(recorded) - set(stored)
     if missing:
         raise InvalidConfig(f"{path}: manifest args lack {sorted(missing)}")
-    return command, stored
+    argv = [command]
+    for key in recorded:
+        # a switch records true or false, an option its value or null when unset;
+        # no command-line argument holds a NUL character
+        value, flag = stored[key], "--" + key.replace("_", "-")
+        if value is None or value is False:
+            continue
+        if not isinstance(value, (str, int, float)) or "\0" in str(value):
+            raise InvalidConfig(f"{path}: manifest arg {key!r} must be a string without NUL, "
+                                f"a number, true, false or null, got {value!r}")
+        argv.append(flag if value is True else f"{flag}={value}")
+    return argv
 
 
 def _rerun(args) -> int:
-    command, stored = _read_manifest(args.manifest)
-    rebuilt = argparse.Namespace(**stored)
-    if command == "simulate":
-        return _simulate(rebuilt)
-    if command == "downwash-eval":
-        return _downwash_eval(rebuilt)
-    return _benchmark(rebuilt)
+    """Replay a manifest's command line through `main`, which checks each
+    recorded arg as it checks a typed flag."""
+    argv = _manifest_argv(args.manifest)
+    try:
+        code = main(argv)
+    except SystemExit as exc:  # the parser rejected a recorded arg, naming its flag
+        code = exc.code
+    if code:
+        print(f"error: {args.manifest}: the recorded run exited {code}", file=sys.stderr)
+    return code
+
+
+# Each command's handler, and the args it records in its manifest, in order
+# (None: the command cannot be re-run).
+_COMMANDS = {
+    "simulate": (_simulate, ("config", "out", "seed")),
+    "downwash-eval": (_downwash_eval, ("dataset", "out", "oracle", "noise", "mode", "ellipsoid")),
+    "benchmark": (_benchmark, ("config", "out", "yaw_rates", "pitches", "oracle", "noise",
+                               "mode", "seed")),
+    "timesync": (_timesync, None),
+    "rerun": (_rerun, None),
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -258,27 +282,15 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        if args.command == "simulate":
-            return _simulate(args)
-        if args.command == "downwash-eval":
-            return _downwash_eval(args)
-        if args.command == "benchmark":
-            return _benchmark(args)
-        if args.command == "timesync":
-            return _timesync(args)
-        if args.command == "rerun":
-            return _rerun(args)
-        parser.error(f"unknown command {args.command!r}")
+        return _COMMANDS[args.command][0](args)
     except (InvalidConfig, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except (SpincamError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DATA
-    return EXIT_OK
 
 
 if __name__ == "__main__":

@@ -404,33 +404,39 @@ def export_labels(
 # ---------------------------------------------------------------------------
 # Pose logs (CSV)
 
+def _numeric_rows(path, columns: list[str], first: int):
+    """Each data row of a CSV log whose header is `columns`: its line number,
+    its fields before column `first`, and the rest as finite floats.
+    ParseError or NonFiniteValue names the line of a bad row."""
+    with open(path, "r", encoding="utf-8", newline="") as fh:
+        reader = csv.DictReader(fh)
+        if reader.fieldnames is None or [c.strip() for c in reader.fieldnames] != columns:
+            raise ParseError(f"{path}: header row must be '{','.join(columns)}'")
+        reader.fieldnames = columns
+        for row in reader:
+            try:
+                values = [float(row[c]) for c in columns[first:]]
+            except (TypeError, ValueError) as exc:
+                raise ParseError(f"{path}:{reader.line_num}: non-numeric field: {exc}") from exc
+            if not all(math.isfinite(v) for v in values):
+                raise NonFiniteValue(f"{path}:{reader.line_num}: non-finite value")
+            yield reader.line_num, [row[c] for c in columns[:first]], values
+
+
 def ingest_pose_log(path) -> list[PoseTrack]:
     """Read a motion-capture style CSV into per-robot pose tracks."""
     rows_by_robot: dict[str, list[list[float]]] = {}
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        reader = csv.DictReader(fh)
-        if reader.fieldnames is None or [c.strip() for c in reader.fieldnames] != POSE_LOG_COLUMNS:
-            raise ParseError(
-                f"{path}: header row must be '{','.join(POSE_LOG_COLUMNS)}'"
+    for line_no, (robot_id,), values in _numeric_rows(path, POSE_LOG_COLUMNS, 1):
+        quat = values[4:]
+        norm = math.sqrt(sum(v * v for v in quat))
+        if norm < 1e-6:
+            raise NonFiniteValue(f"{path}:{line_no}: quaternion norm is zero")
+        if abs(norm - 1.0) > 1e-3:
+            warnings.warn(
+                f"{path}:{line_no}: quaternion norm {norm:.6f} deviates from 1; normalizing",
+                stacklevel=2,
             )
-        for line_no, row in enumerate(reader, start=2):
-            try:
-                values = [float(row[c]) for c in POSE_LOG_COLUMNS[1:]]
-            except (TypeError, ValueError) as exc:
-                raise ParseError(f"{path}:{line_no}: non-numeric field: {exc}") from exc
-            if not all(math.isfinite(v) for v in values):
-                raise NonFiniteValue(f"{path}:{line_no}: non-finite value")
-            quat = values[4:]
-            norm = math.sqrt(sum(v * v for v in quat))
-            if norm < 1e-6:
-                raise NonFiniteValue(f"{path}:{line_no}: quaternion norm is zero")
-            if abs(norm - 1.0) > 1e-3:
-                warnings.warn(
-                    f"{path}:{line_no}: quaternion norm {norm:.6f} deviates from 1; normalizing",
-                    stacklevel=2,
-                )
-            rows_by_robot.setdefault(row["robot_id"], []).append(
-                values[:4] + [v / norm for v in quat])
+        rows_by_robot.setdefault(robot_id, []).append(values[:4] + [v / norm for v in quat])
     tracks = []
     for robot_id in sorted(rows_by_robot):
         rows = np.array(sorted(rows_by_robot[robot_id], key=lambda r: r[0]))
@@ -476,22 +482,9 @@ class GyroSequence:
 
 
 def read_gyro_log(path) -> GyroSequence:
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        reader = csv.DictReader(fh)
-        if reader.fieldnames is None or [c.strip() for c in reader.fieldnames] != GYRO_LOG_COLUMNS:
-            raise ParseError(f"{path}: header row must be '{','.join(GYRO_LOG_COLUMNS)}'")
-        times, rates = [], []
-        for line_no, row in enumerate(reader, start=2):
-            try:
-                values = [float(row[c]) for c in GYRO_LOG_COLUMNS]
-            except (TypeError, ValueError) as exc:
-                raise ParseError(f"{path}:{line_no}: non-numeric field: {exc}") from exc
-            if not all(math.isfinite(v) for v in values):
-                raise NonFiniteValue(f"{path}:{line_no}: non-finite value")
-            times.append(values[0])
-            rates.append(values[1:])
+    rows = np.reshape([v for _, _, v in _numeric_rows(path, GYRO_LOG_COLUMNS, 0)], (-1, 4))
     try:
-        return GyroSequence(np.array(times), np.array(rates))
+        return GyroSequence(rows[:, 0], rows[:, 1:])
     except ValueError as exc:
         raise ParseError(f"{path}: {exc}") from exc
 
@@ -531,7 +524,11 @@ def estimate_time_offset(a: GyroSequence, b: GyroSequence, search_window: float)
         float(np.median(np.diff(b.timestamps))),
     )
     min_overlap = 0.5 * min(a.span, b.span)
-    count = int(math.floor(search_window / step + 1e-9))
+    # past `reach` the logs overlap by less than min_overlap: the search stops
+    # two steps beyond it, so a wider window finds the same offset
+    reach = max(b.timestamps[-1] - a.timestamps[0], a.timestamps[-1] - b.timestamps[0]) \
+        - min_overlap
+    count = int(math.floor(min(search_window, reach + 2.0 * step) / step + 1e-9))
     deltas = np.arange(-count, count + 1) * step
     errors = np.array([_offset_error(a, b, float(d), min_overlap) for d in deltas])
     if not np.any(np.isfinite(errors)):
@@ -665,8 +662,6 @@ def load_simulation_config(path) -> SimulationSpec:
             DEFAULT_ROBOT_GEOMETRY, **{key: raw[key] for key in _GEOMETRY_KEYS & set(raw)}
         )
     except (TypeError, ValueError) as exc:
-        if isinstance(exc, InvalidConfig):
-            raise
         raise InvalidConfig(f"{path}: {exc}") from exc
     return SimulationSpec(scenario=scenario, camera=camera, geometry=geometry)
 

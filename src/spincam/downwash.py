@@ -11,7 +11,6 @@ applies it to a whole run at once.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -31,6 +30,7 @@ from .geometry import (
     RobotGeometry,
     as_vec3,
     quat_rotate,
+    require_finite,
 )
 from .perception import NoiseModel, decode_detections, simulate_detector
 
@@ -51,9 +51,8 @@ class EllipsoidSpec:
     rz: float = 0.3
 
     def __post_init__(self):
-        radii = (self.rx, self.ry, self.rz)
-        if not all(math.isfinite(r) for r in radii):
-            raise ValueError(f"ellipsoid radii must be finite, got {radii}")
+        for name in ("rx", "ry", "rz"):
+            require_finite(f"ellipsoid {name}", getattr(self, name))
         if self.rx <= 0.0 or self.ry <= 0.0 or self.rz <= 0.0:
             raise ValueError("ellipsoid radii must be positive")
 
@@ -76,10 +75,6 @@ def ellipsoid_margins(deltas, ellipsoid: EllipsoidSpec) -> np.ndarray:
 def ellipsoid_margin(p_i, p_j, ellipsoid: EllipsoidSpec) -> float:
     """Ellipsoid-normalized separation; values below 2 mean downwash danger."""
     return float(ellipsoid_margins(as_vec3(p_i) - as_vec3(p_j), ellipsoid))
-
-
-def is_downwash(p_i, p_j, ellipsoid: EllipsoidSpec) -> bool:
-    return ellipsoid_margin(p_i, p_j, ellipsoid) < DOWNWASH_MARGIN
 
 
 def _visible(positions: np.ndarray, w2c_q, w2c_t, camera: CameraModel) -> np.ndarray:

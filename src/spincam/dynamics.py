@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InfeasibleWrench
-from .geometry import Quaternion, as_vec3
+from .geometry import Quaternion, as_vec3, quat_multiply, quat_rotate
 
 GRAVITY = 9.81
 MAX_STEP = 0.01
@@ -128,25 +128,11 @@ def hover_command(params: QuadrotorParams) -> np.ndarray:
 
 def _derivative(state_vec: np.ndarray, f: float, tau: np.ndarray, f_a: np.ndarray,
                 params: QuadrotorParams) -> np.ndarray:
-    p, v = state_vec[0:3], state_vec[3:6]
-    q = state_vec[6:10]
-    omega = state_vec[10:13]
-    w, x, y, z = q
-    # body-to-world rotation applied to (0, 0, f)
-    thrust_world = f * np.array(
-        [2.0 * (x * z + w * y), 2.0 * (y * z - w * x), 1.0 - 2.0 * (x * x + y * y)]
-    )
+    v, q, omega = state_vec[3:6], state_vec[6:10], state_vec[10:13]
+    thrust_world = quat_rotate(q, [0.0, 0.0, f])
     acc = np.array([0.0, 0.0, -GRAVITY]) + (thrust_world + f_a) / params.mass
     # quaternion kinematics for body-frame rates: qdot = 0.5 * q * (0, omega)
-    ox, oy, oz = omega
-    qdot = 0.5 * np.array(
-        [
-            -x * ox - y * oy - z * oz,
-            w * ox + y * oz - z * oy,
-            w * oy - x * oz + z * ox,
-            w * oz + x * oy - y * ox,
-        ]
-    )
+    qdot = 0.5 * quat_multiply(q, [0.0, *omega])
     inertia = params.inertia
     omega_dot = np.linalg.solve(inertia, np.cross(inertia @ omega, omega) + tau)
     return np.concatenate([v, acc, qdot, omega_dot])

@@ -16,6 +16,7 @@ Sola, "Quaternion kinematics for the error-state Kalman filter" (arXiv
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 import numpy as np
 
@@ -24,14 +25,41 @@ from .errors import OutOfRange
 UNIT_NORM_TOL = 1e-6
 
 
-def as_vec3(value) -> np.ndarray:
-    """Coerce to a finite float (3,) array."""
-    v = np.asarray(value, dtype=float)
+def as_vec3(value, name: str = "vector") -> np.ndarray:
+    """Coerce to a finite float (3,) array; a ValueError names `name`."""
+    try:
+        v = np.asarray(value, dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise ValueError(f"{name} must be 3 numbers: {exc}") from None
     if v.shape != (3,):
-        raise ValueError(f"expected a 3-vector, got shape {v.shape}")
+        raise ValueError(f"{name} must be 3 numbers, got shape {v.shape}")
     if not np.isfinite(v).all():
-        raise ValueError("vector components must be finite")
+        raise ValueError(f"{name} components must be finite")
     return v
+
+
+def _is_real(value) -> bool:
+    """A real number that is not a bool (JSON true and false are no numbers)."""
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
+
+
+def is_count(value) -> bool:
+    """A non-negative integer that is not a bool."""
+    return _is_real(value) and isinstance(value, numbers.Integral) and value >= 0
+
+
+def is_numbers(value, size: int | None) -> bool:
+    """A list or tuple of real numbers, `size` of them unless None."""
+    return (isinstance(value, (list, tuple)) and size in (None, len(value))
+            and all(_is_real(v) for v in value))
+
+
+def require_finite(name: str, value, error=ValueError) -> None:
+    """Raise `error` naming `name` unless `value` is a finite real number."""
+    if not _is_real(value):
+        raise error(f"{name} must be a number, got {value!r}")
+    if not math.isfinite(value):
+        raise error(f"{name} must be finite, got {value!r}")
 
 
 def _rotate(w, x, y, z, vx, vy, vz):
@@ -152,12 +180,9 @@ class Quaternion:
             *_multiply(self.w, self.x, self.y, self.z, other.w, other.x, other.y, other.z)
         )
 
-    def conjugate(self) -> "Quaternion":
-        return Quaternion(self.w, -self.x, -self.y, -self.z)
-
     def inverse(self) -> "Quaternion":
         # unit quaternion: inverse == conjugate
-        return self.conjugate()
+        return Quaternion(self.w, -self.x, -self.y, -self.z)
 
     def rotate(self, v) -> np.ndarray:
         """Rotate a 3-vector (or (N, 3) stack) by this quaternion."""
@@ -328,9 +353,8 @@ class RobotGeometry:
     sphere_radius: float
 
     def __post_init__(self):
-        object.__setattr__(self, "half_extents", as_vec3(self.half_extents))
-        if not math.isfinite(self.sphere_radius):
-            raise ValueError(f"sphere_radius must be finite, got {self.sphere_radius}")
+        object.__setattr__(self, "half_extents", as_vec3(self.half_extents, "half_extents"))
+        require_finite("sphere_radius", self.sphere_radius)
         if np.any(self.half_extents <= 0.0) or self.sphere_radius <= 0.0:
             raise ValueError("robot dimensions must be positive")
 

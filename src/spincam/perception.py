@@ -22,7 +22,7 @@ from .camera import (
     pixel_to_ray,
 )
 from .errors import DegenerateBox
-from .geometry import DEFAULT_ROBOT_GEOMETRY
+from .geometry import DEFAULT_ROBOT_GEOMETRY, is_count, is_numbers, require_finite
 
 DEFAULT_GRID_ROWS = 28
 DEFAULT_GRID_COLS = 40
@@ -78,28 +78,23 @@ class NoiseModel:
     rng_seed: int = 0
 
     def __post_init__(self):
-        for name in ("pixel_sigma", "depth_rel_sigma"):
+        for name, hi in (("pixel_sigma", math.inf), ("depth_rel_sigma", math.inf),
+                         ("miss_rate", 1.0), ("false_positive_rate", MAX_FALSE_POSITIVE_RATE)):
             value = getattr(self, name)
-            if not (math.isfinite(value) and value >= 0.0):
-                raise ValueError(f"{name} must be finite and non-negative, got {value}")
-        if not 0.0 <= self.miss_rate <= 1.0:
-            raise ValueError("miss_rate must be in [0, 1]")
-        if not 0.0 <= self.false_positive_rate <= MAX_FALSE_POSITIVE_RATE:
-            raise ValueError(f"false_positive_rate must be in [0, {MAX_FALSE_POSITIVE_RATE}], "
-                             f"got {self.false_positive_rate}")
+            require_finite(name, value)
+            if not 0.0 <= value <= hi:
+                raise ValueError(f"{name} must be in [0, {hi}], got {value}")
         for name in ("true_confidence", "false_confidence"):
             pair = getattr(self, name)
-            if len(pair) != 2 or not 0.0 <= pair[0] <= pair[1] <= 1.0:
+            if not (is_numbers(pair, 2) and 0.0 <= pair[0] <= pair[1] <= 1.0):
                 raise ValueError(f"{name} must be [lo, hi] with 0 <= lo <= hi <= 1, got {pair}")
-        if isinstance(self.rng_seed, bool) or not isinstance(self.rng_seed, int) \
-                or self.rng_seed < 0:
+        if not is_count(self.rng_seed):
             raise ValueError(f"rng_seed must be a non-negative integer, got {self.rng_seed!r}")
 
 
 @dataclass(frozen=True, eq=False)
 class PositionEstimate:
     position: np.ndarray  # camera frame
-    source: str  # box_decoder | grid_decoder
 
     def __post_init__(self):
         if self.position[2] <= 0.0:
@@ -116,15 +111,12 @@ def sphere_distance_from_angle(alpha: float, radius: float) -> float:
 def decode_rays(a1: np.ndarray, a2: np.ndarray, radius: float) -> PositionEstimate:
     """Position of a sphere from its two horizontal tangent rays."""
     cos_alpha = float(np.clip(np.dot(a1, a2), -1.0, 1.0))
-    alpha = math.acos(cos_alpha)
-    if alpha <= 0.0:
-        raise DegenerateBox("tangent rays coincide; distance is unbounded")
-    d = sphere_distance_from_angle(alpha, radius)
+    d = sphere_distance_from_angle(math.acos(cos_alpha), radius)
     a_c = 0.5 * (a1 + a2)
     norm = np.linalg.norm(a_c)
     if norm == 0.0:
         raise DegenerateBox("tangent rays are antipodal; direction is undefined")
-    return PositionEstimate(position=d * a_c / norm, source="box_decoder")
+    return PositionEstimate(position=d * a_c / norm)
 
 
 def decode_box(det: BoxDetection, intr: CameraIntrinsics, radius: float) -> PositionEstimate:
@@ -198,7 +190,7 @@ def decode_grid(
             continue
         center = grid_cell_center(row, col, intr, gmap.rows, gmap.cols)
         position = back_project(center, float(gmap.depth[row, col]), intr)
-        estimates.append(PositionEstimate(position=position, source="grid_decoder"))
+        estimates.append(PositionEstimate(position=position))
     return estimates
 
 

@@ -10,15 +10,14 @@ robots spin about +z at the configured auto-yaw rate.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .camera import PITCH_ANGLES
-from .downwash import EllipsoidSpec, ellipsoid_margin
+from .downwash import DOWNWASH_MARGIN, EllipsoidSpec, ellipsoid_margin
 from .errors import InvalidConfig
-from .geometry import PoseTrack
+from .geometry import PoseTrack, is_count, is_numbers, require_finite
 
 SCENARIO_KINDS = ("random_waypoint", "hover_orbit", "swap")
 CAMERA_PITCHES = tuple(PITCH_ANGLES)
@@ -57,28 +56,25 @@ class ScenarioConfig:
     swap_start_b: tuple[float, float, float] = (0.7, 0.7, 0.9)
 
     def validate(self) -> None:
-        if self.kind not in SCENARIO_KINDS:
-            raise InvalidConfig(f"unknown scenario kind {self.kind!r}")
-        if self.camera_pitch not in CAMERA_PITCHES:
-            raise InvalidConfig(f"unknown camera pitch {self.camera_pitch!r}")
+        for name, allowed in (("kind", SCENARIO_KINDS), ("camera_pitch", CAMERA_PITCHES)):
+            value = getattr(self, name)
+            if value not in allowed:
+                raise InvalidConfig(f"{name} must be one of {allowed}, got {value!r}")
         for name in _COUNT_FIELDS:
             value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < 0:
+            if not is_count(value):
                 raise InvalidConfig(f"{name} must be a non-negative integer, got {value!r}")
         if not 1 <= self.num_robots <= 4:
             raise InvalidConfig(f"num_robots must be 1..4, got {self.num_robots}")
         for name in _FLOAT_FIELDS:
-            if not math.isfinite(getattr(self, name)):
-                raise InvalidConfig(f"{name} must be finite, got {getattr(self, name)}")
+            require_finite(name, getattr(self, name), InvalidConfig)
         for name, size in _VECTOR_FIELDS.items():
             value = getattr(self, name)
             if value is None and size is None:  # hover_heights: the default heights
                 continue
-            if not _is_numbers(value, size):
-                what = "a list of numbers" if size is None else f"{size} numbers"
+            if not (is_numbers(value, size) and all(math.isfinite(v) for v in value)):
+                what = "a list of finite numbers" if size is None else f"{size} finite numbers"
                 raise InvalidConfig(f"{name} must be {what}, got {value!r}")
-            if not all(math.isfinite(v) for v in value):
-                raise InvalidConfig(f"{name} must be finite, got {value}")
         if self.duration <= 0.0 or self.frame_rate <= 0.0 or self.sample_rate < 100.0:
             raise InvalidConfig("duration and rates must be positive (sample_rate >= 100 Hz)")
         if self.yaw_rate < 0.0:
@@ -130,12 +126,6 @@ _VECTOR_FIELDS = {"arena_min": 3, "arena_max": 3, "hover_heights": None, "swap_s
                   "swap_start_b": 3}
 
 
-def _is_numbers(value, size: int | None) -> bool:
-    """True for a list or tuple of real numbers, `size` of them unless None."""
-    return (isinstance(value, (list, tuple)) and size in (None, len(value))
-            and all(isinstance(v, numbers.Real) and not isinstance(v, bool) for v in value))
-
-
 def frame_schedule(cfg: ScenarioConfig) -> np.ndarray:
     """Camera timestamps 0, 1/fps, ... up to and including the duration."""
     # the slack keeps a frame at the duration when duration x fps rounds just
@@ -159,12 +149,6 @@ def _spinning_track(robot_id: str, times: np.ndarray, positions: np.ndarray,
     quats = np.zeros((len(times), 4))
     quats[:, 0] = np.cos(half_yaw)
     quats[:, 3] = np.sin(half_yaw)
-    return PoseTrack(robot_id, times, positions, quats)
-
-
-def _static_track(robot_id: str, times: np.ndarray, position) -> PoseTrack:
-    positions = np.tile(np.asarray(position, dtype=float), (len(times), 1))
-    quats = np.tile([1.0, 0.0, 0.0, 0.0], (len(times), 1))
     return PoseTrack(robot_id, times, positions, quats)
 
 
@@ -214,10 +198,11 @@ def _generate_hover_orbit(cfg: ScenarioConfig, times: np.ndarray) -> list[PoseTr
             np.full(len(times), cfg.orbit_height),
         ]
     )
-    tracks = [_spinning_track("r0", times, orbit, cfg.yaw_rate)]
-    for k, position in enumerate(_hover_layout(cfg)):
-        tracks.append(_static_track(f"r{k + 1}", times, position))
-    return tracks
+    # the hovering robots do not spin
+    return [_spinning_track("r0", times, orbit, cfg.yaw_rate)] + [
+        _spinning_track(f"r{k + 1}", times, np.tile(position, (len(times), 1)), 0.0)
+        for k, position in enumerate(_hover_layout(cfg))
+    ]
 
 
 def _trapezoid_timing(length: float, vmax: float, accel: float) -> tuple[float, float]:
@@ -246,7 +231,7 @@ def _trapezoid_position(t: np.ndarray, length: float, vmax: float,
 
 def _draw_waypoints(cfg: ScenarioConfig, rng: np.random.Generator) -> list[np.ndarray]:
     """Per-robot waypoint lists; same-index waypoints of different robots are
-    rejection-sampled to keep an ellipsoid margin of at least 2."""
+    rejection-sampled to keep an ellipsoid margin of at least DOWNWASH_MARGIN."""
     lo = np.array(cfg.arena_min, dtype=float)
     hi = np.array(cfg.arena_max, dtype=float)
     all_waypoints: list[np.ndarray] = []
@@ -256,7 +241,7 @@ def _draw_waypoints(cfg: ScenarioConfig, rng: np.random.Generator) -> list[np.nd
             for attempt in range(WAYPOINT_REJECTION_LIMIT):
                 candidate = rng.uniform(lo, hi)
                 if all(
-                    ellipsoid_margin(candidate, other[k], cfg.ellipsoid) >= 2.0
+                    ellipsoid_margin(candidate, other[k], cfg.ellipsoid) >= DOWNWASH_MARGIN
                     for other in all_waypoints
                 ):
                     points[k] = candidate

@@ -27,15 +27,16 @@ from spincam.camera import (
     annotate_tracks,
     camera_for_pitch,
     in_image,
+    in_view,
     project,
-    projects_into_image,
 )
 from spincam.cli import main
 from spincam.datasets import Dataset, read_dataset, write_dataset
 from spincam.downwash import (
+    DOWNWASH_MARGIN,
     EllipsoidSpec,
+    ellipsoid_margin,
     evaluate_downwash_records,
-    is_downwash,
     run_downwash_eval,
 )
 from spincam.geometry import (
@@ -335,7 +336,7 @@ def oracle_downwash(tracks, camera, times, ellipsoid, mode, noise,
     pairs, beliefs = [], []
     for frame_id, (t, (ego, neighbors, visible)) in enumerate(
             zip(times.tolist(), oracle_frames(tracks, camera, geom, times))):
-        gt = any(is_downwash(p.translation, ego.translation, ellipsoid)
+        gt = any(ellipsoid_margin(p.translation, ego.translation, ellipsoid) < DOWNWASH_MARGIN
                  for p in neighbors.values())
         if mode == "omni":
             # an all-round view reprojects every belief and perceives every neighbor
@@ -354,12 +355,13 @@ def oracle_downwash(tracks, camera, times, ellipsoid, mode, noise,
                 estimates = [e.position for e in
                              decode_detections(output, intr, radius=geom.sphere_radius)]
             to_camera = camera.extrinsic @ ego.inverse()
-            beliefs = [b for b in beliefs if not projects_into_image(to_camera.apply(b), intr)]
+            beliefs = [b for b in beliefs if not in_view(to_camera.apply(b), intr)]
             seen = [(ego @ camera.extrinsic.inverse()).apply(e) for e in estimates]
         for world in seen:
             beliefs = [b for b in beliefs if np.linalg.norm(b - world) >= merge_radius]
             beliefs.append(world)
-        pred = any(is_downwash(b, ego.translation, ellipsoid) for b in beliefs)
+        pred = any(ellipsoid_margin(b, ego.translation, ellipsoid) < DOWNWASH_MARGIN
+                   for b in beliefs)
         pairs.append((gt, pred))
     return pairs
 
@@ -435,9 +437,9 @@ def test_later_estimate_absorbs_earlier_and_beliefs_die_on_reprojection():
     near, far = (to_world.apply([0.0, 0.0, z]) for z in (1.0, 1.09))
     step = 0.1 * (far - near) / np.linalg.norm(far - near)
     ellipsoid = EllipsoidSpec(0.52, 0.52, 0.52)
-    assert is_downwash(near, np.zeros(3), ellipsoid)
-    assert not is_downwash(far, np.zeros(3), ellipsoid)
-    assert is_downwash(far, step, ellipsoid)
+    assert ellipsoid_margin(near, np.zeros(3), ellipsoid) < DOWNWASH_MARGIN
+    assert not ellipsoid_margin(far, np.zeros(3), ellipsoid) < DOWNWASH_MARGIN
+    assert ellipsoid_margin(far, step, ellipsoid) < DOWNWASH_MARGIN
     no_box = ImagePoint(0.0, 0.0), BoundingBox(0.0, 0.0, 1.0, 1.0)
     # the seen robots r1 and r2 are parked 100 m below, out of the ellipsoid
     seen = [NeighborAnnotation(rid, np.array([0.0, 0.0, z]), *no_box)

@@ -166,7 +166,8 @@ class TestAnnotateFrame:
                 continue
             hits += 1
             (n,) = ann.neighbors
-            assert n.bbox.contains(n.center)
+            assert n.bbox.u_min <= n.center.u <= n.bbox.u_max
+            assert n.bbox.v_min <= n.center.v <= n.bbox.v_max
             # independent recomputation: min/max over the projected corners
             rel = identity_camera.extrinsic @ static_pose((0, 0, 0)).inverse() @ neighbor
             pixels = np.array(

@@ -1,11 +1,21 @@
 """Command-line interface: exit codes, outputs, determinism, rerun."""
 
+import contextlib
+import copy
+import dataclasses
 import json
 import math
+import os
+import tempfile
+from datetime import timedelta
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
+from spincam.camera import CameraIntrinsics
 from spincam.cli import main
 from spincam.datasets import (
     Dataset,
@@ -16,8 +26,10 @@ from spincam.datasets import (
     write_gyro_log,
 )
 from spincam.downwash import EllipsoidSpec, ellipsoid_margin
-from spincam.geometry import DEFAULT_ROBOT_GEOMETRY
+from spincam.geometry import DEFAULT_ROBOT_GEOMETRY, RobotGeometry
 from spincam.camera import RunRecords, camera_for_pitch
+from spincam.perception import NoiseModel
+from spincam.scenarios import ScenarioConfig
 
 
 def write_config(path, **overrides):
@@ -100,6 +112,17 @@ class TestSimulate:
         ({"ellipsoid": [0.1, 0.1]}, "ellipsoid"),
         ({"ellipsoid": [0.1, 0.1, 0.3, 0.3]}, "ellipsoid"),
         ({"ellipsoid": 0.1}, "ellipsoid"),
+        ({"ellipsoid": ["0.1", 0.1, 0.3]}, "ellipsoid"),
+        ({"duration": "5"}, "duration"),
+        ({"fx": "170"}, "fx"),
+        ({"sphere_radius": "x"}, "sphere_radius"),
+        ({"width": "320"}, "width"),
+        ({"half_extents": [0.1, 0.1]}, "half_extents"),
+        ({"camera_translation": [0.1]}, "camera_translation"),
+        ({"yaw_rate": True}, "yaw_rate"),
+        ({"frame_rate": True}, "frame_rate"),
+        ({"fx": True}, "fx"),
+        ({"camera_pitch": ["up"]}, "camera_pitch"),
     ])
     def test_malformed_scenario_exits_2_naming_the_key(self, tmp_path, capsys, overrides, key):
         config = write_config(tmp_path / "bad.json", **overrides)
@@ -361,6 +384,9 @@ class TestDownwashEval:
         '{"false_confidence": [0.7, 0.3]}',
         '{"rng_seed": -1}',
         '{"rng_seed": 1.5}',
+        '{"miss_rate": true}',
+        '{"pixel_sigma": "1.0"}',
+        '{"true_confidence": 1}',
     ])
     def test_malformed_noise_config_exits_2_naming_it(self, tmp_path, capsys, text):
         noise = tmp_path / "noise.json"
@@ -454,6 +480,13 @@ class TestTimesync:
         assert main(["timesync", "--log-a", str(tmp_path / "a.csv"),
                      "--log-b", str(tmp_path / "b.csv"), "--window", "0.1"]) == 3
 
+    @pytest.mark.parametrize("window", ["nan", "inf", "0", "-1"])
+    def test_window_not_finite_and_positive_exits_2(self, tmp_path, capsys, window):
+        path_a, path_b = self.write_logs(tmp_path, 0.0)
+        assert main(["timesync", "--log-a", str(path_a), "--log-b", str(path_b),
+                     f"--window={window}"]) == 2
+        assert "--window" in capsys.readouterr().err
+
 
 class TestRerun:
     def test_simulate_rerun_byte_identical(self, tmp_path, swap_config):
@@ -473,6 +506,56 @@ class TestRerun:
         assert main(["rerun", "--manifest", str(eval_out / "manifest.json")]) == 0
         assert (eval_out / "report.csv").read_bytes() == first
 
+    def test_benchmark_rerun_byte_identical(self, tmp_path, swap_config):
+        # a recorded seed of 0 must keep its flag: 0 == False in Python
+        noise = tmp_path / "noise.json"
+        noise.write_text('{"pixel_sigma": 1.0, "rng_seed": 3}')
+        out = tmp_path / "bench"
+        assert main(["benchmark", "--config", str(swap_config), "--out", str(out),
+                     "--yaw-rates", "2,6", "--pitches", "up,forward", "--noise", str(noise),
+                     "--mode", "grid", "--seed", "0"]) == 0
+        first = [(out / name).read_bytes() for name in ("benchmark.csv", "manifest.json")]
+        assert json.loads(first[1])["args"]["seed"] == 0
+        assert main(["rerun", "--manifest", str(out / "manifest.json")]) == 0
+        assert [(out / name).read_bytes() for name in ("benchmark.csv", "manifest.json")] == first
+
+    @pytest.mark.parametrize("command,edit,code,named", [
+        ("benchmark", {"pitches": ["up"]}, 2, "pitches"),
+        ("benchmark", {"yaw_rates": 5}, 0, None),
+        ("downwash-eval", {"ellipsoid": [0.1, 0.1, 0.3]}, 2, "ellipsoid"),
+        ("benchmark", {"out": None}, 2, "--out"),
+        ("downwash-eval", {"out": None}, 2, "--out"),
+        ("downwash-eval", {"dataset": None}, 2, "--dataset"),
+        ("downwash-eval", {"mode": "xyz", "oracle": False, "noise": "noise.json"}, 2, "--mode"),
+        ("benchmark", {"mode": "xyz"}, 2, "--mode"),
+        ("benchmark", {"config": 7}, 2, "'7'"),
+        ("downwash-eval", {"noise": 5, "oracle": False}, 2, "'5'"),
+        ("benchmark", {"seed": True}, 2, "--seed"),
+        ("benchmark", {"oracle": "yes"}, 2, "--oracle"),
+        ("benchmark", {"out": "a\0b"}, 2, "'out'"),
+    ])
+    def test_malformed_manifest_args_checked_as_flags(self, tmp_path, capsys, monkeypatch,
+                                                      swap_config, command, edit, code, named):
+        # relative paths, such as the file "7", resolve in an empty directory
+        monkeypatch.chdir(tmp_path)
+        Path("noise.json").write_text('{"pixel_sigma": 1.0}')
+        dataset = tmp_path / "run" / "dataset.ndjson"
+        main(["simulate", "--config", str(swap_config), "--out", str(dataset.parent)])
+        args = {
+            "benchmark": {"config": str(swap_config), "out": "bench", "yaw_rates": "2",
+                          "pitches": "up", "oracle": True, "noise": None, "mode": "box",
+                          "seed": None},
+            "downwash-eval": {"dataset": str(dataset), "out": "eval", "oracle": True,
+                              "noise": None, "mode": "box", "ellipsoid": None},
+        }[command]
+        manifest = tmp_path / "manifest.json"
+        manifest.write_text(json.dumps({"command": command, "args": args | edit}))
+        capsys.readouterr()
+        assert main(["rerun", "--manifest", str(manifest)]) == code
+        err = capsys.readouterr().err
+        if code:
+            assert str(manifest) in err and named in err
+
     @pytest.mark.parametrize("text", [
         "{not json",
         "[\"simulate\"]",
@@ -491,3 +574,110 @@ class TestRerun:
         manifest.write_text(text)
         assert main(["rerun", "--manifest", str(manifest)]) == 2
         assert str(manifest) in capsys.readouterr().err
+
+
+# Property tests (Hypothesis: MacIver et al., JOSS 2019): mutated copies of
+# valid inputs make `main` return 0, 2 or 3, or the parser exit with 2, and
+# never raise anything else. Replacement values come from a small fixed set:
+# each JSON type, a string holding NUL, NaN, infinity and boundary numbers,
+# none of them large enough to ask for a long run.
+DROP = object()
+MUTANT_VALUES = [DROP, "x", "", "x\0", True, False, None, [], [1.0, 2.0], {}, {"a": 1}, math.nan,
+                 math.inf, 0, -1, 1e-9, 0.5, 1, 2.5]
+SMALL_SWAP = {"kind": "swap", "num_robots": 2, "duration": 2.0, "rng_seed": 3,
+              "camera_pitch": "up"}
+SCENARIO_KEYS = {f.name for cls in (ScenarioConfig, CameraIntrinsics, RobotGeometry)
+                 for f in dataclasses.fields(cls)} | {"camera_translation"}
+NOISE = {"pixel_sigma": 1.0, "depth_rel_sigma": 0.1, "miss_rate": 0.1,
+         "false_positive_rate": 0.5, "rng_seed": 0}
+PROPERTY_SETTINGS = settings(max_examples=100, deadline=timedelta(seconds=10),
+                             derandomize=True, database=None,
+                             suppress_health_check=[HealthCheck.too_slow])
+
+
+def mutate(base: dict, edits) -> dict:
+    """A copy of `base` with each (dotted key path, value) edit applied: the
+    key dropped (DROP) or set to the value."""
+    out = copy.deepcopy(base)
+    for path, value in edits:
+        *parents, key = path.split(".")
+        target = out
+        for parent in parents:
+            target = target.get(parent) if isinstance(target, dict) else None
+        if isinstance(target, dict):
+            if value is DROP:
+                target.pop(key, None)
+            else:
+                target[key] = copy.deepcopy(value)
+    return out
+
+
+def mutants(base: dict, paths) -> st.SearchStrategy:
+    """Copies of `base` with one to three keys dropped or replaced."""
+    edit = st.tuples(st.sampled_from(sorted(paths)), st.sampled_from(MUTANT_VALUES))
+    return st.lists(edit, min_size=1, max_size=3).map(lambda edits: mutate(base, edits))
+
+
+def exit_code(argv) -> int:
+    """main's exit code, in a fresh empty working directory."""
+    with tempfile.TemporaryDirectory() as work, contextlib.redirect_stdout(None):
+        home = os.getcwd()
+        os.chdir(work)
+        try:
+            return main(argv)
+        except SystemExit as exc:  # the parser's usage error
+            assert exc.code == 2
+            return 2
+        finally:
+            os.chdir(home)
+
+
+def write_json(path, obj) -> str:
+    Path(path).write_text(json.dumps(obj))
+    return str(path)
+
+
+@pytest.fixture(scope="module")
+def small_run(tmp_path_factory):
+    """A short swap config and its dataset."""
+    root = tmp_path_factory.mktemp("small")
+    config = write_json(root / "swap.json", SMALL_SWAP)
+    assert main(["simulate", "--config", config, "--out", str(root / "run")]) == 0
+    return root, config, str(root / "run" / "dataset.ndjson")
+
+
+class TestMutatedInputs:
+    @PROPERTY_SETTINGS
+    @given(config=mutants(SMALL_SWAP, SCENARIO_KEYS | {"ellipsoid"}))
+    def test_scenario_config(self, small_run, config):
+        path = write_json(small_run[0] / "mutant.json", config)
+        assert exit_code(["simulate", "--config", path, "--out", "run"]) in (0, 2, 3)
+        assert exit_code(["benchmark", "--config", path, "--out", "bench", "--oracle",
+                          "--yaw-rates", "2", "--pitches", "up"]) in (0, 2, 3)
+
+    @PROPERTY_SETTINGS
+    @given(noise=mutants(NOISE, {f.name for f in dataclasses.fields(NoiseModel)}),
+           mode=st.sampled_from(["box", "grid"]))
+    def test_noise_config(self, small_run, noise, mode):
+        root, _config, dataset = small_run
+        path = write_json(root / "mutant.json", noise)
+        assert exit_code(["downwash-eval", "--dataset", dataset, "--noise", path,
+                          "--mode", mode, "--out", "eval"]) in (0, 2, 3)
+
+    @PROPERTY_SETTINGS
+    @given(data=st.data(), command=st.sampled_from(["benchmark", "downwash-eval"]))
+    def test_manifest(self, small_run, data, command):
+        root, config, dataset = small_run
+        noise = write_json(root / "noise.json", NOISE)
+        args = {
+            "benchmark": {"config": config, "out": "bench", "yaw_rates": "2", "pitches": "up",
+                          "oracle": False, "noise": noise, "mode": "grid", "seed": 0},
+            "downwash-eval": {"dataset": dataset, "out": "eval", "oracle": False,
+                              "noise": noise, "mode": "box", "ellipsoid": "0.2,0.2,0.4"},
+        }[command]
+        # mostly the recorded args: a bad command or args object stops at once
+        paths = ["command", "args", "schema_version"] + [f"args.{key}" for key in args] * 3
+        manifest = data.draw(mutants({"schema_version": 1, "command": command, "args": args},
+                                     paths))
+        path = write_json(root / "mutant.json", manifest)
+        assert exit_code(["rerun", "--manifest", path]) in (0, 2, 3)

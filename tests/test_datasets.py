@@ -7,6 +7,7 @@ import math
 import numpy as np
 import pytest
 
+from spincam import datasets
 from spincam.camera import (
     BoundingBox,
     FrameAnnotation,
@@ -319,6 +320,32 @@ class TestTimeOffset:
         b = GyroSequence(t + 5.0, signal(t))
         with pytest.raises(InsufficientOverlap):
             estimate_time_offset(a, b, 0.1)
+
+    def test_wide_window_stops_where_the_logs_stop_overlapping(self, monkeypatch):
+        # 2 s of the criterion-7 signal: past +/-1 s the logs overlap by less
+        # than half their span, so the search stops 2 steps beyond
+        rng = np.random.default_rng(4)
+        t = np.arange(0.0, 2.0, 1e-3)
+        signal = banded_signal(t, rng)
+        a, b = GyroSequence(t, signal(t)), GyroSequence(t, signal(t + 0.07))
+        narrow = estimate_time_offset(a, b, 0.12)
+        offsets = []
+        error = datasets._offset_error
+        monkeypatch.setattr(datasets, "_offset_error",
+                            lambda *args: offsets.append(args[2]) or error(*args))
+        # the first window keeps the test runnable at a build without the cap,
+        # where 1e6 s would make 2e9 offsets
+        for window in (1e3, 1e6):
+            offsets.clear()
+            assert estimate_time_offset(a, b, window) == narrow
+            assert max(map(abs, offsets)) <= 1.0 + 2.5e-3
+            assert len(offsets) <= 2 * 1003 + 1
+
+    def test_gyro_log_header_may_space_its_fields(self, tmp_path):
+        path = tmp_path / "gyro.csv"
+        path.write_text("t, gx, gy, gz\n0.0,1,2,3\n0.1,1,2,3\n\n0.2,x,2,3\n")
+        with pytest.raises(ParseError, match=":5: non-numeric"):
+            read_gyro_log(path)
 
     def test_gyro_log_round_trip(self, tmp_path):
         rng = np.random.default_rng(11)

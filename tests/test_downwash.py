@@ -15,11 +15,11 @@ from spincam.camera import (
     camera_for_pitch,
 )
 from spincam.downwash import (
+    DOWNWASH_MARGIN,
     MERGE_RADIUS,
     EllipsoidSpec,
     ellipsoid_margin,
     evaluate_downwash_records,
-    is_downwash,
     run_downwash_eval,
 )
 from spincam.geometry import Quaternion
@@ -32,7 +32,7 @@ class TestEllipsoidMargin:
     def test_boundary_above(self):
         # 0.6 m straight up is exactly twice the vertical radius: safe boundary
         assert ellipsoid_margin((0, 0, 0.6), (0, 0, 0), E) == 2.0
-        assert not is_downwash((0, 0, 0.6), (0, 0, 0), E)
+        assert not ellipsoid_margin((0, 0, 0.6), (0, 0, 0), E) < DOWNWASH_MARGIN
 
     def test_coincident(self):
         assert ellipsoid_margin((1, 2, 3), (1, 2, 3), E) == 0.0
@@ -41,7 +41,7 @@ class TestEllipsoidMargin:
         assert ellipsoid_margin((0.15, 0, 0.15), (0, 0, 0), E) == pytest.approx(
             math.sqrt(1.25), abs=1e-12
         )
-        assert is_downwash((0.15, 0, 0.15), (0, 0, 0), E)
+        assert ellipsoid_margin((0.15, 0, 0.15), (0, 0, 0), E) < DOWNWASH_MARGIN
 
     def test_symmetric_arguments(self):
         rng = np.random.default_rng(0)
