@@ -253,31 +253,18 @@ class FrameAnnotation:
 @dataclass(eq=False)
 class FrameRecord:
     """One frame: its annotation plus the world poses of every robot; the
-    per-frame view of a `RunRecords` frame row.
+    per-frame view of a `RunRecords` frame row, built by `RunRecords.frames()`.
 
     Row r of `positions` (R, 3) and `quats` (R, 4) is the robot-to-world pose
     of `robot_ids[r]` at the frame's timestamp. Row 0 is the ego robot; the
-    neighbors follow in sorted id order.
+    neighbors follow in sorted id order. `RunRecords.from_frames` checks this
+    layout when it builds columns from records.
     """
 
     annotation: FrameAnnotation
     robot_ids: tuple[str, ...]
     positions: np.ndarray
     quats: np.ndarray
-
-    def __post_init__(self):
-        ids = self.robot_ids = tuple(self.robot_ids)
-        ego = self.annotation.ego_id
-        if ids[:1] != (ego,) or not _ego_then_sorted(ids) \
-                or self.positions.shape != (len(ids), 3) or self.quats.shape != (len(ids), 4):
-            raise ValueError(f"robot_ids {ids} must be the ego {ego!r}, then the others sorted, "
-                             f"with one row each in positions {self.positions.shape} and quats "
-                             f"{self.quats.shape}")
-
-
-def _ego_then_sorted(ids: tuple[str, ...]) -> bool:
-    """The robot-row rule: the ego, then the other robots in sorted order."""
-    return list(ids[1:]) == sorted(set(ids) - set(ids[:1]))
 
 
 _INDEX_COLUMNS = ("frame_ids", "owner", "robot")
@@ -323,7 +310,7 @@ class RunRecords:
             if column.shape != shape:
                 raise ValueError(f"{name} has shape {column.shape}, expected {shape}")
             setattr(self, name, column)
-        if (n_frames and not ids) or not _ego_then_sorted(ids):
+        if (n_frames and not ids) or list(ids[1:]) != sorted(set(ids) - set(ids[:1])):
             raise ValueError(f"robot_ids {ids} must be the ego, then the others sorted")
         if n_rows and not (np.all(np.diff(self.owner) >= 0) and 0 <= self.owner[0]
                            and self.owner[-1] < n_frames and np.all(self.robot >= 1)
@@ -336,10 +323,18 @@ class RunRecords:
 
     @classmethod
     def from_frames(cls, records: Sequence[FrameRecord]) -> "RunRecords":
-        """The columns of per-frame records that all hold the same robot_ids."""
-        ids = records[0].robot_ids if records else ()
-        if any(record.robot_ids != ids for record in records):
-            raise ValueError(f"every frame must hold the same robots as the first, {ids}")
+        """The columns of per-frame records that all hold the same robot_ids,
+        each with its annotation's ego first and one pose row per robot."""
+        ids = tuple(records[0].robot_ids) if records else ()
+        for record in records:
+            if tuple(record.robot_ids) != ids:
+                raise ValueError(f"every frame must hold the same robots as the first, {ids}")
+            ego = record.annotation.ego_id
+            shapes = np.shape(record.positions), np.shape(record.quats)
+            if ids[:1] != (ego,) or shapes != ((len(ids), 3), (len(ids), 4)):
+                raise ValueError(f"robot_ids {ids} must be the ego {ego!r}, then the others "
+                                 f"sorted, with one row each in positions and quats, got "
+                                 f"{shapes}")
         # a neighbor that is the ego or no robot of the run gets index 0,
         # which __post_init__ rejects
         index = {rid: r for r, rid in enumerate(ids[1:], start=1)}

@@ -23,9 +23,7 @@ from .camera import (
     DEFAULT_INTRINSICS,
     CameraIntrinsics,
     CameraModel,
-    FrameAnnotation,
     FrameRecord,
-    NeighborAnnotation,
     RunRecords,
     camera_for_pitch,
 )
@@ -45,6 +43,8 @@ from .geometry import (
     RobotGeometry,
     first_failure,
     invalid_pose_row,
+    is_count,
+    require_finite,
 )
 from .metrics import ConfusionCounts, classification_metrics
 from .perception import DEFAULT_GRID_COLS, DEFAULT_GRID_ROWS, NoiseModel, encode_grid
@@ -89,15 +89,6 @@ def _geometry_obj(geom: RobotGeometry) -> dict:
 
 def _geometry_from(obj: dict) -> RobotGeometry:
     return RobotGeometry(np.array(obj["half_extents"], dtype=float), obj["sphere_radius"])
-
-
-def _neighbor_obj(n: NeighborAnnotation) -> dict:
-    return {
-        "robot_id": n.robot_id,
-        "rel_position": [float(v) for v in n.rel_position],
-        "center": [float(n.center.u), float(n.center.v)],
-        "bbox": [float(n.bbox.u_min), float(n.bbox.v_min), float(n.bbox.u_max), float(n.bbox.v_max)],
-    }
 
 
 class _NonFiniteNumber(ValueError):
@@ -163,6 +154,19 @@ def _json_literal(text: str) -> str:
     return json.dumps(text).replace("%", "%%")
 
 
+def _frame_neighbors(records: RunRecords) -> list[str]:
+    """Each frame row's neighbor objects, formatted straight from the columns
+    as the inside of the JSON list `json.dumps` gives for them: a dataset
+    line's `neighbors` and a `bbox` label line's `labels`."""
+    neighbor_line = ['{"robot_id": ' + _json_literal(rid) + _NEIGHBOR_LINE
+                     for rid in records.robot_ids]
+    values = np.concatenate([records.rel_positions, records.centers, records.bboxes], axis=1)
+    neighbors = [neighbor_line[r] % tuple(row)
+                 for r, row in zip(records.robot.tolist(), values.tolist())]
+    bounds = np.searchsorted(records.owner, np.arange(len(records) + 1)).tolist()
+    return [", ".join(neighbors[lo:hi]) for lo, hi in zip(bounds, bounds[1:])]
+
+
 def _frame_lines(records: RunRecords) -> list[str]:
     """The frame lines of a dataset file, formatted straight from the columns.
 
@@ -175,21 +179,16 @@ def _frame_lines(records: RunRecords) -> list[str]:
     n_frames, n_robots = len(records), len(ids)
     if not n_frames:
         return []
-    neighbor_line = ['{"robot_id": ' + _json_literal(rid) + _NEIGHBOR_LINE for rid in ids]
-    values = np.concatenate([records.rel_positions, records.centers, records.bboxes], axis=1)
-    neighbors = [neighbor_line[r] % tuple(row)
-                 for r, row in zip(records.robot.tolist(), values.tolist())]
     by_name = sorted(range(n_robots), key=ids.__getitem__)
     line = ('{"record": "frame", "frame_id": %d, "timestamp": %r, "ego_id": '
             + _json_literal(ids[0]) + ', "neighbors": [%s], "poses": {'
             + ", ".join(_json_literal(ids[r]) + _POSE_LINE for r in by_name) + "}}\n")
     times = np.broadcast_to(records.timestamps[:, None, None], (n_frames, n_robots, 1))
     poses = np.concatenate([times, records.quats, records.positions], axis=2)[:, by_name]
-    bounds = np.searchsorted(records.owner, np.arange(n_frames + 1)).tolist()
     return [
-        line % (frame_id, timestamp, ", ".join(neighbors[lo:hi]), *pose)
-        for frame_id, timestamp, lo, hi, pose in zip(
-            records.frame_ids.tolist(), records.timestamps.tolist(), bounds, bounds[1:],
+        line % (frame_id, timestamp, neighbors, *pose)
+        for frame_id, timestamp, neighbors, pose in zip(
+            records.frame_ids.tolist(), records.timestamps.tolist(), _frame_neighbors(records),
             poses.reshape(n_frames, -1).tolist())
     ]
 
@@ -292,11 +291,12 @@ def read_dataset(path) -> Dataset:
             elif ego != ids[0] or poses.keys() != index.keys():
                 raise ValueError(f"robots {sorted(poses)} with ego {ego!r} differ from the "
                                  f"first frame's {sorted(ids)} with ego {ids[0]!r}")
-            frame_id = int(obj["frame_id"])
-            if not 0 <= frame_id < 2**63:  # it seeds the detector's rng stream
-                raise ValueError(f"frame_id {frame_id} is not in [0, 2**63)")
+            frame_id, timestamp = obj["frame_id"], obj["timestamp"]
+            if not (is_count(frame_id) and frame_id < 2**63):  # it seeds the detector's rng
+                raise ValueError(f"frame_id must be an integer in [0, 2**63), got {frame_id!r}")
+            require_finite("timestamp", timestamp)
             frame_ids.append(frame_id)
-            timestamps.append(float(obj["timestamp"]))
+            timestamps.append(timestamp)
             for rid in ids:
                 pose = poses[rid]
                 times.append(pose["time"])
@@ -320,13 +320,9 @@ def read_dataset(path) -> Dataset:
         raise ParseError(
             f"{path}: header announces {expected} frames but file holds {len(frame_lines)}"
         )
-    timestamps = np.array(timestamps)
     first_of_id = np.zeros(len(frame_ids), dtype=bool)
     first_of_id[np.unique(np.array(frame_ids, dtype=np.int64), return_index=True)[1]] = True
-    _reject(path, frame_lines, first_failure({
-        "timestamp must be finite": np.isfinite(timestamps),
-        "frame_id repeats an earlier frame's": first_of_id,
-    }))
+    _reject(path, frame_lines, first_failure({"frame_id repeats an earlier frame's": first_of_id}))
     pose_lines = np.repeat(frame_lines, len(ids))
     pose_times, positions, quats = (
         _float_rows(path, pose_lines, rows, shape, name)
@@ -363,13 +359,10 @@ def read_dataset(path) -> Dataset:
 # ---------------------------------------------------------------------------
 # Label export
 
-def export_labels(
-    annotations: Sequence[FrameAnnotation],
-    mode: str,
-    path,
-    intr: CameraIntrinsics | None = None,
-) -> None:
-    """Per-frame training labels: box centers or sparse grid targets."""
+def export_labels(records: RunRecords, mode: str, path,
+                  intr: CameraIntrinsics | None = None) -> None:
+    """Per-frame training labels of a run: its neighbor objects as the
+    dataset file holds them (`bbox`), or its sparse grid targets (`grid`)."""
     if mode not in ("bbox", "grid"):
         raise ValueError(f"unknown label mode {mode!r}")
     if mode == "grid" and intr is None:
@@ -377,28 +370,19 @@ def export_labels(
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         header = {"record": "header", "schema_version": SCHEMA_VERSION, "mode": mode}
         if mode == "grid":
-            header["rows"] = DEFAULT_GRID_ROWS
-            header["cols"] = DEFAULT_GRID_COLS
+            header.update(rows=DEFAULT_GRID_ROWS, cols=DEFAULT_GRID_COLS)
         fh.write(json.dumps(header) + "\n")
-        for ann in annotations:
-            if mode == "bbox":
-                obj = {
-                    "record": "labels",
-                    "frame_id": ann.frame_id,
-                    "labels": [_neighbor_obj(n) for n in ann.neighbors],
-                }
-            else:
-                gmap = encode_grid(ann, intr)
-                occupied = np.argwhere(gmap.confidence > 0.0)
-                obj = {
-                    "record": "labels",
-                    "frame_id": ann.frame_id,
-                    "cells": [
-                        [int(r), int(c), float(gmap.confidence[r, c]), float(gmap.depth[r, c])]
-                        for r, c in occupied
-                    ],
-                }
-            fh.write(json.dumps(obj) + "\n")
+        if mode == "bbox":
+            fh.writelines('{"record": "labels", "frame_id": %d, "labels": [%s]}\n' % labels
+                          for labels in zip(records.frame_ids.tolist(),
+                                            _frame_neighbors(records)))
+            return
+        for ann in records.annotations():
+            gmap = encode_grid(ann, intr)
+            cells = [[int(r), int(c), float(gmap.confidence[r, c]), float(gmap.depth[r, c])]
+                     for r, c in np.argwhere(gmap.confidence > 0.0)]
+            fh.write(json.dumps({"record": "labels", "frame_id": ann.frame_id,
+                                 "cells": cells}) + "\n")
 
 
 # ---------------------------------------------------------------------------
@@ -496,21 +480,21 @@ def write_gyro_log(seq: GyroSequence, path) -> None:
             fh.write(",".join(repr(float(v)) for v in (t, gx, gy, gz)) + "\n")
 
 
-def _offset_error(a: GyroSequence, b: GyroSequence, delta: float, min_overlap: float) -> float:
-    """Mean squared rate difference of a(t) vs b(t + delta) over the overlap."""
+def _offset_error(a: GyroSequence, b: GyroSequence, delta: float, min_overlap: float,
+                  rates: tuple[np.ndarray, np.ndarray]) -> float:
+    """Mean squared rate difference of a(t) vs b(t + delta) over the overlap;
+    `rates` holds the rates of a and of b as contiguous (3, N) axis rows."""
     lo = max(a.timestamps[0], b.timestamps[0] - delta)
     hi = min(a.timestamps[-1], b.timestamps[-1] - delta)
     if hi - lo < min_overlap:
         return math.inf
-    mask = (a.timestamps >= lo) & (a.timestamps <= hi)
-    if mask.sum() < 2:
+    # timestamps strictly increase, so the overlap is a slice
+    start, stop = np.searchsorted(a.timestamps, lo), np.searchsorted(a.timestamps, hi, "right")
+    if stop - start < 2:
         return math.inf
-    query = a.timestamps[mask] + delta
-    total = 0.0
-    for axis in range(3):
-        resampled = np.interp(query, b.timestamps, b.rates[:, axis])
-        total += float(np.mean((a.rates[mask, axis] - resampled) ** 2))
-    return total
+    query = a.timestamps[start:stop] + delta
+    return sum(float(np.mean((rate_a[start:stop] - np.interp(query, b.timestamps, rate_b)) ** 2))
+               for rate_a, rate_b in zip(*rates))
 
 
 def estimate_time_offset(a: GyroSequence, b: GyroSequence, search_window: float) -> float:
@@ -530,7 +514,8 @@ def estimate_time_offset(a: GyroSequence, b: GyroSequence, search_window: float)
         - min_overlap
     count = int(math.floor(min(search_window, reach + 2.0 * step) / step + 1e-9))
     deltas = np.arange(-count, count + 1) * step
-    errors = np.array([_offset_error(a, b, float(d), min_overlap) for d in deltas])
+    rates = np.ascontiguousarray(a.rates.T), np.ascontiguousarray(b.rates.T)
+    errors = np.array([_offset_error(a, b, float(d), min_overlap, rates) for d in deltas])
     if not np.any(np.isfinite(errors)):
         raise InsufficientOverlap(
             f"sequences overlap less than half their span within +/-{search_window} s"

@@ -39,13 +39,16 @@ def as_vec3(value, name: str = "vector") -> np.ndarray:
 
 
 def _is_real(value) -> bool:
-    """A real number that is not a bool (JSON true and false are no numbers)."""
-    return isinstance(value, numbers.Real) and not isinstance(value, bool)
+    """A real number that is not a bool (JSON true and false are no numbers).
+    JSON numbers are exactly int or float, which skips the slower ABC test."""
+    return type(value) in (float, int) or (isinstance(value, numbers.Real)
+                                           and not isinstance(value, bool))
 
 
 def is_count(value) -> bool:
     """A non-negative integer that is not a bool."""
-    return _is_real(value) and isinstance(value, numbers.Integral) and value >= 0
+    return (type(value) is int or _is_real(value) and isinstance(value, numbers.Integral)) \
+        and value >= 0
 
 
 def is_numbers(value, size: int | None) -> bool:

@@ -31,7 +31,7 @@ from spincam.camera import (
     project,
 )
 from spincam.cli import main
-from spincam.datasets import Dataset, read_dataset, write_dataset
+from spincam.datasets import Dataset, export_labels, read_dataset, write_dataset
 from spincam.downwash import (
     DOWNWASH_MARGIN,
     EllipsoidSpec,
@@ -46,7 +46,14 @@ from spincam.geometry import (
     RigidTransform,
     interpolate,
 )
-from spincam.perception import NoiseModel, decode_detections, simulate_detector
+from spincam.perception import (
+    DEFAULT_GRID_COLS,
+    DEFAULT_GRID_ROWS,
+    NoiseModel,
+    decode_detections,
+    encode_grid,
+    simulate_detector,
+)
 from spincam.scenarios import ScenarioConfig, frame_schedule, generate_scenario
 
 TOL = 1e-9
@@ -216,12 +223,18 @@ def test_annotate_tracks_matches_per_frame_oracle(kind, pitch, k1):
 @pytest.mark.parametrize("ids", [
     ("r1", "r0", "r2"), ("r0", "r2", "r1"), ("r0", "r1", "r1"), ("r0", "r0", "r1"), ("r0", "r1"),
 ])
-def test_frame_record_enforces_row_layout(ids):
-    annotation = FrameAnnotation(0, 0.0, "r0", [])
+def test_from_frames_enforces_row_layout(ids):
+    """Each frame's robot rows must be its annotation's ego, then the other
+    robots sorted, with one pose row each."""
     rows = np.zeros((3, 3)), np.tile([1.0, 0.0, 0.0, 0.0], (3, 1))
-    assert FrameRecord(annotation, ("r0", "r1", "r2"), *rows).robot_ids == ("r0", "r1", "r2")
+    good = [FrameRecord(FrameAnnotation(f, float(f), "r0", []), ("r0", "r1", "r2"), *rows)
+            for f in range(2)]
+    assert RunRecords.from_frames(good).robot_ids == ("r0", "r1", "r2")
     with pytest.raises(ValueError, match="robot_ids"):
-        FrameRecord(annotation, ids, *rows)
+        RunRecords.from_frames([FrameRecord(FrameAnnotation(0, 0.0, "r0", []), ids, *rows)])
+    with pytest.raises(ValueError, match="robot_ids"):  # a later frame with another ego
+        RunRecords.from_frames([good[0], FrameRecord(FrameAnnotation(1, 1.0, "r1", []),
+                                                     ("r0", "r1", "r2"), *rows)])
 
 
 def frame_obj(record: FrameRecord) -> dict:
@@ -277,6 +290,43 @@ def test_dataset_lines_match_json_dumps_oracle(tmp_path, kind, pitch, k1):
     assert lines == [json.dumps(frame_obj(record)) for record in records.frames()]
     assert_same_columns(read_dataset(path).records, records)
     assert_same_columns(RunRecords.from_frames(records.frames()), records)
+
+
+def label_text(records: RunRecords, mode: str, intr: CameraIntrinsics) -> str:
+    """A label file as the writer built it per annotation, before it read a
+    run's columns: a dict per frame, dumped with `json.dumps`."""
+    header = {"record": "header", "schema_version": 1, "mode": mode}
+    if mode == "grid":
+        header["rows"] = DEFAULT_GRID_ROWS
+        header["cols"] = DEFAULT_GRID_COLS
+    objs = [header]
+    for record in records.frames():
+        ann = record.annotation
+        if mode == "bbox":
+            objs.append({"record": "labels", "frame_id": ann.frame_id,
+                         "labels": frame_obj(record)["neighbors"]})
+        else:
+            gmap = encode_grid(ann, intr)
+            objs.append({"record": "labels", "frame_id": ann.frame_id, "cells": [
+                [int(r), int(c), float(gmap.confidence[r, c]), float(gmap.depth[r, c])]
+                for r, c in np.argwhere(gmap.confidence > 0.0)
+            ]})
+    return "".join(json.dumps(obj) + "\n" for obj in objs)
+
+
+@pytest.mark.parametrize("k1", DISTORTIONS)
+@pytest.mark.parametrize("pitch", PITCHES)
+@pytest.mark.parametrize("kind", sorted(KINDS))
+def test_label_files_match_per_annotation_oracle(tmp_path, kind, pitch, k1):
+    cfg, tracks = scenario(kind, pitch)
+    intr = CameraIntrinsics(fx=170.0, fy=170.0, cx=160.0, cy=160.0, k1=k1)
+    records = annotate_tracks(tracks, camera_for_pitch(pitch, intr), DEFAULT_ROBOT_GEOMETRY,
+                              frame_schedule(cfg))
+    assert len(records.owner), "no neighbor is seen; the comparison is vacuous"
+    for mode in ("bbox", "grid"):
+        path = tmp_path / f"{mode}.ndjson"
+        export_labels(records, mode, path, intr=intr)
+        assert path.read_bytes() == label_text(records, mode, intr).encode("utf-8"), mode
 
 
 @pytest.mark.parametrize("mode", ("oracle", "omni", "box", "grid"))

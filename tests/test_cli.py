@@ -7,6 +7,7 @@ import json
 import math
 import os
 import tempfile
+import warnings
 from datetime import timedelta
 from pathlib import Path
 
@@ -18,15 +19,20 @@ from hypothesis import strategies as st
 from spincam.camera import CameraIntrinsics
 from spincam.cli import main
 from spincam.datasets import (
+    GYRO_LOG_COLUMNS,
+    POSE_LOG_COLUMNS,
     Dataset,
     GyroSequence,
+    ingest_pose_log,
     read_dataset,
     read_report,
     write_dataset,
     write_gyro_log,
+    write_pose_log,
 )
 from spincam.downwash import EllipsoidSpec, ellipsoid_margin
-from spincam.geometry import DEFAULT_ROBOT_GEOMETRY, RobotGeometry
+from spincam.errors import SpincamError
+from spincam.geometry import DEFAULT_ROBOT_GEOMETRY, PoseTrack, RobotGeometry
 from spincam.camera import RunRecords, camera_for_pitch
 from spincam.perception import NoiseModel
 from spincam.scenarios import ScenarioConfig
@@ -359,6 +365,25 @@ class TestDownwashEval:
                      "--out", str(tmp_path / "e")]) == 3
         assert f"{dataset}:5: malformed frame record" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("key,value", [
+        ("frame_id", 5.9), ("frame_id", 5.0), ("frame_id", "5"), ("frame_id", True),
+        ("timestamp", True), ("timestamp", "0.5"),
+    ])
+    def test_wrong_typed_frame_id_or_timestamp_exits_3_naming_line_and_key(
+            self, tmp_path, capsys, key, value):
+        """frame_id is a JSON integer and timestamp a JSON number: neither is
+        coerced from a float, a bool or a string."""
+        dataset = self.simulate(tmp_path)
+        lines = dataset.read_text().splitlines()
+        frame = json.loads(lines[6])
+        frame[key] = value
+        lines[6] = json.dumps(frame)
+        dataset.write_text("\n".join(lines) + "\n")
+        capsys.readouterr()
+        assert main(["downwash-eval", "--dataset", str(dataset), "--oracle",
+                     "--out", str(tmp_path / "e")]) == 3
+        assert f"{dataset}:7: malformed frame record: {key} must be" in capsys.readouterr().err
+
     @pytest.mark.parametrize("timestamp", [math.nan, math.inf, -math.inf])
     def test_non_finite_frame_timestamp_exits_3_naming_line(self, tmp_path, capsys, timestamp):
         dataset = self.simulate(tmp_path)
@@ -603,7 +628,10 @@ def mutate(base: dict, edits) -> dict:
         *parents, key = path.split(".")
         target = out
         for parent in parents:
-            target = target.get(parent) if isinstance(target, dict) else None
+            if isinstance(target, list):  # an index into a list
+                target = target[int(parent)] if int(parent) < len(target) else None
+            else:
+                target = target.get(parent) if isinstance(target, dict) else None
         if isinstance(target, dict):
             if value is DROP:
                 target.pop(key, None)
@@ -637,6 +665,52 @@ def write_json(path, obj) -> str:
     return str(path)
 
 
+# Dataset frame lines: any key of a frame, its first neighbor or a pose
+# dropped, or set to the JSON text of each JSON type, a non-finite, a negative
+# or a fractional number.
+FRAME_KEYS = ["record", "frame_id", "timestamp", "ego_id", "neighbors", "poses",
+              *(f"neighbors.0.{key}" for key in ("robot_id", "rel_position", "center", "bbox")),
+              *(f"poses.{rid}.{key}" for rid in ("r0", "r1") for key in ("time", "q", "t"))]
+FRAME_VALUES = [DROP, '"x"', '"5"', "true", "false", "null", "[]", "[1.0, 2.0]", "{}",
+                '{"a": 1}', "NaN", "1e400", "-1", "5.5"]
+# CSV log rows: a field dropped (the row shifts left) or replaced, split in two
+# or quoted.
+CSV_VALUES = [DROP, "", "x", "nan", "inf", "-inf", "1e400", "-1", "0", "5.5", "true", "1,2",
+              '"1,2"', '"0"']
+
+
+def mutated_line(line: str, edits) -> str:
+    """A JSON line with each (dotted key path, JSON text) edit applied: the
+    key dropped (DROP) or its value replaced by the text."""
+    marks = [f"@{k}@" for k in range(len(edits))]
+    text = json.dumps(mutate(json.loads(line), [
+        (path, value if value is DROP else mark) for (path, value), mark in zip(edits, marks)]))
+    for mark, (_path, value) in zip(marks, edits):
+        if value is not DROP:
+            text = text.replace(json.dumps(mark), value)
+    return text
+
+
+def mutated_csv(text: str, edits) -> str:
+    """CSV text with each (row, column, field text) edit applied to a data
+    row: the field dropped (DROP) or replaced by the text."""
+    lines = text.splitlines()
+    for row, column, value in edits:
+        fields = lines[row].split(",")
+        if value is DROP:
+            del fields[column % len(fields)]
+        else:
+            fields[column % len(fields)] = value
+        lines[row] = ",".join(fields)
+    return "\n".join(lines) + "\n"
+
+
+def csv_edits(rows, columns: int) -> st.SearchStrategy:
+    """One to three edits of the given data rows of a CSV log."""
+    return st.lists(st.tuples(st.sampled_from(rows), st.integers(0, columns - 1),
+                              st.sampled_from(CSV_VALUES)), min_size=1, max_size=3)
+
+
 @pytest.fixture(scope="module")
 def small_run(tmp_path_factory):
     """A short swap config and its dataset."""
@@ -644,6 +718,25 @@ def small_run(tmp_path_factory):
     config = write_json(root / "swap.json", SMALL_SWAP)
     assert main(["simulate", "--config", config, "--out", str(root / "run")]) == 0
     return root, config, str(root / "run" / "dataset.ndjson")
+
+
+@pytest.fixture(scope="module")
+def csv_logs(tmp_path_factory):
+    """The text of a pose log (2 robots x 5 samples), and of a 0.4 s gyro
+    log at 1 kHz that reads `a.csv` 20 ms later."""
+    root = tmp_path_factory.mktemp("logs")
+    times = np.arange(5.0)
+    write_pose_log([PoseTrack(rid, times, np.full((5, 3), float(k)),
+                              np.tile([1.0, 0.0, 0.0, 0.0], (5, 1)))
+                    for k, rid in enumerate(("r0", "r1"))], root / "poses.csv")
+    t = np.arange(0.0, 0.4, 1e-3)
+
+    def rates(tt):
+        return np.stack([np.sin(20.0 * tt), np.cos(13.0 * tt), np.sin(31.0 * tt + 1.0)], axis=1)
+
+    write_gyro_log(GyroSequence(t, rates(t)), root / "a.csv")
+    write_gyro_log(GyroSequence(t, rates(t + 0.02)), root / "b.csv")
+    return root, *((root / name).read_text() for name in ("poses.csv", "b.csv"))
 
 
 class TestMutatedInputs:
@@ -681,3 +774,44 @@ class TestMutatedInputs:
                                      paths))
         path = write_json(root / "mutant.json", manifest)
         assert exit_code(["rerun", "--manifest", path]) in (0, 2, 3)
+
+    @PROPERTY_SETTINGS
+    @given(edits=st.lists(st.tuples(st.sampled_from(FRAME_KEYS), st.sampled_from(FRAME_VALUES)),
+                          min_size=1, max_size=2),
+           which=st.sampled_from(["first", "seeing", "last"]),
+           mode=st.sampled_from(["oracle", "box", "grid"]))
+    def test_dataset_frame_line(self, small_run, edits, which, mode):
+        root, _config, dataset = small_run
+        lines = Path(dataset).read_text().splitlines()
+        seeing = next(k for k in range(1, len(lines)) if json.loads(lines[k])["neighbors"])
+        k = {"first": 1, "seeing": seeing, "last": len(lines) - 1}[which]
+        lines[k] = mutated_line(lines[k], edits)
+        path = root / "mutant.ndjson"
+        path.write_text("\n".join(lines) + "\n")
+        noise = write_json(root / "noise.json", NOISE)
+        flags = ["--oracle"] if mode == "oracle" else ["--noise", noise, "--mode", mode]
+        assert exit_code(["downwash-eval", "--dataset", str(path), *flags,
+                          "--out", "eval"]) in (0, 2, 3)
+
+    @PROPERTY_SETTINGS
+    @given(edits=csv_edits([1, 2, 5, 6, 10], len(POSE_LOG_COLUMNS)))
+    def test_pose_log_rows(self, csv_logs, edits):
+        root, poses, _gyro = csv_logs
+        path = root / "mutant.csv"
+        path.write_text(mutated_csv(poses, edits))
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # quaternion norms off 1 warn
+            try:
+                ingest_pose_log(path)
+            except SpincamError:
+                pass
+
+    @PROPERTY_SETTINGS
+    @given(edits=csv_edits([1, 2, 200, 400], len(GYRO_LOG_COLUMNS)), first=st.booleans())
+    def test_gyro_log_rows(self, csv_logs, edits, first):
+        root, _poses, gyro = csv_logs
+        path = root / "mutant.csv"
+        path.write_text(mutated_csv(gyro, edits))
+        logs = [str(path), str(root / "a.csv")][::1 if first else -1]
+        assert exit_code(["timesync", "--log-a", logs[0], "--log-b", logs[1],
+                          "--window", "0.1"]) in (0, 2, 3)

@@ -168,13 +168,17 @@ class TestDatasetRoundTrip:
 
 
 class TestExportLabels:
-    def frame(self, neighbors, frame_id=0):
-        return FrameAnnotation(frame_id=frame_id, timestamp=0.0, ego_id="r0",
-                               neighbors=neighbors)
+    def frame(self, neighbors, frame_id=0) -> RunRecords:
+        """The columns of one frame whose ego r0 may see r1 and r2."""
+        annotation = FrameAnnotation(frame_id=frame_id, timestamp=0.0, ego_id="r0",
+                                     neighbors=neighbors)
+        return RunRecords.from_frames([FrameRecord(annotation, ("r0", "r1", "r2"),
+                                                   np.zeros((3, 3)),
+                                                   np.tile([1.0, 0.0, 0.0, 0.0], (3, 1)))])
 
     def test_bbox_mode_empty_frame(self, tmp_path, intr):
         path = tmp_path / "labels.ndjson"
-        export_labels([self.frame([])], "bbox", path)
+        export_labels(self.frame([]), "bbox", path)
         lines = path.read_text().splitlines()
         assert json.loads(lines[0])["mode"] == "bbox"
         assert json.loads(lines[1]) == {"record": "labels", "frame_id": 0, "labels": []}
@@ -187,7 +191,7 @@ class TestExportLabels:
                                BoundingBox(195.0, 155.0, 205.0, 165.0)),
         ]
         path = tmp_path / "labels.ndjson"
-        export_labels([self.frame(neighbors)], "bbox", path)
+        export_labels(self.frame(neighbors), "bbox", path)
         row = json.loads(path.read_text().splitlines()[1])
         assert len(row["labels"]) == 2
         assert row["labels"][0]["bbox"] == [150.0, 150.0, 170.0, 170.0]
@@ -198,7 +202,7 @@ class TestExportLabels:
                                BoundingBox(150.0, 150.0, 170.0, 170.0)),
         ]
         path = tmp_path / "labels.ndjson"
-        export_labels([self.frame(neighbors)], "grid", path, intr=intr)
+        export_labels(self.frame(neighbors), "grid", path, intr=intr)
         header, row = (json.loads(x) for x in path.read_text().splitlines())
         assert (header["rows"], header["cols"]) == (28, 40)
         assert len(row["cells"]) == 1
@@ -206,7 +210,7 @@ class TestExportLabels:
 
     def test_grid_mode_requires_intrinsics(self, tmp_path):
         with pytest.raises(ValueError):
-            export_labels([self.frame([])], "grid", tmp_path / "x.ndjson")
+            export_labels(self.frame([]), "grid", tmp_path / "x.ndjson")
 
 
 class TestPoseLog:
@@ -276,6 +280,25 @@ def banded_signal(times: np.ndarray, rng) -> "SignalEvaluator":
     return evaluate
 
 
+def per_offset_error(a: GyroSequence, b: GyroSequence, delta: float,
+                     min_overlap: float) -> float:
+    """The offset error as it was computed before the overlap became a
+    slice: a mask over all of `a`, and `b`'s strided rate columns."""
+    lo = max(a.timestamps[0], b.timestamps[0] - delta)
+    hi = min(a.timestamps[-1], b.timestamps[-1] - delta)
+    if hi - lo < min_overlap:
+        return math.inf
+    mask = (a.timestamps >= lo) & (a.timestamps <= hi)
+    if mask.sum() < 2:
+        return math.inf
+    query = a.timestamps[mask] + delta
+    total = 0.0
+    for axis in range(3):
+        resampled = np.interp(query, b.timestamps, b.rates[:, axis])
+        total += float(np.mean((a.rates[mask, axis] - resampled) ** 2))
+    return total
+
+
 class TestTimeOffset:
     def test_identical_sequences(self):
         rng = np.random.default_rng(6)
@@ -340,6 +363,28 @@ class TestTimeOffset:
             assert estimate_time_offset(a, b, window) == narrow
             assert max(map(abs, offsets)) <= 1.0 + 2.5e-3
             assert len(offsets) <= 2 * 1003 + 1
+
+    @pytest.mark.parametrize("window", [0.12, 5.0, 1e3])
+    def test_offset_errors_match_per_offset_oracle(self, monkeypatch, window):
+        """Every offset's error, and so the offset found, is bitwise that of
+        the per-offset formula; the wide windows reach the overlap cap."""
+        rng = np.random.default_rng(4)
+        t = np.arange(0.0, 2.0, 1e-3)
+        signal = banded_signal(t, rng)
+        a = GyroSequence(t, signal(t))
+        b = GyroSequence(t, signal(t + 0.07) + rng.normal(0.0, 0.1, (len(t), 3)))
+        found = estimate_time_offset(a, b, window)
+        error, checked = datasets._offset_error, []
+
+        def oracle(a, b, delta, min_overlap, rates):
+            expected = per_offset_error(a, b, delta, min_overlap)
+            assert error(a, b, delta, min_overlap, rates).hex() == expected.hex(), delta
+            checked.append(math.isfinite(expected))
+            return expected
+
+        monkeypatch.setattr(datasets, "_offset_error", oracle)
+        assert estimate_time_offset(a, b, window).hex() == found.hex()
+        assert sum(checked) >= min(window, 1.0) / 1e-3, "too few offsets overlap"
 
     def test_gyro_log_header_may_space_its_fields(self, tmp_path):
         path = tmp_path / "gyro.csv"
