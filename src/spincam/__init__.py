@@ -12,12 +12,10 @@ benchmarks score it.
 __version__ = "0.1.0"
 
 from .camera import (
-    BoundingBox,
     CameraIntrinsics,
     CameraModel,
     DEFAULT_INTRINSICS,
     FrameAnnotation,
-    ImagePoint,
     FrameRecord,
     NeighborAnnotation,
     RotationGrid,
@@ -72,7 +70,6 @@ from .metrics import (
     success,
 )
 from .perception import (
-    BoxDetection,
     GridDetectionMap,
     NoiseModel,
     PositionEstimate,

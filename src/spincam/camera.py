@@ -67,27 +67,6 @@ class CameraIntrinsics:
 DEFAULT_INTRINSICS = CameraIntrinsics(fx=170.0, fy=170.0, cx=160.0, cy=160.0)
 
 
-@dataclass(frozen=True)
-class ImagePoint:
-    u: float
-    v: float
-
-    def as_array(self) -> np.ndarray:
-        return np.array([self.u, self.v])
-
-
-@dataclass(frozen=True)
-class BoundingBox:
-    u_min: float
-    v_min: float
-    u_max: float
-    v_max: float
-
-    def __post_init__(self):
-        if self.u_min > self.u_max or self.v_min > self.v_max:
-            raise ValueError("bounding box corners must be ordered")
-
-
 @dataclass(frozen=True, eq=False)
 class CameraModel:
     """Intrinsics plus the robot-to-camera mounting transform."""
@@ -180,33 +159,28 @@ def project_points(points, intr: CameraIntrinsics) -> np.ndarray:
     return np.stack([intr.fx * xd + intr.cx, intr.fy * yd + intr.cy], axis=-1)
 
 
-def project(point_camera, intr: CameraIntrinsics) -> ImagePoint:
-    """Camera-frame point to pixel; raises NonPositiveDepth when z <= 0."""
+def project(point_camera, intr: CameraIntrinsics) -> np.ndarray:
+    """Camera-frame point to pixel (u, v) as a (2,) array; raises
+    NonPositiveDepth when z <= 0."""
     p = as_vec3(point_camera)
     if p[2] <= 0.0:
         raise NonPositiveDepth(f"point depth {p[2]} is not positive")
-    return ImagePoint(*project_points(p, intr).tolist())
+    return project_points(p, intr)
 
 
-def back_project(pixel: ImagePoint, depth_z: float, intr: CameraIntrinsics) -> np.ndarray:
-    """Pixel plus camera-frame depth back to a 3D camera-frame point."""
+def back_project(pixel, depth_z: float, intr: CameraIntrinsics) -> np.ndarray:
+    """Pixel (u, v) plus camera-frame depth back to a 3D camera-frame point."""
     if depth_z <= 0.0:
         raise NonPositiveDepth(f"depth {depth_z} is not positive")
-    xn, yn = undistort_normalized(
-        (pixel.u - intr.cx) / intr.fx, (pixel.v - intr.cy) / intr.fy, intr.k1
-    )
+    u, v = pixel
+    xn, yn = undistort_normalized((u - intr.cx) / intr.fx, (v - intr.cy) / intr.fy, intr.k1)
     return np.array([depth_z * xn, depth_z * yn, depth_z])
 
 
-def pixel_to_ray(pixel: ImagePoint, intr: CameraIntrinsics) -> np.ndarray:
-    """Unit direction through a pixel after undistortion."""
+def pixel_to_ray(pixel, intr: CameraIntrinsics) -> np.ndarray:
+    """Unit direction through a pixel (u, v) after undistortion."""
     ray = back_project(pixel, 1.0, intr)
     return ray / np.linalg.norm(ray)
-
-
-def in_image(point: ImagePoint, intr: CameraIntrinsics) -> bool:
-    """Strictly inside the pixel bounds (the visibility rule for centers)."""
-    return 0.0 < point.u < intr.width and 0.0 < point.v < intr.height
 
 
 def in_view(points_camera, intr: CameraIntrinsics) -> np.ndarray:
@@ -236,10 +210,13 @@ def camera_to_world_arrays(ego_q, ego_t, camera: CameraModel):
 
 @dataclass(frozen=True, eq=False)
 class NeighborAnnotation:
+    """One visible neighbor; `RunRecords.annotations()` gives it views of
+    the run's rows."""
+
     robot_id: str
-    rel_position: np.ndarray  # camera frame, positive depth
-    center: ImagePoint
-    bbox: BoundingBox
+    rel_position: np.ndarray  # (3,) camera frame, positive depth
+    center: np.ndarray  # (2,) pixel (u, v)
+    bbox: np.ndarray  # (4,) box (u_min, v_min, u_max, v_max)
 
 
 @dataclass(eq=False)
@@ -348,19 +325,18 @@ class RunRecords:
             owner=[f for f, _n in rows],
             robot=[index.get(n.robot_id, 0) for _f, n in rows],
             rel_positions=np.reshape([n.rel_position for _f, n in rows], (-1, 3)),
-            centers=np.reshape([(n.center.u, n.center.v) for _f, n in rows], (-1, 2)),
-            bboxes=np.reshape([(n.bbox.u_min, n.bbox.v_min, n.bbox.u_max, n.bbox.v_max)
-                               for _f, n in rows], (-1, 4)),
+            centers=np.reshape([n.center for _f, n in rows], (-1, 2)),
+            bboxes=np.reshape([n.bbox for _f, n in rows], (-1, 4)),
         )
 
     def annotations(self) -> list[FrameAnnotation]:
-        """One `FrameAnnotation` per frame row, built from the columns."""
+        """One `FrameAnnotation` per frame row, its neighbors views of the
+        neighbor rows."""
         ids = self.robot_ids
         neighbors = [
-            NeighborAnnotation(ids[r], position, ImagePoint(*center), BoundingBox(*box))
+            NeighborAnnotation(ids[r], position, center, box)
             for r, position, center, box in zip(
-                self.robot.tolist(), self.rel_positions, self.centers.tolist(),
-                self.bboxes.tolist())
+                self.robot.tolist(), self.rel_positions, self.centers, self.bboxes)
         ]
         bounds = np.searchsorted(self.owner, np.arange(len(self) + 1)).tolist()
         return [

@@ -15,6 +15,7 @@ import math
 import warnings
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import chain
 from typing import Sequence
 
 import numpy as np
@@ -41,9 +42,12 @@ from .geometry import (
     Quaternion,
     RigidTransform,
     RobotGeometry,
+    as_vec3,
     first_failure,
     invalid_pose_row,
     is_count,
+    is_finite,
+    is_numbers,
     require_finite,
 )
 from .metrics import ConfusionCounts, classification_metrics
@@ -72,10 +76,12 @@ def _camera_obj(camera: CameraModel) -> dict:
 
 def _camera_from(obj: dict) -> CameraModel:
     extrinsic = obj["extrinsic"]
+    if not is_numbers(extrinsic["q"], 4):
+        raise ValueError(f"extrinsic q must be 4 finite numbers, got {extrinsic['q']!r}")
     return CameraModel(
         intrinsics=CameraIntrinsics(**obj["intrinsics"]),
         extrinsic=RigidTransform(Quaternion(*extrinsic["q"]),
-                                 np.array(extrinsic["t"], dtype=float)),
+                                 as_vec3(extrinsic["t"], "extrinsic t")),
         pitch_label=obj["pitch_label"],
     )
 
@@ -88,7 +94,7 @@ def _geometry_obj(geom: RobotGeometry) -> dict:
 
 
 def _geometry_from(obj: dict) -> RobotGeometry:
-    return RobotGeometry(np.array(obj["half_extents"], dtype=float), obj["sphere_radius"])
+    return RobotGeometry(obj["half_extents"], obj["sphere_radius"])
 
 
 class _NonFiniteNumber(ValueError):
@@ -235,23 +241,19 @@ def _float_rows(path, row_lines, rows: list, shape: tuple, name: str) -> np.ndar
     (N, *shape); ParseError names the line of the first row that is not."""
     try:
         array = np.array(rows, dtype=float)
-        if array.shape == (len(rows), *shape):
+        # np.array also parses numeric strings and casts bools
+        elements = chain.from_iterable(rows) if shape else rows
+        if array.shape == (len(rows), *shape) and set(map(type, elements)) <= {float, int}:
             return array
-    except (TypeError, ValueError):
+    except (TypeError, ValueError, OverflowError):
         pass
     if not rows:
         return np.zeros((0, *shape))
-    row = next((r for r, value in enumerate(rows) if not _has_shape(value, shape)), 0)
-    what = f"{shape[0]} numbers" if shape else "a number"
+    row = next((r for r, value in enumerate(rows)
+                if not (is_numbers(value, shape[0]) if shape else is_finite(value))), 0)
+    what = f"{shape[0]} finite numbers" if shape else "a finite number"
     raise ParseError(f"{path}:{row_lines[row]}: malformed frame record: "
                      f"{name} must be {what}, got {rows[row]!r}")
-
-
-def _has_shape(value, shape: tuple) -> bool:
-    try:
-        return np.shape(np.array(value, dtype=float)) == shape
-    except (TypeError, ValueError):
-        return False
 
 
 def read_dataset(path) -> Dataset:
@@ -269,7 +271,7 @@ def read_dataset(path) -> Dataset:
         raise ParseError(f"{path}:1: empty dataset file (missing header record)")
     header = _parse_json_line(lines[0], 1, path, "header")
     version = header.get("schema_version")
-    if version != SCHEMA_VERSION:
+    if not (is_count(version) and version == SCHEMA_VERSION):
         raise VersionMismatch(f"{path}: schema_version {version!r}, supported {SCHEMA_VERSION}")
     ids, index = (), {}
     frame_lines, frame_ids, timestamps, counts = [], [], [], []
@@ -316,7 +318,7 @@ def read_dataset(path) -> Dataset:
             raise ParseError(f"{path}:{line_no}: malformed frame record: {exc}") from exc
         frame_lines.append(line_no)
     expected = header.get("frame_count")
-    if expected is not None and expected != len(frame_lines):
+    if expected is not None and not (is_count(expected) and expected == len(frame_lines)):
         raise ParseError(
             f"{path}: header announces {expected} frames but file holds {len(frame_lines)}"
         )

@@ -26,10 +26,13 @@ UNIT_NORM_TOL = 1e-6
 
 
 def as_vec3(value, name: str = "vector") -> np.ndarray:
-    """Coerce to a finite float (3,) array; a ValueError names `name`."""
+    """Coerce to a finite float (3,) array; a ValueError names `name`. A list
+    or tuple must hold 3 finite numbers, none of them a string or a bool."""
+    if isinstance(value, (list, tuple)) and not is_numbers(value, 3):
+        raise ValueError(f"{name} must be 3 finite numbers, got {value!r}")
     try:
         v = np.asarray(value, dtype=float)
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise ValueError(f"{name} must be 3 numbers: {exc}") from None
     if v.shape != (3,):
         raise ValueError(f"{name} must be 3 numbers, got shape {v.shape}")
@@ -45,6 +48,16 @@ def _is_real(value) -> bool:
                                            and not isinstance(value, bool))
 
 
+def is_finite(value) -> bool:
+    """A real number that is not a bool and that a float holds: neither NaN
+    nor infinite, nor an integer beyond float range (JSON `1` followed by 400
+    zeros is one)."""
+    try:
+        return _is_real(value) and math.isfinite(value)
+    except OverflowError:
+        return False
+
+
 def is_count(value) -> bool:
     """A non-negative integer that is not a bool."""
     return (type(value) is int or _is_real(value) and isinstance(value, numbers.Integral)) \
@@ -52,16 +65,16 @@ def is_count(value) -> bool:
 
 
 def is_numbers(value, size: int | None) -> bool:
-    """A list or tuple of real numbers, `size` of them unless None."""
+    """A list or tuple of finite real numbers, `size` of them unless None."""
     return (isinstance(value, (list, tuple)) and size in (None, len(value))
-            and all(_is_real(v) for v in value))
+            and all(is_finite(v) for v in value))
 
 
 def require_finite(name: str, value, error=ValueError) -> None:
     """Raise `error` naming `name` unless `value` is a finite real number."""
     if not _is_real(value):
         raise error(f"{name} must be a number, got {value!r}")
-    if not math.isfinite(value):
+    if not is_finite(value):
         raise error(f"{name} must be finite, got {value!r}")
 
 

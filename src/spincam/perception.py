@@ -13,14 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .camera import (
-    BoundingBox,
-    CameraIntrinsics,
-    FrameAnnotation,
-    ImagePoint,
-    back_project,
-    pixel_to_ray,
-)
+from .camera import CameraIntrinsics, FrameAnnotation, back_project, pixel_to_ray
 from .errors import DegenerateBox
 from .geometry import DEFAULT_ROBOT_GEOMETRY, is_count, is_numbers, require_finite
 
@@ -32,37 +25,26 @@ DEFAULT_GRID_THRESHOLD = 0.5
 MAX_FALSE_POSITIVE_RATE = 100.0
 
 
-@dataclass(frozen=True, eq=False)
-class BoxDetection:
-    bbox: BoundingBox
-    confidence: float
-
-    def __post_init__(self):
-        if not 0.0 <= self.confidence <= 1.0:
-            raise ValueError("confidence must be in [0, 1]")
-
-
 @dataclass(eq=False)
 class GridDetectionMap:
-    """Confidence and depth channels over a coarse detection grid."""
+    """Confidence and depth channels over a coarse detection grid; their
+    (rows, cols) shape is the grid's."""
 
-    rows: int
-    cols: int
     confidence: np.ndarray
     depth: np.ndarray
 
     def __post_init__(self):
         self.confidence = np.asarray(self.confidence, dtype=float)
         self.depth = np.asarray(self.depth, dtype=float)
-        expected = (self.rows, self.cols)
-        if self.confidence.shape != expected or self.depth.shape != expected:
-            raise ValueError(f"channel shapes must be {expected}")
+        if self.confidence.ndim != 2 or self.depth.shape != self.confidence.shape:
+            raise ValueError(f"channels must be two (rows, cols) arrays of one shape, got "
+                             f"{self.confidence.shape} and {self.depth.shape}")
         if not (np.isfinite(self.confidence).all() and np.isfinite(self.depth).all()):
             raise ValueError("confidence and depth must be finite")
 
     @staticmethod
     def zeros(rows: int = DEFAULT_GRID_ROWS, cols: int = DEFAULT_GRID_COLS) -> "GridDetectionMap":
-        return GridDetectionMap(rows, cols, np.zeros((rows, cols)), np.zeros((rows, cols)))
+        return GridDetectionMap(np.zeros((rows, cols)), np.zeros((rows, cols)))
 
 
 @dataclass(frozen=True)
@@ -119,28 +101,31 @@ def decode_rays(a1: np.ndarray, a2: np.ndarray, radius: float) -> PositionEstima
     return PositionEstimate(position=d * a_c / norm)
 
 
-def decode_box(det: BoxDetection, intr: CameraIntrinsics, radius: float) -> PositionEstimate:
-    """Relative position from a bounding box and the known robot radius.
+def decode_box(box, intr: CameraIntrinsics, radius: float) -> PositionEstimate:
+    """Relative position from a box (u_min, v_min, u_max, v_max) and the
+    known robot radius.
 
     The rays pass through the midpoints of the left and right box edges
     (undistorted); the angle between them fixes the range, their bisector the
     direction.
     """
-    bbox = det.bbox
-    v_mid = 0.5 * (bbox.v_min + bbox.v_max)
-    a1 = pixel_to_ray(ImagePoint(bbox.u_min, v_mid), intr)
-    a2 = pixel_to_ray(ImagePoint(bbox.u_max, v_mid), intr)
-    return decode_rays(a1, a2, radius)
+    u_min, v_min, u_max, v_max = box
+    v_mid = 0.5 * (v_min + v_max)
+    return decode_rays(pixel_to_ray((u_min, v_mid), intr), pixel_to_ray((u_max, v_mid), intr),
+                       radius)
 
 
-def grid_cell_center(row: int, col: int, intr: CameraIntrinsics, rows: int, cols: int) -> ImagePoint:
-    """Image point at the center of a grid cell (anisotropic stride)."""
-    return ImagePoint((col + 0.5) * intr.width / cols, (row + 0.5) * intr.height / rows)
+def grid_cell_center(row: int, col: int, intr: CameraIntrinsics, rows: int,
+                     cols: int) -> tuple[float, float]:
+    """Pixel (u, v) at the center of a grid cell (anisotropic stride)."""
+    return (col + 0.5) * intr.width / cols, (row + 0.5) * intr.height / rows
 
 
-def grid_cell_of(pixel: ImagePoint, intr: CameraIntrinsics, rows: int, cols: int) -> tuple[int, int]:
-    row = min(rows - 1, max(0, int(pixel.v * rows / intr.height)))
-    col = min(cols - 1, max(0, int(pixel.u * cols / intr.width)))
+def grid_cell_of(pixel, intr: CameraIntrinsics, rows: int, cols: int) -> tuple[int, int]:
+    """The (row, col) grid cell of a pixel (u, v), clamped to the grid."""
+    u, v = pixel
+    row = min(rows - 1, max(0, int(v * rows / intr.height)))
+    col = min(cols - 1, max(0, int(u * cols / intr.width)))
     return row, col
 
 
@@ -188,7 +173,7 @@ def decode_grid(
         window = conf[max(0, row - 1) : row + 2, max(0, col - 1) : col + 2]
         if conf[row, col] < window.max():
             continue
-        center = grid_cell_center(row, col, intr, gmap.rows, gmap.cols)
+        center = grid_cell_center(row, col, intr, *conf.shape)
         position = back_project(center, float(gmap.depth[row, col]), intr)
         estimates.append(PositionEstimate(position=position))
     return estimates
@@ -207,10 +192,10 @@ def simulate_detector(
 ):
     """Noisy detector output for one annotated frame.
 
-    Returns a list of BoxDetection in box mode or a GridDetectionMap in grid
-    mode. All randomness is derived from (rng_seed, frame_id), so repeated
-    calls are bit-identical. `radius` sizes the fabricated false-positive
-    boxes.
+    Box mode returns a (D, 5) array, one row (u_min, v_min, u_max, v_max,
+    confidence) per detection; grid mode returns a GridDetectionMap. All
+    randomness is derived from (rng_seed, frame_id), so repeated calls are
+    bit-identical. `radius` sizes the fabricated false-positive boxes.
     """
     if mode not in ("box", "grid"):
         raise ValueError(f"unknown detector mode {mode!r}")
@@ -222,46 +207,36 @@ def simulate_detector(
     if mode == "box":
         detections = []
         for neighbor in kept:
-            b = neighbor.bbox
+            u_min, v_min, u_max, v_max = neighbor.bbox.tolist()
             du = rng.normal(0.0, noise.pixel_sigma, size=4)
-            u_lo, u_hi = sorted((b.u_min + du[0], b.u_max + du[1]))
-            v_lo, v_hi = sorted((b.v_min + du[2], b.v_max + du[3]))
-            detections.append(
-                BoxDetection(
-                    bbox=BoundingBox(u_lo, v_lo, u_hi, v_hi),
-                    confidence=float(rng.uniform(*noise.true_confidence)),
-                )
-            )
+            u_lo, u_hi = sorted((u_min + du[0], u_max + du[1]))
+            v_lo, v_hi = sorted((v_min + du[2], v_max + du[3]))
+            detections.append((u_lo, v_lo, u_hi, v_hi, rng.uniform(*noise.true_confidence)))
         for _ in range(n_false):
             depth = rng.uniform(0.5, 3.0)
             half_w = intr.fx * radius / depth
             half_h = intr.fy * radius / depth
             cu = rng.uniform(half_w, intr.width - half_w)
             cv = rng.uniform(half_h, intr.height - half_h)
-            detections.append(
-                BoxDetection(
-                    bbox=BoundingBox(cu - half_w, cv - half_h, cu + half_w, cv + half_h),
-                    confidence=float(rng.uniform(*noise.false_confidence)),
-                )
-            )
-        return detections
+            detections.append((cu - half_w, cv - half_h, cu + half_w, cv + half_h,
+                               rng.uniform(*noise.false_confidence)))
+        return np.array(detections, dtype=float).reshape(-1, 5)
 
     gmap = GridDetectionMap.zeros()
+    rows, cols = gmap.confidence.shape
     for neighbor in kept:
-        center = neighbor.center.as_array() + rng.normal(0.0, noise.pixel_sigma, size=2)
-        center = ImagePoint(
-            float(np.clip(center[0], 0.0, intr.width - 1e-9)),
-            float(np.clip(center[1], 0.0, intr.height - 1e-9)),
-        )
+        center = neighbor.center + rng.normal(0.0, noise.pixel_sigma, size=2)
+        center = (np.clip(center[0], 0.0, intr.width - 1e-9),
+                  np.clip(center[1], 0.0, intr.height - 1e-9))
         depth = float(neighbor.rel_position[2]) * (1.0 + rng.normal(0.0, noise.depth_rel_sigma))
         depth = max(depth, 1e-3)
-        row, col = grid_cell_of(center, intr, gmap.rows, gmap.cols)
+        row, col = grid_cell_of(center, intr, rows, cols)
         if _claims_cell(gmap, row, col, depth):
             gmap.confidence[row, col] = float(rng.uniform(*noise.true_confidence))
             gmap.depth[row, col] = depth
     for _ in range(n_false):
-        row = int(rng.integers(0, gmap.rows))
-        col = int(rng.integers(0, gmap.cols))
+        row = int(rng.integers(0, rows))
+        col = int(rng.integers(0, cols))
         if gmap.confidence[row, col] > 0.0:
             continue
         gmap.confidence[row, col] = float(rng.uniform(*noise.false_confidence))
@@ -278,9 +253,9 @@ def decode_detections(
     if isinstance(output, GridDetectionMap):
         return decode_grid(output, intr)
     estimates = []
-    for det in output:
+    for row in output[:, :4].tolist():
         try:
-            estimates.append(decode_box(det, intr, radius))
+            estimates.append(decode_box(row, intr, radius))
         except DegenerateBox:
             continue
     return estimates

@@ -72,7 +72,7 @@ class ScenarioConfig:
             value = getattr(self, name)
             if value is None and size is None:  # hover_heights: the default heights
                 continue
-            if not (is_numbers(value, size) and all(math.isfinite(v) for v in value)):
+            if not is_numbers(value, size):
                 what = "a list of finite numbers" if size is None else f"{size} finite numbers"
                 raise InvalidConfig(f"{name} must be {what}, got {value!r}")
         if self.duration <= 0.0 or self.frame_rate <= 0.0 or self.sample_rate < 100.0:

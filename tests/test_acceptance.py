@@ -17,10 +17,10 @@ from test_perception import sphere_silhouette_bbox
 
 from spincam.camera import (
     CameraIntrinsics,
-    ImagePoint,
+    FrameAnnotation,
+    NeighborAnnotation,
     back_project,
     camera_for_pitch,
-    in_image,
     project,
 )
 from spincam.cli import main
@@ -28,13 +28,7 @@ from spincam.datasets import GyroSequence, estimate_time_offset
 from spincam.downwash import run_downwash_eval
 from spincam.dynamics import crazyflie_params, mix_wrench, wrench_from_motors
 from spincam.metrics import ConfusionCounts, classification_metrics, hungarian
-from spincam.perception import (
-    BoxDetection,
-    decode_box,
-    decode_grid,
-    encode_grid,
-)
-from spincam.camera import BoundingBox, FrameAnnotation, NeighborAnnotation
+from spincam.perception import decode_box, decode_grid, encode_grid
 from spincam.scenarios import ScenarioConfig, frame_schedule, generate_scenario
 
 INTR = CameraIntrinsics(fx=170.0, fy=170.0, cx=160.0, cy=160.0)
@@ -98,7 +92,7 @@ def test_criterion_3_sphere_decoding_exact():
                     [distance * math.sin(theta), 0.0, distance * math.cos(theta)]
                 )
                 bbox = sphere_silhouette_bbox(center, radius, INTR)
-                estimate = decode_box(BoxDetection(bbox=bbox, confidence=1.0), INTR, radius)
+                estimate = decode_box(bbox, INTR, radius)
                 assert np.linalg.norm(estimate.position - center) <= 1e-6
                 assert abs(np.linalg.norm(estimate.position) - distance) <= 1e-6
 
@@ -109,9 +103,9 @@ def test_criterion_4_projection_inverse_pair():
         for _ in range(10_000):
             u, v = rng.uniform(0.5, 319.5, 2)
             z = rng.uniform(0.2, 6.0)
-            point = back_project(ImagePoint(u, v), z, INTR)
+            point = back_project((u, v), z, INTR)
             px = project(point, INTR)
-            assert abs(px.u - u) <= 1e-9 and abs(px.v - v) <= 1e-9
+            assert abs(px[0] - u) <= 1e-9 and abs(px[1] - v) <= 1e-9
             # and the 3D point itself is recovered given its true depth
             recovered = back_project(px, float(point[2]), INTR)
             assert np.linalg.norm(recovered - point) <= 1e-9
@@ -119,9 +113,9 @@ def test_criterion_4_projection_inverse_pair():
         for _ in range(10_000):
             u, v = rng.uniform(0.5, 319.5, 2)
             z = rng.uniform(0.2, 6.0)
-            point = back_project(ImagePoint(u, v), z, distorted)
+            point = back_project((u, v), z, distorted)
             px = project(point, distorted)
-            assert abs(px.u - u) <= 1e-8 and abs(px.v - v) <= 1e-8
+            assert abs(px[0] - u) <= 1e-8 and abs(px[1] - v) <= 1e-8
 
 
 def exhaustive_minimum(cost: np.ndarray) -> float:
@@ -163,8 +157,7 @@ def test_criterion_6_grid_round_trip_bounds():
                 center = project(position, INTR)
                 neighbors.append(
                     NeighborAnnotation(f"r{j + 1}", position, center,
-                                       BoundingBox(center.u - 1, center.v - 1,
-                                                   center.u + 1, center.v + 1))
+                                       np.concatenate([center - 1, center + 1]))
                 )
             annotation = FrameAnnotation(frame_id=frame_id, timestamp=0.0, ego_id="r0",
                                          neighbors=neighbors)
@@ -218,12 +211,12 @@ def test_criterion_8_pixel_sensitivity_scale():
         errors = []
         for _ in range(20_000):
             d = rng.uniform(-2.0, 2.0, 4)
-            u_lo, u_hi = sorted((bbox.u_min + d[0], bbox.u_max + d[1]))
-            v_lo, v_hi = sorted((bbox.v_min + d[2], bbox.v_max + d[3]))
+            u_lo, u_hi = sorted((bbox[0] + d[0], bbox[2] + d[1]))
+            v_lo, v_hi = sorted((bbox[1] + d[2], bbox[3] + d[3]))
             if u_hi - u_lo < 1e-9:
                 continue
-            det = BoxDetection(bbox=BoundingBox(u_lo, v_lo, u_hi, v_hi), confidence=1.0)
-            errors.append(np.linalg.norm(decode_box(det, INTR, radius).position - center))
+            box = (u_lo, v_lo, u_hi, v_hi)
+            errors.append(np.linalg.norm(decode_box(box, INTR, radius).position - center))
         mean_error = float(np.mean(errors))
         assert 0.05 <= mean_error <= 0.5, f"mean error {mean_error:.3f} m"
 

@@ -3,8 +3,9 @@
 The oracles interpolate every pose with a scalar slerp, chain the camera
 mount, the inverse ego pose and the neighbor pose as `RigidTransform`s and
 `project` neighbor by neighbor, run the belief rule on lists of world
-positions, and write dataset lines with `json.dumps` of one dict per frame,
-the way the pipeline worked before it was vectorized.
+positions, write dataset lines with `json.dumps` of one dict per frame, and
+simulate and decode detections on pixel, box and detection objects, the way
+the pipeline worked before it was vectorized.
 """
 
 import bisect
@@ -12,23 +13,22 @@ import contextlib
 import io
 import json
 import math
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
 
 from spincam.camera import (
-    BoundingBox,
     CameraIntrinsics,
     FrameAnnotation,
     FrameRecord,
-    ImagePoint,
     NeighborAnnotation,
     RunRecords,
     annotate_tracks,
     camera_for_pitch,
-    in_image,
     in_view,
     project,
+    undistort_normalized,
 )
 from spincam.cli import main
 from spincam.datasets import Dataset, export_labels, read_dataset, write_dataset
@@ -39,6 +39,7 @@ from spincam.downwash import (
     evaluate_downwash_records,
     run_downwash_eval,
 )
+from spincam.errors import DegenerateBox
 from spincam.geometry import (
     DEFAULT_ROBOT_GEOMETRY,
     PoseTrack,
@@ -51,6 +52,7 @@ from spincam.perception import (
     DEFAULT_GRID_ROWS,
     NoiseModel,
     decode_detections,
+    decode_rays,
     encode_grid,
     simulate_detector,
 )
@@ -117,19 +119,19 @@ def oracle_frames(tracks, camera, geom, times, ego_id="r0"):
             if rel.translation[2] <= 0.0:
                 continue
             center = project(rel.translation, intr)
-            if not in_image(center, intr):
+            if not (0.0 < center[0] < intr.width and 0.0 < center[1] < intr.height):
                 continue
             corners = [rel.apply(c) for c in geom.corners()]
             if any(c[2] <= 0.0 for c in corners):
                 continue
-            pixels = np.array([project(c, intr).as_array() for c in corners])
+            pixels = np.array([project(c, intr) for c in corners])
             bbox = [
                 min(max(pixels[:, 0].min(), 0.0), intr.width),
                 min(max(pixels[:, 1].min(), 0.0), intr.height),
                 min(max(pixels[:, 0].max(), 0.0), intr.width),
                 min(max(pixels[:, 1].max(), 0.0), intr.height),
             ]
-            visible[rid] = (rel.translation, center.as_array(), bbox)
+            visible[rid] = (rel.translation, center, np.array(bbox))
         frames.append((ego, poses, visible))
     return frames
 
@@ -250,9 +252,8 @@ def frame_obj(record: FrameRecord) -> dict:
             {
                 "robot_id": n.robot_id,
                 "rel_position": [float(v) for v in n.rel_position],
-                "center": [float(n.center.u), float(n.center.v)],
-                "bbox": [float(n.bbox.u_min), float(n.bbox.v_min), float(n.bbox.u_max),
-                         float(n.bbox.v_max)],
+                "center": [float(v) for v in n.center],
+                "bbox": [float(v) for v in n.bbox],
             }
             for n in ann.neighbors
         ],
@@ -329,6 +330,150 @@ def test_label_files_match_per_annotation_oracle(tmp_path, kind, pitch, k1):
         assert path.read_bytes() == label_text(records, mode, intr).encode("utf-8"), mode
 
 
+# The simulated detector and the decoders as they worked on value objects
+# (a pixel, a box, a box detection), before pixels and boxes became array rows.
+@dataclass(frozen=True)
+class ObjectPixel:
+    u: float
+    v: float
+
+
+@dataclass(frozen=True)
+class ObjectBox:
+    u_min: float
+    v_min: float
+    u_max: float
+    v_max: float
+
+
+@dataclass(frozen=True)
+class ObjectBoxDetection:
+    bbox: ObjectBox
+    confidence: float
+
+
+def object_back_project(pixel: ObjectPixel, depth_z: float, intr) -> np.ndarray:
+    xn, yn = undistort_normalized(
+        (pixel.u - intr.cx) / intr.fx, (pixel.v - intr.cy) / intr.fy, intr.k1
+    )
+    return np.array([depth_z * xn, depth_z * yn, depth_z])
+
+
+def object_pixel_ray(pixel: ObjectPixel, intr) -> np.ndarray:
+    ray = object_back_project(pixel, 1.0, intr)
+    return ray / np.linalg.norm(ray)
+
+
+def object_cell_of(pixel: ObjectPixel, intr, rows: int, cols: int) -> tuple[int, int]:
+    row = min(rows - 1, max(0, int(pixel.v * rows / intr.height)))
+    col = min(cols - 1, max(0, int(pixel.u * cols / intr.width)))
+    return row, col
+
+
+def object_detector(frame_id, neighbors, noise, intr, mode, radius):
+    """A list of ObjectBoxDetection (box) or (confidence, depth) channels
+    (grid) for one frame's neighbors [(rel_position, ObjectPixel, ObjectBox)]."""
+    rng = np.random.default_rng([noise.rng_seed, frame_id])
+    kept = [n for n in neighbors if rng.random() >= noise.miss_rate]
+    n_false = int(rng.poisson(noise.false_positive_rate))
+    if mode == "box":
+        detections = []
+        for _rel, _center, b in kept:
+            du = rng.normal(0.0, noise.pixel_sigma, size=4)
+            u_lo, u_hi = sorted((b.u_min + du[0], b.u_max + du[1]))
+            v_lo, v_hi = sorted((b.v_min + du[2], b.v_max + du[3]))
+            detections.append(ObjectBoxDetection(
+                ObjectBox(u_lo, v_lo, u_hi, v_hi), float(rng.uniform(*noise.true_confidence))))
+        for _ in range(n_false):
+            depth = rng.uniform(0.5, 3.0)
+            half_w, half_h = intr.fx * radius / depth, intr.fy * radius / depth
+            cu = rng.uniform(half_w, intr.width - half_w)
+            cv = rng.uniform(half_h, intr.height - half_h)
+            detections.append(ObjectBoxDetection(
+                ObjectBox(cu - half_w, cv - half_h, cu + half_w, cv + half_h),
+                float(rng.uniform(*noise.false_confidence))))
+        return detections
+    rows, cols = DEFAULT_GRID_ROWS, DEFAULT_GRID_COLS
+    confidence, depths = np.zeros((rows, cols)), np.zeros((rows, cols))
+    for rel, center, _box in kept:
+        jittered = np.array([center.u, center.v]) + rng.normal(0.0, noise.pixel_sigma, size=2)
+        pixel = ObjectPixel(float(np.clip(jittered[0], 0.0, intr.width - 1e-9)),
+                            float(np.clip(jittered[1], 0.0, intr.height - 1e-9)))
+        depth = max(float(rel[2]) * (1.0 + rng.normal(0.0, noise.depth_rel_sigma)), 1e-3)
+        row, col = object_cell_of(pixel, intr, rows, cols)
+        if not (confidence[row, col] > 0.0 and depths[row, col] <= depth):
+            confidence[row, col] = float(rng.uniform(*noise.true_confidence))
+            depths[row, col] = depth
+    for _ in range(n_false):
+        row, col = int(rng.integers(0, rows)), int(rng.integers(0, cols))
+        if confidence[row, col] > 0.0:
+            continue
+        confidence[row, col] = float(rng.uniform(*noise.false_confidence))
+        depths[row, col] = float(rng.uniform(0.5, 3.0))
+    return confidence, depths
+
+
+def object_decode(output, intr, radius) -> list[np.ndarray]:
+    """Positions decoded from object_detector output."""
+    positions = []
+    if isinstance(output, tuple):
+        confidence, depths = output
+        rows, cols = confidence.shape
+        for row, col in zip(*(a.tolist() for a in np.nonzero(~(confidence < 0.5)))):
+            window = confidence[max(0, row - 1) : row + 2, max(0, col - 1) : col + 2]
+            if confidence[row, col] < window.max():
+                continue
+            center = ObjectPixel((col + 0.5) * intr.width / cols,
+                                 (row + 0.5) * intr.height / rows)
+            positions.append(object_back_project(center, float(depths[row, col]), intr))
+        return positions
+    for det in output:
+        b = det.bbox
+        v_mid = 0.5 * (b.v_min + b.v_max)
+        try:
+            estimate = decode_rays(object_pixel_ray(ObjectPixel(b.u_min, v_mid), intr),
+                                   object_pixel_ray(ObjectPixel(b.u_max, v_mid), intr), radius)
+        except DegenerateBox:
+            continue
+        positions.append(estimate.position)
+    return positions
+
+
+@pytest.mark.parametrize("k1", DISTORTIONS)
+@pytest.mark.parametrize("pitch", PITCHES)
+@pytest.mark.parametrize("kind", sorted(KINDS))
+def test_detector_rows_match_object_oracle(kind, pitch, k1):
+    """Detections and decoded positions are bitwise equal to those of the
+    object-based detector and decoders, in box and grid mode, with false
+    positives."""
+    cfg, tracks = scenario(kind, pitch)
+    intr = CameraIntrinsics(fx=170.0, fy=170.0, cx=160.0, cy=160.0, k1=k1)
+    geom = DEFAULT_ROBOT_GEOMETRY
+    records = annotate_tracks(tracks, camera_for_pitch(pitch, intr), geom, frame_schedule(cfg))
+    frames = [(ann.frame_id, [(n.rel_position, ObjectPixel(*n.center.tolist()),
+                               ObjectBox(*n.bbox.tolist())) for n in ann.neighbors])
+              for ann in records.annotations()]
+    radius, compared = geom.sphere_radius, 0
+    for seed in (0, 3):
+        noise = NoiseModel(rng_seed=seed, false_positive_rate=0.5)
+        for mode in ("box", "grid"):
+            for annotation, (frame_id, neighbors) in zip(records.annotations(), frames):
+                output = simulate_detector(annotation, noise, intr, mode, radius=radius)
+                expected = object_detector(frame_id, neighbors, noise, intr, mode, radius)
+                if mode == "box":
+                    rows = [(d.bbox.u_min, d.bbox.v_min, d.bbox.u_max, d.bbox.v_max,
+                             d.confidence) for d in expected]
+                    assert output.tobytes() == np.array(rows).reshape(-1, 5).tobytes()
+                    compared += len(rows)
+                else:
+                    assert output.confidence.tobytes() == expected[0].tobytes()
+                    assert output.depth.tobytes() == expected[1].tobytes()
+                positions = [e.position for e in decode_detections(output, intr, radius=radius)]
+                assert np.reshape(positions, (-1, 3)).tobytes() == \
+                    np.reshape(object_decode(expected, intr, radius), (-1, 3)).tobytes()
+    assert compared > len(records.owner), "too few box detections for a comparison"
+
+
 @pytest.mark.parametrize("mode", ("oracle", "omni", "box", "grid"))
 @pytest.mark.parametrize("kind", sorted(KINDS))
 def test_evaluation_of_columns_matches_evaluation_of_views(tmp_path, kind, mode):
@@ -397,7 +542,7 @@ def oracle_downwash(tracks, camera, times, ellipsoid, mode, noise,
                 estimates = [rel for rel, _center, _bbox in visible.values()]
             else:
                 annotation = FrameAnnotation(frame_id, t, "r0", [
-                    NeighborAnnotation(rid, rel, ImagePoint(*center), BoundingBox(*bbox))
+                    NeighborAnnotation(rid, rel, center, bbox)
                     for rid, (rel, center, bbox) in visible.items()
                 ])
                 output = simulate_detector(annotation, noise, intr, mode,
@@ -490,7 +635,7 @@ def test_later_estimate_absorbs_earlier_and_beliefs_die_on_reprojection():
     assert ellipsoid_margin(near, np.zeros(3), ellipsoid) < DOWNWASH_MARGIN
     assert not ellipsoid_margin(far, np.zeros(3), ellipsoid) < DOWNWASH_MARGIN
     assert ellipsoid_margin(far, step, ellipsoid) < DOWNWASH_MARGIN
-    no_box = ImagePoint(0.0, 0.0), BoundingBox(0.0, 0.0, 1.0, 1.0)
+    no_box = np.zeros(2), np.array([0.0, 0.0, 1.0, 1.0])
     # the seen robots r1 and r2 are parked 100 m below, out of the ellipsoid
     seen = [NeighborAnnotation(rid, np.array([0.0, 0.0, z]), *no_box)
             for rid, z in (("r1", 1.0), ("r2", 1.09))]

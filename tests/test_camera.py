@@ -8,13 +8,11 @@ import pytest
 from spincam.camera import (
     CameraIntrinsics,
     CameraModel,
-    ImagePoint,
     RotationGrid,
     RunRecords,
     annotate_tracks,
     back_project,
     camera_for_pitch,
-    in_image,
     pitch_rotation,
     project,
     refine_extrinsic_rotation,
@@ -27,13 +25,13 @@ from spincam.geometry import DEFAULT_ROBOT_GEOMETRY, PoseTrack, Quaternion, Rigi
 class TestProject:
     def test_optical_axis_hits_principal_point(self, intr):
         px = project((0.0, 0.0, 1.0), intr)
-        assert (px.u, px.v) == (intr.cx, intr.cy)
+        assert (px[0], px[1]) == (intr.cx, intr.cy)
 
     def test_direct_evaluation(self):
         intr = CameraIntrinsics(fx=200.0, fy=200.0, cx=160.0, cy=160.0)
         px = project((1.0, 0.0, 2.0), intr)
-        assert px.u == pytest.approx(260.0, abs=1e-12)
-        assert px.v == pytest.approx(160.0, abs=1e-12)
+        assert px[0] == pytest.approx(260.0, abs=1e-12)
+        assert px[1] == pytest.approx(160.0, abs=1e-12)
 
     def test_zero_depth_raises(self, intr):
         with pytest.raises(NonPositiveDepth):
@@ -45,34 +43,34 @@ class TestProject:
 class TestBackProject:
     def test_principal_point(self, intr):
         np.testing.assert_allclose(
-            back_project(ImagePoint(intr.cx, intr.cy), 2.0, intr), [0.0, 0.0, 2.0], atol=1e-12
+            back_project((intr.cx, intr.cy), 2.0, intr), [0.0, 0.0, 2.0], atol=1e-12
         )
 
     def test_direct_evaluation(self):
         intr = CameraIntrinsics(fx=200.0, fy=200.0, cx=160.0, cy=160.0)
         np.testing.assert_allclose(
-            back_project(ImagePoint(260.0, 160.0), 2.0, intr), [1.0, 0.0, 2.0], atol=1e-12
+            back_project((260.0, 160.0), 2.0, intr), [1.0, 0.0, 2.0], atol=1e-12
         )
 
     def test_non_positive_depth_raises(self, intr):
         with pytest.raises(NonPositiveDepth):
-            back_project(ImagePoint(10.0, 10.0), 0.0, intr)
+            back_project((10.0, 10.0), 0.0, intr)
 
     def test_round_trip_without_distortion(self, intr):
         rng = np.random.default_rng(0)
         for _ in range(100):
             u, v = rng.uniform(1.0, 319.0, 2)
             z = rng.uniform(0.2, 5.0)
-            point = back_project(ImagePoint(u, v), z, intr)
+            point = back_project((u, v), z, intr)
             px = project(point, intr)
-            assert abs(px.u - u) < 1e-9 and abs(px.v - v) < 1e-9
+            assert abs(px[0] - u) < 1e-9 and abs(px[1] - v) < 1e-9
 
     def test_round_trip_recovers_3d_point(self, intr):
         rng = np.random.default_rng(1)
         for _ in range(100):
             point = np.array([rng.uniform(-1, 1), rng.uniform(-1, 1), rng.uniform(0.5, 4.0)])
             px = project(point, intr)
-            if not in_image(px, intr):
+            if not (0.0 < px[0] < intr.width and 0.0 < px[1] < intr.height):
                 continue
             np.testing.assert_allclose(
                 back_project(px, float(point[2]), intr), point, atol=1e-9
@@ -84,9 +82,9 @@ class TestBackProject:
         for _ in range(200):
             u, v = rng.uniform(0.5, 319.5, 2)
             z = rng.uniform(0.3, 5.0)
-            point = back_project(ImagePoint(u, v), z, intr)
+            point = back_project((u, v), z, intr)
             px = project(point, intr)
-            assert abs(px.u - u) < 1e-8 and abs(px.v - v) < 1e-8
+            assert abs(px[0] - u) < 1e-8 and abs(px[1] - v) < 1e-8
 
 
 def static_pose(position, yaw: float = 0.0) -> RigidTransform:
@@ -122,10 +120,10 @@ class TestAnnotateFrame:
         )
         (neighbor,) = ann.neighbors
         half_width = 200.0 * 0.05 / 0.95
-        assert neighbor.center.u == pytest.approx(160.0, abs=1e-12)
-        assert neighbor.bbox.u_min == pytest.approx(160.0 - half_width, abs=1e-9)
-        assert neighbor.bbox.u_max == pytest.approx(160.0 + half_width, abs=1e-9)
-        assert neighbor.bbox.v_max - neighbor.bbox.v_min == pytest.approx(
+        assert neighbor.center[0] == pytest.approx(160.0, abs=1e-12)
+        assert neighbor.bbox[0] == pytest.approx(160.0 - half_width, abs=1e-9)
+        assert neighbor.bbox[2] == pytest.approx(160.0 + half_width, abs=1e-9)
+        assert neighbor.bbox[3] - neighbor.bbox[1] == pytest.approx(
             2.0 * half_width, abs=1e-9
         )
         np.testing.assert_allclose(neighbor.rel_position, [0.0, 0.0, 1.0], atol=1e-12)
@@ -151,8 +149,8 @@ class TestAnnotateFrame:
             identity_camera, cube_geom,
         )
         (neighbor,) = ann.neighbors
-        assert neighbor.bbox.u_min == 0.0
-        assert 0.0 <= neighbor.bbox.v_min <= neighbor.bbox.v_max <= intr.height
+        assert neighbor.bbox[0] == 0.0
+        assert 0.0 <= neighbor.bbox[1] <= neighbor.bbox[3] <= intr.height
 
     def test_bbox_contains_center_and_matches_corner_minmax(self, identity_camera, cube_geom):
         rng = np.random.default_rng(3)
@@ -166,16 +164,16 @@ class TestAnnotateFrame:
                 continue
             hits += 1
             (n,) = ann.neighbors
-            assert n.bbox.u_min <= n.center.u <= n.bbox.u_max
-            assert n.bbox.v_min <= n.center.v <= n.bbox.v_max
+            assert n.bbox[0] <= n.center[0] <= n.bbox[2]
+            assert n.bbox[1] <= n.center[1] <= n.bbox[3]
             # independent recomputation: min/max over the projected corners
             rel = identity_camera.extrinsic @ static_pose((0, 0, 0)).inverse() @ neighbor
             pixels = np.array(
-                [project(c, identity_camera.intrinsics).as_array()
+                [project(c, identity_camera.intrinsics)
                  for c in rel.apply(cube_geom.corners())]
             )
             np.testing.assert_allclose(
-                [n.bbox.u_min, n.bbox.v_min, n.bbox.u_max, n.bbox.v_max],
+                n.bbox,
                 np.clip(
                     [pixels[:, 0].min(), pixels[:, 1].min(), pixels[:, 0].max(), pixels[:, 1].max()],
                     0.0, 320.0,
@@ -287,7 +285,7 @@ class TestRefineExtrinsicRotation:
             ego = RigidTransform(Quaternion(*records.quats[f, 0]), records.positions[f, 0])
             pixel = project((camera.extrinsic @ ego.inverse()).apply(records.positions[f, r]),
                             intr)
-            errors.append((pixel.u - observed[0]) ** 2 + (pixel.v - observed[1]) ** 2)
+            errors.append((pixel[0] - observed[0]) ** 2 + (pixel[1] - observed[1]) ** 2)
         assert len(errors) > 5 and min(errors) > 0.0
         assert reprojection_mse(records, camera) == pytest.approx(np.mean(errors), rel=1e-12)
 

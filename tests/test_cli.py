@@ -13,7 +13,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from spincam.camera import CameraIntrinsics
@@ -36,6 +36,10 @@ from spincam.geometry import DEFAULT_ROBOT_GEOMETRY, PoseTrack, RobotGeometry
 from spincam.camera import RunRecords, camera_for_pitch
 from spincam.perception import NoiseModel
 from spincam.scenarios import ScenarioConfig
+
+
+# A JSON integer too large for a float: `1` followed by 400 zeros.
+HUGE = 10**400
 
 
 def write_config(path, **overrides):
@@ -129,11 +133,25 @@ class TestSimulate:
         ({"frame_rate": True}, "frame_rate"),
         ({"fx": True}, "fx"),
         ({"camera_pitch": ["up"]}, "camera_pitch"),
+        ({"duration": HUGE}, "duration"),
+        ({"fx": HUGE}, "fx"),
+        ({"half_extents": [HUGE, 0.1, 0.1]}, "half_extents"),
+        ({"half_extents": HUGE}, "half_extents"),
+        ({"camera_translation": HUGE}, "camera_translation"),
+        ({"arena_min": [HUGE, -1.5, 0.1]}, "arena_min"),
+        ({"ellipsoid": [0.15, HUGE, 0.3]}, "ellipsoid"),
+        ({"camera_translation": ["0.1", 0.0, 0.0]}, "camera_translation"),
+        ({"half_extents": [0.065, True, 0.03]}, "half_extents"),
     ])
     def test_malformed_scenario_exits_2_naming_the_key(self, tmp_path, capsys, overrides, key):
         config = write_config(tmp_path / "bad.json", **overrides)
         assert main(["simulate", "--config", str(config), "--out", str(tmp_path / "x")]) == 2
         assert key in capsys.readouterr().err
+
+    def test_huge_integer_seed_keeps_the_integer_rules(self, tmp_path):
+        # an integer-only field takes any non-negative JSON integer
+        config = write_config(tmp_path / "seed.json", rng_seed=HUGE, duration=2.0)
+        assert main(["simulate", "--config", str(config), "--out", str(tmp_path / "x")]) == 0
 
     def test_duration_just_short_of_a_frame_time_runs(self, tmp_path):
         # duration x frame_rate falls 3e-11 short of 6: the schedule ends at 5/3 s,
@@ -350,6 +368,66 @@ class TestDownwashEval:
                      "--out", str(tmp_path / "e")]) == 3
         assert f"{dataset}:{line_no}: malformed frame record" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("mode", ["oracle", "box"])
+    @pytest.mark.parametrize("key,path,text", [
+        ("t", ("poses", "r0", "t", 0), '"1.5"'),
+        ("t", ("poses", "r1", "t", 2), "true"),
+        ("t", ("poses", "r0", "t", 1), str(HUGE)),
+        ("q", ("poses", "r1", "q", 0), str(HUGE)),
+        ("q", ("poses", "r1", "q", 3), "false"),
+        ("time", ("poses", "r0", "time"), '"0.5"'),
+        ("time", ("poses", "r1", "time"), str(HUGE)),
+        ("rel_position", ("neighbors", 0, "rel_position", 0), '"0.5"'),
+        ("rel_position", ("neighbors", 0, "rel_position", 2), str(HUGE)),
+        ("center", ("neighbors", 0, "center", 1), "true"),
+        ("bbox", ("neighbors", 0, "bbox", 0), "false"),
+        ("bbox", ("neighbors", 0, "bbox", 3), str(HUGE)),
+        ("timestamp", ("timestamp",), str(HUGE)),
+    ], ids=lambda value: "HUGE" if value == str(HUGE) else None)
+    def test_frame_value_that_is_no_float_exits_3_naming_line_and_key(
+            self, tmp_path, capsys, mode, key, path, text):
+        """Every number of a frame line is a JSON number that a float holds:
+        not a string, not a bool, not an integer beyond float range."""
+        def edit(frame):
+            *parents, last = path
+            target = frame
+            for parent in parents:
+                target = target[parent]
+            target[last] = "VALUE"
+
+        dataset, line_no = self.edit_neighbor_frame(tmp_path, edit)
+        dataset.write_text(dataset.read_text().replace('"VALUE"', text))
+        noise = tmp_path / "noise.json"
+        noise.write_text('{"rng_seed": 1}')
+        flags = ["--oracle"] if mode == "oracle" else ["--noise", str(noise), "--mode", mode]
+        capsys.readouterr()
+        assert main(["downwash-eval", "--dataset", str(dataset), *flags,
+                     "--out", str(tmp_path / "e")]) == 3
+        err = capsys.readouterr().err
+        assert f"{dataset}:{line_no}: malformed frame record: {key} must be" in err
+
+    @pytest.mark.parametrize("key,edit", [
+        ("fx", lambda header: header["camera"]["intrinsics"].update(fx=HUGE)),
+        ("ellipsoid", lambda header: header["ellipsoid"].__setitem__(1, HUGE)),
+        ("extrinsic q", lambda header: header["camera"]["extrinsic"]["q"].__setitem__(0, HUGE)),
+        ("extrinsic q", lambda header: header["camera"]["extrinsic"]["q"].__setitem__(1, False)),
+        ("extrinsic t", lambda header: header["camera"]["extrinsic"]["t"].__setitem__(2, "0")),
+        ("extrinsic t", lambda header: header["camera"]["extrinsic"].update(t=HUGE)),
+        ("half_extents", lambda header: header["geometry"]["half_extents"].__setitem__(0, HUGE)),
+    ])
+    def test_header_value_that_is_no_float_exits_3_naming_key(self, tmp_path, capsys, key,
+                                                              edit):
+        dataset = self.simulate(tmp_path)
+        lines = dataset.read_text().splitlines()
+        header = json.loads(lines[0])
+        edit(header)
+        dataset.write_text("\n".join([json.dumps(header)] + lines[1:]) + "\n")
+        capsys.readouterr()
+        assert main(["downwash-eval", "--dataset", str(dataset), "--oracle",
+                     "--out", str(tmp_path / "e")]) == 3
+        err = capsys.readouterr().err
+        assert f"{dataset}:1: malformed header record" in err and key in err
+
     @pytest.mark.parametrize("frame_id", [-1, 2**63])
     def test_frame_id_out_of_range_exits_3_naming_line(self, tmp_path, capsys, frame_id):
         dataset = self.simulate(tmp_path)
@@ -419,6 +497,16 @@ class TestDownwashEval:
         assert main(["downwash-eval", "--dataset", str(tmp_path / "unread.ndjson"),
                      "--noise", str(noise), "--out", str(tmp_path / "e")]) == 2
         assert str(noise) in capsys.readouterr().err
+
+    @pytest.mark.parametrize("key", ["pixel_sigma", "depth_rel_sigma", "miss_rate",
+                                     "false_positive_rate"])
+    def test_huge_integer_noise_value_exits_2_naming_key(self, tmp_path, capsys, key):
+        noise = tmp_path / "noise.json"
+        noise.write_text(json.dumps({key: HUGE}))
+        assert main(["downwash-eval", "--dataset", str(tmp_path / "unread.ndjson"),
+                     "--noise", str(noise), "--out", str(tmp_path / "e")]) == 2
+        err = capsys.readouterr().err
+        assert str(noise) in err and f"{key} must be finite" in err
 
     def test_ellipsoid_override(self, tmp_path):
         dataset = self.simulate(tmp_path)
@@ -604,11 +692,12 @@ class TestRerun:
 # Property tests (Hypothesis: MacIver et al., JOSS 2019): mutated copies of
 # valid inputs make `main` return 0, 2 or 3, or the parser exit with 2, and
 # never raise anything else. Replacement values come from a small fixed set:
-# each JSON type, a string holding NUL, NaN, infinity and boundary numbers,
-# none of them large enough to ask for a long run.
+# each JSON type, a string holding NUL, NaN, infinity, an integer beyond float
+# range and boundary numbers, none of them a float large enough to ask for a
+# long run.
 DROP = object()
 MUTANT_VALUES = [DROP, "x", "", "x\0", True, False, None, [], [1.0, 2.0], {}, {"a": 1}, math.nan,
-                 math.inf, 0, -1, 1e-9, 0.5, 1, 2.5]
+                 math.inf, HUGE, 0, -1, 1e-9, 0.5, 1, 2.5]
 SMALL_SWAP = {"kind": "swap", "num_robots": 2, "duration": 2.0, "rng_seed": 3,
               "camera_pitch": "up"}
 SCENARIO_KEYS = {f.name for cls in (ScenarioConfig, CameraIntrinsics, RobotGeometry)
@@ -622,7 +711,8 @@ PROPERTY_SETTINGS = settings(max_examples=100, deadline=timedelta(seconds=10),
 
 def mutate(base: dict, edits) -> dict:
     """A copy of `base` with each (dotted key path, value) edit applied: the
-    key dropped (DROP) or set to the value."""
+    key or list element dropped (DROP) or set to the value. A number in the
+    path indexes a list."""
     out = copy.deepcopy(base)
     for path, value in edits:
         *parents, key = path.split(".")
@@ -632,11 +722,14 @@ def mutate(base: dict, edits) -> dict:
                 target = target[int(parent)] if int(parent) < len(target) else None
             else:
                 target = target.get(parent) if isinstance(target, dict) else None
-        if isinstance(target, dict):
-            if value is DROP:
-                target.pop(key, None)
-            else:
-                target[key] = copy.deepcopy(value)
+        if isinstance(target, list) and key.isdigit() and int(key) < len(target):
+            key = int(key)
+        elif not isinstance(target, dict):
+            continue
+        if value is not DROP:
+            target[key] = copy.deepcopy(value)
+        elif key in (target if isinstance(target, dict) else range(len(target))):
+            del target[key]
     return out
 
 
@@ -665,14 +758,17 @@ def write_json(path, obj) -> str:
     return str(path)
 
 
-# Dataset frame lines: any key of a frame, its first neighbor or a pose
-# dropped, or set to the JSON text of each JSON type, a non-finite, a negative
-# or a fractional number.
+# Dataset frame lines: any key of a frame, its first neighbor or a pose, or
+# one element of their number arrays, dropped or set to the JSON text of each
+# JSON type, a non-finite, a negative or a fractional number, or an integer
+# beyond float range.
 FRAME_KEYS = ["record", "frame_id", "timestamp", "ego_id", "neighbors", "poses",
               *(f"neighbors.0.{key}" for key in ("robot_id", "rel_position", "center", "bbox")),
-              *(f"poses.{rid}.{key}" for rid in ("r0", "r1") for key in ("time", "q", "t"))]
+              *(f"poses.{rid}.{key}" for rid in ("r0", "r1") for key in ("time", "q", "t")),
+              "neighbors.0.rel_position.2", "neighbors.0.center.0", "neighbors.0.bbox.1",
+              "poses.r0.t.0", "poses.r1.q.3"]
 FRAME_VALUES = [DROP, '"x"', '"5"', "true", "false", "null", "[]", "[1.0, 2.0]", "{}",
-                '{"a": 1}', "NaN", "1e400", "-1", "5.5"]
+                '{"a": 1}', "NaN", "1e400", str(HUGE), "-1", "5.5"]
 # CSV log rows: a field dropped (the row shifts left) or replaced, split in two
 # or quoted.
 CSV_VALUES = [DROP, "", "x", "nan", "inf", "-inf", "1e400", "-1", "0", "5.5", "true", "1,2",
@@ -780,6 +876,9 @@ class TestMutatedInputs:
                           min_size=1, max_size=2),
            which=st.sampled_from(["first", "seeing", "last"]),
            mode=st.sampled_from(["oracle", "box", "grid"]))
+    # a single array element beyond float range, which the drawn examples may miss
+    @example(edits=[("poses.r0.t.0", str(HUGE))], which="first", mode="oracle")
+    @example(edits=[("neighbors.0.bbox.1", str(HUGE))], which="seeing", mode="box")
     def test_dataset_frame_line(self, small_run, edits, which, mode):
         root, _config, dataset = small_run
         lines = Path(dataset).read_text().splitlines()

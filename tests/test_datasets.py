@@ -9,9 +9,7 @@ import pytest
 
 from spincam import datasets
 from spincam.camera import (
-    BoundingBox,
     FrameAnnotation,
-    ImagePoint,
     NeighborAnnotation,
     RunRecords,
     camera_for_pitch,
@@ -70,8 +68,8 @@ def random_dataset(rng, n_frames: int) -> Dataset:
                 NeighborAnnotation(
                     robot_id=f"r{j + 1}",
                     rel_position=rng.uniform((-1, -1, 0.5), (1, 1, 3.0)),
-                    center=ImagePoint(*rng.uniform(1.0, 319.0, 2)),
-                    bbox=BoundingBox(u_lo, v_lo, u_hi, v_hi),
+                    center=rng.uniform(1.0, 319.0, 2),
+                    bbox=np.array([u_lo, v_lo, u_hi, v_hi]),
                 )
             )
         annotation = FrameAnnotation(frame_id=k, timestamp=t, ego_id="r0", neighbors=neighbors)
@@ -107,9 +105,8 @@ def assert_datasets_equal(a: Dataset, b: Dataset) -> None:
         for na, nb in zip(fa.annotation.neighbors, fb.annotation.neighbors):
             assert na.robot_id == nb.robot_id
             assert na.rel_position.tolist() == nb.rel_position.tolist()
-            assert (na.center.u, na.center.v) == (nb.center.u, nb.center.v)
-            assert (na.bbox.u_min, na.bbox.v_min, na.bbox.u_max, na.bbox.v_max) == \
-                (nb.bbox.u_min, nb.bbox.v_min, nb.bbox.u_max, nb.bbox.v_max)
+            assert na.center.tolist() == nb.center.tolist()
+            assert na.bbox.tolist() == nb.bbox.tolist()
         assert fa.robot_ids == fb.robot_ids
         assert fa.positions.tolist() == fb.positions.tolist()
         assert fa.quats.tolist() == fb.quats.tolist()
@@ -185,10 +182,10 @@ class TestExportLabels:
 
     def test_bbox_mode_passthrough(self, tmp_path, intr):
         neighbors = [
-            NeighborAnnotation("r1", np.array([0.0, 0.0, 1.0]), ImagePoint(160.0, 160.0),
-                               BoundingBox(150.0, 150.0, 170.0, 170.0)),
-            NeighborAnnotation("r2", np.array([0.5, 0.0, 2.0]), ImagePoint(200.0, 160.0),
-                               BoundingBox(195.0, 155.0, 205.0, 165.0)),
+            NeighborAnnotation("r1", np.array([0.0, 0.0, 1.0]), np.array([160.0, 160.0]),
+                               np.array([150.0, 150.0, 170.0, 170.0])),
+            NeighborAnnotation("r2", np.array([0.5, 0.0, 2.0]), np.array([200.0, 160.0]),
+                               np.array([195.0, 155.0, 205.0, 165.0])),
         ]
         path = tmp_path / "labels.ndjson"
         export_labels(self.frame(neighbors), "bbox", path)
@@ -198,8 +195,8 @@ class TestExportLabels:
 
     def test_grid_mode_single_cell(self, tmp_path, intr):
         neighbors = [
-            NeighborAnnotation("r1", np.array([0.0, 0.0, 1.5]), ImagePoint(160.0, 160.0),
-                               BoundingBox(150.0, 150.0, 170.0, 170.0)),
+            NeighborAnnotation("r1", np.array([0.0, 0.0, 1.5]), np.array([160.0, 160.0]),
+                               np.array([150.0, 150.0, 170.0, 170.0])),
         ]
         path = tmp_path / "labels.ndjson"
         export_labels(self.frame(neighbors), "grid", path, intr=intr)

@@ -6,10 +6,8 @@ import numpy as np
 import pytest
 
 from spincam.camera import (
-    BoundingBox,
     FrameAnnotation,
     FrameRecord,
-    ImagePoint,
     NeighborAnnotation,
     RunRecords,
     camera_for_pitch,
@@ -87,7 +85,7 @@ def record(frame, estimates=(), position=(0.0, 0.0, 0.0),
     """Frame `frame`, stamped `frame` seconds, of an ego at `position` and
     `quat` whose perception sees the camera-frame positions `estimates`, as
     robots r1, r2, ... in turn."""
-    no_box = ImagePoint(0.0, 0.0), BoundingBox(0.0, 0.0, 1.0, 1.0)
+    no_box = np.zeros(2), np.array([0.0, 0.0, 1.0, 1.0])
     seen = [NeighborAnnotation(rid, np.array(e, dtype=float), *no_box)
             for rid, e in zip(SEEN_IDS[:len(estimates)], estimates, strict=True)]
     identity = [(1.0, 0.0, 0.0, 0.0)] * len(SEEN_IDS)

@@ -6,11 +6,9 @@ import numpy as np
 import pytest
 
 from spincam.camera import (
-    BoundingBox,
     CameraIntrinsics,
     CameraModel,
     FrameAnnotation,
-    ImagePoint,
     NeighborAnnotation,
     annotate_tracks,
     back_project,
@@ -19,7 +17,6 @@ from spincam.camera import (
 from spincam.errors import DegenerateBox
 from spincam.geometry import PoseTrack, RigidTransform, RobotGeometry
 from spincam.perception import (
-    BoxDetection,
     GridDetectionMap,
     NoiseModel,
     decode_box,
@@ -33,8 +30,9 @@ from spincam.perception import (
 )
 
 
-def sphere_silhouette_bbox(center, radius: float, intr: CameraIntrinsics) -> BoundingBox:
-    """Exact pixel bbox of a sphere whose center lies in the y=0 camera plane.
+def sphere_silhouette_bbox(center, radius: float, intr: CameraIntrinsics) -> np.ndarray:
+    """Exact pixel bbox (u_min, v_min, u_max, v_max) of a sphere whose center
+    lies in the y=0 camera plane.
 
     Horizontal extremes come from rotating the center direction by the tangent
     half-angle inside that plane; vertical extremes from maximizing |y/z| over
@@ -54,7 +52,7 @@ def sphere_silhouette_bbox(center, radius: float, intr: CameraIntrinsics) -> Bou
     for phi in np.linspace(0.0, 2.0 * math.pi, 4001):
         ray = c_hat * math.cos(beta) + (e1 * math.cos(phi) + e2 * math.sin(phi)) * math.sin(beta)
         best = max(best, abs(ray[1] / ray[2]))
-    return BoundingBox(u_min, intr.cy - intr.fy * best, u_max, intr.cy + intr.fy * best)
+    return np.array([u_min, intr.cy - intr.fy * best, u_max, intr.cy + intr.fy * best])
 
 
 class TestSphereDistance:
@@ -85,16 +83,15 @@ class TestDecodeBox:
     )
     def test_exact_on_analytic_sphere_silhouette(self, center, radius, intr):
         bbox = sphere_silhouette_bbox(center, radius, intr)
-        estimate = decode_box(BoxDetection(bbox=bbox, confidence=1.0), intr, radius)
+        estimate = decode_box(bbox, intr, radius)
         np.testing.assert_allclose(estimate.position, center, atol=1e-6)
         assert np.linalg.norm(estimate.position) == pytest.approx(
             np.linalg.norm(center), abs=1e-6
         )
 
     def test_zero_width_box_degenerate(self, intr):
-        det = BoxDetection(bbox=BoundingBox(100.0, 90.0, 100.0, 110.0), confidence=0.9)
         with pytest.raises(DegenerateBox):
-            decode_box(det, intr, 0.05)
+            decode_box((100.0, 90.0, 100.0, 110.0), intr, 0.05)
 
     def test_antipodal_rays_degenerate(self):
         with pytest.raises(DegenerateBox):
@@ -107,8 +104,7 @@ class TestDecodeBox:
             v1, v2 = np.sort(rng.uniform(1.0, 319.0, 2))
             if u2 - u1 < 1e-6:
                 continue
-            det = BoxDetection(bbox=BoundingBox(u1, v1, u2, v2), confidence=0.5)
-            assert decode_box(det, intr, 0.05).position[2] > 0.0
+            assert decode_box((u1, v1, u2, v2), intr, 0.05).position[2] > 0.0
 
 
 def annotation_with(neighbors, frame_id: int = 0) -> FrameAnnotation:
@@ -122,7 +118,7 @@ def neighbor_at(position, intr, robot_id="r1") -> NeighborAnnotation:
         robot_id=robot_id,
         rel_position=position,
         center=center,
-        bbox=BoundingBox(center.u - 2.0, center.v - 2.0, center.u + 2.0, center.v + 2.0),
+        bbox=np.concatenate([center - 2.0, center + 2.0]),
     )
 
 
@@ -196,19 +192,20 @@ class TestDecodeGrid:
 def decode_grid_cell_by_cell(gmap, intr, threshold=0.5):
     """Reference decoder: visit every cell and compare it with its 3x3 window."""
     conf = gmap.confidence
+    rows, cols = conf.shape
     estimates = []
-    for row in range(gmap.rows):
-        for col in range(gmap.cols):
+    for row in range(rows):
+        for col in range(cols):
             value = conf[row, col]
             if value < threshold:
                 continue
             window = conf[
-                max(0, row - 1) : min(gmap.rows, row + 2),
-                max(0, col - 1) : min(gmap.cols, col + 2),
+                max(0, row - 1) : min(rows, row + 2),
+                max(0, col - 1) : min(cols, col + 2),
             ]
             if value < window.max():
                 continue
-            center = grid_cell_center(row, col, intr, gmap.rows, gmap.cols)
+            center = grid_cell_center(row, col, intr, rows, cols)
             estimates.append(back_project(center, float(gmap.depth[row, col]), intr))
     return estimates
 
@@ -220,16 +217,16 @@ def grids_with_plateaus(rng):
     for rows, cols in [(28, 40)] * 40 + [(1, 1), (1, 7), (6, 1), (2, 2), (5, 5)] * 40:
         confidence = np.where(rng.random((rows, cols)) < rng.uniform(0.05, 0.6),
                               rng.choice(levels, size=(rows, cols)), 0.0)
-        yield GridDetectionMap(rows, cols, confidence, rng.uniform(0.2, 4.0, size=(rows, cols)))
+        yield GridDetectionMap(confidence, rng.uniform(0.2, 4.0, size=(rows, cols)))
 
 
 def corner_and_edge_grids():
     for row, col in [(0, 0), (0, 39), (27, 0), (27, 39), (0, 17), (27, 5), (13, 0), (9, 39)]:
-        gmap = GridDetectionMap(28, 40, np.zeros((28, 40)), np.ones((28, 40)))
+        gmap = GridDetectionMap(np.zeros((28, 40)), np.ones((28, 40)))
         gmap.confidence[row, col] = 0.9
         gmap.depth[row, col] = 1.0 + 0.1 * row + 0.01 * col
         yield gmap
-        gmap = GridDetectionMap(28, 40, gmap.confidence.copy(), gmap.depth.copy())
+        gmap = GridDetectionMap(gmap.confidence.copy(), gmap.depth.copy())
         gmap.confidence[min(row + 1, 27), col] = 0.9  # a two-cell plateau on the edge
         yield gmap
 
@@ -254,7 +251,7 @@ class TestDecodeGridEquivalence:
         channels = {"confidence": np.zeros((3, 4)), "depth": np.ones((3, 4))}
         channels[channel][1, 2] = value
         with pytest.raises(ValueError, match="finite"):
-            GridDetectionMap(3, 4, **channels)
+            GridDetectionMap(**channels)
 
 
 class TestSimulateDetector:
@@ -303,7 +300,7 @@ class TestSimulateDetector:
     def test_full_miss_rate_drops_everything(self, intr):
         annotation = self.cube_annotation(intr)
         noise = NoiseModel(miss_rate=1.0, false_positive_rate=0.0, rng_seed=3)
-        assert simulate_detector(annotation, noise, intr, "box") == []
+        assert simulate_detector(annotation, noise, intr, "box").shape == (0, 5)
         gmap = simulate_detector(annotation, noise, intr, "grid")
         assert not gmap.confidence.any()
 
@@ -314,7 +311,7 @@ class TestSimulateDetector:
         second = simulate_detector(annotation, noise, intr, "box")
         assert len(first) == len(second)
         for a, b in zip(first, second):
-            assert a.bbox == b.bbox and a.confidence == b.confidence
+            assert np.array_equal(a[:4], b[:4]) and a[4] == b[4]
         g1 = simulate_detector(annotation, noise, intr, "grid")
         g2 = simulate_detector(annotation, noise, intr, "grid")
         assert np.array_equal(g1.confidence, g2.confidence)
@@ -326,14 +323,14 @@ class TestSimulateDetector:
         noise = NoiseModel(rng_seed=11, pixel_sigma=2.0)
         a = simulate_detector(annotation, noise, intr, "box")
         b = simulate_detector(shifted, noise, intr, "box")
-        assert a[0].bbox != b[0].bbox
+        assert not np.array_equal(a[0, :4], b[0, :4])
 
     def test_false_positives_appear_on_empty_frames(self, intr):
         noise = NoiseModel(false_positive_rate=3.0, rng_seed=5)
         detections = simulate_detector(annotation_with([], 7), noise, intr, "box")
-        assert detections, "expected Poisson false positives"
+        assert len(detections), "expected Poisson false positives"
         for det in detections:
-            assert noise.false_confidence[0] <= det.confidence <= noise.false_confidence[1]
+            assert noise.false_confidence[0] <= det[4] <= noise.false_confidence[1]
 
     def test_pixel_sigma_two_gives_fraction_of_a_meter_error(self, intr):
         # 0.1 m robot at 2 m: +/-2 px jitter lands around 0.2 m Euclidean error
