@@ -55,8 +55,6 @@ from .errors import SpincamError
 from .geometry import (
     DEFAULT_ROBOT_GEOMETRY,
     PoseTrack,
-    Quaternion,
-    RigidTransform,
     RobotGeometry,
     interpolate,
 )

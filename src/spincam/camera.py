@@ -14,21 +14,23 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Sequence
 
 import numpy as np
 
 from .errors import NonPositiveDepth, NoObservations
 from .geometry import (
+    UNIT_NORM_TOL,
     PoseTrack,
-    Quaternion,
-    RigidTransform,
     RobotGeometry,
     as_vec3,
     compose,
     interpolate,
     invert,
+    quat_from_rotvec,
+    quat_multiply,
+    quat_normalize,
     quat_rotate,
     require_finite,
 )
@@ -69,14 +71,27 @@ DEFAULT_INTRINSICS = CameraIntrinsics(fx=170.0, fy=170.0, cx=160.0, cy=160.0)
 
 @dataclass(frozen=True, eq=False)
 class CameraModel:
-    """Intrinsics plus the robot-to-camera mounting transform."""
+    """Intrinsics plus the robot-to-camera mount: the unit quaternion
+    `rotation` (4,) then the `translation` (3,). A dataset header stores the
+    mount as its extrinsic `q` and `t`, so the checks name those keys."""
 
     intrinsics: CameraIntrinsics
-    extrinsic: RigidTransform
+    rotation: np.ndarray
+    translation: np.ndarray
     pitch_label: str = "forward"
 
+    def __post_init__(self):
+        q = np.asarray(self.rotation, dtype=float)
+        norm = math.hypot(*q) if q.shape == (4,) else math.nan
+        # also rejects a zero or non-finite q: its norm is 0, inf or nan
+        if not abs(norm - 1.0) <= UNIT_NORM_TOL:
+            raise ValueError(f"extrinsic q must be a unit quaternion (w, x, y, z), "
+                             f"got {self.rotation!r}")
+        object.__setattr__(self, "rotation", q)
+        object.__setattr__(self, "translation", as_vec3(self.translation, "extrinsic t"))
 
-def pitch_rotation(pitch: float) -> Quaternion:
+
+def pitch_rotation(pitch: float) -> np.ndarray:
     """Robot-to-camera rotation for a camera pitched up by `pitch` radians.
 
     pitch 0 looks along robot +x, pi/2 straight up along robot +z; the image
@@ -101,12 +116,11 @@ def camera_for_pitch(
     """Camera model for one of the supported mount labels."""
     if label not in PITCH_ANGLES:
         raise ValueError(f"unknown camera pitch {label!r}; expected one of {sorted(PITCH_ANGLES)}")
-    extrinsic = RigidTransform(pitch_rotation(PITCH_ANGLES[label]),
-                               as_vec3(translation, "camera_translation"))
-    return CameraModel(intrinsics=intrinsics, extrinsic=extrinsic, pitch_label=label)
+    return CameraModel(intrinsics=intrinsics, rotation=pitch_rotation(PITCH_ANGLES[label]),
+                       translation=as_vec3(translation, "camera_translation"), pitch_label=label)
 
 
-def _quaternion_from_matrix(m: np.ndarray) -> Quaternion:
+def _quaternion_from_matrix(m: np.ndarray) -> np.ndarray:
     """Rotation matrix to quaternion (Shepperd's branch selection)."""
     t = np.trace(m)
     if t > 0.0:
@@ -121,7 +135,7 @@ def _quaternion_from_matrix(m: np.ndarray) -> Quaternion:
     else:
         s = math.sqrt(1.0 + m[2, 2] - m[0, 0] - m[1, 1]) * 2.0
         q = ((m[1, 0] - m[0, 1]) / s, (m[0, 2] + m[2, 0]) / s, (m[1, 2] + m[2, 1]) / s, 0.25 * s)
-    return Quaternion(*q).normalized()
+    return quat_normalize(q)
 
 
 def distort_normalized(xn: float, yn: float, k1: float) -> tuple[float, float]:
@@ -192,20 +206,16 @@ def in_view(points_camera, intr: CameraIntrinsics) -> np.ndarray:
     return (p[..., 2] > 0.0) & (0.0 < u) & (u < intr.width) & (0.0 < v) & (v < intr.height)
 
 
-def _extrinsic_arrays(camera: CameraModel) -> tuple[np.ndarray, np.ndarray]:
-    return camera.extrinsic.rotation.as_array(), camera.extrinsic.translation
-
-
 def world_to_camera_arrays(ego_q, ego_t, camera: CameraModel):
     """World-to-camera transforms (mount after inverse ego pose) for ego
     orientations (..., 4) and positions (..., 3)."""
-    return compose(*_extrinsic_arrays(camera), *invert(ego_q, ego_t))
+    return compose(camera.rotation, camera.translation, *invert(ego_q, ego_t))
 
 
 def camera_to_world_arrays(ego_q, ego_t, camera: CameraModel):
     """Camera-to-world transforms (ego pose after inverse mount) for ego
     orientations (..., 4) and positions (..., 3)."""
-    return compose(ego_q, ego_t, *invert(*_extrinsic_arrays(camera)))
+    return compose(ego_q, ego_t, *invert(camera.rotation, camera.translation))
 
 
 @dataclass(frozen=True, eq=False)
@@ -447,12 +457,12 @@ def _ego_frame_points(records: RunRecords) -> np.ndarray:
     return quat_rotate(to_ego_q, records.positions[records.owner, records.robot]) + to_ego_t
 
 
-def _mean_squared_error(points, observed, rotation: Quaternion, translation,
+def _mean_squared_error(points, observed, rotation, translation,
                         intr: CameraIntrinsics) -> float:
     """Mean squared pixel distance between ego-frame points (K, 3) seen
     through the mount (rotation, translation) and the observed pixels (K, 2);
     inf when a point lies on or behind the image plane."""
-    cam_pts = quat_rotate(rotation.as_array(), points) + translation
+    cam_pts = quat_rotate(rotation, points) + translation
     if np.any(cam_pts[:, 2] <= 0.0):
         return math.inf
     return float(np.mean(np.sum((project_points(cam_pts, intr) - observed) ** 2, axis=1)))
@@ -462,29 +472,28 @@ def reprojection_mse(records: RunRecords, camera: CameraModel) -> float:
     """Mean squared pixel error of the true neighbor centers, projected
     through the camera, vs the observed `centers` of a run's neighbor rows."""
     return _mean_squared_error(_ego_frame_points(records), records.centers,
-                               camera.extrinsic.rotation, camera.extrinsic.translation,
-                               camera.intrinsics)
+                               camera.rotation, camera.translation, camera.intrinsics)
 
 
 def refine_extrinsic_rotation(
     records: RunRecords, camera: CameraModel, search: RotationGrid = RotationGrid()
-) -> RigidTransform:
+) -> CameraModel:
     """Exhaustive grid search over mount-rotation perturbations.
 
     Every rotation vector on the grid perturbs the current mount rotation (in
     camera coordinates); the candidate minimizing `reprojection_mse` of the
-    run's observed neighbor centers wins. Translation is kept as-is.
+    run's observed neighbor centers wins. Returns the camera with that mount
+    rotation; translation is kept as-is.
     """
     points = _ego_frame_points(records)
-    base_rotation = camera.extrinsic.rotation
-    translation = camera.extrinsic.translation
+    rotvecs = np.array(list(itertools.product(search.axis_values(), repeat=3)))
+    candidates = quat_normalize(quat_multiply(quat_from_rotvec(rotvecs), camera.rotation))
     best_error = math.inf
-    best_rotation = base_rotation
-    for rotvec in itertools.product(search.axis_values(), repeat=3):
-        rotation = (Quaternion.from_rotvec(rotvec) * base_rotation).normalized()
-        err = _mean_squared_error(points, records.centers, rotation, translation,
+    best_rotation = camera.rotation
+    for rotation in candidates:
+        err = _mean_squared_error(points, records.centers, rotation, camera.translation,
                                   camera.intrinsics)
         if err < best_error:
             best_error = err
             best_rotation = rotation
-    return RigidTransform(best_rotation, translation)
+    return replace(camera, rotation=best_rotation)

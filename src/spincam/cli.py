@@ -143,9 +143,7 @@ def _benchmark(args) -> int:
             scenario = replace(scenario, rng_seed=args.seed)
         tracks = generate_scenario(scenario)
         for pitch in pitches:
-            camera = camera_for_pitch(
-                pitch, spec.camera.intrinsics, spec.camera.extrinsic.translation
-            )
+            camera = camera_for_pitch(pitch, spec.camera.intrinsics, spec.camera.translation)
             results = run_downwash_eval(
                 tracks, camera, frame_schedule(scenario), scenario.ellipsoid,
                 ego_id=EGO_ID, geom=spec.geometry, mode=mode, noise=noise,

@@ -39,10 +39,7 @@ from .errors import (
 from .geometry import (
     DEFAULT_ROBOT_GEOMETRY,
     PoseTrack,
-    Quaternion,
-    RigidTransform,
     RobotGeometry,
-    as_vec3,
     first_failure,
     invalid_pose_row,
     is_count,
@@ -64,12 +61,9 @@ GYRO_LOG_COLUMNS = ["t", "gx", "gy", "gz"]
 # JSON encoding helpers
 
 def _camera_obj(camera: CameraModel) -> dict:
-    extrinsic = camera.extrinsic
     return {
         "intrinsics": dataclasses.asdict(camera.intrinsics),
-        "extrinsic": {
-            "q": extrinsic.rotation.as_array().tolist(), "t": extrinsic.translation.tolist()
-        },
+        "extrinsic": {"q": camera.rotation.tolist(), "t": camera.translation.tolist()},
         "pitch_label": camera.pitch_label,
     }
 
@@ -80,8 +74,8 @@ def _camera_from(obj: dict) -> CameraModel:
         raise ValueError(f"extrinsic q must be 4 finite numbers, got {extrinsic['q']!r}")
     return CameraModel(
         intrinsics=CameraIntrinsics(**obj["intrinsics"]),
-        extrinsic=RigidTransform(Quaternion(*extrinsic["q"]),
-                                 as_vec3(extrinsic["t"], "extrinsic t")),
+        rotation=extrinsic["q"],
+        translation=extrinsic["t"],
         pitch_label=obj["pitch_label"],
     )
 

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InfeasibleWrench
-from .geometry import Quaternion, as_vec3, quat_multiply, quat_rotate
+from .geometry import as_vec3, quat_multiply, quat_normalize, quat_rotate
 
 GRAVITY = 9.81
 MAX_STEP = 0.01
@@ -90,17 +90,18 @@ def crazyflie_params() -> QuadrotorParams:
 class RigidBodyState:
     p: np.ndarray  # world position, m
     v: np.ndarray  # world velocity, m/s
-    q: Quaternion  # body-to-world attitude
+    q: np.ndarray  # body-to-world attitude, unit quaternion (w, x, y, z)
     omega: np.ndarray  # body angular velocity, rad/s
 
     def __post_init__(self):
         object.__setattr__(self, "p", as_vec3(self.p))
         object.__setattr__(self, "v", as_vec3(self.v))
+        object.__setattr__(self, "q", np.asarray(self.q, dtype=float))
         object.__setattr__(self, "omega", as_vec3(self.omega))
 
     @staticmethod
     def at_rest(position=(0.0, 0.0, 0.0)) -> "RigidBodyState":
-        return RigidBodyState(as_vec3(position), np.zeros(3), Quaternion.identity(), np.zeros(3))
+        return RigidBodyState(as_vec3(position), np.zeros(3), [1.0, 0.0, 0.0, 0.0], np.zeros(3))
 
 
 def mix_wrench(eta: Wrench, params: QuadrotorParams) -> np.ndarray:
@@ -150,7 +151,7 @@ def step_dynamics(
         raise ValueError(f"dt must be in (0, {MAX_STEP}], got {dt}")
     wrench = wrench_from_motors(u, params)
     f_a = as_vec3(f_a)
-    y0 = np.concatenate([state.p, state.v, state.q.as_array(), state.omega])
+    y0 = np.concatenate([state.p, state.v, state.q, state.omega])
 
     k1 = _derivative(y0, wrench.f, wrench.tau, f_a, params)
     k2 = _derivative(y0 + 0.5 * dt * k1, wrench.f, wrench.tau, f_a, params)
@@ -158,5 +159,4 @@ def step_dynamics(
     k4 = _derivative(y0 + dt * k3, wrench.f, wrench.tau, f_a, params)
     y1 = y0 + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
-    q = Quaternion(*y1[6:10]).normalized()
-    return RigidBodyState(p=y1[0:3], v=y1[3:6], q=q, omega=y1[10:13])
+    return RigidBodyState(p=y1[0:3], v=y1[3:6], q=quat_normalize(y1[6:10]), omega=y1[10:13])

@@ -4,13 +4,13 @@ Conventions: quaternions are Hamilton (w, x, y, z) and rotate body-frame
 vectors into the parent frame; all distances are meters, angles radians,
 timestamps seconds.
 
-Two layers share one set of formulas. The array kernels (`quat_rotate`,
-`quat_multiply`, `compose`, `invert`, `slerp_arrays`, `interpolate`) take
-stacks of quaternions (..., 4) and vectors (..., 3) and broadcast; the value
-types (`Quaternion`, `RigidTransform`) are the one-element case. A pose track
-is a `PoseTrack` of arrays. The batched slerp and rotation algebra follow
-Sola, "Quaternion kinematics for the error-state Kalman filter" (arXiv
-1711.02508).
+A rotation is a unit quaternion array (4,) and a rigid transform a
+rotation-then-translation pair (q, t) of arrays (4,) and (3,). The kernels
+(`quat_rotate`, `quat_multiply`, `compose`, `invert`, `slerp_arrays`,
+`interpolate`) take stacks of quaternions (..., 4) and vectors (..., 3) and
+broadcast. A pose track is a `PoseTrack` of arrays. The batched slerp and
+rotation algebra follow Sola, "Quaternion kinematics for the error-state
+Kalman filter" (arXiv 1711.02508).
 """
 
 from __future__ import annotations
@@ -129,100 +129,26 @@ def quat_normalize(q) -> np.ndarray:
     return q / np.sqrt(w * w + x * x + y * y + z * z)[..., None]
 
 
+def quat_from_rotvec(rotvec) -> np.ndarray:
+    """Unit quaternions (..., 4) turning by the angle |r| about the axis r / |r|
+    for rotation vectors r (..., 3)."""
+    r = np.asarray(rotvec, dtype=float)
+    angle = np.linalg.norm(r, axis=-1, keepdims=True)
+    # below |r| = 1e-12, sin(|r| / 2) / |r| is its limit 1/2 to double precision
+    with np.errstate(divide="ignore", invalid="ignore"):
+        scale = np.where(angle < 1e-12, 0.5, np.sin(0.5 * angle) / angle)
+    return quat_normalize(np.concatenate([np.cos(0.5 * angle), scale * r], axis=-1))
+
+
 def compose(qa, ta, qb, tb) -> tuple[np.ndarray, np.ndarray]:
-    """Stacked `RigidTransform.__matmul__`: (a @ b)(x) == a(b(x))."""
+    """Stacked composition of transforms (q, t): the transform x -> a(b(x))."""
     return quat_normalize(quat_multiply(qa, qb)), quat_rotate(qa, tb) + ta
 
 
 def invert(q, t) -> tuple[np.ndarray, np.ndarray]:
-    """Stacked `RigidTransform.inverse` of unit-quaternion transforms."""
+    """Stacked inverses of unit-quaternion transforms (q, t)."""
     q_inv = np.asarray(q, dtype=float) * np.array([1.0, -1.0, -1.0, -1.0])
     return q_inv, -quat_rotate(q_inv, t)
-
-
-@dataclass(frozen=True, eq=False)
-class Quaternion:
-    """Rotation quaternion; kept unit-norm by construction helpers."""
-
-    w: float
-    x: float
-    y: float
-    z: float
-
-    def __post_init__(self):
-        n = self.norm()
-        if not math.isfinite(n) or n == 0.0:
-            raise ValueError("quaternion norm must be finite and nonzero")
-
-    @staticmethod
-    def identity() -> "Quaternion":
-        return Quaternion(1.0, 0.0, 0.0, 0.0)
-
-    @staticmethod
-    def from_axis_angle(axis, angle: float) -> "Quaternion":
-        a = as_vec3(axis)
-        n = np.linalg.norm(a)
-        if n == 0.0:
-            raise ValueError("rotation axis must be nonzero")
-        half = 0.5 * angle
-        s = math.sin(half) / n
-        return Quaternion(math.cos(half), a[0] * s, a[1] * s, a[2] * s)
-
-    @staticmethod
-    def from_rotvec(rotvec) -> "Quaternion":
-        r = as_vec3(rotvec)
-        angle = float(np.linalg.norm(r))
-        if angle < 1e-12:
-            # first-order expansion, exact enough below the tolerance
-            return Quaternion(1.0, 0.5 * r[0], 0.5 * r[1], 0.5 * r[2]).normalized()
-        return Quaternion.from_axis_angle(r / angle, angle)
-
-    @staticmethod
-    def from_yaw(yaw: float) -> "Quaternion":
-        return Quaternion(math.cos(0.5 * yaw), 0.0, 0.0, math.sin(0.5 * yaw))
-
-    def norm(self) -> float:
-        return math.sqrt(self.w**2 + self.x**2 + self.y**2 + self.z**2)
-
-    def normalized(self) -> "Quaternion":
-        n = self.norm()
-        return Quaternion(self.w / n, self.x / n, self.y / n, self.z / n)
-
-    def dot(self, other: "Quaternion") -> float:
-        return self.w * other.w + self.x * other.x + self.y * other.y + self.z * other.z
-
-    def __mul__(self, other: "Quaternion") -> "Quaternion":
-        return Quaternion(
-            *_multiply(self.w, self.x, self.y, self.z, other.w, other.x, other.y, other.z)
-        )
-
-    def inverse(self) -> "Quaternion":
-        # unit quaternion: inverse == conjugate
-        return Quaternion(self.w, -self.x, -self.y, -self.z)
-
-    def rotate(self, v) -> np.ndarray:
-        """Rotate a 3-vector (or (N, 3) stack) by this quaternion."""
-        return quat_rotate(self.as_array(), np.asarray(v, dtype=float))
-
-    def to_matrix(self) -> np.ndarray:
-        w, x, y, z = self.w, self.x, self.y, self.z
-        return np.array(
-            [
-                [1 - 2 * (y * y + z * z), 2 * (x * y - w * z), 2 * (x * z + w * y)],
-                [2 * (x * y + w * z), 1 - 2 * (x * x + z * z), 2 * (y * z - w * x)],
-                [2 * (x * z - w * y), 2 * (y * z + w * x), 1 - 2 * (x * x + y * y)],
-            ]
-        )
-
-    def yaw(self) -> float:
-        """Heading angle about +z (ZYX convention)."""
-        return math.atan2(
-            2.0 * (self.w * self.z + self.x * self.y),
-            1.0 - 2.0 * (self.y * self.y + self.z * self.z),
-        )
-
-    def as_array(self) -> np.ndarray:
-        return np.array([self.w, self.x, self.y, self.z])
 
 
 def slerp_arrays(q0, q1, t) -> np.ndarray:
@@ -242,43 +168,6 @@ def slerp_arrays(q0, q1, t) -> np.ndarray:
         spherical = np.sin((1.0 - t) * theta) / s * q0 + np.sin(t * theta) / s * b
     linear = q0 + t * (b - q0)
     return quat_normalize(np.where(dot > 1.0 - 1e-12, linear, spherical))
-
-
-@dataclass(frozen=True, eq=False)
-class RigidTransform:
-    """Rotation-then-translation map between two frames."""
-
-    rotation: Quaternion
-    translation: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "translation", as_vec3(self.translation))
-        if abs(self.rotation.norm() - 1.0) > UNIT_NORM_TOL:
-            raise ValueError("transform rotation must be unit-norm")
-
-    @staticmethod
-    def identity() -> "RigidTransform":
-        return RigidTransform(Quaternion.identity(), np.zeros(3))
-
-    def apply(self, points) -> np.ndarray:
-        return self.rotation.rotate(points) + self.translation
-
-    def __matmul__(self, other: "RigidTransform") -> "RigidTransform":
-        """Composition: (self @ other)(x) == self(other(x))."""
-        return RigidTransform(
-            (self.rotation * other.rotation).normalized(),
-            self.rotation.rotate(other.translation) + self.translation,
-        )
-
-    def inverse(self) -> "RigidTransform":
-        inv_rot = self.rotation.inverse()
-        return RigidTransform(inv_rot, -inv_rot.rotate(self.translation))
-
-    def to_matrix(self) -> np.ndarray:
-        m = np.eye(4)
-        m[:3, :3] = self.rotation.to_matrix()
-        m[:3, 3] = self.translation
-        return m
 
 
 def invalid_pose_row(times, positions, quats) -> tuple[int, str] | None:

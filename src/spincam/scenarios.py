@@ -27,6 +27,9 @@ WAYPOINT_REJECTION_LIMIT = 1000
 # Upper bound on pose samples (duration x sample_rate) and on camera frames
 # (duration x frame_rate) per run; track arrays scale with these products.
 MAX_SAMPLES = 10**7
+# Upper bound on waypoints per robot: `_draw_waypoints` rejection-samples each
+# waypoint of each robot in Python, one loop pass per waypoint.
+MAX_WAYPOINTS = 1000
 
 
 @dataclass(frozen=True)
@@ -112,8 +115,9 @@ class ScenarioConfig:
             if self.orbit_radius <= 0.0 or self.orbit_speed <= 0.0:
                 raise InvalidConfig("orbit radius and speed must be positive")
         if self.kind == "random_waypoint":
-            if self.waypoint_count < 2:
-                raise InvalidConfig("random_waypoint needs at least 2 waypoints")
+            if not 2 <= self.waypoint_count <= MAX_WAYPOINTS:
+                raise InvalidConfig(f"waypoint_count must be 2..{MAX_WAYPOINTS}, "
+                                    f"got {self.waypoint_count}")
             if self.max_speed <= 0.0 or self.accel <= 0.0:
                 raise InvalidConfig("speed and acceleration must be positive")
 

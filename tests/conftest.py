@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from spincam.camera import CameraIntrinsics, CameraModel
-from spincam.geometry import RigidTransform, RobotGeometry
+from spincam.geometry import RobotGeometry
 
 
 @pytest.fixture
@@ -13,7 +13,8 @@ def intr() -> CameraIntrinsics:
 @pytest.fixture
 def identity_camera(intr) -> CameraModel:
     """Camera frame coincides with the robot frame (optical axis = robot +z)."""
-    return CameraModel(intrinsics=intr, extrinsic=RigidTransform.identity(), pitch_label="up")
+    return CameraModel(intrinsics=intr, rotation=[1.0, 0.0, 0.0, 0.0], translation=np.zeros(3),
+                       pitch_label="up")
 
 
 @pytest.fixture

@@ -1,11 +1,12 @@
-"""The batched kernels against per-frame oracles built from the value types.
+"""The batched kernels against per-frame oracles.
 
 The oracles interpolate every pose with a scalar slerp, chain the camera
-mount, the inverse ego pose and the neighbor pose as `RigidTransform`s and
-`project` neighbor by neighbor, run the belief rule on lists of world
-positions, write dataset lines with `json.dumps` of one dict per frame, and
-simulate and decode detections on pixel, box and detection objects, the way
-the pipeline worked before it was vectorized.
+mount, the inverse ego pose and the neighbor pose as 4x4 homogeneous
+matrices with scipy rotations and `project` neighbor by neighbor, run the
+belief rule on lists of world positions, write dataset lines with
+`json.dumps` of one dict per frame, and simulate and decode detections on
+pixel, box and detection objects, the way the pipeline worked before it was
+vectorized.
 """
 
 import bisect
@@ -17,6 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 import pytest
+from scipy.spatial.transform import Rotation
 
 from spincam.camera import (
     CameraIntrinsics,
@@ -43,9 +45,8 @@ from spincam.errors import DegenerateBox
 from spincam.geometry import (
     DEFAULT_ROBOT_GEOMETRY,
     PoseTrack,
-    Quaternion,
-    RigidTransform,
     interpolate,
+    quat_rotate,
 )
 from spincam.perception import (
     DEFAULT_GRID_COLS,
@@ -69,59 +70,75 @@ PITCHES = ("forward", "tilt45", "up")
 DISTORTIONS = (0.0, -0.08)
 
 
-def cross_formula(q: Quaternion, v) -> np.ndarray:
-    """Quaternion rotation via np.cross, as Quaternion.rotate once computed it."""
+def cross_formula(q, v) -> np.ndarray:
+    """Quaternion rotation via np.cross, as the rotation kernel once computed it."""
     vec = np.asarray(v, dtype=float)
-    u = np.array([q.x, q.y, q.z])
+    u = q[1:]
     t = 2.0 * np.cross(u, vec)
-    return vec + q.w * t + np.cross(u, t)
+    return vec + q[0] * t + np.cross(u, t)
 
 
-def scalar_slerp(q0: Quaternion, q1: Quaternion, t: float) -> Quaternion:
-    dot = q0.dot(q1)
+def unit_quaternion(rng) -> np.ndarray:
+    q = rng.normal(size=4)
+    return q / np.linalg.norm(q)
+
+
+def scalar_slerp(q0: np.ndarray, q1: np.ndarray, t: float) -> np.ndarray:
+    dot = float(q0 @ q1)
     b = q1
     if dot < 0.0:
         dot = -dot
-        b = Quaternion(-q1.w, -q1.x, -q1.y, -q1.z)
+        b = -q1
     if dot > 1.0 - 1e-12:
-        return Quaternion(*(a + t * (c - a) for a, c in zip(q0.as_array(), b.as_array())))\
-            .normalized()
-    theta = math.acos(min(1.0, dot))
-    c0 = math.sin((1.0 - t) * theta) / math.sin(theta)
-    c1 = math.sin(t * theta) / math.sin(theta)
-    return Quaternion(*(c0 * a + c1 * c for a, c in zip(q0.as_array(), b.as_array())))\
-        .normalized()
+        q = q0 + t * (b - q0)
+    else:
+        theta = math.acos(min(1.0, dot))
+        q = (math.sin((1.0 - t) * theta) * q0 + math.sin(t * theta) * b) / math.sin(theta)
+    return q / np.linalg.norm(q)
 
 
-def scalar_pose(track: PoseTrack, t: float) -> RigidTransform:
-    """Robot-to-world transform at t, one sample pair at a time."""
+def scalar_pose(track: PoseTrack, t: float) -> tuple[np.ndarray, np.ndarray]:
+    """Robot-to-world orientation and position at t, one sample pair at a time."""
     times = track.times.tolist()
     idx = bisect.bisect_right(times, t) - 1
     if times[idx] == t:
-        return RigidTransform(Quaternion(*track.quats[idx]), track.positions[idx])
+        return track.quats[idx], track.positions[idx]
     alpha = (t - times[idx]) / (times[idx + 1] - times[idx])
     position = (1.0 - alpha) * track.positions[idx] + alpha * track.positions[idx + 1]
-    orientation = scalar_slerp(Quaternion(*track.quats[idx]), Quaternion(*track.quats[idx + 1]),
-                               alpha)
-    return RigidTransform(orientation, position)
+    return scalar_slerp(track.quats[idx], track.quats[idx + 1], alpha), position
+
+
+def matrix(q, t) -> np.ndarray:
+    """The 4x4 homogeneous matrix of the transform (q, t), rotation by scipy."""
+    m = np.eye(4)
+    m[:3, :3] = Rotation.from_quat(np.roll(q, -1)).as_matrix()
+    m[:3, 3] = t
+    return m
+
+
+def apply(m: np.ndarray, points) -> np.ndarray:
+    """Points (..., 3) mapped by a 4x4 homogeneous matrix."""
+    return np.asarray(points) @ m[:3, :3].T + m[:3, 3]
 
 
 def oracle_frames(tracks, camera, geom, times, ego_id="r0"):
-    """Per frame: ego pose, neighbor poses, and {robot_id: (rel, center, bbox)}."""
+    """Per frame: ego pose, neighbor poses (4x4 robot-to-world matrices), and
+    {robot_id: (rel, center, bbox)}."""
     intr = camera.intrinsics
+    mount = matrix(camera.rotation, camera.translation)
     frames = []
     for t in times.tolist():
-        poses = {track.robot_id: scalar_pose(track, t) for track in tracks}
+        poses = {track.robot_id: matrix(*scalar_pose(track, t)) for track in tracks}
         ego = poses.pop(ego_id)
         visible = {}
         for rid, pose in sorted(poses.items()):
-            rel = camera.extrinsic @ ego.inverse() @ pose
-            if rel.translation[2] <= 0.0:
+            rel = mount @ np.linalg.inv(ego) @ pose
+            if rel[2, 3] <= 0.0:
                 continue
-            center = project(rel.translation, intr)
+            center = project(rel[:3, 3], intr)
             if not (0.0 < center[0] < intr.width and 0.0 < center[1] < intr.height):
                 continue
-            corners = [rel.apply(c) for c in geom.corners()]
+            corners = [apply(rel, c) for c in geom.corners()]
             if any(c[2] <= 0.0 for c in corners):
                 continue
             pixels = np.array([project(c, intr) for c in corners])
@@ -131,7 +148,7 @@ def oracle_frames(tracks, camera, geom, times, ego_id="r0"):
                 min(max(pixels[:, 0].max(), 0.0), intr.width),
                 min(max(pixels[:, 1].max(), 0.0), intr.height),
             ]
-            visible[rid] = (rel.translation, center, np.array(bbox))
+            visible[rid] = (rel[:3, 3], center, np.array(bbox))
         frames.append((ego, poses, visible))
     return frames
 
@@ -145,16 +162,16 @@ class TestQuaternionRotate:
     def test_single_vector_bitwise_equal_to_cross_formula(self):
         rng = np.random.default_rng(0)
         for _ in range(500):
-            q = Quaternion(*rng.normal(size=4)).normalized()
+            q = unit_quaternion(rng)
             v = rng.normal(size=3) * 10.0 ** rng.integers(-6, 6)
-            assert q.rotate(v).tolist() == cross_formula(q, v).tolist()
+            assert quat_rotate(q, v).tolist() == cross_formula(q, v).tolist()
 
     def test_stack_bitwise_equal_to_cross_formula(self):
         rng = np.random.default_rng(1)
         for n in (1, 8, 1000):
-            q = Quaternion(*rng.normal(size=4)).normalized()
+            q = unit_quaternion(rng)
             v = rng.normal(size=(n, 3))
-            out = q.rotate(v)
+            out = quat_rotate(q, v)
             assert out.shape == (n, 3)
             assert out.tolist() == cross_formula(q, v).tolist()
 
@@ -185,9 +202,9 @@ class TestPoseTrackArrays:
         for track in tracks:
             positions, quats = interpolate(track, times)
             for t, p, q in zip(times.tolist(), positions, quats):
-                pose = scalar_pose(track, t)
-                np.testing.assert_allclose(p, pose.translation, atol=TOL, rtol=0)
-                np.testing.assert_allclose(q, pose.rotation.as_array(), atol=TOL, rtol=0)
+                orientation, position = scalar_pose(track, t)
+                np.testing.assert_allclose(p, position, atol=TOL, rtol=0)
+                np.testing.assert_allclose(q, orientation, atol=TOL, rtol=0)
 
 
 @pytest.mark.parametrize("k1", DISTORTIONS)
@@ -215,7 +232,7 @@ def test_annotate_tracks_matches_per_frame_oracle(kind, pitch, k1):
             np.testing.assert_allclose(records.bboxes[k], bbox, atol=TOL, rtol=0)
         for rid, position in zip(ids, records.positions[f]):
             pose = {"r0": ego, **neighbors}[rid]
-            np.testing.assert_allclose(position, pose.translation, atol=TOL, rtol=0)
+            np.testing.assert_allclose(position, pose[:3, 3], atol=TOL, rtol=0)
         seen += len(visible)
     assert seen == len(records.owner)
     if pitch != "forward":
@@ -526,17 +543,18 @@ def test_run_records_reject_rows_out_of_layout():
 
 def oracle_downwash(tracks, camera, times, ellipsoid, mode, noise,
                     geom=DEFAULT_ROBOT_GEOMETRY, merge_radius=0.1):
-    """(gt, pred) per frame from the list-based belief rule and RigidTransforms."""
+    """(gt, pred) per frame from the list-based belief rule and 4x4 matrices."""
     intr = camera.intrinsics
+    mount = matrix(camera.rotation, camera.translation)
     pairs, beliefs = [], []
     for frame_id, (t, (ego, neighbors, visible)) in enumerate(
             zip(times.tolist(), oracle_frames(tracks, camera, geom, times))):
-        gt = any(ellipsoid_margin(p.translation, ego.translation, ellipsoid) < DOWNWASH_MARGIN
+        gt = any(ellipsoid_margin(p[:3, 3], ego[:3, 3], ellipsoid) < DOWNWASH_MARGIN
                  for p in neighbors.values())
         if mode == "omni":
             # an all-round view reprojects every belief and perceives every neighbor
             beliefs = []
-            seen = [pose.translation for _rid, pose in sorted(neighbors.items())]
+            seen = [pose[:3, 3] for _rid, pose in sorted(neighbors.items())]
         else:
             if mode == "oracle":
                 estimates = [rel for rel, _center, _bbox in visible.values()]
@@ -549,13 +567,13 @@ def oracle_downwash(tracks, camera, times, ellipsoid, mode, noise,
                                            radius=geom.sphere_radius)
                 estimates = [e.position for e in
                              decode_detections(output, intr, radius=geom.sphere_radius)]
-            to_camera = camera.extrinsic @ ego.inverse()
-            beliefs = [b for b in beliefs if not in_view(to_camera.apply(b), intr)]
-            seen = [(ego @ camera.extrinsic.inverse()).apply(e) for e in estimates]
+            to_camera = mount @ np.linalg.inv(ego)
+            beliefs = [b for b in beliefs if not in_view(apply(to_camera, b), intr)]
+            seen = [apply(np.linalg.inv(to_camera), e) for e in estimates]
         for world in seen:
             beliefs = [b for b in beliefs if np.linalg.norm(b - world) >= merge_radius]
             beliefs.append(world)
-        pred = any(ellipsoid_margin(b, ego.translation, ellipsoid) < DOWNWASH_MARGIN
+        pred = any(ellipsoid_margin(b, ego[:3, 3], ellipsoid) < DOWNWASH_MARGIN
                    for b in beliefs)
         pairs.append((gt, pred))
     return pairs
@@ -628,8 +646,8 @@ def test_later_estimate_absorbs_earlier_and_beliefs_die_on_reprojection():
     turns back: the belief reprojects and is dropped."""
     camera = camera_for_pitch("forward")
     identity, turned = [1.0, 0.0, 0.0, 0.0], [0.0, 0.0, 0.0, 1.0]
-    to_world = RigidTransform(Quaternion(*identity), np.zeros(3)) @ camera.extrinsic.inverse()
-    near, far = (to_world.apply([0.0, 0.0, z]) for z in (1.0, 1.09))
+    to_world = np.linalg.inv(matrix(camera.rotation, camera.translation))
+    near, far = (apply(to_world, [0.0, 0.0, z]) for z in (1.0, 1.09))
     step = 0.1 * (far - near) / np.linalg.norm(far - near)
     ellipsoid = EllipsoidSpec(0.52, 0.52, 0.52)
     assert ellipsoid_margin(near, np.zeros(3), ellipsoid) < DOWNWASH_MARGIN
@@ -658,56 +676,6 @@ def test_empty_record_list_gives_no_results(mode):
     noise = NoiseModel() if mode in ("box", "grid") else None
     assert evaluate_downwash_records(RunRecords.from_frames([]), camera_for_pitch("up"),
                                      EllipsoidSpec(), mode=mode, noise=noise) == []
-
-
-def test_rotate_calls_do_not_grow_with_frames(tmp_path, monkeypatch):
-    """simulate + downwash-eval rotate through the array kernels, not per frame."""
-    calls = []
-    rotate = Quaternion.rotate
-    monkeypatch.setattr(Quaternion, "rotate", lambda q, v: calls.append(1) or rotate(q, v))
-    counts = []
-    for duration in (5.0, 20.0):
-        config = tmp_path / f"wp{duration}.json"
-        config.write_text(json.dumps({
-            "kind": "random_waypoint", "num_robots": 4, "duration": duration,
-            "frame_rate": 30.0, "camera_pitch": "up", "rng_seed": 1,
-        }))
-        calls.clear()
-        out = tmp_path / f"run{duration}"
-        with contextlib.redirect_stdout(io.StringIO()):
-            assert main(["simulate", "--config", str(config), "--out", str(out)]) == 0
-            assert main(["downwash-eval", "--dataset", str(out / "dataset.ndjson"),
-                         "--oracle", "--out", str(out / "eval")]) == 0
-        counts.append(len(calls))
-    assert counts[0] == counts[1]
-
-
-def test_pipeline_builds_no_pose_objects(tmp_path, monkeypatch):
-    """simulate, downwash-eval and benchmark carry poses as arrays: the
-    Quaternion and RigidTransform values they build do not grow with the
-    frame count."""
-    built = []
-    for cls in (Quaternion, RigidTransform):
-        post_init = cls.__post_init__
-        monkeypatch.setattr(cls, "__post_init__", lambda self, post_init=post_init:
-                            built.append(type(self).__name__) or post_init(self))
-    counts = []
-    for duration in (5.0, 20.0):
-        config = tmp_path / f"wp{duration}.json"
-        config.write_text(json.dumps({
-            "kind": "random_waypoint", "num_robots": 4, "duration": duration,
-            "frame_rate": 30.0, "camera_pitch": "up", "rng_seed": 1,
-        }))
-        out = tmp_path / f"run{duration}"
-        built.clear()
-        with contextlib.redirect_stdout(io.StringIO()):
-            assert main(["simulate", "--config", str(config), "--out", str(out)]) == 0
-            assert main(["downwash-eval", "--dataset", str(out / "dataset.ndjson"),
-                         "--oracle", "--out", str(out / "eval")]) == 0
-            assert main(["benchmark", "--config", str(config), "--oracle",
-                         "--out", str(tmp_path / f"bench{duration}")]) == 0
-        counts.append(sorted(built))
-    assert counts[0] == counts[1]
 
 
 def test_cli_builds_no_per_frame_objects(tmp_path, monkeypatch):

@@ -1,9 +1,11 @@
 """Projection, annotation, and camera-mount refinement."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
+from scipy.spatial.transform import Rotation
 
 from spincam.camera import (
     CameraIntrinsics,
@@ -19,7 +21,14 @@ from spincam.camera import (
     reprojection_mse,
 )
 from spincam.errors import NoObservations, NonPositiveDepth
-from spincam.geometry import DEFAULT_ROBOT_GEOMETRY, PoseTrack, Quaternion, RigidTransform
+from spincam.geometry import (
+    DEFAULT_ROBOT_GEOMETRY,
+    PoseTrack,
+    quat_from_rotvec,
+    quat_multiply,
+    quat_normalize,
+    quat_rotate,
+)
 
 
 class TestProject:
@@ -87,18 +96,32 @@ class TestBackProject:
             assert abs(px[0] - u) < 1e-8 and abs(px[1] - v) < 1e-8
 
 
-def static_pose(position, yaw: float = 0.0) -> RigidTransform:
-    """The robot-to-world transform of a robot at `position` turned by `yaw`."""
-    return RigidTransform(Quaternion.from_yaw(yaw), np.asarray(position, dtype=float))
+def static_pose(position, yaw: float = 0.0) -> tuple[np.ndarray, np.ndarray]:
+    """The robot-to-world transform (q, t) of a robot at `position` turned by `yaw`."""
+    return (np.array([math.cos(0.5 * yaw), 0.0, 0.0, math.sin(0.5 * yaw)]),
+            np.asarray(position, dtype=float))
 
 
-def still_track(robot_id: str, pose: RigidTransform, t: float = 0.0) -> PoseTrack:
-    """Two samples, at t and t + 1, of a robot holding `pose`."""
-    return PoseTrack(robot_id, [t, t + 1.0], np.tile(pose.translation, (2, 1)),
-                     np.tile(pose.rotation.as_array(), (2, 1)))
+def matrix(q, t) -> np.ndarray:
+    """The 4x4 homogeneous matrix of the transform (q, t), rotation by scipy."""
+    m = np.eye(4)
+    m[:3, :3] = Rotation.from_quat(np.roll(q, -1)).as_matrix()
+    m[:3, 3] = t
+    return m
 
 
-def annotate_still(ego_pose: RigidTransform, neighbor_poses: dict, camera, geom):
+def apply(m: np.ndarray, points) -> np.ndarray:
+    """Points (..., 3) mapped by a 4x4 homogeneous matrix."""
+    return np.asarray(points) @ m[:3, :3].T + m[:3, 3]
+
+
+def still_track(robot_id: str, pose, t: float = 0.0) -> PoseTrack:
+    """Two samples, at t and t + 1, of a robot holding `pose` (q, t)."""
+    q, position = pose
+    return PoseTrack(robot_id, [t, t + 1.0], np.tile(position, (2, 1)), np.tile(q, (2, 1)))
+
+
+def annotate_still(ego_pose, neighbor_poses: dict, camera, geom):
     """The frame at time 0 of an ego "r0" and neighbors holding still."""
     tracks = [still_track("r0", ego_pose)] + [
         still_track(rid, pose) for rid, pose in neighbor_poses.items()]
@@ -113,8 +136,8 @@ class TestAnnotateFrame:
     def test_cube_bbox_half_width(self, cube_geom):
         # 8 corners projected by hand: nearest face at z = 0.95 bounds the box
         intr = CameraIntrinsics(fx=200.0, fy=200.0, cx=160.0, cy=160.0)
-        camera = CameraModel(intrinsics=intr, extrinsic=RigidTransform.identity(),
-                             pitch_label="up")
+        camera = CameraModel(intrinsics=intr, rotation=[1.0, 0.0, 0.0, 0.0],
+                             translation=np.zeros(3), pitch_label="up")
         ann = annotate_still(
             static_pose((0, 0, 0)), {"r1": static_pose((0, 0, 1))}, camera, cube_geom
         )
@@ -167,10 +190,11 @@ class TestAnnotateFrame:
             assert n.bbox[0] <= n.center[0] <= n.bbox[2]
             assert n.bbox[1] <= n.center[1] <= n.bbox[3]
             # independent recomputation: min/max over the projected corners
-            rel = identity_camera.extrinsic @ static_pose((0, 0, 0)).inverse() @ neighbor
+            rel = (matrix(identity_camera.rotation, identity_camera.translation)
+                   @ np.linalg.inv(matrix(*static_pose((0, 0, 0)))) @ matrix(*neighbor))
             pixels = np.array(
                 [project(c, identity_camera.intrinsics)
-                 for c in rel.apply(cube_geom.corners())]
+                 for c in apply(rel, cube_geom.corners())]
             )
             np.testing.assert_allclose(
                 n.bbox,
@@ -200,12 +224,12 @@ class TestPitchRotation:
     def test_optical_axis_direction(self, label, axis_robot, intr):
         camera = camera_for_pitch(label, intr)
         # robot-frame direction mapping to the camera +z axis
-        cam_axis = camera.extrinsic.rotation.rotate(np.asarray(axis_robot))
+        cam_axis = quat_rotate(camera.rotation, axis_robot)
         np.testing.assert_allclose(cam_axis, [0.0, 0.0, 1.0], atol=1e-12)
 
     def test_rotation_is_proper(self):
         for pitch in (0.0, 0.3, math.pi / 4, math.pi / 2):
-            m = pitch_rotation(pitch).to_matrix()
+            m = quat_rotate(pitch_rotation(pitch), np.eye(3)).T
             np.testing.assert_allclose(m @ m.T, np.eye(3), atol=1e-12)
             assert np.linalg.det(m) == pytest.approx(1.0, abs=1e-12)
 
@@ -222,14 +246,13 @@ def synthesize_calibration_records(camera: CameraModel, count: int, rng) -> RunR
     for _ in range(count):
         pose = static_pose(rng.uniform((-1, -1, 1.0), (1, 1, 2.0)),
                            yaw=rng.uniform(0, 2 * math.pi))
-        to_world = pose @ camera.extrinsic.inverse()
+        to_world = matrix(*pose) @ np.linalg.inv(matrix(camera.rotation, camera.translation))
         ego.append(pose)
-        neighbors.append([to_world.apply(rng.uniform((-0.8, -0.8, 0.6), (0.8, 0.8, 2.5)))
+        neighbors.append([apply(to_world, rng.uniform((-0.8, -0.8, 0.6), (0.8, 0.8, 2.5)))
                           for _ in range(4)])
     times = np.arange(float(count))
     identity = np.tile([1.0, 0.0, 0.0, 0.0], (count, 1))
-    tracks = [PoseTrack("r0", times, [p.translation for p in ego],
-                        [p.rotation.as_array() for p in ego])]
+    tracks = [PoseTrack("r0", times, [t for _q, t in ego], [q for q, _t in ego])]
     tracks += [PoseTrack(f"r{j + 1}", times, [frame[j] for frame in neighbors], identity)
                for j in range(4)]
     return annotate_tracks(tracks, camera, DEFAULT_ROBOT_GEOMETRY, times)
@@ -237,10 +260,27 @@ def synthesize_calibration_records(camera: CameraModel, count: int, rng) -> RunR
 
 def perturbed(camera: CameraModel, rotvec) -> CameraModel:
     """The camera with its mount turned by a rotation vector (camera frame)."""
-    rotation = (Quaternion.from_rotvec(rotvec) * camera.extrinsic.rotation).normalized()
-    return CameraModel(intrinsics=camera.intrinsics,
-                       extrinsic=RigidTransform(rotation, camera.extrinsic.translation),
-                       pitch_label=camera.pitch_label)
+    return replace(camera, rotation=quat_normalize(quat_multiply(quat_from_rotvec(rotvec),
+                                                                 camera.rotation)))
+
+
+def angle_between(a, b) -> float:
+    """The angle of the rotation from unit quaternion b to a, radians."""
+    delta = quat_multiply(a, b * np.array([1.0, -1.0, -1.0, -1.0]))
+    return 2.0 * math.acos(min(1.0, abs(delta[0])))
+
+
+class TestCameraModel:
+    def test_zero_quaternion_rejected(self, intr):
+        with pytest.raises(ValueError, match="extrinsic q"):
+            CameraModel(intr, rotation=[0.0, 0.0, 0.0, 0.0], translation=np.zeros(3))
+
+    @pytest.mark.parametrize("rotation", [[1.0, 1.0, 0.0, 0.0], [math.nan, 0.0, 0.0, 0.0],
+                                          [math.inf, 0.0, 0.0, 0.0], [1.0, 0.0, 0.0],
+                                          [[1.0, 0.0, 0.0, 0.0]]])
+    def test_non_unit_rotation_rejected(self, intr, rotation):
+        with pytest.raises(ValueError, match="extrinsic q"):
+            CameraModel(intr, rotation=rotation, translation=np.zeros(3))
 
 
 class TestRefineExtrinsicRotation:
@@ -248,8 +288,7 @@ class TestRefineExtrinsicRotation:
         camera = camera_for_pitch("forward", intr)
         records = synthesize_calibration_records(camera, 4, np.random.default_rng(4))
         refined = refine_extrinsic_rotation(records, camera, RotationGrid(extent=0.02, step=0.01))
-        delta = refined.rotation * camera.extrinsic.rotation.inverse()
-        assert 2.0 * math.acos(min(1.0, abs(delta.w))) < 1e-9
+        assert angle_between(refined.rotation, camera.rotation) < 1e-9
 
     def test_recovers_on_grid_perturbation(self, intr):
         camera = camera_for_pitch("forward", intr)
@@ -257,9 +296,9 @@ class TestRefineExtrinsicRotation:
         records = synthesize_calibration_records(mounted, 5, np.random.default_rng(5))
         assert len(records.owner) > 5
         refined = refine_extrinsic_rotation(records, camera, RotationGrid(extent=0.03, step=0.01))
-        delta = refined.rotation * mounted.extrinsic.rotation.inverse()
-        assert 2.0 * math.acos(min(1.0, abs(delta.w))) < 1e-9
-        np.testing.assert_allclose(refined.translation, camera.extrinsic.translation)
+        assert angle_between(refined.rotation, mounted.rotation) < 1e-9
+        np.testing.assert_allclose(refined.translation, camera.translation)
+        assert (refined.intrinsics, refined.pitch_label) == (intr, "forward")
 
     def test_no_observations(self, intr):
         camera = camera_for_pitch("forward", intr)
@@ -276,15 +315,16 @@ class TestRefineExtrinsicRotation:
 
     def test_reprojection_mse_matches_per_row_oracle(self, intr):
         """The mean over neighbor rows of the squared pixel error, each row's
-        true center projected through `extrinsic @ ego.inverse()`."""
+        true center projected through the mount after the inverse ego pose,
+        chained as 4x4 matrices."""
         records = synthesize_calibration_records(camera_for_pitch("up", intr), 4,
                                                  np.random.default_rng(8))
         camera = perturbed(camera_for_pitch("up", intr), (0.01, -0.02, 0.0))
         errors = []
         for f, r, observed in zip(records.owner, records.robot, records.centers):
-            ego = RigidTransform(Quaternion(*records.quats[f, 0]), records.positions[f, 0])
-            pixel = project((camera.extrinsic @ ego.inverse()).apply(records.positions[f, r]),
-                            intr)
+            to_camera = (matrix(camera.rotation, camera.translation)
+                         @ np.linalg.inv(matrix(records.quats[f, 0], records.positions[f, 0])))
+            pixel = project(apply(to_camera, records.positions[f, r]), intr)
             errors.append((pixel[0] - observed[0]) ** 2 + (pixel[1] - observed[1]) ** 2)
         assert len(errors) > 5 and min(errors) > 0.0
         assert reprojection_mse(records, camera) == pytest.approx(np.mean(errors), rel=1e-12)
@@ -302,9 +342,7 @@ class TestRefineExtrinsicRotation:
         data_camera = perturbed(camera, np.array([0.015, 0.005, -0.01]))
         records = synthesize_calibration_records(data_camera, 3, rng)
         grid = RotationGrid(extent=0.02, step=0.01)
-        refined = refine_extrinsic_rotation(records, camera, grid)
-        refined_camera = CameraModel(intrinsics=intr, extrinsic=refined, pitch_label="tilt45")
-        best = reprojection_mse(records, refined_camera)
+        best = reprojection_mse(records, refine_extrinsic_rotation(records, camera, grid))
         values = grid.axis_values()
         for rx in values:
             for ry in values:

@@ -35,7 +35,7 @@ from spincam.errors import SpincamError
 from spincam.geometry import DEFAULT_ROBOT_GEOMETRY, PoseTrack, RobotGeometry
 from spincam.camera import RunRecords, camera_for_pitch
 from spincam.perception import NoiseModel
-from spincam.scenarios import ScenarioConfig
+from spincam.scenarios import MAX_WAYPOINTS, ScenarioConfig
 
 
 # A JSON integer too large for a float: `1` followed by 400 zeros.
@@ -111,6 +111,7 @@ class TestSimulate:
         ({"duration": 0.001}, "duration"),
         ({"kind": "random_waypoint", "num_robots": 2.5}, "num_robots"),
         ({"kind": "random_waypoint", "waypoint_count": 2.5}, "waypoint_count"),
+        ({"kind": "random_waypoint", "waypoint_count": MAX_WAYPOINTS + 1}, "waypoint_count"),
         ({"rng_seed": -1}, "rng_seed"),
         ({"swap_start_a": [1, 2]}, "swap_start_a"),
         ({"swap_start_b": [0.7, 0.7, 0.9, 1.0]}, "swap_start_b"),
@@ -411,6 +412,9 @@ class TestDownwashEval:
         ("ellipsoid", lambda header: header["ellipsoid"].__setitem__(1, HUGE)),
         ("extrinsic q", lambda header: header["camera"]["extrinsic"]["q"].__setitem__(0, HUGE)),
         ("extrinsic q", lambda header: header["camera"]["extrinsic"]["q"].__setitem__(1, False)),
+        ("extrinsic q",
+         lambda header: header["camera"]["extrinsic"].update(q=[0.5, 0.5, 0.5, 0.6])),
+        ("extrinsic q", lambda header: header["camera"]["extrinsic"].update(q=[0, 0, 0, 0])),
         ("extrinsic t", lambda header: header["camera"]["extrinsic"]["t"].__setitem__(2, "0")),
         ("extrinsic t", lambda header: header["camera"]["extrinsic"].update(t=HUGE)),
         ("half_extents", lambda header: header["geometry"]["half_extents"].__setitem__(0, HUGE)),

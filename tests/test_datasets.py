@@ -91,8 +91,7 @@ def random_dataset(rng, n_frames: int) -> Dataset:
 def assert_datasets_equal(a: Dataset, b: Dataset) -> None:
     assert a.camera.pitch_label == b.camera.pitch_label
     assert a.camera.intrinsics == b.camera.intrinsics
-    assert a.camera.extrinsic.rotation.as_array().tolist() == \
-        b.camera.extrinsic.rotation.as_array().tolist()
+    assert a.camera.rotation.tolist() == b.camera.rotation.tolist()
     assert a.ellipsoid == b.ellipsoid
     assert a.geometry.half_extents.tolist() == b.geometry.half_extents.tolist()
     assert a.geometry.sphere_radius == b.geometry.sphere_radius

@@ -20,7 +20,6 @@ from spincam.downwash import (
     evaluate_downwash_records,
     run_downwash_eval,
 )
-from spincam.geometry import Quaternion
 from spincam.scenarios import ScenarioConfig, frame_schedule, generate_scenario
 
 E = EllipsoidSpec(0.15, 0.15, 0.3)
@@ -155,7 +154,7 @@ class TestUpdateBelief:
         # the estimate 2 m ahead is the world point (1, 4, 0.5). Frame 1 puts
         # the ego on that point (depth 0: out of view), where an ellipsoid of
         # 5e-10 m radii fires only if the belief lies within 1e-9 m of it.
-        yaw = Quaternion.from_yaw(math.pi / 2).as_array()
+        yaw = np.array([math.cos(math.pi / 4), 0.0, 0.0, math.sin(math.pi / 4)])
         records = [record(0, [(0.0, 0.0, 2.0)], position=(1.0, 2.0, 0.5), quat=yaw),
                    record(1, position=(1.0, 4.0, 0.5))]
         tiny = EllipsoidSpec(5e-10, 5e-10, 5e-10)

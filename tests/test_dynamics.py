@@ -107,7 +107,7 @@ class TestStepDynamics:
         state = RigidBodyState.at_rest((0.0, 0.0, 1.0))
         for _ in range(10_000):
             state = step_dynamics(state, u, np.zeros(3), 1e-3, params)
-            assert abs(state.q.norm() - 1.0) < 1e-9
+            assert abs(np.linalg.norm(state.q) - 1.0) < 1e-9
 
     def test_kinetic_energy_constant_at_equilibrium(self, params):
         state = RigidBodyState.at_rest((0.0, 0.0, 1.0))

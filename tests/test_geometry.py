@@ -10,27 +10,57 @@ from spincam.camera import world_to_camera_arrays
 from spincam.errors import OutOfRange
 from spincam.geometry import (
     PoseTrack,
-    Quaternion,
-    RigidTransform,
     RobotGeometry,
     compose,
     interpolate,
+    invert,
+    quat_from_rotvec,
+    quat_multiply,
+    quat_rotate,
     slerp_arrays,
 )
 
+IDENTITY = np.array([1.0, 0.0, 0.0, 0.0])
 
-def random_quaternion(rng) -> Quaternion:
+
+def random_quaternion(rng) -> np.ndarray:
     q = rng.normal(size=4)
-    q /= np.linalg.norm(q)
-    return Quaternion(*q)
+    return q / np.linalg.norm(q)
 
 
-def random_transform(rng) -> RigidTransform:
-    return RigidTransform(random_quaternion(rng), rng.uniform(-2.0, 2.0, 3))
+def random_transform(rng) -> tuple[np.ndarray, np.ndarray]:
+    return random_quaternion(rng), rng.uniform(-2.0, 2.0, 3)
 
 
-def to_scipy(q: Quaternion) -> Rotation:
-    return Rotation.from_quat([q.x, q.y, q.z, q.w])
+def to_scipy(q) -> Rotation:
+    return Rotation.from_quat(np.roll(q, -1))
+
+
+def rotation_matrix(q) -> np.ndarray:
+    """The 3x3 matrix of the rotation q, column j the rotated basis vector j."""
+    return quat_rotate(q, np.eye(3)).T
+
+
+def to_matrix(q, t) -> np.ndarray:
+    """The 4x4 homogeneous matrix of the transform (q, t), rotation by scipy."""
+    m = np.eye(4)
+    m[:3, :3] = to_scipy(q).as_matrix()
+    m[:3, 3] = t
+    return m
+
+
+def apply(transform, v) -> np.ndarray:
+    q, t = transform
+    return quat_rotate(q, v) + t
+
+
+def yaw_quaternion(angle: float) -> np.ndarray:
+    return np.array([math.cos(0.5 * angle), 0.0, 0.0, math.sin(0.5 * angle)])
+
+
+def yaw(q) -> float:
+    """Heading angle about +z (ZYX convention)."""
+    return to_scipy(q).as_euler("ZYX")[0]
 
 
 class TestQuaternion:
@@ -39,12 +69,12 @@ class TestQuaternion:
         for _ in range(100):
             q = random_quaternion(rng)
             v = rng.uniform(-1, 1, 3)
-            np.testing.assert_allclose(q.rotate(v), to_scipy(q).apply(v), atol=1e-12)
+            np.testing.assert_allclose(quat_rotate(q, v), to_scipy(q).apply(v), atol=1e-12)
 
     def test_to_matrix_is_rotation(self):
         rng = np.random.default_rng(1)
         for _ in range(50):
-            m = random_quaternion(rng).to_matrix()
+            m = rotation_matrix(random_quaternion(rng))
             np.testing.assert_allclose(m @ m.T, np.eye(3), atol=1e-12)
             assert np.linalg.det(m) == pytest.approx(1.0, abs=1e-12)
 
@@ -53,22 +83,20 @@ class TestQuaternion:
         for _ in range(50):
             a, b = random_quaternion(rng), random_quaternion(rng)
             v = rng.uniform(-1, 1, 3)
-            np.testing.assert_allclose((a * b).rotate(v), a.rotate(b.rotate(v)), atol=1e-12)
+            np.testing.assert_allclose(quat_rotate(quat_multiply(a, b), v),
+                                       quat_rotate(a, quat_rotate(b, v)), atol=1e-12)
 
     def test_from_rotvec_matches_scipy(self):
         rng = np.random.default_rng(3)
-        for scale in (1e-14, 1e-6, 0.1, 2.0):
-            r = rng.normal(size=3) * scale
-            ours = Quaternion.from_rotvec(r).to_matrix()
+        rotvecs = [rng.normal(size=3) * scale for scale in (1e-14, 1e-6, 0.1, 2.0)]
+        for r, stacked in zip(rotvecs, quat_from_rotvec(rotvecs)):
+            ours = rotation_matrix(quat_from_rotvec(r))
             np.testing.assert_allclose(ours, Rotation.from_rotvec(r).as_matrix(), atol=1e-12)
+            assert stacked.tolist() == quat_from_rotvec(r).tolist()
 
     def test_yaw_roundtrip(self):
-        for yaw in (-3.0, -0.5, 0.0, 1.0, 3.1):
-            assert Quaternion.from_yaw(yaw).yaw() == pytest.approx(yaw, abs=1e-12)
-
-    def test_zero_quaternion_rejected(self):
-        with pytest.raises(ValueError):
-            Quaternion(0.0, 0.0, 0.0, 0.0)
+        for angle in (-3.0, -0.5, 0.0, 1.0, 3.1):
+            assert yaw(quat_from_rotvec([0.0, 0.0, angle])) == pytest.approx(angle, abs=1e-12)
 
 
 class TestRigidTransform:
@@ -76,9 +104,9 @@ class TestRigidTransform:
         rng = np.random.default_rng(4)
         for _ in range(100):
             t = random_transform(rng)
-            composed = t @ t.inverse()
-            np.testing.assert_allclose(composed.translation, np.zeros(3), atol=1e-9)
-            assert abs(composed.rotation.dot(Quaternion.identity())) == pytest.approx(1.0, abs=1e-9)
+            q, translation = compose(*t, *invert(*t))
+            np.testing.assert_allclose(translation, np.zeros(3), atol=1e-9)
+            assert abs(q @ IDENTITY) == pytest.approx(1.0, abs=1e-9)
 
     def test_composition_is_associative(self):
         rng = np.random.default_rng(5)
@@ -86,46 +114,42 @@ class TestRigidTransform:
             a, b, c = (random_transform(rng) for _ in range(3))
             v = rng.uniform(-1, 1, 3)
             np.testing.assert_allclose(
-                ((a @ b) @ c).apply(v), (a @ (b @ c)).apply(v), atol=1e-9
+                apply(compose(*compose(*a, *b), *c), v), apply(compose(*a, *compose(*b, *c)), v),
+                atol=1e-9,
             )
 
     def test_matches_homogeneous_matrix_oracle(self):
         rng = np.random.default_rng(6)
         for _ in range(50):
             a, b = random_transform(rng), random_transform(rng)
-            ours = (a @ b).to_matrix()
-            np.testing.assert_allclose(ours, a.to_matrix() @ b.to_matrix(), atol=1e-12)
-
-    def test_non_unit_rotation_rejected(self):
-        with pytest.raises(ValueError):
-            RigidTransform(Quaternion(1.0, 1.0, 0.0, 0.0), np.zeros(3))
+            ours = to_matrix(*compose(*a, *b))
+            np.testing.assert_allclose(ours, to_matrix(*a) @ to_matrix(*b), atol=1e-12)
 
 
-def neighbor_in_camera(ego: RigidTransform, neighbor: RigidTransform, camera) -> RigidTransform:
-    """The neighbor robot frame in the ego camera frame, through the array kernels."""
-    q, t = compose(*world_to_camera_arrays(ego.rotation.as_array(), ego.translation, camera),
-                   neighbor.rotation.as_array(), neighbor.translation)
-    return RigidTransform(Quaternion(*q), t)
+def neighbor_in_camera(ego, neighbor, camera) -> tuple[np.ndarray, np.ndarray]:
+    """The neighbor robot frame (q, t) in the ego camera frame, through the
+    array kernels."""
+    return compose(*world_to_camera_arrays(*ego, camera), *neighbor)
 
 
 class TestRelativeTransform:
     def test_identity_case(self, identity_camera):
-        ego = RigidTransform.identity()
-        rel = neighbor_in_camera(ego, ego, identity_camera)
-        np.testing.assert_allclose(rel.translation, np.zeros(3), atol=1e-12)
-        assert abs(rel.rotation.w) == pytest.approx(1.0, abs=1e-12)
+        ego = IDENTITY, np.zeros(3)
+        q, t = neighbor_in_camera(ego, ego, identity_camera)
+        np.testing.assert_allclose(t, np.zeros(3), atol=1e-12)
+        assert abs(q[0]) == pytest.approx(1.0, abs=1e-12)
 
     def test_single_term_chain(self, identity_camera):
-        ego = RigidTransform.identity()
-        neighbor = RigidTransform(Quaternion.identity(), np.array([1.0, 0.0, 0.0]))
-        rel = neighbor_in_camera(ego, neighbor, identity_camera)
-        np.testing.assert_allclose(rel.translation, [1.0, 0.0, 0.0], atol=1e-12)
+        ego = IDENTITY, np.zeros(3)
+        neighbor = IDENTITY, np.array([1.0, 0.0, 0.0])
+        _q, t = neighbor_in_camera(ego, neighbor, identity_camera)
+        np.testing.assert_allclose(t, [1.0, 0.0, 0.0], atol=1e-12)
 
     def test_yawed_ego_matrix_oracle(self, identity_camera):
         # derived via independent 4x4 homogeneous-matrix chain with scipy rotations
         ego_rot = Rotation.from_euler("z", 90, degrees=True)
-        ego = RigidTransform(Quaternion(*np.roll(ego_rot.as_quat(), 1)), np.array([1.0, 2.0, 3.0]))
-        neighbor = RigidTransform(Quaternion.identity(), np.array([2.0, 2.0, 3.0]))
+        ego = np.roll(ego_rot.as_quat(), 1), np.array([1.0, 2.0, 3.0])
+        neighbor = IDENTITY, np.array([2.0, 2.0, 3.0])
 
         t_ego = np.eye(4)
         t_ego[:3, :3] = ego_rot.as_matrix()
@@ -135,22 +159,21 @@ class TestRelativeTransform:
         expected = np.linalg.inv(t_ego) @ t_nb
 
         rel = neighbor_in_camera(ego, neighbor, identity_camera)
-        np.testing.assert_allclose(rel.to_matrix(), expected, atol=1e-12)
+        np.testing.assert_allclose(to_matrix(*rel), expected, atol=1e-12)
 
     def test_neighbor_equals_ego_for_random_poses(self, identity_camera):
         rng = np.random.default_rng(7)
         for _ in range(100):
             pose = random_transform(rng)
-            rel = neighbor_in_camera(pose, pose, identity_camera)
-            np.testing.assert_allclose(rel.translation, np.zeros(3), atol=1e-9)
-            assert abs(rel.rotation.dot(Quaternion.identity())) == pytest.approx(1.0, abs=1e-9)
+            q, t = neighbor_in_camera(pose, pose, identity_camera)
+            np.testing.assert_allclose(t, np.zeros(3), atol=1e-9)
+            assert abs(q @ IDENTITY) == pytest.approx(1.0, abs=1e-9)
 
 
 class TestSlerp:
     def test_halfway_between_yaw_0_and_90(self):
-        q = slerp_arrays(Quaternion.from_yaw(0.0).as_array(),
-                         Quaternion.from_yaw(math.pi / 2).as_array(), 0.5)
-        assert Quaternion(*q).yaw() == pytest.approx(math.pi / 4, abs=1e-12)
+        q = slerp_arrays(yaw_quaternion(0.0), yaw_quaternion(math.pi / 2), 0.5)
+        assert yaw(q) == pytest.approx(math.pi / 4, abs=1e-12)
 
     def test_matches_scipy_slerp(self):
         rng = np.random.default_rng(8)
@@ -158,9 +181,9 @@ class TestSlerp:
         for _ in range(50):
             q0, q1 = random_quaternion(rng), random_quaternion(rng)
             ref = Slerp([0.0, 1.0], Rotation.concatenate([to_scipy(q0), to_scipy(q1)]))
-            ours = slerp_arrays(q0.as_array(), q1.as_array(), ts)
+            ours = slerp_arrays(q0, q1, ts)
             for expected, q in zip(ref(ts).as_matrix(), ours):
-                np.testing.assert_allclose(expected, Quaternion(*q).to_matrix(), atol=1e-9)
+                np.testing.assert_allclose(expected, rotation_matrix(q), atol=1e-9)
 
     def test_output_unit_norm(self):
         rng = np.random.default_rng(9)
@@ -174,7 +197,7 @@ class TestSlerp:
 def make_track(entries) -> PoseTrack:
     return PoseTrack("r0", [t for t, _p, _yaw in entries],
                      np.array([p for _t, p, _yaw in entries], dtype=float),
-                     [Quaternion.from_yaw(yaw).as_array() for _t, _p, yaw in entries])
+                     [yaw_quaternion(angle) for _t, _p, angle in entries])
 
 
 class TestInterpolatePose:
@@ -192,7 +215,7 @@ class TestInterpolatePose:
     def test_rotation_halfway(self):
         track = make_track([(0.0, (0, 0, 0), 0.0), (1.0, (0, 0, 0), math.pi / 2)])
         _positions, quats = interpolate(track, 0.5)
-        assert Quaternion(*quats[0]).yaw() == pytest.approx(math.pi / 4, abs=1e-12)
+        assert yaw(quats[0]) == pytest.approx(math.pi / 4, abs=1e-12)
 
     def test_out_of_range(self):
         track = make_track([(0.0, (0, 0, 0), 0.0), (1.0, (1, 0, 0), 0.0)])
@@ -204,8 +227,8 @@ class TestInterpolatePose:
     def test_orientation_always_unit(self):
         rng = np.random.default_rng(10)
         transforms = [random_transform(rng) for _ in range(10)]
-        track = PoseTrack("r0", np.arange(10.0), [t.translation for t in transforms],
-                          [t.rotation.as_array() for t in transforms])
+        track = PoseTrack("r0", np.arange(10.0), [t for _q, t in transforms],
+                          [q for q, _t in transforms])
         _positions, quats = interpolate(track, rng.uniform(0.0, 9.0, 200))
         np.testing.assert_allclose(np.linalg.norm(quats, axis=1), 1.0, rtol=0.0, atol=1e-9)
 

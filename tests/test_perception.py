@@ -15,7 +15,7 @@ from spincam.camera import (
     project,
 )
 from spincam.errors import DegenerateBox
-from spincam.geometry import PoseTrack, RigidTransform, RobotGeometry
+from spincam.geometry import PoseTrack, RobotGeometry
 from spincam.perception import (
     GridDetectionMap,
     NoiseModel,
@@ -262,8 +262,8 @@ class TestSimulateDetector:
     def cube_annotation(self, intr) -> FrameAnnotation:
         # axis-aligned cubic robot so the sphere model matches the box width
         geom = RobotGeometry(half_extents=np.array([0.05, 0.05, 0.05]), sphere_radius=0.05)
-        camera = CameraModel(intrinsics=intr, extrinsic=RigidTransform.identity(),
-                             pitch_label="up")
+        camera = CameraModel(intrinsics=intr, rotation=[1.0, 0.0, 0.0, 0.0],
+                             translation=np.zeros(3), pitch_label="up")
         # two-sample tracks of robots holding still
         quats = np.tile([1.0, 0.0, 0.0, 0.0], (2, 1))
         tracks = [PoseTrack("r0", [0.0, 1.0], np.zeros((2, 3)), quats),
