@@ -41,6 +41,10 @@ from .geometry import (
 UNDISTORT_ITERATIONS = 25
 UNDISTORT_TOL = 1e-13
 
+# candidate-row pairs that one step of `refine_extrinsic_rotation` scores at
+# most (one candidate when a run has more rows); bounds its temporaries
+REFINE_PAIRS = 1 << 14
+
 PITCH_ANGLES = {"forward": 0.0, "tilt45": math.pi / 4.0, "up": math.pi / 2.0}
 
 
@@ -194,7 +198,8 @@ def back_project(pixel, depth_z: float, intr: CameraIntrinsics) -> np.ndarray:
 def pixel_to_ray(pixel, intr: CameraIntrinsics) -> np.ndarray:
     """Unit direction through a pixel (u, v) after undistortion."""
     ray = back_project(pixel, 1.0, intr)
-    return ray / np.linalg.norm(ray)
+    # np.linalg.norm of a vector is this sqrt of its dot, without the dispatch
+    return ray / math.sqrt(ray.dot(ray))
 
 
 def in_view(points_camera, intr: CameraIntrinsics) -> np.ndarray:
@@ -457,22 +462,23 @@ def _ego_frame_points(records: RunRecords) -> np.ndarray:
     return quat_rotate(to_ego_q, records.positions[records.owner, records.robot]) + to_ego_t
 
 
-def _mean_squared_error(points, observed, rotation, translation,
-                        intr: CameraIntrinsics) -> float:
-    """Mean squared pixel distance between ego-frame points (K, 3) seen
-    through the mount (rotation, translation) and the observed pixels (K, 2);
-    inf when a point lies on or behind the image plane."""
-    cam_pts = quat_rotate(rotation, points) + translation
-    if np.any(cam_pts[:, 2] <= 0.0):
-        return math.inf
-    return float(np.mean(np.sum((project_points(cam_pts, intr) - observed) ** 2, axis=1)))
+def _mean_squared_errors(points, observed, rotations, translation,
+                        intr: CameraIntrinsics) -> np.ndarray:
+    """Mean squared pixel distance (C,) between ego-frame points (K, 3) seen
+    through each mount (rotations[c], translation) and the observed pixels
+    (K, 2); inf for a mount that puts a point on or behind the image plane."""
+    cam_pts = quat_rotate(rotations[:, None], points) + translation
+    errors = np.mean(np.sum((project_points(cam_pts, intr) - observed) ** 2, axis=2), axis=1)
+    errors[np.any(cam_pts[..., 2] <= 0.0, axis=1)] = math.inf
+    return errors
 
 
 def reprojection_mse(records: RunRecords, camera: CameraModel) -> float:
     """Mean squared pixel error of the true neighbor centers, projected
     through the camera, vs the observed `centers` of a run's neighbor rows."""
-    return _mean_squared_error(_ego_frame_points(records), records.centers,
-                               camera.rotation, camera.translation, camera.intrinsics)
+    return float(_mean_squared_errors(_ego_frame_points(records), records.centers,
+                                      camera.rotation[None], camera.translation,
+                                      camera.intrinsics)[0])
 
 
 def refine_extrinsic_rotation(
@@ -481,19 +487,24 @@ def refine_extrinsic_rotation(
     """Exhaustive grid search over mount-rotation perturbations.
 
     Every rotation vector on the grid perturbs the current mount rotation (in
-    camera coordinates); the candidate minimizing `reprojection_mse` of the
-    run's observed neighbor centers wins. Returns the camera with that mount
-    rotation; translation is kept as-is.
+    camera coordinates); the first candidate with the least finite
+    `reprojection_mse` of the run's observed neighbor centers wins, and the
+    mount stays as it is when every candidate puts a point behind the image
+    plane. Candidates are scored REFINE_PAIRS candidate-row pairs at a time.
+    Returns the camera with the winning mount rotation; translation is kept
+    as-is.
     """
     points = _ego_frame_points(records)
     rotvecs = np.array(list(itertools.product(search.axis_values(), repeat=3)))
     candidates = quat_normalize(quat_multiply(quat_from_rotvec(rotvecs), camera.rotation))
     best_error = math.inf
     best_rotation = camera.rotation
-    for rotation in candidates:
-        err = _mean_squared_error(points, records.centers, rotation, camera.translation,
-                                  camera.intrinsics)
-        if err < best_error:
-            best_error = err
-            best_rotation = rotation
+    size = max(1, REFINE_PAIRS // len(points))
+    for lo in range(0, len(candidates), size):
+        errors = _mean_squared_errors(points, records.centers, candidates[lo:lo + size],
+                                      camera.translation, camera.intrinsics)
+        best = int(np.argmin(errors))
+        if errors[best] < best_error:
+            best_error = errors[best]
+            best_rotation = candidates[lo + best]
     return replace(camera, rotation=best_rotation)

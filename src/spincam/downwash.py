@@ -32,7 +32,15 @@ from .geometry import (
     quat_rotate,
     require_finite,
 )
-from .perception import NoiseModel, decode_detections, simulate_detector
+from .perception import (
+    DEFAULT_GRID_COLS,
+    DEFAULT_GRID_ROWS,
+    NoiseModel,
+    decode_box_rows,
+    decode_grid_cells,
+    detect_rows,
+    frame_rng,
+)
 
 DOWNWASH_MARGIN = 2.0
 MERGE_RADIUS = 0.1
@@ -118,7 +126,11 @@ def _perceived(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Perception of the frames taken in `order`: each estimate's frame as
     its place in `order` (E,), ascending, and the camera-frame estimates
-    (E, 3)."""
+    (E, 3).
+
+    The detector and decoder run frame by frame on the run's neighbor rows;
+    grid mode reuses one grid buffer, cleared after every frame.
+    """
     if mode == "oracle":
         rank = np.empty_like(order)
         rank[order] = np.arange(len(order))
@@ -126,15 +138,23 @@ def _perceived(
         rows = np.argsort(owner, kind="stable")
         return owner[rows], records.rel_positions[rows]
     intr, radius = camera.intrinsics, geom.sphere_radius
-    annotations = records.annotations()
+    bounds = np.searchsorted(records.owner, np.arange(len(records) + 1)).tolist()
+    frame_ids = records.frame_ids.tolist()
+    rel_positions, centers = records.rel_positions.tolist(), records.centers.tolist()
+    bboxes = records.bboxes.tolist()
+    grid = np.zeros((2, DEFAULT_GRID_ROWS, DEFAULT_GRID_COLS))
     counts, positions = [], []
     for f in order.tolist():
-        estimates = decode_detections(
-            simulate_detector(annotations[f], noise, intr, mode, radius=radius),
-            intr, radius=radius,
-        )
+        lo, hi = bounds[f], bounds[f + 1]
+        detections = detect_rows(frame_rng(noise, frame_ids[f]), rel_positions[lo:hi],
+                                 centers[lo:hi], bboxes[lo:hi], noise, intr, mode, radius, grid)
+        if mode == "box":
+            estimates = decode_box_rows(detections, intr, radius)
+        else:
+            estimates = decode_grid_cells(*grid, intr)
+            grid.fill(0.0)
         counts.append(len(estimates))
-        positions.extend(e.position for e in estimates)
+        positions.extend(estimates)
     return (np.repeat(np.arange(len(order)), counts),
             np.array(positions, dtype=float).reshape(-1, 3))
 

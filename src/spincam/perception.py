@@ -4,6 +4,14 @@ Two decoding routes are supported: bounding boxes decoded through the
 sphere-subtense distance model, and confidence/depth grids decoded by
 inverting the pinhole projection. A configurable noise model stands in for
 the neural detectors so the evaluation protocol can run without images.
+
+One per-frame kernel does the work. `detect_rows` simulates the detector on
+one frame's neighbor rows, in the `RunRecords` layout, with that frame's
+`frame_rng`; `decode_box_rows` and `decode_grid_cells` decode its output
+into (3,) camera-frame positions. `downwash` runs the kernel over a run's
+rows with one reused grid buffer. `simulate_detector`, `decode_box`,
+`decode_grid` and `decode_detections` are its one-frame wrappers over a
+`FrameAnnotation`, a `GridDetectionMap` and `PositionEstimate`s.
 """
 
 from __future__ import annotations
@@ -90,15 +98,29 @@ def sphere_distance_from_angle(alpha: float, radius: float) -> float:
     return radius / math.sin(0.5 * alpha)
 
 
-def decode_rays(a1: np.ndarray, a2: np.ndarray, radius: float) -> PositionEstimate:
-    """Position of a sphere from its two horizontal tangent rays."""
-    cos_alpha = float(np.clip(np.dot(a1, a2), -1.0, 1.0))
+def _ray_pair_position(a1: np.ndarray, a2: np.ndarray, radius: float) -> np.ndarray:
+    """Position (3,) of a sphere from its two horizontal tangent rays (3,)."""
+    # min/max clip a float to the value np.clip gives, NaN included; the sqrt
+    # of the dot is np.linalg.norm's formula for a vector
+    cos_alpha = min(max(float(a1.dot(a2)), -1.0), 1.0)
     d = sphere_distance_from_angle(math.acos(cos_alpha), radius)
     a_c = 0.5 * (a1 + a2)
-    norm = np.linalg.norm(a_c)
+    norm = math.sqrt(a_c.dot(a_c))
     if norm == 0.0:
         raise DegenerateBox("tangent rays are antipodal; direction is undefined")
-    return PositionEstimate(position=d * a_c / norm)
+    return d * a_c / norm
+
+
+def decode_rays(a1: np.ndarray, a2: np.ndarray, radius: float) -> PositionEstimate:
+    """Position of a sphere from its two horizontal tangent rays."""
+    return PositionEstimate(position=_ray_pair_position(a1, a2, radius))
+
+
+def _box_position(box, intr: CameraIntrinsics, radius: float) -> np.ndarray:
+    u_min, v_min, u_max, v_max = box
+    v_mid = 0.5 * (v_min + v_max)
+    return _ray_pair_position(pixel_to_ray((u_min, v_mid), intr),
+                              pixel_to_ray((u_max, v_mid), intr), radius)
 
 
 def decode_box(box, intr: CameraIntrinsics, radius: float) -> PositionEstimate:
@@ -109,10 +131,19 @@ def decode_box(box, intr: CameraIntrinsics, radius: float) -> PositionEstimate:
     (undistorted); the angle between them fixes the range, their bisector the
     direction.
     """
-    u_min, v_min, u_max, v_max = box
-    v_mid = 0.5 * (v_min + v_max)
-    return decode_rays(pixel_to_ray((u_min, v_mid), intr), pixel_to_ray((u_max, v_mid), intr),
-                       radius)
+    return PositionEstimate(position=_box_position(box, intr, radius))
+
+
+def decode_box_rows(detections, intr: CameraIntrinsics, radius: float) -> list[np.ndarray]:
+    """Positions (3,) decoded by `decode_box` from detection rows whose first
+    four entries are the box; a degenerate box gives no position."""
+    positions = []
+    for detection in detections:
+        try:
+            positions.append(_box_position(detection[:4], intr, radius))
+        except DegenerateBox:
+            continue
+    return positions
 
 
 def grid_cell_center(row: int, col: int, intr: CameraIntrinsics, rows: int,
@@ -129,10 +160,11 @@ def grid_cell_of(pixel, intr: CameraIntrinsics, rows: int, cols: int) -> tuple[i
     return row, col
 
 
-def _claims_cell(gmap: GridDetectionMap, row: int, col: int, depth: float) -> bool:
+def _claims_cell(confidence: np.ndarray, depths: np.ndarray, row: int, col: int,
+                 depth: float) -> bool:
     """The grid's one slot per cell: a detection takes its cell unless the
     cell already holds one at the same or a nearer depth."""
-    return not (gmap.confidence[row, col] > 0.0 and gmap.depth[row, col] <= depth)
+    return not (confidence[row, col] > 0.0 and depths[row, col] <= depth)
 
 
 def encode_grid(
@@ -150,10 +182,35 @@ def encode_grid(
     for neighbor in annotation.neighbors:
         row, col = grid_cell_of(neighbor.center, intr, rows, cols)
         depth = float(neighbor.rel_position[2])
-        if _claims_cell(gmap, row, col, depth):
+        if _claims_cell(gmap.confidence, gmap.depth, row, col, depth):
             gmap.confidence[row, col] = 1.0
             gmap.depth[row, col] = depth
     return gmap
+
+
+def decode_grid_cells(
+    confidence: np.ndarray,
+    depth: np.ndarray,
+    intr: CameraIntrinsics,
+    threshold: float = DEFAULT_GRID_THRESHOLD,
+) -> list[np.ndarray]:
+    """Positions (3,) back-projected from every thresholded 8-connected peak
+    of a (rows, cols) confidence channel, at the depth of its cell.
+
+    Only cells not below the threshold are visited, in row-major order; a
+    cell below the maximum of its 3x3 window is not a peak.
+    """
+    rows, cols = confidence.shape
+    positions = []
+    # flat indices, row-major: a 1-D nonzero costs less than a 2-D one
+    for cell in (~(confidence < threshold)).ravel().nonzero()[0].tolist():
+        row, col = divmod(cell, cols)
+        window = confidence[max(0, row - 1) : row + 2, max(0, col - 1) : col + 2]
+        if confidence[row, col] < window.max():
+            continue
+        center = grid_cell_center(row, col, intr, rows, cols)
+        positions.append(back_project(center, float(depth[row, col]), intr))
+    return positions
 
 
 def decode_grid(
@@ -161,54 +218,46 @@ def decode_grid(
     intr: CameraIntrinsics,
     threshold: float = DEFAULT_GRID_THRESHOLD,
 ) -> list[PositionEstimate]:
-    """Back-project every thresholded 8-connected confidence peak.
-
-    Only cells not below the threshold are visited, in row-major order; a
-    cell below the maximum of its 3x3 window is not a peak.
-    """
-    conf = gmap.confidence
-    estimates = []
-    rows, cols = np.nonzero(~(conf < threshold))
-    for row, col in zip(rows.tolist(), cols.tolist()):
-        window = conf[max(0, row - 1) : row + 2, max(0, col - 1) : col + 2]
-        if conf[row, col] < window.max():
-            continue
-        center = grid_cell_center(row, col, intr, *conf.shape)
-        position = back_project(center, float(gmap.depth[row, col]), intr)
-        estimates.append(PositionEstimate(position=position))
-    return estimates
+    """Back-project every thresholded 8-connected confidence peak (see
+    `decode_grid_cells`)."""
+    return [PositionEstimate(position=p)
+            for p in decode_grid_cells(gmap.confidence, gmap.depth, intr, threshold)]
 
 
-def _frame_rng(noise: NoiseModel, frame_id: int) -> np.random.Generator:
+def frame_rng(noise: NoiseModel, frame_id: int) -> np.random.Generator:
+    """The generator of every detector draw for one frame."""
     return np.random.default_rng([noise.rng_seed, frame_id])
 
 
-def simulate_detector(
-    annotation: FrameAnnotation,
+def detect_rows(
+    rng: np.random.Generator,
+    rel_positions,
+    centers,
+    bboxes,
     noise: NoiseModel,
     intr: CameraIntrinsics,
     mode: str,
-    radius: float = DEFAULT_ROBOT_GEOMETRY.sphere_radius,
-):
-    """Noisy detector output for one annotated frame.
+    radius: float,
+    grid,
+) -> list[tuple[float, ...]]:
+    """Noisy detector output for one frame's neighbor rows, drawn from the
+    frame's `frame_rng` in a fixed order.
 
-    Box mode returns a (D, 5) array, one row (u_min, v_min, u_max, v_max,
-    confidence) per detection; grid mode returns a GridDetectionMap. All
-    randomness is derived from (rng_seed, frame_id), so repeated calls are
-    bit-identical. `radius` sizes the fabricated false-positive boxes.
+    Row k of `rel_positions` (3 floats), `centers` (2) and `bboxes` (4) is
+    one visible neighbor. Box mode returns one (u_min, v_min, u_max, v_max,
+    confidence) tuple per detection and ignores `grid`. Any other mode is
+    grid mode: it writes the detections into `grid`, a pair of (rows, cols)
+    confidence and depth channels that must hold zeros, and returns no
+    tuples. `radius` sizes the fabricated false-positive boxes.
     """
-    if mode not in ("box", "grid"):
-        raise ValueError(f"unknown detector mode {mode!r}")
-    rng = _frame_rng(noise, annotation.frame_id)
-
-    kept = [n for n in annotation.neighbors if rng.random() >= noise.miss_rate]
+    kept = [k for k in range(len(bboxes)) if rng.random() >= noise.miss_rate]
     n_false = int(rng.poisson(noise.false_positive_rate))
 
     if mode == "box":
         detections = []
-        for neighbor in kept:
-            u_min, v_min, u_max, v_max = neighbor.bbox.tolist()
-            du = rng.normal(0.0, noise.pixel_sigma, size=4)
+        for k in kept:
+            u_min, v_min, u_max, v_max = bboxes[k]
+            du = rng.normal(0.0, noise.pixel_sigma, size=4).tolist()
             u_lo, u_hi = sorted((u_min + du[0], u_max + du[1]))
             v_lo, v_hi = sorted((v_min + du[2], v_max + du[3]))
             detections.append((u_lo, v_lo, u_hi, v_hi, rng.uniform(*noise.true_confidence)))
@@ -220,27 +269,57 @@ def simulate_detector(
             cv = rng.uniform(half_h, intr.height - half_h)
             detections.append((cu - half_w, cv - half_h, cu + half_w, cv + half_h,
                                rng.uniform(*noise.false_confidence)))
-        return np.array(detections, dtype=float).reshape(-1, 5)
+        return detections
 
-    gmap = GridDetectionMap.zeros()
-    rows, cols = gmap.confidence.shape
-    for neighbor in kept:
-        center = neighbor.center + rng.normal(0.0, noise.pixel_sigma, size=2)
-        center = (np.clip(center[0], 0.0, intr.width - 1e-9),
-                  np.clip(center[1], 0.0, intr.height - 1e-9))
-        depth = float(neighbor.rel_position[2]) * (1.0 + rng.normal(0.0, noise.depth_rel_sigma))
+    confidence, depths = grid
+    rows, cols = confidence.shape
+    for k in kept:
+        u, v = centers[k]
+        du, dv = rng.normal(0.0, noise.pixel_sigma, size=2).tolist()
+        # min/max clip a float to the value np.clip gives, NaN included
+        center = (min(max(u + du, 0.0), intr.width - 1e-9),
+                  min(max(v + dv, 0.0), intr.height - 1e-9))
+        depth = float(rel_positions[k][2]) * (1.0 + rng.normal(0.0, noise.depth_rel_sigma))
         depth = max(depth, 1e-3)
         row, col = grid_cell_of(center, intr, rows, cols)
-        if _claims_cell(gmap, row, col, depth):
-            gmap.confidence[row, col] = float(rng.uniform(*noise.true_confidence))
-            gmap.depth[row, col] = depth
+        if _claims_cell(confidence, depths, row, col, depth):
+            confidence[row, col] = rng.uniform(*noise.true_confidence)
+            depths[row, col] = depth
     for _ in range(n_false):
         row = int(rng.integers(0, rows))
         col = int(rng.integers(0, cols))
-        if gmap.confidence[row, col] > 0.0:
+        if confidence[row, col] > 0.0:
             continue
-        gmap.confidence[row, col] = float(rng.uniform(*noise.false_confidence))
-        gmap.depth[row, col] = float(rng.uniform(0.5, 3.0))
+        confidence[row, col] = rng.uniform(*noise.false_confidence)
+        depths[row, col] = rng.uniform(0.5, 3.0)
+    return []
+
+
+def simulate_detector(
+    annotation: FrameAnnotation,
+    noise: NoiseModel,
+    intr: CameraIntrinsics,
+    mode: str,
+    radius: float = DEFAULT_ROBOT_GEOMETRY.sphere_radius,
+):
+    """Noisy detector output for one annotated frame (see `detect_rows`).
+
+    Box mode returns a (D, 5) array, one row (u_min, v_min, u_max, v_max,
+    confidence) per detection; grid mode returns a GridDetectionMap. All
+    randomness is derived from (rng_seed, frame_id), so repeated calls are
+    bit-identical. `radius` sizes the fabricated false-positive boxes.
+    """
+    if mode not in ("box", "grid"):
+        raise ValueError(f"unknown detector mode {mode!r}")
+    neighbors = annotation.neighbors
+    rng = frame_rng(noise, annotation.frame_id)
+    rows = ([n.rel_position for n in neighbors], [n.center.tolist() for n in neighbors],
+            [n.bbox.tolist() for n in neighbors])
+    if mode == "box":
+        detections = detect_rows(rng, *rows, noise, intr, mode, radius, grid=None)
+        return np.array(detections, dtype=float).reshape(-1, 5)
+    gmap = GridDetectionMap.zeros()
+    detect_rows(rng, *rows, noise, intr, mode, radius, (gmap.confidence, gmap.depth))
     return gmap
 
 
@@ -252,10 +331,4 @@ def decode_detections(
     """Decode either detector output form into position estimates."""
     if isinstance(output, GridDetectionMap):
         return decode_grid(output, intr)
-    estimates = []
-    for row in output[:, :4].tolist():
-        try:
-            estimates.append(decode_box(row, intr, radius))
-        except DegenerateBox:
-            continue
-    return estimates
+    return [PositionEstimate(position=p) for p in decode_box_rows(output.tolist(), intr, radius)]

@@ -37,6 +37,7 @@ from spincam.datasets import Dataset, export_labels, read_dataset, write_dataset
 from spincam.downwash import (
     DOWNWASH_MARGIN,
     EllipsoidSpec,
+    _perceived,
     ellipsoid_margin,
     evaluate_downwash_records,
     run_downwash_eval,
@@ -489,6 +490,35 @@ def test_detector_rows_match_object_oracle(kind, pitch, k1):
                 assert np.reshape(positions, (-1, 3)).tobytes() == \
                     np.reshape(object_decode(expected, intr, radius), (-1, 3)).tobytes()
     assert compared > len(records.owner), "too few box detections for a comparison"
+
+
+@pytest.mark.parametrize("k1", DISTORTIONS)
+@pytest.mark.parametrize("pitch", PITCHES)
+@pytest.mark.parametrize("kind", sorted(KINDS))
+def test_run_perception_matches_per_frame_detector(kind, pitch, k1):
+    """The owners and positions that perception of a whole run gives, in box
+    and grid mode with false positives, are bitwise equal to those of
+    `simulate_detector` and `decode_detections` called frame by frame, with
+    the frames taken in a shuffled order."""
+    cfg, tracks = scenario(kind, pitch)
+    intr = CameraIntrinsics(fx=170.0, fy=170.0, cx=160.0, cy=160.0, k1=k1)
+    camera, geom = camera_for_pitch(pitch, intr), DEFAULT_ROBOT_GEOMETRY
+    records = annotate_tracks(tracks, camera, geom, frame_schedule(cfg))
+    annotations = records.annotations()
+    order = np.random.default_rng(2).permutation(len(records))
+    radius = geom.sphere_radius
+    for seed in (0, 3):
+        noise = NoiseModel(rng_seed=seed, false_positive_rate=0.5)
+        for mode in ("box", "grid"):
+            owner, positions = _perceived(records, order, camera, mode, noise, geom)
+            frames = [decode_detections(simulate_detector(annotations[f], noise, intr, mode,
+                                                          radius=radius), intr, radius=radius)
+                      for f in order.tolist()]
+            counts = [len(estimates) for estimates in frames]
+            assert sum(counts) > len(records.owner) // 2, "too few estimates for a comparison"
+            assert owner.tobytes() == np.repeat(np.arange(len(order)), counts).tobytes()
+            assert positions.tobytes() == np.reshape(
+                [e.position for estimates in frames for e in estimates], (-1, 3)).tobytes()
 
 
 @pytest.mark.parametrize("mode", ("oracle", "omni", "box", "grid"))

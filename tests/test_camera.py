@@ -1,5 +1,6 @@
 """Projection, annotation, and camera-mount refinement."""
 
+import itertools
 import math
 from dataclasses import replace
 
@@ -7,6 +8,7 @@ import numpy as np
 import pytest
 from scipy.spatial.transform import Rotation
 
+from spincam import camera as camera_module
 from spincam.camera import (
     CameraIntrinsics,
     CameraModel,
@@ -17,6 +19,7 @@ from spincam.camera import (
     camera_for_pitch,
     pitch_rotation,
     project,
+    project_points,
     refine_extrinsic_rotation,
     reprojection_mse,
 )
@@ -264,6 +267,32 @@ def perturbed(camera: CameraModel, rotvec) -> CameraModel:
                                                                  camera.rotation)))
 
 
+def candidate_error(points, observed, rotation, translation, intr) -> float:
+    """One candidate mount's mean squared pixel error, inf when a point lies
+    on or behind the image plane: the per-candidate formula the refinement
+    once looped over."""
+    cam_pts = quat_rotate(rotation, points) + translation
+    if np.any(cam_pts[:, 2] <= 0.0):
+        return math.inf
+    return float(np.mean(np.sum((project_points(cam_pts, intr) - observed) ** 2, axis=1)))
+
+
+def loop_refinement(records: RunRecords, camera: CameraModel, search: RotationGrid):
+    """Every grid candidate's error and the rotation the per-candidate loop
+    keeps: the first strict minimum, or the mount itself when every error
+    is inf."""
+    points = camera_module._ego_frame_points(records)
+    rotvecs = np.array(list(itertools.product(search.axis_values(), repeat=3)))
+    candidates = quat_normalize(quat_multiply(quat_from_rotvec(rotvecs), camera.rotation))
+    errors, best_error, best_rotation = [], math.inf, camera.rotation
+    for rotation in candidates:
+        errors.append(candidate_error(points, records.centers, rotation, camera.translation,
+                                      camera.intrinsics))
+        if errors[-1] < best_error:
+            best_error, best_rotation = errors[-1], rotation
+    return candidates, np.array(errors), best_rotation
+
+
 def angle_between(a, b) -> float:
     """The angle of the rotation from unit quaternion b to a, radians."""
     delta = quat_multiply(a, b * np.array([1.0, -1.0, -1.0, -1.0]))
@@ -334,6 +363,44 @@ class TestRefineExtrinsicRotation:
         records = synthesize_calibration_records(camera, 3, np.random.default_rng(7))
         assert reprojection_mse(records, camera) < 1e-18
         assert reprojection_mse(records, perturbed(camera, (0.0, math.pi, 0.0))) == math.inf
+
+    @pytest.mark.parametrize("pairs", [1, 40, 1 << 14])
+    @pytest.mark.parametrize("pitch,count,seed", [("forward", 50, 5), ("tilt45", 3, 6),
+                                                  ("up", 8, 2)])
+    def test_chunked_scores_match_per_candidate_loop(self, intr, monkeypatch, pitch, count,
+                                                     seed, pairs):
+        """Every candidate's error and the refined rotation are bitwise equal
+        to the per-candidate loop's, with one candidate per chunk, ragged
+        chunks and the default chunk."""
+        monkeypatch.setattr(camera_module, "REFINE_PAIRS", pairs)
+        camera = camera_for_pitch(pitch, intr)
+        records = synthesize_calibration_records(perturbed(camera, (0.015, -0.01, 0.005)),
+                                                 count, np.random.default_rng(seed))
+        points = camera_module._ego_frame_points(records)
+        seen = quat_rotate(camera.rotation, points) + camera.translation
+        # turning the mount about camera y by atan2(z, x) puts the point
+        # (x, y, z), x > 0, on the image plane: at the smallest such turn,
+        # part of the grid around it sees a point behind the plane
+        edge = min(math.atan2(z, x) for x, _y, z in seen.tolist() if x > 0.0)
+        search = RotationGrid(extent=0.03, step=0.01)
+        for mount, mixed in ((camera, False), (perturbed(camera, (0.0, edge, 0.0)), True)):
+            candidates, errors, expected = loop_refinement(records, mount, search)
+            assert np.isfinite(errors).any() and np.isinf(errors).any() == mixed
+            chunked = camera_module._mean_squared_errors(points, records.centers, candidates,
+                                                         mount.translation, intr)
+            assert chunked.tobytes() == errors.tobytes()
+            refined = refine_extrinsic_rotation(records, mount, search)
+            assert refined.rotation.tobytes() == expected.tobytes()
+
+    def test_every_candidate_behind_the_plane_keeps_the_mount(self, intr):
+        camera = camera_for_pitch("forward", intr)
+        records = synthesize_calibration_records(camera, 3, np.random.default_rng(7))
+        turned = perturbed(camera, (0.0, math.pi, 0.0))
+        search = RotationGrid(extent=0.02, step=0.01)
+        _candidates, errors, expected = loop_refinement(records, turned, search)
+        assert np.isinf(errors).all() and expected is turned.rotation
+        refined = refine_extrinsic_rotation(records, turned, search)
+        assert refined.rotation.tobytes() == turned.rotation.tobytes()
 
     def test_returned_rotation_beats_every_grid_point(self, intr):
         # exhaustiveness: evaluate the objective at all candidates independently

@@ -12,6 +12,7 @@ from spincam.camera import (
     NeighborAnnotation,
     annotate_tracks,
     back_project,
+    pixel_to_ray,
     project,
 )
 from spincam.errors import DegenerateBox
@@ -105,6 +106,69 @@ class TestDecodeBox:
             if u2 - u1 < 1e-6:
                 continue
             assert decode_box((u1, v1, u2, v2), intr, 0.05).position[2] > 0.0
+
+
+def norm_pixel_ray(pixel, intr: CameraIntrinsics) -> np.ndarray:
+    """`pixel_to_ray` written with np.linalg.norm."""
+    ray = back_project(pixel, 1.0, intr)
+    return ray / np.linalg.norm(ray)
+
+
+def clip_ray_position(a1: np.ndarray, a2: np.ndarray, radius: float) -> np.ndarray:
+    """`decode_rays`' position written with np.clip and np.linalg.norm."""
+    cos_alpha = float(np.clip(np.dot(a1, a2), -1.0, 1.0))
+    d = sphere_distance_from_angle(math.acos(cos_alpha), radius)
+    a_c = 0.5 * (a1 + a2)
+    norm = np.linalg.norm(a_c)
+    if norm == 0.0:
+        raise DegenerateBox("tangent rays are antipodal; direction is undefined")
+    return d * a_c / norm
+
+
+def unit_rows(rng, count: int) -> np.ndarray:
+    rows = rng.normal(size=(count, 3))
+    return rows / np.linalg.norm(rows, axis=1, keepdims=True)
+
+
+class TestScalarKernelsMatchNumpyFormulas:
+    """`pixel_to_ray` and `decode_rays` clip with min/max and take the norm
+    as the sqrt of a dot; both give the numpy formulas' bits."""
+
+    @pytest.mark.parametrize("k1", (0.0, -0.08, 0.05))
+    def test_pixel_to_ray(self, k1):
+        intr = CameraIntrinsics(fx=170.0, fy=170.0, cx=160.0, cy=160.0, k1=k1)
+        for pixel in np.random.default_rng(1).uniform(0.0, 320.0, (500, 2)).tolist():
+            assert pixel_to_ray(pixel, intr).tobytes() == norm_pixel_ray(pixel, intr).tobytes()
+
+    def test_decode_rays_on_random_rays(self, intr):
+        rng = np.random.default_rng(4)
+        pixel_rays = [(pixel_to_ray(p1, intr), pixel_to_ray(p2, intr))
+                      for p1, p2 in rng.uniform(0.0, 320.0, (500, 2, 2)).tolist()]
+        # any two rays in front of the camera, at acute and obtuse angles
+        ahead = unit_rows(rng, 1000)
+        ahead[:, 2] = np.abs(ahead[:, 2])
+        for a1, a2 in [*pixel_rays, *zip(ahead[:500], ahead[500:])]:
+            assert decode_rays(a1, a2, 0.05).position.tobytes() == \
+                clip_ray_position(a1, a2, 0.05).tobytes()
+
+    def test_near_parallel_rays_whose_dot_rounds_above_one_are_degenerate(self):
+        rays = unit_rows(np.random.default_rng(5), 2000)
+        # a ray and the same ray one ulp longer in x
+        pairs = [(a, a + [np.spacing(a[0]), 0.0, 0.0]) for a in rays]
+        above = [(a1, a2) for a1, a2 in [*zip(rays, rays), *pairs] if a1.dot(a2) > 1.0]
+        assert len(above) > 20
+        for a1, a2 in above:
+            with pytest.raises(DegenerateBox):
+                clip_ray_position(a1, a2, 0.05)
+            with pytest.raises(DegenerateBox):
+                decode_rays(a1, a2, 0.05)
+
+    def test_antipodal_rays_are_degenerate(self):
+        for a in unit_rows(np.random.default_rng(6), 200):
+            with pytest.raises(DegenerateBox):
+                clip_ray_position(a, -a, 0.05)
+            with pytest.raises(DegenerateBox):
+                decode_rays(a, -a, 0.05)
 
 
 def annotation_with(neighbors, frame_id: int = 0) -> FrameAnnotation:
