@@ -67,6 +67,18 @@ class CameraIntrinsics:
             raise ValueError("focal lengths must be positive")
         if not (0.0 <= self.cx < self.width and 0.0 <= self.cy < self.height):
             raise ValueError("principal point must lie inside the image")
+        if self.k1 < 0.0:
+            # r_d = r (1 + k1 r^2) peaks at r = 1/sqrt(3|k1|), distorted radius
+            # (2/3)/sqrt(3|k1|), and mirrors past it: that fold must lie
+            # outside the farthest image corner
+            corner = math.hypot(max(self.cx, self.width - self.cx) / self.fx,
+                                max(self.cy, self.height - self.cy) / self.fy)
+            fold = (2.0 / 3.0) / math.sqrt(-3.0 * self.k1)
+            if fold < corner:
+                raise ValueError(
+                    f"k1 {self.k1} folds the lens at normalized radius {fold:.4g}, inside "
+                    f"the image corner's {corner:.4g}; k1 must be above "
+                    f"{-4.0 / (27.0 * corner * corner):.4g}")
 
 
 # Plausible defaults for a 320x320 nano-quadrotor camera (~86 deg FOV).

@@ -39,7 +39,6 @@ from .perception import (
     decode_box_rows,
     decode_grid_cells,
     detect_rows,
-    frame_rng,
 )
 
 DOWNWASH_MARGIN = 2.0
@@ -129,7 +128,9 @@ def _perceived(
     (E, 3).
 
     The detector and decoder run frame by frame on the run's neighbor rows;
-    grid mode reuses one grid buffer, cleared after every frame.
+    grid mode reuses one grid buffer, cleared after every frame. Every
+    frame's generator draws what its `frame_rng` would, from PCG64 words
+    that one `seeding.frame_seeds` call gives for the whole run.
     """
     if mode == "oracle":
         rank = np.empty_like(order)
@@ -137,17 +138,23 @@ def _perceived(
         owner = rank[records.owner]
         rows = np.argsort(owner, kind="stable")
         return owner[rows], records.rel_positions[rows]
+    # imported here: it loads numpy.random, which an oracle run never needs
+    from .seeding import FrameSeed, frame_seeds
+
     intr, radius = camera.intrinsics, geom.sphere_radius
     bounds = np.searchsorted(records.owner, np.arange(len(records) + 1)).tolist()
     frame_ids = records.frame_ids.tolist()
+    seeds = frame_seeds(noise.rng_seed, records.frame_ids)
     rel_positions, centers = records.rel_positions.tolist(), records.centers.tolist()
     bboxes = records.bboxes.tolist()
     grid = np.zeros((2, DEFAULT_GRID_ROWS, DEFAULT_GRID_COLS))
     counts, positions = [], []
     for f in order.tolist():
         lo, hi = bounds[f], bounds[f + 1]
-        detections = detect_rows(frame_rng(noise, frame_ids[f]), rel_positions[lo:hi],
-                                 centers[lo:hi], bboxes[lo:hi], noise, intr, mode, radius, grid)
+        rng = np.random.Generator(np.random.PCG64(
+            FrameSeed(noise.rng_seed, frame_ids[f], seeds[f])))
+        detections = detect_rows(rng, rel_positions[lo:hi], centers[lo:hi], bboxes[lo:hi],
+                                 noise, intr, mode, radius, grid)
         if mode == "box":
             estimates = decode_box_rows(detections, intr, radius)
         else:

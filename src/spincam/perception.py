@@ -9,9 +9,11 @@ One per-frame kernel does the work. `detect_rows` simulates the detector on
 one frame's neighbor rows, in the `RunRecords` layout, with that frame's
 `frame_rng`; `decode_box_rows` and `decode_grid_cells` decode its output
 into (3,) camera-frame positions. `downwash` runs the kernel over a run's
-rows with one reused grid buffer. `simulate_detector`, `decode_box`,
-`decode_grid` and `decode_detections` are its one-frame wrappers over a
-`FrameAnnotation`, a `GridDetectionMap` and `PositionEstimate`s.
+rows with one reused grid buffer, and seeds every frame's generator from one
+`seeding.frame_seeds` pass, with the stream that `frame_rng` gives.
+`simulate_detector`, `decode_box`, `decode_grid` and `decode_detections`
+are its one-frame wrappers over a `FrameAnnotation`, a `GridDetectionMap`
+and `PositionEstimate`s.
 """
 
 from __future__ import annotations

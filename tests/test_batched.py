@@ -14,7 +14,7 @@ import contextlib
 import io
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 import pytest
@@ -502,12 +502,35 @@ def test_run_perception_matches_per_frame_detector(kind, pitch, k1):
     the frames taken in a shuffled order."""
     cfg, tracks = scenario(kind, pitch)
     intr = CameraIntrinsics(fx=170.0, fy=170.0, cx=160.0, cy=160.0, k1=k1)
-    camera, geom = camera_for_pitch(pitch, intr), DEFAULT_ROBOT_GEOMETRY
-    records = annotate_tracks(tracks, camera, geom, frame_schedule(cfg))
+    camera = camera_for_pitch(pitch, intr)
+    records = annotate_tracks(tracks, camera, DEFAULT_ROBOT_GEOMETRY, frame_schedule(cfg))
+    assert_run_perception_matches_per_frame(records, camera, seeds=(0, 3))
+
+
+@pytest.mark.parametrize("pitch", PITCHES)
+@pytest.mark.parametrize("kind", sorted(KINDS))
+def test_run_perception_matches_per_frame_detector_on_wide_seeds(kind, pitch):
+    """The same as `test_run_perception_matches_per_frame_detector`, with
+    frame ids that straddle 2**32, so a run seeds one-word and two-word ids,
+    and noise seeds of two and three 32-bit words."""
+    cfg, tracks = scenario(kind, pitch)
+    camera = camera_for_pitch(pitch)
+    records = annotate_tracks(tracks, camera, DEFAULT_ROBOT_GEOMETRY, frame_schedule(cfg))
+    ids = records.frame_ids + (2**32 - len(records) // 2)
+    records = replace(records, frame_ids=ids)
+    assert ids.min() < 2**32 <= ids.max()
+    assert_run_perception_matches_per_frame(records, camera, seeds=(2**64, 2**64 + 5, 2**32))
+
+
+def assert_run_perception_matches_per_frame(records, camera, seeds):
+    """`_perceived` owners and positions, box and grid mode, frames in a
+    shuffled order, bitwise equal to per-frame `simulate_detector` and
+    `decode_detections` at each noise seed."""
     annotations = records.annotations()
     order = np.random.default_rng(2).permutation(len(records))
+    intr, geom = camera.intrinsics, DEFAULT_ROBOT_GEOMETRY
     radius = geom.sphere_radius
-    for seed in (0, 3):
+    for seed in seeds:
         noise = NoiseModel(rng_seed=seed, false_positive_rate=0.5)
         for mode in ("box", "grid"):
             owner, positions = _perceived(records, order, camera, mode, noise, geom)

@@ -299,6 +299,30 @@ def angle_between(a, b) -> float:
     return 2.0 * math.acos(min(1.0, abs(delta[0])))
 
 
+class TestLensFold:
+    """A barrel `k1` is accepted only while the distortion's fold, distorted
+    radius (2/3)/sqrt(3|k1|), lies outside the farthest image corner."""
+
+    @pytest.mark.parametrize("k1", [0.0, 0.1, -0.05, -0.08, -0.0836])
+    def test_fold_outside_the_default_image_loads(self, k1):
+        assert CameraIntrinsics(fx=170.0, fy=170.0, cx=160.0, cy=160.0, k1=k1).k1 == k1
+
+    @pytest.mark.parametrize("k1", [-0.0837, -0.1, -0.5, -1e6])
+    def test_fold_inside_the_default_image_rejected(self, k1):
+        with pytest.raises(ValueError, match="k1"):
+            CameraIntrinsics(fx=170.0, fy=170.0, cx=160.0, cy=160.0, k1=k1)
+
+    def test_limit_follows_the_farthest_corner(self):
+        # principal point off center: the far corner is (300, 200) px away
+        corner = math.hypot(300.0 / 200.0, 200.0 / 100.0)
+        limit = -4.0 / (27.0 * corner * corner)
+        common = dict(fx=200.0, fy=100.0, cx=20.0, cy=40.0, width=320, height=240)
+        CameraIntrinsics(k1=limit * 0.999, **common)
+        with pytest.raises(ValueError, match="k1"):
+            CameraIntrinsics(k1=limit * 1.001, **common)
+        assert (2.0 / 3.0) / math.sqrt(-3.0 * limit) == pytest.approx(corner)
+
+
 class TestCameraModel:
     def test_zero_quaternion_rejected(self, intr):
         with pytest.raises(ValueError, match="extrinsic q"):

@@ -6,6 +6,8 @@ import dataclasses
 import json
 import math
 import os
+import subprocess
+import sys
 import tempfile
 import warnings
 from datetime import timedelta
@@ -106,6 +108,18 @@ class TestSimulate:
         assert main(["simulate", "--config", str(config), "--out", str(tmp_path / "x")]) == 2
         err = capsys.readouterr().err
         assert str(config) in err and key in err and "finite" in err
+
+    @pytest.mark.parametrize("k1", [-0.5, -0.1])
+    def test_lens_folding_inside_the_image_exits_2_naming_k1(self, tmp_path, capsys, k1):
+        config = write_config(tmp_path / "fold.json", k1=k1)
+        assert main(["simulate", "--config", str(config), "--out", str(tmp_path / "x")]) == 2
+        err = capsys.readouterr().err
+        assert str(config) in err and "k1" in err
+        assert not (tmp_path / "x" / "dataset.ndjson").exists()
+
+    def test_barrel_lens_folding_outside_the_image_loads(self, tmp_path):
+        config = write_config(tmp_path / "barrel.json", k1=-0.08)
+        assert main(["simulate", "--config", str(config), "--out", str(tmp_path / "x")]) == 0
 
     @pytest.mark.parametrize("overrides,key", [
         ({"duration": 0.001}, "duration"),
@@ -298,6 +312,29 @@ class TestDownwashEval:
                      "--out", str(tmp_path / "e")]) == 3
         err = capsys.readouterr().err
         assert f"{dataset}:1: malformed header record" in err and key in err
+
+    def test_oracle_evaluation_loads_no_numpy_random(self, tmp_path):
+        """numpy loads numpy.random lazily (its random generators cost about 6
+        MB), and an oracle evaluation draws nothing."""
+        dataset = self.simulate(tmp_path)
+        code = ("import sys, numpy; eager = 'numpy.random' in sys.modules; "
+                "from spincam.cli import main; "
+                f"assert main(['downwash-eval', '--dataset', {str(dataset)!r}, '--oracle', "
+                f"'--out', {str(tmp_path / 'e')!r}]) == 0; "
+                "sys.exit(0 if eager or 'numpy.random' not in sys.modules else 1)")
+        subprocess.run([sys.executable, "-c", code], check=True, capture_output=True)
+
+    def test_dataset_lens_folding_inside_the_image_exits_3(self, tmp_path, capsys):
+        dataset = self.simulate(tmp_path)
+        lines = dataset.read_text().splitlines()
+        header = json.loads(lines[0])
+        header["camera"]["intrinsics"]["k1"] = -0.5
+        dataset.write_text("\n".join([json.dumps(header)] + lines[1:]) + "\n")
+        capsys.readouterr()
+        assert main(["downwash-eval", "--dataset", str(dataset), "--oracle",
+                     "--out", str(tmp_path / "e")]) == 3
+        err = capsys.readouterr().err
+        assert f"{dataset}:1: malformed header record" in err and "k1" in err
 
     @pytest.mark.parametrize("edit", [
         lambda poses: poses.pop("r0"),

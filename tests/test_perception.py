@@ -25,10 +25,12 @@ from spincam.perception import (
     decode_grid,
     decode_rays,
     encode_grid,
+    frame_rng,
     grid_cell_center,
     simulate_detector,
     sphere_distance_from_angle,
 )
+from spincam.seeding import FrameSeed, frame_seeds
 
 
 def sphere_silhouette_bbox(center, radius: float, intr: CameraIntrinsics) -> np.ndarray:
@@ -427,3 +429,61 @@ class TestSimulateDetector:
     def test_unknown_mode_rejected(self, intr):
         with pytest.raises(ValueError):
             simulate_detector(annotation_with([]), NoiseModel(), intr, "lidar")
+
+
+SEEDS = (0, 1, 2**32 - 1, 2**32, 2**64 + 5, 10**40)
+EDGE_FRAME_IDS = [0, 1, 2**32 - 1, 2**32, 2**63 - 1]
+
+
+def random_frame_ids(count: int) -> list[int]:
+    """Ids of one and of two 32-bit words, interleaved, plus the edge ids."""
+    rng = np.random.default_rng(11)
+    narrow = rng.integers(0, 2**32, count).tolist()
+    wide = rng.integers(2**32, 2**63 - 1, count, endpoint=True).tolist()
+    return EDGE_FRAME_IDS + [i for pair in zip(narrow, wide) for i in pair]
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+class TestFrameSeeds:
+    @pytest.mark.parametrize("seed", SEEDS)
+    def test_rows_equal_seed_sequence_state(self, seed):
+        ids = random_frame_ids(40)
+        seeds = frame_seeds(seed, ids)
+        assert seeds.shape == (len(ids), 4) and seeds.dtype == np.uint64
+        for row, frame_id in zip(seeds, ids):
+            expected = np.random.SeedSequence([seed, frame_id]).generate_state(4, np.uint64)
+            assert row.tobytes() == expected.tobytes(), frame_id
+
+    @pytest.mark.parametrize("seed", SEEDS)
+    def test_row_generators_equal_frame_rng(self, seed):
+        ids = random_frame_ids(10)
+        noise = NoiseModel(rng_seed=seed)
+        for row, frame_id in zip(frame_seeds(seed, np.array(ids)), ids):
+            rng = np.random.Generator(np.random.PCG64(FrameSeed(seed, frame_id, row)))
+            expected = frame_rng(noise, frame_id)
+            assert rng.bit_generator.state == expected.bit_generator.state
+            assert rng.random(3).tobytes() == expected.random(3).tobytes()
+
+    def test_one_word_and_two_word_ids_keep_their_order(self):
+        ids = random_frame_ids(5)
+        seeds = frame_seeds(7, ids)
+        for k in range(len(ids)):
+            assert seeds[k].tobytes() == frame_seeds(7, ids[k:k + 1])[0].tobytes()
+
+    @pytest.mark.parametrize("ids", [[], np.array([], dtype=np.int64)])
+    def test_no_frames_give_no_rows(self, ids):
+        seeds = frame_seeds(3, ids)
+        assert seeds.shape == (0, 4) and seeds.dtype == np.uint64
+
+    def test_negative_frame_id_rejected_like_seed_sequence(self):
+        with pytest.raises(ValueError):
+            np.random.SeedSequence([0, -1])
+        with pytest.raises(ValueError, match="non-negative"):
+            frame_seeds(0, [3, -1])
+
+    @pytest.mark.parametrize("n_words,dtype", [(4, np.uint32), (8, np.uint64), (2, np.uint64)])
+    def test_other_state_requests_go_to_a_seed_sequence(self, n_words, dtype):
+        seed, frame_id = 2**64 + 5, 2**32
+        row = frame_seeds(seed, [frame_id])[0]
+        assert FrameSeed(seed, frame_id, row).generate_state(n_words, dtype).tobytes() == \
+            np.random.SeedSequence([seed, frame_id]).generate_state(n_words, dtype).tobytes()
