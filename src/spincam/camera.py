@@ -35,10 +35,10 @@ from .geometry import (
     require_finite,
 )
 
-# 25 iterations invert k1 ~ +0.1 to below 1e-8 px across the full image
-# (barrel coefficients converge slightly looser at the corners); the break
-# tolerance keeps the mild cases cheap.
-UNDISTORT_ITERATIONS = 25
+# The fixed-point step contracts slowest at a barrel lens's image corner, by
+# about 0.69 a step at k1 -0.08, which needs 74 iterations to meet
+# UNDISTORT_TOL; the break tolerance keeps the mild cases cheap.
+UNDISTORT_ITERATIONS = 100
 UNDISTORT_TOL = 1e-13
 
 # candidate-row pairs that one step of `refine_extrinsic_rotation` scores at
@@ -216,11 +216,17 @@ def pixel_to_ray(pixel, intr: CameraIntrinsics) -> np.ndarray:
 
 def in_view(points_camera, intr: CameraIntrinsics) -> np.ndarray:
     """Mask of camera-frame points (..., 3) with positive depth whose pixel
-    lies strictly inside the image."""
+    lies strictly inside the image and, for `k1` < 0, whose undistorted
+    normalized radius lies inside the lens fold, r^2 < 1/(3|k1|)."""
     p = np.asarray(points_camera, dtype=float)
     px = project_points(p, intr)
     u, v = px[..., 0], px[..., 1]
-    return (p[..., 2] > 0.0) & (0.0 < u) & (u < intr.width) & (0.0 < v) & (v < intr.height)
+    mask = (p[..., 2] > 0.0) & (0.0 < u) & (u < intr.width) & (0.0 < v) & (v < intr.height)
+    if intr.k1 < 0.0:
+        with np.errstate(divide="ignore", invalid="ignore"):
+            xn, yn = p[..., 0] / p[..., 2], p[..., 1] / p[..., 2]
+        mask &= xn * xn + yn * yn < 1.0 / (-3.0 * intr.k1)
+    return mask
 
 
 def world_to_camera_arrays(ego_q, ego_t, camera: CameraModel):
@@ -261,8 +267,8 @@ class FrameRecord:
 
     Row r of `positions` (R, 3) and `quats` (R, 4) is the robot-to-world pose
     of `robot_ids[r]` at the frame's timestamp. Row 0 is the ego robot; the
-    neighbors follow in sorted id order. `RunRecords.from_frames` checks this
-    layout when it builds columns from records.
+    neighbors follow in sorted id order. It is a read-only view: a run is
+    built only as `RunRecords` columns.
     """
 
     annotation: FrameAnnotation
@@ -324,37 +330,6 @@ class RunRecords:
 
     def __len__(self) -> int:
         return len(self.frame_ids)
-
-    @classmethod
-    def from_frames(cls, records: Sequence[FrameRecord]) -> "RunRecords":
-        """The columns of per-frame records that all hold the same robot_ids,
-        each with its annotation's ego first and one pose row per robot."""
-        ids = tuple(records[0].robot_ids) if records else ()
-        for record in records:
-            if tuple(record.robot_ids) != ids:
-                raise ValueError(f"every frame must hold the same robots as the first, {ids}")
-            ego = record.annotation.ego_id
-            shapes = np.shape(record.positions), np.shape(record.quats)
-            if ids[:1] != (ego,) or shapes != ((len(ids), 3), (len(ids), 4)):
-                raise ValueError(f"robot_ids {ids} must be the ego {ego!r}, then the others "
-                                 f"sorted, with one row each in positions and quats, got "
-                                 f"{shapes}")
-        # a neighbor that is the ego or no robot of the run gets index 0,
-        # which __post_init__ rejects
-        index = {rid: r for r, rid in enumerate(ids[1:], start=1)}
-        rows = [(f, n) for f, record in enumerate(records) for n in record.annotation.neighbors]
-        return cls(
-            frame_ids=[record.annotation.frame_id for record in records],
-            timestamps=[record.annotation.timestamp for record in records],
-            robot_ids=ids,
-            positions=np.reshape([r.positions for r in records], (len(records), len(ids), 3)),
-            quats=np.reshape([r.quats for r in records], (len(records), len(ids), 4)),
-            owner=[f for f, _n in rows],
-            robot=[index.get(n.robot_id, 0) for _f, n in rows],
-            rel_positions=np.reshape([n.rel_position for _f, n in rows], (-1, 3)),
-            centers=np.reshape([n.center for _f, n in rows], (-1, 2)),
-            bboxes=np.reshape([n.bbox for _f, n in rows], (-1, 4)),
-        )
 
     def annotations(self) -> list[FrameAnnotation]:
         """One `FrameAnnotation` per frame row, its neighbors views of the
@@ -427,8 +402,8 @@ def annotate_tracks(
 ) -> RunRecords:
     """The annotated run at the given times (frame ids 0, 1, ...).
 
-    A neighbor is visible when its center projects strictly inside the image
-    with positive depth. Its box is the min/max of the 8 projected body
+    A neighbor is visible when its center is `in_view`: positive depth, inside
+    the image and the lens fold. Its box is the min/max of the 8 projected body
     corners, clipped to the image; corners share the center's distortion
     model. Neighbors with any corner on or behind the image plane are dropped
     (degenerate close-range case).

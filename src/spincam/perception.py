@@ -113,11 +113,6 @@ def _ray_pair_position(a1: np.ndarray, a2: np.ndarray, radius: float) -> np.ndar
     return d * a_c / norm
 
 
-def decode_rays(a1: np.ndarray, a2: np.ndarray, radius: float) -> PositionEstimate:
-    """Position of a sphere from its two horizontal tangent rays."""
-    return PositionEstimate(position=_ray_pair_position(a1, a2, radius))
-
-
 def _box_position(box, intr: CameraIntrinsics, radius: float) -> np.ndarray:
     u_min, v_min, u_max, v_max = box
     v_mid = 0.5 * (v_min + v_max)
@@ -267,8 +262,10 @@ def detect_rows(
             depth = rng.uniform(0.5, 3.0)
             half_w = intr.fx * radius / depth
             half_h = intr.fy * radius / depth
-            cu = rng.uniform(half_w, intr.width - half_w)
-            cv = rng.uniform(half_h, intr.height - half_h)
+            # a box wider or taller than the image is centred on it
+            cu = rng.uniform(min(half_w, intr.width / 2), max(intr.width - half_w, intr.width / 2))
+            cv = rng.uniform(min(half_h, intr.height / 2),
+                             max(intr.height - half_h, intr.height / 2))
             detections.append((cu - half_w, cv - half_h, cu + half_w, cv + half_h,
                                rng.uniform(*noise.false_confidence)))
         return detections

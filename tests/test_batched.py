@@ -20,6 +20,8 @@ import numpy as np
 import pytest
 from scipy.spatial.transform import Rotation
 
+from run_columns import IDENTITY, run_records
+
 from spincam.camera import (
     CameraIntrinsics,
     FrameAnnotation,
@@ -29,6 +31,7 @@ from spincam.camera import (
     annotate_tracks,
     camera_for_pitch,
     in_view,
+    pixel_to_ray,
     project,
     undistort_normalized,
 )
@@ -52,9 +55,11 @@ from spincam.geometry import (
 from spincam.perception import (
     DEFAULT_GRID_COLS,
     DEFAULT_GRID_ROWS,
+    GridDetectionMap,
     NoiseModel,
+    PositionEstimate,
+    _ray_pair_position,
     decode_detections,
-    decode_rays,
     encode_grid,
     simulate_detector,
 )
@@ -138,6 +143,10 @@ def oracle_frames(tracks, camera, geom, times, ego_id="r0"):
                 continue
             center = project(rel[:3, 3], intr)
             if not (0.0 < center[0] < intr.width and 0.0 < center[1] < intr.height):
+                continue
+            # a barrel lens mirrors past its fold, r^2 = 1/(3|k1|): not in view
+            xn, yn = rel[0, 3] / rel[2, 3], rel[1, 3] / rel[2, 3]
+            if intr.k1 < 0.0 and not xn * xn + yn * yn < 1.0 / (-3.0 * intr.k1):
                 continue
             corners = [apply(rel, c) for c in geom.corners()]
             if any(c[2] <= 0.0 for c in corners):
@@ -240,21 +249,37 @@ def test_annotate_tracks_matches_per_frame_oracle(kind, pitch, k1):
         assert seen > 0, "scenario never shows a neighbor; the comparison is vacuous"
 
 
-@pytest.mark.parametrize("ids", [
-    ("r1", "r0", "r2"), ("r0", "r2", "r1"), ("r0", "r1", "r1"), ("r0", "r0", "r1"), ("r0", "r1"),
+@pytest.mark.parametrize("pitch", PITCHES)
+@pytest.mark.parametrize("kind", sorted(KINDS))
+def test_annotated_rows_lie_inside_the_lens_fold(kind, pitch):
+    """With a barrel k1 of -0.08, every annotated row's center back-projects
+    to within 1e-6 rad of its neighbor's true direction: no row lies past
+    the fold, where the lens mirrors."""
+    cfg, tracks = scenario(kind, pitch)
+    intr = CameraIntrinsics(fx=170.0, fy=170.0, cx=160.0, cy=160.0, k1=-0.08)
+    records = annotate_tracks(tracks, camera_for_pitch(pitch, intr), DEFAULT_ROBOT_GEOMETRY,
+                              frame_schedule(cfg))
+    assert len(records.owner) > 0, "scenario never shows a neighbor; the check is vacuous"
+    truth = records.rel_positions / np.linalg.norm(records.rel_positions, axis=1, keepdims=True)
+    rays = np.array([pixel_to_ray(center, intr) for center in records.centers.tolist()])
+    # the angle between unit vectors, accurate near zero
+    angles = 2.0 * np.arcsin(np.linalg.norm(rays - truth, axis=1) / 2.0)
+    assert angles.max() < 1e-6
+
+
+@pytest.mark.parametrize("ids,match", [
+    (("r0", "r2", "r1"), "robot_ids"), (("r0", "r1", "r1"), "robot_ids"),
+    (("r0", "r0", "r1"), "robot_ids"), (("r0", "r1"), "positions has shape"),
 ])
-def test_from_frames_enforces_row_layout(ids):
-    """Each frame's robot rows must be its annotation's ego, then the other
-    robots sorted, with one pose row each."""
-    rows = np.zeros((3, 3)), np.tile([1.0, 0.0, 0.0, 0.0], (3, 1))
-    good = [FrameRecord(FrameAnnotation(f, float(f), "r0", []), ("r0", "r1", "r2"), *rows)
-            for f in range(2)]
-    assert RunRecords.from_frames(good).robot_ids == ("r0", "r1", "r2")
-    with pytest.raises(ValueError, match="robot_ids"):
-        RunRecords.from_frames([FrameRecord(FrameAnnotation(0, 0.0, "r0", []), ids, *rows)])
-    with pytest.raises(ValueError, match="robot_ids"):  # a later frame with another ego
-        RunRecords.from_frames([good[0], FrameRecord(FrameAnnotation(1, 1.0, "r1", []),
-                                                     ("r0", "r1", "r2"), *rows)])
+def test_run_records_enforce_robot_layout(ids, match):
+    """The robot rows must be the ego, then the other robots sorted, with one
+    pose row each."""
+    poses = np.zeros((2, 3, 3)), np.tile(IDENTITY, (2, 3, 1))
+    rows = [], [], np.zeros((0, 3)), np.zeros((0, 2)), np.zeros((0, 4))
+    good = RunRecords([0, 1], [0.0, 1.0], ("r0", "r1", "r2"), *poses, *rows)
+    assert good.robot_ids == ("r0", "r1", "r2")
+    with pytest.raises(ValueError, match=match):
+        RunRecords([0, 1], [0.0, 1.0], ids, *poses, *rows)
 
 
 def frame_obj(record: FrameRecord) -> dict:
@@ -308,7 +333,6 @@ def test_dataset_lines_match_json_dumps_oracle(tmp_path, kind, pitch, k1):
     _header, *lines = path.read_text(encoding="utf-8").split("\n")[:-1]
     assert lines == [json.dumps(frame_obj(record)) for record in records.frames()]
     assert_same_columns(read_dataset(path).records, records)
-    assert_same_columns(RunRecords.from_frames(records.frames()), records)
 
 
 def label_text(records: RunRecords, mode: str, intr: CameraIntrinsics) -> str:
@@ -449,11 +473,12 @@ def object_decode(output, intr, radius) -> list[np.ndarray]:
         b = det.bbox
         v_mid = 0.5 * (b.v_min + b.v_max)
         try:
-            estimate = decode_rays(object_pixel_ray(ObjectPixel(b.u_min, v_mid), intr),
-                                   object_pixel_ray(ObjectPixel(b.u_max, v_mid), intr), radius)
+            position = _ray_pair_position(object_pixel_ray(ObjectPixel(b.u_min, v_mid), intr),
+                                          object_pixel_ray(ObjectPixel(b.u_max, v_mid), intr),
+                                          radius)
         except DegenerateBox:
             continue
-        positions.append(estimate.position)
+        positions.append(position)
     return positions
 
 
@@ -546,10 +571,9 @@ def assert_run_perception_matches_per_frame(records, camera, seeds):
 
 @pytest.mark.parametrize("mode", ("oracle", "omni", "box", "grid"))
 @pytest.mark.parametrize("kind", sorted(KINDS))
-def test_evaluation_of_columns_matches_evaluation_of_views(tmp_path, kind, mode):
-    """The columns read from a file, the columns of its per-frame views, and
-    the columns of the same file with its frame lines reversed all give the
-    same per-frame results."""
+def test_evaluation_of_columns_ignores_frame_line_order(tmp_path, kind, mode):
+    """The columns read from a file and the columns of the same file with its
+    frame lines reversed give the same per-frame results."""
     cfg, tracks = scenario(kind, "tilt45")
     camera = camera_for_pitch("tilt45")
     noise = NoiseModel(rng_seed=5) if mode in ("box", "grid") else None
@@ -569,29 +593,19 @@ def test_evaluation_of_columns_matches_evaluation_of_views(tmp_path, kind, mode)
 
     expected = evaluate(dataset.records)
     assert any(pred for _f, _gt, pred in expected)
-    assert evaluate(RunRecords.from_frames(dataset.frames)) == expected
     assert evaluate(flipped.records) == expected
 
 
 def test_run_records_reject_rows_out_of_layout():
-    records = RunRecords.from_frames([
-        FrameRecord(FrameAnnotation(f, float(f), "r0", []), ("r0", "r1"), np.zeros((2, 3)),
-                    np.tile([1.0, 0.0, 0.0, 0.0], (2, 1)))
-        for f in range(2)
-    ])
     row = dict(rel_positions=[[0.0, 0.0, 1.0]] * 2, centers=[[1.0, 1.0]] * 2,
                bboxes=[[0.0, 0.0, 2.0, 2.0]] * 2)
-    fields = {name: getattr(records, name) for name in ("frame_ids", "timestamps", "robot_ids",
-                                                        "positions", "quats")}
+    fields = dict(frame_ids=[0, 1], timestamps=[0.0, 1.0], robot_ids=("r0", "r1"),
+                  positions=np.zeros((2, 2, 3)), quats=np.tile(IDENTITY, (2, 2, 1)))
     assert len(RunRecords(**fields, owner=[0, 1], robot=[1, 1], **row).owner) == 2
     for owner, robot in (([1, 0], [1, 1]), ([0, 2], [1, 1]), ([0, 1], [0, 1]),
                          ([0, 1], [1, 2])):
         with pytest.raises(ValueError, match="neighbor rows"):
             RunRecords(**fields, owner=owner, robot=robot, **row)
-    with pytest.raises(ValueError, match="same robot"):
-        RunRecords.from_frames([*records.frames(), FrameRecord(
-            FrameAnnotation(2, 2.0, "r0", []), ("r0",), np.zeros((1, 3)),
-            np.array([[1.0, 0.0, 0.0, 0.0]]))])
 
 
 def oracle_downwash(tracks, camera, times, ellipsoid, mode, noise,
@@ -708,18 +722,17 @@ def test_later_estimate_absorbs_earlier_and_beliefs_die_on_reprojection():
     assert ellipsoid_margin(far, step, ellipsoid) < DOWNWASH_MARGIN
     no_box = np.zeros(2), np.array([0.0, 0.0, 1.0, 1.0])
     # the seen robots r1 and r2 are parked 100 m below, out of the ellipsoid
-    seen = [NeighborAnnotation(rid, np.array([0.0, 0.0, z]), *no_box)
-            for rid, z in (("r1", 1.0), ("r2", 1.09))]
+    seen = [(r, np.array([0.0, 0.0, z]), *no_box) for r, z in ((1, 1.0), (2, 1.09))]
     parked = np.tile([0.0, 0.0, -100.0], (2, 1))
-    records = [
-        FrameRecord(FrameAnnotation(f, float(f), "r0", seen if f == 0 else []),
-                    ("r0", "r1", "r2"), np.vstack([position, parked]),
-                    np.array([quat, identity, identity]))
+    frames = [
+        (f, float(f), np.vstack([position, parked]), [quat, identity, identity],
+         seen if f == 0 else [])
         for f, (position, quat) in enumerate([(np.zeros(3), identity), (step, turned),
                                               (step, identity)])
     ]
-    for ordered in (records, records[::-1]):
-        results = evaluate_downwash_records(RunRecords.from_frames(ordered), camera, ellipsoid)
+    for ordered in (frames, frames[::-1]):
+        results = evaluate_downwash_records(run_records(("r0", "r1", "r2"), ordered), camera,
+                                            ellipsoid)
         assert [(r.frame_id, r.gt_downwash, r.pred_downwash) for r in results] == [
             (0, False, False), (1, False, True), (2, False, False)]
 
@@ -727,15 +740,19 @@ def test_later_estimate_absorbs_earlier_and_beliefs_die_on_reprojection():
 @pytest.mark.parametrize("mode", ("oracle", "omni", "box", "grid"))
 def test_empty_record_list_gives_no_results(mode):
     noise = NoiseModel() if mode in ("box", "grid") else None
-    assert evaluate_downwash_records(RunRecords.from_frames([]), camera_for_pitch("up"),
-                                     EllipsoidSpec(), mode=mode, noise=noise) == []
+    camera = camera_for_pitch("up")
+    empty = annotate_tracks(climb_past_and_return()[0], camera, DEFAULT_ROBOT_GEOMETRY, [])
+    assert evaluate_downwash_records(empty, camera, EllipsoidSpec(), mode=mode,
+                                     noise=noise) == []
 
 
 def test_cli_builds_no_per_frame_objects(tmp_path, monkeypatch):
-    """simulate, downwash-eval --oracle and benchmark --oracle carry frames as
-    columns, not as per-frame records."""
+    """simulate, downwash-eval and benchmark, with oracle and noisy
+    perception, carry frames as columns and perception as rows, not as
+    per-frame records, detection maps or estimates."""
     built = []
-    for cls in (FrameRecord, FrameAnnotation, NeighborAnnotation):
+    for cls in (FrameRecord, FrameAnnotation, NeighborAnnotation, PositionEstimate,
+                GridDetectionMap):
         init = cls.__init__
         monkeypatch.setattr(cls, "__init__", lambda self, *args, init=init, **kwargs:
                             built.append(type(self).__name__) or init(self, *args, **kwargs))
@@ -744,13 +761,27 @@ def test_cli_builds_no_per_frame_objects(tmp_path, monkeypatch):
         "kind": "random_waypoint", "num_robots": 4, "duration": 5.0, "frame_rate": 30.0,
         "camera_pitch": "up", "rng_seed": 1,
     }))
+    noise = tmp_path / "noise.json"
+    noise.write_text('{"rng_seed": 3, "false_positive_rate": 0.5}')
     out = tmp_path / "run"
+    dataset = out / "dataset.ndjson"
     with contextlib.redirect_stdout(io.StringIO()):
         assert main(["simulate", "--config", str(config), "--out", str(out)]) == 0
-        assert main(["downwash-eval", "--dataset", str(out / "dataset.ndjson"),
+        assert main(["downwash-eval", "--dataset", str(dataset),
                      "--oracle", "--out", str(out / "eval")]) == 0
+        for mode in ("box", "grid"):
+            assert main(["downwash-eval", "--dataset", str(dataset), "--noise", str(noise),
+                         "--mode", mode, "--out", str(out / mode)]) == 0
         assert main(["benchmark", "--config", str(config), "--oracle",
                      "--out", str(tmp_path / "bench")]) == 0
+        assert main(["benchmark", "--config", str(config), "--noise", str(noise),
+                     "--mode", "grid", "--out", str(tmp_path / "bench-grid")]) == 0
     assert built == []
-    assert RunRecords.from_frames(read_dataset(out / "dataset.ndjson").frames)
-    assert set(built) == {"FrameRecord", "FrameAnnotation", "NeighborAnnotation"}
+    # positive control: the per-frame edges build each counted type
+    data = read_dataset(dataset)
+    frame = next(f for f in data.frames if f.annotation.neighbors)
+    intr = data.camera.intrinsics
+    assert decode_detections(simulate_detector(frame.annotation, NoiseModel(miss_rate=0.0), intr,
+                                               "grid"), intr)
+    assert set(built) == {"FrameRecord", "FrameAnnotation", "NeighborAnnotation",
+                          "PositionEstimate", "GridDetectionMap"}

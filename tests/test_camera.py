@@ -98,6 +98,14 @@ class TestBackProject:
             px = project(point, intr)
             assert abs(px[0] - u) < 1e-8 and abs(px[1] - v) < 1e-8
 
+    def test_barrel_round_trip_at_the_image_corners(self):
+        # fixed-point undistortion converges slowest at a barrel lens's
+        # corners: k1 -0.08 takes 74 steps there to meet UNDISTORT_TOL
+        intr = CameraIntrinsics(fx=170.0, fy=170.0, cx=160.0, cy=160.0, k1=-0.08)
+        for u, v in itertools.product((0.0, 320.0), repeat=2):
+            px = project(back_project((u, v), 1.0, intr), intr)
+            assert abs(px[0] - u) < 1e-8 and abs(px[1] - v) < 1e-8
+
 
 def static_pose(position, yaw: float = 0.0) -> tuple[np.ndarray, np.ndarray]:
     """The robot-to-world transform (q, t) of a robot at `position` turned by `yaw`."""
@@ -356,11 +364,11 @@ class TestRefineExtrinsicRotation:
     def test_no_observations(self, intr):
         camera = camera_for_pitch("forward", intr)
         # the neighbor sits behind the forward camera: frames, but no neighbor rows
-        unseen = annotate_tracks([still_track("r0", static_pose((0, 0, 1))),
-                                  still_track("r1", static_pose((-1, 0, 1)))],
-                                 camera, DEFAULT_ROBOT_GEOMETRY, [0.0, 1.0])
+        tracks = [still_track("r0", static_pose((0, 0, 1))),
+                  still_track("r1", static_pose((-1, 0, 1)))]
+        unseen = annotate_tracks(tracks, camera, DEFAULT_ROBOT_GEOMETRY, [0.0, 1.0])
         assert len(unseen) == 2 and len(unseen.owner) == 0
-        for records in (RunRecords.from_frames([]), unseen):
+        for records in (annotate_tracks(tracks, camera, DEFAULT_ROBOT_GEOMETRY, []), unseen):
             with pytest.raises(NoObservations):
                 refine_extrinsic_rotation(records, camera)
             with pytest.raises(NoObservations):

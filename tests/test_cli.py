@@ -18,7 +18,7 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from spincam.camera import CameraIntrinsics
+from spincam.camera import CameraIntrinsics, annotate_tracks, camera_for_pitch
 from spincam.cli import main
 from spincam.datasets import (
     GYRO_LOG_COLUMNS,
@@ -35,7 +35,6 @@ from spincam.datasets import (
 from spincam.downwash import EllipsoidSpec, ellipsoid_margin
 from spincam.errors import SpincamError
 from spincam.geometry import DEFAULT_ROBOT_GEOMETRY, PoseTrack, RobotGeometry
-from spincam.camera import RunRecords, camera_for_pitch
 from spincam.perception import NoiseModel
 from spincam.scenarios import MAX_WAYPOINTS, ScenarioConfig
 
@@ -214,11 +213,13 @@ class TestDownwashEval:
         assert summary["f1"] < 0.5
 
     def test_empty_dataset_reports_zero_rows(self, tmp_path):
+        camera = camera_for_pitch("up")
+        track = PoseTrack("r0", [0.0, 1.0], np.zeros((2, 3)), np.tile([1.0, 0.0, 0.0, 0.0], (2, 1)))
         dataset = Dataset(
-            camera=camera_for_pitch("up"),
+            camera=camera,
             geometry=DEFAULT_ROBOT_GEOMETRY,
             ellipsoid=EllipsoidSpec(),
-            records=RunRecords.from_frames([]),
+            records=annotate_tracks([track], camera, DEFAULT_ROBOT_GEOMETRY, []),
         )
         path = tmp_path / "empty.ndjson"
         write_dataset(dataset, path)
@@ -227,6 +228,19 @@ class TestDownwashEval:
                      "--out", str(out)]) == 0
         rows, _ = read_report(out / "report.csv")
         assert rows == []
+
+    @pytest.mark.parametrize("radius", [0.5, 0.6, 1.0])
+    def test_false_positive_boxes_wider_than_the_image(self, tmp_path, radius):
+        """A robot this large gives fabricated boxes wider than the image
+        when they lie near the camera; each is centred on the image."""
+        config = write_config(tmp_path / "big.json", sphere_radius=radius)
+        noise = tmp_path / "noise.json"
+        noise.write_text('{"false_positive_rate": 3.0}')
+        assert main(["simulate", "--config", str(config), "--out", str(tmp_path / "sim")]) == 0
+        assert main(["downwash-eval", "--dataset", str(tmp_path / "sim" / "dataset.ndjson"),
+                     "--noise", str(noise), "--mode", "box", "--out", str(tmp_path / "e")]) == 0
+        assert main(["benchmark", "--config", str(config), "--noise", str(noise), "--mode", "box",
+                     "--yaw-rates", "4", "--pitches", "up", "--out", str(tmp_path / "b")]) == 0
 
     def test_noise_mode_runs(self, tmp_path):
         dataset = self.simulate(tmp_path)

@@ -7,16 +7,12 @@ import math
 import numpy as np
 import pytest
 
+from run_columns import IDENTITY, run_records
+
 from spincam import datasets
-from spincam.camera import (
-    FrameAnnotation,
-    NeighborAnnotation,
-    RunRecords,
-    camera_for_pitch,
-)
+from spincam.camera import RunRecords, camera_for_pitch
 from spincam.datasets import (
     Dataset,
-    FrameRecord,
     GyroSequence,
     estimate_time_offset,
     export_labels,
@@ -59,32 +55,20 @@ def random_track(rng, robot_id: str, n: int) -> PoseTrack:
 def random_dataset(rng, n_frames: int) -> Dataset:
     frames = []
     for k in range(n_frames):
-        t = float(k) / 6.0
-        neighbors = []
+        rows = []
         for j in range(int(rng.integers(0, 3))):
             u_lo, u_hi = np.sort(rng.uniform(0.0, 320.0, 2))
             v_lo, v_hi = np.sort(rng.uniform(0.0, 320.0, 2))
-            neighbors.append(
-                NeighborAnnotation(
-                    robot_id=f"r{j + 1}",
-                    rel_position=rng.uniform((-1, -1, 0.5), (1, 1, 3.0)),
-                    center=rng.uniform(1.0, 319.0, 2),
-                    bbox=np.array([u_lo, v_lo, u_hi, v_hi]),
-                )
-            )
-        annotation = FrameAnnotation(frame_id=k, timestamp=t, ego_id="r0", neighbors=neighbors)
+            # neighbor row (robot, rel_position, center, bbox) of robot r{j + 1}
+            rows.append((j + 1, rng.uniform((-1, -1, 0.5), (1, 1, 3.0)),
+                         rng.uniform(1.0, 319.0, 2), [u_lo, v_lo, u_hi, v_hi]))
         positions, quats = zip(*[random_pose(rng) for _ in range(3)])
-        frames.append(FrameRecord(
-            annotation=annotation,
-            robot_ids=("r0", "r1", "r2"),
-            positions=np.array(positions),
-            quats=np.array(quats),
-        ))
+        frames.append((k, float(k) / 6.0, positions, quats, rows))
     return Dataset(
         camera=camera_for_pitch("tilt45"),
         geometry=DEFAULT_ROBOT_GEOMETRY,
         ellipsoid=EllipsoidSpec(0.15, 0.15, 0.3),
-        records=RunRecords.from_frames(frames),
+        records=run_records(("r0", "r1", "r2"), frames),
     )
 
 
@@ -164,13 +148,11 @@ class TestDatasetRoundTrip:
 
 
 class TestExportLabels:
-    def frame(self, neighbors, frame_id=0) -> RunRecords:
-        """The columns of one frame whose ego r0 may see r1 and r2."""
-        annotation = FrameAnnotation(frame_id=frame_id, timestamp=0.0, ego_id="r0",
-                                     neighbors=neighbors)
-        return RunRecords.from_frames([FrameRecord(annotation, ("r0", "r1", "r2"),
-                                                   np.zeros((3, 3)),
-                                                   np.tile([1.0, 0.0, 0.0, 0.0], (3, 1)))])
+    def frame(self, rows, frame_id=0) -> RunRecords:
+        """The columns of one frame whose ego r0 sees the neighbor rows
+        (robot, rel_position, center, bbox) of r1 (robot 1) and r2 (2)."""
+        return run_records(("r0", "r1", "r2"),
+                           [(frame_id, 0.0, np.zeros((3, 3)), [IDENTITY] * 3, rows)])
 
     def test_bbox_mode_empty_frame(self, tmp_path, intr):
         path = tmp_path / "labels.ndjson"
@@ -180,25 +162,20 @@ class TestExportLabels:
         assert json.loads(lines[1]) == {"record": "labels", "frame_id": 0, "labels": []}
 
     def test_bbox_mode_passthrough(self, tmp_path, intr):
-        neighbors = [
-            NeighborAnnotation("r1", np.array([0.0, 0.0, 1.0]), np.array([160.0, 160.0]),
-                               np.array([150.0, 150.0, 170.0, 170.0])),
-            NeighborAnnotation("r2", np.array([0.5, 0.0, 2.0]), np.array([200.0, 160.0]),
-                               np.array([195.0, 155.0, 205.0, 165.0])),
+        rows = [
+            (1, [0.0, 0.0, 1.0], [160.0, 160.0], [150.0, 150.0, 170.0, 170.0]),
+            (2, [0.5, 0.0, 2.0], [200.0, 160.0], [195.0, 155.0, 205.0, 165.0]),
         ]
         path = tmp_path / "labels.ndjson"
-        export_labels(self.frame(neighbors), "bbox", path)
+        export_labels(self.frame(rows), "bbox", path)
         row = json.loads(path.read_text().splitlines()[1])
         assert len(row["labels"]) == 2
         assert row["labels"][0]["bbox"] == [150.0, 150.0, 170.0, 170.0]
 
     def test_grid_mode_single_cell(self, tmp_path, intr):
-        neighbors = [
-            NeighborAnnotation("r1", np.array([0.0, 0.0, 1.5]), np.array([160.0, 160.0]),
-                               np.array([150.0, 150.0, 170.0, 170.0])),
-        ]
+        rows = [(1, [0.0, 0.0, 1.5], [160.0, 160.0], [150.0, 150.0, 170.0, 170.0])]
         path = tmp_path / "labels.ndjson"
-        export_labels(self.frame(neighbors), "grid", path, intr=intr)
+        export_labels(self.frame(rows), "grid", path, intr=intr)
         header, row = (json.loads(x) for x in path.read_text().splitlines())
         assert (header["rows"], header["cols"]) == (28, 40)
         assert len(row["cells"]) == 1

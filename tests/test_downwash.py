@@ -5,13 +5,9 @@ import math
 import numpy as np
 import pytest
 
-from spincam.camera import (
-    FrameAnnotation,
-    FrameRecord,
-    NeighborAnnotation,
-    RunRecords,
-    camera_for_pitch,
-)
+from run_columns import IDENTITY, run_records
+
+from spincam.camera import camera_for_pitch
 from spincam.downwash import (
     DOWNWASH_MARGIN,
     MERGE_RADIUS,
@@ -79,32 +75,27 @@ SEEN_IDS = ("r1", "r2", "r3", "r4", "r5")
 PARKED = np.tile([0.0, 0.0, -100.0], (len(SEEN_IDS), 1))
 
 
-def record(frame, estimates=(), position=(0.0, 0.0, 0.0),
-           quat=(1.0, 0.0, 0.0, 0.0)) -> FrameRecord:
+def record(frame, estimates=(), position=(0.0, 0.0, 0.0), quat=IDENTITY) -> tuple:
     """Frame `frame`, stamped `frame` seconds, of an ego at `position` and
     `quat` whose perception sees the camera-frame positions `estimates`, as
-    robots r1, r2, ... in turn."""
-    no_box = np.zeros(2), np.array([0.0, 0.0, 1.0, 1.0])
-    seen = [NeighborAnnotation(rid, np.array(e, dtype=float), *no_box)
-            for rid, e in zip(SEEN_IDS[:len(estimates)], estimates, strict=True)]
-    identity = [(1.0, 0.0, 0.0, 0.0)] * len(SEEN_IDS)
-    return FrameRecord(FrameAnnotation(frame, float(frame), "r0", seen), ("r0", *SEEN_IDS),
-                       np.vstack([position, PARKED]), np.array([quat, *identity], dtype=float))
+    robots r1, r2, ... in turn: a frame of `run_records`."""
+    rows = [(r, e, (0.0, 0.0), (0.0, 0.0, 1.0, 1.0)) for r, e in enumerate(estimates, start=1)]
+    return (frame, float(frame), np.vstack([position, PARKED]),
+            [quat, *[IDENTITY] * len(SEEN_IDS)], rows)
 
 
 def predictions(records, camera, ellipsoid=E) -> list[bool]:
-    results = evaluate_downwash_records(RunRecords.from_frames(records), camera, ellipsoid)
+    results = evaluate_downwash_records(run_records(("r0", *SEEN_IDS), records), camera,
+                                        ellipsoid)
     return [r.pred_downwash for r in results]
 
 
 class TestPredictDownwash:
     def test_empty_beliefs(self, identity_camera):
         # a neighbor in the ellipsoid that perception never saw predicts nothing
-        unseen = FrameRecord(FrameAnnotation(0, 0.0, "r0", []), ("r0", "r1"),
-                             np.array([[0.0, 0.0, 0.0], [0.0, 0.0, 0.2]]),
-                             np.tile([1.0, 0.0, 0.0, 0.0], (2, 1)))
-        (result,) = evaluate_downwash_records(RunRecords.from_frames([unseen]),
-                                              identity_camera, E)
+        unseen = run_records(("r0", "r1"), [(0, 0.0, [[0.0, 0.0, 0.0], [0.0, 0.0, 0.2]],
+                                             [IDENTITY] * 2, [])])
+        (result,) = evaluate_downwash_records(unseen, identity_camera, E)
         assert result.gt_downwash and not result.pred_downwash
 
     def test_belief_directly_overhead(self, identity_camera):

@@ -20,10 +20,11 @@ from spincam.geometry import PoseTrack, RobotGeometry
 from spincam.perception import (
     GridDetectionMap,
     NoiseModel,
+    _ray_pair_position,
     decode_box,
     decode_detections,
     decode_grid,
-    decode_rays,
+    detect_rows,
     encode_grid,
     frame_rng,
     grid_cell_center,
@@ -98,7 +99,7 @@ class TestDecodeBox:
 
     def test_antipodal_rays_degenerate(self):
         with pytest.raises(DegenerateBox):
-            decode_rays(np.array([1.0, 0.0, 0.0]), np.array([-1.0, 0.0, 0.0]), 0.1)
+            _ray_pair_position(np.array([1.0, 0.0, 0.0]), np.array([-1.0, 0.0, 0.0]), 0.1)
 
     def test_positive_depth_always(self, intr):
         rng = np.random.default_rng(0)
@@ -117,7 +118,7 @@ def norm_pixel_ray(pixel, intr: CameraIntrinsics) -> np.ndarray:
 
 
 def clip_ray_position(a1: np.ndarray, a2: np.ndarray, radius: float) -> np.ndarray:
-    """`decode_rays`' position written with np.clip and np.linalg.norm."""
+    """`_ray_pair_position` written with np.clip and np.linalg.norm."""
     cos_alpha = float(np.clip(np.dot(a1, a2), -1.0, 1.0))
     d = sphere_distance_from_angle(math.acos(cos_alpha), radius)
     a_c = 0.5 * (a1 + a2)
@@ -133,8 +134,8 @@ def unit_rows(rng, count: int) -> np.ndarray:
 
 
 class TestScalarKernelsMatchNumpyFormulas:
-    """`pixel_to_ray` and `decode_rays` clip with min/max and take the norm
-    as the sqrt of a dot; both give the numpy formulas' bits."""
+    """`pixel_to_ray` and `_ray_pair_position` clip with min/max and take
+    the norm as the sqrt of a dot; both give the numpy formulas' bits."""
 
     @pytest.mark.parametrize("k1", (0.0, -0.08, 0.05))
     def test_pixel_to_ray(self, k1):
@@ -142,7 +143,7 @@ class TestScalarKernelsMatchNumpyFormulas:
         for pixel in np.random.default_rng(1).uniform(0.0, 320.0, (500, 2)).tolist():
             assert pixel_to_ray(pixel, intr).tobytes() == norm_pixel_ray(pixel, intr).tobytes()
 
-    def test_decode_rays_on_random_rays(self, intr):
+    def test_ray_pair_position_on_random_rays(self, intr):
         rng = np.random.default_rng(4)
         pixel_rays = [(pixel_to_ray(p1, intr), pixel_to_ray(p2, intr))
                       for p1, p2 in rng.uniform(0.0, 320.0, (500, 2, 2)).tolist()]
@@ -150,7 +151,7 @@ class TestScalarKernelsMatchNumpyFormulas:
         ahead = unit_rows(rng, 1000)
         ahead[:, 2] = np.abs(ahead[:, 2])
         for a1, a2 in [*pixel_rays, *zip(ahead[:500], ahead[500:])]:
-            assert decode_rays(a1, a2, 0.05).position.tobytes() == \
+            assert _ray_pair_position(a1, a2, 0.05).tobytes() == \
                 clip_ray_position(a1, a2, 0.05).tobytes()
 
     def test_near_parallel_rays_whose_dot_rounds_above_one_are_degenerate(self):
@@ -163,14 +164,14 @@ class TestScalarKernelsMatchNumpyFormulas:
             with pytest.raises(DegenerateBox):
                 clip_ray_position(a1, a2, 0.05)
             with pytest.raises(DegenerateBox):
-                decode_rays(a1, a2, 0.05)
+                _ray_pair_position(a1, a2, 0.05)
 
     def test_antipodal_rays_are_degenerate(self):
         for a in unit_rows(np.random.default_rng(6), 200):
             with pytest.raises(DegenerateBox):
                 clip_ray_position(a, -a, 0.05)
             with pytest.raises(DegenerateBox):
-                decode_rays(a, -a, 0.05)
+                _ray_pair_position(a, -a, 0.05)
 
 
 def annotation_with(neighbors, frame_id: int = 0) -> FrameAnnotation:
@@ -397,6 +398,20 @@ class TestSimulateDetector:
         assert len(detections), "expected Poisson false positives"
         for det in detections:
             assert noise.false_confidence[0] <= det[4] <= noise.false_confidence[1]
+
+    def test_false_positive_box_larger_than_the_image_is_centred_on_it(self, intr):
+        # a 1 m radius nearer than fx / (width / 2) = 1.0625 m spans the image
+        noise = NoiseModel(false_positive_rate=20.0, rng_seed=5)
+        detections = detect_rows(frame_rng(noise, 0), [], [], [], noise, intr, "box", 1.0, None)
+        wide = [d for d in detections if d[2] - d[0] > intr.width]
+        assert wide and len(wide) < len(detections)
+        for u_lo, v_lo, u_hi, v_hi, _confidence in detections:
+            if u_hi - u_lo > intr.width:  # and taller: fx == fy on a square image
+                assert (u_lo + u_hi) / 2 == pytest.approx(intr.width / 2, abs=1e-9)
+                assert (v_lo + v_hi) / 2 == pytest.approx(intr.height / 2, abs=1e-9)
+            else:
+                assert -1e-9 <= u_lo and u_hi <= intr.width + 1e-9
+                assert -1e-9 <= v_lo and v_hi <= intr.height + 1e-9
 
     def test_pixel_sigma_two_gives_fraction_of_a_meter_error(self, intr):
         # 0.1 m robot at 2 m: +/-2 px jitter lands around 0.2 m Euclidean error
