@@ -19,7 +19,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import NonPositiveDepth, NoObservations
+from .errors import NonPositiveDepth, NoObservations, OutOfRange
 from .geometry import (
     UNIT_NORM_TOL,
     PoseTrack,
@@ -68,12 +68,10 @@ class CameraIntrinsics:
         if not (0.0 <= self.cx < self.width and 0.0 <= self.cy < self.height):
             raise ValueError("principal point must lie inside the image")
         if self.k1 < 0.0:
-            # r_d = r (1 + k1 r^2) peaks at r = 1/sqrt(3|k1|), distorted radius
-            # (2/3)/sqrt(3|k1|), and mirrors past it: that fold must lie
-            # outside the farthest image corner
+            # the lens fold must lie outside the farthest image corner
             corner = math.hypot(max(self.cx, self.width - self.cx) / self.fx,
                                 max(self.cy, self.height - self.cy) / self.fy)
-            fold = (2.0 / 3.0) / math.sqrt(-3.0 * self.k1)
+            fold = fold_radius(self.k1)
             if fold < corner:
                 raise ValueError(
                     f"k1 {self.k1} folds the lens at normalized radius {fold:.4g}, inside "
@@ -154,6 +152,13 @@ def _quaternion_from_matrix(m: np.ndarray) -> np.ndarray:
     return quat_normalize(q)
 
 
+def fold_radius(k1: float) -> float:
+    """Distorted normalized radius of a barrel lens's fold (`k1` < 0):
+    r_d = r (1 + k1 r^2) peaks at r = 1/sqrt(3|k1|), distorted radius
+    (2/3)/sqrt(3|k1|), and mirrors past it."""
+    return (2.0 / 3.0) / math.sqrt(-3.0 * k1)
+
+
 def distort_normalized(xn: float, yn: float, k1: float) -> tuple[float, float]:
     """Apply first-order radial distortion in normalized camera coordinates."""
     r2 = xn * xn + yn * yn
@@ -162,9 +167,14 @@ def distort_normalized(xn: float, yn: float, k1: float) -> tuple[float, float]:
 
 
 def undistort_normalized(xd: float, yd: float, k1: float) -> tuple[float, float]:
-    """Invert the radial term by fixed-point iteration."""
+    """Invert the radial term by fixed-point iteration; raises OutOfRange
+    when, for `k1` < 0, the distorted radius lies at or past the lens fold's,
+    the most that any point reaches."""
     if k1 == 0.0:
         return xd, yd
+    if k1 < 0.0 and math.hypot(xd, yd) >= fold_radius(k1):
+        raise OutOfRange(f"distorted radius {math.hypot(xd, yd):.6g} lies at or past the "
+                         f"fold's {fold_radius(k1):.6g} of a lens with k1 {k1}")
     xn, yn = xd, yd
     for _ in range(UNDISTORT_ITERATIONS):
         r2 = xn * xn + yn * yn

@@ -10,7 +10,8 @@ class NonPositiveDepth(SpincamError, ValueError):
 
 
 class OutOfRange(SpincamError, ValueError):
-    """Query time outside the span of a pose track (no extrapolation)."""
+    """Query outside a model's domain: a time outside the span of a pose
+    track (no extrapolation), or a pixel at or past a barrel lens's fold."""
 
 
 class NoObservations(SpincamError, ValueError):

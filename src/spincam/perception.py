@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .camera import CameraIntrinsics, FrameAnnotation, back_project, pixel_to_ray
-from .errors import DegenerateBox
+from .errors import DegenerateBox, OutOfRange
 from .geometry import DEFAULT_ROBOT_GEOMETRY, is_count, is_numbers, require_finite
 
 DEFAULT_GRID_ROWS = 28
@@ -133,12 +133,13 @@ def decode_box(box, intr: CameraIntrinsics, radius: float) -> PositionEstimate:
 
 def decode_box_rows(detections, intr: CameraIntrinsics, radius: float) -> list[np.ndarray]:
     """Positions (3,) decoded by `decode_box` from detection rows whose first
-    four entries are the box; a degenerate box gives no position."""
+    four entries are the box; a degenerate box, or one whose edge midpoint
+    lies past the lens fold, gives no position."""
     positions = []
     for detection in detections:
         try:
             positions.append(_box_position(detection[:4], intr, radius))
-        except DegenerateBox:
+        except (DegenerateBox, OutOfRange):
             continue
     return positions
 

@@ -17,13 +17,17 @@ from spincam.camera import (
     annotate_tracks,
     back_project,
     camera_for_pitch,
+    distort_normalized,
+    fold_radius,
     pitch_rotation,
+    pixel_to_ray,
     project,
     project_points,
     refine_extrinsic_rotation,
     reprojection_mse,
+    undistort_normalized,
 )
-from spincam.errors import NoObservations, NonPositiveDepth
+from spincam.errors import NoObservations, NonPositiveDepth, OutOfRange
 from spincam.geometry import (
     DEFAULT_ROBOT_GEOMETRY,
     PoseTrack,
@@ -329,6 +333,25 @@ class TestLensFold:
         with pytest.raises(ValueError, match="k1"):
             CameraIntrinsics(k1=limit * 1.001, **common)
         assert (2.0 / 3.0) / math.sqrt(-3.0 * limit) == pytest.approx(corner)
+
+    def test_pixel_past_the_fold_raises(self):
+        # x_d = -360/170 lies past the fold's 1.361: the fixed point found
+        # there distorts to -1.358, so the ray would point elsewhere
+        intr = CameraIntrinsics(fx=170.0, fy=170.0, cx=160.0, cy=160.0, k1=-0.08)
+        with pytest.raises(OutOfRange, match="fold"):
+            pixel_to_ray((-200.0, 160.0), intr)
+        with pytest.raises(OutOfRange):
+            undistort_normalized(fold_radius(-0.08), 0.0, -0.08)
+
+    def test_pixel_inside_the_fold_round_trips(self):
+        intr = CameraIntrinsics(fx=170.0, fy=170.0, cx=160.0, cy=160.0, k1=-0.08)
+        u = intr.cx - 0.99 * fold_radius(intr.k1) * intr.fx  # outside the image
+        px = project(back_project((u, 160.0), 1.0, intr), intr)
+        assert abs(px[0] - u) < 1e-8 and abs(px[1] - 160.0) < 1e-8
+
+    def test_pincushion_lens_has_no_fold(self):
+        xn, yn = undistort_normalized(-360.0 / 170.0, 0.0, 0.1)
+        assert distort_normalized(xn, yn, 0.1) == pytest.approx((-360.0 / 170.0, 0.0), abs=1e-12)
 
 
 class TestCameraModel:

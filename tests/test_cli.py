@@ -18,6 +18,7 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
+from spincam import perception
 from spincam.camera import CameraIntrinsics, annotate_tracks, camera_for_pitch
 from spincam.cli import main
 from spincam.datasets import (
@@ -33,7 +34,7 @@ from spincam.datasets import (
     write_pose_log,
 )
 from spincam.downwash import EllipsoidSpec, ellipsoid_margin
-from spincam.errors import SpincamError
+from spincam.errors import OutOfRange, SpincamError
 from spincam.geometry import DEFAULT_ROBOT_GEOMETRY, PoseTrack, RobotGeometry
 from spincam.perception import NoiseModel
 from spincam.scenarios import MAX_WAYPOINTS, ScenarioConfig
@@ -242,6 +243,31 @@ class TestDownwashEval:
         assert main(["benchmark", "--config", str(config), "--noise", str(noise), "--mode", "box",
                      "--yaw-rates", "4", "--pitches", "up", "--out", str(tmp_path / "b")]) == 0
 
+    @pytest.mark.parametrize("radius,past_fold", [(0.5, False), (1.0, True)])
+    def test_false_positive_boxes_past_a_barrel_lens_fold(self, tmp_path, monkeypatch,
+                                                         radius, past_fold):
+        """With k1 -0.08 the fold lies 231 px from the image centre; a
+        fabricated box reaches past it once it is over 462 px wide (radius
+        1.0 at depth below 0.74). Decoding skips such a box and the run
+        completes."""
+        skipped, box_position = [], perception._box_position
+
+        def counted(box, intr, r):
+            try:
+                return box_position(box, intr, r)
+            except OutOfRange:
+                skipped.append(box)
+                raise
+
+        monkeypatch.setattr(perception, "_box_position", counted)
+        config = write_config(tmp_path / "big.json", sphere_radius=radius, k1=-0.08)
+        noise = tmp_path / "noise.json"
+        noise.write_text('{"false_positive_rate": 3.0}')
+        assert main(["simulate", "--config", str(config), "--out", str(tmp_path / "sim")]) == 0
+        assert main(["downwash-eval", "--dataset", str(tmp_path / "sim" / "dataset.ndjson"),
+                     "--noise", str(noise), "--mode", "box", "--out", str(tmp_path / "e")]) == 0
+        assert bool(skipped) == past_fold
+
     def test_noise_mode_runs(self, tmp_path):
         dataset = self.simulate(tmp_path)
         noise = tmp_path / "noise.json"
@@ -336,6 +362,29 @@ class TestDownwashEval:
                 f"assert main(['downwash-eval', '--dataset', {str(dataset)!r}, '--oracle', "
                 f"'--out', {str(tmp_path / 'e')!r}]) == 0; "
                 "sys.exit(0 if eager or 'numpy.random' not in sys.modules else 1)")
+        subprocess.run([sys.executable, "-c", code], check=True, capture_output=True)
+
+    def test_matching_and_noisy_evaluation_run_without_scipy(self, tmp_path):
+        """The assignment is in-repo: with scipy blocked, matching and both
+        noisy evaluation modes still run."""
+        dataset = self.simulate(tmp_path)
+        noise = tmp_path / "noise.json"
+        noise.write_text('{"pixel_sigma": 1.0, "miss_rate": 0.1, "false_positive_rate": 0.5}')
+        code = ("import sys; sys.modules['scipy'] = None; "
+                "from spincam.cli import main; from spincam.metrics import hungarian, position_errors; "
+                "assert hungarian([[4.0, 1.0, 3.0], [2.0, 0.0, 5.0], [3.0, 2.0, 2.0]]).total_cost == 5.0; "
+                "assert position_errors([(0, 0, 1), (0, 0, 3)], [(0, 0, 2.5), (0, 0, 1.5)]) == [0.5, 0.5]; "
+                + "; ".join(
+                    f"assert main(['downwash-eval', '--dataset', {str(dataset)!r}, '--noise', "
+                    f"{str(noise)!r}, '--mode', {mode!r}, '--out', {str(tmp_path / mode)!r}]) == 0"
+                    for mode in ("box", "grid")))
+        subprocess.run([sys.executable, "-c", code], check=True, capture_output=True)
+
+    def test_blocking_scipy_fails_its_import(self):
+        """Control for the test above: the block does stop scipy loading."""
+        code = ("import sys; sys.modules['scipy'] = None\n"
+                "try:\n    import scipy.optimize\nexcept ImportError:\n    sys.exit(0)\n"
+                "sys.exit(1)")
         subprocess.run([sys.executable, "-c", code], check=True, capture_output=True)
 
     def test_dataset_lens_folding_inside_the_image_exits_3(self, tmp_path, capsys):

@@ -5,6 +5,9 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from scipy.optimize import linear_sum_assignment
 
 from spincam.errors import CardinalityMismatch
 from spincam.metrics import (
@@ -20,15 +23,42 @@ from spincam.metrics import (
 
 def brute_force_assignment(cost: np.ndarray) -> float:
     """Exhaustive minimum over all row/column pairings."""
+    if cost.shape[0] > cost.shape[1]:
+        cost = cost.T
     n, m = cost.shape
-    k = min(n, m)
-    best = math.inf
-    rows = range(n)
-    for row_subset in itertools.permutations(rows, k):
-        for col_subset in itertools.permutations(range(m), k):
-            total = sum(cost[r, c] for r, c in zip(row_subset, col_subset))
-            best = min(best, total)
-    return best
+    return min(math.fsum(cost[r, c] for r, c in enumerate(cols))
+               for cols in itertools.permutations(range(m), n))
+
+
+def matrices(elements):
+    """Lists of 1-6 rows of 1-6 `elements`."""
+    return st.integers(1, 6).flatmap(lambda m: st.lists(
+        st.lists(elements, min_size=m, max_size=m), min_size=1, max_size=6))
+
+
+# integer-valued costs (tie-heavy), signed zeros, and magnitudes up to 1e300,
+# whose sums over six entries stay far from the float range
+FINITE_COSTS = st.one_of(
+    matrices(st.integers(-3, 3).map(float)),
+    matrices(st.sampled_from([0.0, -0.0, 1.0])),
+    matrices(st.floats(-1e300, 1e300)),
+    matrices(st.one_of(st.floats(-1e300, 1e300), st.integers(-3, 3).map(float),
+                       st.just(-0.0))),
+)
+NEAR_OVERFLOW_COSTS = matrices(st.one_of(
+    st.sampled_from([1.7e308, -1.7e308, 1.79e308, -1.79e308, 1e308, -1e308, 0.0, 1.0]),
+    st.floats(allow_nan=False, allow_infinity=False)))
+
+
+def assert_one_to_one(result: AssignmentResult, n: int, m: int):
+    rows = [i for i, _ in result.pairs]
+    cols = [j for _, j in result.pairs]
+    assert len(result.pairs) == min(n, m)
+    assert len(set(rows)) == len(set(cols)) == min(n, m)
+    assert list(result.pairs) == sorted(result.pairs)
+    assert all(0 <= i < n for i in rows) and all(0 <= j < m for j in cols)
+    assert (result.unmatched_predictions, result.unmatched_ground_truth) == (
+        n - min(n, m), m - min(n, m))
 
 
 class TestSuccess:
@@ -81,6 +111,61 @@ class TestHungarian:
         with pytest.raises(ValueError):
             hungarian([[np.inf, 1.0], [1.0, 2.0]])
 
+    @settings(max_examples=300, deadline=None)
+    @given(FINITE_COSTS)
+    def test_optimal_one_to_one_on_finite_matrices(self, cost):
+        matrix = np.array(cost)
+        result = hungarian(matrix)
+        assert_one_to_one(result, *matrix.shape)
+        # differences below 1e-9 of the largest cost are under float
+        # resolution: both totals round at that scale
+        scale = max(1.0, float(np.abs(matrix).max()))
+        assert abs(result.total_cost - brute_force_assignment(matrix)) <= 1e-9 * scale
+
+    @settings(max_examples=300, deadline=None)
+    @given(NEAR_OVERFLOW_COSTS)
+    @example([[-1.7e308, 1.79e308, 1.79e308], [-1.79e308, 1.7e308, 1.7e308]])
+    @example([[1e308, -1e308], [-1e308, 1e308]])
+    def test_near_overflow_returns_or_raises(self, cost):
+        """Reduced costs may overflow to inf or NaN: the assignment is then
+        still one-to-one, or ValueError says no finite column was left."""
+        matrix = np.array(cost)
+        try:
+            with np.errstate(over="ignore"):
+                result = hungarian(matrix)
+        except ValueError as exc:
+            assert "overflows" in str(exc)
+        else:
+            assert_one_to_one(result, *matrix.shape)
+
+    def test_overflowing_reduced_costs_raise(self):
+        # the second row takes column 0 from the first, whose reduced costs
+        # to the other columns are then 1.79e308 + 1.7e308 = inf
+        with pytest.raises(ValueError, match="overflows"):
+            hungarian([[-1.7e308, 1.79e308, 1.79e308], [-1.79e308, 1.7e308, 1.7e308]])
+
+    @pytest.mark.parametrize("cost", [
+        [[1e308, -1e308], [-1e308, 1e308]],
+        [[1.7e308, -1.7e308, 0.0], [-1.7e308, 1.7e308, 0.0]],
+        [[1.7e308, -1.7e308], [-1.7e308, 1.7e308], [0.0, 1.0]],
+    ])
+    def test_near_overflow_matches_scipy(self, cost):
+        with np.errstate(over="ignore"):
+            result = hungarian(cost)
+        rows, cols = linear_sum_assignment(np.array(cost))
+        assert result.pairs == tuple(zip(rows.tolist(), cols.tolist()))
+
+    def test_matches_scipy_on_continuous_matrices(self):
+        """Without ties the optimum is unique, so the pairs are scipy's."""
+        rng = np.random.default_rng(4)
+        for _ in range(1000):
+            n, m = rng.integers(1, 7, 2)
+            cost = rng.normal(0.0, 10.0, (n, m))
+            rows, cols = linear_sum_assignment(cost)
+            result = hungarian(cost)
+            assert result.pairs == tuple(zip(rows.tolist(), cols.tolist()))
+            assert result.total_cost == float(cost[rows, cols].sum())
+
 
 class TestPositionErrors:
     def test_identical_lists_give_zeros(self):
@@ -113,6 +198,21 @@ class TestPositionErrors:
 
     def test_empty_lists(self):
         assert position_errors([], []) == []
+
+    def test_bitwise_equal_to_linalg_norm_of_matched_pairs(self):
+        rng = np.random.default_rng(5)
+        for _ in range(300):
+            k = int(rng.integers(1, 5))
+            preds = list(rng.uniform(-3.0, 3.0, (k, 3)))
+            gts = list(rng.uniform(-3.0, 3.0, (k, 3)))
+            cost = np.array([[float(np.linalg.norm(p - g)) for g in gts] for p in preds])
+            expected = [float(cost[i, j]) for i, j in hungarian(cost).pairs]
+            errors = position_errors(preds, gts)
+            assert [e.hex() for e in errors] == [e.hex() for e in expected]
+
+    def test_rejects_non_finite_positions(self):
+        with pytest.raises(ValueError, match="finite"):
+            position_errors([(0.0, 0.0, math.nan)], [(0.0, 0.0, 1.0)])
 
 
 class TestClassificationMetrics:

@@ -15,13 +15,14 @@ from spincam.camera import (
     pixel_to_ray,
     project,
 )
-from spincam.errors import DegenerateBox
+from spincam.errors import DegenerateBox, OutOfRange
 from spincam.geometry import PoseTrack, RobotGeometry
 from spincam.perception import (
     GridDetectionMap,
     NoiseModel,
     _ray_pair_position,
     decode_box,
+    decode_box_rows,
     decode_detections,
     decode_grid,
     detect_rows,
@@ -100,6 +101,17 @@ class TestDecodeBox:
     def test_antipodal_rays_degenerate(self):
         with pytest.raises(DegenerateBox):
             _ray_pair_position(np.array([1.0, 0.0, 0.0]), np.array([-1.0, 0.0, 0.0]), 0.1)
+
+    def test_box_past_the_lens_fold_is_skipped(self):
+        """A box wider than the image of a barrel lens has an edge midpoint
+        past the fold, which has no ray; the rows skip it as a degenerate box."""
+        intr = CameraIntrinsics(fx=170.0, fy=170.0, cx=160.0, cy=160.0, k1=-0.08)
+        wide, inside = (-200.0, 150.0, 100.0, 170.0), (100.0, 150.0, 140.0, 170.0)
+        with pytest.raises(OutOfRange):
+            decode_box(wide, intr, 0.5)
+        decoded = decode_box_rows([wide + (0.9,), inside + (0.9,)], intr, 0.5)
+        assert len(decoded) == 1
+        np.testing.assert_array_equal(decoded[0], decode_box(inside, intr, 0.5).position)
 
     def test_positive_depth_always(self, intr):
         rng = np.random.default_rng(0)
