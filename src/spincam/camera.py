@@ -4,10 +4,11 @@ The camera frame is the usual computer-vision one (+z optical axis, +x right,
 +y down); the robot frame is +x forward, +y left, +z up. Pixel coordinates are
 continuous with (0, 0) at the top-left image corner.
 
-`project_points` is the one projection kernel and `annotate_tracks` the one
+`project_points` is the one projection kernel and `annotate_poses` the one
 annotation pipeline: it projects every frame x neighbor x corner of a run in
-a few array operations and returns the run as `RunRecords` columns.
-`project` is the kernel's one-point case.
+a few array operations, through a camera mount per frame, and returns the
+run as `RunRecords` columns. `annotate_tracks` is its one-camera case on
+interpolated pose tracks, and `project` the kernel's one-point case.
 """
 
 from __future__ import annotations
@@ -239,16 +240,18 @@ def in_view(points_camera, intr: CameraIntrinsics) -> np.ndarray:
     return mask
 
 
-def world_to_camera_arrays(ego_q, ego_t, camera: CameraModel):
+def world_to_camera_arrays(ego_q, ego_t, mount_q, mount_t):
     """World-to-camera transforms (mount after inverse ego pose) for ego
-    orientations (..., 4) and positions (..., 3)."""
-    return compose(camera.rotation, camera.translation, *invert(ego_q, ego_t))
+    orientations (..., 4) and positions (..., 3) and robot-to-camera mounts
+    (..., 4) / (..., 3); shapes broadcast."""
+    return compose(mount_q, mount_t, *invert(ego_q, ego_t))
 
 
-def camera_to_world_arrays(ego_q, ego_t, camera: CameraModel):
+def camera_to_world_arrays(ego_q, ego_t, mount_q, mount_t):
     """Camera-to-world transforms (ego pose after inverse mount) for ego
-    orientations (..., 4) and positions (..., 3)."""
-    return compose(ego_q, ego_t, *invert(camera.rotation, camera.translation))
+    orientations (..., 4) and positions (..., 3) and robot-to-camera mounts
+    (..., 4) / (..., 3); shapes broadcast."""
+    return compose(ego_q, ego_t, *invert(mount_q, mount_t))
 
 
 @dataclass(frozen=True, eq=False)
@@ -366,22 +369,21 @@ class RunRecords:
 
 
 def _annotate_neighbors(
-    ego_q: np.ndarray,
-    ego_t: np.ndarray,
+    w2c_q: np.ndarray,
+    w2c_t: np.ndarray,
     neighbor_q: np.ndarray,
     neighbor_t: np.ndarray,
-    camera: CameraModel,
+    intr: CameraIntrinsics,
     geom: RobotGeometry,
 ) -> tuple[np.ndarray, ...]:
     """Visible neighbors of F frames as rows (frame, slot, rel_position,
     center, bbox), grouped by frame.
 
-    Ego poses are (F, 4) / (F, 3) arrays, neighbor poses (F, N, 4) / (F, N, 3)
-    with `slot` indexing N. Every center goes through one projection call,
-    and so do the 8 corners of every neighbor whose center is in view.
+    World-to-camera transforms are (F, 4) / (F, 3) arrays, neighbor poses
+    (F, N, 4) / (F, N, 3) with `slot` indexing N. Every center goes through
+    one projection call, and so do the 8 corners of every neighbor whose
+    center is in view.
     """
-    intr = camera.intrinsics
-    w2c_q, w2c_t = world_to_camera_arrays(ego_q, ego_t, camera)
     centers = quat_rotate(w2c_q[:, None], neighbor_t) + w2c_t[:, None]
     frame, slot = np.nonzero(in_view(centers, intr))
     rel_q, rel_t = compose(w2c_q[frame], w2c_t[frame], neighbor_q[frame, slot],
@@ -403,6 +405,41 @@ def _annotate_neighbors(
     return frame[keep], slot[keep], rel_t, project_points(rel_t, intr), boxes
 
 
+def track_poses(
+    tracks: Sequence[PoseTrack], times, ego_id: str = "r0"
+) -> tuple[tuple[str, ...], np.ndarray, np.ndarray]:
+    """Robot ids, the ego first and the others sorted, and their poses at the
+    times (F,): positions (F, R, 3) and orientations (F, R, 4). Every track
+    is interpolated at all times at once."""
+    by_id = {track.robot_id: track for track in tracks}
+    if ego_id not in by_id:
+        raise ValueError(f"ego robot {ego_id!r} not among tracks")
+    times = np.asarray(times, dtype=float).reshape(-1)
+    ids = (ego_id, *sorted(rid for rid in by_id if rid != ego_id))
+    states = [interpolate(by_id[rid], times) for rid in ids]
+    return (ids, np.stack([p for p, _q in states], axis=1),
+            np.stack([q for _p, q in states], axis=1))
+
+
+def annotate_poses(
+    frame_ids, times, robot_ids: tuple[str, ...], positions: np.ndarray, quats: np.ndarray,
+    mount_q, mount_t, intr: CameraIntrinsics, geom: RobotGeometry,
+) -> RunRecords:
+    """The annotated run of frames with the given ids, times and poses (the
+    `RunRecords` frame columns), seen through a robot-to-camera mount per
+    frame, (F, 4) / (F, 3), or one mount (4,) / (3,) for every frame.
+
+    All frames are annotated in one `_annotate_neighbors` pass; see
+    `annotate_tracks` for the visibility and box rules.
+    """
+    w2c_q, w2c_t = world_to_camera_arrays(quats[:, 0], positions[:, 0], mount_q, mount_t)
+    frame, slot, rel_positions, centers, bboxes = _annotate_neighbors(
+        w2c_q, w2c_t, quats[:, 1:], positions[:, 1:], intr, geom
+    )
+    return RunRecords(frame_ids, times, robot_ids, positions, quats,
+                      frame, slot + 1, rel_positions, centers, bboxes)
+
+
 def annotate_tracks(
     tracks: Sequence[PoseTrack],
     camera: CameraModel,
@@ -418,22 +455,13 @@ def annotate_tracks(
     model. Neighbors with any corner on or behind the image plane are dropped
     (degenerate close-range case).
 
-    Every track is interpolated at all times at once into the (F, R, ·) pose
-    columns, and all frames are annotated in one `_annotate_neighbors` pass.
+    The tracks give the (F, R, ·) pose columns through `track_poses`, and
+    `annotate_poses` annotates them through the camera's one mount.
     """
-    by_id = {track.robot_id: track for track in tracks}
-    if ego_id not in by_id:
-        raise ValueError(f"ego robot {ego_id!r} not among tracks")
     times = np.asarray(times, dtype=float).reshape(-1)
-    ids = (ego_id, *sorted(rid for rid in by_id if rid != ego_id))
-    states = [interpolate(by_id[rid], times) for rid in ids]
-    positions = np.stack([p for p, _q in states], axis=1)
-    quats = np.stack([q for _p, q in states], axis=1)
-    frame, slot, rel_positions, centers, bboxes = _annotate_neighbors(
-        quats[:, 0], positions[:, 0], quats[:, 1:], positions[:, 1:], camera, geom
-    )
-    return RunRecords(np.arange(len(times)), times, ids, positions, quats,
-                      frame, slot + 1, rel_positions, centers, bboxes)
+    ids, positions, quats = track_poses(tracks, times, ego_id)
+    return annotate_poses(np.arange(len(times)), times, ids, positions, quats,
+                          camera.rotation, camera.translation, camera.intrinsics, geom)
 
 
 @dataclass(frozen=True)

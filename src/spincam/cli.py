@@ -10,6 +10,7 @@ Exit codes: 0 success, 2 usage or configuration error, 3 data error.
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import math
 import sys
@@ -17,7 +18,7 @@ from dataclasses import replace
 from pathlib import Path
 
 from . import __version__
-from .camera import annotate_tracks, camera_for_pitch
+from .camera import annotate_tracks, camera_for_pitch, track_poses
 from .datasets import (
     Dataset,
     SCHEMA_VERSION,
@@ -30,7 +31,7 @@ from .datasets import (
     write_dataset,
     write_report,
 )
-from .downwash import EllipsoidSpec, evaluate_downwash_records, run_downwash_eval
+from .downwash import Cell, EllipsoidSpec, evaluate_cells, evaluate_downwash_records
 from .errors import InvalidConfig, SpincamError
 from .metrics import ConfusionCounts, classification_metrics
 from .scenarios import CAMERA_PITCHES, frame_schedule, generate_scenario
@@ -135,24 +136,25 @@ def _benchmark(args) -> int:
     pitches = _parse_pitches(args.pitches)
     out_dir = Path(args.out)
     _write_manifest(out_dir, "benchmark", args, ["benchmark.csv"])
+    cameras = [camera_for_pitch(pitch, spec.camera.intrinsics, spec.camera.translation)
+               for pitch in pitches]
+    base = spec.scenario if args.seed is None else replace(spec.scenario, rng_seed=args.seed)
+
+    def cells():
+        # the camera pitch does not enter the tracks: one flight per yaw rate,
+        # kept only as its poses at the frame times
+        for rate in rates:
+            scenario = replace(base, yaw_rate=rate)
+            times = frame_schedule(scenario)
+            poses = track_poses(generate_scenario(scenario), times, EGO_ID)
+            yield from (Cell(camera, times, *poses) for camera in cameras)
+
+    results = evaluate_cells(cells(), base.ellipsoid, spec.geometry, mode, noise)
     rows = []
-    for rate in rates:
-        # the camera pitch does not enter the tracks: one flight per yaw rate
-        scenario = replace(spec.scenario, yaw_rate=rate)
-        if args.seed is not None:
-            scenario = replace(scenario, rng_seed=args.seed)
-        tracks = generate_scenario(scenario)
-        for pitch in pitches:
-            camera = camera_for_pitch(pitch, spec.camera.intrinsics, spec.camera.translation)
-            results = run_downwash_eval(
-                tracks, camera, frame_schedule(scenario), scenario.ellipsoid,
-                ego_id=EGO_ID, geom=spec.geometry, mode=mode, noise=noise,
-            )
-            counts = ConfusionCounts.from_pairs(
-                (r.gt_downwash, r.pred_downwash) for r in results
-            )
-            precision, recall, f1 = classification_metrics(counts)
-            rows.append((rate, pitch, f1, precision, recall, counts))
+    for (rate, pitch), (gt, pred) in zip(itertools.product(rates, pitches), results):
+        counts = ConfusionCounts.from_pairs(zip(gt.tolist(), pred.tolist()))
+        precision, recall, f1 = classification_metrics(counts)
+        rows.append((rate, pitch, f1, precision, recall, counts))
 
     bench_path = out_dir / "benchmark.csv"
     with open(bench_path, "w", encoding="utf-8", newline="\n") as fh:

@@ -5,23 +5,26 @@ them drops below 2. The ego robot keeps a set of believed neighbor positions
 in the world frame: any belief that reprojects into the current image is
 dropped, then this frame's perceived neighbors are added back. Prediction
 simply tests the ellipsoid condition against every surviving belief.
-`evaluate_downwash_records` holds the one implementation of this rule and
-applies it to a whole run at once.
+`_evaluate_frames` holds the one implementation of this rule and applies it
+to whole runs at once: `evaluate_downwash_records` evaluates one annotated
+run, and `evaluate_cells` stacks the runs of a sweep's cells.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
 from .camera import (
+    CameraIntrinsics,
     CameraModel,
     RunRecords,
-    annotate_tracks,
+    annotate_poses,
     camera_to_world_arrays,
     in_view,
+    track_poses,
     world_to_camera_arrays,
 )
 from .geometry import (
@@ -45,6 +48,9 @@ DOWNWASH_MARGIN = 2.0
 MERGE_RADIUS = 0.1
 # belief-frame pairs one lifetime-scan step tests at most; bounds its temporaries
 SCAN_PAIRS = 4096
+# frames of whole cells that one stacked evaluation holds at most (a larger
+# cell runs alone); bounds its temporaries
+STACK_FRAMES = 1 << 14
 
 EVAL_MODES = ("oracle", "omni", "box", "grid")
 
@@ -84,10 +90,10 @@ def ellipsoid_margin(p_i, p_j, ellipsoid: EllipsoidSpec) -> float:
     return float(ellipsoid_margins(as_vec3(p_i) - as_vec3(p_j), ellipsoid))
 
 
-def _visible(positions: np.ndarray, w2c_q, w2c_t, camera: CameraModel) -> np.ndarray:
+def _visible(positions: np.ndarray, w2c_q, w2c_t, intr: CameraIntrinsics) -> np.ndarray:
     """Mask of world positions (..., 3) that reproject into the image of the
     camera whose world->camera transform is (w2c_q, w2c_t); shapes broadcast."""
-    return in_view(quat_rotate(w2c_q, positions) + w2c_t, camera.intrinsics)
+    return in_view(quat_rotate(w2c_q, positions) + w2c_t, intr)
 
 
 def _near(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -169,10 +175,12 @@ def _perceived(
 def _scan_lifetimes(
     positions: np.ndarray,
     born_at: np.ndarray,
+    end: np.ndarray,
     frame_seen: np.ndarray,
-    ego_q: np.ndarray,
+    w2c_q: np.ndarray,
+    w2c_t: np.ndarray,
     ego_t: np.ndarray,
-    camera: CameraModel,
+    intr: CameraIntrinsics,
     ellipsoid: EllipsoidSpec,
 ) -> np.ndarray:
     """Frames (F,) at which a belief violates the ellipsoid condition after
@@ -181,23 +189,24 @@ def _scan_lifetimes(
     A belief at world position `positions[i]`, born in frame `born_at[i]`,
     dies at the first later frame where it reprojects into the image or lies
     within MERGE_RADIUS of a position perceived in that frame (`frame_seen`,
-    (F, P, 3) padded with NaN); no other belief affects that. Each step tests
-    the live beliefs against their next `width` frames, at most SCAN_PAIRS
+    (F, P, 3) padded with NaN), and at frame `end[born_at[i]]`, its run's
+    end; no other belief affects that. The frames' world-to-camera transforms
+    are (w2c_q, w2c_t) and their ego positions `ego_t`. Each step tests the
+    live beliefs against their next `width` frames, at most SCAN_PAIRS
     belief-frame pairs at a time (one belief when `width` is larger); `width`
     doubles, up to F, while beliefs survive.
     """
     n_frames = len(ego_t)
-    w2c_q, w2c_t = world_to_camera_arrays(ego_q, ego_t, camera)
     pred = np.zeros(n_frames, dtype=bool)
     live, start, width = np.arange(len(positions)), born_at + 1, 1
     while live.size:
         survivors, size = [], max(1, SCAN_PAIRS // width)
         for chunk in (live[lo:lo + size] for lo in range(0, live.size, size)):
             frames = start[chunk, None] + np.arange(width)
-            past_end = frames >= n_frames
+            past_end = frames >= end[born_at[chunk], None]
             frames = np.minimum(frames, n_frames - 1)
             belief = positions[chunk, None]
-            dies = (past_end | _visible(belief, w2c_q[frames], w2c_t[frames], camera)
+            dies = (past_end | _visible(belief, w2c_q[frames], w2c_t[frames], intr)
                     | _near(belief[:, :, None], frame_seen[frames]).any(axis=-1))
             lives = ~np.logical_or.accumulate(dies, axis=1)
             pred[frames[lives & _violates(belief, ego_t[frames], ellipsoid)]] = True
@@ -208,32 +217,40 @@ def _scan_lifetimes(
     return pred
 
 
-def evaluate_downwash_records(
+def _evaluate_frames(
     records: RunRecords,
+    order: np.ndarray,
+    end: np.ndarray,
     camera: CameraModel,
+    mount_q,
+    mount_t,
     ellipsoid: EllipsoidSpec,
-    mode: str = "oracle",
-    noise: NoiseModel | None = None,
-    geom: RobotGeometry = DEFAULT_ROBOT_GEOMETRY,
-) -> list[DownwashFrameResult]:
-    """Run the belief protocol over an annotated run.
+    mode: str,
+    noise: NoiseModel | None,
+    geom: RobotGeometry,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Ground truth and prediction (F,) of the frames of `records` taken in
+    `order`, the belief protocol's frame order.
 
-    Frames are processed in timestamp order regardless of row order; the
-    belief update is order-dependent. Ground truth, perception and every
-    frame's camera transforms are computed up front. Every perceived
-    position that no later position of its frame absorbs is born as a
-    belief, and a belief's lifetime depends on no other belief, so
-    prediction is the birth frames plus `_scan_lifetimes` over all beliefs
-    at once. In `omni` mode every belief dies in the frame after its birth.
+    The frame at place i of `order` belongs to a run that ends before place
+    `end[i]`, and is seen through the robot-to-camera mount (mount_q[i],
+    mount_t[i]); one mount (4,) / (3,) serves every frame. Every frame
+    shares `camera`'s intrinsics.
+
+    Ground truth, perception and every frame's camera transforms are
+    computed up front. Every perceived position that no later position of
+    its frame absorbs is born as a belief, and a belief's lifetime depends on
+    no other belief, so prediction is the birth frames plus `_scan_lifetimes`
+    over all beliefs at once. In `omni` mode every belief dies in the frame
+    after its birth.
     """
     if mode not in EVAL_MODES:
         raise ValueError(f"unknown evaluation mode {mode!r}; expected one of {EVAL_MODES}")
     if mode in ("box", "grid") and noise is None:
         raise ValueError(f"mode {mode!r} needs a NoiseModel")
-    order = np.argsort(records.timestamps, kind="stable")
     n_frames = len(order)
     if not n_frames:
-        return []
+        return np.zeros(0, dtype=bool), np.zeros(0, dtype=bool)
     ego_q, ego_t = records.quats[order, 0], records.positions[order, 0]
 
     # ground truth: any neighbor inside the ellipsoid condition
@@ -246,7 +263,7 @@ def evaluate_downwash_records(
         owner_seen = np.repeat(np.arange(n_frames), neighbors.shape[1])
     else:
         owner_seen, estimates = _perceived(records, order, camera, mode, noise, geom)
-        c2w_q, c2w_t = camera_to_world_arrays(ego_q, ego_t, camera)
+        c2w_q, c2w_t = camera_to_world_arrays(ego_q, ego_t, mount_q, mount_t)
         seen = quat_rotate(c2w_q[owner_seen], estimates) + c2w_t[owner_seen]
     first = np.searchsorted(owner_seen, np.arange(n_frames))
     slot = np.arange(len(seen)) - first[owner_seen]
@@ -258,11 +275,104 @@ def evaluate_downwash_records(
     pred = np.zeros(n_frames, dtype=bool)
     pred[born_at[_violates(positions, ego_t[born_at], ellipsoid)]] = True
     if mode != "omni":
-        pred |= _scan_lifetimes(positions, born_at, frame_seen, ego_q, ego_t, camera, ellipsoid)
+        w2c_q, w2c_t = world_to_camera_arrays(ego_q, ego_t, mount_q, mount_t)
+        pred |= _scan_lifetimes(positions, born_at, end, frame_seen, w2c_q, w2c_t, ego_t,
+                                camera.intrinsics, ellipsoid)
+    return gt, pred
+
+
+def evaluate_downwash_records(
+    records: RunRecords,
+    camera: CameraModel,
+    ellipsoid: EllipsoidSpec,
+    mode: str = "oracle",
+    noise: NoiseModel | None = None,
+    geom: RobotGeometry = DEFAULT_ROBOT_GEOMETRY,
+) -> list[DownwashFrameResult]:
+    """Run the belief protocol over an annotated run, seen through the
+    camera's one mount.
+
+    Frames are processed in timestamp order regardless of row order; the
+    belief update is order-dependent.
+    """
+    order = np.argsort(records.timestamps, kind="stable")
+    gt, pred = _evaluate_frames(records, order, np.full(len(order), len(order)), camera,
+                                camera.rotation, camera.translation, ellipsoid, mode, noise,
+                                geom)
     return [
         DownwashFrameResult(frame_id=f, gt_downwash=g, pred_downwash=p)
         for f, g, p in zip(records.frame_ids[order].tolist(), gt.tolist(), pred.tolist())
     ]
+
+
+class Cell(NamedTuple):
+    """One run of a stacked evaluation: its camera, its frame times (F,) in
+    ascending order, and `track_poses` at them: the robot ids, the ego first,
+    and their positions (F, R, 3) and orientations (F, R, 4)."""
+
+    camera: CameraModel
+    times: np.ndarray
+    robot_ids: tuple[str, ...]
+    positions: np.ndarray
+    quats: np.ndarray
+
+
+def _evaluate_stack(
+    stack: list[Cell],
+    ellipsoid: EllipsoidSpec,
+    geom: RobotGeometry,
+    mode: str,
+    noise: NoiseModel | None,
+) -> list[tuple[np.ndarray, np.ndarray]]:
+    """`evaluate_cells` of cells stacked, cell-major, into one run that is
+    annotated and evaluated in one pass."""
+    camera, robot_ids = stack[0].camera, stack[0].robot_ids
+    for cell in stack:
+        if cell.camera.intrinsics != camera.intrinsics or cell.robot_ids != robot_ids:
+            raise ValueError("stacked cells must share the camera intrinsics and robot ids")
+    lengths = [len(cell.times) for cell in stack]
+    ends = np.cumsum(lengths)
+    mount_q = np.repeat([cell.camera.rotation for cell in stack], lengths, axis=0)
+    mount_t = np.repeat([cell.camera.translation for cell in stack], lengths, axis=0)
+    # ids restart at 0 in each cell, so a noisy cell draws the generators it would alone
+    frame_ids = np.arange(ends[-1]) - np.repeat(ends - lengths, lengths)
+    records = annotate_poses(
+        frame_ids, np.concatenate([cell.times for cell in stack]), robot_ids,
+        np.concatenate([cell.positions for cell in stack]),
+        np.concatenate([cell.quats for cell in stack]),
+        mount_q, mount_t, camera.intrinsics, geom,
+    )
+    gt, pred = _evaluate_frames(records, np.arange(len(records)), np.repeat(ends, lengths),
+                                camera, mount_q, mount_t, ellipsoid, mode, noise, geom)
+    return [(gt[hi - n:hi], pred[hi - n:hi]) for n, hi in zip(lengths, ends.tolist())]
+
+
+def evaluate_cells(
+    cells: Iterable[Cell],
+    ellipsoid: EllipsoidSpec,
+    geom: RobotGeometry = DEFAULT_ROBOT_GEOMETRY,
+    mode: str = "oracle",
+    noise: NoiseModel | None = None,
+) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Ground truth and prediction (F,) of each cell's frames, in time order,
+    as `evaluate_downwash_records` gives them for the cell's run alone.
+
+    `cells` is read once, a cell at a time. Whole cells are stacked in order,
+    up to STACK_FRAMES frames (a larger cell runs alone), and each stack is
+    annotated and evaluated in one pass. Within a stack, frame ids restart at
+    0 in each cell and every belief dies at its cell's end. Stacked cells
+    must share the camera intrinsics and robot ids.
+    """
+    results, stack, size = [], [], 0
+    for cell in cells:
+        if stack and size + len(cell.times) > STACK_FRAMES:
+            results += _evaluate_stack(stack, ellipsoid, geom, mode, noise)
+            stack, size = [], 0
+        stack.append(cell)
+        size += len(cell.times)
+    if stack:
+        results += _evaluate_stack(stack, ellipsoid, geom, mode, noise)
+    return results
 
 
 def run_downwash_eval(
@@ -275,9 +385,12 @@ def run_downwash_eval(
     mode: str = "oracle",
     noise: NoiseModel | None = None,
 ) -> list[DownwashFrameResult]:
-    """Full per-frame evaluation from pose tracks and a frame schedule."""
+    """Full per-frame evaluation from pose tracks and a frame schedule: the
+    one-cell case of `evaluate_cells`, frame ids 0, 1, ... in time order."""
     if ego_id is None:
         ego_id = tracks[0].robot_id
-    records = annotate_tracks(tracks, camera, geom, np.sort(np.asarray(frames, dtype=float)),
-                              ego_id)
-    return evaluate_downwash_records(records, camera, ellipsoid, mode=mode, noise=noise, geom=geom)
+    times = np.sort(np.asarray(frames, dtype=float).reshape(-1))
+    [(gt, pred)] = evaluate_cells([Cell(camera, times, *track_poses(tracks, times, ego_id))],
+                                  ellipsoid, geom, mode, noise)
+    return [DownwashFrameResult(frame_id=f, gt_downwash=g, pred_downwash=p)
+            for f, (g, p) in enumerate(zip(gt.tolist(), pred.tolist()))]

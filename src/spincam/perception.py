@@ -54,7 +54,11 @@ class GridDetectionMap:
 
     @staticmethod
     def zeros(rows: int = DEFAULT_GRID_ROWS, cols: int = DEFAULT_GRID_COLS) -> "GridDetectionMap":
-        return GridDetectionMap(np.zeros((rows, cols)), np.zeros((rows, cols)))
+        """An all-zero map. Its channels are finite and of one shape as made,
+        so it skips the constructor's checks, which cost more than the map."""
+        gmap = object.__new__(GridDetectionMap)
+        gmap.confidence, gmap.depth = np.zeros((rows, cols)), np.zeros((rows, cols))
+        return gmap
 
 
 @dataclass(frozen=True)

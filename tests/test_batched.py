@@ -756,6 +756,10 @@ def test_cli_builds_no_per_frame_objects(tmp_path, monkeypatch):
         init = cls.__init__
         monkeypatch.setattr(cls, "__init__", lambda self, *args, init=init, **kwargs:
                             built.append(type(self).__name__) or init(self, *args, **kwargs))
+    # an all-zero map is made without its constructor
+    monkeypatch.setattr(GridDetectionMap, "zeros", staticmethod(
+        lambda *args, zeros=GridDetectionMap.zeros: built.append("GridDetectionMap")
+        or zeros(*args)))
     config = tmp_path / "wp.json"
     config.write_text(json.dumps({
         "kind": "random_waypoint", "num_robots": 4, "duration": 5.0, "frame_rate": 30.0,

@@ -3,6 +3,7 @@
 import contextlib
 import copy
 import dataclasses
+import io
 import json
 import math
 import os
@@ -18,6 +19,7 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
+import spincam.downwash
 from spincam import perception
 from spincam.camera import CameraIntrinsics, annotate_tracks, camera_for_pitch
 from spincam.cli import main
@@ -27,17 +29,20 @@ from spincam.datasets import (
     Dataset,
     GyroSequence,
     ingest_pose_log,
+    load_noise_model,
+    load_simulation_config,
     read_dataset,
     read_report,
     write_dataset,
     write_gyro_log,
     write_pose_log,
 )
-from spincam.downwash import EllipsoidSpec, ellipsoid_margin
+from spincam.downwash import EllipsoidSpec, ellipsoid_margin, run_downwash_eval
 from spincam.errors import OutOfRange, SpincamError
 from spincam.geometry import DEFAULT_ROBOT_GEOMETRY, PoseTrack, RobotGeometry
 from spincam.perception import NoiseModel
-from spincam.scenarios import MAX_WAYPOINTS, ScenarioConfig
+from spincam.metrics import ConfusionCounts
+from spincam.scenarios import MAX_WAYPOINTS, ScenarioConfig, frame_schedule, generate_scenario
 
 
 # A JSON integer too large for a float: `1` followed by 400 zeros.
@@ -656,6 +661,54 @@ class TestBenchmark:
     def test_bad_pitch_exits_2(self, tmp_path, swap_config):
         assert main(["benchmark", "--config", str(swap_config), "--out", str(tmp_path / "b"),
                      "--pitches", "sideways", "--oracle"]) == 2
+
+    @staticmethod
+    def sweep(tmp_path, kind, k1, mode, out="bench"):
+        """A 20 s sweep over yaw rates 0 and 6 and every pitch, with a
+        translated mount; returns its config path and benchmark.csv text."""
+        config = write_config(tmp_path / f"{kind}.json", kind=kind,
+                              num_robots=2 if kind == "swap" else 4, duration=20.0,
+                              rng_seed=1, k1=k1, camera_translation=[0.02, -0.01, 0.015])
+        noise = tmp_path / "noise.json"
+        noise.write_text('{"rng_seed": 3, "false_positive_rate": 0.5}')
+        perceive = ["--oracle"] if mode == "oracle" else ["--noise", str(noise), "--mode", mode]
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert main(["benchmark", "--config", str(config), "--out", str(tmp_path / out),
+                         "--yaw-rates", "0,6", *perceive]) == 0
+        return config, (tmp_path / out / "benchmark.csv").read_text()
+
+    @pytest.mark.parametrize("k1", [0.0, -0.08])
+    @pytest.mark.parametrize("kind", ["swap", "hover_orbit", "random_waypoint"])
+    @pytest.mark.parametrize("mode", ["oracle", "box", "grid"])
+    def test_stacked_cells_count_as_runs_alone(self, tmp_path, mode, kind, k1):
+        """Every cell of the stacked sweep counts what `run_downwash_eval`
+        gives for that cell alone."""
+        config, text = self.sweep(tmp_path, kind, k1, mode)
+        spec = load_simulation_config(config)
+        noise = None if mode == "oracle" else load_noise_model(tmp_path / "noise.json")
+        rows = [line.split(",") for line in text.splitlines()[1:]]
+        assert [(rate, pitch) for rate, pitch, *_ in rows] == [
+            (rate, pitch) for rate in ("0.0", "6.0") for pitch in ("forward", "tilt45", "up")]
+        positives = 0
+        for rate, pitch, *_scores, tp, fp, fn, tn in rows:
+            scenario = dataclasses.replace(spec.scenario, yaw_rate=float(rate))
+            camera = camera_for_pitch(pitch, spec.camera.intrinsics, spec.camera.translation)
+            results = run_downwash_eval(generate_scenario(scenario), camera,
+                                        frame_schedule(scenario), scenario.ellipsoid,
+                                        ego_id="r0", geom=spec.geometry, mode=mode, noise=noise)
+            counts = ConfusionCounts.from_pairs((r.gt_downwash, r.pred_downwash)
+                                                for r in results)
+            assert (int(tp), int(fp), int(fn), int(tn)) == (
+                counts.tp, counts.fp, counts.fn, counts.tn), (rate, pitch)
+            positives += counts.tp + counts.fp
+        assert positives  # the sweep predicts downwash somewhere
+
+    @pytest.mark.parametrize("mode", ["oracle", "box", "grid"])
+    def test_cells_evaluated_alone_give_the_same_csv(self, tmp_path, monkeypatch, mode):
+        _config, stacked = self.sweep(tmp_path, "hover_orbit", -0.08, mode)
+        monkeypatch.setattr(spincam.downwash, "STACK_FRAMES", 1)
+        _config, alone = self.sweep(tmp_path, "hover_orbit", -0.08, mode, out="alone")
+        assert alone == stacked
 
 
 class TestTimesync:

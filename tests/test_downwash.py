@@ -7,15 +7,18 @@ import pytest
 
 from run_columns import IDENTITY, run_records
 
-from spincam.camera import camera_for_pitch
+from spincam.camera import CameraIntrinsics, camera_for_pitch, in_view, world_to_camera_arrays
 from spincam.downwash import (
     DOWNWASH_MARGIN,
     MERGE_RADIUS,
+    Cell,
     EllipsoidSpec,
     ellipsoid_margin,
+    evaluate_cells,
     evaluate_downwash_records,
     run_downwash_eval,
 )
+from spincam.geometry import quat_rotate
 from spincam.scenarios import ScenarioConfig, frame_schedule, generate_scenario
 
 E = EllipsoidSpec(0.15, 0.15, 0.3)
@@ -229,3 +232,42 @@ class TestRunDownwashEval:
                 tracks, camera_for_pitch("up"), frame_schedule(cfg), cfg.ellipsoid,
                 ego_id="r0", mode="box",
             )
+
+
+class TestEvaluateCells:
+    IDS = ("r0", "r1")
+
+    def cell(self, pitch, neighbor, frames=1):
+        """`frames` frames of the ego at rest at the origin, its neighbor at
+        `neighbor`, both level."""
+        positions = np.tile(np.vstack([np.zeros(3), neighbor]), (frames, 1, 1))
+        quats = np.tile(IDENTITY, (frames, 2, 1))
+        return Cell(camera_for_pitch(pitch), np.arange(frames) / 6.0, self.IDS, positions,
+                    quats)
+
+    @pytest.mark.parametrize("frames", [1, 3])
+    def test_belief_dies_at_its_cells_end(self, frames):
+        """Cell 0 ends with a belief 0.5 m overhead, inside the ellipsoid;
+        cell 1 opens with its forward camera seeing nothing and the neighbor
+        far below. No belief crosses into cell 1."""
+        overhead, parked = (0.0, 0.0, 0.5), (0.0, 0.0, -100.0)
+        cells = [self.cell("up", overhead, frames), self.cell("forward", parked, frames)]
+        # through cell 1's camera the belief is out of view and inside the
+        # ellipsoid: only its cell's end can end it
+        camera = cells[1].camera
+        w2c_q, w2c_t = world_to_camera_arrays(IDENTITY, np.zeros(3), camera.rotation,
+                                              camera.translation)
+        assert not in_view(quat_rotate(w2c_q, overhead) + w2c_t, camera.intrinsics)
+        assert ellipsoid_margin(overhead, np.zeros(3), E) < DOWNWASH_MARGIN
+        (gt0, pred0), (gt1, pred1) = evaluate_cells(cells, E)
+        assert gt0.all() and pred0.all()
+        assert not gt1.any() and not pred1.any()
+
+    def test_cells_must_share_intrinsics_and_robots(self):
+        cell = self.cell("up", (0.0, 0.0, 1.0))
+        other = cell._replace(camera=camera_for_pitch(
+            "up", CameraIntrinsics(fx=150.0, fy=150.0, cx=160.0, cy=160.0)))
+        with pytest.raises(ValueError, match="share"):
+            evaluate_cells([cell, other], E)
+        with pytest.raises(ValueError, match="share"):
+            evaluate_cells([cell, cell._replace(robot_ids=("r0", "r2"))], E)

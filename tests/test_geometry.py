@@ -129,7 +129,8 @@ class TestRigidTransform:
 def neighbor_in_camera(ego, neighbor, camera) -> tuple[np.ndarray, np.ndarray]:
     """The neighbor robot frame (q, t) in the ego camera frame, through the
     array kernels."""
-    return compose(*world_to_camera_arrays(*ego, camera), *neighbor)
+    return compose(*world_to_camera_arrays(*ego, camera.rotation, camera.translation),
+                   *neighbor)
 
 
 class TestRelativeTransform:

@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -144,16 +145,31 @@ class TestHungarian:
         with pytest.raises(ValueError, match="overflows"):
             hungarian([[-1.7e308, 1.79e308, 1.79e308], [-1.79e308, 1.7e308, 1.7e308]])
 
+    # the cheapest path costs overflow to inf inside the kernel; the matched
+    # total, -1.5e308, does not
+    @pytest.mark.parametrize("cost", [
+        [[1.5e308, -0.5e308], [-1e308, 1.5e308]],
+        [[1.5e308, -0.5e308, 0.0], [-1e308, 1.5e308, 0.0]],
+        [[1.5e308, -0.5e308], [-1e308, 1.5e308], [0.0, 1.0]],
+    ])
+    def test_near_overflow_matches_scipy(self, cost):
+        result = hungarian(cost)
+        rows, cols = linear_sum_assignment(np.array(cost))
+        assert result.pairs == tuple(zip(rows.tolist(), cols.tolist()))
+        assert result.total_cost == -1.5e308
+
     @pytest.mark.parametrize("cost", [
         [[1e308, -1e308], [-1e308, 1e308]],
         [[1.7e308, -1.7e308, 0.0], [-1.7e308, 1.7e308, 0.0]],
         [[1.7e308, -1.7e308], [-1.7e308, 1.7e308], [0.0, 1.0]],
     ])
-    def test_near_overflow_matches_scipy(self, cost):
-        with np.errstate(over="ignore"):
-            result = hungarian(cost)
-        rows, cols = linear_sum_assignment(np.array(cost))
-        assert result.pairs == tuple(zip(rows.tolist(), cols.tolist()))
+    def test_overflowing_total_raises(self, cost):
+        """Finite costs whose matched total overflows: ValueError, not a -inf
+        total behind numpy's RuntimeWarning."""
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="total overflows"):
+                hungarian(cost)
 
     def test_matches_scipy_on_continuous_matrices(self):
         """Without ties the optimum is unique, so the pairs are scipy's."""

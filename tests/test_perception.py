@@ -332,6 +332,23 @@ class TestDecodeGridEquivalence:
         with pytest.raises(ValueError, match="finite"):
             GridDetectionMap(**channels)
 
+    @pytest.mark.parametrize("shapes", [((3, 4), (4, 3)), ((3, 4), (3, 4, 1)), ((12,), (12,))])
+    def test_channels_of_other_shapes_rejected(self, shapes):
+        with pytest.raises(ValueError, match="one shape"):
+            GridDetectionMap(np.zeros(shapes[0]), np.zeros(shapes[1]))
+
+    def test_zeros_skips_the_constructor_checks(self, monkeypatch):
+        def fail(self):
+            raise AssertionError("zeros() ran the constructor checks")
+
+        monkeypatch.setattr(GridDetectionMap, "__post_init__", fail)
+        gmap, other = GridDetectionMap.zeros(5, 7), GridDetectionMap.zeros()
+        assert isinstance(gmap, GridDetectionMap)
+        assert gmap.confidence.shape == gmap.depth.shape == (5, 7)
+        assert other.confidence.shape == (28, 40)
+        gmap.confidence[1, 2] = 1.0  # each map owns fresh, writable channels
+        assert not gmap.depth.any() and not other.confidence.any()
+
 
 class TestSimulateDetector:
     def zero_noise(self) -> NoiseModel:
