@@ -36,12 +36,6 @@ from .geometry import (
     require_finite,
 )
 
-# The fixed-point step contracts slowest at a barrel lens's image corner, by
-# about 0.69 a step at k1 -0.08, which needs 74 iterations to meet
-# UNDISTORT_TOL; the break tolerance keeps the mild cases cheap.
-UNDISTORT_ITERATIONS = 100
-UNDISTORT_TOL = 1e-13
-
 # candidate-row pairs that one step of `refine_extrinsic_rotation` scores at
 # most (one candidate when a run has more rows); bounds its temporaries
 REFINE_PAIRS = 1 << 14
@@ -168,24 +162,30 @@ def distort_normalized(xn: float, yn: float, k1: float) -> tuple[float, float]:
 
 
 def undistort_normalized(xd: float, yd: float, k1: float) -> tuple[float, float]:
-    """Invert the radial term by fixed-point iteration; raises OutOfRange
-    when, for `k1` < 0, the distorted radius lies at or past the lens fold's,
-    the most that any point reaches."""
+    """Invert the radial term by Newton's method on the radius, exact to
+    rounding; raises OutOfRange when, for `k1` < 0, the distorted radius lies
+    at or past the lens fold's, the most that any point reaches.
+
+    g(r) = r (1 + k1 r^2) - r_d is increasing, and concave below a barrel
+    lens's fold or convex for a pincushion one, so each Newton step from
+    r = r_d moves r further from r_d, towards the root but not past it; the
+    first that does not is rounding and ends the loop. (x_d, y_d) then
+    shrinks by the distortion factor at r, which keeps the principal point."""
     if k1 == 0.0:
         return xd, yd
-    if k1 < 0.0 and math.hypot(xd, yd) >= fold_radius(k1):
-        raise OutOfRange(f"distorted radius {math.hypot(xd, yd):.6g} lies at or past the "
+    rd = math.hypot(xd, yd)
+    if k1 < 0.0 and rd >= fold_radius(k1):
+        raise OutOfRange(f"distorted radius {rd:.6g} lies at or past the "
                          f"fold's {fold_radius(k1):.6g} of a lens with k1 {k1}")
-    xn, yn = xd, yd
-    for _ in range(UNDISTORT_ITERATIONS):
-        r2 = xn * xn + yn * yn
-        factor = 1.0 + k1 * r2
-        x_new, y_new = xd / factor, yd / factor
-        if abs(x_new - xn) < UNDISTORT_TOL and abs(y_new - yn) < UNDISTORT_TOL:
-            xn, yn = x_new, y_new
-            break
-        xn, yn = x_new, y_new
-    return xn, yn
+    r = rd
+    while True:
+        r2 = r * r
+        step = r - (r * (1.0 + k1 * r2) - rd) / (1.0 + 3.0 * k1 * r2)
+        # a NaN input compares false and stops after one step
+        if not (step > r if k1 < 0.0 else step < r):
+            factor = 1.0 + k1 * r2
+            return xd / factor, yd / factor
+        r = step
 
 
 def project_points(points, intr: CameraIntrinsics) -> np.ndarray:

@@ -2,10 +2,13 @@
 
 import itertools
 import math
+import sys
 from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from scipy.spatial.transform import Rotation
 
 from spincam import camera as camera_module
@@ -103,8 +106,8 @@ class TestBackProject:
             assert abs(px[0] - u) < 1e-8 and abs(px[1] - v) < 1e-8
 
     def test_barrel_round_trip_at_the_image_corners(self):
-        # fixed-point undistortion converges slowest at a barrel lens's
-        # corners: k1 -0.08 takes 74 steps there to meet UNDISTORT_TOL
+        # the corners are the farthest a pixel of this barrel lens lies
+        # from the centre, 0.98 of the way to the fold
         intr = CameraIntrinsics(fx=170.0, fy=170.0, cx=160.0, cy=160.0, k1=-0.08)
         for u, v in itertools.product((0.0, 320.0), repeat=2):
             px = project(back_project((u, v), 1.0, intr), intr)
@@ -311,6 +314,18 @@ def angle_between(a, b) -> float:
     return 2.0 * math.acos(min(1.0, abs(delta[0])))
 
 
+DEFAULT_CORNER = math.hypot(160.0 / 170.0, 160.0 / 170.0)
+
+
+def accepted_k1(k1: float) -> bool:
+    """Whether `CameraIntrinsics` accepts `k1` on the default image."""
+    try:
+        CameraIntrinsics(fx=170.0, fy=170.0, cx=160.0, cy=160.0, k1=k1)
+    except ValueError:
+        return False
+    return True
+
+
 class TestLensFold:
     """A barrel `k1` is accepted only while the distortion's fold, distorted
     radius (2/3)/sqrt(3|k1|), lies outside the farthest image corner."""
@@ -335,8 +350,8 @@ class TestLensFold:
         assert (2.0 / 3.0) / math.sqrt(-3.0 * limit) == pytest.approx(corner)
 
     def test_pixel_past_the_fold_raises(self):
-        # x_d = -360/170 lies past the fold's 1.361: the fixed point found
-        # there distorts to -1.358, so the ray would point elsewhere
+        # x_d = -360/170 lies past the fold's 1.361, the most that any
+        # point distorts to, so no ray passes through that pixel
         intr = CameraIntrinsics(fx=170.0, fy=170.0, cx=160.0, cy=160.0, k1=-0.08)
         with pytest.raises(OutOfRange, match="fold"):
             pixel_to_ray((-200.0, 160.0), intr)
@@ -348,6 +363,24 @@ class TestLensFold:
         u = intr.cx - 0.99 * fold_radius(intr.k1) * intr.fx  # outside the image
         px = project(back_project((u, 160.0), 1.0, intr), intr)
         assert abs(px[0] - u) < 1e-8 and abs(px[1] - 160.0) < 1e-8
+
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(k1=st.floats(min_value=-0.0837, max_value=sys.float_info.max / 6.0).filter(accepted_k1),
+           radius=st.floats(min_value=0.0, max_value=DEFAULT_CORNER, exclude_max=True),
+           angle=st.floats(min_value=-math.pi, max_value=math.pi))
+    @example(k1=-0.08, radius=0.999 * fold_radius(-0.08), angle=0.0)
+    @example(k1=-0.08, radius=0.9999 * fold_radius(-0.08), angle=0.0)
+    @example(k1=-0.08, radius=0.999999 * fold_radius(-0.08), angle=0.0)
+    def test_undistortion_inverts_distortion_inside_the_fold(self, k1, radius, angle):
+        """Any accepted k1, any distorted point inside the default image's
+        corner radius (so inside the fold), and points just inside the fold
+        past the corner: distorting the undistorted point gives it back. The
+        check is in distorted space, since near the fold the root itself is
+        ill-conditioned. k1 stops where Newton's slope 1 + 3 k1 r^2 would
+        overflow at the corner."""
+        x, y = radius * math.cos(angle), radius * math.sin(angle)
+        xd, yd = distort_normalized(*undistort_normalized(x, y, k1), k1)
+        assert abs(xd - x) <= 1e-12 and abs(yd - y) <= 1e-12
 
     def test_pincushion_lens_has_no_fold(self):
         xn, yn = undistort_normalized(-360.0 / 170.0, 0.0, 0.1)
