@@ -62,16 +62,19 @@ class CameraIntrinsics:
             raise ValueError("focal lengths must be positive")
         if not (0.0 <= self.cx < self.width and 0.0 <= self.cy < self.height):
             raise ValueError("principal point must lie inside the image")
-        if self.k1 < 0.0:
-            # the lens fold must lie outside the farthest image corner
-            corner = math.hypot(max(self.cx, self.width - self.cx) / self.fx,
-                                max(self.cy, self.height - self.cy) / self.fy)
-            fold = fold_radius(self.k1)
-            if fold < corner:
-                raise ValueError(
-                    f"k1 {self.k1} folds the lens at normalized radius {fold:.4g}, inside "
-                    f"the image corner's {corner:.4g}; k1 must be above "
-                    f"{-4.0 / (27.0 * corner * corner):.4g}")
+        # the lens fold, and any overflow of the lens inverse, must lie past the farthest corner
+        corner = math.hypot(max(self.cx, self.width - self.cx) / self.fx,
+                            max(self.cy, self.height - self.cy) / self.fy)
+        if self.k1 < 0.0 and fold_radius(self.k1) < corner:
+            raise ValueError(
+                f"k1 {self.k1} folds the lens at normalized radius {fold_radius(self.k1):.4g}, "
+                f"inside the image corner's {corner:.4g}; k1 must be above "
+                f"{-4.0 / (27.0 * corner * corner):.4g}")
+        if self.k1 > 0.0 and _first_step_overflows(corner, self.k1):
+            raise ValueError(
+                f"k1 {self.k1} overflows the lens inverse's Newton step at the image corner's "
+                f"normalized radius {corner:.4g}; k1 must be below "
+                f"{np.finfo(float).max / (corner * corner * max(3.0, corner)):.4g}")
 
 
 # Plausible defaults for a 320x320 nano-quadrotor camera (~86 deg FOV).
@@ -161,10 +164,17 @@ def distort_normalized(xn: float, yn: float, k1: float) -> tuple[float, float]:
     return xn * factor, yn * factor
 
 
+def _first_step_overflows(rd: float, k1: float) -> bool:
+    """Whether the residual or slope of Newton's first step, at r = r_d, overflows."""
+    r2 = rd * rd
+    return not (math.isfinite(rd * (1.0 + k1 * r2) - rd) and math.isfinite(1.0 + 3.0 * k1 * r2))
+
+
 def undistort_normalized(xd: float, yd: float, k1: float) -> tuple[float, float]:
     """Invert the radial term by Newton's method on the radius, exact to
-    rounding; raises OutOfRange when, for `k1` < 0, the distorted radius lies
-    at or past the lens fold's, the most that any point reaches.
+    rounding; raises OutOfRange when the distorted radius lies at or past a
+    barrel lens's fold, the most that any point reaches, or, for `k1` > 0,
+    overflows the first Newton step, far outside the image.
 
     g(r) = r (1 + k1 r^2) - r_d is increasing, and concave below a barrel
     lens's fold or convex for a pincushion one, so each Newton step from
@@ -177,6 +187,8 @@ def undistort_normalized(xd: float, yd: float, k1: float) -> tuple[float, float]
     if k1 < 0.0 and rd >= fold_radius(k1):
         raise OutOfRange(f"distorted radius {rd:.6g} lies at or past the "
                          f"fold's {fold_radius(k1):.6g} of a lens with k1 {k1}")
+    if k1 > 0.0 and _first_step_overflows(rd, k1):
+        raise OutOfRange(f"distorted radius {rd:.6g} overflows Newton's step at k1 {k1}")
     r = rd
     while True:
         r2 = r * r

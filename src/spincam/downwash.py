@@ -3,11 +3,11 @@
 A robot pair is in downwash when the ellipsoid-normalized distance between
 them drops below 2. The ego robot keeps a set of believed neighbor positions
 in the world frame: any belief that reprojects into the current image is
-dropped, then this frame's perceived neighbors are added back. Prediction
-simply tests the ellipsoid condition against every surviving belief.
-`_evaluate_frames` holds the one implementation of this rule and applies it
-to whole runs at once: `evaluate_downwash_records` evaluates one annotated
-run, and `evaluate_cells` stacks the runs of a sweep's cells.
+dropped, then this frame's perceived neighbors, from `perception.perceive`,
+are added back. Prediction tests the ellipsoid condition against every
+surviving belief. `_evaluate_frames` holds the one implementation of this
+rule and applies it to whole runs at once: `evaluate_downwash_records`
+evaluates one annotated run, and `evaluate_cells` stacks a sweep's cells.
 """
 
 from __future__ import annotations
@@ -35,14 +35,7 @@ from .geometry import (
     quat_rotate,
     require_finite,
 )
-from .perception import (
-    DEFAULT_GRID_COLS,
-    DEFAULT_GRID_ROWS,
-    NoiseModel,
-    decode_box_rows,
-    decode_grid_cells,
-    detect_rows,
-)
+from .perception import NoiseModel, perceive
 
 DOWNWASH_MARGIN = 2.0
 MERGE_RADIUS = 0.1
@@ -121,57 +114,6 @@ class DownwashFrameResult:
     pred_downwash: bool
 
 
-def _perceived(
-    records: RunRecords,
-    order: np.ndarray,
-    camera: CameraModel,
-    mode: str,
-    noise: NoiseModel,
-    geom: RobotGeometry,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Perception of the frames taken in `order`: each estimate's frame as
-    its place in `order` (E,), ascending, and the camera-frame estimates
-    (E, 3).
-
-    The detector and decoder run frame by frame on the run's neighbor rows;
-    grid mode reuses one grid buffer, cleared after every frame. Every
-    frame's generator draws what its `frame_rng` would, from PCG64 words
-    that one `seeding.frame_seeds` call gives for the whole run.
-    """
-    if mode == "oracle":
-        rank = np.empty_like(order)
-        rank[order] = np.arange(len(order))
-        owner = rank[records.owner]
-        rows = np.argsort(owner, kind="stable")
-        return owner[rows], records.rel_positions[rows]
-    # imported here: it loads numpy.random, which an oracle run never needs
-    from .seeding import FrameSeed, frame_seeds
-
-    intr, radius = camera.intrinsics, geom.sphere_radius
-    bounds = np.searchsorted(records.owner, np.arange(len(records) + 1)).tolist()
-    frame_ids = records.frame_ids.tolist()
-    seeds = frame_seeds(noise.rng_seed, records.frame_ids)
-    rel_positions, centers = records.rel_positions.tolist(), records.centers.tolist()
-    bboxes = records.bboxes.tolist()
-    grid = np.zeros((2, DEFAULT_GRID_ROWS, DEFAULT_GRID_COLS))
-    counts, positions = [], []
-    for f in order.tolist():
-        lo, hi = bounds[f], bounds[f + 1]
-        rng = np.random.Generator(np.random.PCG64(
-            FrameSeed(noise.rng_seed, frame_ids[f], seeds[f])))
-        detections = detect_rows(rng, rel_positions[lo:hi], centers[lo:hi], bboxes[lo:hi],
-                                 noise, intr, mode, radius, grid)
-        if mode == "box":
-            estimates = decode_box_rows(detections, intr, radius)
-        else:
-            estimates = decode_grid_cells(*grid, intr)
-            grid.fill(0.0)
-        counts.append(len(estimates))
-        positions.extend(estimates)
-    return (np.repeat(np.arange(len(order)), counts),
-            np.array(positions, dtype=float).reshape(-1, 3))
-
-
 def _scan_lifetimes(
     positions: np.ndarray,
     born_at: np.ndarray,
@@ -221,13 +163,13 @@ def _evaluate_frames(
     records: RunRecords,
     order: np.ndarray,
     end: np.ndarray,
-    camera: CameraModel,
+    intr: CameraIntrinsics,
     mount_q,
     mount_t,
     ellipsoid: EllipsoidSpec,
     mode: str,
     noise: NoiseModel | None,
-    geom: RobotGeometry,
+    radius: float,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Ground truth and prediction (F,) of the frames of `records` taken in
     `order`, the belief protocol's frame order.
@@ -235,7 +177,7 @@ def _evaluate_frames(
     The frame at place i of `order` belongs to a run that ends before place
     `end[i]`, and is seen through the robot-to-camera mount (mount_q[i],
     mount_t[i]); one mount (4,) / (3,) serves every frame. Every frame
-    shares `camera`'s intrinsics.
+    shares the intrinsics `intr`, and every robot the sphere radius `radius`.
 
     Ground truth, perception and every frame's camera transforms are
     computed up front. Every perceived position that no later position of
@@ -262,7 +204,12 @@ def _evaluate_frames(
         seen = neighbors.reshape(-1, 3)
         owner_seen = np.repeat(np.arange(n_frames), neighbors.shape[1])
     else:
-        owner_seen, estimates = _perceived(records, order, camera, mode, noise, geom)
+        owner, estimates = perceive(records, mode, noise, intr, radius)
+        # each estimate's place in `order`; a stable sort keeps a frame's estimates in order
+        rank = np.empty_like(order)
+        rank[order] = np.arange(n_frames)
+        rows = np.argsort(rank[owner], kind="stable")
+        owner_seen, estimates = rank[owner][rows], estimates[rows]
         c2w_q, c2w_t = camera_to_world_arrays(ego_q, ego_t, mount_q, mount_t)
         seen = quat_rotate(c2w_q[owner_seen], estimates) + c2w_t[owner_seen]
     first = np.searchsorted(owner_seen, np.arange(n_frames))
@@ -277,7 +224,7 @@ def _evaluate_frames(
     if mode != "omni":
         w2c_q, w2c_t = world_to_camera_arrays(ego_q, ego_t, mount_q, mount_t)
         pred |= _scan_lifetimes(positions, born_at, end, frame_seen, w2c_q, w2c_t, ego_t,
-                                camera.intrinsics, ellipsoid)
+                                intr, ellipsoid)
     return gt, pred
 
 
@@ -296,9 +243,9 @@ def evaluate_downwash_records(
     belief update is order-dependent.
     """
     order = np.argsort(records.timestamps, kind="stable")
-    gt, pred = _evaluate_frames(records, order, np.full(len(order), len(order)), camera,
-                                camera.rotation, camera.translation, ellipsoid, mode, noise,
-                                geom)
+    gt, pred = _evaluate_frames(records, order, np.full(len(order), len(order)),
+                                camera.intrinsics, camera.rotation, camera.translation,
+                                ellipsoid, mode, noise, geom.sphere_radius)
     return [
         DownwashFrameResult(frame_id=f, gt_downwash=g, pred_downwash=p)
         for f, g, p in zip(records.frame_ids[order].tolist(), gt.tolist(), pred.tolist())
@@ -343,7 +290,8 @@ def _evaluate_stack(
         mount_q, mount_t, camera.intrinsics, geom,
     )
     gt, pred = _evaluate_frames(records, np.arange(len(records)), np.repeat(ends, lengths),
-                                camera, mount_q, mount_t, ellipsoid, mode, noise, geom)
+                                camera.intrinsics, mount_q, mount_t, ellipsoid, mode, noise,
+                                geom.sphere_radius)
     return [(gt[hi - n:hi], pred[hi - n:hi]) for n, hi in zip(lengths, ends.tolist())]
 
 

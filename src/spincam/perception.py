@@ -8,12 +8,12 @@ the neural detectors so the evaluation protocol can run without images.
 One per-frame kernel does the work. `detect_rows` simulates the detector on
 one frame's neighbor rows, in the `RunRecords` layout, with that frame's
 `frame_rng`; `decode_box_rows` and `decode_grid_cells` decode its output
-into (3,) camera-frame positions. `downwash` runs the kernel over a run's
-rows with one reused grid buffer, and seeds every frame's generator from one
-`seeding.frame_seeds` pass, with the stream that `frame_rng` gives.
-`simulate_detector`, `decode_box`, `decode_grid` and `decode_detections`
-are its one-frame wrappers over a `FrameAnnotation`, a `GridDetectionMap`
-and `PositionEstimate`s.
+into (3,) camera-frame positions. `perceive` is a run's perception pass: it
+runs the kernel over the run's rows with one reused grid buffer, and seeds
+every frame's generator from one `seeding.frame_seeds` pass, with the stream
+that `frame_rng` gives. `simulate_detector`, `decode_box`, `decode_grid`
+and `decode_detections` are the kernel's one-frame wrappers over a
+`FrameAnnotation`, a `GridDetectionMap` and `PositionEstimate`s.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .camera import CameraIntrinsics, FrameAnnotation, back_project, pixel_to_ray
+from .camera import CameraIntrinsics, FrameAnnotation, RunRecords, back_project, pixel_to_ray
 from .errors import DegenerateBox, OutOfRange
 from .geometry import DEFAULT_ROBOT_GEOMETRY, is_count, is_numbers, require_finite
 
@@ -297,6 +297,45 @@ def detect_rows(
         confidence[row, col] = rng.uniform(*noise.false_confidence)
         depths[row, col] = rng.uniform(0.5, 3.0)
     return []
+
+
+def perceive(records: RunRecords, mode: str, noise: NoiseModel | None, intr: CameraIntrinsics,
+             radius: float) -> tuple[np.ndarray, np.ndarray]:
+    """A run's perception in `mode` ("oracle", "box" or "grid"): each
+    perceived position's frame row (E,), ascending, and its camera-frame
+    position (E, 3). `radius` is the robots' sphere radius.
+
+    Oracle perception is the visible neighbors' true positions. Box and grid
+    perception run `detect_rows` and a decoder frame by frame, with one grid
+    buffer cleared after every frame; every frame's generator draws its
+    `frame_rng` stream, seeded from one `seeding.frame_seeds` call per run."""
+    if mode == "oracle":
+        return records.owner, records.rel_positions
+    # imported here: it loads numpy.random, which an oracle run never needs
+    from .seeding import FrameSeed, frame_seeds
+
+    bounds = np.searchsorted(records.owner, np.arange(len(records) + 1)).tolist()
+    frame_ids = records.frame_ids.tolist()
+    seeds = frame_seeds(noise.rng_seed, records.frame_ids)
+    rel_positions, centers = records.rel_positions.tolist(), records.centers.tolist()
+    bboxes = records.bboxes.tolist()
+    grid = np.zeros((2, DEFAULT_GRID_ROWS, DEFAULT_GRID_COLS))
+    counts, positions = [], []
+    for f in range(len(records)):
+        lo, hi = bounds[f], bounds[f + 1]
+        rng = np.random.Generator(np.random.PCG64(
+            FrameSeed(noise.rng_seed, frame_ids[f], seeds[f])))
+        detections = detect_rows(rng, rel_positions[lo:hi], centers[lo:hi], bboxes[lo:hi],
+                                 noise, intr, mode, radius, grid)
+        if mode == "box":
+            estimates = decode_box_rows(detections, intr, radius)
+        else:
+            estimates = decode_grid_cells(*grid, intr)
+            grid.fill(0.0)
+        counts.append(len(estimates))
+        positions.extend(estimates)
+    return (np.repeat(np.arange(len(records)), counts),
+            np.array(positions, dtype=float).reshape(-1, 3))
 
 
 def simulate_detector(

@@ -8,8 +8,8 @@ for every frame at once as uint32 column arithmetic, and `FrameSeed` hands a
 row to PCG64, so `np.random.Generator(np.random.PCG64(FrameSeed(...)))`
 draws the same stream as `frame_rng` without hashing its seed again.
 
-Only a noisy evaluation imports this module: numpy loads `numpy.random`
-lazily, and `FrameSeed` subclasses its `ISeedSequence`.
+Only `perception.perceive` imports this module, for a noisy run: numpy
+loads `numpy.random` lazily, and `FrameSeed` subclasses its `ISeedSequence`.
 """
 
 from __future__ import annotations

@@ -40,7 +40,6 @@ from spincam.datasets import Dataset, export_labels, read_dataset, write_dataset
 from spincam.downwash import (
     DOWNWASH_MARGIN,
     EllipsoidSpec,
-    _perceived,
     ellipsoid_margin,
     evaluate_downwash_records,
     run_downwash_eval,
@@ -61,6 +60,7 @@ from spincam.perception import (
     _ray_pair_position,
     decode_detections,
     encode_grid,
+    perceive,
     simulate_detector,
 )
 from spincam.scenarios import ScenarioConfig, frame_schedule, generate_scenario
@@ -523,8 +523,7 @@ def test_detector_rows_match_object_oracle(kind, pitch, k1):
 def test_run_perception_matches_per_frame_detector(kind, pitch, k1):
     """The owners and positions that perception of a whole run gives, in box
     and grid mode with false positives, are bitwise equal to those of
-    `simulate_detector` and `decode_detections` called frame by frame, with
-    the frames taken in a shuffled order."""
+    `simulate_detector` and `decode_detections` called frame by frame."""
     cfg, tracks = scenario(kind, pitch)
     intr = CameraIntrinsics(fx=170.0, fy=170.0, cx=160.0, cy=160.0, k1=k1)
     camera = camera_for_pitch(pitch, intr)
@@ -548,23 +547,19 @@ def test_run_perception_matches_per_frame_detector_on_wide_seeds(kind, pitch):
 
 
 def assert_run_perception_matches_per_frame(records, camera, seeds):
-    """`_perceived` owners and positions, box and grid mode, frames in a
-    shuffled order, bitwise equal to per-frame `simulate_detector` and
-    `decode_detections` at each noise seed."""
-    annotations = records.annotations()
-    order = np.random.default_rng(2).permutation(len(records))
-    intr, geom = camera.intrinsics, DEFAULT_ROBOT_GEOMETRY
-    radius = geom.sphere_radius
+    """`perceive` owners and positions, box and grid mode, bitwise equal to
+    per-frame `simulate_detector` and `decode_detections` at each noise seed."""
+    intr, radius = camera.intrinsics, DEFAULT_ROBOT_GEOMETRY.sphere_radius
     for seed in seeds:
         noise = NoiseModel(rng_seed=seed, false_positive_rate=0.5)
         for mode in ("box", "grid"):
-            owner, positions = _perceived(records, order, camera, mode, noise, geom)
-            frames = [decode_detections(simulate_detector(annotations[f], noise, intr, mode,
+            owner, positions = perceive(records, mode, noise, intr, radius)
+            frames = [decode_detections(simulate_detector(annotation, noise, intr, mode,
                                                           radius=radius), intr, radius=radius)
-                      for f in order.tolist()]
+                      for annotation in records.annotations()]
             counts = [len(estimates) for estimates in frames]
             assert sum(counts) > len(records.owner) // 2, "too few estimates for a comparison"
-            assert owner.tobytes() == np.repeat(np.arange(len(order)), counts).tobytes()
+            assert owner.tobytes() == np.repeat(np.arange(len(records)), counts).tobytes()
             assert positions.tobytes() == np.reshape(
                 [e.position for estimates in frames for e in estimates], (-1, 3)).tobytes()
 
@@ -573,7 +568,7 @@ def assert_run_perception_matches_per_frame(records, camera, seeds):
 @pytest.mark.parametrize("kind", sorted(KINDS))
 def test_evaluation_of_columns_ignores_frame_line_order(tmp_path, kind, mode):
     """The columns read from a file and the columns of the same file with its
-    frame lines reversed give the same per-frame results."""
+    frame lines reversed, or shuffled, give the same per-frame results."""
     cfg, tracks = scenario(kind, "tilt45")
     camera = camera_for_pitch("tilt45")
     noise = NoiseModel(rng_seed=5) if mode in ("box", "grid") else None
@@ -582,10 +577,7 @@ def test_evaluation_of_columns_ignores_frame_line_order(tmp_path, kind, mode):
                           annotate_tracks(tracks, camera, DEFAULT_ROBOT_GEOMETRY,
                                           frame_schedule(cfg))), path)
     header, *lines = path.read_text(encoding="utf-8").splitlines()
-    reversed_path = tmp_path / "reversed.ndjson"
-    reversed_path.write_text("\n".join([header, *lines[::-1]]) + "\n", encoding="utf-8")
-    dataset, flipped = read_dataset(path), read_dataset(reversed_path)
-    assert flipped.records.frame_ids.tolist() == dataset.records.frame_ids.tolist()[::-1]
+    dataset = read_dataset(path)
 
     def evaluate(records):
         return [(r.frame_id, r.gt_downwash, r.pred_downwash) for r in evaluate_downwash_records(
@@ -593,7 +585,14 @@ def test_evaluation_of_columns_ignores_frame_line_order(tmp_path, kind, mode):
 
     expected = evaluate(dataset.records)
     assert any(pred for _f, _gt, pred in expected)
-    assert evaluate(flipped.records) == expected
+    for name, order in (("reversed", np.arange(len(lines))[::-1]),
+                        ("shuffled", np.random.default_rng(2).permutation(len(lines)))):
+        moved_path = tmp_path / f"{name}.ndjson"
+        moved_path.write_text("\n".join([header, *(lines[k] for k in order)]) + "\n",
+                              encoding="utf-8")
+        moved = read_dataset(moved_path)
+        assert moved.records.frame_ids.tolist() == dataset.records.frame_ids[order].tolist()
+        assert evaluate(moved.records) == expected
 
 
 def test_run_records_reject_rows_out_of_layout():

@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import re
 import sys
 from dataclasses import replace
 
@@ -328,7 +329,9 @@ def accepted_k1(k1: float) -> bool:
 
 class TestLensFold:
     """A barrel `k1` is accepted only while the distortion's fold, distorted
-    radius (2/3)/sqrt(3|k1|), lies outside the farthest image corner."""
+    radius (2/3)/sqrt(3|k1|), lies outside the farthest image corner, and a
+    pincushion `k1` only while the lens inverse's first Newton step is
+    finite there."""
 
     @pytest.mark.parametrize("k1", [0.0, 0.1, -0.05, -0.08, -0.0836])
     def test_fold_outside_the_default_image_loads(self, k1):
@@ -365,7 +368,7 @@ class TestLensFold:
         assert abs(px[0] - u) < 1e-8 and abs(px[1] - 160.0) < 1e-8
 
     @settings(max_examples=300, deadline=None, derandomize=True, database=None)
-    @given(k1=st.floats(min_value=-0.0837, max_value=sys.float_info.max / 6.0).filter(accepted_k1),
+    @given(k1=st.floats(min_value=-0.0837, max_value=sys.float_info.max).filter(accepted_k1),
            radius=st.floats(min_value=0.0, max_value=DEFAULT_CORNER, exclude_max=True),
            angle=st.floats(min_value=-math.pi, max_value=math.pi))
     @example(k1=-0.08, radius=0.999 * fold_radius(-0.08), angle=0.0)
@@ -376,11 +379,36 @@ class TestLensFold:
         corner radius (so inside the fold), and points just inside the fold
         past the corner: distorting the undistorted point gives it back. The
         check is in distorted space, since near the fold the root itself is
-        ill-conditioned. k1 stops where Newton's slope 1 + 3 k1 r^2 would
-        overflow at the corner."""
+        ill-conditioned. Every finite k1 is drawn; `CameraIntrinsics` rejects
+        those whose Newton step overflows at the corner."""
         x, y = radius * math.cos(angle), radius * math.sin(angle)
         xd, yd = distort_normalized(*undistort_normalized(x, y, k1), k1)
         assert abs(xd - x) <= 1e-12 and abs(yd - y) <= 1e-12
+
+    @pytest.mark.parametrize("fx", [170.0, 40.0])
+    def test_pincushion_limit_follows_newtons_first_step_at_the_corner(self, fx):
+        """A positive k1 is accepted only while Newton's first step stays
+        finite at the farthest corner: its slope 1 + 3 k1 r^2 overflows
+        first while the corner's normalized radius is below 3 (the default
+        image's 1.33), its residual r (1 + k1 r^2) - r past it (5.66 at fx
+        40). The message names the limit."""
+        corner = math.hypot(160.0 / fx, 160.0 / fx)
+        limit = sys.float_info.max / (corner * corner * max(3.0, corner))
+        common = dict(fx=fx, fy=fx, cx=160.0, cy=160.0)
+        CameraIntrinsics(k1=limit * 0.999, **common)
+        with pytest.raises(ValueError, match=re.escape(f"k1 must be below {limit:.4g}")):
+            CameraIntrinsics(k1=limit * 1.001, **common)
+
+    def test_point_far_past_the_image_raises_where_newton_overflows(self):
+        # k1 3e307 is accepted and 3.4e307 is not; at twice the corner radius
+        # the first step's slope overflows, where the loop used to stop and
+        # return (0, 0)
+        k1 = 3e307
+        assert accepted_k1(k1) and not accepted_k1(3.4e307)
+        with pytest.raises(OutOfRange, match="overflows"):
+            undistort_normalized(2.0 * DEFAULT_CORNER, 0.0, k1)
+        xd, _ = distort_normalized(*undistort_normalized(DEFAULT_CORNER, 0.0, k1), k1)
+        assert xd == pytest.approx(DEFAULT_CORNER, abs=1e-12)
 
     def test_pincushion_lens_has_no_fold(self):
         xn, yn = undistort_normalized(-360.0 / 170.0, 0.0, 0.1)

@@ -47,6 +47,9 @@ from spincam.scenarios import MAX_WAYPOINTS, ScenarioConfig, frame_schedule, gen
 
 # A JSON integer too large for a float: `1` followed by 400 zeros.
 HUGE = 10**400
+# The README's minimal scenario config.
+README_SWAP = {"kind": "swap", "num_robots": 2, "duration": 14.0, "yaw_rate": 4.0,
+               "camera_pitch": "up", "rng_seed": 7}
 
 
 def write_config(path, **overrides):
@@ -358,14 +361,21 @@ class TestDownwashEval:
         err = capsys.readouterr().err
         assert f"{dataset}:1: malformed header record" in err and key in err
 
-    def test_oracle_evaluation_loads_no_numpy_random(self, tmp_path):
+    @pytest.mark.parametrize("command", ["downwash-eval", "benchmark"])
+    def test_oracle_evaluation_loads_no_numpy_random(self, tmp_path, command):
         """numpy loads numpy.random lazily (its random generators cost about 6
-        MB), and an oracle evaluation draws nothing."""
-        dataset = self.simulate(tmp_path)
+        MB), and neither an oracle evaluation nor an oracle sweep of the
+        README's swap config draws anything."""
+        if command == "downwash-eval":
+            source = ["--dataset", str(self.simulate(tmp_path))]
+        else:
+            config = tmp_path / "swap.json"
+            config.write_text(json.dumps(README_SWAP))
+            source = ["--config", str(config)]
+        argv = [command, *source, "--oracle", "--out", str(tmp_path / "e")]
         code = ("import sys, numpy; eager = 'numpy.random' in sys.modules; "
                 "from spincam.cli import main; "
-                f"assert main(['downwash-eval', '--dataset', {str(dataset)!r}, '--oracle', "
-                f"'--out', {str(tmp_path / 'e')!r}]) == 0; "
+                f"assert main({argv!r}) == 0; "
                 "sys.exit(0 if eager or 'numpy.random' not in sys.modules else 1)")
         subprocess.run([sys.executable, "-c", code], check=True, capture_output=True)
 
