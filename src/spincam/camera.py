@@ -204,12 +204,13 @@ def project_points(points, intr: CameraIntrinsics) -> np.ndarray:
     """Camera-frame points (..., 3) to pixels (..., 2).
 
     Depth is not checked: points with z <= 0 give meaningless pixels (or
-    inf/nan), so callers mask them out.
+    inf/nan), and points far off the axis overflow to inf, so callers mask
+    them out.
     """
     p = np.asarray(points, dtype=float)
-    with np.errstate(divide="ignore", invalid="ignore"):
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         xd, yd = distort_normalized(p[..., 0] / p[..., 2], p[..., 1] / p[..., 2], intr.k1)
-    return np.stack([intr.fx * xd + intr.cx, intr.fy * yd + intr.cy], axis=-1)
+        return np.stack([intr.fx * xd + intr.cx, intr.fy * yd + intr.cy], axis=-1)
 
 
 def project(point_camera, intr: CameraIntrinsics) -> np.ndarray:
@@ -246,9 +247,9 @@ def in_view(points_camera, intr: CameraIntrinsics) -> np.ndarray:
     u, v = px[..., 0], px[..., 1]
     mask = (p[..., 2] > 0.0) & (0.0 < u) & (u < intr.width) & (0.0 < v) & (v < intr.height)
     if intr.k1 < 0.0:
-        with np.errstate(divide="ignore", invalid="ignore"):
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
             xn, yn = p[..., 0] / p[..., 2], p[..., 1] / p[..., 2]
-        mask &= xn * xn + yn * yn < 1.0 / (-3.0 * intr.k1)
+            mask &= xn * xn + yn * yn < 1.0 / (-3.0 * intr.k1)
     return mask
 
 

@@ -95,10 +95,14 @@ def _near(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.linalg.norm(a - b, axis=-1) < MERGE_RADIUS
 
 
-def _absorbed(seen: np.ndarray) -> np.ndarray:
-    """Mask of perceived positions (..., P, 3) that a later position of the
-    same frame absorbs; NaN rows absorb nothing."""
-    return np.triu(_near(seen[..., :, None, :], seen[..., None, :, :]), k=1).any(axis=-1)
+def _absorbed(owner: np.ndarray, seen: np.ndarray) -> np.ndarray:
+    """Mask of perceived positions (E, 3), grouped by their frame `owner`
+    (E,), that a later position of the same frame absorbs: a row i + k with
+    row i's owner, k below the widest frame's count."""
+    absorbed = np.zeros(len(seen), dtype=bool)
+    for k in range(1, np.bincount(owner).max(initial=0)):
+        absorbed[:-k] |= (owner[k:] == owner[:-k]) & _near(seen[:-k], seen[k:])
+    return absorbed
 
 
 def _violates(positions: np.ndarray, ego_position, ellipsoid: EllipsoidSpec) -> np.ndarray:
@@ -217,7 +221,7 @@ def _evaluate_frames(
     frame_seen = np.full((n_frames, int(slot.max(initial=-1)) + 1, 3), np.nan)
     frame_seen[owner_seen, slot] = seen
 
-    born = ~_absorbed(frame_seen)[owner_seen, slot]
+    born = ~_absorbed(owner_seen, seen)
     positions, born_at = seen[born], owner_seen[born]
     pred = np.zeros(n_frames, dtype=bool)
     pred[born_at[_violates(positions, ego_t[born_at], ellipsoid)]] = True

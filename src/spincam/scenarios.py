@@ -114,6 +114,10 @@ class ScenarioConfig:
                 raise InvalidConfig("hover_orbit needs at least one hovering neighbor")
             if self.orbit_radius <= 0.0 or self.orbit_speed <= 0.0:
                 raise InvalidConfig("orbit radius and speed must be positive")
+            # an empty list, like None, means the default heights
+            if self.hover_heights and len(self.hover_heights) < self.num_robots - 1:
+                raise InvalidConfig(f"hover_heights provides {len(self.hover_heights)} heights "
+                                    f"for {self.num_robots - 1} hovering robots")
         if self.kind == "random_waypoint":
             if not 2 <= self.waypoint_count <= MAX_WAYPOINTS:
                 raise InvalidConfig(f"waypoint_count must be 2..{MAX_WAYPOINTS}, "
@@ -179,8 +183,6 @@ def _generate_swap(cfg: ScenarioConfig, times: np.ndarray) -> list[PoseTrack]:
 def _hover_layout(cfg: ScenarioConfig) -> list[np.ndarray]:
     heights = cfg.hover_heights or DEFAULT_HOVER_HEIGHTS
     n_hover = cfg.num_robots - 1
-    if len(heights) < n_hover:
-        raise InvalidConfig(f"hover_heights provides {len(heights)} heights for {n_hover} robots")
     positions = []
     for k in range(n_hover):
         # first hoverer sits on the orbit path; the rest cluster inside it

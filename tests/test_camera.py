@@ -23,6 +23,7 @@ from spincam.camera import (
     camera_for_pitch,
     distort_normalized,
     fold_radius,
+    in_view,
     pitch_rotation,
     pixel_to_ray,
     project,
@@ -413,6 +414,16 @@ class TestLensFold:
     def test_pincushion_lens_has_no_fold(self):
         xn, yn = undistort_normalized(-360.0 / 170.0, 0.0, 0.1)
         assert distort_normalized(xn, yn, 0.1) == pytest.approx((-360.0 / 170.0, 0.0), abs=1e-12)
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("k1,point", [
+        (1e300, (1e5, 0.0, 1.0)),  # the distortion factor 1 + k1 r^2 overflows
+        (-0.08, (1.0, 0.0, 1e-200)),  # so does r^2 itself, in the fold mask too
+    ])
+    def test_far_off_axis_point_lands_out_of_view_without_a_warning(self, k1, point):
+        intr = CameraIntrinsics(fx=170.0, fy=170.0, cx=160.0, cy=160.0, k1=k1)
+        assert np.isinf(project_points(point, intr)[0])
+        assert not in_view(point, intr)
 
 
 class TestCameraModel:

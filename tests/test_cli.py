@@ -142,6 +142,7 @@ class TestSimulate:
         ({"kind": "hover_orbit", "num_robots": 3, "hover_heights": 2}, "hover_heights"),
         ({"kind": "hover_orbit", "num_robots": 3, "hover_heights": [0.6, "1.0"]},
          "hover_heights"),
+        ({"kind": "hover_orbit", "num_robots": 4, "hover_heights": [0.6]}, "hover_heights"),
         ({"ellipsoid": [0.1, 0.1]}, "ellipsoid"),
         ({"ellipsoid": [0.1, 0.1, 0.3, 0.3]}, "ellipsoid"),
         ({"ellipsoid": 0.1}, "ellipsoid"),
@@ -170,6 +171,7 @@ class TestSimulate:
         config = write_config(tmp_path / "bad.json", **overrides)
         assert main(["simulate", "--config", str(config), "--out", str(tmp_path / "x")]) == 2
         assert key in capsys.readouterr().err
+        assert not (tmp_path / "x" / "manifest.json").exists()
 
     def test_huge_integer_seed_keeps_the_integer_rules(self, tmp_path):
         # an integer-only field takes any non-negative JSON integer
@@ -378,6 +380,19 @@ class TestDownwashEval:
                 f"assert main({argv!r}) == 0; "
                 "sys.exit(0 if eager or 'numpy.random' not in sys.modules else 1)")
         subprocess.run([sys.executable, "-c", code], check=True, capture_output=True)
+
+    def test_a_module_loads_only_the_modules_it_imports(self):
+        """The package re-exports nothing: `spincam.geometry` needs only
+        `spincam.errors`, and the command line never loads `spincam.dynamics`
+        or, before a noisy evaluation, `spincam.seeding`."""
+        code = ("import sys, {}; "
+                "print(' '.join(sorted(m for m in sys.modules if m.split('.')[0] == 'spincam')))")
+        loaded = {module: subprocess.run([sys.executable, "-c", code.format(module)], check=True,
+                                         capture_output=True, text=True).stdout.split()
+                  for module in ("spincam.geometry", "spincam.cli")}
+        assert loaded["spincam.geometry"] == ["spincam", "spincam.errors", "spincam.geometry"]
+        assert "spincam.cli" in loaded["spincam.cli"]
+        assert not {"spincam.dynamics", "spincam.seeding"} & set(loaded["spincam.cli"])
 
     def test_matching_and_noisy_evaluation_run_without_scipy(self, tmp_path):
         """The assignment is in-repo: with scipy blocked, matching and both

@@ -1,12 +1,14 @@
 """Ellipsoid condition, the belief rule, and the evaluation protocol."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from run_columns import IDENTITY, run_records
 
+from spincam import downwash
 from spincam.camera import CameraIntrinsics, camera_for_pitch, in_view, world_to_camera_arrays
 from spincam.downwash import (
     DOWNWASH_MARGIN,
@@ -61,6 +63,10 @@ class TestEllipsoidMargin:
         for _ in range(100):
             a, b = rng.uniform(-1, 1, 3), rng.uniform(-1, 1, 3)
             assert abs(ellipsoid_margin(a, b, sphere) - np.linalg.norm(a - b) / r) < 1e-12
+
+    def test_margin_of_exactly_two_is_no_violation(self):
+        # 0.6 m straight above, rz 0.3: the margin is exactly DOWNWASH_MARGIN
+        assert not downwash._violates(np.array([0.0, 0.0, 0.6]), np.zeros(3), E)
 
     def test_positive_radii_required(self):
         with pytest.raises(ValueError):
@@ -169,6 +175,38 @@ class TestUpdateBelief:
         assert predictions(merged, identity_camera, within_8cm) == [False, False, False]
         assert predictions(merged, identity_camera, within_12cm) == [False, False, True]
 
+    def test_positions_exactly_the_merge_radius_apart_do_not_merge(self):
+        assert np.linalg.norm([0.1, 0.0, 0.0]) == MERGE_RADIUS
+        assert not downwash._near(np.zeros(3), np.array([0.1, 0.0, 0.0]))
+
+    def test_absorption_matches_a_pairwise_loop(self):
+        """A position is absorbed by any later position of its frame within
+        MERGE_RADIUS; random frames of 0-7 positions in a 0.4 m cube."""
+        rng = np.random.default_rng(4)
+        for _ in range(50):
+            owner = np.repeat(np.arange(10), rng.integers(0, 8, 10))
+            seen = rng.uniform(-0.2, 0.2, (len(owner), 3))
+            expected = [any(owner[j] == owner[i] and np.linalg.norm(seen[j] - seen[i]) < 0.1
+                            for j in range(i + 1, len(owner))) for i in range(len(owner))]
+            assert downwash._absorbed(owner, seen).tolist() == expected
+
+    def test_merge_temporaries_do_not_grow_with_frames_times_count_squared(
+            self, identity_camera):
+        """20 frames that each see 300 neighbors 0.2 m apart, none absorbed:
+        the merge test of all pairs of a frame's positions at once would
+        hold 20 x 300 x 300 x 3 floats (43 MB)."""
+        robots, frames = 301, 20
+        row = np.column_stack([0.2 * np.arange(robots), np.zeros(robots), np.full(robots, 5.0)])
+        records = run_records([f"r{k:03d}" for k in range(robots)],
+                              [(f, float(f), row, [IDENTITY] * robots, []) for f in range(frames)])
+        tracemalloc.start()
+        try:
+            results = evaluate_downwash_records(records, identity_camera, E, mode="omni")
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(results) == frames and peak < 16 * 2**20
+
     def test_idempotent_on_empty_frames(self, identity_camera):
         records = [record(0, [(0.0, 0.0, 1.5)])] + [
             record(f, position=(0.0, 0.0, 1.6)) for f in range(1, 5)]
@@ -262,6 +300,23 @@ class TestEvaluateCells:
         (gt0, pred0), (gt1, pred1) = evaluate_cells(cells, E)
         assert gt0.all() and pred0.all()
         assert not gt1.any() and not pred1.any()
+
+    def test_stacks_hold_whole_cells_up_to_the_frame_limit(self, monkeypatch):
+        """No stack holds more than STACK_FRAMES frames unless one cell alone
+        is larger, and cells that exactly fill STACK_FRAMES share a stack."""
+        stacks, evaluate_stack = [], downwash._evaluate_stack
+
+        def spy(stack, *args):
+            stacks.append([len(cell.times) for cell in stack])
+            return evaluate_stack(stack, *args)
+
+        monkeypatch.setattr(downwash, "STACK_FRAMES", 4)
+        monkeypatch.setattr(downwash, "_evaluate_stack", spy)
+        lengths = [2, 2, 3, 5, 1]
+        results = evaluate_cells([self.cell("up", (0.0, 0.0, 1.0), n) for n in lengths], E)
+        assert [len(gt) for gt, _pred in results] == lengths
+        assert all(sum(stack) <= 4 or len(stack) == 1 for stack in stacks)
+        assert stacks == [[2, 2], [3], [5], [1]]
 
     def test_cells_must_share_intrinsics_and_robots(self):
         cell = self.cell("up", (0.0, 0.0, 1.0))
