@@ -57,12 +57,18 @@ def _write_manifest(out_dir: Path, command: str, args, outputs: list[str]) -> No
         fh.write("\n")
 
 
+def _tracks(scenario, config):
+    """The scenario's pose tracks; InvalidConfig names the config file."""
+    try:
+        return generate_scenario(scenario)
+    except InvalidConfig as exc:  # such as an arena with no room for the waypoints
+        raise InvalidConfig(f"{config}: {exc}") from exc
+
+
 def _simulate(args) -> int:
     spec = load_simulation_config(args.config)
     scenario = spec.scenario if args.seed is None else replace(spec.scenario, rng_seed=args.seed)
-    out_dir = Path(args.out)
-    _write_manifest(out_dir, "simulate", args, ["dataset.ndjson"])
-    tracks = generate_scenario(scenario)
+    tracks = _tracks(scenario, args.config)
     records = annotate_tracks(
         tracks, spec.camera, spec.geometry, frame_schedule(scenario), ego_id=EGO_ID
     )
@@ -72,6 +78,8 @@ def _simulate(args) -> int:
         ellipsoid=scenario.ellipsoid,
         records=records,
     )
+    out_dir = Path(args.out)
+    _write_manifest(out_dir, "simulate", args, ["dataset.ndjson", "dataset.npz"])
     dataset_path = out_dir / "dataset.ndjson"
     write_dataset(dataset, dataset_path)
     print(f"wrote {dataset_path} ({len(records)} frames, {len(tracks)} robots)")
@@ -134,8 +142,6 @@ def _benchmark(args) -> int:
     spec = load_simulation_config(args.config)
     rates = _parse_rates(args.yaw_rates)
     pitches = _parse_pitches(args.pitches)
-    out_dir = Path(args.out)
-    _write_manifest(out_dir, "benchmark", args, ["benchmark.csv"])
     cameras = [camera_for_pitch(pitch, spec.camera.intrinsics, spec.camera.translation)
                for pitch in pitches]
     base = spec.scenario if args.seed is None else replace(spec.scenario, rng_seed=args.seed)
@@ -146,7 +152,7 @@ def _benchmark(args) -> int:
         for rate in rates:
             scenario = replace(base, yaw_rate=rate)
             times = frame_schedule(scenario)
-            poses = track_poses(generate_scenario(scenario), times, EGO_ID)
+            poses = track_poses(_tracks(scenario, args.config), times, EGO_ID)
             yield from (Cell(camera, times, *poses) for camera in cameras)
 
     results = evaluate_cells(cells(), base.ellipsoid, spec.geometry, mode, noise)
@@ -156,6 +162,8 @@ def _benchmark(args) -> int:
         precision, recall, f1 = classification_metrics(counts)
         rows.append((rate, pitch, f1, precision, recall, counts))
 
+    out_dir = Path(args.out)
+    _write_manifest(out_dir, "benchmark", args, ["benchmark.csv"])
     bench_path = out_dir / "benchmark.csv"
     with open(bench_path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("yaw_rate,camera_pitch,f1,precision,recall,tp,fp,fn,tn\n")

@@ -16,6 +16,7 @@ import warnings
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain
+from pathlib import Path
 from typing import Sequence
 
 import numpy as np
@@ -194,7 +195,8 @@ def _frame_lines(records: RunRecords) -> list[str]:
 
 
 def write_dataset(dataset: Dataset, path) -> None:
-    """Write a dataset file: the header line, then one line per frame row."""
+    """Write a dataset file: the header line, then one line per frame row;
+    and next to it its column sidecar (see `read_dataset`)."""
     records = dataset.records
     header = {
         "record": "header",
@@ -207,6 +209,7 @@ def write_dataset(dataset: Dataset, path) -> None:
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(json.dumps(header) + "\n")
         fh.writelines(_frame_lines(records))
+    _write_sidecar(records, path)
 
 
 def _parse_json_line(line: str, line_no: int, path, kind: str) -> dict:
@@ -250,23 +253,26 @@ def _float_rows(path, row_lines, rows: list, shape: tuple, name: str) -> np.ndar
                      f"{name} must be {what}, got {rows[row]!r}")
 
 
-def read_dataset(path) -> Dataset:
-    """Read a dataset file into columns; ParseError names the line of a
-    malformed record.
+def _neighbor_checks(rel_positions, centers, bboxes) -> dict[str, np.ndarray]:
+    """The value checks on neighbor rows, as `first_failure` takes them."""
+    return {
+        "neighbor values must be finite":
+            np.isfinite(np.concatenate([rel_positions, centers, bboxes], axis=1)).all(axis=1),
+        "rel_position depth must be positive": rel_positions[:, 2] > 0.0,
+        "bbox corners must be ordered":
+            (bboxes[:, 0] <= bboxes[:, 2]) & (bboxes[:, 1] <= bboxes[:, 3]),
+    }
 
-    Every frame must hold the same robots, with the same ego, as the first
-    one, and a `frame_id` no earlier frame holds; every value must be
-    finite. A pose's `time` is checked but not kept: it is its frame's
-    timestamp, as `write_dataset` writes it.
-    """
-    with open(path, "r", encoding="utf-8") as fh:
-        lines = fh.read().splitlines()
-    if not lines:
-        raise ParseError(f"{path}:1: empty dataset file (missing header record)")
-    header = _parse_json_line(lines[0], 1, path, "header")
-    version = header.get("schema_version")
-    if not (is_count(version) and version == SCHEMA_VERSION):
-        raise VersionMismatch(f"{path}: schema_version {version!r}, supported {SCHEMA_VERSION}")
+
+def _announces(header: dict, n_frames: int) -> bool:
+    """Whether the header's `frame_count`, if it has one, is `n_frames`."""
+    expected = header.get("frame_count")
+    return expected is None or (is_count(expected) and expected == n_frames)
+
+
+def _parse_frames(path, lines: list[str], header: dict) -> RunRecords:
+    """The columns of the frame lines of a dataset file whose lines are
+    `lines`; ParseError names the line of a malformed record."""
     ids, index = (), {}
     frame_lines, frame_ids, timestamps, counts = [], [], [], []
     times, translations, rotations = [], [], []
@@ -311,11 +317,9 @@ def read_dataset(path) -> Dataset:
         except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise ParseError(f"{path}:{line_no}: malformed frame record: {exc}") from exc
         frame_lines.append(line_no)
-    expected = header.get("frame_count")
-    if expected is not None and not (is_count(expected) and expected == len(frame_lines)):
-        raise ParseError(
-            f"{path}: header announces {expected} frames but file holds {len(frame_lines)}"
-        )
+    if not _announces(header, len(frame_lines)):
+        raise ParseError(f"{path}: header announces {header['frame_count']} frames but file "
+                         f"holds {len(frame_lines)}")
     first_of_id = np.zeros(len(frame_ids), dtype=bool)
     first_of_id[np.unique(np.array(frame_ids, dtype=np.int64), return_index=True)[1]] = True
     _reject(path, frame_lines, first_failure({"frame_id repeats an earlier frame's": first_of_id}))
@@ -330,26 +334,122 @@ def read_dataset(path) -> Dataset:
         _float_rows(path, row_lines, rows, (width,), name)
         for rows, width, name in ((rel_positions, 3, "rel_position"), (centers, 2, "center"),
                                   (bboxes, 4, "bbox")))
-    _reject(path, row_lines, first_failure({
-        "neighbor values must be finite":
-            np.isfinite(np.concatenate([rel_positions, centers, bboxes], axis=1)).all(axis=1),
-        "rel_position depth must be positive": rel_positions[:, 2] > 0.0,
-        "bbox corners must be ordered":
-            (bboxes[:, 0] <= bboxes[:, 2]) & (bboxes[:, 1] <= bboxes[:, 3]),
-    }))
+    _reject(path, row_lines, first_failure(_neighbor_checks(rel_positions, centers, bboxes)))
+    n_frames = len(frame_lines)
+    return RunRecords(
+        frame_ids, timestamps, ids, positions.reshape(n_frames, len(ids), 3),
+        quats.reshape(n_frames, len(ids), 4), np.repeat(np.arange(n_frames), counts), robot,
+        rel_positions, centers, bboxes,
+    )
+
+
+def read_dataset(path) -> Dataset:
+    """Read a dataset file into columns; ParseError names the line of a
+    malformed record.
+
+    Every frame must hold the same robots, with the same ego, as the first
+    one, and a `frame_id` no earlier frame holds; every value must be
+    finite. A pose's `time` is checked but not kept: it is its frame's
+    timestamp, as `write_dataset` writes it.
+
+    The header line is always parsed; the frames come from the file's column
+    sidecar if `_read_sidecar` accepts it, and otherwise from the text.
+    """
+    with open(path, "r", encoding="utf-8") as fh:
+        first = fh.readline().splitlines()  # the text's first line, however it ends
+        if not first:
+            raise ParseError(f"{path}:1: empty dataset file (missing header record)")
+        header = _parse_json_line(first[0], 1, path, "header")
+        version = header.get("schema_version")
+        if not (is_count(version) and version == SCHEMA_VERSION):
+            raise VersionMismatch(f"{path}: schema_version {version!r}, "
+                                  f"supported {SCHEMA_VERSION}")
+        records = _read_sidecar(path, header)
+        if records is None:
+            fh.seek(0)
+            records = _parse_frames(path, fh.read().splitlines(), header)
     try:
         camera = _camera_from(header["camera"])
         geometry = _geometry_from(header["geometry"])
         ellipsoid = EllipsoidSpec.from_radii(header["ellipsoid"])
     except (KeyError, TypeError, ValueError) as exc:
         raise ParseError(f"{path}:1: malformed header record: {exc}") from exc
-    n_frames = len(frame_lines)
-    records = RunRecords(
-        frame_ids, timestamps, ids, positions.reshape(n_frames, len(ids), 3),
-        quats.reshape(n_frames, len(ids), 4), np.repeat(np.arange(n_frames), counts), robot,
-        rel_positions, centers, bboxes,
-    )
     return Dataset(camera=camera, geometry=geometry, ellipsoid=ellipsoid, records=records)
+
+
+# ---------------------------------------------------------------------------
+# Column sidecars: a cache of a dataset file's RunRecords columns, keyed by
+# the sha256 of its bytes
+
+_SIDECAR_COLUMNS = {
+    "frame_ids": np.int64, "timestamps": np.float64, "positions": np.float64,
+    "quats": np.float64, "owner": np.int64, "robot": np.int64,
+    "rel_positions": np.float64, "centers": np.float64, "bboxes": np.float64,
+}
+
+
+def _sidecar_path(path) -> Path | None:
+    """The column sidecar of a dataset file: its path with the suffix `.npz`,
+    or None when that is the file itself."""
+    sidecar = Path(path).with_suffix(".npz")
+    return None if sidecar == Path(path) else sidecar
+
+
+def _sha256(path) -> bytes:
+    """The sha256 digest of a file's bytes, read in chunks."""
+    import hashlib  # it maps OpenSSL: only runs that write or read a dataset load it
+
+    digest = hashlib.sha256()
+    with open(path, "rb") as fh:
+        for chunk in iter(lambda: fh.read(1 << 16), b""):
+            digest.update(chunk)
+    return digest.digest()
+
+
+def _write_sidecar(records: RunRecords, path) -> None:
+    """Write the sidecar of a dataset file: the sha256 of its bytes, and the
+    columns and robot ids its text holds (with no frames, no robots)."""
+    sidecar = _sidecar_path(path)
+    if sidecar is None:
+        return
+    ids = records.robot_ids if len(records) else ()
+    columns = {name: getattr(records, name) for name in _SIDECAR_COLUMNS}
+    columns["positions"] = records.positions.reshape(len(records), len(ids), 3)
+    columns["quats"] = records.quats.reshape(len(records), len(ids), 4)
+    # a numpy string drops its trailing NULs, so the ids are kept as JSON bytes
+    np.savez(sidecar, sha256=np.frombuffer(_sha256(path), dtype=np.uint8),
+             robot_ids=np.frombuffer(json.dumps(ids).encode(), dtype=np.uint8), **columns)
+
+
+def _read_sidecar(path, header: dict) -> RunRecords | None:
+    """The columns of a dataset file from its sidecar, or None unless the
+    sidecar loads without pickle, records the sha256 of the file's bytes, and
+    holds columns of these dtypes that pass every check the text parser makes."""
+    sidecar = _sidecar_path(path)
+    if sidecar is None or not sidecar.is_file():
+        return None
+    try:
+        with np.load(sidecar, allow_pickle=False) as npz:
+            arrays = {name: npz[name] for name in ("sha256", "robot_ids", *_SIDECAR_COLUMNS)}
+        ids = json.loads(arrays.pop("robot_ids").tobytes())
+    except Exception:  # a damaged file fails in zipfile's, numpy's or json's own ways
+        return None
+    if not (arrays.pop("sha256").tobytes() == _sha256(path)
+            and isinstance(ids, list) and all(isinstance(rid, str) for rid in ids)
+            and all(arrays[name].dtype == dtype for name, dtype in _SIDECAR_COLUMNS.items())):
+        return None
+    try:
+        records = RunRecords(robot_ids=ids, **arrays)
+    except ValueError:  # not the RunRecords layout
+        return None
+    pose_times = np.repeat(records.timestamps, len(records.robot_ids))
+    valid = (_announces(header, len(records)) and np.all(records.frame_ids >= 0)
+             and len(np.unique(records.frame_ids)) == len(records)
+             and invalid_pose_row(pose_times, records.positions.reshape(-1, 3),
+                                  records.quats.reshape(-1, 4)) is None
+             and first_failure(_neighbor_checks(records.rel_positions, records.centers,
+                                                records.bboxes)) is None)
+    return records if valid else None
 
 
 # ---------------------------------------------------------------------------

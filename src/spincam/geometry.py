@@ -178,12 +178,13 @@ def invalid_pose_row(times, positions, quats) -> tuple[int, str] | None:
     if times.shape != (n,) or positions.shape != (n, 3) or quats.shape != (n, 4):
         return 0, (f"expected times (N,), positions (N, 3), quats (N, 4); got "
                    f"{times.shape}, {positions.shape}, {quats.shape}")
+    with np.errstate(over="ignore"):  # a huge component squares to inf: not unit-norm
+        norms = np.sqrt(np.sum(quats * quats, axis=1))
     return first_failure({
         "pose values must be finite": np.isfinite(times)
         & np.isfinite(positions).all(axis=1) & np.isfinite(quats).all(axis=1),
         "time must be non-negative": times >= 0.0,
-        "quaternion must be unit-norm":
-            np.abs(np.sqrt(np.sum(quats * quats, axis=1)) - 1.0) <= UNIT_NORM_TOL,
+        "quaternion must be unit-norm": np.abs(norms - 1.0) <= UNIT_NORM_TOL,
     })
 
 

@@ -254,7 +254,9 @@ def _draw_waypoints(cfg: ScenarioConfig, rng: np.random.Generator) -> list[np.nd
                     break
             else:
                 raise InvalidConfig(
-                    "could not place separated waypoints; arena too small for robot count"
+                    f"could not place {cfg.num_robots} robots' waypoints apart between "
+                    f"arena_min {list(cfg.arena_min)} and arena_max {list(cfg.arena_max)}; "
+                    "widen the arena or lower num_robots"
                 )
         all_waypoints.append(points)
     return all_waypoints

@@ -47,6 +47,9 @@ from spincam.scenarios import MAX_WAYPOINTS, ScenarioConfig, frame_schedule, gen
 
 # A JSON integer too large for a float: `1` followed by 400 zeros.
 HUGE = 10**400
+# Four robots whose waypoints cannot be placed apart inside the arena.
+TINY_ARENA = {"kind": "random_waypoint", "num_robots": 4, "duration": 5.0,
+              "arena_min": [0, 0, 0.1], "arena_max": [0.1, 0.1, 0.2]}
 # The README's minimal scenario config.
 README_SWAP = {"kind": "swap", "num_robots": 2, "duration": 14.0, "yaw_rate": 4.0,
                "camera_pitch": "up", "rng_seed": 7}
@@ -71,7 +74,7 @@ class TestSimulate:
         assert main(["simulate", "--config", str(swap_config), "--out", str(out)]) == 0
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["command"] == "simulate"
-        assert manifest["outputs"] == ["dataset.ndjson"]
+        assert manifest["outputs"] == ["dataset.ndjson", "dataset.npz"]
         dataset = read_dataset(out / "dataset.ndjson")
         assert dataset.camera.pitch_label == "up"
         assert len(dataset.frames) == 85
@@ -166,12 +169,24 @@ class TestSimulate:
         ({"ellipsoid": [0.15, HUGE, 0.3]}, "ellipsoid"),
         ({"camera_translation": ["0.1", 0.0, 0.0]}, "camera_translation"),
         ({"half_extents": [0.065, True, 0.03]}, "half_extents"),
+        (TINY_ARENA, "arena_max"),
     ])
     def test_malformed_scenario_exits_2_naming_the_key(self, tmp_path, capsys, overrides, key):
         config = write_config(tmp_path / "bad.json", **overrides)
         assert main(["simulate", "--config", str(config), "--out", str(tmp_path / "x")]) == 2
         assert key in capsys.readouterr().err
         assert not (tmp_path / "x" / "manifest.json").exists()
+
+    @pytest.mark.parametrize("command", ["simulate", "benchmark"])
+    def test_arena_too_small_exits_2_before_the_manifest(self, tmp_path, capsys, command):
+        config = tmp_path / "tiny.json"
+        config.write_text(json.dumps(TINY_ARENA))
+        oracle = ["--oracle"] if command == "benchmark" else []
+        assert main([command, "--config", str(config), "--out", str(tmp_path / "x"),
+                     *oracle]) == 2
+        err = capsys.readouterr().err
+        assert all(word in err for word in (str(config), "arena_min", "arena_max", "num_robots"))
+        assert not (tmp_path / "x").exists()
 
     def test_huge_integer_seed_keeps_the_integer_rules(self, tmp_path):
         # an integer-only field takes any non-negative JSON integer
@@ -198,7 +213,8 @@ class TestSimulate:
         out1, out2 = tmp_path / "a", tmp_path / "b"
         main(["simulate", "--config", str(swap_config), "--out", str(out1), "--seed", "11"])
         main(["simulate", "--config", str(swap_config), "--out", str(out2), "--seed", "11"])
-        assert (out1 / "dataset.ndjson").read_bytes() == (out2 / "dataset.ndjson").read_bytes()
+        for name in ("dataset.ndjson", "dataset.npz"):
+            assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
 
 
 class TestDownwashEval:
@@ -207,6 +223,21 @@ class TestDownwashEval:
         out = tmp_path / "sim"
         main(["simulate", "--config", str(config), "--out", str(out)])
         return out / "dataset.ndjson"
+
+    @pytest.mark.parametrize("mode", ["oracle", "box", "grid"])
+    def test_report_does_not_depend_on_the_sidecar(self, tmp_path, mode):
+        dataset = self.simulate(tmp_path, k1=-0.08)
+        noise = tmp_path / "noise.json"
+        noise.write_text('{"rng_seed": 3, "false_positive_rate": 0.5}')
+        perceive = ["--oracle"] if mode == "oracle" else ["--noise", str(noise), "--mode", mode]
+        reports = []
+        for sidecar in (True, False):
+            if not sidecar:
+                dataset.with_suffix(".npz").unlink()
+            assert main(["downwash-eval", "--dataset", str(dataset), *perceive,
+                         "--out", str(tmp_path / "eval")]) == 0
+            reports.append((tmp_path / "eval" / "report.csv").read_bytes())
+        assert reports[0] == reports[1]
 
     def test_oracle_up_camera_high_f1(self, tmp_path):
         dataset = self.simulate(tmp_path, camera_pitch="up")
@@ -384,15 +415,18 @@ class TestDownwashEval:
     def test_a_module_loads_only_the_modules_it_imports(self):
         """The package re-exports nothing: `spincam.geometry` needs only
         `spincam.errors`, and the command line never loads `spincam.dynamics`
-        or, before a noisy evaluation, `spincam.seeding`."""
-        code = ("import sys, {}; "
-                "print(' '.join(sorted(m for m in sys.modules if m.split('.')[0] == 'spincam')))")
+        or, before a noisy evaluation, `spincam.seeding`. Nor does it load
+        `hashlib`, which maps OpenSSL, before a dataset is written or read."""
+        code = "import sys, {}; print(' '.join(sorted(sys.modules)))"
         loaded = {module: subprocess.run([sys.executable, "-c", code.format(module)], check=True,
                                          capture_output=True, text=True).stdout.split()
                   for module in ("spincam.geometry", "spincam.cli")}
-        assert loaded["spincam.geometry"] == ["spincam", "spincam.errors", "spincam.geometry"]
-        assert "spincam.cli" in loaded["spincam.cli"]
-        assert not {"spincam.dynamics", "spincam.seeding"} & set(loaded["spincam.cli"])
+        own = {module: [m for m in names if m.split(".")[0] == "spincam"]
+               for module, names in loaded.items()}
+        assert own["spincam.geometry"] == ["spincam", "spincam.errors", "spincam.geometry"]
+        assert "spincam.cli" in own["spincam.cli"]
+        assert not {"spincam.dynamics", "spincam.seeding"} & set(own["spincam.cli"])
+        assert not {"hashlib", "_hashlib"} & set(loaded["spincam.cli"])
 
     def test_matching_and_noisy_evaluation_run_without_scipy(self, tmp_path):
         """The assignment is in-repo: with scipy blocked, matching and both
@@ -434,11 +468,12 @@ class TestDownwashEval:
         lambda poses: poses["r1"].update(t=[0.0, 1.0]),
         lambda poses: poses["r1"].update(t=["x", 0.0, 1.0]),
         lambda poses: poses["r1"].update(q=[2.0, 0.0, 0.0, 0.0]),
+        lambda poses: poses["r1"].update(q=[1e200, 0.0, 0.0, 0.0]),
         lambda poses: poses["r0"].update(time=-1.0),
         lambda poses: poses.pop("r1"),
         lambda poses: poses.update(r2=poses["r1"]),
-    ], ids=["no-ego-pose", "two-component-t", "non-number-t", "non-unit-q", "negative-time",
-            "robot-missing", "extra-robot"])
+    ], ids=["no-ego-pose", "two-component-t", "non-number-t", "non-unit-q", "huge-q",
+            "negative-time", "robot-missing", "extra-robot"])
     def test_malformed_frame_pose_exits_3_naming_line(self, tmp_path, capsys, edit):
         dataset = self.simulate(tmp_path)
         lines = dataset.read_text().splitlines()

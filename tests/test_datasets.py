@@ -10,7 +10,7 @@ import pytest
 from run_columns import IDENTITY, run_records
 
 from spincam import datasets
-from spincam.camera import RunRecords, camera_for_pitch
+from spincam.camera import RunRecords, annotate_tracks, camera_for_pitch
 from spincam.datasets import (
     Dataset,
     GyroSequence,
@@ -36,7 +36,11 @@ from spincam.errors import (
     VersionMismatch,
 )
 from spincam.geometry import DEFAULT_ROBOT_GEOMETRY, PoseTrack
-from spincam.scenarios import ScenarioConfig
+from spincam.scenarios import ScenarioConfig, frame_schedule, generate_scenario
+
+# The RunRecords columns, every field but the robot ids, and the neighbor-row ones.
+COLUMNS = [field.name for field in dataclasses.fields(RunRecords) if field.name != "robot_ids"]
+NEIGHBOR_COLUMNS = ("owner", "robot", "rel_positions", "centers", "bboxes")
 
 
 def random_pose(rng) -> tuple[np.ndarray, np.ndarray]:
@@ -95,18 +99,45 @@ def assert_datasets_equal(a: Dataset, b: Dataset) -> None:
         assert fa.quats.tolist() == fb.quats.tolist()
 
 
+@pytest.fixture
+def text_reads(monkeypatch) -> list:
+    """Records each parse of a dataset's frame lines: a read that used the
+    column sidecar records nothing."""
+    calls = []
+    parse = datasets._parse_frames
+
+    def spy(*args):
+        calls.append(args[0])
+        return parse(*args)
+
+    monkeypatch.setattr(datasets, "_parse_frames", spy)
+    return calls
+
+
+def sidecar_of(path):
+    return path.with_suffix(".npz")
+
+
 class TestDatasetRoundTrip:
-    def test_empty_dataset(self, tmp_path):
+    @pytest.mark.parametrize("sidecar", [True, False], ids=["sidecar", "text"])
+    def test_empty_dataset(self, tmp_path, text_reads, sidecar):
         dataset = random_dataset(np.random.default_rng(0), 0)
         path = tmp_path / "empty.ndjson"
         write_dataset(dataset, path)
+        if not sidecar:
+            sidecar_of(path).unlink()
         assert_datasets_equal(dataset, read_dataset(path))
+        assert text_reads == ([] if sidecar else [path])
 
-    def test_random_frames_round_trip_exactly(self, tmp_path):
+    @pytest.mark.parametrize("sidecar", [True, False], ids=["sidecar", "text"])
+    def test_random_frames_round_trip_exactly(self, tmp_path, text_reads, sidecar):
         dataset = random_dataset(np.random.default_rng(1), 100)
         path = tmp_path / "data.ndjson"
         write_dataset(dataset, path)
+        if not sidecar:
+            sidecar_of(path).unlink()
         assert_datasets_equal(dataset, read_dataset(path))
+        assert text_reads == ([] if sidecar else [path])
 
     def test_truncated_record_names_line(self, tmp_path):
         dataset = random_dataset(np.random.default_rng(2), 5)
@@ -145,6 +176,167 @@ class TestDatasetRoundTrip:
         path.write_text("\n".join(lines[:-1]) + "\n")  # drop the last frame
         with pytest.raises(ParseError, match="announces"):
             read_dataset(path)
+
+
+def simulated_dataset(tmp_path, kind: str, pitch: str, k1: float):
+    """A 20 s simulated flight at rng_seed 7, written as a dataset file."""
+    config = tmp_path / "flight.json"
+    config.write_text(json.dumps({"kind": kind, "num_robots": 2 if kind == "swap" else 4,
+                                  "duration": 20.0, "camera_pitch": pitch, "k1": k1,
+                                  "rng_seed": 7}))
+    spec = load_simulation_config(config)
+    records = annotate_tracks(generate_scenario(spec.scenario), spec.camera, spec.geometry,
+                              frame_schedule(spec.scenario), ego_id="r0")
+    path = tmp_path / "dataset.ndjson"
+    write_dataset(Dataset(spec.camera, spec.geometry, spec.scenario.ellipsoid, records), path)
+    return path
+
+
+def assert_columns_bitwise_equal(a: RunRecords, b: RunRecords) -> None:
+    assert a.robot_ids == b.robot_ids
+    for name in COLUMNS:
+        x, y = getattr(a, name), getattr(b, name)
+        assert (x.dtype, x.shape, x.tobytes()) == (y.dtype, y.shape, y.tobytes()), name
+
+
+def nul_id_dataset(tmp_path):
+    """Robot ids that end in NUL characters, which a numpy string drops."""
+    dataset = random_dataset(np.random.default_rng(9), 12)
+    dataset.records.robot_ids = ("r0\x00", "r1\x00\x00", "r2")
+    path = tmp_path / "nul.ndjson"
+    write_dataset(dataset, path)
+    return path
+
+
+def header_only_dataset(tmp_path):
+    path = tmp_path / "empty.ndjson"
+    write_dataset(random_dataset(np.random.default_rng(0), 0), path)
+    return path
+
+
+class TestColumnSidecar:
+    """`write_dataset` writes `<name>.npz` next to the file; `read_dataset`
+    takes the columns from it only when it records the file's sha256 and its
+    columns pass the text parser's checks."""
+
+    @pytest.mark.parametrize("make", [
+        lambda tmp_path: simulated_dataset(tmp_path, "swap", "up", 0.0),
+        lambda tmp_path: simulated_dataset(tmp_path, "hover_orbit", "tilt45", -0.08),
+        lambda tmp_path: simulated_dataset(tmp_path, "random_waypoint", "forward", 0.05),
+        header_only_dataset,
+        nul_id_dataset,
+    ], ids=["swap-up", "orbit-tilt45-barrel", "waypoint-forward", "header-only", "nul-ids"])
+    def test_sidecar_columns_equal_the_text_columns_bitwise(self, tmp_path, text_reads, make):
+        path = make(tmp_path)
+        from_sidecar = read_dataset(path)
+        assert text_reads == []
+        sidecar_of(path).unlink()
+        from_text = read_dataset(path)
+        assert text_reads == [path]
+        assert_columns_bitwise_equal(from_sidecar.records, from_text.records)
+        assert from_sidecar.camera.intrinsics == from_text.camera.intrinsics
+
+    def test_sidecar_does_not_change_the_file(self, tmp_path):
+        path = simulated_dataset(tmp_path, "swap", "up", 0.0)
+        text = path.read_bytes()
+        sidecar_of(path).unlink()
+        write_dataset(read_dataset(path), path)
+        assert path.read_bytes() == text
+        assert sidecar_of(path).exists()
+
+    def test_dataset_named_npz_is_not_overwritten(self, tmp_path, text_reads):
+        dataset = random_dataset(np.random.default_rng(1), 10)
+        path = tmp_path / "data.npz"
+        write_dataset(dataset, path)
+        assert_datasets_equal(dataset, read_dataset(path))
+        assert text_reads == [path]
+
+    @pytest.mark.parametrize("new,error", [
+        (b'"frame_id": 2;', r"data\.ndjson:4: invalid record"),
+        (b'"frame_id": 1,', r"data\.ndjson:4: malformed frame record: frame_id repeats"),
+        (b'"frame_id": 7,', None),
+    ])
+    def test_changed_byte_runs_the_text_parser(self, tmp_path, text_reads, new, error):
+        path = tmp_path / "data.ndjson"
+        write_dataset(random_dataset(np.random.default_rng(2), 5), path)
+        text = path.read_bytes()
+        assert text.count(b'"frame_id": 2,') == 1
+        path.write_bytes(text.replace(b'"frame_id": 2,', new))
+        if error is None:
+            assert read_dataset(path).records.frame_ids.tolist() == [0, 1, 7, 3, 4]
+        else:
+            with pytest.raises(ParseError, match=error):
+                read_dataset(path)
+        assert text_reads == [path]
+
+    @pytest.mark.parametrize("change", [
+        lambda a: a.update(sha256=a["sha256"][::-1].copy()),
+        lambda a: a.update(centers=a["centers"][:, :1]),
+        lambda a: a.update(positions=a["positions"][:, :2]),
+        lambda a: a.update(rel_positions=np.where(np.arange(3) == 0, np.nan, a["rel_positions"])),
+        lambda a: a.update(timestamps=np.append(np.inf, a["timestamps"][1:])),
+        lambda a: a.update(timestamps=np.append(-1.0, a["timestamps"][1:])),
+        lambda a: a.update(quats=2.0 * a["quats"]),
+        lambda a: a.update(quats=1e200 * a["quats"]),
+        lambda a: a.update(rel_positions=a["rel_positions"] * [1.0, 1.0, 0.0]),
+        lambda a: a.update(bboxes=a["bboxes"][:, [2, 3, 0, 1]]),
+        lambda a: a.update(frame_ids=np.append(1, a["frame_ids"][1:])),
+        lambda a: a.update(frame_ids=np.append(-1, a["frame_ids"][1:])),
+        lambda a: a.update(frame_ids=a["frame_ids"].astype(float)),
+        lambda a: a.update(timestamps=a["timestamps"].astype(np.float32)),
+        lambda a: a.update(timestamps=a["timestamps"].astype(">f8")),
+        lambda a: a.update(robot=a["robot"].astype(np.int32)),
+        lambda a: a.update(owner=a["owner"][::-1].copy()),
+        lambda a: a.update(robot=np.zeros_like(a["robot"])),
+        lambda a: a.pop("bboxes"),
+        lambda a: a.update(robot_ids=np.array(["r0", "r1", "r2"], dtype=object)),
+        lambda a: a.update(robot_ids=np.array(["r0", "r1", "r2"])),
+        lambda a: a.update(robot_ids=np.frombuffer(b'["r0", "r2", "r1"]', dtype=np.uint8)),
+        lambda a: a.update(robot_ids=np.frombuffer(b'[0, 1, 2]', dtype=np.uint8)),
+        lambda a: a.update(robot_ids=np.frombuffer(b'["r0", "r1"', dtype=np.uint8)),
+        lambda a: a.update({name: a[name][a["owner"] < 19] if name in NEIGHBOR_COLUMNS
+                            else a[name][:19] for name in COLUMNS}),
+    ], ids=["wrong-hash", "wrong-shape", "robot-missing", "nan", "inf-timestamp",
+            "negative-timestamp", "non-unit-quaternion", "huge-quaternion", "zero-depth",
+            "unordered-box", "repeated-frame-id", "negative-frame-id", "float-frame-ids",
+            "float32", "big-endian", "int32", "unordered-owner", "neighbor-is-ego",
+            "missing-key", "pickled-object-array", "numpy-string-ids", "unsorted-ids",
+            "integer-ids", "truncated-ids", "fewer-frames-than-announced"])
+    def test_bad_sidecar_is_not_used(self, tmp_path, text_reads, change):
+        dataset = random_dataset(np.random.default_rng(3), 20)
+        path = tmp_path / "data.ndjson"
+        write_dataset(dataset, path)
+        with np.load(sidecar_of(path)) as npz:
+            arrays = dict(npz)
+        change(arrays)
+        np.savez(sidecar_of(path), **arrays)
+        assert_datasets_equal(dataset, read_dataset(path))
+        assert text_reads == [path]
+
+    @pytest.mark.parametrize("damage", [
+        lambda sidecar: sidecar.write_bytes(sidecar.read_bytes()[:len(sidecar.read_bytes()) // 2]),
+        lambda sidecar: sidecar.write_bytes(b""),
+        lambda sidecar: sidecar.write_bytes(b"not a zip file"),
+        lambda sidecar: np.save(sidecar.open("wb"), np.arange(3)),
+        lambda sidecar: (sidecar.unlink(), sidecar.mkdir()),
+    ], ids=["truncated", "empty", "not-a-zip", "npy", "directory"])
+    def test_unreadable_sidecar_is_not_used(self, tmp_path, text_reads, damage):
+        dataset = random_dataset(np.random.default_rng(4), 20)
+        path = tmp_path / "data.ndjson"
+        write_dataset(dataset, path)
+        damage(sidecar_of(path))
+        assert_datasets_equal(dataset, read_dataset(path))
+        assert text_reads == [path]
+
+    def test_nul_robot_ids_as_numpy_strings_are_not_used(self, tmp_path, text_reads):
+        # numpy drops the trailing NULs: the ids would no longer be the file's
+        path = nul_id_dataset(tmp_path)
+        with np.load(sidecar_of(path)) as npz:
+            arrays = dict(npz)
+        arrays["robot_ids"] = np.array(["r0\x00", "r1\x00\x00", "r2"])
+        np.savez(sidecar_of(path), **arrays)
+        assert read_dataset(path).records.robot_ids == ("r0\x00", "r1\x00\x00", "r2")
+        assert text_reads == [path]
 
 
 class TestExportLabels:
