@@ -103,9 +103,9 @@ def _eval_mode(args) -> tuple[str, object]:
 
 def _downwash_eval(args) -> int:
     mode, noise = _eval_mode(args)
+    dataset = read_dataset(args.dataset)
     out_dir = Path(args.out)
     _write_manifest(out_dir, "downwash-eval", args, ["report.csv"])
-    dataset = read_dataset(args.dataset)
     ellipsoid = _parse_ellipsoid(args.ellipsoid) if args.ellipsoid else dataset.ellipsoid
     results = evaluate_downwash_records(
         dataset.records, dataset.camera, ellipsoid,

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain
 from pathlib import Path
-from typing import Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -129,6 +129,20 @@ def _loads_finite(text: str):
         raise _NonFiniteNumber(f"{where} must be finite, got {exc}") from None
 
 
+def _not_utf8(path, csv_lines: bool = False) -> ParseError:
+    """A ParseError naming the line of the first byte of a file that is not
+    UTF-8, its lines counted as a CSV reader counts them or, by default, as
+    `str.splitlines` does."""
+    data = Path(path).read_bytes()
+    try:
+        data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        head = data[:exc.start] + b"-"  # so the bad byte's line is the last one
+        line_no = len(head.splitlines() if csv_lines else head.decode("utf-8").splitlines())
+        return ParseError(f"{path}:{line_no}: not UTF-8 text: byte {exc.start}: {exc.reason}")
+    return ParseError(f"{path}: not UTF-8 text")
+
+
 # ---------------------------------------------------------------------------
 # Dataset files
 
@@ -145,14 +159,45 @@ class Dataset:
         return self.records.frames()
 
 
-_NEIGHBOR_LINE = (', "rel_position": [%r, %r, %r], "center": [%r, %r], '
-                  '"bbox": [%r, %r, %r, %r]}')
-_POSE_LINE = ': {"time": %r, "q": [%r, %r, %r, %r], "t": [%r, %r, %r]}'
+# Frames `write_dataset` and `export_labels` format and write at a time: the
+# text held at once is that of one chunk, not the whole run.
+WRITE_FRAMES = 256
+
+_NEIGHBOR_LINE = (', "rel_position": [%s, %s, %s], "center": [%s, %s], '
+                  '"bbox": [%s, %s, %s, %s]}')
+_POSE_LINE = ': {"time": %s, "q": [%s, %s, %s, %s], "t": [%s, %s, %s]}'
 
 
 def _json_literal(text: str) -> str:
     """A JSON string for `text`, escaped for a %-format template."""
     return json.dumps(text).replace("%", "%%")
+
+
+def _reprs(values: np.ndarray) -> list:
+    """The `repr` of each float of `values`, as nested lists of its shape.
+
+    `repr` runs once per distinct bit pattern, not once per value: runs
+    repeat most of their floats, and keying on the bits keeps -0.0 apart
+    from 0.0.
+    """
+    values = np.asarray(values, dtype=np.float64)
+    bits, inverse = np.unique(values.view(np.int64).ravel(), return_inverse=True)
+    texts = np.array([repr(v) for v in bits.view(np.float64).tolist()], dtype=object)
+    return texts[inverse].reshape(values.shape).tolist()
+
+
+def _frame_chunks(records: RunRecords) -> Iterator[RunRecords]:
+    """`records` as runs of at most WRITE_FRAMES consecutive frames."""
+    starts = list(range(0, len(records), WRITE_FRAMES))
+    bounds = np.searchsorted(records.owner, starts + [len(records)]).tolist()
+    for first, lo, hi in zip(starts, bounds, bounds[1:]):
+        frames = slice(first, first + WRITE_FRAMES)
+        yield RunRecords(
+            records.frame_ids[frames], records.timestamps[frames], records.robot_ids,
+            records.positions[frames], records.quats[frames], records.owner[lo:hi] - first,
+            records.robot[lo:hi], records.rel_positions[lo:hi], records.centers[lo:hi],
+            records.bboxes[lo:hi],
+        )
 
 
 def _frame_neighbors(records: RunRecords) -> list[str]:
@@ -163,13 +208,14 @@ def _frame_neighbors(records: RunRecords) -> list[str]:
                      for rid in records.robot_ids]
     values = np.concatenate([records.rel_positions, records.centers, records.bboxes], axis=1)
     neighbors = [neighbor_line[r] % tuple(row)
-                 for r, row in zip(records.robot.tolist(), values.tolist())]
+                 for r, row in zip(records.robot.tolist(), _reprs(values))]
     bounds = np.searchsorted(records.owner, np.arange(len(records) + 1)).tolist()
     return [", ".join(neighbors[lo:hi]) for lo, hi in zip(bounds, bounds[1:])]
 
 
-def _frame_lines(records: RunRecords) -> list[str]:
-    """The frame lines of a dataset file, formatted straight from the columns.
+def _frame_lines(records: RunRecords) -> str:
+    """The frame lines of a dataset file, formatted straight from the columns
+    of a run of one frame or more.
 
     Each line is what `json.dumps` gives for the frame's record object: keys
     in the same order, `", "` and `": "` separators, floats as their `repr`,
@@ -178,25 +224,36 @@ def _frame_lines(records: RunRecords) -> list[str]:
     """
     ids = records.robot_ids
     n_frames, n_robots = len(records), len(ids)
-    if not n_frames:
-        return []
     by_name = sorted(range(n_robots), key=ids.__getitem__)
-    line = ('{"record": "frame", "frame_id": %d, "timestamp": %r, "ego_id": '
+    line = ('{"record": "frame", "frame_id": %d, "timestamp": %s, "ego_id": '
             + _json_literal(ids[0]) + ', "neighbors": [%s], "poses": {'
             + ", ".join(_json_literal(ids[r]) + _POSE_LINE for r in by_name) + "}}\n")
     times = np.broadcast_to(records.timestamps[:, None, None], (n_frames, n_robots, 1))
     poses = np.concatenate([times, records.quats, records.positions], axis=2)[:, by_name]
-    return [
-        line % (frame_id, timestamp, neighbors, *pose)
-        for frame_id, timestamp, neighbors, pose in zip(
-            records.frame_ids.tolist(), records.timestamps.tolist(), _frame_neighbors(records),
-            poses.reshape(n_frames, -1).tolist())
-    ]
+    return "".join([
+        line % (frame_id, pose[0], neighbors, *pose)  # pose[0]: the timestamp
+        for frame_id, neighbors, pose in zip(
+            records.frame_ids.tolist(), _frame_neighbors(records),
+            _reprs(poses.reshape(n_frames, -1)))
+    ])
+
+
+def _write_frames(fh, header: str, records: RunRecords, format_frames, digest=None) -> None:
+    """Write the `header` line, then `format_frames` of each chunk of
+    `records`, to the binary file `fh` as UTF-8, and feed the same bytes to
+    `digest` if given."""
+    for chunk in chain([header], map(format_frames, _frame_chunks(records))):
+        data = chunk.encode()
+        if digest is not None:
+            digest.update(data)
+        fh.write(data)
 
 
 def write_dataset(dataset: Dataset, path) -> None:
     """Write a dataset file: the header line, then one line per frame row;
     and next to it its column sidecar (see `read_dataset`)."""
+    import hashlib  # it maps OpenSSL: only runs that write or read a dataset load it
+
     records = dataset.records
     header = {
         "record": "header",
@@ -206,10 +263,10 @@ def write_dataset(dataset: Dataset, path) -> None:
         "ellipsoid": [dataset.ellipsoid.rx, dataset.ellipsoid.ry, dataset.ellipsoid.rz],
         "frame_count": len(records),
     }
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(json.dumps(header) + "\n")
-        fh.writelines(_frame_lines(records))
-    _write_sidecar(records, path)
+    digest = hashlib.sha256()
+    with open(path, "wb") as fh:
+        _write_frames(fh, json.dumps(header) + "\n", records, _frame_lines, digest)
+    _write_sidecar(records, path, digest.digest())
 
 
 def _parse_json_line(line: str, line_no: int, path, kind: str) -> dict:
@@ -355,19 +412,22 @@ def read_dataset(path) -> Dataset:
     The header line is always parsed; the frames come from the file's column
     sidecar if `_read_sidecar` accepts it, and otherwise from the text.
     """
-    with open(path, "r", encoding="utf-8") as fh:
-        first = fh.readline().splitlines()  # the text's first line, however it ends
-        if not first:
-            raise ParseError(f"{path}:1: empty dataset file (missing header record)")
-        header = _parse_json_line(first[0], 1, path, "header")
-        version = header.get("schema_version")
-        if not (is_count(version) and version == SCHEMA_VERSION):
-            raise VersionMismatch(f"{path}: schema_version {version!r}, "
-                                  f"supported {SCHEMA_VERSION}")
-        records = _read_sidecar(path, header)
-        if records is None:
-            fh.seek(0)
-            records = _parse_frames(path, fh.read().splitlines(), header)
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            first = fh.readline().splitlines()  # the text's first line, however it ends
+            if not first:
+                raise ParseError(f"{path}:1: empty dataset file (missing header record)")
+            header = _parse_json_line(first[0], 1, path, "header")
+            version = header.get("schema_version")
+            if not (is_count(version) and version == SCHEMA_VERSION):
+                raise VersionMismatch(f"{path}: schema_version {version!r}, "
+                                      f"supported {SCHEMA_VERSION}")
+            records = _read_sidecar(path, header)
+            if records is None:
+                fh.seek(0)
+                records = _parse_frames(path, fh.read().splitlines(), header)
+    except UnicodeDecodeError:
+        raise _not_utf8(path) from None
     try:
         camera = _camera_from(header["camera"])
         geometry = _geometry_from(header["geometry"])
@@ -406,9 +466,9 @@ def _sha256(path) -> bytes:
     return digest.digest()
 
 
-def _write_sidecar(records: RunRecords, path) -> None:
-    """Write the sidecar of a dataset file: the sha256 of its bytes, and the
-    columns and robot ids its text holds (with no frames, no robots)."""
+def _write_sidecar(records: RunRecords, path, sha256: bytes) -> None:
+    """Write the sidecar of a dataset file: `sha256`, the digest of its bytes,
+    and the columns and robot ids its text holds (with no frames, no robots)."""
     sidecar = _sidecar_path(path)
     if sidecar is None:
         return
@@ -417,7 +477,7 @@ def _write_sidecar(records: RunRecords, path) -> None:
     columns["positions"] = records.positions.reshape(len(records), len(ids), 3)
     columns["quats"] = records.quats.reshape(len(records), len(ids), 4)
     # a numpy string drops its trailing NULs, so the ids are kept as JSON bytes
-    np.savez(sidecar, sha256=np.frombuffer(_sha256(path), dtype=np.uint8),
+    np.savez(sidecar, sha256=np.frombuffer(sha256, dtype=np.uint8),
              robot_ids=np.frombuffer(json.dumps(ids).encode(), dtype=np.uint8), **columns)
 
 
@@ -455,6 +515,15 @@ def _read_sidecar(path, header: dict) -> RunRecords | None:
 # ---------------------------------------------------------------------------
 # Label export
 
+def _label_lines(records: RunRecords) -> str:
+    """The label lines of a `bbox` label file, formatted straight from the
+    columns: each frame's neighbor objects as the dataset file holds them."""
+    return "".join([
+        '{"record": "labels", "frame_id": %d, "labels": [%s]}\n' % labels
+        for labels in zip(records.frame_ids.tolist(), _frame_neighbors(records))
+    ])
+
+
 def export_labels(records: RunRecords, mode: str, path,
                   intr: CameraIntrinsics | None = None) -> None:
     """Per-frame training labels of a run: its neighbor objects as the
@@ -463,16 +532,14 @@ def export_labels(records: RunRecords, mode: str, path,
         raise ValueError(f"unknown label mode {mode!r}")
     if mode == "grid" and intr is None:
         raise ValueError("grid labels need camera intrinsics for the stride mapping")
+    header = {"record": "header", "schema_version": SCHEMA_VERSION, "mode": mode}
+    if mode == "bbox":
+        with open(path, "wb") as fh:
+            _write_frames(fh, json.dumps(header) + "\n", records, _label_lines)
+        return
+    header.update(rows=DEFAULT_GRID_ROWS, cols=DEFAULT_GRID_COLS)
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        header = {"record": "header", "schema_version": SCHEMA_VERSION, "mode": mode}
-        if mode == "grid":
-            header.update(rows=DEFAULT_GRID_ROWS, cols=DEFAULT_GRID_COLS)
         fh.write(json.dumps(header) + "\n")
-        if mode == "bbox":
-            fh.writelines('{"record": "labels", "frame_id": %d, "labels": [%s]}\n' % labels
-                          for labels in zip(records.frame_ids.tolist(),
-                                            _frame_neighbors(records)))
-            return
         for ann in records.annotations():
             gmap = encode_grid(ann, intr)
             cells = [[int(r), int(c), float(gmap.confidence[r, c]), float(gmap.depth[r, c])]
@@ -488,19 +555,23 @@ def _numeric_rows(path, columns: list[str], first: int):
     """Each data row of a CSV log whose header is `columns`: its line number,
     its fields before column `first`, and the rest as finite floats.
     ParseError or NonFiniteValue names the line of a bad row."""
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        reader = csv.DictReader(fh)
-        if reader.fieldnames is None or [c.strip() for c in reader.fieldnames] != columns:
-            raise ParseError(f"{path}: header row must be '{','.join(columns)}'")
-        reader.fieldnames = columns
-        for row in reader:
-            try:
-                values = [float(row[c]) for c in columns[first:]]
-            except (TypeError, ValueError) as exc:
-                raise ParseError(f"{path}:{reader.line_num}: non-numeric field: {exc}") from exc
-            if not all(math.isfinite(v) for v in values):
-                raise NonFiniteValue(f"{path}:{reader.line_num}: non-finite value")
-            yield reader.line_num, [row[c] for c in columns[:first]], values
+    try:
+        with open(path, "r", encoding="utf-8", newline="") as fh:
+            reader = csv.DictReader(fh)
+            if reader.fieldnames is None or [c.strip() for c in reader.fieldnames] != columns:
+                raise ParseError(f"{path}: header row must be '{','.join(columns)}'")
+            reader.fieldnames = columns
+            for row in reader:
+                line_no = reader.line_num
+                try:
+                    values = [float(row[c]) for c in columns[first:]]
+                except (TypeError, ValueError) as exc:
+                    raise ParseError(f"{path}:{line_no}: non-numeric field: {exc}") from exc
+                if not all(math.isfinite(v) for v in values):
+                    raise NonFiniteValue(f"{path}:{line_no}: non-finite value")
+                yield line_no, [row[c] for c in columns[:first]], values
+    except UnicodeDecodeError:
+        raise _not_utf8(path, csv_lines=True) from None
 
 
 def ingest_pose_log(path) -> list[PoseTrack]:

@@ -327,6 +327,18 @@ class TestDownwashEval:
         path.write_text('{"record": "header", "schema_version": 1}\nnot json\n')
         assert main(["downwash-eval", "--dataset", str(path), "--oracle",
                      "--out", str(tmp_path / "e")]) == 3
+        assert not (tmp_path / "e" / "manifest.json").exists()
+
+    def test_non_utf8_dataset_exits_3_naming_line(self, tmp_path, capsys):
+        dataset = self.simulate(tmp_path)
+        lines = dataset.read_bytes().split(b"\n")
+        lines[5] = lines[5].replace(b'"r1"', b'"r\xff"', 1)
+        dataset.write_bytes(b"\n".join(lines))
+        capsys.readouterr()
+        assert main(["downwash-eval", "--dataset", str(dataset), "--oracle",
+                     "--out", str(tmp_path / "e")]) == 3
+        assert f"{dataset}:6: not UTF-8 text" in capsys.readouterr().err
+        assert not (tmp_path / "e" / "manifest.json").exists()
 
     def test_non_finite_ellipsoid_override_exits_2(self, tmp_path, capsys):
         dataset = self.simulate(tmp_path)
@@ -485,6 +497,7 @@ class TestDownwashEval:
         assert main(["downwash-eval", "--dataset", str(dataset), "--oracle",
                      "--out", str(tmp_path / "e")]) == 3
         assert f"{dataset}:5: malformed frame record" in capsys.readouterr().err
+        assert not (tmp_path / "e" / "manifest.json").exists()
 
     def edit_neighbor_frame(self, tmp_path, edit) -> tuple:
         """The dataset of `simulate` with `edit` applied in place to the
@@ -533,6 +546,7 @@ class TestDownwashEval:
         assert main(["downwash-eval", "--dataset", str(dataset), "--oracle",
                      "--out", str(tmp_path / "e")]) == 3
         assert f"{dataset}:{line_no}: malformed frame record" in capsys.readouterr().err
+        assert not (tmp_path / "e" / "manifest.json").exists()
 
     @pytest.mark.parametrize("mode", ["oracle", "box"])
     @pytest.mark.parametrize("key,path,text", [

@@ -1,8 +1,10 @@
 """File format round trips, log ingestion, and time-offset estimation."""
 
 import dataclasses
+import hashlib
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -168,6 +170,19 @@ class TestDatasetRoundTrip:
         with pytest.raises(ParseError):
             read_dataset(path)
 
+    @pytest.mark.parametrize("sidecar", [True, False], ids=["sidecar", "text"])
+    @pytest.mark.parametrize("line_no", [1, 6])
+    def test_non_utf8_byte_names_its_line(self, tmp_path, sidecar, line_no):
+        path = tmp_path / "data.ndjson"
+        write_dataset(random_dataset(np.random.default_rng(2), 8), path)
+        if not sidecar:
+            sidecar_of(path).unlink()
+        lines = path.read_bytes().split(b"\n")
+        lines[line_no - 1] = lines[line_no - 1].replace(b'"record"', b'"rec\xffrd"', 1)
+        path.write_bytes(b"\n".join(lines))
+        with pytest.raises(ParseError, match=re.escape(f"{path}:{line_no}: not UTF-8")):
+            read_dataset(path)
+
     def test_frame_count_mismatch(self, tmp_path):
         dataset = random_dataset(np.random.default_rng(4), 3)
         path = tmp_path / "data.ndjson"
@@ -214,18 +229,28 @@ def header_only_dataset(tmp_path):
     return path
 
 
+# Datasets written by `write_dataset`, each made by a function of tmp_path.
+written_datasets = pytest.mark.parametrize("make", [
+    lambda tmp_path: simulated_dataset(tmp_path, "swap", "up", 0.0),
+    lambda tmp_path: simulated_dataset(tmp_path, "hover_orbit", "tilt45", -0.08),
+    lambda tmp_path: simulated_dataset(tmp_path, "random_waypoint", "forward", 0.05),
+    header_only_dataset,
+    nul_id_dataset,
+], ids=["swap-up", "orbit-tilt45-barrel", "waypoint-forward", "header-only", "nul-ids"])
+
+
 class TestColumnSidecar:
     """`write_dataset` writes `<name>.npz` next to the file; `read_dataset`
     takes the columns from it only when it records the file's sha256 and its
     columns pass the text parser's checks."""
 
-    @pytest.mark.parametrize("make", [
-        lambda tmp_path: simulated_dataset(tmp_path, "swap", "up", 0.0),
-        lambda tmp_path: simulated_dataset(tmp_path, "hover_orbit", "tilt45", -0.08),
-        lambda tmp_path: simulated_dataset(tmp_path, "random_waypoint", "forward", 0.05),
-        header_only_dataset,
-        nul_id_dataset,
-    ], ids=["swap-up", "orbit-tilt45-barrel", "waypoint-forward", "header-only", "nul-ids"])
+    @written_datasets
+    def test_recorded_sha256_is_that_of_the_file_bytes(self, tmp_path, make):
+        path = make(tmp_path)
+        with np.load(sidecar_of(path)) as npz:
+            assert npz["sha256"].tobytes() == hashlib.sha256(path.read_bytes()).digest()
+
+    @written_datasets
     def test_sidecar_columns_equal_the_text_columns_bitwise(self, tmp_path, text_reads, make):
         path = make(tmp_path)
         from_sidecar = read_dataset(path)
@@ -339,6 +364,96 @@ class TestColumnSidecar:
         assert text_reads == [path]
 
 
+def special_values_dataset() -> Dataset:
+    """Seven frames whose floats include -0.0 next to 0.0, the smallest
+    subnormal and 1e300, repeated across robots, frames and columns; frames
+    0, 2, 3 and 6 see no neighbor."""
+    tiny, huge = 5e-324, 1e300
+    quats = [(1.0, 0.0, -0.0, 0.0), (-0.0, 1.0, 0.0, -0.0), (0.0, -0.0, 0.0, 1.0)]
+    positions = [(-0.0, 0.0, tiny), (huge, -huge, -0.0), (-0.0, 0.0, tiny)]
+    seen = (1, (-0.0, 0.0, tiny), (0.0, -0.0), (-0.0, 0.0, 0.0, huge))
+    rows = {1: [seen, (2, (0.0, -0.0, huge), (-0.0, -0.0), (0.0, -0.0, tiny, tiny))],
+            4: [(2, (tiny, -tiny, tiny), (huge, 0.0), (-0.0, -0.0, -0.0, -0.0))],
+            5: [seen, (2, (-huge, huge, 1.0), (tiny, -0.0), (-huge, -tiny, -0.0, huge))]}
+    timestamps = [-0.0, 0.0, tiny, tiny, huge, 0.0, -0.0]
+    frames = [(3 * k, t, positions[k % 3:] + positions[:k % 3], quats[k % 2:] + quats[:k % 2],
+               rows.get(k, [])) for k, t in enumerate(timestamps)]
+    return Dataset(camera=camera_for_pitch("up"), geometry=DEFAULT_ROBOT_GEOMETRY,
+                   ellipsoid=EllipsoidSpec(0.15, 0.15, 0.3),
+                   records=run_records(("r0", "r1", "r2"), frames))
+
+
+def written_bytes(directory, dataset: Dataset) -> list[bytes]:
+    """The dataset file, its sidecar and its `bbox` label file, as written
+    into `directory`."""
+    directory.mkdir()
+    write_dataset(dataset, directory / "data.ndjson")
+    export_labels(dataset.records, "bbox", directory / "labels.ndjson")
+    return [(directory / name).read_bytes()
+            for name in ("data.ndjson", "data.npz", "labels.ndjson")]
+
+
+def frame_counts(monkeypatch, name: str) -> list[int]:
+    """The frame count of each call to the formatter `datasets.<name>`."""
+    counts, formatter = [], getattr(datasets, name)
+
+    def spy(records):
+        counts.append(len(records))
+        return formatter(records)
+
+    monkeypatch.setattr(datasets, name, spy)
+    return counts
+
+
+class TestWriterFormat:
+    """The writer formats each distinct float bit pattern once and writes
+    in chunks of at most `WRITE_FRAMES` frames; neither shows in the bytes."""
+
+    def test_lines_are_json_dumps_of_themselves(self, tmp_path):
+        path = tmp_path / "data.ndjson"
+        write_dataset(special_values_dataset(), path)
+        lines = path.read_text(encoding="utf-8").split("\n")
+        assert lines[-1] == "" and len(lines) == 9
+        for line in lines[:-1]:
+            assert json.dumps(json.loads(line)) == line
+        assert '"bbox": [-0.0, 0.0, 0.0, 1e+300]' in lines[2]
+        assert '"t": [-0.0, 0.0, 5e-324]' in lines[1]
+
+    def test_text_columns_are_the_written_bits(self, tmp_path, text_reads):
+        # -0.0 and 0.0 are equal floats: a dedup keyed on equality would
+        # write one for the other
+        dataset = special_values_dataset()
+        path = tmp_path / "data.ndjson"
+        write_dataset(dataset, path)
+        sidecar_of(path).unlink()
+        assert_columns_bitwise_equal(read_dataset(path).records, dataset.records)
+        assert text_reads == [path]
+
+    @pytest.mark.parametrize("make", [
+        special_values_dataset,
+        lambda: random_dataset(np.random.default_rng(5), 101),
+    ], ids=["special-values", "random"])
+    @pytest.mark.parametrize("frames", [1, 2, 3])
+    def test_chunk_size_does_not_change_the_bytes(self, tmp_path, monkeypatch, make, frames):
+        dataset = make()
+        default = written_bytes(tmp_path / "default", dataset)
+        monkeypatch.setattr(datasets, "WRITE_FRAMES", frames)
+        assert written_bytes(tmp_path / "chunked", dataset) == default
+
+    @pytest.mark.parametrize("frames", [2, 3, 256])
+    def test_no_formatter_call_gets_more_than_write_frames(self, tmp_path, monkeypatch,
+                                                          frames):
+        monkeypatch.setattr(datasets, "WRITE_FRAMES", frames)
+        lines, neighbors = (frame_counts(monkeypatch, name)
+                            for name in ("_frame_lines", "_frame_neighbors"))
+        dataset = random_dataset(np.random.default_rng(6), 600)
+        written_bytes(tmp_path / "out", dataset)
+        # the dataset's lines and the label file's each format every frame once
+        assert sum(lines) == 600 and sum(neighbors) == 2 * 600
+        assert max(lines + neighbors) <= frames
+        assert len(lines) == -(-600 // frames)
+
+
 class TestExportLabels:
     def frame(self, rows, frame_id=0) -> RunRecords:
         """The columns of one frame whose ego r0 sees the neighbor rows
@@ -427,6 +542,13 @@ class TestPoseLog:
         path = tmp_path / "poses.csv"
         path.write_text("robot_id,t,x,y,z,qw,qx,qy,qz\nr0,0.0,oops,0,0,1,0,0,0\n")
         with pytest.raises(ParseError, match=":2"):
+            ingest_pose_log(path)
+
+    def test_non_utf8_byte_names_its_line(self, tmp_path):
+        path = tmp_path / "poses.csv"
+        path.write_bytes(b"robot_id,t,x,y,z,qw,qx,qy,qz\nr0,0,0,0,0,1,0,0,0\n"
+                         b"r\xff,1,0,0,0,1,0,0,0\n")
+        with pytest.raises(ParseError, match=re.escape(f"{path}:3: not UTF-8")):
             ingest_pose_log(path)
 
 
@@ -555,6 +677,21 @@ class TestTimeOffset:
         path = tmp_path / "gyro.csv"
         path.write_text("t, gx, gy, gz\n0.0,1,2,3\n0.1,1,2,3\n\n0.2,x,2,3\n")
         with pytest.raises(ParseError, match=":5: non-numeric"):
+            read_gyro_log(path)
+
+    @pytest.mark.parametrize("text", [
+        b"t,gx,gy,gz\n0.0,1,2,3\n0.1,1,2,3\n0.2,BAD,2,3\n",
+        b"t,gx,gy,gz\r\n0.0,1,2,3\r0.1,1,2,3\x0c\n\n0.2,BAD,2,3\n",
+    ], ids=["lf", "crlf-cr-formfeed"])
+    def test_gyro_log_non_utf8_byte_names_the_readers_line(self, tmp_path, text):
+        # the line a non-numeric field at the same place is reported on
+        path = tmp_path / "gyro.csv"
+        path.write_bytes(text.replace(b"BAD", b"x"))
+        with pytest.raises(ParseError, match=r":(\d+): non-numeric") as numeric:
+            read_gyro_log(path)
+        line_no = re.search(r":(\d+): non-numeric", str(numeric.value)).group(1)
+        path.write_bytes(text.replace(b"BAD", b"\xff"))
+        with pytest.raises(ParseError, match=re.escape(f"{path}:{line_no}: not UTF-8")):
             read_gyro_log(path)
 
     def test_gyro_log_round_trip(self, tmp_path):
