@@ -303,7 +303,12 @@ class FrameRecord:
     quats: np.ndarray
 
 
-_INDEX_COLUMNS = ("frame_ids", "owner", "robot")
+# The dtype of each `RunRecords` column.
+COLUMN_DTYPES = {
+    "frame_ids": np.int64, "timestamps": np.float64, "positions": np.float64,
+    "quats": np.float64, "owner": np.int64, "robot": np.int64,
+    "rel_positions": np.float64, "centers": np.float64, "bboxes": np.float64,
+}
 
 
 @dataclass(eq=False)
@@ -341,8 +346,7 @@ class RunRecords:
             "centers": (n_rows, 2), "bboxes": (n_rows, 4),
         }
         for name, shape in shapes.items():
-            column = np.asarray(getattr(self, name),
-                                dtype=np.int64 if name in _INDEX_COLUMNS else float)
+            column = np.asarray(getattr(self, name), dtype=COLUMN_DTYPES[name])
             if column.shape != shape:
                 raise ValueError(f"{name} has shape {column.shape}, expected {shape}")
             setattr(self, name, column)

@@ -15,6 +15,7 @@ import json
 import math
 import sys
 from dataclasses import replace
+from functools import partial
 from pathlib import Path
 
 from . import __version__
@@ -34,7 +35,7 @@ from .datasets import (
 from .downwash import Cell, EllipsoidSpec, evaluate_cells, evaluate_downwash_records
 from .errors import InvalidConfig, SpincamError
 from .metrics import ConfusionCounts, classification_metrics
-from .scenarios import CAMERA_PITCHES, frame_schedule, generate_scenario
+from .scenarios import frame_schedule, generate_scenario
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -122,28 +123,34 @@ def _downwash_eval(args) -> int:
     return EXIT_OK
 
 
-def _parse_rates(text: str) -> list[float]:
-    try:
-        return [float(p) for p in text.split(",") if p]
-    except ValueError as exc:
-        raise InvalidConfig(f"--yaw-rates: {exc}") from exc
+def _flag_values(flag: str, text: str, parse) -> list:
+    """The comma-separated values of a list flag, each through `parse`;
+    InvalidConfig names the flag and the value that `parse` rejects, or the
+    flag's text when it lists no value."""
+    values = []
+    for item in filter(None, map(str.strip, text.split(","))):
+        try:
+            values.append(parse(item))
+        except ValueError as exc:  # InvalidConfig is one
+            raise InvalidConfig(f"{flag} {item}: {exc}") from exc
+    if not values:
+        raise InvalidConfig(f"{flag} {text!r}: lists no value")
+    return values
 
 
-def _parse_pitches(text: str) -> list[str]:
-    pitches = [p.strip() for p in text.split(",") if p.strip()]
-    for pitch in pitches:
-        if pitch not in CAMERA_PITCHES:
-            raise InvalidConfig(f"unknown camera pitch {pitch!r}")
-    return pitches
+def _yaw_rate(scenario, text: str) -> float:
+    """A --yaw-rates value, checked as the scenario's own yaw_rate is."""
+    rate = float(text)
+    replace(scenario, yaw_rate=rate).validate()
+    return rate
 
 
 def _benchmark(args) -> int:
     mode, noise = _eval_mode(args)
     spec = load_simulation_config(args.config)
-    rates = _parse_rates(args.yaw_rates)
-    pitches = _parse_pitches(args.pitches)
-    cameras = [camera_for_pitch(pitch, spec.camera.intrinsics, spec.camera.translation)
-               for pitch in pitches]
+    rates = _flag_values("--yaw-rates", args.yaw_rates, partial(_yaw_rate, spec.scenario))
+    cameras = _flag_values("--pitches", args.pitches, partial(
+        camera_for_pitch, intrinsics=spec.camera.intrinsics, translation=spec.camera.translation))
     base = spec.scenario if args.seed is None else replace(spec.scenario, rng_seed=args.seed)
 
     def cells():
@@ -157,10 +164,10 @@ def _benchmark(args) -> int:
 
     results = evaluate_cells(cells(), base.ellipsoid, spec.geometry, mode, noise)
     rows = []
-    for (rate, pitch), (gt, pred) in zip(itertools.product(rates, pitches), results):
+    for (rate, camera), (gt, pred) in zip(itertools.product(rates, cameras), results):
         counts = ConfusionCounts.from_pairs(zip(gt.tolist(), pred.tolist()))
         precision, recall, f1 = classification_metrics(counts)
-        rows.append((rate, pitch, f1, precision, recall, counts))
+        rows.append((rate, camera.pitch_label, f1, precision, recall, counts))
 
     out_dir = Path(args.out)
     _write_manifest(out_dir, "benchmark", args, ["benchmark.csv"])

@@ -22,6 +22,7 @@ from typing import Iterator, Sequence
 import numpy as np
 
 from .camera import (
+    COLUMN_DTYPES,
     DEFAULT_INTRINSICS,
     CameraIntrinsics,
     CameraModel,
@@ -129,18 +130,14 @@ def _loads_finite(text: str):
         raise _NonFiniteNumber(f"{where} must be finite, got {exc}") from None
 
 
-def _not_utf8(path, csv_lines: bool = False) -> ParseError:
-    """A ParseError naming the line of the first byte of a file that is not
-    UTF-8, its lines counted as a CSV reader counts them or, by default, as
-    `str.splitlines` does."""
-    data = Path(path).read_bytes()
+def _line_text(line: bytes, line_no: int, path) -> str:
+    """A line of a text file decoded as UTF-8; ParseError names the line if
+    it is not UTF-8."""
     try:
-        data.decode("utf-8")
+        return line.decode("utf-8")
     except UnicodeDecodeError as exc:
-        head = data[:exc.start] + b"-"  # so the bad byte's line is the last one
-        line_no = len(head.splitlines() if csv_lines else head.decode("utf-8").splitlines())
-        return ParseError(f"{path}:{line_no}: not UTF-8 text: byte {exc.start}: {exc.reason}")
-    return ParseError(f"{path}: not UTF-8 text")
+        raise ParseError(f"{path}:{line_no}: not UTF-8 text: byte {exc.start} of the line: "
+                         f"{exc.reason}") from None
 
 
 # ---------------------------------------------------------------------------
@@ -284,12 +281,6 @@ def _parse_json_line(line: str, line_no: int, path, kind: str) -> dict:
     return obj
 
 
-def _reject(path, row_lines, failure: tuple[int, str] | None) -> None:
-    """ParseError naming the line of a failed row check's (row, reason)."""
-    if failure is not None:
-        raise ParseError(f"{path}:{row_lines[failure[0]]}: malformed frame record: {failure[1]}")
-
-
 def _float_rows(path, row_lines, rows: list, shape: tuple, name: str) -> np.ndarray:
     """JSON numbers, each row of the given shape, as a float array
     (N, *shape); ParseError names the line of the first row that is not."""
@@ -310,15 +301,26 @@ def _float_rows(path, row_lines, rows: list, shape: tuple, name: str) -> np.ndar
                      f"{name} must be {what}, got {rows[row]!r}")
 
 
-def _neighbor_checks(rel_positions, centers, bboxes) -> dict[str, np.ndarray]:
-    """The value checks on neighbor rows, as `first_failure` takes them."""
-    return {
-        "neighbor values must be finite":
-            np.isfinite(np.concatenate([rel_positions, centers, bboxes], axis=1)).all(axis=1),
-        "rel_position depth must be positive": rel_positions[:, 2] > 0.0,
-        "bbox corners must be ordered":
-            (bboxes[:, 0] <= bboxes[:, 2]) & (bboxes[:, 1] <= bboxes[:, 3]),
-    }
+def _invalid_rows(records: RunRecords, pose_times: np.ndarray) -> tuple[tuple | None, ...]:
+    """The first frame row, pose row and neighbor row of `records` that fail
+    a value check, each as `first_failure` gives it. Pose row k is robot
+    k % R of frame row k // R, and `pose_times[k]` is its time."""
+    first_of_id = np.zeros(len(records), dtype=bool)
+    first_of_id[np.unique(records.frame_ids, return_index=True)[1]] = True
+    rel_positions, bboxes = records.rel_positions, records.bboxes
+    neighbor_values = np.concatenate([rel_positions, records.centers, bboxes], axis=1)
+    return (
+        first_failure({"frame_id must be non-negative": records.frame_ids >= 0,
+                       "frame_id repeats an earlier frame's": first_of_id}),
+        invalid_pose_row(pose_times, records.positions.reshape(-1, 3),
+                         records.quats.reshape(-1, 4)),
+        first_failure({
+            "neighbor values must be finite": np.isfinite(neighbor_values).all(axis=1),
+            "rel_position depth must be positive": rel_positions[:, 2] > 0.0,
+            "bbox corners must be ordered":
+                (bboxes[:, 0] <= bboxes[:, 2]) & (bboxes[:, 1] <= bboxes[:, 3]),
+        }),
+    )
 
 
 def _announces(header: dict, n_frames: int) -> bool:
@@ -327,7 +329,7 @@ def _announces(header: dict, n_frames: int) -> bool:
     return expected is None or (is_count(expected) and expected == n_frames)
 
 
-def _parse_frames(path, lines: list[str], header: dict) -> RunRecords:
+def _parse_frames(path, lines: list[bytes], header: dict) -> RunRecords:
     """The columns of the frame lines of a dataset file whose lines are
     `lines`; ParseError names the line of a malformed record."""
     ids, index = (), {}
@@ -335,9 +337,10 @@ def _parse_frames(path, lines: list[str], header: dict) -> RunRecords:
     times, translations, rotations = [], [], []
     robot, rel_positions, centers, bboxes = [], [], [], []
     for line_no, line in enumerate(lines[1:], start=2):
-        if not line.strip():
+        text = _line_text(line, line_no, path)
+        if not text.strip():
             continue
-        obj = _parse_json_line(line, line_no, path, "frame")
+        obj = _parse_json_line(text, line_no, path, "frame")
         try:
             ego, poses, neighbors = obj["ego_id"], obj["poses"], obj["neighbors"]
             if not (isinstance(poses, dict) and isinstance(neighbors, list)):
@@ -377,27 +380,28 @@ def _parse_frames(path, lines: list[str], header: dict) -> RunRecords:
     if not _announces(header, len(frame_lines)):
         raise ParseError(f"{path}: header announces {header['frame_count']} frames but file "
                          f"holds {len(frame_lines)}")
-    first_of_id = np.zeros(len(frame_ids), dtype=bool)
-    first_of_id[np.unique(np.array(frame_ids, dtype=np.int64), return_index=True)[1]] = True
-    _reject(path, frame_lines, first_failure({"frame_id repeats an earlier frame's": first_of_id}))
     pose_lines = np.repeat(frame_lines, len(ids))
     pose_times, positions, quats = (
         _float_rows(path, pose_lines, rows, shape, name)
         for rows, shape, name in ((times, (), "time"), (translations, (3,), "t"),
                                   (rotations, (4,), "q")))
-    _reject(path, pose_lines, invalid_pose_row(pose_times, positions, quats))
     row_lines = np.repeat(frame_lines, counts)
     rel_positions, centers, bboxes = (
         _float_rows(path, row_lines, rows, (width,), name)
         for rows, width, name in ((rel_positions, 3, "rel_position"), (centers, 2, "center"),
                                   (bboxes, 4, "bbox")))
-    _reject(path, row_lines, first_failure(_neighbor_checks(rel_positions, centers, bboxes)))
     n_frames = len(frame_lines)
-    return RunRecords(
+    records = RunRecords(
         frame_ids, timestamps, ids, positions.reshape(n_frames, len(ids), 3),
         quats.reshape(n_frames, len(ids), 4), np.repeat(np.arange(n_frames), counts), robot,
         rel_positions, centers, bboxes,
     )
+    for lines_of_rows, failure in zip((frame_lines, pose_lines, row_lines),
+                                      _invalid_rows(records, pose_times)):
+        if failure is not None:
+            raise ParseError(f"{path}:{lines_of_rows[failure[0]]}: malformed frame record: "
+                             f"{failure[1]}")
+    return records
 
 
 def read_dataset(path) -> Dataset:
@@ -409,25 +413,24 @@ def read_dataset(path) -> Dataset:
     finite. A pose's `time` is checked but not kept: it is its frame's
     timestamp, as `write_dataset` writes it.
 
-    The header line is always parsed; the frames come from the file's column
-    sidecar if `_read_sidecar` accepts it, and otherwise from the text.
+    The file's bytes are read once. Its lines are the `bytes.splitlines`
+    ones (LF, CRLF or CR ends them, a Unicode line separator does not), each
+    decoded as UTF-8 where it is parsed. The header line is always parsed;
+    the frames come from the column sidecar if `_read_sidecar` accepts it,
+    and otherwise from the text.
     """
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            first = fh.readline().splitlines()  # the text's first line, however it ends
-            if not first:
-                raise ParseError(f"{path}:1: empty dataset file (missing header record)")
-            header = _parse_json_line(first[0], 1, path, "header")
-            version = header.get("schema_version")
-            if not (is_count(version) and version == SCHEMA_VERSION):
-                raise VersionMismatch(f"{path}: schema_version {version!r}, "
-                                      f"supported {SCHEMA_VERSION}")
-            records = _read_sidecar(path, header)
-            if records is None:
-                fh.seek(0)
-                records = _parse_frames(path, fh.read().splitlines(), header)
-    except UnicodeDecodeError:
-        raise _not_utf8(path) from None
+    data = Path(path).read_bytes()
+    if not data:
+        raise ParseError(f"{path}:1: empty dataset file (missing header record)")
+    # a sidecar read splits off the header line alone
+    end = min((k for k in (data.find(b"\n"), data.find(b"\r")) if k >= 0), default=len(data))
+    header = _parse_json_line(_line_text(data[:end], 1, path), 1, path, "header")
+    version = header.get("schema_version")
+    if not (is_count(version) and version == SCHEMA_VERSION):
+        raise VersionMismatch(f"{path}: schema_version {version!r}, supported {SCHEMA_VERSION}")
+    records = _read_sidecar(path, header, data)
+    if records is None:
+        records = _parse_frames(path, data.splitlines(), header)
     try:
         camera = _camera_from(header["camera"])
         geometry = _geometry_from(header["geometry"])
@@ -441,29 +444,11 @@ def read_dataset(path) -> Dataset:
 # Column sidecars: a cache of a dataset file's RunRecords columns, keyed by
 # the sha256 of its bytes
 
-_SIDECAR_COLUMNS = {
-    "frame_ids": np.int64, "timestamps": np.float64, "positions": np.float64,
-    "quats": np.float64, "owner": np.int64, "robot": np.int64,
-    "rel_positions": np.float64, "centers": np.float64, "bboxes": np.float64,
-}
-
-
 def _sidecar_path(path) -> Path | None:
     """The column sidecar of a dataset file: its path with the suffix `.npz`,
     or None when that is the file itself."""
     sidecar = Path(path).with_suffix(".npz")
     return None if sidecar == Path(path) else sidecar
-
-
-def _sha256(path) -> bytes:
-    """The sha256 digest of a file's bytes, read in chunks."""
-    import hashlib  # it maps OpenSSL: only runs that write or read a dataset load it
-
-    digest = hashlib.sha256()
-    with open(path, "rb") as fh:
-        for chunk in iter(lambda: fh.read(1 << 16), b""):
-            digest.update(chunk)
-    return digest.digest()
 
 
 def _write_sidecar(records: RunRecords, path, sha256: bytes) -> None:
@@ -473,7 +458,7 @@ def _write_sidecar(records: RunRecords, path, sha256: bytes) -> None:
     if sidecar is None:
         return
     ids = records.robot_ids if len(records) else ()
-    columns = {name: getattr(records, name) for name in _SIDECAR_COLUMNS}
+    columns = {name: getattr(records, name) for name in COLUMN_DTYPES}
     columns["positions"] = records.positions.reshape(len(records), len(ids), 3)
     columns["quats"] = records.quats.reshape(len(records), len(ids), 4)
     # a numpy string drops its trailing NULs, so the ids are kept as JSON bytes
@@ -481,34 +466,32 @@ def _write_sidecar(records: RunRecords, path, sha256: bytes) -> None:
              robot_ids=np.frombuffer(json.dumps(ids).encode(), dtype=np.uint8), **columns)
 
 
-def _read_sidecar(path, header: dict) -> RunRecords | None:
-    """The columns of a dataset file from its sidecar, or None unless the
-    sidecar loads without pickle, records the sha256 of the file's bytes, and
-    holds columns of these dtypes that pass every check the text parser makes."""
+def _read_sidecar(path, header: dict, data: bytes) -> RunRecords | None:
+    """The columns of a dataset file whose bytes are `data` from its sidecar,
+    or None unless the sidecar loads without pickle, records the sha256 of
+    `data`, and holds columns of the `RunRecords` dtypes that pass every
+    check the text parser makes."""
+    import hashlib  # it maps OpenSSL: only runs that write or read a dataset load it
+
     sidecar = _sidecar_path(path)
     if sidecar is None or not sidecar.is_file():
         return None
     try:
         with np.load(sidecar, allow_pickle=False) as npz:
-            arrays = {name: npz[name] for name in ("sha256", "robot_ids", *_SIDECAR_COLUMNS)}
+            arrays = {name: npz[name] for name in ("sha256", "robot_ids", *COLUMN_DTYPES)}
         ids = json.loads(arrays.pop("robot_ids").tobytes())
     except Exception:  # a damaged file fails in zipfile's, numpy's or json's own ways
         return None
-    if not (arrays.pop("sha256").tobytes() == _sha256(path)
+    if not (arrays.pop("sha256").tobytes() == hashlib.sha256(data).digest()
             and isinstance(ids, list) and all(isinstance(rid, str) for rid in ids)
-            and all(arrays[name].dtype == dtype for name, dtype in _SIDECAR_COLUMNS.items())):
+            and all(arrays[name].dtype == dtype for name, dtype in COLUMN_DTYPES.items())):
         return None
     try:
         records = RunRecords(robot_ids=ids, **arrays)
     except ValueError:  # not the RunRecords layout
         return None
     pose_times = np.repeat(records.timestamps, len(records.robot_ids))
-    valid = (_announces(header, len(records)) and np.all(records.frame_ids >= 0)
-             and len(np.unique(records.frame_ids)) == len(records)
-             and invalid_pose_row(pose_times, records.positions.reshape(-1, 3),
-                                  records.quats.reshape(-1, 4)) is None
-             and first_failure(_neighbor_checks(records.rel_positions, records.centers,
-                                                records.bboxes)) is None)
+    valid = _announces(header, len(records)) and not any(_invalid_rows(records, pose_times))
     return records if valid else None
 
 
@@ -571,7 +554,10 @@ def _numeric_rows(path, columns: list[str], first: int):
                     raise NonFiniteValue(f"{path}:{line_no}: non-finite value")
                 yield line_no, [row[c] for c in columns[:first]], values
     except UnicodeDecodeError:
-        raise _not_utf8(path, csv_lines=True) from None
+        # the lines a CSV reader counts are the `bytes.splitlines` ones
+        for line_no, line in enumerate(Path(path).read_bytes().splitlines(), start=1):
+            _line_text(line, line_no, path)  # raises at the first line that is not UTF-8
+        raise ParseError(f"{path}: not UTF-8 text") from None
 
 
 def ingest_pose_log(path) -> list[PoseTrack]:

@@ -736,6 +736,42 @@ class TestBenchmark:
         assert main(["benchmark", "--config", str(swap_config), "--out", str(tmp_path / "b"),
                      "--pitches", "sideways", "--oracle"]) == 2
 
+    @pytest.mark.parametrize("flag,value,named", [
+        ("--yaw-rates", "nan", "--yaw-rates nan: yaw_rate must be finite"),
+        ("--yaw-rates", "-1", "--yaw-rates -1: yaw_rate must be non-negative"),
+        ("--yaw-rates", "1e308", "--yaw-rates 1e308: yaw_rate 1e+308 rad/s"),
+        ("--yaw-rates", "2,inf", "--yaw-rates inf: yaw_rate must be finite"),
+        ("--yaw-rates", "x", "--yaw-rates x: could not convert"),
+        ("--yaw-rates", "", "--yaw-rates '': lists no value"),
+        ("--yaw-rates", " , ", "--yaw-rates ' , ': lists no value"),
+        ("--pitches", "", "--pitches '': lists no value"),
+        ("--pitches", "up,sideways", "--pitches sideways: unknown camera pitch"),
+    ], ids=["nan", "negative", "too-fast", "inf", "not-a-number", "empty", "blank",
+            "no-pitch", "unknown-pitch"])
+    def test_bad_list_flag_exits_2_naming_flag_and_value(self, tmp_path, capsys, swap_config,
+                                                         flag, value, named):
+        out = tmp_path / "b"
+        capsys.readouterr()
+        assert main(["benchmark", "--config", str(swap_config), "--out", str(out),
+                     "--oracle", flag, value]) == 2
+        err = capsys.readouterr().err
+        assert named in err and str(swap_config) not in err
+        assert not out.exists()
+
+    def test_bad_config_yaw_rate_names_the_config(self, tmp_path, capsys):
+        config = write_config(tmp_path / "fast.json", yaw_rate=-1.0)
+        capsys.readouterr()
+        assert main(["benchmark", "--config", str(config), "--out", str(tmp_path / "b"),
+                     "--oracle", "--yaw-rates", "2"]) == 2
+        assert f"{config}: yaw_rate must be non-negative" in capsys.readouterr().err
+
+    def test_list_flags_skip_blank_items(self, tmp_path, swap_config):
+        out = tmp_path / "bench"
+        assert main(["benchmark", "--config", str(swap_config), "--out", str(out), "--oracle",
+                     "--yaw-rates", "2,, 4,", "--pitches", " up ,"]) == 0
+        rows = (out / "benchmark.csv").read_text().splitlines()[1:]
+        assert [row.split(",")[:2] for row in rows] == [["2.0", "up"], ["4.0", "up"]]
+
     @staticmethod
     def sweep(tmp_path, kind, k1, mode, out="bench"):
         """A 20 s sweep over yaw rates 0 and 6 and every pitch, with a

@@ -5,6 +5,7 @@ import hashlib
 import json
 import math
 import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -362,6 +363,126 @@ class TestColumnSidecar:
         np.savez(sidecar_of(path), **arrays)
         assert read_dataset(path).records.robot_ids == ("r0\x00", "r1\x00\x00", "r2")
         assert text_reads == [path]
+
+
+def dataset_file(tmp_path, dataset: Dataset):
+    path = tmp_path / "data.ndjson"
+    write_dataset(dataset, path)
+    return path
+
+
+def raw_unicode_copy(path, name: str):
+    """A copy of a dataset file whose lines are re-dumped with non-ASCII
+    characters written raw, not escaped."""
+    copy = path.with_name(name)
+    lines = path.read_text(encoding="utf-8").split("\n")
+    copy.write_text("\n".join(json.dumps(json.loads(line), ensure_ascii=False) if line else ""
+                              for line in lines), encoding="utf-8")
+    return copy
+
+
+class TestLineEnds:
+    """A dataset line ends at LF, CRLF or a lone CR, never at a Unicode line
+    separator (U+0085, U+2028, U+2029) held raw inside a JSON string."""
+
+    def test_raw_line_separator_in_header_reads_back(self, tmp_path, text_reads):
+        dataset = random_dataset(np.random.default_rng(6), 4)
+        dataset.camera = dataclasses.replace(dataset.camera, pitch_label="up\u2028")
+        path = raw_unicode_copy(dataset_file(tmp_path, dataset), "raw.ndjson")
+        assert "\u2028" in path.read_text(encoding="utf-8").split("\n")[0]
+        read = read_dataset(path)
+        assert read.camera.pitch_label == "up\u2028"
+        assert_columns_bitwise_equal(read.records, dataset.records)
+        assert text_reads == [path]
+
+    @pytest.mark.parametrize("separator", ["\x85", "\u2028", "\u2029"])
+    def test_raw_line_separator_in_frame_reads_back(self, tmp_path, text_reads, separator):
+        dataset = random_dataset(np.random.default_rng(7), 6)
+        dataset.records.robot_ids = ("r0", f"r1{separator}", f"r2{separator}x")
+        path = raw_unicode_copy(dataset_file(tmp_path, dataset), "raw.ndjson")
+        assert separator in path.read_text(encoding="utf-8").split("\n")[3]
+        assert_columns_bitwise_equal(read_dataset(path).records, dataset.records)
+        assert text_reads == [path]
+
+    @pytest.mark.parametrize("separator", ["\x85", "\u2028", "\u2029"])
+    def test_error_after_raw_separators_names_its_line(self, tmp_path, separator):
+        dataset = random_dataset(np.random.default_rng(7), 6)
+        dataset.camera = dataclasses.replace(dataset.camera, pitch_label=f"up{separator}")
+        dataset.records.robot_ids = ("r0", f"r1{separator}", f"r2{separator}x")
+        path = raw_unicode_copy(dataset_file(tmp_path, dataset), "raw.ndjson")
+        lines = path.read_bytes().split(b"\n")
+        lines[5] = lines[5][:len(lines[5]) // 2]
+        path.write_bytes(b"\n".join(lines))
+        with pytest.raises(ParseError, match=re.escape(f"{path}:6: invalid record")):
+            read_dataset(path)
+
+    @pytest.mark.parametrize("end", [b"\r\n", b"\r"], ids=["crlf", "cr"])
+    @written_datasets
+    def test_crlf_and_cr_files_read_the_lf_columns(self, tmp_path, text_reads, make, end):
+        path = make(tmp_path)
+        copy = path.with_name("copy.ndjson")
+        copy.write_bytes(path.read_bytes().replace(b"\n", end))
+        sidecar_of(path).unlink()
+        lf, other = read_dataset(path), read_dataset(copy)
+        assert text_reads == [path, copy]
+        assert_columns_bitwise_equal(other.records, lf.records)
+        assert other.camera.intrinsics == lf.camera.intrinsics
+
+    @pytest.mark.parametrize("end", ["\x0b", "\f", "\x1c", "\x1d", "\x1e", "\x85", "\u2028",
+                                     "\u2029"])
+    def test_unicode_line_ends_do_not_split_lines(self, tmp_path, end):
+        # two frame records on one line are one invalid record, named by its line
+        path = tmp_path / "data.ndjson"
+        write_dataset(random_dataset(np.random.default_rng(8), 5), path)
+        lines = path.read_text(encoding="utf-8").split("\n")
+        lines[2:4] = [lines[2] + end + lines[3]]
+        path.write_text("\n".join(lines), encoding="utf-8")
+        with pytest.raises(ParseError, match=re.escape(f"{path}:3: invalid record")):
+            read_dataset(path)
+
+
+@pytest.fixture
+def dataset_opens(monkeypatch) -> list:
+    """Records each file that `spincam.datasets` opens, through the `open` it
+    binds or through `Path.open`, which `Path.read_bytes` calls."""
+    opened, path_open = [], Path.open
+
+    def spy_path_open(self, *args, **kwargs):
+        opened.append(Path(self))
+        return path_open(self, *args, **kwargs)
+
+    def spy_open(file, *args, **kwargs):
+        opened.append(Path(file))
+        return open(file, *args, **kwargs)
+
+    monkeypatch.setattr(Path, "open", spy_path_open)
+    monkeypatch.setattr(datasets, "open", spy_open, raising=False)
+    return opened
+
+
+class TestOneRead:
+    """`read_dataset` opens the dataset file once, whichever way it reads it."""
+
+    @pytest.mark.parametrize("sidecar", [True, False], ids=["sidecar", "text"])
+    def test_dataset_file_is_opened_once(self, tmp_path, dataset_opens, text_reads, sidecar):
+        path = simulated_dataset(tmp_path, "swap", "up", 0.0)
+        if not sidecar:
+            sidecar_of(path).unlink()
+        dataset_opens.clear()
+        read_dataset(path)
+        assert dataset_opens.count(path) == 1
+        assert text_reads == ([] if sidecar else [path])
+
+    @pytest.mark.parametrize("sidecar", [True, False], ids=["sidecar", "text"])
+    def test_non_utf8_file_is_opened_once(self, tmp_path, dataset_opens, sidecar):
+        path = simulated_dataset(tmp_path, "swap", "up", 0.0)
+        if not sidecar:
+            sidecar_of(path).unlink()
+        path.write_bytes(path.read_bytes().replace(b'"r1"', b'"r\xff"', 3))
+        dataset_opens.clear()
+        with pytest.raises(ParseError, match=re.escape(f"{path}:2: not UTF-8")):
+            read_dataset(path)
+        assert dataset_opens.count(path) == 1
 
 
 def special_values_dataset() -> Dataset:
