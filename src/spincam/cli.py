@@ -66,9 +66,17 @@ def _tracks(scenario, config):
         raise InvalidConfig(f"{config}: {exc}") from exc
 
 
+def _seeded(scenario, seed):
+    """The scenario, with rng_seed `seed` unless it is None; InvalidConfig names --seed."""
+    try:
+        return scenario if seed is None else replace(scenario, rng_seed=seed)
+    except InvalidConfig as exc:
+        raise InvalidConfig(f"--seed {seed}: {exc}") from exc
+
+
 def _simulate(args) -> int:
     spec = load_simulation_config(args.config)
-    scenario = spec.scenario if args.seed is None else replace(spec.scenario, rng_seed=args.seed)
+    scenario = _seeded(spec.scenario, args.seed)
     tracks = _tracks(scenario, args.config)
     records = annotate_tracks(
         tracks, spec.camera, spec.geometry, frame_schedule(scenario), ego_id=EGO_ID
@@ -107,7 +115,7 @@ def _downwash_eval(args) -> int:
     dataset = read_dataset(args.dataset)
     out_dir = Path(args.out)
     _write_manifest(out_dir, "downwash-eval", args, ["report.csv"])
-    ellipsoid = _parse_ellipsoid(args.ellipsoid) if args.ellipsoid else dataset.ellipsoid
+    ellipsoid = dataset.ellipsoid if args.ellipsoid is None else _parse_ellipsoid(args.ellipsoid)
     results = evaluate_downwash_records(
         dataset.records, dataset.camera, ellipsoid,
         mode=mode, noise=noise, geom=dataset.geometry,
@@ -138,36 +146,29 @@ def _flag_values(flag: str, text: str, parse) -> list:
     return values
 
 
-def _yaw_rate(scenario, text: str) -> float:
-    """A --yaw-rates value, checked as the scenario's own yaw_rate is."""
-    rate = float(text)
-    replace(scenario, yaw_rate=rate).validate()
-    return rate
-
-
 def _benchmark(args) -> int:
     mode, noise = _eval_mode(args)
     spec = load_simulation_config(args.config)
-    rates = _flag_values("--yaw-rates", args.yaw_rates, partial(_yaw_rate, spec.scenario))
+    base = _seeded(spec.scenario, args.seed)
+    scenarios = _flag_values("--yaw-rates", args.yaw_rates,
+                             lambda text: replace(base, yaw_rate=float(text)))
     cameras = _flag_values("--pitches", args.pitches, partial(
         camera_for_pitch, intrinsics=spec.camera.intrinsics, translation=spec.camera.translation))
-    base = spec.scenario if args.seed is None else replace(spec.scenario, rng_seed=args.seed)
 
     def cells():
         # the camera pitch does not enter the tracks: one flight per yaw rate,
         # kept only as its poses at the frame times
-        for rate in rates:
-            scenario = replace(base, yaw_rate=rate)
+        for scenario in scenarios:
             times = frame_schedule(scenario)
             poses = track_poses(_tracks(scenario, args.config), times, EGO_ID)
             yield from (Cell(camera, times, *poses) for camera in cameras)
 
     results = evaluate_cells(cells(), base.ellipsoid, spec.geometry, mode, noise)
     rows = []
-    for (rate, camera), (gt, pred) in zip(itertools.product(rates, cameras), results):
+    for (scenario, camera), (gt, pred) in zip(itertools.product(scenarios, cameras), results):
         counts = ConfusionCounts.from_pairs(zip(gt.tolist(), pred.tolist()))
         precision, recall, f1 = classification_metrics(counts)
-        rows.append((rate, camera.pitch_label, f1, precision, recall, counts))
+        rows.append((scenario.yaw_rate, camera.pitch_label, f1, precision, recall, counts))
 
     out_dir = Path(args.out)
     _write_manifest(out_dir, "benchmark", args, ["benchmark.csv"])

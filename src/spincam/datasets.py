@@ -311,7 +311,8 @@ def _invalid_rows(records: RunRecords, pose_times: np.ndarray) -> tuple[tuple | 
     neighbor_values = np.concatenate([rel_positions, records.centers, bboxes], axis=1)
     return (
         first_failure({"frame_id must be non-negative": records.frame_ids >= 0,
-                       "frame_id repeats an earlier frame's": first_of_id}),
+                       "frame_id repeats an earlier frame's": first_of_id,
+                       "timestamp must be non-negative": records.timestamps >= 0.0}),
         invalid_pose_row(pose_times, records.positions.reshape(-1, 3),
                          records.quats.reshape(-1, 4)),
         first_failure({
@@ -410,8 +411,8 @@ def read_dataset(path) -> Dataset:
 
     Every frame must hold the same robots, with the same ego, as the first
     one, and a `frame_id` no earlier frame holds; every value must be
-    finite. A pose's `time` is checked but not kept: it is its frame's
-    timestamp, as `write_dataset` writes it.
+    finite, and every time non-negative. A pose's `time` is checked but not
+    kept: it is its frame's timestamp, as `write_dataset` writes it.
 
     The file's bytes are read once. Its lines are the `bytes.splitlines`
     ones (LF, CRLF or CR ends them, a Unicode line separator does not), each
@@ -757,13 +758,15 @@ _NOISE_KEYS = _field_names(NoiseModel)
 
 def _load_json_object(path) -> dict:
     """The top-level object of a JSON file; InvalidConfig names the path when
-    the file is not valid JSON (NaN and Infinity are not), or its top level
-    is not an object."""
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
+    the file cannot be read, is not valid JSON (NaN and Infinity are not), or
+    its top level is not an object."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
             raw = _loads_finite(fh.read())
-        except ValueError as exc:  # invalid JSON or not UTF-8
-            raise InvalidConfig(f"{path}: not valid JSON: {exc}") from exc
+    except OSError as exc:  # missing, a directory, or not readable
+        raise InvalidConfig(f"cannot read {str(path)!r}: {exc.strerror}") from exc
+    except ValueError as exc:  # invalid JSON or not UTF-8
+        raise InvalidConfig(f"{path}: not valid JSON: {exc}") from exc
     if not isinstance(raw, dict):
         raise InvalidConfig(f"{path}: top level must be a JSON object")
     return raw
@@ -788,7 +791,6 @@ def load_simulation_config(path) -> SimulationSpec:
         if "ellipsoid" in raw:
             scenario_kwargs["ellipsoid"] = EllipsoidSpec.from_radii(raw["ellipsoid"])
         scenario = ScenarioConfig(**scenario_kwargs)
-        scenario.validate()
 
         intrinsics = dataclasses.replace(
             DEFAULT_INTRINSICS, **{key: raw[key] for key in _INTRINSICS_KEYS & set(raw)}

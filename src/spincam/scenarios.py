@@ -58,7 +58,7 @@ class ScenarioConfig:
     swap_start_a: tuple[float, float, float] = (-0.7, -0.7, 0.5)
     swap_start_b: tuple[float, float, float] = (0.7, 0.7, 0.9)
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         for name, allowed in (("kind", SCENARIO_KINDS), ("camera_pitch", CAMERA_PITCHES)):
             value = getattr(self, name)
             if value not in allowed:
@@ -295,7 +295,6 @@ def _generate_waypoint(cfg: ScenarioConfig, times: np.ndarray,
 
 def generate_scenario(cfg: ScenarioConfig) -> list[PoseTrack]:
     """Deterministic pose tracks for one scenario configuration."""
-    cfg.validate()
     times = _sample_times(cfg)
     if cfg.kind == "swap":
         return _generate_swap(cfg, times)

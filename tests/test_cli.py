@@ -207,7 +207,10 @@ class TestSimulate:
     def test_negative_seed_flag_exits_2(self, tmp_path, capsys, swap_config):
         assert main(["simulate", "--config", str(swap_config), "--out", str(tmp_path / "x"),
                      "--seed", "-1"]) == 2
-        assert "rng_seed" in capsys.readouterr().err
+        # the flag is named, not the config file, and nothing is written
+        assert capsys.readouterr().err == (
+            "error: --seed -1: rng_seed must be a non-negative integer, got -1\n")
+        assert not (tmp_path / "x").exists()
 
     def test_same_seed_byte_identical(self, tmp_path, swap_config):
         out1, out2 = tmp_path / "a", tmp_path / "b"
@@ -347,6 +350,14 @@ class TestDownwashEval:
                      "--ellipsoid", "nan,0.1,0.1", "--out", str(tmp_path / "e")]) == 2
         err = capsys.readouterr().err
         assert "--ellipsoid" in err and "finite" in err
+
+    def test_empty_ellipsoid_override_exits_2(self, tmp_path, capsys):
+        dataset = self.simulate(tmp_path)
+        capsys.readouterr()
+        assert main(["downwash-eval", "--dataset", str(dataset), "--oracle",
+                     "--ellipsoid", "", "--out", str(tmp_path / "e")]) == 2
+        assert "--ellipsoid" in capsys.readouterr().err
+        assert not (tmp_path / "e" / "report.csv").exists()
 
     def test_non_finite_dataset_ellipsoid_exits_3(self, tmp_path, capsys):
         dataset = self.simulate(tmp_path)
@@ -658,6 +669,56 @@ class TestDownwashEval:
                      "--out", str(tmp_path / "e")]) == 3
         assert f"{dataset}:5: malformed frame record" in capsys.readouterr().err
 
+    def test_negative_frame_timestamp_exits_3_naming_line(self, tmp_path, capsys):
+        # the text path checks each frame's timestamp as the sidecar path does
+        dataset = self.simulate(tmp_path)
+        lines = dataset.read_text().splitlines()
+        frame = json.loads(lines[3])
+        frame["timestamp"] = -5.0
+        lines[3] = json.dumps(frame)
+        dataset.write_text("\n".join(lines) + "\n")
+        capsys.readouterr()
+        assert main(["downwash-eval", "--dataset", str(dataset), "--oracle",
+                     "--out", str(tmp_path / "e")]) == 3
+        assert (f"{dataset}:4: malformed frame record: timestamp must be non-negative"
+                in capsys.readouterr().err)
+        assert not (tmp_path / "e").exists()
+
+    def test_renaming_robots_in_sort_order_keeps_every_report(self, tmp_path):
+        """Robot ids enter no report: renamed with their sort order kept
+        (r0 -> a0, r1 -> b1, r2 -> b2, r3 -> c), a flight's oracle, box and
+        grid reports stay byte-identical."""
+        config = write_config(tmp_path / "orbit.json", kind="hover_orbit", num_robots=4,
+                              camera_pitch="tilt45", duration=20.0, frame_rate=30.0)
+        assert main(["simulate", "--config", str(config), "--out", str(tmp_path / "sim"),
+                     "--seed", "7"]) == 0
+        dataset = tmp_path / "sim" / "dataset.ndjson"
+        names = {"r0": "a0", "r1": "b1", "r2": "b2", "r3": "c"}
+        header, *frames = dataset.read_text().splitlines()
+        renamed_lines = [header]
+        for line in frames:
+            frame = json.loads(line)
+            frame["ego_id"] = names[frame["ego_id"]]
+            frame["poses"] = {names[rid]: pose for rid, pose in frame["poses"].items()}
+            for neighbor in frame["neighbors"]:
+                neighbor["robot_id"] = names[neighbor["robot_id"]]
+            renamed_lines.append(json.dumps(frame))
+        renamed = tmp_path / "renamed.ndjson"
+        renamed.write_text("\n".join(renamed_lines) + "\n")
+        noise = tmp_path / "noise.json"
+        noise.write_text('{"rng_seed": 3, "false_positive_rate": 0.5}')
+        for perceive in (["--oracle"], ["--noise", str(noise), "--mode", "box"],
+                         ["--noise", str(noise), "--mode", "grid"]):
+            reports = []
+            for path in (dataset, renamed):
+                out = tmp_path / "eval"
+                with contextlib.redirect_stdout(io.StringIO()):
+                    assert main(["downwash-eval", "--dataset", str(path), *perceive,
+                                 "--out", str(out)]) == 0
+                reports.append((out / "report.csv").read_bytes())
+            assert reports[0] == reports[1], perceive
+            assert any(row.pred_downwash for row in read_report(out / "report.csv")[0])
+
     @pytest.mark.parametrize("text", [
         "5", "[0.5]", "{not json",
         '{"pixel_sigma": NaN}',
@@ -731,6 +792,29 @@ class TestBenchmark:
         assert main(["benchmark", "--config", str(swap_config), "--out", str(tmp_path / "b"),
                      "--oracle"]) == 0
         assert rates == [2.0, 4.0, 6.0, 8.0]
+
+    @pytest.mark.parametrize("command,checks", [("simulate", 1), ("benchmark", 5)])
+    def test_each_scenario_is_checked_once(self, tmp_path, swap_config, monkeypatch, command,
+                                           checks):
+        """A scenario is checked when it is built, and never again: the
+        config's own, then one per yaw rate of the default sweep."""
+        built = []
+        check = ScenarioConfig.__post_init__
+        monkeypatch.setattr(ScenarioConfig, "__post_init__",
+                            lambda cfg: built.append(cfg) or check(cfg))
+        oracle = ["--oracle"] if command == "benchmark" else []
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert main([command, "--config", str(swap_config), "--out", str(tmp_path / "x"),
+                         *oracle]) == 0
+        assert len(built) == checks
+
+    def test_bad_seed_named_before_bad_yaw_rates(self, tmp_path, capsys, swap_config):
+        capsys.readouterr()
+        assert main(["benchmark", "--config", str(swap_config), "--out", str(tmp_path / "b"),
+                     "--oracle", "--seed", "-1", "--yaw-rates", "nan"]) == 2
+        assert capsys.readouterr().err == (
+            "error: --seed -1: rng_seed must be a non-negative integer, got -1\n")
+        assert not (tmp_path / "b").exists()
 
     def test_bad_pitch_exits_2(self, tmp_path, swap_config):
         assert main(["benchmark", "--config", str(swap_config), "--out", str(tmp_path / "b"),
@@ -903,6 +987,7 @@ class TestRerun:
         ("benchmark", {"pitches": ["up"]}, 2, "pitches"),
         ("benchmark", {"yaw_rates": 5}, 0, None),
         ("downwash-eval", {"ellipsoid": [0.1, 0.1, 0.3]}, 2, "ellipsoid"),
+        ("downwash-eval", {"ellipsoid": ""}, 2, "--ellipsoid"),
         ("benchmark", {"out": None}, 2, "--out"),
         ("downwash-eval", {"out": None}, 2, "--out"),
         ("downwash-eval", {"dataset": None}, 2, "--dataset"),
@@ -954,6 +1039,26 @@ class TestRerun:
         manifest.write_text(text)
         assert main(["rerun", "--manifest", str(manifest)]) == 2
         assert str(manifest) in capsys.readouterr().err
+
+
+class TestUnreadablePaths:
+    @pytest.mark.parametrize("flag", ["--config", "--noise", "--manifest"])
+    def test_directory_path_exits_2_naming_it(self, tmp_path, capsys, flag):
+        """A JSON input path that is a directory is a usage error, as a
+        missing one is, and the message names the path."""
+        directory = tmp_path / "run"
+        directory.mkdir()
+        out = ["--out", str(tmp_path / "x")]
+        argv = {
+            "--config": ["simulate", "--config", str(directory), *out],
+            "--noise": ["downwash-eval", "--dataset", str(tmp_path / "unread.ndjson"),
+                        "--noise", str(directory), *out],
+            "--manifest": ["rerun", "--manifest", str(directory)],
+        }[flag]
+        capsys.readouterr()
+        assert main(argv) == 2
+        assert f"cannot read {str(directory)!r}: Is a directory" in capsys.readouterr().err
+        assert not (tmp_path / "x").exists()
 
 
 # Property tests (Hypothesis: MacIver et al., JOSS 2019): mutated copies of

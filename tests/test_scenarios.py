@@ -1,5 +1,6 @@
 """Scenario track generation and the frame schedule."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -53,7 +54,6 @@ class TestFrameSchedule:
         duration = (periods - shortfall) / frame_rate
         assume(0.01 <= duration <= 1000.0)
         cfg = swap_config(duration=duration, frame_rate=frame_rate)
-        cfg.validate()
         ts = frame_schedule(cfg)
         assert ts[-1] <= scenarios._sample_times(cfg)[-1]
         # every schedule that stayed inside the tracks before is unchanged
@@ -184,37 +184,49 @@ class TestRandomWaypoint:
 
 
 class TestValidation:
+    @pytest.mark.parametrize("name,value", [
+        ("kind", "spiral"), ("camera_pitch", "down"), ("num_robots", 2.5), ("rng_seed", -1),
+        ("waypoint_count", "6"), ("duration", math.inf), ("yaw_rate", math.nan),
+    ])
+    def test_built_config_is_checked_naming_the_key(self, name, value):
+        """The constructor and dataclasses.replace both run the check: no
+        unchecked ScenarioConfig exists."""
+        with pytest.raises(InvalidConfig, match=name):
+            ScenarioConfig(**{"kind": "swap", "num_robots": 2, "duration": 14.0, name: value})
+        with pytest.raises(InvalidConfig, match=name):
+            dataclasses.replace(swap_config(), **{name: value})
+
     def test_unknown_kind(self):
         with pytest.raises(InvalidConfig):
-            ScenarioConfig(kind="spiral", num_robots=2, duration=5.0).validate()
+            ScenarioConfig(kind="spiral", num_robots=2, duration=5.0)
 
     def test_unknown_pitch(self):
         with pytest.raises(InvalidConfig):
-            swap_config(camera_pitch="down").validate()
+            swap_config(camera_pitch="down")
 
     def test_robot_count_range(self):
         with pytest.raises(InvalidConfig):
-            ScenarioConfig(kind="random_waypoint", num_robots=5, duration=5.0).validate()
+            ScenarioConfig(kind="random_waypoint", num_robots=5, duration=5.0)
 
     def test_sample_rate_floor(self):
         with pytest.raises(InvalidConfig):
-            swap_config(sample_rate=50.0).validate()
+            swap_config(sample_rate=50.0)
 
     def test_bad_arena_bounds(self):
         with pytest.raises(InvalidConfig):
-            swap_config(arena_min=(1, 0, 0), arena_max=(-1, 1, 1)).validate()
+            swap_config(arena_min=(1, 0, 0), arena_max=(-1, 1, 1))
 
     @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
     @pytest.mark.parametrize("name", ["duration", "frame_rate", "sample_rate", "yaw_rate"])
     def test_non_finite_rates_rejected(self, name, value):
         with pytest.raises(InvalidConfig, match=name):
-            swap_config(**{name: value}).validate()
+            swap_config(**{name: value})
 
     def test_vector_fields_take_lists_or_tuples(self):
-        swap_config(arena_min=[-1, -1, 0.1], swap_start_b=(0.7, 0.7, 0.9)).validate()
+        swap_config(arena_min=[-1, -1, 0.1], swap_start_b=(0.7, 0.7, 0.9))
         for heights in (None, (), [0.6, 1.0]):
             ScenarioConfig(kind="hover_orbit", num_robots=3, duration=5.0,
-                           hover_heights=heights).validate()
+                           hover_heights=heights)
 
     @pytest.mark.parametrize("name,value", [
         ("arena_min", (1.0, 2.0)), ("arena_max", np.ones(3)), ("swap_start_a", (0.0, True, 0.5)),
@@ -222,11 +234,11 @@ class TestValidation:
     ])
     def test_malformed_vector_rejected(self, name, value):
         with pytest.raises(InvalidConfig, match=name):
-            swap_config(**{name: value}).validate()
+            swap_config(**{name: value})
 
     def test_non_finite_start_rejected(self):
         with pytest.raises(InvalidConfig, match="swap_start_a"):
-            swap_config(swap_start_a=(0.0, math.nan, 0.5)).validate()
+            swap_config(swap_start_a=(0.0, math.nan, 0.5))
 
     @pytest.mark.parametrize("overrides", [
         dict(duration=2e5, sample_rate=100.0),
@@ -245,10 +257,9 @@ class TestValidation:
     def test_yaw_step_of_pi_or_more_rejected(self):
         # at 100 Hz, 400 rad/s turns 4 rad between samples, which slerp would alias
         with pytest.raises(InvalidConfig, match="yaw_rate"):
-            swap_config(yaw_rate=400.0, sample_rate=100.0).validate()
-        swap_config(yaw_rate=300.0, sample_rate=100.0).validate()
+            swap_config(yaw_rate=400.0, sample_rate=100.0)
+        swap_config(yaw_rate=300.0, sample_rate=100.0)
 
     def test_sample_cap_admits_the_limit(self):
         cfg = swap_config(duration=1e5, sample_rate=100.0)
         assert cfg.duration * cfg.sample_rate == scenarios.MAX_SAMPLES
-        cfg.validate()
