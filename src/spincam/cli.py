@@ -112,10 +112,11 @@ def _eval_mode(args) -> tuple[str, object]:
 
 def _downwash_eval(args) -> int:
     mode, noise = _eval_mode(args)
+    override = None if args.ellipsoid is None else _parse_ellipsoid(args.ellipsoid)
     dataset = read_dataset(args.dataset)
     out_dir = Path(args.out)
     _write_manifest(out_dir, "downwash-eval", args, ["report.csv"])
-    ellipsoid = dataset.ellipsoid if args.ellipsoid is None else _parse_ellipsoid(args.ellipsoid)
+    ellipsoid = dataset.ellipsoid if override is None else override
     results = evaluate_downwash_records(
         dataset.records, dataset.camera, ellipsoid,
         mode=mode, noise=noise, geom=dataset.geometry,
@@ -301,7 +302,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return _COMMANDS[args.command][0](args)
-    except (InvalidConfig, FileNotFoundError) as exc:
+    except (InvalidConfig, FileNotFoundError, IsADirectoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except (SpincamError, OSError) as exc:

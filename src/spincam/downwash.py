@@ -70,7 +70,7 @@ class EllipsoidSpec:
         return cls(*radii)
 
     def as_array(self) -> np.ndarray:
-        return np.array([self.rx, self.ry, self.rz])
+        return np.array([self.rx, self.ry, self.rz], dtype=float)
 
 
 def ellipsoid_margins(deltas, ellipsoid: EllipsoidSpec) -> np.ndarray:

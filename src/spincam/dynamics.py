@@ -1,8 +1,8 @@
-"""Quadrotor rigid-body dynamics and motor mixing.
+"""Quadrotor motor mixing and its energy identity.
 
-State integrates under the Newton-Euler equations with body-frame thrust
-along +z and an optional externally supplied residual force (disturbances
-from neighboring rotors are an input here, not a model).
+A wrench (collective thrust and body torques) maps to squared motor speeds
+through the actuation matrix B0. Its first row is all kappa_f, so the motor
+sum depends on thrust alone and yaw torque costs no extra motor energy.
 """
 
 from __future__ import annotations
@@ -12,10 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InfeasibleWrench
-from .geometry import as_vec3, quat_multiply, quat_normalize, quat_rotate
-
-GRAVITY = 9.81
-MAX_STEP = 0.01
+from .geometry import as_vec3
 
 
 @dataclass(frozen=True, eq=False)
@@ -34,22 +31,12 @@ class Wrench:
 
 @dataclass(frozen=True, eq=False)
 class QuadrotorParams:
-    mass: float
-    inertia: np.ndarray  # 3x3, kg*m^2
     kappa_f: float  # thrust per squared-motor-speed unit
     b0: np.ndarray  # 4x4 wrench-from-motors matrix, first row all kappa_f
 
     def __post_init__(self):
-        inertia = np.asarray(self.inertia, dtype=float)
         b0 = np.asarray(self.b0, dtype=float)
-        object.__setattr__(self, "inertia", inertia)
         object.__setattr__(self, "b0", b0)
-        if self.mass <= 0.0:
-            raise ValueError("mass must be positive")
-        if inertia.shape != (3, 3) or not np.allclose(inertia, inertia.T):
-            raise ValueError("inertia must be a symmetric 3x3 matrix")
-        if np.any(np.linalg.eigvalsh(inertia) <= 0.0):
-            raise ValueError("inertia must be positive-definite")
         if b0.shape != (4, 4):
             raise ValueError("actuation matrix must be 4x4")
         if not np.allclose(b0[0], self.kappa_f):
@@ -79,29 +66,9 @@ def crazyflie_params() -> QuadrotorParams:
     per-motor maximum thrust in newtons.
     """
     return QuadrotorParams(
-        mass=0.042,
-        inertia=np.diag([1.66e-5, 1.66e-5, 2.93e-5]),
         kappa_f=0.15,
         b0=x_configuration_mixer(0.15, arm_length=0.046, drag_to_thrust=0.006),
     )
-
-
-@dataclass(frozen=True, eq=False)
-class RigidBodyState:
-    p: np.ndarray  # world position, m
-    v: np.ndarray  # world velocity, m/s
-    q: np.ndarray  # body-to-world attitude, unit quaternion (w, x, y, z)
-    omega: np.ndarray  # body angular velocity, rad/s
-
-    def __post_init__(self):
-        object.__setattr__(self, "p", as_vec3(self.p))
-        object.__setattr__(self, "v", as_vec3(self.v))
-        object.__setattr__(self, "q", np.asarray(self.q, dtype=float))
-        object.__setattr__(self, "omega", as_vec3(self.omega))
-
-    @staticmethod
-    def at_rest(position=(0.0, 0.0, 0.0)) -> "RigidBodyState":
-        return RigidBodyState(as_vec3(position), np.zeros(3), [1.0, 0.0, 0.0, 0.0], np.zeros(3))
 
 
 def mix_wrench(eta: Wrench, params: QuadrotorParams) -> np.ndarray:
@@ -120,43 +87,3 @@ def wrench_from_motors(u, params: QuadrotorParams) -> Wrench:
     u = np.asarray(u, dtype=float)
     eta = params.b0 @ u
     return Wrench(f=float(eta[0]), tau=eta[1:])
-
-
-def hover_command(params: QuadrotorParams) -> np.ndarray:
-    """Motor command balancing gravity with zero torque."""
-    return mix_wrench(Wrench(f=params.mass * GRAVITY, tau=np.zeros(3)), params)
-
-
-def _derivative(state_vec: np.ndarray, f: float, tau: np.ndarray, f_a: np.ndarray,
-                params: QuadrotorParams) -> np.ndarray:
-    v, q, omega = state_vec[3:6], state_vec[6:10], state_vec[10:13]
-    thrust_world = quat_rotate(q, [0.0, 0.0, f])
-    acc = np.array([0.0, 0.0, -GRAVITY]) + (thrust_world + f_a) / params.mass
-    # quaternion kinematics for body-frame rates: qdot = 0.5 * q * (0, omega)
-    qdot = 0.5 * quat_multiply(q, [0.0, *omega])
-    inertia = params.inertia
-    omega_dot = np.linalg.solve(inertia, np.cross(inertia @ omega, omega) + tau)
-    return np.concatenate([v, acc, qdot, omega_dot])
-
-
-def step_dynamics(
-    state: RigidBodyState,
-    u,
-    f_a,
-    dt: float,
-    params: QuadrotorParams,
-) -> RigidBodyState:
-    """One RK4 step of the Newton-Euler dynamics; orientation renormalized."""
-    if not 0.0 < dt <= MAX_STEP:
-        raise ValueError(f"dt must be in (0, {MAX_STEP}], got {dt}")
-    wrench = wrench_from_motors(u, params)
-    f_a = as_vec3(f_a)
-    y0 = np.concatenate([state.p, state.v, state.q, state.omega])
-
-    k1 = _derivative(y0, wrench.f, wrench.tau, f_a, params)
-    k2 = _derivative(y0 + 0.5 * dt * k1, wrench.f, wrench.tau, f_a, params)
-    k3 = _derivative(y0 + 0.5 * dt * k2, wrench.f, wrench.tau, f_a, params)
-    k4 = _derivative(y0 + dt * k3, wrench.f, wrench.tau, f_a, params)
-    y1 = y0 + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-
-    return RigidBodyState(p=y1[0:3], v=y1[3:6], q=quat_normalize(y1[6:10]), omega=y1[10:13])

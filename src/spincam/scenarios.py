@@ -1,10 +1,9 @@
 """Kinematic flight-scenario generation and the camera frame schedule.
 
 Tracks are generated as smooth interpolants sampled at a fixed rate, not by
-closed-loop simulation; the integrator in `dynamics` exists for physical
-validation. Robot "r0" always carries the camera: it is the lower robot in
-the swap scenario and the circling robot in the hover-orbit scenario. Flying
-robots spin about +z at the configured auto-yaw rate.
+closed-loop simulation. Robot "r0" always carries the camera: it is the lower
+robot in the swap scenario and the circling robot in the hover-orbit
+scenario. Flying robots spin about +z at the configured auto-yaw rate.
 """
 
 from __future__ import annotations

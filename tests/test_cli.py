@@ -19,6 +19,8 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
+from reports import read_report
+
 import spincam.downwash
 from spincam import perception
 from spincam.camera import CameraIntrinsics, annotate_tracks, camera_for_pitch
@@ -32,7 +34,6 @@ from spincam.datasets import (
     load_noise_model,
     load_simulation_config,
     read_dataset,
-    read_report,
     write_dataset,
     write_gyro_log,
     write_pose_log,
@@ -358,6 +359,15 @@ class TestDownwashEval:
                      "--ellipsoid", "", "--out", str(tmp_path / "e")]) == 2
         assert "--ellipsoid" in capsys.readouterr().err
         assert not (tmp_path / "e" / "report.csv").exists()
+
+    @pytest.mark.parametrize("text", ["", "1,2"])
+    def test_bad_ellipsoid_override_writes_nothing(self, tmp_path, capsys, text):
+        dataset = self.simulate(tmp_path)
+        capsys.readouterr()
+        assert main(["downwash-eval", "--dataset", str(dataset), "--oracle",
+                     "--ellipsoid", text, "--out", str(tmp_path / "e")]) == 2
+        assert "--ellipsoid" in capsys.readouterr().err
+        assert not (tmp_path / "e" / "manifest.json").exists()
 
     def test_non_finite_dataset_ellipsoid_exits_3(self, tmp_path, capsys):
         dataset = self.simulate(tmp_path)
@@ -1058,6 +1068,25 @@ class TestUnreadablePaths:
         capsys.readouterr()
         assert main(argv) == 2
         assert f"cannot read {str(directory)!r}: Is a directory" in capsys.readouterr().err
+        assert not (tmp_path / "x").exists()
+
+    @pytest.mark.parametrize("flag", ["--dataset", "--log-a", "--log-b"])
+    def test_directory_data_path_exits_2_naming_it(self, tmp_path, capsys, flag):
+        """A dataset or gyro log path that is a directory is a usage error,
+        as a missing one is, and the message names the path."""
+        directory = tmp_path / "dd"
+        directory.mkdir()
+        log = tmp_path / "a.csv"
+        write_gyro_log(GyroSequence(np.arange(100) * 1e-3, np.zeros((100, 3))), log)
+        argv = {
+            "--dataset": ["downwash-eval", "--dataset", str(directory), "--oracle",
+                          "--out", str(tmp_path / "x")],
+            "--log-a": ["timesync", "--log-a", str(directory), "--log-b", str(log)],
+            "--log-b": ["timesync", "--log-a", str(log), "--log-b", str(directory)],
+        }[flag]
+        capsys.readouterr()
+        assert main(argv) == 2
+        assert f"Is a directory: {str(directory)!r}" in capsys.readouterr().err
         assert not (tmp_path / "x").exists()
 
 

@@ -10,6 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from reports import read_report
 from run_columns import IDENTITY, run_records
 
 from spincam import datasets
@@ -24,7 +25,6 @@ from spincam.datasets import (
     load_simulation_config,
     read_dataset,
     read_gyro_log,
-    read_report,
     write_dataset,
     write_gyro_log,
     write_pose_log,

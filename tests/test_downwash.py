@@ -16,6 +16,7 @@ from spincam.downwash import (
     Cell,
     EllipsoidSpec,
     ellipsoid_margin,
+    ellipsoid_margins,
     evaluate_cells,
     evaluate_downwash_records,
     run_downwash_eval,
@@ -76,6 +77,13 @@ class TestEllipsoidMargin:
     def test_finite_radii_required(self, radius):
         with pytest.raises(ValueError, match="finite"):
             EllipsoidSpec(radius, 0.1, 0.1)
+
+    def test_radius_past_int64_gives_float_margins(self):
+        # a dataset header may hold an integer radius too large for int64
+        wide = EllipsoidSpec(0.15, 2**64, 0.3)
+        margins = ellipsoid_margins([[0.15, 0.0, 0.0], [0.0, 1.0, 0.6]], wide)
+        assert margins.dtype == np.float64
+        np.testing.assert_allclose(margins, [1.0, 2.0], rtol=1e-15)
 
 
 # the robots the hand-built frames perceive, parked 100 m below the ego's

@@ -1,17 +1,13 @@
-"""Motor mixing and rigid-body integration."""
+"""Motor mixing."""
 
 import numpy as np
 import pytest
 
 from spincam.dynamics import (
-    GRAVITY,
     QuadrotorParams,
-    RigidBodyState,
     Wrench,
     crazyflie_params,
-    hover_command,
     mix_wrench,
-    step_dynamics,
     wrench_from_motors,
     x_configuration_mixer,
 )
@@ -58,78 +54,11 @@ class TestMixWrench:
         bad = params.b0.copy()
         bad[0, 0] *= 2.0
         with pytest.raises(ValueError):
-            QuadrotorParams(
-                mass=params.mass, inertia=params.inertia, kappa_f=params.kappa_f, b0=bad
-            )
+            QuadrotorParams(kappa_f=params.kappa_f, b0=bad)
 
     def test_singular_mixer_rejected(self, params):
         b0 = x_configuration_mixer(params.kappa_f, 0.046, 0.006)
         b0[3] = b0[0]  # duplicate rows: no longer invertible
         with pytest.raises(ValueError):
-            QuadrotorParams(
-                mass=params.mass, inertia=params.inertia, kappa_f=params.kappa_f, b0=b0
-            )
+            QuadrotorParams(kappa_f=params.kappa_f, b0=b0)
 
-
-class TestStepDynamics:
-    def test_hover_equilibrium(self, params):
-        state = RigidBodyState.at_rest((0.0, 0.0, 1.0))
-        u = hover_command(params)
-        for _ in range(100):
-            new = step_dynamics(state, u, np.zeros(3), 1e-3, params)
-            np.testing.assert_allclose(new.p, state.p, atol=1e-9)
-            np.testing.assert_allclose(new.v, state.v, atol=1e-9)
-            state = new
-
-    def test_free_fall_matches_ballistic_oracle(self, params):
-        state = RigidBodyState.at_rest((0.0, 0.0, 10.0))
-        for _ in range(1000):
-            state = step_dynamics(state, np.zeros(4), np.zeros(3), 1e-3, params)
-        assert state.v[2] == pytest.approx(-GRAVITY, abs=1e-4)
-        assert state.p[2] - 10.0 == pytest.approx(-0.5 * GRAVITY, abs=1e-4)
-
-    def test_yaw_spin_matches_analytic_rate(self, params):
-        # diagonal inertia: omega_z(t) = tau_z * t / J_zz, position undisturbed
-        tau_z = 2e-6
-        u = mix_wrench(Wrench(f=params.mass * GRAVITY, tau=np.array([0.0, 0.0, tau_z])), params)
-        state = RigidBodyState.at_rest((0.0, 0.0, 1.0))
-        t = 0.0
-        for _ in range(100):
-            state = step_dynamics(state, u, np.zeros(3), 1e-3, params)
-            t += 1e-3
-        assert state.omega[2] == pytest.approx(tau_z * t / params.inertia[2, 2], rel=1e-9)
-        np.testing.assert_allclose(state.p, [0.0, 0.0, 1.0], atol=1e-6)
-
-    def test_orientation_stays_unit_norm(self, params):
-        u = mix_wrench(
-            Wrench(f=params.mass * GRAVITY, tau=np.array([1e-7, -2e-7, 3e-7])), params
-        )
-        state = RigidBodyState.at_rest((0.0, 0.0, 1.0))
-        for _ in range(10_000):
-            state = step_dynamics(state, u, np.zeros(3), 1e-3, params)
-            assert abs(np.linalg.norm(state.q) - 1.0) < 1e-9
-
-    def test_kinetic_energy_constant_at_equilibrium(self, params):
-        state = RigidBodyState.at_rest((0.0, 0.0, 1.0))
-        u = hover_command(params)
-        ke = lambda s: 0.5 * params.mass * s.v @ s.v + 0.5 * s.omega @ params.inertia @ s.omega
-        for _ in range(100):
-            new = step_dynamics(state, u, np.zeros(3), 1e-3, params)
-            assert abs(ke(new) - ke(state)) < 1e-12
-            state = new
-
-    def test_residual_force_accelerates(self, params):
-        # constant sideways disturbance at hover thrust
-        state = RigidBodyState.at_rest((0.0, 0.0, 1.0))
-        u = hover_command(params)
-        f_a = np.array([0.01, 0.0, 0.0])
-        for _ in range(100):
-            state = step_dynamics(state, u, f_a, 1e-3, params)
-        assert state.v[0] == pytest.approx(0.01 / params.mass * 0.1, rel=1e-6)
-
-    def test_step_size_validation(self, params):
-        state = RigidBodyState.at_rest()
-        with pytest.raises(ValueError):
-            step_dynamics(state, np.zeros(4), np.zeros(3), 0.0, params)
-        with pytest.raises(ValueError):
-            step_dynamics(state, np.zeros(4), np.zeros(3), 0.02, params)
