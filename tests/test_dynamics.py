@@ -62,3 +62,16 @@ class TestMixWrench:
         with pytest.raises(ValueError):
             QuadrotorParams(kappa_f=params.kappa_f, b0=b0)
 
+
+    def test_non_square_mixer_rejected(self, params):
+        with pytest.raises(ValueError):
+            QuadrotorParams(kappa_f=params.kappa_f, b0=params.b0[:3])
+
+    def test_yaw_torque_splits_by_rotor_spin(self, params):
+        # spin is orthogonal to the thrust and arm rows, so a pure yaw torque
+        # shifts u_i by spin_i * tau_z / (4 kappa_f d) around the hover share
+        f, tau_z, drag = 0.42, 3e-4, 0.006
+        u = mix_wrench(Wrench(f=f, tau=np.array([0.0, 0.0, tau_z])), params)
+        spin = np.array([-1.0, 1.0, -1.0, 1.0])
+        expected = f / (4.0 * params.kappa_f) + spin * tau_z / (4.0 * params.kappa_f * drag)
+        np.testing.assert_allclose(u, expected, atol=1e-12)
