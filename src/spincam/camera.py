@@ -62,9 +62,14 @@ class CameraIntrinsics:
             raise ValueError("focal lengths must be positive")
         if not (0.0 <= self.cx < self.width and 0.0 <= self.cy < self.height):
             raise ValueError("principal point must lie inside the image")
-        # the lens fold, and any overflow of the lens inverse, must lie past the farthest corner
         corner = math.hypot(max(self.cx, self.width - self.cx) / self.fx,
                             max(self.cy, self.height - self.cy) / self.fy)
+        # a ray through the image has a squared norm of at most 1 + corner^2
+        if not math.isfinite(corner * corner):
+            raise ValueError(f"focal lengths fx {self.fx} and fy {self.fy} are too small for a "
+                             f"{self.width}x{self.height} image: the squared normalized radius "
+                             f"of its farthest corner overflows")
+        # the lens fold, and any overflow of the lens inverse, must lie past the farthest corner
         if self.k1 < 0.0 and fold_radius(self.k1) < corner:
             raise ValueError(
                 f"k1 {self.k1} folds the lens at normalized radius {fold_radius(self.k1):.4g}, "

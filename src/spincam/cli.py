@@ -44,7 +44,9 @@ EXIT_DATA = 3
 EGO_ID = "r0"
 
 def _write_manifest(out_dir: Path, command: str, args, outputs: list[str]) -> None:
-    """Record the run before producing outputs; enough to replay it exactly."""
+    """Record the run before producing outputs; enough to replay it exactly.
+    An `out_dir` that is, or lies under, a file is a usage error, and nothing
+    is written."""
     manifest = {
         "schema_version": SCHEMA_VERSION,
         "toolkit_version": __version__,
@@ -52,7 +54,12 @@ def _write_manifest(out_dir: Path, command: str, args, outputs: list[str]) -> No
         "args": {key: getattr(args, key) for key in _COMMANDS[command][1]},
         "outputs": outputs,
     }
-    out_dir.mkdir(parents=True, exist_ok=True)
+    try:
+        out_dir.mkdir(parents=True, exist_ok=True)
+    except (FileExistsError, NotADirectoryError) as exc:
+        # a file where the output directory or one of its parents should be
+        raise InvalidConfig(f"--out {str(out_dir)!r}: {exc.strerror}; "
+                            f"the output path must be a directory") from exc
     with open(out_dir / "manifest.json", "w", encoding="utf-8", newline="\n") as fh:
         json.dump(manifest, fh, indent=2)
         fh.write("\n")

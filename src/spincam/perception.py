@@ -5,26 +5,37 @@ sphere-subtense distance model, and confidence/depth grids decoded by
 inverting the pinhole projection. A configurable noise model stands in for
 the neural detectors so the evaluation protocol can run without images.
 
-One per-frame kernel does the work. `detect_rows` simulates the detector on
-one frame's neighbor rows, in the `RunRecords` layout, with that frame's
-`frame_rng`; `decode_box_rows` and `decode_grid_cells` decode its output
-into (3,) camera-frame positions. `perceive` is a run's perception pass: it
-runs the kernel over the run's rows with one reused grid buffer, and seeds
-every frame's generator from one `seeding.frame_seeds` pass, with the stream
-that `frame_rng` gives. `simulate_detector`, `decode_box`, `decode_grid`
-and `decode_detections` are the kernel's one-frame wrappers over a
-`FrameAnnotation`, a `GridDetectionMap` and `PositionEstimate`s.
+`detect_rows` simulates the detector on one frame's neighbor rows, in the
+`RunRecords` layout, with that frame's `frame_rng`. The decoders take many
+detections at once: `_box_positions` decodes box rows with one BLAS pass
+for all their rays' dots, and `decode_grid_frames` finds the peaks of a
+stack of grids with one threshold pass. Per element, each does the scalar
+arithmetic of the one-row formulas, so a position has the same bits however
+many are decoded together. `perceive` is a run's perception pass: it runs
+the detector frame by frame, every frame's generator seeded from one
+`seeding.frame_seeds` pass, and decodes BATCH_FRAMES frames at a time.
+`simulate_detector`, `decode_box`, `decode_grid` and `decode_detections` are
+the one-frame and one-row cases, over a `FrameAnnotation`, a
+`GridDetectionMap` and `PositionEstimate`s.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .camera import CameraIntrinsics, FrameAnnotation, RunRecords, back_project, pixel_to_ray
-from .errors import DegenerateBox, OutOfRange
+from .camera import (
+    CameraIntrinsics,
+    FrameAnnotation,
+    RunRecords,
+    back_project,
+    pixel_to_ray,
+    undistort_normalized,
+)
+from .errors import DegenerateBox, NonPositiveDepth, OutOfRange
 from .geometry import DEFAULT_ROBOT_GEOMETRY, is_count, is_numbers, require_finite
 
 DEFAULT_GRID_ROWS = 28
@@ -33,6 +44,9 @@ DEFAULT_GRID_THRESHOLD = 0.5
 # Upper bound on NoiseModel.false_positive_rate, the mean number of fabricated
 # detections per frame; each one is drawn one by one.
 MAX_FALSE_POSITIVE_RATE = 100.0
+# Frames whose detections `perceive` decodes together; their grids are a
+# (2, 8, 28, 40) buffer of float64, 143 KB
+BATCH_FRAMES = 8
 
 
 @dataclass(eq=False)
@@ -104,24 +118,97 @@ def sphere_distance_from_angle(alpha: float, radius: float) -> float:
     return radius / math.sin(0.5 * alpha)
 
 
+def _dots(a: list, b: list | None = None) -> list[float]:
+    """Dot products of the rows (3,) of a with those of b, or with
+    themselves. Each equals `np.array(a[k]).dot(b[k])` bitwise: a stacked
+    vector-vector matmul calls the BLAS dot that `ndarray.dot` does, whose
+    order of summation `np.einsum` and a plain `x*x + y*y + z*z` do not
+    keep."""
+    a = np.array(a)
+    b = a if b is None else np.array(b)
+    return np.matmul(a[:, None, :], b[:, :, None]).ravel().tolist()
+
+
+def _ray_pair_positions(a1: list, a2: list, radius: float) -> list[tuple | None]:
+    """Positions (3,) of spheres from pairs of their two horizontal tangent
+    rays, rows (3,) of a1 and a2: one per pair, or None where the rays
+    subtend no angle or are antipodal.
+
+    A position is the scalar arithmetic of the numpy formula, done per
+    element: the dots are BLAS dots (`_dots`), and min/max clip a float to
+    the value np.clip gives, NaN included."""
+    centers = [(0.5 * (x1 + x2), 0.5 * (y1 + y2), 0.5 * (z1 + z2))
+               for (x1, y1, z1), (x2, y2, z2) in zip(a1, a2)]
+    # one BLAS pass: the pairs' cosines, then the centers' squared norms
+    dots = _dots(a1 + centers, a2 + centers)
+    positions = []
+    for cosine, square, (x, y, z) in zip(dots, dots[len(a1):], centers):
+        alpha, norm = math.acos(min(max(cosine, -1.0), 1.0)), math.sqrt(square)
+        if alpha <= 0.0 or norm == 0.0:
+            positions.append(None)
+            continue
+        d = sphere_distance_from_angle(alpha, radius)
+        positions.append((d * x / norm, d * y / norm, d * z / norm))
+    return positions
+
+
 def _ray_pair_position(a1: np.ndarray, a2: np.ndarray, radius: float) -> np.ndarray:
-    """Position (3,) of a sphere from its two horizontal tangent rays (3,)."""
-    # min/max clip a float to the value np.clip gives, NaN included; the sqrt
-    # of the dot is np.linalg.norm's formula for a vector
-    cos_alpha = min(max(float(a1.dot(a2)), -1.0), 1.0)
-    d = sphere_distance_from_angle(math.acos(cos_alpha), radius)
-    a_c = 0.5 * (a1 + a2)
-    norm = math.sqrt(a_c.dot(a_c))
-    if norm == 0.0:
-        raise DegenerateBox("tangent rays are antipodal; direction is undefined")
-    return d * a_c / norm
+    """Position (3,) of a sphere from its two horizontal tangent rays (3,),
+    the one-pair case of `_ray_pair_positions`."""
+    (position,) = _ray_pair_positions([a1.tolist()], [a2.tolist()], radius)
+    if position is None:
+        raise DegenerateBox("tangent rays subtend no angle or are antipodal; "
+                            "the distance or direction is undefined")
+    return np.array(position)
 
 
 def _box_position(box, intr: CameraIntrinsics, radius: float) -> np.ndarray:
+    """Position (3,) of one box from the rays through the midpoints of its
+    left and right edges; raises OutOfRange when a midpoint lies past the
+    lens's reach and DegenerateBox when the rays give no position."""
     u_min, v_min, u_max, v_max = box
     v_mid = 0.5 * (v_min + v_max)
     return _ray_pair_position(pixel_to_ray((u_min, v_mid), intr),
                               pixel_to_ray((u_max, v_mid), intr), radius)
+
+
+def _box_positions(boxes: list, intr: CameraIntrinsics,
+                   radius: float) -> tuple[list[int], np.ndarray]:
+    """The rows of the boxes, a list of rows whose first four entries are a
+    box, that give a position, ascending, and their positions (M, 3); row
+    k's is `_box_position(boxes[k][:4])`, bitwise. A degenerate box, or one
+    with an edge midpoint past the lens's reach, gives none.
+
+    Each box's edge midpoints are undistorted as `back_project` does; their
+    rays and the rays' pairs then take their BLAS dots in one pass each over
+    all the boxes. The lens reaches every pixel of the image (`CameraIntrinsics`
+    checks its corners) but not every point beyond, so for a lens with `k1`
+    != 0 a box with an edge midpoint outside the image goes through
+    `_box_position` alone, which decodes it or raises why not."""
+    cx, cy, fx, fy, k1 = intr.cx, intr.cy, intr.fx, intr.fy, intr.k1
+    width, height = intr.width, intr.height
+    decoded, rows, points = [None] * len(boxes), [], []
+    for k, (u_min, v_min, u_max, v_max, *_rest) in enumerate(boxes):
+        v_mid = 0.5 * (v_min + v_max)
+        if k1 != 0.0 and not (0.0 <= u_min <= width and 0.0 <= u_max <= width
+                              and 0.0 <= v_mid <= height):
+            try:
+                decoded[k] = _box_position((u_min, v_min, u_max, v_max), intr, radius)
+            except (DegenerateBox, OutOfRange):
+                pass
+            continue
+        yd = (v_mid - cy) / fy
+        for u in (u_min, u_max):
+            points.append((*undistort_normalized((u - cx) / fx, yd, k1), 1.0))
+        rows.append(k)
+    if rows:
+        # a ray is its point at depth 1 over the point's norm
+        rays = [(x / n, y / n, z / n)
+                for (x, y, z), n in zip(points, map(math.sqrt, _dots(points)))]
+        for k, position in zip(rows, _ray_pair_positions(rays[0::2], rays[1::2], radius)):
+            decoded[k] = position
+    rows = [k for k, position in enumerate(decoded) if position is not None]
+    return rows, np.array([decoded[k] for k in rows], dtype=float).reshape(-1, 3)
 
 
 def decode_box(box, intr: CameraIntrinsics, radius: float) -> PositionEstimate:
@@ -135,17 +222,15 @@ def decode_box(box, intr: CameraIntrinsics, radius: float) -> PositionEstimate:
     return PositionEstimate(position=_box_position(box, intr, radius))
 
 
-def decode_box_rows(detections, intr: CameraIntrinsics, radius: float) -> list[np.ndarray]:
-    """Positions (3,) decoded by `decode_box` from detection rows whose first
-    four entries are the box; a degenerate box, or one whose edge midpoint
-    lies past the lens fold, gives no position."""
-    positions = []
-    for detection in detections:
-        try:
-            positions.append(_box_position(detection[:4], intr, radius))
-        except (DegenerateBox, OutOfRange):
-            continue
-    return positions
+def decode_box_rows(detections, intr: CameraIntrinsics, radius: float) -> np.ndarray:
+    """Positions (M, 3) decoded from detection rows whose first four entries
+    are the box (see `_box_positions`); a degenerate box, or one whose edge
+    midpoint lies past the lens's reach, gives no position."""
+    if not len(detections):
+        return np.empty((0, 3))
+    if isinstance(detections, np.ndarray):
+        detections = detections.tolist()
+    return _box_positions(detections, intr, radius)[1]
 
 
 def grid_cell_center(row: int, col: int, intr: CameraIntrinsics, rows: int,
@@ -190,29 +275,60 @@ def encode_grid(
     return gmap
 
 
-def decode_grid_cells(
+@functools.lru_cache(maxsize=8)
+def _grid_cells(intr: CameraIntrinsics, rows: int, cols: int) -> tuple[list, np.ndarray]:
+    """Every cell of a (rows, cols) grid, in flat order: the flat offsets of
+    its neighbors inside the grid, one tuple shared by the cells of one
+    border, and the normalized coordinates (rows * cols, 2) of its center,
+    whose `back_project` point at depth z is (z x, z y, z)."""
+    shared, offsets, centers = {}, [], np.empty((rows * cols, 2))
+    for row in range(rows):
+        for col in range(cols):
+            near = tuple(dr * cols + dc for dr in (-1, 0, 1) for dc in (-1, 0, 1)
+                         if (dr or dc) and 0 <= row + dr < rows and 0 <= col + dc < cols)
+            offsets.append(shared.setdefault(near, near))
+            center = grid_cell_center(row, col, intr, rows, cols)
+            centers[len(offsets) - 1] = back_project(center, 1.0, intr)[:2]
+    return offsets, centers
+
+
+def decode_grid_frames(
     confidence: np.ndarray,
     depth: np.ndarray,
     intr: CameraIntrinsics,
     threshold: float = DEFAULT_GRID_THRESHOLD,
-) -> list[np.ndarray]:
-    """Positions (3,) back-projected from every thresholded 8-connected peak
-    of a (rows, cols) confidence channel, at the depth of its cell.
+) -> tuple[np.ndarray, np.ndarray]:
+    """Positions back-projected from every thresholded 8-connected peak of a
+    stack of (rows, cols) confidence grids (F, rows, cols), or of one grid
+    (rows, cols), at the depth of its cell: the frame (E,) of each,
+    ascending, and its position (E, 3).
 
-    Only cells not below the threshold are visited, in row-major order; a
-    cell below the maximum of its 3x3 window is not a peak.
-    """
-    rows, cols = confidence.shape
-    positions = []
-    # flat indices, row-major: a 1-D nonzero costs less than a 2-D one
-    for cell in (~(confidence < threshold)).ravel().nonzero()[0].tolist():
-        row, col = divmod(cell, cols)
-        window = confidence[max(0, row - 1) : row + 2, max(0, col - 1) : col + 2]
-        if confidence[row, col] < window.max():
+    One array pass finds every frame's cells not below the threshold, in
+    frame then row-major order. Such a cell is a peak unless a neighbor holds
+    more; a neighbor below the threshold holds less, so only the found cells
+    are compared. A peak's position is the scalar arithmetic of
+    `back_project`; like it, this raises NonPositiveDepth when the depth is
+    not positive."""
+    rows, cols = confidence.shape[-2:]
+    cells = confidence.reshape(-1)
+    # flat indices: a 1-D nonzero costs less than a 3-D one
+    found = (~(cells < threshold)).nonzero()[0]
+    if not len(found):
+        return found, np.empty((0, 3))
+    values = dict(zip(found.tolist(), cells[found].tolist()))
+    offsets, centers = _grid_cells(intr, rows, cols)
+    size, depths = rows * cols, depth.reshape(-1)
+    frames, positions = [], []
+    for cell, value in values.items():
+        if any(values.get(cell + offset, value) > value for offset in offsets[cell % size]):
             continue
-        center = grid_cell_center(row, col, intr, rows, cols)
-        positions.append(back_project(center, float(depth[row, col]), intr))
-    return positions
+        z = depths.item(cell)
+        if z <= 0.0:
+            raise NonPositiveDepth(f"depth {z} is not positive")
+        x, y = centers.item(cell % size, 0), centers.item(cell % size, 1)
+        frames.append(cell // size)
+        positions.append((z * x, z * y, z))
+    return np.array(frames, dtype=np.int64), np.array(positions, dtype=float).reshape(-1, 3)
 
 
 def decode_grid(
@@ -221,14 +337,32 @@ def decode_grid(
     threshold: float = DEFAULT_GRID_THRESHOLD,
 ) -> list[PositionEstimate]:
     """Back-project every thresholded 8-connected confidence peak (see
-    `decode_grid_cells`)."""
-    return [PositionEstimate(position=p)
-            for p in decode_grid_cells(gmap.confidence, gmap.depth, intr, threshold)]
+    `decode_grid_frames`)."""
+    _frames, positions = decode_grid_frames(gmap.confidence, gmap.depth, intr, threshold)
+    return [PositionEstimate(position=p) for p in positions]
+
+
+@functools.cache
+def _seeding():
+    """`spincam.seeding`, imported on first use: it loads numpy.random, which
+    an oracle run never needs."""
+    from . import seeding
+
+    return seeding
 
 
 def frame_rng(noise: NoiseModel, frame_id: int) -> np.random.Generator:
-    """The generator of every detector draw for one frame."""
-    return np.random.default_rng([noise.rng_seed, frame_id])
+    """The generator of every detector draw for one frame: the stream of
+    `np.random.default_rng([noise.rng_seed, frame_id])`, seeded from a cached
+    block of `seeding.frame_seeds` rows (see `seeding.frame_generator`)."""
+    return _seeding().frame_generator(noise.rng_seed, frame_id)
+
+
+def _uniform(rng: np.random.Generator, lo: float, hi: float) -> float:
+    """`rng.uniform(lo, hi)`, bitwise, for finite bounds: numpy's draw is
+    this `lo + (hi - lo) * random()`, behind argument handling that costs
+    three times as much."""
+    return lo + (hi - lo) * rng.random()
 
 
 def detect_rows(
@@ -262,17 +396,18 @@ def detect_rows(
             du = rng.normal(0.0, noise.pixel_sigma, size=4).tolist()
             u_lo, u_hi = sorted((u_min + du[0], u_max + du[1]))
             v_lo, v_hi = sorted((v_min + du[2], v_max + du[3]))
-            detections.append((u_lo, v_lo, u_hi, v_hi, rng.uniform(*noise.true_confidence)))
+            detections.append((u_lo, v_lo, u_hi, v_hi, _uniform(rng, *noise.true_confidence)))
         for _ in range(n_false):
-            depth = rng.uniform(0.5, 3.0)
+            depth = _uniform(rng, 0.5, 3.0)
             half_w = intr.fx * radius / depth
             half_h = intr.fy * radius / depth
             # a box wider or taller than the image is centred on it
-            cu = rng.uniform(min(half_w, intr.width / 2), max(intr.width - half_w, intr.width / 2))
-            cv = rng.uniform(min(half_h, intr.height / 2),
-                             max(intr.height - half_h, intr.height / 2))
+            cu = _uniform(rng, min(half_w, intr.width / 2),
+                          max(intr.width - half_w, intr.width / 2))
+            cv = _uniform(rng, min(half_h, intr.height / 2),
+                          max(intr.height - half_h, intr.height / 2))
             detections.append((cu - half_w, cv - half_h, cu + half_w, cv + half_h,
-                               rng.uniform(*noise.false_confidence)))
+                               _uniform(rng, *noise.false_confidence)))
         return detections
 
     confidence, depths = grid
@@ -283,19 +418,21 @@ def detect_rows(
         # min/max clip a float to the value np.clip gives, NaN included
         center = (min(max(u + du, 0.0), intr.width - 1e-9),
                   min(max(v + dv, 0.0), intr.height - 1e-9))
-        depth = float(rel_positions[k][2]) * (1.0 + rng.normal(0.0, noise.depth_rel_sigma))
+        # rng.normal(0.0, s), bitwise: numpy draws 0.0 + s * standard_normal() too
+        depth = float(rel_positions[k][2]) * (
+            1.0 + (0.0 + noise.depth_rel_sigma * rng.standard_normal()))
         depth = max(depth, 1e-3)
         row, col = grid_cell_of(center, intr, rows, cols)
         if _claims_cell(confidence, depths, row, col, depth):
-            confidence[row, col] = rng.uniform(*noise.true_confidence)
+            confidence[row, col] = _uniform(rng, *noise.true_confidence)
             depths[row, col] = depth
     for _ in range(n_false):
         row = int(rng.integers(0, rows))
         col = int(rng.integers(0, cols))
         if confidence[row, col] > 0.0:
             continue
-        confidence[row, col] = rng.uniform(*noise.false_confidence)
-        depths[row, col] = rng.uniform(0.5, 3.0)
+        confidence[row, col] = _uniform(rng, *noise.false_confidence)
+        depths[row, col] = _uniform(rng, 0.5, 3.0)
     return []
 
 
@@ -306,36 +443,48 @@ def perceive(records: RunRecords, mode: str, noise: NoiseModel | None, intr: Cam
     position (E, 3). `radius` is the robots' sphere radius.
 
     Oracle perception is the visible neighbors' true positions. Box and grid
-    perception run `detect_rows` and a decoder frame by frame, with one grid
-    buffer cleared after every frame; every frame's generator draws its
-    `frame_rng` stream, seeded from one `seeding.frame_seeds` call per run."""
+    perception run `detect_rows` frame by frame, each frame's generator
+    seeded from one `seeding.frame_seeds` pass over the run, with the stream
+    that `frame_rng` gives. Every BATCH_FRAMES frames, their detections are
+    decoded together: box mode's rows in one `_box_positions` pass, and grid
+    mode's grids, written into one buffer, in one `decode_grid_frames` pass."""
     if mode == "oracle":
         return records.owner, records.rel_positions
-    # imported here: it loads numpy.random, which an oracle run never needs
-    from .seeding import FrameSeed, frame_seeds
-
+    seeding = _seeding()
     bounds = np.searchsorted(records.owner, np.arange(len(records) + 1)).tolist()
     frame_ids = records.frame_ids.tolist()
-    seeds = frame_seeds(noise.rng_seed, records.frame_ids)
+    seeds = seeding.frame_seeds(noise.rng_seed, records.frame_ids)
     rel_positions, centers = records.rel_positions.tolist(), records.centers.tolist()
     bboxes = records.bboxes.tolist()
-    grid = np.zeros((2, DEFAULT_GRID_ROWS, DEFAULT_GRID_COLS))
-    counts, positions = [], []
-    for f in range(len(records)):
+
+    def detect(f, grid):
         lo, hi = bounds[f], bounds[f + 1]
-        rng = np.random.Generator(np.random.PCG64(
-            FrameSeed(noise.rng_seed, frame_ids[f], seeds[f])))
-        detections = detect_rows(rng, rel_positions[lo:hi], centers[lo:hi], bboxes[lo:hi],
-                                 noise, intr, mode, radius, grid)
+        return detect_rows(seeding.frame_generator(noise.rng_seed, frame_ids[f], seeds[f]),
+                           rel_positions[lo:hi], centers[lo:hi], bboxes[lo:hi],
+                           noise, intr, mode, radius, grid)
+
+    if mode != "box":
+        grids = np.zeros((2, BATCH_FRAMES, DEFAULT_GRID_ROWS, DEFAULT_GRID_COLS))
+    owners, positions = [np.empty(0, dtype=np.int64)], [np.empty((0, 3))]
+    for start in range(0, len(records), BATCH_FRAMES):
+        frames = range(start, min(start + BATCH_FRAMES, len(records)))
         if mode == "box":
-            estimates = decode_box_rows(detections, intr, radius)
+            owner, rows = [], []
+            for f in frames:
+                detections = detect(f, None)
+                owner += [f] * len(detections)
+                rows += detections
+            decoded, estimates = _box_positions(rows, intr, radius)
+            owners.append(np.array([owner[k] for k in decoded], dtype=np.int64))
         else:
-            estimates = decode_grid_cells(*grid, intr)
-            grid.fill(0.0)
-        counts.append(len(estimates))
-        positions.extend(estimates)
-    return (np.repeat(np.arange(len(records)), counts),
-            np.array(positions, dtype=float).reshape(-1, 3))
+            for f in frames:
+                detect(f, (grids[0, f - start], grids[1, f - start]))
+            frame, estimates = decode_grid_frames(grids[0, :len(frames)], grids[1, :len(frames)],
+                                                  intr)
+            owners.append(frame + start)
+            grids.fill(0.0)
+        positions.append(estimates)
+    return np.concatenate(owners), np.concatenate(positions)
 
 
 def simulate_detector(
@@ -371,7 +520,8 @@ def decode_detections(
     intr: CameraIntrinsics,
     radius: float = DEFAULT_ROBOT_GEOMETRY.sphere_radius,
 ) -> list[PositionEstimate]:
-    """Decode either detector output form into position estimates."""
+    """Decode either detector output form into position estimates: one
+    frame of `decode_grid_frames` or `decode_box_rows`."""
     if isinstance(output, GridDetectionMap):
         return decode_grid(output, intr)
-    return [PositionEstimate(position=p) for p in decode_box_rows(output.tolist(), intr, radius)]
+    return [PositionEstimate(position=p) for p in decode_box_rows(output, intr, radius)]

@@ -1,18 +1,23 @@
-"""Every frame's detector seed of a run in one array pass.
+"""Every frame's detector seed in array passes, and the one way a detector
+generator is built.
 
-`perception.frame_rng(noise, frame_id)` is `default_rng([rng_seed,
-frame_id])`: numpy's `SeedSequence` hashes the seed's and the frame id's
-32-bit words into a pool (O'Neill's `seed_seq` design for PCG) and hands
-PCG64 four 64-bit words drawn from it. `frame_seeds` computes those words
-for every frame at once as uint32 column arithmetic, and `FrameSeed` hands a
-row to PCG64, so `np.random.Generator(np.random.PCG64(FrameSeed(...)))`
-draws the same stream as `frame_rng` without hashing its seed again.
+A frame's detector draws follow `default_rng([rng_seed, frame_id])`: numpy's
+`SeedSequence` hashes the seed's and the frame id's 32-bit words into a pool
+(O'Neill's `seed_seq` design for PCG) and hands PCG64 four 64-bit words drawn
+from it. `frame_seeds` computes those words for many frames at once as uint32
+column arithmetic, and `frame_generator` hands a row to PCG64 through
+`FrameSeed`, so the generator draws the same stream without hashing its seed
+again. `perception.perceive` seeds a run's frames in one `frame_seeds` pass;
+`perception.frame_rng`, one frame at a time, takes its row from a cached
+block of SEED_BLOCK ids, hashed together.
 
-Only `perception.perceive` imports this module, for a noisy run: numpy
-loads `numpy.random` lazily, and `FrameSeed` subclasses its `ISeedSequence`.
+Only the noisy detector imports this module: numpy loads `numpy.random`
+lazily, and `FrameSeed` subclasses its `ISeedSequence`.
 """
 
 from __future__ import annotations
+
+import functools
 
 import numpy as np
 from numpy.random.bit_generator import ISeedSequence
@@ -23,6 +28,11 @@ INIT_A, MULT_A = 0x43B0D7E5, 0x931E8875
 INIT_B, MULT_B = 0x8B51F9DD, 0x58F38DED
 MIX_MULT_L, MIX_MULT_R = 0xCA01F9DD, 0x4973F715
 MASK32 = 0xFFFFFFFF
+INT64_MAX = 2**63 - 1
+# Frame ids per block of seed rows that `frame_generator` hashes together, and
+# the blocks it keeps: 64 blocks of 256 rows of 32 bytes are 512 KiB
+SEED_BLOCK = 256
+SEED_CACHE_BLOCKS = 64
 
 
 def _int_words(n: int) -> list[int]:
@@ -111,7 +121,33 @@ class FrameSeed(ISeedSequence):
         self.rng_seed, self.frame_id, self.words = rng_seed, frame_id, words
 
     def generate_state(self, n_words, dtype=np.uint32):
-        if n_words == 4 and np.dtype(dtype) == np.uint64:
+        # PCG64 passes the np.uint64 type itself; an `is` test is the cheap first check
+        if n_words == 4 and (dtype is np.uint64 or np.dtype(dtype) == np.uint64):
             return self.words
         return np.random.SeedSequence([self.rng_seed, self.frame_id]).generate_state(
             n_words, dtype)
+
+
+@functools.lru_cache(maxsize=SEED_CACHE_BLOCKS)
+def _seed_block(rng_seed: int, block: int) -> np.ndarray:
+    """The read-only `frame_seeds` rows (SEED_BLOCK, 4) of the frame ids from
+    block * SEED_BLOCK on. SEED_BLOCK divides 2**63, so the last block ends
+    at the largest int64 id."""
+    ids = block * SEED_BLOCK + np.arange(SEED_BLOCK, dtype=np.int64)
+    rows = frame_seeds(rng_seed, ids)
+    rows.setflags(write=False)
+    return rows
+
+
+def frame_generator(rng_seed: int, frame_id: int, words: np.ndarray | None = None
+                    ) -> np.random.Generator:
+    """The generator of one frame's detector draws, PCG64 seeded with the
+    frame's `frame_seeds` row `words`: it draws what `default_rng([rng_seed,
+    frame_id])` does. Without `words`, the row comes from the cached block of
+    the frame's id. A frame id is an int64 count."""
+    if words is None:
+        if not 0 <= frame_id <= INT64_MAX:
+            raise ValueError(f"frame id must be in [0, 2**63), got {frame_id}")
+        block, row = divmod(frame_id, SEED_BLOCK)
+        words = _seed_block(rng_seed, block)[row]
+    return np.random.Generator(np.random.PCG64(FrameSeed(rng_seed, frame_id, words)))

@@ -129,6 +129,17 @@ class TestSimulate:
         assert str(config) in err and "k1" in err
         assert not (tmp_path / "x" / "dataset.ndjson").exists()
 
+    @pytest.mark.parametrize("key", ["fx", "fy"])
+    def test_focal_length_too_small_for_the_image_exits_2_naming_it(self, tmp_path, capsys,
+                                                                    key):
+        """A focal length so small that the image corner's normalized radius
+        squared overflows gives no finite ray: the config names it."""
+        config = write_config(tmp_path / "tiny.json", **{key: 1e-320})
+        assert main(["simulate", "--config", str(config), "--out", str(tmp_path / "x")]) == 2
+        err = capsys.readouterr().err
+        assert str(config) in err and f"{key} 1e-320" in err
+        assert not (tmp_path / "x").exists()
+
     def test_barrel_lens_folding_outside_the_image_loads(self, tmp_path):
         config = write_config(tmp_path / "barrel.json", k1=-0.08)
         assert main(["simulate", "--config", str(config), "--out", str(tmp_path / "x")]) == 0
@@ -426,6 +437,26 @@ class TestDownwashEval:
                      "--out", str(tmp_path / "e")]) == 3
         err = capsys.readouterr().err
         assert f"{dataset}:1: malformed header record" in err and key in err
+
+    @pytest.mark.parametrize("mode", ["oracle", "box", "grid"])
+    def test_dataset_focal_length_too_small_for_the_image_exits_3(self, tmp_path, capsys,
+                                                                  mode):
+        """A header `fy` of 1e-320 is positive but overflows the normalized
+        radius of the image corner, so no ray through the image is finite."""
+        dataset = self.simulate(tmp_path)
+        lines = dataset.read_text().splitlines()
+        header = json.loads(lines[0])
+        header["camera"]["intrinsics"]["fy"] = 1e-320
+        dataset.write_text("\n".join([json.dumps(header)] + lines[1:]) + "\n")
+        noise = tmp_path / "noise.json"
+        noise.write_text('{"rng_seed": 1}')
+        flags = ["--oracle"] if mode == "oracle" else ["--noise", str(noise), "--mode", mode]
+        capsys.readouterr()
+        assert main(["downwash-eval", "--dataset", str(dataset), *flags,
+                     "--out", str(tmp_path / "e")]) == 3
+        err = capsys.readouterr().err
+        assert f"{dataset}:1: malformed header record" in err and "fy 1e-320" in err
+        assert not (tmp_path / "e").exists()
 
     @pytest.mark.parametrize("command", ["downwash-eval", "benchmark"])
     def test_oracle_evaluation_loads_no_numpy_random(self, tmp_path, command):
@@ -1088,6 +1119,31 @@ class TestUnreadablePaths:
         assert main(argv) == 2
         assert f"Is a directory: {str(directory)!r}" in capsys.readouterr().err
         assert not (tmp_path / "x").exists()
+
+    @pytest.mark.parametrize("command", ["simulate", "benchmark", "downwash-eval"])
+    @pytest.mark.parametrize("under", [False, True])
+    def test_out_naming_a_file_exits_2_and_writes_nothing(self, tmp_path, capsys, command,
+                                                          under):
+        """An --out that is a file, or lies under one, is a usage error: the
+        message names --out and the path, and nothing is written."""
+        config = write_config(tmp_path / "cfg.json", duration=4.0)
+        assert main(["simulate", "--config", str(config), "--out", str(tmp_path / "sim")]) == 0
+        afile = tmp_path / "afile"
+        afile.write_text("kept\n")
+        out = afile / "sub" if under else afile
+        argv = {
+            "simulate": ["simulate", "--config", str(config)],
+            "benchmark": ["benchmark", "--config", str(config), "--oracle", "--yaw-rates", "4",
+                          "--pitches", "up"],
+            "downwash-eval": ["downwash-eval", "--oracle",
+                              "--dataset", str(tmp_path / "sim" / "dataset.ndjson")],
+        }[command]
+        before = sorted(tmp_path.rglob("*"))
+        capsys.readouterr()
+        assert main([*argv, "--out", str(out)]) == 2
+        assert f"--out {str(out)!r}" in capsys.readouterr().err
+        assert sorted(tmp_path.rglob("*")) == before
+        assert afile.read_text() == "kept\n"
 
 
 # Property tests (Hypothesis: MacIver et al., JOSS 2019): mutated copies of

@@ -15,16 +15,19 @@ from spincam.camera import (
     pixel_to_ray,
     project,
 )
-from spincam.errors import DegenerateBox, OutOfRange
+from spincam.errors import DegenerateBox, NonPositiveDepth, OutOfRange
 from spincam.geometry import PoseTrack, RobotGeometry
 from spincam.perception import (
     GridDetectionMap,
     NoiseModel,
+    _box_positions,
+    _dots,
     _ray_pair_position,
     decode_box,
     decode_box_rows,
     decode_detections,
     decode_grid,
+    decode_grid_frames,
     detect_rows,
     encode_grid,
     frame_rng,
@@ -32,7 +35,7 @@ from spincam.perception import (
     simulate_detector,
     sphere_distance_from_angle,
 )
-from spincam.seeding import FrameSeed, frame_seeds
+from spincam.seeding import SEED_BLOCK, SEED_CACHE_BLOCKS, FrameSeed, _seed_block, frame_seeds
 
 
 def sphere_silhouette_bbox(center, radius: float, intr: CameraIntrinsics) -> np.ndarray:
@@ -186,6 +189,85 @@ class TestScalarKernelsMatchNumpyFormulas:
                 _ray_pair_position(a, -a, 0.05)
 
 
+def box_corpus(rng) -> list[list[float]]:
+    """Boxes for the default 320x320 image: random ones in and around it,
+    ones clipped at its edges, degenerate ones (u_min == u_max), and ones
+    whose edge midpoints lie past the fold of a barrel lens with k1 -0.08."""
+    boxes = []
+    for _ in range(300):
+        u_min, u_max = np.sort(rng.uniform(-40.0, 360.0, 2)).tolist()
+        v_min, v_max = np.sort(rng.uniform(-40.0, 360.0, 2)).tolist()
+        boxes.append([u_min, v_min, u_max, v_max])
+    for _ in range(100):
+        u_min, v_min = rng.uniform(0.0, 300.0, 2).tolist()
+        boxes.append([u_min, v_min, u_min + rng.uniform(1.0, 20.0), v_min + 5.0])
+    boxes += [[0.0, 10.0, 30.0, 40.0], [290.0, 280.0, 320.0, 320.0], [0.0, 0.0, 320.0, 320.0],
+              [0.0, 150.0, 320.0, 170.0]]
+    boxes += [[100.0, 90.0, 100.0, 110.0], [0.0, 0.0, 0.0, 5.0], [320.0, 10.0, 320.0, 12.0]]
+    boxes += [[-200.0, 150.0, 100.0, 170.0], [-300.0, -300.0, 600.0, 600.0],
+              [150.0, 160.0, 500.0, 160.0]]
+    return boxes
+
+
+class TestBatchedBoxDecoder:
+    """`_box_positions` decodes many boxes in one pass; each row is the
+    one-row `decode_box`, bit for bit, and the rows `decode_box` rejects are
+    the rows it skips."""
+
+    @pytest.mark.parametrize("k1", (-0.08, 0.0, 0.05))
+    def test_rows_equal_one_row_decoder(self, k1):
+        intr = CameraIntrinsics(fx=170.0, fy=170.0, cx=160.0, cy=160.0, k1=k1)
+        boxes = box_corpus(np.random.default_rng(21))
+        expected, skipped = {}, {DegenerateBox: 0, OutOfRange: 0}
+        for k, box in enumerate(boxes):
+            try:
+                expected[k] = decode_box(box, intr, 0.05).position
+            except (DegenerateBox, OutOfRange) as exc:
+                skipped[type(exc)] += 1
+        rows, positions = _box_positions([box + [0.9] for box in boxes], intr, 0.05)
+        assert rows == sorted(expected)
+        assert positions.shape == (len(rows), 3)
+        assert positions.tobytes() == np.array([expected[k] for k in rows]).tobytes()
+        # a zero-width box is degenerate unless its ray's dot with itself rounds below 1
+        assert skipped[DegenerateBox] >= 1
+        assert (skipped[OutOfRange] >= 2) == (k1 < 0.0)
+
+    @pytest.mark.parametrize("k1", (-0.08, 0.0, 0.05))
+    def test_rows_equal_numpy_formulas(self, k1):
+        """Each decoded row equals the box decoder written with
+        np.linalg.norm and np.clip (`norm_pixel_ray`, `clip_ray_position`)."""
+        intr = CameraIntrinsics(fx=170.0, fy=170.0, cx=160.0, cy=160.0, k1=k1)
+        boxes = box_corpus(np.random.default_rng(22))
+        rows, positions = _box_positions(boxes, intr, 0.05)
+        assert len(rows) > 300
+        for k, position in zip(rows, positions):
+            u_min, v_min, u_max, v_max = boxes[k]
+            v_mid = 0.5 * (v_min + v_max)
+            expected = clip_ray_position(norm_pixel_ray((u_min, v_mid), intr),
+                                         norm_pixel_ray((u_max, v_mid), intr), 0.05)
+            assert position.tobytes() == expected.tobytes()
+
+    def test_no_boxes_give_no_rows(self, intr):
+        rows, positions = _box_positions([], intr, 0.05)
+        assert rows == [] and positions.shape == (0, 3)
+        assert decode_box_rows(np.empty((0, 5)), intr, 0.05).shape == (0, 3)
+
+    @pytest.mark.parametrize("count", (1, 2, 2000))
+    def test_dots_equal_ndarray_dot(self, count):
+        """The stacked matmul gives `ndarray.dot`'s bits, on rays whose dots
+        a plain sum rounds differently."""
+        rng = np.random.default_rng(23)
+        rays = np.column_stack([rng.uniform(-2.0, 2.0, (count, 2)), np.ones(count)])
+        units = rays / np.linalg.norm(rays, axis=1, keepdims=True)
+        a, b = rays.tolist(), units[::-1].tolist()
+        assert np.array(_dots(a)).tobytes() == np.array([r.dot(r) for r in rays]).tobytes()
+        assert np.array(_dots(a, b)).tobytes() == \
+            np.array([r.dot(u) for r, u in zip(rays, units[::-1])]).tobytes()
+        if count == 2000:
+            plain = rays[:, 0] * rays[:, 0] + rays[:, 1] * rays[:, 1] + 1.0
+            assert (plain != np.array(_dots(a))).any()
+
+
 def annotation_with(neighbors, frame_id: int = 0) -> FrameAnnotation:
     return FrameAnnotation(frame_id=frame_id, timestamp=0.0, ego_id="r0", neighbors=neighbors)
 
@@ -323,6 +405,34 @@ class TestDecodeGridEquivalence:
                     [p.tolist() for p in expected]
                 decoded += len(estimates)
         assert decoded > 1000
+
+    def test_stacked_frames_equal_cell_by_cell_decoder(self, intr):
+        """One `decode_grid_frames` pass over a stack of the plateau corpus's
+        grids of one shape gives each frame's cell-by-cell peaks, in frame
+        order, bit for bit, ties and threshold-level cells included."""
+        rng = np.random.default_rng(11)
+        by_shape = {}
+        for gmap in [*grids_with_plateaus(rng), *corner_and_edge_grids()]:
+            by_shape.setdefault(gmap.confidence.shape, []).append(gmap)
+        decoded = 0
+        for grids in by_shape.values():
+            confidence = np.stack([g.confidence for g in grids])
+            depth = np.stack([g.depth for g in grids])
+            for threshold in (0.5, 0.3, 0.0):
+                frames, positions = decode_grid_frames(confidence, depth, intr, threshold)
+                expected = [decode_grid_cell_by_cell(g, intr, threshold) for g in grids]
+                counts = [len(e) for e in expected]
+                assert frames.tolist() == np.repeat(np.arange(len(grids)), counts).tolist()
+                assert positions.tobytes() == \
+                    np.reshape([p for e in expected for p in e], (-1, 3)).tobytes()
+                decoded += len(positions)
+        assert decoded > 1000
+
+    def test_non_positive_peak_depth_raises_like_back_project(self, intr):
+        gmap = GridDetectionMap(np.zeros((28, 40)), np.ones((28, 40)))
+        gmap.confidence[3, 4], gmap.depth[3, 4] = 0.9, 0.0
+        with pytest.raises(NonPositiveDepth, match="depth 0.0 is not positive"):
+            decode_grid(gmap, intr)
 
     @pytest.mark.parametrize("channel", ["confidence", "depth"])
     @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
@@ -524,6 +634,36 @@ class TestFrameSeeds:
             np.random.SeedSequence([0, -1])
         with pytest.raises(ValueError, match="non-negative"):
             frame_seeds(0, [3, -1])
+
+    @pytest.mark.parametrize("seed", (7, 2**32 + 7, 2**64 + 7))
+    @pytest.mark.parametrize("frame_id", (0, 255, 256, 2**32 - 1, 2**32, 2**63 - 1))
+    def test_frame_rng_equals_default_rng(self, seed, frame_id):
+        """`frame_rng` takes its seed from a cached block of ids, for seeds
+        of one, two and three 32-bit words, at block and word edges."""
+        rng = frame_rng(NoiseModel(rng_seed=seed), frame_id)
+        expected = np.random.default_rng([seed, frame_id])
+        assert rng.bit_generator.state == expected.bit_generator.state
+        assert rng.random(3).tobytes() == expected.random(3).tobytes()
+        assert rng.normal(size=2).tobytes() == expected.normal(size=2).tobytes()
+
+    def test_frame_rng_after_the_cache_evicts_blocks(self):
+        """More blocks than the cache holds are touched; an evicted block is
+        hashed again, and every stream stays that of default_rng."""
+        noise = NoiseModel(rng_seed=5)
+        ids = [SEED_BLOCK * block + 3 for block in range(SEED_CACHE_BLOCKS + 8)]
+        for frame_id in ids + ids[:4]:
+            rng = frame_rng(noise, frame_id)
+            expected = np.random.default_rng([5, frame_id])
+            assert rng.bit_generator.state == expected.bit_generator.state
+            assert rng.random() == expected.random()
+        assert _seed_block.cache_info().currsize == SEED_CACHE_BLOCKS
+
+    @pytest.mark.parametrize("frame_id", (-1, -SEED_BLOCK, 2**63))
+    def test_frame_rng_rejects_ids_outside_int64_counts(self, frame_id):
+        with pytest.raises(ValueError):
+            np.random.default_rng([0, -1])
+        with pytest.raises(ValueError, match="frame id"):
+            frame_rng(NoiseModel(), frame_id)
 
     @pytest.mark.parametrize("n_words,dtype", [(4, np.uint32), (8, np.uint64), (2, np.uint64)])
     def test_other_state_requests_go_to_a_seed_sequence(self, n_words, dtype):
