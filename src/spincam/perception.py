@@ -124,8 +124,8 @@ def _dots(a: list, b: list | None = None) -> list[float]:
     vector-vector matmul calls the BLAS dot that `ndarray.dot` does, whose
     order of summation `np.einsum` and a plain `x*x + y*y + z*z` do not
     keep."""
-    a = np.array(a)
-    b = a if b is None else np.array(b)
+    a = np.array(a, dtype=float).reshape(-1, 3)
+    b = a if b is None else np.array(b, dtype=float).reshape(-1, 3)
     return np.matmul(a[:, None, :], b[:, :, None]).ravel().tolist()
 
 
@@ -181,34 +181,25 @@ def _box_positions(boxes: list, intr: CameraIntrinsics,
 
     Each box's edge midpoints are undistorted as `back_project` does; their
     rays and the rays' pairs then take their BLAS dots in one pass each over
-    all the boxes. The lens reaches every pixel of the image (`CameraIntrinsics`
-    checks its corners) but not every point beyond, so for a lens with `k1`
-    != 0 a box with an edge midpoint outside the image goes through
-    `_box_position` alone, which decodes it or raises why not."""
+    all the boxes."""
     cx, cy, fx, fy, k1 = intr.cx, intr.cy, intr.fx, intr.fy, intr.k1
-    width, height = intr.width, intr.height
-    decoded, rows, points = [None] * len(boxes), [], []
+    rows, points = [], []
     for k, (u_min, v_min, u_max, v_max, *_rest) in enumerate(boxes):
-        v_mid = 0.5 * (v_min + v_max)
-        if k1 != 0.0 and not (0.0 <= u_min <= width and 0.0 <= u_max <= width
-                              and 0.0 <= v_mid <= height):
-            try:
-                decoded[k] = _box_position((u_min, v_min, u_max, v_max), intr, radius)
-            except (DegenerateBox, OutOfRange):
-                pass
+        yd = (0.5 * (v_min + v_max) - cy) / fy
+        try:
+            x1, y1 = undistort_normalized((u_min - cx) / fx, yd, k1)
+            x2, y2 = undistort_normalized((u_max - cx) / fx, yd, k1)
+        except OutOfRange:
             continue
-        yd = (v_mid - cy) / fy
-        for u in (u_min, u_max):
-            points.append((*undistort_normalized((u - cx) / fx, yd, k1), 1.0))
+        points += ((x1, y1, 1.0), (x2, y2, 1.0))
         rows.append(k)
-    if rows:
-        # a ray is its point at depth 1 over the point's norm
-        rays = [(x / n, y / n, z / n)
-                for (x, y, z), n in zip(points, map(math.sqrt, _dots(points)))]
-        for k, position in zip(rows, _ray_pair_positions(rays[0::2], rays[1::2], radius)):
-            decoded[k] = position
-    rows = [k for k, position in enumerate(decoded) if position is not None]
-    return rows, np.array([decoded[k] for k in rows], dtype=float).reshape(-1, 3)
+    # a ray is its point at depth 1 over the point's norm
+    rays = [(x / n, y / n, z / n) for (x, y, z), n in zip(points, map(math.sqrt, _dots(points)))]
+    decoded = [(k, position) for k, position in
+               zip(rows, _ray_pair_positions(rays[0::2], rays[1::2], radius))
+               if position is not None]
+    return ([k for k, _ in decoded],
+            np.array([position for _, position in decoded], dtype=float).reshape(-1, 3))
 
 
 def decode_box(box, intr: CameraIntrinsics, radius: float) -> PositionEstimate:

@@ -30,9 +30,11 @@ MIX_MULT_L, MIX_MULT_R = 0xCA01F9DD, 0x4973F715
 MASK32 = 0xFFFFFFFF
 INT64_MAX = 2**63 - 1
 # Frame ids per block of seed rows that `frame_generator` hashes together, and
-# the blocks it keeps: 64 blocks of 256 rows of 32 bytes are 512 KiB
+# the blocks it keeps: 8 blocks of 256 rows of 32 bytes are 64 KiB and hold
+# the ids of a 60 s run at 30 fps, so a second in-order pass over such a run
+# hashes nothing (one block would serve a single in-order pass)
 SEED_BLOCK = 256
-SEED_CACHE_BLOCKS = 64
+SEED_CACHE_BLOCKS = 8
 
 
 def _int_words(n: int) -> list[int]:

@@ -306,16 +306,16 @@ class TestDownwashEval:
         fabricated box reaches past it once it is over 462 px wide (radius
         1.0 at depth below 0.74). Decoding skips such a box and the run
         completes."""
-        skipped, box_position = [], perception._box_position
+        skipped, undistort = [], perception.undistort_normalized
 
-        def counted(box, intr, r):
+        def counted(xd, yd, k1):
             try:
-                return box_position(box, intr, r)
+                return undistort(xd, yd, k1)
             except OutOfRange:
-                skipped.append(box)
+                skipped.append((xd, yd))
                 raise
 
-        monkeypatch.setattr(perception, "_box_position", counted)
+        monkeypatch.setattr(perception, "undistort_normalized", counted)
         config = write_config(tmp_path / "big.json", sphere_radius=radius, k1=-0.08)
         noise = tmp_path / "noise.json"
         noise.write_text('{"false_positive_rate": 3.0}')
