@@ -173,18 +173,23 @@ def slerp_arrays(q0, q1, t) -> np.ndarray:
 def invalid_pose_row(times, positions, quats) -> tuple[int, str] | None:
     """The first row of float arrays times (N,), positions (N, 3) and quats
     (N, 4) that fails a pose-sample check (finite values, non-negative time,
-    unit quaternion within UNIT_NORM_TOL), and why; a wrong shape is row 0."""
+    unit quaternion within UNIT_NORM_TOL), and why; a wrong shape is row 0.
+    Whole-array tests decide; per-row masks only locate a failure."""
     n = len(times)
     if times.shape != (n,) or positions.shape != (n, 3) or quats.shape != (n, 4):
         return 0, (f"expected times (N,), positions (N, 3), quats (N, 4); got "
                    f"{times.shape}, {positions.shape}, {quats.shape}")
     with np.errstate(over="ignore"):  # a huge component squares to inf: not unit-norm
         norms = np.sqrt(np.sum(quats * quats, axis=1))
+    unit, nonnegative = np.abs(norms - 1.0) <= UNIT_NORM_TOL, times >= 0.0
+    if (unit.all() and nonnegative.all() and np.isfinite(times).all()
+            and np.isfinite(positions).all() and np.isfinite(quats).all()):
+        return None
     return first_failure({
         "pose values must be finite": np.isfinite(times)
         & np.isfinite(positions).all(axis=1) & np.isfinite(quats).all(axis=1),
-        "time must be non-negative": times >= 0.0,
-        "quaternion must be unit-norm": np.abs(norms - 1.0) <= UNIT_NORM_TOL,
+        "time must be non-negative": nonnegative,
+        "quaternion must be unit-norm": unit,
     })
 
 

@@ -165,8 +165,11 @@ def _ray_pair_position(a1: np.ndarray, a2: np.ndarray, radius: float) -> np.ndar
 def _box_position(box, intr: CameraIntrinsics, radius: float) -> np.ndarray:
     """Position (3,) of one box from the rays through the midpoints of its
     left and right edges; raises OutOfRange when a midpoint lies past the
-    lens's reach and DegenerateBox when the rays give no position."""
+    lens's reach and DegenerateBox when the box has no width or the rays give
+    no position."""
     u_min, v_min, u_max, v_max = box
+    if u_max <= u_min:  # rounding can leave equal rays a tiny angle apart
+        raise DegenerateBox("box must be wider than zero pixels")
     v_mid = 0.5 * (v_min + v_max)
     return _ray_pair_position(pixel_to_ray((u_min, v_mid), intr),
                               pixel_to_ray((u_max, v_mid), intr), radius)
@@ -185,6 +188,8 @@ def _box_positions(boxes: list, intr: CameraIntrinsics,
     cx, cy, fx, fy, k1 = intr.cx, intr.cy, intr.fx, intr.fy, intr.k1
     rows, points = [], []
     for k, (u_min, v_min, u_max, v_max, *_rest) in enumerate(boxes):
+        if u_max <= u_min:
+            continue
         yd = (0.5 * (v_min + v_max) - cy) / fy
         try:
             x1, y1 = undistort_normalized((u_min - cx) / fx, yd, k1)

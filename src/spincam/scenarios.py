@@ -263,18 +263,21 @@ def _draw_waypoints(cfg: ScenarioConfig, rng: np.random.Generator) -> list[np.nd
 
 def _waypoint_positions(times: np.ndarray, waypoints: np.ndarray, vmax: float,
                         accel: float) -> np.ndarray:
-    """Each sample follows the last leg that has started by its time."""
+    """Each sample of the increasing times follows the last leg that has
+    started by its time: a leg of non-zero length writes from its start to the
+    next such leg's, the last one every later sample (it holds its end)."""
     positions = np.tile(waypoints[-1], (len(times), 1))
-    t_start = 0.0
+    legs, t_start = [], 0.0
     for k in range(len(waypoints) - 1):
         delta = waypoints[k + 1] - waypoints[k]
         length = float(np.linalg.norm(delta))
-        if length < 1e-12:
-            continue
-        started = times >= t_start
-        s = _trapezoid_position(times[started] - t_start, length, vmax, accel)
-        positions[started] = waypoints[k] + s[:, None] * (delta / length)
-        t_start += _trapezoid_timing(length, vmax, accel)[1]
+        if length >= 1e-12:
+            legs.append((waypoints[k], delta, length, t_start))
+            t_start += _trapezoid_timing(length, vmax, accel)[1]
+    bounds = np.searchsorted(times, [leg[3] for leg in legs], side="left").tolist()
+    for (start, delta, length, t0), lo, hi in zip(legs, bounds, bounds[1:] + [len(times)]):
+        s = _trapezoid_position(times[lo:hi] - t0, length, vmax, accel)
+        positions[lo:hi] = start + s[:, None] * (delta / length)
     return positions
 
 

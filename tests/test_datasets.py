@@ -262,6 +262,28 @@ class TestColumnSidecar:
         assert_columns_bitwise_equal(from_sidecar.records, from_text.records)
         assert from_sidecar.camera.intrinsics == from_text.camera.intrinsics
 
+    @pytest.mark.parametrize("scale", [2.0, 1e200], ids=["non-unit", "huge"])
+    def test_bad_pose_row_fails_the_sidecar_and_the_text_parse(self, tmp_path, text_reads,
+                                                               scale):
+        """A written file and sidecar whose pose rows 3 x 3 + 2 and 5 x 3 + 1
+        (robot r2 of frame 3, r1 of frame 5) hold non-unit quaternions: the
+        sidecar's checks refuse it, and the text parse names the earlier row's
+        line, as the per-row masks locate it."""
+        dataset = random_dataset(np.random.default_rng(7), 12)
+        dataset.records.quats[[3, 5], [2, 1]] *= scale
+        path = tmp_path / "data.ndjson"
+        write_dataset(dataset, path)
+        with np.load(sidecar_of(path)) as npz:
+            assert npz["quats"].tobytes() == dataset.records.quats.tobytes()
+        records = dataset.records
+        pose_times = np.repeat(records.timestamps, len(records.robot_ids))
+        assert datasets._invalid_rows(records, pose_times)[1] == \
+            (3 * 3 + 2, "quaternion must be unit-norm")
+        with pytest.raises(ParseError, match=r"data\.ndjson:5: malformed frame record: "
+                                             r"quaternion must be unit-norm"):
+            read_dataset(path)
+        assert text_reads == [path]
+
     def test_sidecar_does_not_change_the_file(self, tmp_path):
         path = simulated_dataset(tmp_path, "swap", "up", 0.0)
         text = path.read_bytes()

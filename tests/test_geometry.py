@@ -9,10 +9,13 @@ from scipy.spatial.transform import Rotation, Slerp
 from spincam.camera import world_to_camera_arrays
 from spincam.errors import OutOfRange
 from spincam.geometry import (
+    UNIT_NORM_TOL,
     PoseTrack,
     RobotGeometry,
     compose,
+    first_failure,
     interpolate,
+    invalid_pose_row,
     invert,
     quat_from_rotvec,
     quat_multiply,
@@ -236,6 +239,99 @@ class TestInterpolatePose:
     def test_track_requires_increasing_timestamps(self):
         with pytest.raises(ValueError):
             make_track([(0.0, (0, 0, 0), 0.0), (0.0, (1, 0, 0), 0.0)])
+
+
+def mask_formula_pose_row(times, positions, quats):
+    """Reference for `invalid_pose_row`: the shape check, then every
+    check's per-row mask through `first_failure`."""
+    n = len(times)
+    if times.shape != (n,) or positions.shape != (n, 3) or quats.shape != (n, 4):
+        return 0, (f"expected times (N,), positions (N, 3), quats (N, 4); got "
+                   f"{times.shape}, {positions.shape}, {quats.shape}")
+    with np.errstate(over="ignore"):
+        norms = np.sqrt(np.sum(quats * quats, axis=1))
+    return first_failure({
+        "pose values must be finite": np.isfinite(times)
+        & np.isfinite(positions).all(axis=1) & np.isfinite(quats).all(axis=1),
+        "time must be non-negative": times >= 0.0,
+        "quaternion must be unit-norm": np.abs(norms - 1.0) <= UNIT_NORM_TOL,
+    })
+
+
+def pose_rows(n: int = 50):
+    rng = np.random.default_rng(11)
+    quats = np.array([random_quaternion(rng) for _ in range(n)])
+    return np.arange(n) / 10.0, rng.uniform(-2.0, 2.0, (n, 3)), quats
+
+
+def corrupted_pose_rows():
+    """(name, times, positions, quats) with one or two failing rows each,
+    and a few, named "passes-...", that pass."""
+    n = 50
+    cases = [("passes-valid", *pose_rows(n)),
+             ("passes-empty", *(a[:0] for a in pose_rows(n)))]
+    for row in (0, n // 2, n - 1):
+        for value in (np.nan, np.inf, -np.inf):
+            for array, column in ((0, None), (1, 0), (1, 2), (2, 0), (2, 3)):
+                arrays = pose_rows(n)
+                if column is None:
+                    arrays[array][row] = value
+                else:
+                    arrays[array][row, column] = value
+                cases.append((f"{value}-in-{array}-{column}-at-{row}", *arrays))
+        for name, scale in (("negative-time", -1.0), ("passes-negative-zero-time", -0.0)):
+            arrays = pose_rows(n)
+            arrays[0][row] = scale * (arrays[0][row] + 0.5)
+            cases.append((f"{name}-at-{row}", *arrays))
+        for name, scale in (("passes-", 1.0 + 0.5 * UNIT_NORM_TOL),
+                            ("", 1.0 + 2.0 * UNIT_NORM_TOL), ("", 1e200), ("", 0.0)):
+            arrays = pose_rows(n)
+            arrays[2][row] *= scale
+            cases.append((f"{name}quaternion-times-{scale}-at-{row}", *arrays))
+    arrays = pose_rows(n)
+    arrays[1][30, 1], arrays[0][10] = np.nan, -1.0
+    cases.append(("negative-time-before-nan", *arrays))
+    arrays = pose_rows(n)
+    arrays[2][20] *= 3.0
+    arrays[0][40] = np.inf
+    cases.append(("non-unit-before-inf", *arrays))
+    arrays = pose_rows(n)
+    arrays[2][7, 1], arrays[0][7] = np.nan, -1.0
+    cases.append(("nan-and-negative-time-at-one-row", *arrays))
+    arrays = pose_rows(n)
+    arrays[2][7] *= 2.0
+    arrays[0][7] = -1.0
+    cases.append(("negative-time-and-non-unit-at-one-row", *arrays))
+    times, positions, quats = pose_rows(n)
+    cases += [("short-positions", times, positions[:-1], quats),
+              ("two-column-positions", times, positions[:, :2], quats),
+              ("three-column-quats", times, positions, quats[:, :3]),
+              ("column-times", times[:, None], positions, quats),
+              ("nan-and-wrong-shape", np.full(n, np.nan), positions, quats[:, :3])]
+    return cases
+
+
+@pytest.mark.parametrize("name,times,positions,quats", corrupted_pose_rows(),
+                         ids=[case[0] for case in corrupted_pose_rows()])
+def test_invalid_pose_row_equals_mask_formula(name, times, positions, quats):
+    """Whole-array tests decide, and a failure is located as the per-row
+    masks locate it: the earliest row, and at one row the earlier check."""
+    expected = mask_formula_pose_row(times, positions, quats)
+    assert invalid_pose_row(times, positions, quats) == expected
+    assert (expected is None) == name.startswith("passes-")
+
+
+def test_invalid_pose_row_reports_the_earliest_row_and_check():
+    cases = {case[0]: case[1:] for case in corrupted_pose_rows()}
+    assert invalid_pose_row(*cases["negative-time-before-nan"]) == \
+        (10, "time must be non-negative")
+    assert invalid_pose_row(*cases["non-unit-before-inf"]) == (20, "quaternion must be unit-norm")
+    assert invalid_pose_row(*cases["nan-and-negative-time-at-one-row"]) == \
+        (7, "pose values must be finite")
+    assert invalid_pose_row(*cases["negative-time-and-non-unit-at-one-row"]) == \
+        (7, "time must be non-negative")
+    assert invalid_pose_row(*cases["nan-and-wrong-shape"])[0] == 0
+    assert "expected times (N,)" in invalid_pose_row(*cases["nan-and-wrong-shape"])[1]
 
 
 def test_robot_geometry_corners_cover_all_sign_combinations():

@@ -98,9 +98,19 @@ class TestDecodeBox:
             np.linalg.norm(center), abs=1e-6
         )
 
-    def test_zero_width_box_degenerate(self, intr):
+    @pytest.mark.parametrize("box", [
+        (100.0, 90.0, 100.0, 110.0), (320.0, 10.0, 320.0, 12.0), (0.0, 0.0, 0.0, 5.0),
+        (110.0, 90.0, 100.0, 110.0),
+    ], ids=["inside", "right-edge", "corner", "reversed"])
+    def test_box_without_width_degenerate(self, intr, box):
+        """A box with u_max <= u_min gives no position, also where rounding
+        leaves its two rays a tiny angle apart (at the right edge, 1.5e-8
+        rad: millions of metres)."""
         with pytest.raises(DegenerateBox):
-            decode_box((100.0, 90.0, 100.0, 110.0), intr, 0.05)
+            decode_box(box, intr, 0.05)
+        rows, positions = _box_positions([[*box, 0.9], [100.0, 90.0, 120.0, 110.0, 0.9]],
+                                         intr, 0.05)
+        assert rows == [1] and positions.shape == (1, 3)
 
     def test_antipodal_rays_degenerate(self):
         with pytest.raises(DegenerateBox):
@@ -229,8 +239,8 @@ class TestBatchedBoxDecoder:
         assert rows == sorted(expected)
         assert positions.shape == (len(rows), 3)
         assert positions.tobytes() == np.array([expected[k] for k in rows]).tobytes()
-        # a zero-width box is degenerate unless its ray's dot with itself rounds below 1
-        assert skipped[DegenerateBox] >= 1
+        # the corpus's three zero-width boxes are degenerate
+        assert skipped[DegenerateBox] >= 3
         assert (skipped[OutOfRange] >= 2) == (k1 < 0.0)
 
     @pytest.mark.parametrize("k1", (-0.08, 0.0, 0.05))

@@ -183,6 +183,70 @@ class TestRandomWaypoint:
                 assert ellipsoid_margin(starts[i], starts[j], cfg.ellipsoid) >= 2.0
 
 
+def overwrite_loop_positions(times, waypoints, vmax, accel) -> np.ndarray:
+    """Reference for `scenarios._waypoint_positions`: each leg of non-zero
+    length overwrites every sample at or after its start."""
+    positions = np.tile(waypoints[-1], (len(times), 1))
+    t_start = 0.0
+    for k in range(len(waypoints) - 1):
+        delta = waypoints[k + 1] - waypoints[k]
+        length = float(np.linalg.norm(delta))
+        if length < 1e-12:
+            continue
+        started = times >= t_start
+        s = scenarios._trapezoid_position(times[started] - t_start, length, vmax, accel)
+        positions[started] = waypoints[k] + s[:, None] * (delta / length)
+        t_start += scenarios._trapezoid_timing(length, vmax, accel)[1]
+    return positions
+
+
+class TestWaypointPositions:
+    """Each leg writes only its own samples; the positions are the
+    overwrite loop's, bit for bit."""
+
+    def assert_equals_overwrite_loop(self, times, waypoints, vmax=0.5, accel=1.0):
+        positions = scenarios._waypoint_positions(times, waypoints, vmax, accel)
+        expected = overwrite_loop_positions(times, waypoints, vmax, accel)
+        assert positions.tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("count", [2, 6, 12, scenarios.MAX_WAYPOINTS])
+    @pytest.mark.parametrize("seed", range(12))
+    def test_drawn_flights(self, seed, count):
+        cfg = ScenarioConfig(kind="random_waypoint", num_robots=2, duration=20.0,
+                             rng_seed=seed, waypoint_count=count, max_speed=0.7, accel=1.3)
+        times = scenarios._sample_times(cfg)
+        for waypoints in scenarios._draw_waypoints(cfg, np.random.default_rng(seed)):
+            self.assert_equals_overwrite_loop(times, waypoints, cfg.max_speed, cfg.accel)
+
+    @pytest.mark.parametrize("repeat", [
+        [0, 0, 1, 2, 3], [0, 1, 1, 1, 2, 3], [0, 1, 2, 3, 3], [0, 0, 1, 1, 2, 2, 3, 3],
+        [2, 2, 2],
+    ], ids=["first", "middle", "last", "every", "all-equal"])
+    def test_repeated_waypoints_start_no_leg(self, repeat):
+        points = np.random.default_rng(5).uniform(-1.5, 1.5, (4, 3))
+        times = np.linspace(0.0, 30.0, 3001)
+        self.assert_equals_overwrite_loop(times, points[repeat])
+
+    def test_leg_starting_on_a_sample_time(self):
+        # a 0.25 m triangle leg takes exactly 2 sqrt(0.25 / 1) = 1 s
+        waypoints = np.array([[0.0, 0.0, 1.0], [0.25, 0.0, 1.0], [0.25, 0.5, 1.0],
+                              [0.0, 0.5, 1.0]])
+        times = np.arange(501) / 100.0
+        assert scenarios._trapezoid_timing(0.25, 0.5, 1.0)[1] == times[100]
+        self.assert_equals_overwrite_loop(times, waypoints)
+        # the sample on the boundary is the second leg's first
+        positions = scenarios._waypoint_positions(times, waypoints, 0.5, 1.0)
+        assert positions[100].tolist() == waypoints[1].tolist()
+
+    def test_legs_starting_after_the_flight_ends(self):
+        points = np.random.default_rng(6).uniform(-1.5, 1.5, (40, 3))
+        times = np.linspace(0.0, 3.0, 301)
+        total = sum(scenarios._trapezoid_timing(float(np.linalg.norm(b - a)), 0.5, 1.0)[1]
+                    for a, b in zip(points, points[1:]))
+        assert total > 10.0 * times[-1]
+        self.assert_equals_overwrite_loop(times, points)
+
+
 class TestValidation:
     @pytest.mark.parametrize("name,value", [
         ("kind", "spiral"), ("camera_pitch", "down"), ("num_robots", 2.5), ("rng_seed", -1),
