@@ -40,6 +40,7 @@ from .errors import (
 )
 from .geometry import (
     DEFAULT_ROBOT_GEOMETRY,
+    MAX_COORDINATE,
     PoseTrack,
     RobotGeometry,
     first_failure,
@@ -48,6 +49,7 @@ from .geometry import (
     is_finite,
     is_numbers,
     require_finite,
+    within_reach,
 )
 from .metrics import ConfusionCounts, classification_metrics
 from .perception import DEFAULT_GRID_COLS, DEFAULT_GRID_ROWS, NoiseModel, encode_grid
@@ -317,6 +319,8 @@ def _invalid_rows(records: RunRecords, pose_times: np.ndarray) -> tuple[tuple | 
                          records.quats.reshape(-1, 4)),
         first_failure({
             "neighbor values must be finite": np.isfinite(neighbor_values).all(axis=1),
+            f"rel_position must be within {MAX_COORDINATE:g} m per axis":
+                within_reach(rel_positions, axis=1),
             "rel_position depth must be positive": rel_positions[:, 2] > 0.0,
             "bbox corners must be ordered":
                 (bboxes[:, 0] <= bboxes[:, 2]) & (bboxes[:, 1] <= bboxes[:, 3]),
@@ -767,6 +771,9 @@ def load_simulation_config(path) -> SimulationSpec:
         camera = camera_for_pitch(
             scenario.camera_pitch, intrinsics, raw.get("camera_translation", (0.0, 0.0, 0.0))
         )
+        if not within_reach(camera.translation):
+            raise ValueError(f"camera_translation must be within {MAX_COORDINATE:g} m per axis, "
+                             f"got {camera.translation.tolist()}")
         geometry = dataclasses.replace(
             DEFAULT_ROBOT_GEOMETRY, **{key: raw[key] for key in _GEOMETRY_KEYS & set(raw)}
         )

@@ -23,6 +23,7 @@ import numpy as np
 from .errors import OutOfRange
 
 UNIT_NORM_TOL = 1e-6
+MAX_COORDINATE = 1e6  # metres: squares and sums of coordinates within it stay finite
 
 
 def as_vec3(value, name: str = "vector") -> np.ndarray:
@@ -68,6 +69,11 @@ def is_numbers(value, size: int | None) -> bool:
     """A list or tuple of finite real numbers, `size` of them unless None."""
     return (isinstance(value, (list, tuple)) and size in (None, len(value))
             and all(is_finite(v) for v in value))
+
+
+def within_reach(values, axis=None):
+    """Whether each coordinate of `values` (all, or along `axis`) is within MAX_COORDINATE."""
+    return (np.abs(np.asarray(values, dtype=float)) <= MAX_COORDINATE).all(axis=axis)
 
 
 def require_finite(name: str, value, error=ValueError) -> None:
@@ -173,8 +179,8 @@ def slerp_arrays(q0, q1, t) -> np.ndarray:
 def invalid_pose_row(times, positions, quats) -> tuple[int, str] | None:
     """The first row of float arrays times (N,), positions (N, 3) and quats
     (N, 4) that fails a pose-sample check (finite values, non-negative time,
-    unit quaternion within UNIT_NORM_TOL), and why; a wrong shape is row 0.
-    Whole-array tests decide; per-row masks only locate a failure."""
+    position within reach, unit quaternion within UNIT_NORM_TOL), and why; a
+    wrong shape is row 0. Whole-array tests decide; masks locate a failure."""
     n = len(times)
     if times.shape != (n,) or positions.shape != (n, 3) or quats.shape != (n, 4):
         return 0, (f"expected times (N,), positions (N, 3), quats (N, 4); got "
@@ -183,12 +189,13 @@ def invalid_pose_row(times, positions, quats) -> tuple[int, str] | None:
         norms = np.sqrt(np.sum(quats * quats, axis=1))
     unit, nonnegative = np.abs(norms - 1.0) <= UNIT_NORM_TOL, times >= 0.0
     if (unit.all() and nonnegative.all() and np.isfinite(times).all()
-            and np.isfinite(positions).all() and np.isfinite(quats).all()):
+            and within_reach(positions) and np.isfinite(quats).all()):  # reach implies finite
         return None
     return first_failure({
         "pose values must be finite": np.isfinite(times)
         & np.isfinite(positions).all(axis=1) & np.isfinite(quats).all(axis=1),
         "time must be non-negative": nonnegative,
+        f"t must be within {MAX_COORDINATE:g} m per axis": within_reach(positions, axis=1),
         "quaternion must be unit-norm": unit,
     })
 

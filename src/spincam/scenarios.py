@@ -16,7 +16,7 @@ import numpy as np
 from .camera import PITCH_ANGLES
 from .downwash import DOWNWASH_MARGIN, EllipsoidSpec, ellipsoid_margin
 from .errors import InvalidConfig
-from .geometry import PoseTrack, is_count, is_numbers, require_finite
+from .geometry import MAX_COORDINATE, PoseTrack, is_count, is_numbers, require_finite
 
 SCENARIO_KINDS = ("random_waypoint", "hover_orbit", "swap")
 CAMERA_PITCHES = tuple(PITCH_ANGLES)
@@ -77,6 +77,10 @@ class ScenarioConfig:
             if not is_numbers(value, size):
                 what = "a list of finite numbers" if size is None else f"{size} finite numbers"
                 raise InvalidConfig(f"{name} must be {what}, got {value!r}")
+        for name in ("orbit_radius", "orbit_height", *_VECTOR_FIELDS):
+            if max(map(abs, np.ravel(getattr(self, name) or 0.0).tolist())) > MAX_COORDINATE:
+                raise InvalidConfig(f"{name} must be within {MAX_COORDINATE:g} m per axis, "
+                                    f"got {getattr(self, name)!r}")
         if self.duration <= 0.0 or self.frame_rate <= 0.0 or self.sample_rate < 100.0:
             raise InvalidConfig("duration and rates must be positive (sample_rate >= 100 Hz)")
         if self.yaw_rate < 0.0:
@@ -269,6 +273,8 @@ def _waypoint_positions(times: np.ndarray, waypoints: np.ndarray, vmax: float,
     positions = np.tile(waypoints[-1], (len(times), 1))
     legs, t_start = [], 0.0
     for k in range(len(waypoints) - 1):
+        if t_start > times[-1]:  # this leg and every later one start after the flight
+            break
         delta = waypoints[k + 1] - waypoints[k]
         length = float(np.linalg.norm(delta))
         if length >= 1e-12:

@@ -38,7 +38,7 @@ from spincam.errors import (
     ParseError,
     VersionMismatch,
 )
-from spincam.geometry import DEFAULT_ROBOT_GEOMETRY, PoseTrack
+from spincam.geometry import DEFAULT_ROBOT_GEOMETRY, MAX_COORDINATE, PoseTrack
 from spincam.scenarios import ScenarioConfig, frame_schedule, generate_scenario
 
 # The RunRecords columns, every field but the robot ids, and the neighbor-row ones.
@@ -509,15 +509,16 @@ class TestOneRead:
 
 def special_values_dataset() -> Dataset:
     """Seven frames whose floats include -0.0 next to 0.0, the smallest
-    subnormal and 1e300, repeated across robots, frames and columns; frames
-    0, 2, 3 and 6 see no neighbor."""
-    tiny, huge = 5e-324, 1e300
+    subnormal, 1e300 and, in positions and rel_positions, MAX_COORDINATE,
+    repeated across robots, frames and columns; frames 0, 2, 3 and 6 see no
+    neighbor."""
+    tiny, huge, far = 5e-324, 1e300, MAX_COORDINATE
     quats = [(1.0, 0.0, -0.0, 0.0), (-0.0, 1.0, 0.0, -0.0), (0.0, -0.0, 0.0, 1.0)]
-    positions = [(-0.0, 0.0, tiny), (huge, -huge, -0.0), (-0.0, 0.0, tiny)]
+    positions = [(-0.0, 0.0, tiny), (far, -far, -0.0), (-0.0, 0.0, tiny)]
     seen = (1, (-0.0, 0.0, tiny), (0.0, -0.0), (-0.0, 0.0, 0.0, huge))
-    rows = {1: [seen, (2, (0.0, -0.0, huge), (-0.0, -0.0), (0.0, -0.0, tiny, tiny))],
+    rows = {1: [seen, (2, (0.0, -0.0, far), (-0.0, -0.0), (0.0, -0.0, tiny, tiny))],
             4: [(2, (tiny, -tiny, tiny), (huge, 0.0), (-0.0, -0.0, -0.0, -0.0))],
-            5: [seen, (2, (-huge, huge, 1.0), (tiny, -0.0), (-huge, -tiny, -0.0, huge))]}
+            5: [seen, (2, (-far, far, 1.0), (tiny, -0.0), (-huge, -tiny, -0.0, huge))]}
     timestamps = [-0.0, 0.0, tiny, tiny, huge, 0.0, -0.0]
     frames = [(3 * k, t, positions[k % 3:] + positions[:k % 3], quats[k % 2:] + quats[:k % 2],
                rows.get(k, [])) for k, t in enumerate(timestamps)]

@@ -9,6 +9,7 @@ from scipy.spatial.transform import Rotation, Slerp
 from spincam.camera import world_to_camera_arrays
 from spincam.errors import OutOfRange
 from spincam.geometry import (
+    MAX_COORDINATE,
     UNIT_NORM_TOL,
     PoseTrack,
     RobotGeometry,
@@ -254,6 +255,7 @@ def mask_formula_pose_row(times, positions, quats):
         "pose values must be finite": np.isfinite(times)
         & np.isfinite(positions).all(axis=1) & np.isfinite(quats).all(axis=1),
         "time must be non-negative": times >= 0.0,
+        "t must be within 1e+06 m per axis": (np.abs(positions) <= 1e6).all(axis=1),
         "quaternion must be unit-norm": np.abs(norms - 1.0) <= UNIT_NORM_TOL,
     })
 
@@ -288,6 +290,11 @@ def corrupted_pose_rows():
             arrays = pose_rows(n)
             arrays[2][row] *= scale
             cases.append((f"{name}quaternion-times-{scale}-at-{row}", *arrays))
+        for name, value in (("passes-", MAX_COORDINATE), ("", -np.nextafter(MAX_COORDINATE, 2e6)),
+                            ("", 1e308)):
+            arrays = pose_rows(n)
+            arrays[1][row, 1] = value
+            cases.append((f"{name}position-{float(value)!r}-at-{row}", *arrays))
     arrays = pose_rows(n)
     arrays[1][30, 1], arrays[0][10] = np.nan, -1.0
     cases.append(("negative-time-before-nan", *arrays))
@@ -330,6 +337,8 @@ def test_invalid_pose_row_reports_the_earliest_row_and_check():
         (7, "pose values must be finite")
     assert invalid_pose_row(*cases["negative-time-and-non-unit-at-one-row"]) == \
         (7, "time must be non-negative")
+    assert invalid_pose_row(*cases["position-1e+308-at-25"]) == (
+        25, "t must be within 1e+06 m per axis")
     assert invalid_pose_row(*cases["nan-and-wrong-shape"])[0] == 0
     assert "expected times (N,)" in invalid_pose_row(*cases["nan-and-wrong-shape"])[1]
 

@@ -246,6 +246,23 @@ class TestWaypointPositions:
         assert total > 10.0 * times[-1]
         self.assert_equals_overwrite_loop(times, points)
 
+    def test_legs_past_the_flight_are_not_positioned(self, monkeypatch):
+        """At MAX_WAYPOINTS on a 3 s flight, a leg is positioned at most once,
+        and only if it starts within the flight."""
+        cfg = ScenarioConfig(kind="random_waypoint", num_robots=1, duration=3.0, rng_seed=1,
+                             waypoint_count=scenarios.MAX_WAYPOINTS)
+        times = scenarios._sample_times(cfg)
+        waypoints = scenarios._draw_waypoints(cfg, np.random.default_rng(1))[0]
+        durations = [scenarios._trapezoid_timing(float(np.linalg.norm(b - a)), cfg.max_speed,
+                                                 cfg.accel)[1]
+                     for a, b in zip(waypoints, waypoints[1:])]
+        starting = int(np.sum(np.cumsum([0.0, *durations[:-1]]) <= times[-1]))
+        calls, position = [], scenarios._trapezoid_position
+        monkeypatch.setattr(scenarios, "_trapezoid_position",
+                            lambda *args: calls.append(args) or position(*args))
+        scenarios._waypoint_positions(times, waypoints, cfg.max_speed, cfg.accel)
+        assert 0 < len(calls) <= starting < 10
+
 
 class TestValidation:
     @pytest.mark.parametrize("name,value", [
