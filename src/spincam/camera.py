@@ -1,4 +1,4 @@
-"""Camera model: projection, back-projection, frame annotation, mount refinement.
+"""Camera model: projection, back-projection, frame annotation.
 
 The camera frame is the usual computer-vision one (+z optical axis, +x right,
 +y down); the robot frame is +x forward, +y left, +z up. Pixel coordinates are
@@ -13,14 +13,13 @@ interpolated pose tracks, and `project` the kernel's one-point case.
 
 from __future__ import annotations
 
-import itertools
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
-from .errors import NonPositiveDepth, NoObservations, OutOfRange
+from .errors import NonPositiveDepth, OutOfRange
 from .geometry import (
     UNIT_NORM_TOL,
     PoseTrack,
@@ -29,16 +28,10 @@ from .geometry import (
     compose,
     interpolate,
     invert,
-    quat_from_rotvec,
-    quat_multiply,
     quat_normalize,
     quat_rotate,
     require_finite,
 )
-
-# candidate-row pairs that one step of `refine_extrinsic_rotation` scores at
-# most (one candidate when a run has more rows); bounds its temporaries
-REFINE_PAIRS = 1 << 14
 
 PITCH_ANGLES = {"forward": 0.0, "tilt45": math.pi / 4.0, "up": math.pi / 2.0}
 
@@ -89,8 +82,9 @@ DEFAULT_INTRINSICS = CameraIntrinsics(fx=170.0, fy=170.0, cx=160.0, cy=160.0)
 @dataclass(frozen=True, eq=False)
 class CameraModel:
     """Intrinsics plus the robot-to-camera mount: the unit quaternion
-    `rotation` (4,) then the `translation` (3,). A dataset header stores the
-    mount as its extrinsic `q` and `t`, so the checks name those keys."""
+    `rotation` (4,) then the `translation` (3,), within MAX_COORDINATE per
+    axis. A dataset header stores the mount as its extrinsic `q` and `t`, so
+    the checks name those keys."""
 
     intrinsics: CameraIntrinsics
     rotation: np.ndarray
@@ -105,7 +99,8 @@ class CameraModel:
             raise ValueError(f"extrinsic q must be a unit quaternion (w, x, y, z), "
                              f"got {self.rotation!r}")
         object.__setattr__(self, "rotation", q)
-        object.__setattr__(self, "translation", as_vec3(self.translation, "extrinsic t"))
+        object.__setattr__(self, "translation",
+                           as_vec3(self.translation, "extrinsic t", reach=True))
 
 
 def pitch_rotation(pitch: float) -> np.ndarray:
@@ -134,7 +129,8 @@ def camera_for_pitch(
     if label not in PITCH_ANGLES:
         raise ValueError(f"unknown camera pitch {label!r}; expected one of {sorted(PITCH_ANGLES)}")
     return CameraModel(intrinsics=intrinsics, rotation=pitch_rotation(PITCH_ANGLES[label]),
-                       translation=as_vec3(translation, "camera_translation"), pitch_label=label)
+                       translation=as_vec3(translation, "camera_translation", reach=True),
+                       pitch_label=label)
 
 
 def _quaternion_from_matrix(m: np.ndarray) -> np.ndarray:
@@ -484,74 +480,3 @@ def annotate_tracks(
     ids, positions, quats = track_poses(tracks, times, ego_id)
     return annotate_poses(np.arange(len(times)), times, ids, positions, quats,
                           camera.rotation, camera.translation, camera.intrinsics, geom)
-
-
-@dataclass(frozen=True)
-class RotationGrid:
-    """Axis-aligned rotation-vector cube searched exhaustively."""
-
-    extent: float = 0.15
-    step: float = 0.01
-
-    def axis_values(self) -> np.ndarray:
-        n = int(round(self.extent / self.step))
-        return np.arange(-n, n + 1) * self.step
-
-
-def _ego_frame_points(records: RunRecords) -> np.ndarray:
-    """The true position of every neighbor row's robot (K, 3) in its frame's
-    ego robot frame: the part of the world-to-camera chain that does not
-    depend on the mount. Raises NoObservations when there are no rows."""
-    if not len(records.owner):
-        raise NoObservations("no center correspondences available")
-    to_ego_q, to_ego_t = invert(records.quats[records.owner, 0],
-                                records.positions[records.owner, 0])
-    return quat_rotate(to_ego_q, records.positions[records.owner, records.robot]) + to_ego_t
-
-
-def _mean_squared_errors(points, observed, rotations, translation,
-                        intr: CameraIntrinsics) -> np.ndarray:
-    """Mean squared pixel distance (C,) between ego-frame points (K, 3) seen
-    through each mount (rotations[c], translation) and the observed pixels
-    (K, 2); inf for a mount that puts a point on or behind the image plane."""
-    cam_pts = quat_rotate(rotations[:, None], points) + translation
-    errors = np.mean(np.sum((project_points(cam_pts, intr) - observed) ** 2, axis=2), axis=1)
-    errors[np.any(cam_pts[..., 2] <= 0.0, axis=1)] = math.inf
-    return errors
-
-
-def reprojection_mse(records: RunRecords, camera: CameraModel) -> float:
-    """Mean squared pixel error of the true neighbor centers, projected
-    through the camera, vs the observed `centers` of a run's neighbor rows."""
-    return float(_mean_squared_errors(_ego_frame_points(records), records.centers,
-                                      camera.rotation[None], camera.translation,
-                                      camera.intrinsics)[0])
-
-
-def refine_extrinsic_rotation(
-    records: RunRecords, camera: CameraModel, search: RotationGrid = RotationGrid()
-) -> CameraModel:
-    """Exhaustive grid search over mount-rotation perturbations.
-
-    Every rotation vector on the grid perturbs the current mount rotation (in
-    camera coordinates); the first candidate with the least finite
-    `reprojection_mse` of the run's observed neighbor centers wins, and the
-    mount stays as it is when every candidate puts a point behind the image
-    plane. Candidates are scored REFINE_PAIRS candidate-row pairs at a time.
-    Returns the camera with the winning mount rotation; translation is kept
-    as-is.
-    """
-    points = _ego_frame_points(records)
-    rotvecs = np.array(list(itertools.product(search.axis_values(), repeat=3)))
-    candidates = quat_normalize(quat_multiply(quat_from_rotvec(rotvecs), camera.rotation))
-    best_error = math.inf
-    best_rotation = camera.rotation
-    size = max(1, REFINE_PAIRS // len(points))
-    for lo in range(0, len(candidates), size):
-        errors = _mean_squared_errors(points, records.centers, candidates[lo:lo + size],
-                                      camera.translation, camera.intrinsics)
-        best = int(np.argmin(errors))
-        if errors[best] < best_error:
-            best_error = errors[best]
-            best_rotation = candidates[lo + best]
-    return replace(camera, rotation=best_rotation)

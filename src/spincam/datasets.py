@@ -1,9 +1,9 @@
 """File formats and log ingestion.
 
-Datasets and label files are newline-delimited JSON with an explicit schema
-version in the leading header record; pose and gyro logs are plain CSV;
-reports are CSV rows between '#' metadata lines. Floats serialize with
-shortest round-trip decimal form, so read(write(x)) is exact.
+Datasets are newline-delimited JSON with an explicit schema version in the
+leading header record; pose and gyro logs are plain CSV; reports are CSV
+rows between '#' metadata lines. Floats serialize with shortest round-trip
+decimal form, so read(write(x)) is exact.
 """
 
 from __future__ import annotations
@@ -52,7 +52,7 @@ from .geometry import (
     within_reach,
 )
 from .metrics import ConfusionCounts, classification_metrics
-from .perception import DEFAULT_GRID_COLS, DEFAULT_GRID_ROWS, NoiseModel, encode_grid
+from .perception import NoiseModel
 from .scenarios import ScenarioConfig
 
 SCHEMA_VERSION = 1
@@ -158,8 +158,8 @@ class Dataset:
         return self.records.frames()
 
 
-# Frames `write_dataset` and `export_labels` format and write at a time: the
-# text held at once is that of one chunk, not the whole run.
+# Frames `write_dataset` formats and writes at a time: the text held at once
+# is that of one chunk, not the whole run.
 WRITE_FRAMES = 256
 
 _NEIGHBOR_LINE = (', "rel_position": [%s, %s, %s], "center": [%s, %s], '
@@ -202,7 +202,7 @@ def _frame_chunks(records: RunRecords) -> Iterator[RunRecords]:
 def _frame_neighbors(records: RunRecords) -> list[str]:
     """Each frame row's neighbor objects, formatted straight from the columns
     as the inside of the JSON list `json.dumps` gives for them: a dataset
-    line's `neighbors` and a `bbox` label line's `labels`."""
+    line's `neighbors`."""
     neighbor_line = ['{"robot_id": ' + _json_literal(rid) + _NEIGHBOR_LINE
                      for rid in records.robot_ids]
     values = np.concatenate([records.rel_positions, records.centers, records.bboxes], axis=1)
@@ -237,20 +237,10 @@ def _frame_lines(records: RunRecords) -> str:
     ])
 
 
-def _write_frames(fh, header: str, records: RunRecords, format_frames, digest=None) -> None:
-    """Write the `header` line, then `format_frames` of each chunk of
-    `records`, to the binary file `fh` as UTF-8, and feed the same bytes to
-    `digest` if given."""
-    for chunk in chain([header], map(format_frames, _frame_chunks(records))):
-        data = chunk.encode()
-        if digest is not None:
-            digest.update(data)
-        fh.write(data)
-
-
 def write_dataset(dataset: Dataset, path) -> None:
-    """Write a dataset file: the header line, then one line per frame row;
-    and next to it its column sidecar (see `read_dataset`)."""
+    """Write a dataset file: the header line, then one line per frame row,
+    formatted a chunk of frames at a time and hashed as written; and next to
+    it its column sidecar (see `read_dataset`)."""
     import hashlib  # it maps OpenSSL: only runs that write or read a dataset load it
 
     records = dataset.records
@@ -263,8 +253,12 @@ def write_dataset(dataset: Dataset, path) -> None:
         "frame_count": len(records),
     }
     digest = hashlib.sha256()
+    frame_lines = map(_frame_lines, _frame_chunks(records))
     with open(path, "wb") as fh:
-        _write_frames(fh, json.dumps(header) + "\n", records, _frame_lines, digest)
+        for text in chain([json.dumps(header) + "\n"], frame_lines):
+            data = text.encode()
+            digest.update(data)
+            fh.write(data)
     _write_sidecar(records, path, digest.digest())
 
 
@@ -501,42 +495,6 @@ def _read_sidecar(path, header: dict, data: bytes) -> RunRecords | None:
 
 
 # ---------------------------------------------------------------------------
-# Label export
-
-def _label_lines(records: RunRecords) -> str:
-    """The label lines of a `bbox` label file, formatted straight from the
-    columns: each frame's neighbor objects as the dataset file holds them."""
-    return "".join([
-        '{"record": "labels", "frame_id": %d, "labels": [%s]}\n' % labels
-        for labels in zip(records.frame_ids.tolist(), _frame_neighbors(records))
-    ])
-
-
-def export_labels(records: RunRecords, mode: str, path,
-                  intr: CameraIntrinsics | None = None) -> None:
-    """Per-frame training labels of a run: its neighbor objects as the
-    dataset file holds them (`bbox`), or its sparse grid targets (`grid`)."""
-    if mode not in ("bbox", "grid"):
-        raise ValueError(f"unknown label mode {mode!r}")
-    if mode == "grid" and intr is None:
-        raise ValueError("grid labels need camera intrinsics for the stride mapping")
-    header = {"record": "header", "schema_version": SCHEMA_VERSION, "mode": mode}
-    if mode == "bbox":
-        with open(path, "wb") as fh:
-            _write_frames(fh, json.dumps(header) + "\n", records, _label_lines)
-        return
-    header.update(rows=DEFAULT_GRID_ROWS, cols=DEFAULT_GRID_COLS)
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(json.dumps(header) + "\n")
-        for ann in records.annotations():
-            gmap = encode_grid(ann, intr)
-            cells = [[int(r), int(c), float(gmap.confidence[r, c]), float(gmap.depth[r, c])]
-                     for r, c in np.argwhere(gmap.confidence > 0.0)]
-            fh.write(json.dumps({"record": "labels", "frame_id": ann.frame_id,
-                                 "cells": cells}) + "\n")
-
-
-# ---------------------------------------------------------------------------
 # Pose logs (CSV)
 
 def _numeric_rows(path, columns: list[str], first: int):
@@ -629,13 +587,6 @@ def read_gyro_log(path) -> GyroSequence:
         return GyroSequence(rows[:, 0], rows[:, 1:])
     except ValueError as exc:
         raise ParseError(f"{path}: {exc}") from exc
-
-
-def write_gyro_log(seq: GyroSequence, path) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(",".join(GYRO_LOG_COLUMNS) + "\n")
-        for t, (gx, gy, gz) in zip(seq.timestamps, seq.rates):
-            fh.write(",".join(repr(float(v)) for v in (t, gx, gy, gz)) + "\n")
 
 
 def _offset_error(a: GyroSequence, b: GyroSequence, delta: float, min_overlap: float,
@@ -771,9 +722,6 @@ def load_simulation_config(path) -> SimulationSpec:
         camera = camera_for_pitch(
             scenario.camera_pitch, intrinsics, raw.get("camera_translation", (0.0, 0.0, 0.0))
         )
-        if not within_reach(camera.translation):
-            raise ValueError(f"camera_translation must be within {MAX_COORDINATE:g} m per axis, "
-                             f"got {camera.translation.tolist()}")
         geometry = dataclasses.replace(
             DEFAULT_ROBOT_GEOMETRY, **{key: raw[key] for key in _GEOMETRY_KEYS & set(raw)}
         )

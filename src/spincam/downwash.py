@@ -29,6 +29,7 @@ from .camera import (
 )
 from .geometry import (
     DEFAULT_ROBOT_GEOMETRY,
+    MAX_COORDINATE,
     PoseTrack,
     RobotGeometry,
     as_vec3,
@@ -38,6 +39,7 @@ from .geometry import (
 from .perception import NoiseModel, perceive
 
 DOWNWASH_MARGIN = 2.0
+MIN_RADIUS = 1.0 / MAX_COORDINATE  # metres: separations within reach divided by it square finitely
 MERGE_RADIUS = 0.1
 # belief-frame pairs one lifetime-scan step tests at most; bounds its temporaries
 SCAN_PAIRS = 4096
@@ -50,7 +52,7 @@ EVAL_MODES = ("oracle", "omni", "box", "grid")
 
 @dataclass(frozen=True)
 class EllipsoidSpec:
-    """Axis-aligned safety ellipsoid radii (meters)."""
+    """Axis-aligned safety ellipsoid radii (meters), each at least MIN_RADIUS."""
 
     rx: float = 0.15
     ry: float = 0.15
@@ -59,8 +61,9 @@ class EllipsoidSpec:
     def __post_init__(self):
         for name in ("rx", "ry", "rz"):
             require_finite(f"ellipsoid {name}", getattr(self, name))
-        if self.rx <= 0.0 or self.ry <= 0.0 or self.rz <= 0.0:
-            raise ValueError("ellipsoid radii must be positive")
+        if min(self.rx, self.ry, self.rz) < MIN_RADIUS:
+            raise ValueError(f"ellipsoid radii must be at least {MIN_RADIUS:g} m, "
+                             f"got {[self.rx, self.ry, self.rz]}")
 
     @classmethod
     def from_radii(cls, radii) -> "EllipsoidSpec":

@@ -14,10 +14,6 @@ class OutOfRange(SpincamError, ValueError):
     track (no extrapolation), or a pixel at or past a barrel lens's fold."""
 
 
-class NoObservations(SpincamError, ValueError):
-    """Extrinsic refinement called without any usable correspondences."""
-
-
 class InfeasibleWrench(SpincamError, ValueError):
     """Requested wrench needs a negative squared motor speed."""
 

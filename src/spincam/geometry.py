@@ -26,9 +26,10 @@ UNIT_NORM_TOL = 1e-6
 MAX_COORDINATE = 1e6  # metres: squares and sums of coordinates within it stay finite
 
 
-def as_vec3(value, name: str = "vector") -> np.ndarray:
-    """Coerce to a finite float (3,) array; a ValueError names `name`. A list
-    or tuple must hold 3 finite numbers, none of them a string or a bool."""
+def as_vec3(value, name: str = "vector", reach: bool = False) -> np.ndarray:
+    """Coerce to a finite float (3,) array, with `reach` each coordinate within
+    MAX_COORDINATE; a ValueError names `name`. A list or tuple must hold 3
+    finite numbers, none of them a string or a bool."""
     if isinstance(value, (list, tuple)) and not is_numbers(value, 3):
         raise ValueError(f"{name} must be 3 finite numbers, got {value!r}")
     try:
@@ -39,6 +40,8 @@ def as_vec3(value, name: str = "vector") -> np.ndarray:
         raise ValueError(f"{name} must be 3 numbers, got shape {v.shape}")
     if not np.isfinite(v).all():
         raise ValueError(f"{name} components must be finite")
+    if reach and not within_reach(v):
+        raise ValueError(f"{name} must be within {MAX_COORDINATE:g} m per axis, got {v.tolist()}")
     return v
 
 
@@ -133,17 +136,6 @@ def quat_normalize(q) -> np.ndarray:
     q = np.asarray(q, dtype=float)
     w, x, y, z = _split(q)
     return q / np.sqrt(w * w + x * x + y * y + z * z)[..., None]
-
-
-def quat_from_rotvec(rotvec) -> np.ndarray:
-    """Unit quaternions (..., 4) turning by the angle |r| about the axis r / |r|
-    for rotation vectors r (..., 3)."""
-    r = np.asarray(rotvec, dtype=float)
-    angle = np.linalg.norm(r, axis=-1, keepdims=True)
-    # below |r| = 1e-12, sin(|r| / 2) / |r| is its limit 1/2 to double precision
-    with np.errstate(divide="ignore", invalid="ignore"):
-        scale = np.where(angle < 1e-12, 0.5, np.sin(0.5 * angle) / angle)
-    return quat_normalize(np.concatenate([np.cos(0.5 * angle), scale * r], axis=-1))
 
 
 def compose(qa, ta, qb, tb) -> tuple[np.ndarray, np.ndarray]:
@@ -271,10 +263,14 @@ class RobotGeometry:
     sphere_radius: float
 
     def __post_init__(self):
-        object.__setattr__(self, "half_extents", as_vec3(self.half_extents, "half_extents"))
+        object.__setattr__(self, "half_extents",
+                           as_vec3(self.half_extents, "half_extents", reach=True))
         require_finite("sphere_radius", self.sphere_radius)
         if np.any(self.half_extents <= 0.0) or self.sphere_radius <= 0.0:
             raise ValueError("robot dimensions must be positive")
+        if self.sphere_radius > MAX_COORDINATE:
+            raise ValueError(f"sphere_radius must be at most {MAX_COORDINATE:g} m, "
+                             f"got {self.sphere_radius!r}")
 
     def corners(self) -> np.ndarray:
         """The 8 body-frame corner points, one per sign combination."""

@@ -259,6 +259,10 @@ MALFORMED_SCENARIO = [
     ("duration must be finite", {"duration": math.nan}),
     ("ellipsoid[0] must be finite", {"ellipsoid": [math.inf, 0.1, 0.1]}),
     ("swap scenario requires exactly 2 robots", {"num_robots": 3}),
+    # past a bound that keeps the arithmetic finite
+    ("ellipsoid radii must be at least 1e-06 m", {"ellipsoid": [1e-320, 0.1, 0.1]}),
+    ("sphere_radius must be at most 1e+06 m", {"sphere_radius": 1e300}),
+    ("half_extents must be within 1e+06 m per axis", {"half_extents": [0.065, 1e300, 0.03]}),
 ]
 
 # simulate: a config coordinate past geometry.MAX_COORDINATE (1e6 m), which
@@ -321,6 +325,24 @@ MALFORMED_HEADER = [
     ("extrinsic q", "camera.extrinsic.q", "[0, 0, 0, 0]"),
     ("extrinsic t", "camera.extrinsic.t.2", '"0"'),
     ("extrinsic t", "camera.extrinsic.t", str(HUGE)),
+]
+
+# downwash-eval: a dataset header value past a bound, which would overflow in
+# some mode, and the message it gives
+FAR_HEADER = [
+    ("extrinsic-t", "camera.extrinsic.t.0", "1e+308",
+     "extrinsic t must be within 1e+06 m per axis"),
+    ("ellipsoid", "ellipsoid.0", "1e-320", "ellipsoid radii must be at least 1e-06 m"),
+    ("sphere-radius", "geometry.sphere_radius", "1e+300", "sphere_radius must be at most 1e+06 m"),
+    ("half-extents", "geometry.half_extents.2", "1e+300",
+     "half_extents must be within 1e+06 m per axis"),
+]
+# ... and the value at each of those bounds, which runs clean
+AT_BOUND_HEADER = [
+    ("extrinsic-t", "camera.extrinsic.t.0", "1000000.0"),
+    ("ellipsoid", "ellipsoid.0", "1e-06"),
+    ("sphere-radius", "geometry.sphere_radius", "1000000.0"),
+    ("half-extents", "geometry.half_extents.2", "1000000.0"),
 ]
 
 # downwash-eval: a malformed pose on line 5
@@ -457,7 +479,9 @@ CASES = [
            named)
       for name, text, named in (("nan", "nan,0.1,0.1", ("--ellipsoid", "finite")),
                                 ("empty", "", ("--ellipsoid",)),
-                                ("two-radii", "1,2", ("--ellipsoid",)))),
+                                ("two-radii", "1,2", ("--ellipsoid",)),
+                                ("tiny", "1e-320,0.1,0.1",
+                                 ("--ellipsoid: ellipsoid radii must be at least 1e-06 m",)))),
     *(Case(f"eval-malformed-noise-{k}", ("downwash-eval", "--dataset", "{work}/unread.ndjson",
                                          "--noise", NOISE, "--out", "{work}/out"), 2, (NOISE,),
            File("noise.json", text))
@@ -479,6 +503,11 @@ CASES = [
     *(Case(f"eval-header-fy-too-small-{mode}", (*EVAL, *flags), 3, (HEADER, "fy 1e-320"),
            Edit(1, "camera.intrinsics.fy", "1e-320"))
       for mode, flags in MODES.items()),
+    *(Case(f"eval-header-far-{name}-{mode}", (*EVAL, *flags), 3, (f"{HEADER}: {message}",),
+           Edit(1, path, text))
+      for name, path, text, message in FAR_HEADER for mode, flags in MODES.items()),
+    *(Case(f"eval-header-at-bound-{name}-{mode}", (*EVAL, *flags), 0, (), Edit(1, path, text))
+      for name, path, text in AT_BOUND_HEADER for mode, flags in MODES.items()),
     *(Case(f"eval-pose-{name}", (*EVAL, "--oracle"), 3, (frame_at(5),), Edit(5, path, text))
       for name, path, text in MALFORMED_POSE),
     # a coordinate past geometry.MAX_COORDINATE (1e6 m), which would overflow
@@ -526,6 +555,10 @@ CASES = [
     Case("benchmark-negative-seed-flag", (*BENCHMARK, "--seed", "-1"), 2, stderr=SEED_ERROR),
     Case("benchmark-bad-seed-named-before-bad-yaw-rates",
          (*BENCHMARK, "--seed", "-1", "--yaw-rates", "nan"), 2, stderr=SEED_ERROR),
+    Case("benchmark-config-tiny-ellipsoid", ("benchmark", "--config", CFG, "--out", "{work}/out",
+                                             "--oracle", "--yaw-rates", "2"), 2,
+         (f"{CFG}: ellipsoid radii must be at least 1e-06 m",),
+         Config({"ellipsoid": [1e-320, 0.1, 0.1]})),
     Case("benchmark-config-yaw-rate", ("benchmark", "--config", CFG, "--out", "{work}/out",
                                        "--oracle", "--yaw-rates", "2"), 2,
          (f"{CFG}: yaw_rate must be non-negative",), Config({"yaw_rate": -1.0})),

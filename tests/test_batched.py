@@ -36,7 +36,7 @@ from spincam.camera import (
     undistort_normalized,
 )
 from spincam.cli import main
-from spincam.datasets import Dataset, export_labels, read_dataset, write_dataset
+from spincam.datasets import Dataset, read_dataset, write_dataset
 from spincam.downwash import (
     DOWNWASH_MARGIN,
     EllipsoidSpec,
@@ -59,7 +59,6 @@ from spincam.perception import (
     PositionEstimate,
     _ray_pair_position,
     decode_detections,
-    encode_grid,
     perceive,
     simulate_detector,
 )
@@ -333,43 +332,6 @@ def test_dataset_lines_match_json_dumps_oracle(tmp_path, kind, pitch, k1):
     _header, *lines = path.read_text(encoding="utf-8").split("\n")[:-1]
     assert lines == [json.dumps(frame_obj(record)) for record in records.frames()]
     assert_same_columns(read_dataset(path).records, records)
-
-
-def label_text(records: RunRecords, mode: str, intr: CameraIntrinsics) -> str:
-    """A label file as the writer built it per annotation, before it read a
-    run's columns: a dict per frame, dumped with `json.dumps`."""
-    header = {"record": "header", "schema_version": 1, "mode": mode}
-    if mode == "grid":
-        header["rows"] = DEFAULT_GRID_ROWS
-        header["cols"] = DEFAULT_GRID_COLS
-    objs = [header]
-    for record in records.frames():
-        ann = record.annotation
-        if mode == "bbox":
-            objs.append({"record": "labels", "frame_id": ann.frame_id,
-                         "labels": frame_obj(record)["neighbors"]})
-        else:
-            gmap = encode_grid(ann, intr)
-            objs.append({"record": "labels", "frame_id": ann.frame_id, "cells": [
-                [int(r), int(c), float(gmap.confidence[r, c]), float(gmap.depth[r, c])]
-                for r, c in np.argwhere(gmap.confidence > 0.0)
-            ]})
-    return "".join(json.dumps(obj) + "\n" for obj in objs)
-
-
-@pytest.mark.parametrize("k1", DISTORTIONS)
-@pytest.mark.parametrize("pitch", PITCHES)
-@pytest.mark.parametrize("kind", sorted(KINDS))
-def test_label_files_match_per_annotation_oracle(tmp_path, kind, pitch, k1):
-    cfg, tracks = scenario(kind, pitch)
-    intr = CameraIntrinsics(fx=170.0, fy=170.0, cx=160.0, cy=160.0, k1=k1)
-    records = annotate_tracks(tracks, camera_for_pitch(pitch, intr), DEFAULT_ROBOT_GEOMETRY,
-                              frame_schedule(cfg))
-    assert len(records.owner), "no neighbor is seen; the comparison is vacuous"
-    for mode in ("bbox", "grid"):
-        path = tmp_path / f"{mode}.ndjson"
-        export_labels(records, mode, path, intr=intr)
-        assert path.read_bytes() == label_text(records, mode, intr).encode("utf-8"), mode
 
 
 # The simulated detector and the decoders as they worked on value objects

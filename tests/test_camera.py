@@ -1,10 +1,9 @@
-"""Projection, annotation, and camera-mount refinement."""
+"""Projection, annotation and the camera mount."""
 
 import itertools
 import math
 import re
 import sys
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -12,12 +11,9 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.spatial.transform import Rotation
 
-from spincam import camera as camera_module
 from spincam.camera import (
     CameraIntrinsics,
     CameraModel,
-    RotationGrid,
-    RunRecords,
     annotate_tracks,
     back_project,
     camera_for_pitch,
@@ -28,19 +24,10 @@ from spincam.camera import (
     pixel_to_ray,
     project,
     project_points,
-    refine_extrinsic_rotation,
-    reprojection_mse,
     undistort_normalized,
 )
-from spincam.errors import NoObservations, NonPositiveDepth, OutOfRange
-from spincam.geometry import (
-    DEFAULT_ROBOT_GEOMETRY,
-    PoseTrack,
-    quat_from_rotvec,
-    quat_multiply,
-    quat_normalize,
-    quat_rotate,
-)
+from spincam.errors import NonPositiveDepth, OutOfRange
+from spincam.geometry import PoseTrack, quat_rotate
 
 
 class TestProject:
@@ -258,64 +245,6 @@ class TestPitchRotation:
             camera_for_pitch("sideways", intr)
 
 
-def synthesize_calibration_records(camera: CameraModel, count: int, rng) -> RunRecords:
-    """A run of `count` frames annotated through `camera`: in frame k the ego
-    holds a random pose and four neighbors sit at random points in front of
-    the camera; the neighbors whose centers leave the image are not seen."""
-    ego, neighbors = [], []
-    for _ in range(count):
-        pose = static_pose(rng.uniform((-1, -1, 1.0), (1, 1, 2.0)),
-                           yaw=rng.uniform(0, 2 * math.pi))
-        to_world = matrix(*pose) @ np.linalg.inv(matrix(camera.rotation, camera.translation))
-        ego.append(pose)
-        neighbors.append([apply(to_world, rng.uniform((-0.8, -0.8, 0.6), (0.8, 0.8, 2.5)))
-                          for _ in range(4)])
-    times = np.arange(float(count))
-    identity = np.tile([1.0, 0.0, 0.0, 0.0], (count, 1))
-    tracks = [PoseTrack("r0", times, [t for _q, t in ego], [q for q, _t in ego])]
-    tracks += [PoseTrack(f"r{j + 1}", times, [frame[j] for frame in neighbors], identity)
-               for j in range(4)]
-    return annotate_tracks(tracks, camera, DEFAULT_ROBOT_GEOMETRY, times)
-
-
-def perturbed(camera: CameraModel, rotvec) -> CameraModel:
-    """The camera with its mount turned by a rotation vector (camera frame)."""
-    return replace(camera, rotation=quat_normalize(quat_multiply(quat_from_rotvec(rotvec),
-                                                                 camera.rotation)))
-
-
-def candidate_error(points, observed, rotation, translation, intr) -> float:
-    """One candidate mount's mean squared pixel error, inf when a point lies
-    on or behind the image plane: the per-candidate formula the refinement
-    once looped over."""
-    cam_pts = quat_rotate(rotation, points) + translation
-    if np.any(cam_pts[:, 2] <= 0.0):
-        return math.inf
-    return float(np.mean(np.sum((project_points(cam_pts, intr) - observed) ** 2, axis=1)))
-
-
-def loop_refinement(records: RunRecords, camera: CameraModel, search: RotationGrid):
-    """Every grid candidate's error and the rotation the per-candidate loop
-    keeps: the first strict minimum, or the mount itself when every error
-    is inf."""
-    points = camera_module._ego_frame_points(records)
-    rotvecs = np.array(list(itertools.product(search.axis_values(), repeat=3)))
-    candidates = quat_normalize(quat_multiply(quat_from_rotvec(rotvecs), camera.rotation))
-    errors, best_error, best_rotation = [], math.inf, camera.rotation
-    for rotation in candidates:
-        errors.append(candidate_error(points, records.centers, rotation, camera.translation,
-                                      camera.intrinsics))
-        if errors[-1] < best_error:
-            best_error, best_rotation = errors[-1], rotation
-    return candidates, np.array(errors), best_rotation
-
-
-def angle_between(a, b) -> float:
-    """The angle of the rotation from unit quaternion b to a, radians."""
-    delta = quat_multiply(a, b * np.array([1.0, -1.0, -1.0, -1.0]))
-    return 2.0 * math.acos(min(1.0, abs(delta[0])))
-
-
 DEFAULT_CORNER = math.hypot(160.0 / 170.0, 160.0 / 170.0)
 
 
@@ -437,109 +366,3 @@ class TestCameraModel:
     def test_non_unit_rotation_rejected(self, intr, rotation):
         with pytest.raises(ValueError, match="extrinsic q"):
             CameraModel(intr, rotation=rotation, translation=np.zeros(3))
-
-
-class TestRefineExtrinsicRotation:
-    def test_zero_perturbation_is_self_consistent(self, intr):
-        camera = camera_for_pitch("forward", intr)
-        records = synthesize_calibration_records(camera, 4, np.random.default_rng(4))
-        refined = refine_extrinsic_rotation(records, camera, RotationGrid(extent=0.02, step=0.01))
-        assert angle_between(refined.rotation, camera.rotation) < 1e-9
-
-    def test_recovers_on_grid_perturbation(self, intr):
-        camera = camera_for_pitch("forward", intr)
-        mounted = perturbed(camera, np.array([0.02, -0.01, 0.01]))
-        records = synthesize_calibration_records(mounted, 5, np.random.default_rng(5))
-        assert len(records.owner) > 5
-        refined = refine_extrinsic_rotation(records, camera, RotationGrid(extent=0.03, step=0.01))
-        assert angle_between(refined.rotation, mounted.rotation) < 1e-9
-        np.testing.assert_allclose(refined.translation, camera.translation)
-        assert (refined.intrinsics, refined.pitch_label) == (intr, "forward")
-
-    def test_no_observations(self, intr):
-        camera = camera_for_pitch("forward", intr)
-        # the neighbor sits behind the forward camera: frames, but no neighbor rows
-        tracks = [still_track("r0", static_pose((0, 0, 1))),
-                  still_track("r1", static_pose((-1, 0, 1)))]
-        unseen = annotate_tracks(tracks, camera, DEFAULT_ROBOT_GEOMETRY, [0.0, 1.0])
-        assert len(unseen) == 2 and len(unseen.owner) == 0
-        for records in (annotate_tracks(tracks, camera, DEFAULT_ROBOT_GEOMETRY, []), unseen):
-            with pytest.raises(NoObservations):
-                refine_extrinsic_rotation(records, camera)
-            with pytest.raises(NoObservations):
-                reprojection_mse(records, camera)
-
-    def test_reprojection_mse_matches_per_row_oracle(self, intr):
-        """The mean over neighbor rows of the squared pixel error, each row's
-        true center projected through the mount after the inverse ego pose,
-        chained as 4x4 matrices."""
-        records = synthesize_calibration_records(camera_for_pitch("up", intr), 4,
-                                                 np.random.default_rng(8))
-        camera = perturbed(camera_for_pitch("up", intr), (0.01, -0.02, 0.0))
-        errors = []
-        for f, r, observed in zip(records.owner, records.robot, records.centers):
-            to_camera = (matrix(camera.rotation, camera.translation)
-                         @ np.linalg.inv(matrix(records.quats[f, 0], records.positions[f, 0])))
-            pixel = project(apply(to_camera, records.positions[f, r]), intr)
-            errors.append((pixel[0] - observed[0]) ** 2 + (pixel[1] - observed[1]) ** 2)
-        assert len(errors) > 5 and min(errors) > 0.0
-        assert reprojection_mse(records, camera) == pytest.approx(np.mean(errors), rel=1e-12)
-
-    def test_points_behind_the_mount_score_inf(self, intr):
-        camera = camera_for_pitch("forward", intr)
-        records = synthesize_calibration_records(camera, 3, np.random.default_rng(7))
-        assert reprojection_mse(records, camera) < 1e-18
-        assert reprojection_mse(records, perturbed(camera, (0.0, math.pi, 0.0))) == math.inf
-
-    @pytest.mark.parametrize("pairs", [1, 40, 1 << 14])
-    @pytest.mark.parametrize("pitch,count,seed", [("forward", 50, 5), ("tilt45", 3, 6),
-                                                  ("up", 8, 2)])
-    def test_chunked_scores_match_per_candidate_loop(self, intr, monkeypatch, pitch, count,
-                                                     seed, pairs):
-        """Every candidate's error and the refined rotation are bitwise equal
-        to the per-candidate loop's, with one candidate per chunk, ragged
-        chunks and the default chunk."""
-        monkeypatch.setattr(camera_module, "REFINE_PAIRS", pairs)
-        camera = camera_for_pitch(pitch, intr)
-        records = synthesize_calibration_records(perturbed(camera, (0.015, -0.01, 0.005)),
-                                                 count, np.random.default_rng(seed))
-        points = camera_module._ego_frame_points(records)
-        seen = quat_rotate(camera.rotation, points) + camera.translation
-        # turning the mount about camera y by atan2(z, x) puts the point
-        # (x, y, z), x > 0, on the image plane: at the smallest such turn,
-        # part of the grid around it sees a point behind the plane
-        edge = min(math.atan2(z, x) for x, _y, z in seen.tolist() if x > 0.0)
-        search = RotationGrid(extent=0.03, step=0.01)
-        for mount, mixed in ((camera, False), (perturbed(camera, (0.0, edge, 0.0)), True)):
-            candidates, errors, expected = loop_refinement(records, mount, search)
-            assert np.isfinite(errors).any() and np.isinf(errors).any() == mixed
-            chunked = camera_module._mean_squared_errors(points, records.centers, candidates,
-                                                         mount.translation, intr)
-            assert chunked.tobytes() == errors.tobytes()
-            refined = refine_extrinsic_rotation(records, mount, search)
-            assert refined.rotation.tobytes() == expected.tobytes()
-
-    def test_every_candidate_behind_the_plane_keeps_the_mount(self, intr):
-        camera = camera_for_pitch("forward", intr)
-        records = synthesize_calibration_records(camera, 3, np.random.default_rng(7))
-        turned = perturbed(camera, (0.0, math.pi, 0.0))
-        search = RotationGrid(extent=0.02, step=0.01)
-        _candidates, errors, expected = loop_refinement(records, turned, search)
-        assert np.isinf(errors).all() and expected is turned.rotation
-        refined = refine_extrinsic_rotation(records, turned, search)
-        assert refined.rotation.tobytes() == turned.rotation.tobytes()
-
-    def test_returned_rotation_beats_every_grid_point(self, intr):
-        # exhaustiveness: evaluate the objective at all candidates independently
-        camera = camera_for_pitch("tilt45", intr)
-        rng = np.random.default_rng(6)
-        data_camera = perturbed(camera, np.array([0.015, 0.005, -0.01]))
-        records = synthesize_calibration_records(data_camera, 3, rng)
-        grid = RotationGrid(extent=0.02, step=0.01)
-        best = reprojection_mse(records, refine_extrinsic_rotation(records, camera, grid))
-        values = grid.axis_values()
-        for rx in values:
-            for ry in values:
-                for rz in values:
-                    candidate = perturbed(camera, (rx, ry, rz))
-                    assert best <= reprojection_mse(records, candidate) + 1e-12

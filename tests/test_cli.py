@@ -21,6 +21,7 @@ from hypothesis import strategies as st
 
 import cli_cases
 from cli_cases import DROP, HUGE, mutate, mutated_line
+from gyro_logs import write_gyro_log
 from reports import read_report
 
 import spincam.downwash
@@ -37,7 +38,6 @@ from spincam.datasets import (
     load_simulation_config,
     read_dataset,
     write_dataset,
-    write_gyro_log,
     write_pose_log,
 )
 from spincam.downwash import EllipsoidSpec, ellipsoid_margin, run_downwash_eval

@@ -10,8 +10,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from gyro_logs import write_gyro_log
 from reports import read_report
-from run_columns import IDENTITY, run_records
+from run_columns import run_records
 
 from spincam import datasets
 from spincam.camera import RunRecords, annotate_tracks, camera_for_pitch
@@ -19,14 +20,12 @@ from spincam.datasets import (
     Dataset,
     GyroSequence,
     estimate_time_offset,
-    export_labels,
     ingest_pose_log,
     load_noise_model,
     load_simulation_config,
     read_dataset,
     read_gyro_log,
     write_dataset,
-    write_gyro_log,
     write_pose_log,
     write_report,
 )
@@ -528,13 +527,10 @@ def special_values_dataset() -> Dataset:
 
 
 def written_bytes(directory, dataset: Dataset) -> list[bytes]:
-    """The dataset file, its sidecar and its `bbox` label file, as written
-    into `directory`."""
+    """The dataset file and its sidecar, as written into `directory`."""
     directory.mkdir()
     write_dataset(dataset, directory / "data.ndjson")
-    export_labels(dataset.records, "bbox", directory / "labels.ndjson")
-    return [(directory / name).read_bytes()
-            for name in ("data.ndjson", "data.npz", "labels.ndjson")]
+    return [(directory / name).read_bytes() for name in ("data.ndjson", "data.npz")]
 
 
 def frame_counts(monkeypatch, name: str) -> list[int]:
@@ -592,49 +588,10 @@ class TestWriterFormat:
                             for name in ("_frame_lines", "_frame_neighbors"))
         dataset = random_dataset(np.random.default_rng(6), 600)
         written_bytes(tmp_path / "out", dataset)
-        # the dataset's lines and the label file's each format every frame once
-        assert sum(lines) == 600 and sum(neighbors) == 2 * 600
+        # the dataset's lines format every frame once
+        assert sum(lines) == 600 and sum(neighbors) == 600
         assert max(lines + neighbors) <= frames
         assert len(lines) == -(-600 // frames)
-
-
-class TestExportLabels:
-    def frame(self, rows, frame_id=0) -> RunRecords:
-        """The columns of one frame whose ego r0 sees the neighbor rows
-        (robot, rel_position, center, bbox) of r1 (robot 1) and r2 (2)."""
-        return run_records(("r0", "r1", "r2"),
-                           [(frame_id, 0.0, np.zeros((3, 3)), [IDENTITY] * 3, rows)])
-
-    def test_bbox_mode_empty_frame(self, tmp_path, intr):
-        path = tmp_path / "labels.ndjson"
-        export_labels(self.frame([]), "bbox", path)
-        lines = path.read_text().splitlines()
-        assert json.loads(lines[0])["mode"] == "bbox"
-        assert json.loads(lines[1]) == {"record": "labels", "frame_id": 0, "labels": []}
-
-    def test_bbox_mode_passthrough(self, tmp_path, intr):
-        rows = [
-            (1, [0.0, 0.0, 1.0], [160.0, 160.0], [150.0, 150.0, 170.0, 170.0]),
-            (2, [0.5, 0.0, 2.0], [200.0, 160.0], [195.0, 155.0, 205.0, 165.0]),
-        ]
-        path = tmp_path / "labels.ndjson"
-        export_labels(self.frame(rows), "bbox", path)
-        row = json.loads(path.read_text().splitlines()[1])
-        assert len(row["labels"]) == 2
-        assert row["labels"][0]["bbox"] == [150.0, 150.0, 170.0, 170.0]
-
-    def test_grid_mode_single_cell(self, tmp_path, intr):
-        rows = [(1, [0.0, 0.0, 1.5], [160.0, 160.0], [150.0, 150.0, 170.0, 170.0])]
-        path = tmp_path / "labels.ndjson"
-        export_labels(self.frame(rows), "grid", path, intr=intr)
-        header, row = (json.loads(x) for x in path.read_text().splitlines())
-        assert (header["rows"], header["cols"]) == (28, 40)
-        assert len(row["cells"]) == 1
-        assert row["cells"][0][2] == 1.0 and row["cells"][0][3] == 1.5
-
-    def test_grid_mode_requires_intrinsics(self, tmp_path):
-        with pytest.raises(ValueError):
-            export_labels(self.frame([]), "grid", tmp_path / "x.ndjson")
 
 
 class TestPoseLog:

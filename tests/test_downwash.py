@@ -13,6 +13,7 @@ from spincam.camera import CameraIntrinsics, camera_for_pitch, in_view, world_to
 from spincam.downwash import (
     DOWNWASH_MARGIN,
     MERGE_RADIUS,
+    MIN_RADIUS,
     Cell,
     EllipsoidSpec,
     ellipsoid_margin,
@@ -72,6 +73,12 @@ class TestEllipsoidMargin:
     def test_positive_radii_required(self):
         with pytest.raises(ValueError):
             EllipsoidSpec(0.0, 0.1, 0.1)
+
+    @pytest.mark.parametrize("radius", [-0.1, 1e-320, np.nextafter(MIN_RADIUS, 0.0)])
+    def test_radii_held_to_the_floor(self, radius):
+        assert EllipsoidSpec(MIN_RADIUS, MIN_RADIUS, MIN_RADIUS).rx == MIN_RADIUS == 1e-6
+        with pytest.raises(ValueError, match="ellipsoid radii must be at least 1e-06 m"):
+            EllipsoidSpec(0.1, radius, 0.1)
 
     @pytest.mark.parametrize("radius", [math.nan, math.inf])
     def test_finite_radii_required(self, radius):
@@ -161,11 +168,12 @@ class TestUpdateBelief:
         # camera optical axis: robot +x rotated by yaw 90 deg -> world +y, so
         # the estimate 2 m ahead is the world point (1, 4, 0.5). Frame 1 puts
         # the ego on that point (depth 0: out of view), where an ellipsoid of
-        # 5e-10 m radii fires only if the belief lies within 1e-9 m of it.
+        # the least radii, MIN_RADIUS (1e-6 m), fires only if the belief lies
+        # within 2e-6 m of it.
         yaw = np.array([math.cos(math.pi / 4), 0.0, 0.0, math.sin(math.pi / 4)])
         records = [record(0, [(0.0, 0.0, 2.0)], position=(1.0, 2.0, 0.5), quat=yaw),
                    record(1, position=(1.0, 4.0, 0.5))]
-        tiny = EllipsoidSpec(5e-10, 5e-10, 5e-10)
+        tiny = EllipsoidSpec(MIN_RADIUS, MIN_RADIUS, MIN_RADIUS)
         assert predictions(records, camera, tiny) == [False, True]
 
     def test_merge_radius_replaces_nearby_belief(self, identity_camera):

@@ -18,7 +18,6 @@ from spincam.geometry import (
     interpolate,
     invalid_pose_row,
     invert,
-    quat_from_rotvec,
     quat_multiply,
     quat_rotate,
     slerp_arrays,
@@ -90,17 +89,9 @@ class TestQuaternion:
             np.testing.assert_allclose(quat_rotate(quat_multiply(a, b), v),
                                        quat_rotate(a, quat_rotate(b, v)), atol=1e-12)
 
-    def test_from_rotvec_matches_scipy(self):
-        rng = np.random.default_rng(3)
-        rotvecs = [rng.normal(size=3) * scale for scale in (1e-14, 1e-6, 0.1, 2.0)]
-        for r, stacked in zip(rotvecs, quat_from_rotvec(rotvecs)):
-            ours = rotation_matrix(quat_from_rotvec(r))
-            np.testing.assert_allclose(ours, Rotation.from_rotvec(r).as_matrix(), atol=1e-12)
-            assert stacked.tolist() == quat_from_rotvec(r).tolist()
-
     def test_yaw_roundtrip(self):
         for angle in (-3.0, -0.5, 0.0, 1.0, 3.1):
-            assert yaw(quat_from_rotvec([0.0, 0.0, angle])) == pytest.approx(angle, abs=1e-12)
+            assert yaw(yaw_quaternion(angle)) == pytest.approx(angle, abs=1e-12)
 
 
 class TestRigidTransform:
@@ -349,3 +340,13 @@ def test_robot_geometry_corners_cover_all_sign_combinations():
     assert corners.shape == (8, 3)
     assert len({tuple(np.sign(c)) for c in corners}) == 8
     np.testing.assert_allclose(np.abs(corners), np.tile([0.1, 0.2, 0.3], (8, 1)))
+
+
+def test_robot_geometry_held_to_max_coordinate():
+    past = np.nextafter(MAX_COORDINATE, 2e6)
+    at_bound = RobotGeometry([0.1, MAX_COORDINATE, 0.3], MAX_COORDINATE)
+    assert (at_bound.half_extents[1], at_bound.sphere_radius) == (MAX_COORDINATE, MAX_COORDINATE)
+    with pytest.raises(ValueError, match=r"half_extents must be within 1e\+06 m per axis"):
+        RobotGeometry([0.1, past, 0.3], 0.1)
+    with pytest.raises(ValueError, match=r"sphere_radius must be at most 1e\+06 m"):
+        RobotGeometry([0.1, 0.2, 0.3], past)
