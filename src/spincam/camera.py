@@ -232,13 +232,6 @@ def back_project(pixel, depth_z: float, intr: CameraIntrinsics) -> np.ndarray:
     return np.array([depth_z * xn, depth_z * yn, depth_z])
 
 
-def pixel_to_ray(pixel, intr: CameraIntrinsics) -> np.ndarray:
-    """Unit direction through a pixel (u, v) after undistortion."""
-    ray = back_project(pixel, 1.0, intr)
-    # np.linalg.norm of a vector is this sqrt of its dot, without the dispatch
-    return ray / math.sqrt(ray.dot(ray))
-
-
 def in_view(points_camera, intr: CameraIntrinsics) -> np.ndarray:
     """Mask of camera-frame points (..., 3) with positive depth whose pixel
     lies strictly inside the image and, for `k1` < 0, whose undistorted

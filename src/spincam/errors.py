@@ -23,7 +23,8 @@ class InvalidConfig(SpincamError, ValueError):
 
 
 class DegenerateBox(SpincamError, ValueError):
-    """Bounding box subtends a zero angle; distance is undefined."""
+    """Bounding box gives no position: it has no width, an edge past the
+    lens's reach or the float range, or rays that subtend no angle."""
 
 
 class CardinalityMismatch(SpincamError, ValueError):

@@ -1,20 +1,15 @@
-"""Evaluation metrics: count success, optimal assignment errors, and
-classification scores for downwash prediction."""
+"""Evaluation metrics: optimal assignment errors, and classification
+scores for downwash prediction."""
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable
 
 import numpy as np
 
 from .errors import CardinalityMismatch
-
-
-def success(predictions: Sequence, ground_truth: Sequence) -> bool:
-    """Count-only success: did the detector report the right neighbor count."""
-    return len(predictions) == len(ground_truth)
 
 
 @dataclass(frozen=True)

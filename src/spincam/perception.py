@@ -6,13 +6,13 @@ inverting the pinhole projection. A configurable noise model stands in for
 the neural detectors so the evaluation protocol can run without images.
 
 `detect_rows` simulates the detector on one frame's neighbor rows, in the
-`RunRecords` layout, with that frame's `frame_rng`. The decoders take many
-detections at once: `_box_positions` decodes box rows with one BLAS pass
-for all their rays' dots, and `decode_grid_frames` finds the peaks of a
-stack of grids with one threshold pass. Per element, each does the scalar
-arithmetic of the one-row formulas, so a position has the same bits however
-many are decoded together. `perceive` is a run's perception pass: it runs
-the detector frame by frame, every frame's generator seeded from one
+`RunRecords` layout, with that frame's `frame_rng`. Each route has one
+decoder, which takes many detections at once: `_box_positions` decodes box
+rows with one BLAS pass for all their rays' dots, and `decode_grid_frames`
+finds the peaks of a stack of grids with one threshold pass. Per element,
+each does scalar arithmetic, so a position has the same bits however many
+are decoded together. `perceive` is a run's perception pass: it runs the
+detector frame by frame, every frame's generator seeded from one
 `seeding.frame_seeds` pass, and decodes BATCH_FRAMES frames at a time.
 `simulate_detector`, `decode_box`, `decode_grid` and `decode_detections` are
 the one-frame and one-row cases, over a `FrameAnnotation`, a
@@ -32,7 +32,6 @@ from .camera import (
     FrameAnnotation,
     RunRecords,
     back_project,
-    pixel_to_ray,
     undistort_normalized,
 )
 from .errors import DegenerateBox, NonPositiveDepth, OutOfRange
@@ -111,13 +110,6 @@ class PositionEstimate:
             raise ValueError("estimate depth must be positive")
 
 
-def sphere_distance_from_angle(alpha: float, radius: float) -> float:
-    """Distance to a sphere of known radius subtending the angle alpha."""
-    if alpha <= 0.0:
-        raise DegenerateBox("subtended angle must be positive")
-    return radius / math.sin(0.5 * alpha)
-
-
 def _dots(a: list, b: list | None = None) -> list[float]:
     """Dot products of the rows (3,) of a with those of b, or with
     themselves. Each equals `np.array(a[k]).dot(b[k])` bitwise: a stacked
@@ -129,62 +121,25 @@ def _dots(a: list, b: list | None = None) -> list[float]:
     return np.matmul(a[:, None, :], b[:, :, None]).ravel().tolist()
 
 
-def _ray_pair_positions(a1: list, a2: list, radius: float) -> list[tuple | None]:
-    """Positions (3,) of spheres from pairs of their two horizontal tangent
-    rays, rows (3,) of a1 and a2: one per pair, or None where the rays
-    subtend no angle or are antipodal.
-
-    A position is the scalar arithmetic of the numpy formula, done per
-    element: the dots are BLAS dots (`_dots`), and min/max clip a float to
-    the value np.clip gives, NaN included."""
-    centers = [(0.5 * (x1 + x2), 0.5 * (y1 + y2), 0.5 * (z1 + z2))
-               for (x1, y1, z1), (x2, y2, z2) in zip(a1, a2)]
-    # one BLAS pass: the pairs' cosines, then the centers' squared norms
-    dots = _dots(a1 + centers, a2 + centers)
-    positions = []
-    for cosine, square, (x, y, z) in zip(dots, dots[len(a1):], centers):
-        alpha, norm = math.acos(min(max(cosine, -1.0), 1.0)), math.sqrt(square)
-        if alpha <= 0.0 or norm == 0.0:
-            positions.append(None)
-            continue
-        d = sphere_distance_from_angle(alpha, radius)
-        positions.append((d * x / norm, d * y / norm, d * z / norm))
-    return positions
-
-
-def _ray_pair_position(a1: np.ndarray, a2: np.ndarray, radius: float) -> np.ndarray:
-    """Position (3,) of a sphere from its two horizontal tangent rays (3,),
-    the one-pair case of `_ray_pair_positions`."""
-    (position,) = _ray_pair_positions([a1.tolist()], [a2.tolist()], radius)
-    if position is None:
-        raise DegenerateBox("tangent rays subtend no angle or are antipodal; "
-                            "the distance or direction is undefined")
-    return np.array(position)
-
-
-def _box_position(box, intr: CameraIntrinsics, radius: float) -> np.ndarray:
-    """Position (3,) of one box from the rays through the midpoints of its
-    left and right edges; raises OutOfRange when a midpoint lies past the
-    lens's reach and DegenerateBox when the box has no width or the rays give
-    no position."""
-    u_min, v_min, u_max, v_max = box
-    if u_max <= u_min:  # rounding can leave equal rays a tiny angle apart
-        raise DegenerateBox("box must be wider than zero pixels")
-    v_mid = 0.5 * (v_min + v_max)
-    return _ray_pair_position(pixel_to_ray((u_min, v_mid), intr),
-                              pixel_to_ray((u_max, v_mid), intr), radius)
-
-
 def _box_positions(boxes: list, intr: CameraIntrinsics,
                    radius: float) -> tuple[list[int], np.ndarray]:
     """The rows of the boxes, a list of rows whose first four entries are a
-    box, that give a position, ascending, and their positions (M, 3); row
-    k's is `_box_position(boxes[k][:4])`, bitwise. A degenerate box, or one
-    with an edge midpoint past the lens's reach, gives none.
+    box (u_min, v_min, u_max, v_max), that give a position, ascending, and
+    their camera-frame positions (M, 3) for spheres of the known radius.
 
-    Each box's edge midpoints are undistorted as `back_project` does; their
-    rays and the rays' pairs then take their BLAS dots in one pass each over
-    all the boxes."""
+    A box's rays pass through the midpoints of its left and right edges,
+    undistorted as `back_project` does; the angle alpha between them fixes
+    the range, radius / sin(alpha / 2), and their bisector the direction. A
+    box gives no position when it has no width (rounding can leave equal
+    rays a tiny angle apart), when an edge midpoint lies past the lens's
+    reach or its undistorted point's squared norm is not finite (huge
+    pixels), or when its rays subtend no angle or are antipodal.
+
+    The rays, then the ray pairs' cosines and bisectors, take their BLAS
+    dots in one pass each over all the boxes (`_dots`). The rest is scalar
+    arithmetic per box, with min/max clipping a float to the value np.clip
+    gives, NaN included, so a position has the same bits however many boxes
+    are decoded together."""
     cx, cy, fx, fy, k1 = intr.cx, intr.cy, intr.fx, intr.fy, intr.k1
     rows, points = [], []
     for k, (u_min, v_min, u_max, v_max, *_rest) in enumerate(boxes):
@@ -196,37 +151,38 @@ def _box_positions(boxes: list, intr: CameraIntrinsics,
             x2, y2 = undistort_normalized((u_max - cx) / fx, yd, k1)
         except OutOfRange:
             continue
+        if not (x1 * x1 + y1 * y1 < math.inf and x2 * x2 + y2 * y2 < math.inf):
+            continue
         points += ((x1, y1, 1.0), (x2, y2, 1.0))
         rows.append(k)
     # a ray is its point at depth 1 over the point's norm
     rays = [(x / n, y / n, z / n) for (x, y, z), n in zip(points, map(math.sqrt, _dots(points)))]
-    decoded = [(k, position) for k, position in
-               zip(rows, _ray_pair_positions(rays[0::2], rays[1::2], radius))
-               if position is not None]
-    return ([k for k, _ in decoded],
-            np.array([position for _, position in decoded], dtype=float).reshape(-1, 3))
+    a1, a2 = rays[0::2], rays[1::2]
+    centers = [(0.5 * (x1 + x2), 0.5 * (y1 + y2), 0.5 * (z1 + z2))
+               for (x1, y1, z1), (x2, y2, z2) in zip(a1, a2)]
+    # one BLAS pass: the pairs' cosines, then the centers' squared norms
+    dots = _dots(a1 + centers, a2 + centers)
+    decoded, positions = [], []
+    for k, cosine, square, (x, y, z) in zip(rows, dots, dots[len(rows):], centers):
+        alpha, norm = math.acos(min(max(cosine, -1.0), 1.0)), math.sqrt(square)
+        if alpha <= 0.0 or norm == 0.0:
+            continue
+        d = radius / math.sin(0.5 * alpha)
+        decoded.append(k)
+        positions.append((d * x / norm, d * y / norm, d * z / norm))
+    return decoded, np.array(positions, dtype=float).reshape(-1, 3)
 
 
 def decode_box(box, intr: CameraIntrinsics, radius: float) -> PositionEstimate:
     """Relative position from a box (u_min, v_min, u_max, v_max) and the
-    known robot radius.
-
-    The rays pass through the midpoints of the left and right box edges
-    (undistorted); the angle between them fixes the range, their bisector the
-    direction.
-    """
-    return PositionEstimate(position=_box_position(box, intr, radius))
-
-
-def decode_box_rows(detections, intr: CameraIntrinsics, radius: float) -> np.ndarray:
-    """Positions (M, 3) decoded from detection rows whose first four entries
-    are the box (see `_box_positions`); a degenerate box, or one whose edge
-    midpoint lies past the lens's reach, gives no position."""
-    if not len(detections):
-        return np.empty((0, 3))
-    if isinstance(detections, np.ndarray):
-        detections = detections.tolist()
-    return _box_positions(detections, intr, radius)[1]
+    known robot radius: the one-row case of `_box_positions`. Raises
+    DegenerateBox when the box gives no position."""
+    row = [float(value) for value in box]
+    _rows, positions = _box_positions([row], intr, radius)
+    if not len(positions):
+        raise DegenerateBox(f"box {row} gives no position: it has no width, an edge past "
+                            "the lens's reach or the float range, or rays that subtend no angle")
+    return PositionEstimate(position=positions[0])
 
 
 def grid_cell_center(row: int, col: int, intr: CameraIntrinsics, rows: int,
@@ -517,7 +473,11 @@ def decode_detections(
     radius: float = DEFAULT_ROBOT_GEOMETRY.sphere_radius,
 ) -> list[PositionEstimate]:
     """Decode either detector output form into position estimates: one
-    frame of `decode_grid_frames` or `decode_box_rows`."""
+    frame of `decode_grid_frames`, or the (D, 5) box rows in one
+    `_box_positions` pass."""
     if isinstance(output, GridDetectionMap):
         return decode_grid(output, intr)
-    return [PositionEstimate(position=p) for p in decode_box_rows(output, intr, radius)]
+    if not len(output):  # most frames: skip the decoder's fixed cost
+        return []
+    _rows, positions = _box_positions(output.tolist(), intr, radius)
+    return [PositionEstimate(position=p) for p in positions]

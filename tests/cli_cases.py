@@ -540,6 +540,9 @@ CASES = [
            (f"{SEEN}: rel_position must be within 1e+06 m per axis",),
            Edit(SEEING, "neighbors.0.rel_position.0", "1e+300"))
       for mode, flags in MODES.items()),
+    # a box too large to decode gives no position, and no overflow
+    Case("eval-huge-bbox-box", (*EVAL, *MODES["box"]), 0, (),
+         Edit(SEEING, "neighbors.0.bbox", "[0.0, 0.0, 1e300, 1e300]")),
     *(Case(f"eval-no-float-{name}-{mode}", (*EVAL, *MODES[mode]), 3,
            (f"{SEEN}: {key} must be",), Edit(SEEING, path, text))
       for name, (key, path, text) in zip(_key_ids(NO_FLOAT), NO_FLOAT)

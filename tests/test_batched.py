@@ -21,6 +21,7 @@ import pytest
 from scipy.spatial.transform import Rotation
 
 from run_columns import IDENTITY, run_records
+from test_perception import clip_ray_position, norm_pixel_ray
 
 from spincam.camera import (
     CameraIntrinsics,
@@ -31,7 +32,6 @@ from spincam.camera import (
     annotate_tracks,
     camera_for_pitch,
     in_view,
-    pixel_to_ray,
     project,
     undistort_normalized,
 )
@@ -57,7 +57,6 @@ from spincam.perception import (
     GridDetectionMap,
     NoiseModel,
     PositionEstimate,
-    _ray_pair_position,
     decode_detections,
     perceive,
     simulate_detector,
@@ -260,7 +259,7 @@ def test_annotated_rows_lie_inside_the_lens_fold(kind, pitch):
                               frame_schedule(cfg))
     assert len(records.owner) > 0, "scenario never shows a neighbor; the check is vacuous"
     truth = records.rel_positions / np.linalg.norm(records.rel_positions, axis=1, keepdims=True)
-    rays = np.array([pixel_to_ray(center, intr) for center in records.centers.tolist()])
+    rays = np.array([norm_pixel_ray(center, intr) for center in records.centers.tolist()])
     # the angle between unit vectors, accurate near zero
     angles = 2.0 * np.arcsin(np.linalg.norm(rays - truth, axis=1) / 2.0)
     assert angles.max() < 1e-6
@@ -435,9 +434,9 @@ def object_decode(output, intr, radius) -> list[np.ndarray]:
         b = det.bbox
         v_mid = 0.5 * (b.v_min + b.v_max)
         try:
-            position = _ray_pair_position(object_pixel_ray(ObjectPixel(b.u_min, v_mid), intr),
-                                          object_pixel_ray(ObjectPixel(b.u_max, v_mid), intr),
-                                          radius)
+            position = clip_ray_position(object_pixel_ray(ObjectPixel(b.u_min, v_mid), intr),
+                                         object_pixel_ray(ObjectPixel(b.u_max, v_mid), intr),
+                                         radius)
         except DegenerateBox:
             continue
         positions.append(position)

@@ -21,7 +21,6 @@ from spincam.camera import (
     fold_radius,
     in_view,
     pitch_rotation,
-    pixel_to_ray,
     project,
     project_points,
     undistort_normalized,
@@ -287,7 +286,7 @@ class TestLensFold:
         # point distorts to, so no ray passes through that pixel
         intr = CameraIntrinsics(fx=170.0, fy=170.0, cx=160.0, cy=160.0, k1=-0.08)
         with pytest.raises(OutOfRange, match="fold"):
-            pixel_to_ray((-200.0, 160.0), intr)
+            back_project((-200.0, 160.0), 1.0, intr)
         with pytest.raises(OutOfRange):
             undistort_normalized(fold_radius(-0.08), 0.0, -0.08)
 

@@ -18,7 +18,6 @@ from spincam.metrics import (
     classification_metrics,
     hungarian,
     position_errors,
-    success,
 )
 
 
@@ -60,19 +59,6 @@ def assert_one_to_one(result: AssignmentResult, n: int, m: int):
     assert all(0 <= i < n for i in rows) and all(0 <= j < m for j in cols)
     assert (result.unmatched_predictions, result.unmatched_ground_truth) == (
         n - min(n, m), m - min(n, m))
-
-
-class TestSuccess:
-    def test_both_empty(self):
-        assert success([], []) is True
-
-    def test_count_mismatch(self):
-        assert success([1, 2], [1, 2, 3]) is False
-
-    def test_count_only_ignores_positions(self):
-        preds = [np.array([9.0, 9.0, 9.0])] * 4
-        gts = [np.zeros(3)] * 4
-        assert success(preds, gts) is True
 
 
 class TestHungarian:

@@ -5,7 +5,9 @@ import math
 import numpy as np
 import pytest
 
+from spincam import perception
 from spincam.camera import (
+    DEFAULT_INTRINSICS,
     CameraIntrinsics,
     CameraModel,
     FrameAnnotation,
@@ -13,7 +15,6 @@ from spincam.camera import (
     annotate_tracks,
     back_project,
     fold_radius,
-    pixel_to_ray,
     project,
 )
 from spincam.errors import DegenerateBox, NonPositiveDepth, OutOfRange
@@ -23,9 +24,7 @@ from spincam.perception import (
     NoiseModel,
     _box_positions,
     _dots,
-    _ray_pair_position,
     decode_box,
-    decode_box_rows,
     decode_detections,
     decode_grid,
     decode_grid_frames,
@@ -34,7 +33,6 @@ from spincam.perception import (
     frame_rng,
     grid_cell_center,
     simulate_detector,
-    sphere_distance_from_angle,
 )
 from spincam.seeding import SEED_BLOCK, SEED_CACHE_BLOCKS, FrameSeed, _seed_block, frame_seeds
 
@@ -64,23 +62,34 @@ def sphere_silhouette_bbox(center, radius: float, intr: CameraIntrinsics) -> np.
     return np.array([u_min, intr.cy - intr.fy * best, u_max, intr.cy + intr.fy * best])
 
 
+def axis_box(alpha: float, intr: CameraIntrinsics) -> list[float]:
+    """A box around the principal point whose edge rays subtend the angle
+    alpha, for a lens without distortion."""
+    half = intr.fx * math.tan(0.5 * alpha)
+    return [intr.cx - half, intr.cy - 1.0, intr.cx + half, intr.cy + 1.0]
+
+
 class TestSphereDistance:
-    def test_half_pi_subtense(self):
-        # csc(pi/2) == 1: the sphere center sits one radius away
-        assert sphere_distance_from_angle(math.pi, 0.1) == pytest.approx(0.1, abs=1e-15)
+    """A box decodes to the range radius / sin(alpha / 2), for the angle
+    alpha between its edge rays."""
 
-    def test_small_angle_value(self):
-        assert sphere_distance_from_angle(0.1, 0.05) == pytest.approx(
-            0.05 / math.sin(0.05), abs=1e-12
-        )
+    def test_half_pi_subtense(self, intr):
+        # rays 45 degrees either side of the axis: the center sits sqrt(2) radii away
+        position = decode_box(axis_box(0.5 * math.pi, intr), intr, 0.1).position
+        np.testing.assert_allclose(position, [0.0, 0.0, 0.1 * math.sqrt(2.0)], atol=1e-15)
 
-    def test_zero_angle_degenerate(self):
+    def test_small_angle_value(self, intr):
+        position = decode_box(axis_box(0.1, intr), intr, 0.05).position
+        np.testing.assert_allclose(position, [0.0, 0.0, 0.05 / math.sin(0.05)], atol=1e-12)
+
+    def test_zero_angle_degenerate(self, intr):
+        # a box one ulp wide, whose rays' dot rounds to one
         with pytest.raises(DegenerateBox):
-            sphere_distance_from_angle(0.0, 0.1)
+            decode_box([160.0, 150.0, math.nextafter(160.0, math.inf), 170.0], intr, 0.1)
 
-    def test_distance_decreases_with_angle(self):
-        angles = np.linspace(0.01, math.pi, 200)
-        distances = [sphere_distance_from_angle(a, 0.05) for a in angles]
+    def test_distance_decreases_with_angle(self, intr):
+        angles = np.linspace(0.01, 3.0, 200)
+        distances = [decode_box(axis_box(a, intr), intr, 0.05).position[2] for a in angles]
         assert all(d1 > d2 for d1, d2 in zip(distances, distances[1:]))
 
 
@@ -112,19 +121,16 @@ class TestDecodeBox:
                                          intr, 0.05)
         assert rows == [1] and positions.shape == (1, 3)
 
-    def test_antipodal_rays_degenerate(self):
-        with pytest.raises(DegenerateBox):
-            _ray_pair_position(np.array([1.0, 0.0, 0.0]), np.array([-1.0, 0.0, 0.0]), 0.1)
-
     def test_box_past_the_lens_fold_is_skipped(self):
         """A box wider than the image of a barrel lens has an edge midpoint
-        past the fold, which has no ray; the rows skip it as a degenerate box."""
+        past the fold, which has no ray; it is a degenerate box, and the rows
+        skip it."""
         intr = CameraIntrinsics(fx=170.0, fy=170.0, cx=160.0, cy=160.0, k1=-0.08)
         wide, inside = (-200.0, 150.0, 100.0, 170.0), (100.0, 150.0, 140.0, 170.0)
-        with pytest.raises(OutOfRange):
+        with pytest.raises(DegenerateBox):
             decode_box(wide, intr, 0.5)
-        decoded = decode_box_rows([wide + (0.9,), inside + (0.9,)], intr, 0.5)
-        assert len(decoded) == 1
+        rows, decoded = _box_positions([wide + (0.9,), inside + (0.9,)], intr, 0.5)
+        assert rows == [1]
         np.testing.assert_array_equal(decoded[0], decode_box(inside, intr, 0.5).position)
 
     def test_positive_depth_always(self, intr):
@@ -138,15 +144,20 @@ class TestDecodeBox:
 
 
 def norm_pixel_ray(pixel, intr: CameraIntrinsics) -> np.ndarray:
-    """`pixel_to_ray` written with np.linalg.norm."""
+    """The unit ray through a pixel (u, v): its `back_project` point at
+    depth 1 over np.linalg.norm of it."""
     ray = back_project(pixel, 1.0, intr)
     return ray / np.linalg.norm(ray)
 
 
 def clip_ray_position(a1: np.ndarray, a2: np.ndarray, radius: float) -> np.ndarray:
-    """`_ray_pair_position` written with np.clip and np.linalg.norm."""
-    cos_alpha = float(np.clip(np.dot(a1, a2), -1.0, 1.0))
-    d = sphere_distance_from_angle(math.acos(cos_alpha), radius)
+    """The position (3,) of a sphere from two of its tangent rays, written
+    with np.clip and np.linalg.norm: at radius / sin(alpha / 2) along their
+    bisector, for the angle alpha between them."""
+    alpha = math.acos(float(np.clip(np.dot(a1, a2), -1.0, 1.0)))
+    if alpha <= 0.0:
+        raise DegenerateBox("tangent rays subtend no angle")
+    d = radius / math.sin(0.5 * alpha)
     a_c = 0.5 * (a1 + a2)
     norm = np.linalg.norm(a_c)
     if norm == 0.0:
@@ -160,25 +171,11 @@ def unit_rows(rng, count: int) -> np.ndarray:
 
 
 class TestScalarKernelsMatchNumpyFormulas:
-    """`pixel_to_ray` and `_ray_pair_position` clip with min/max and take
-    the norm as the sqrt of a dot; both give the numpy formulas' bits."""
-
-    @pytest.mark.parametrize("k1", (0.0, -0.08, 0.05))
-    def test_pixel_to_ray(self, k1):
-        intr = CameraIntrinsics(fx=170.0, fy=170.0, cx=160.0, cy=160.0, k1=k1)
-        for pixel in np.random.default_rng(1).uniform(0.0, 320.0, (500, 2)).tolist():
-            assert pixel_to_ray(pixel, intr).tobytes() == norm_pixel_ray(pixel, intr).tobytes()
-
-    def test_ray_pair_position_on_random_rays(self, intr):
-        rng = np.random.default_rng(4)
-        pixel_rays = [(pixel_to_ray(p1, intr), pixel_to_ray(p2, intr))
-                      for p1, p2 in rng.uniform(0.0, 320.0, (500, 2, 2)).tolist()]
-        # any two rays in front of the camera, at acute and obtuse angles
-        ahead = unit_rows(rng, 1000)
-        ahead[:, 2] = np.abs(ahead[:, 2])
-        for a1, a2 in [*pixel_rays, *zip(ahead[:500], ahead[500:])]:
-            assert _ray_pair_position(a1, a2, 0.05).tobytes() == \
-                clip_ray_position(a1, a2, 0.05).tobytes()
+    """`_box_positions` clips with min/max and takes each norm as the sqrt
+    of a dot. Its test-side reference, `norm_pixel_ray` and
+    `clip_ray_position`, writes the numpy formulas, and gives no position
+    where the decoder gives none: where the rays subtend no angle or are
+    antipodal."""
 
     def test_near_parallel_rays_whose_dot_rounds_above_one_are_degenerate(self):
         rays = unit_rows(np.random.default_rng(5), 2000)
@@ -189,21 +186,18 @@ class TestScalarKernelsMatchNumpyFormulas:
         for a1, a2 in above:
             with pytest.raises(DegenerateBox):
                 clip_ray_position(a1, a2, 0.05)
-            with pytest.raises(DegenerateBox):
-                _ray_pair_position(a1, a2, 0.05)
 
     def test_antipodal_rays_are_degenerate(self):
         for a in unit_rows(np.random.default_rng(6), 200):
             with pytest.raises(DegenerateBox):
                 clip_ray_position(a, -a, 0.05)
-            with pytest.raises(DegenerateBox):
-                _ray_pair_position(a, -a, 0.05)
 
 
 def box_corpus(rng) -> list[list[float]]:
     """Boxes for the default 320x320 image: random ones in and around it,
-    ones clipped at its edges, degenerate ones (u_min == u_max), and ones
-    whose edge midpoints lie past the fold of a barrel lens with k1 -0.08."""
+    ones clipped at its edges, degenerate ones (u_min == u_max), ones one
+    ulp wide, whose rays mostly subtend no angle, and ones whose edge
+    midpoints lie past the fold of a barrel lens with k1 -0.08."""
     boxes = []
     for _ in range(300):
         u_min, u_max = np.sort(rng.uniform(-40.0, 360.0, 2)).tolist()
@@ -215,33 +209,54 @@ def box_corpus(rng) -> list[list[float]]:
     boxes += [[0.0, 10.0, 30.0, 40.0], [290.0, 280.0, 320.0, 320.0], [0.0, 0.0, 320.0, 320.0],
               [0.0, 150.0, 320.0, 170.0]]
     boxes += [[100.0, 90.0, 100.0, 110.0], [0.0, 0.0, 0.0, 5.0], [320.0, 10.0, 320.0, 12.0]]
+    for u_min, v_min in rng.uniform(0.0, 320.0, (20, 2)).tolist():
+        boxes.append([u_min, v_min, math.nextafter(u_min, math.inf), v_min + 5.0])
     boxes += [[-200.0, 150.0, 100.0, 170.0], [-300.0, -300.0, 600.0, 600.0],
               [150.0, 160.0, 500.0, 160.0]]
     return boxes
 
 
+def reference_box_position(box, intr: CameraIntrinsics, radius: float) -> np.ndarray:
+    """The position (3,) of one box from the tests' numpy formulas; raises
+    ValueError where a box has no width, OutOfRange where an edge midpoint
+    lies past the lens's reach, and DegenerateBox where its rays subtend no
+    angle."""
+    u_min, v_min, u_max, v_max = box[:4]
+    if u_max <= u_min:
+        raise ValueError("box has no width")
+    v_mid = 0.5 * (v_min + v_max)
+    return clip_ray_position(norm_pixel_ray((u_min, v_mid), intr),
+                             norm_pixel_ray((u_max, v_mid), intr), radius)
+
+
 class TestBatchedBoxDecoder:
-    """`_box_positions` decodes many boxes in one pass; each row is the
-    one-row `decode_box`, bit for bit, and the rows `decode_box` rejects are
-    the rows it skips."""
+    """`_box_positions`, the one box decoder, decodes many boxes in one
+    pass; each row is the tests' one-row reference, bit for bit, and the
+    rows the reference rejects are the rows it skips."""
 
     @pytest.mark.parametrize("k1", (-0.08, 0.0, 0.05))
     def test_rows_equal_one_row_decoder(self, k1):
         intr = CameraIntrinsics(fx=170.0, fy=170.0, cx=160.0, cy=160.0, k1=k1)
         boxes = box_corpus(np.random.default_rng(21))
-        expected, skipped = {}, {DegenerateBox: 0, OutOfRange: 0}
+        expected, skipped = {}, {"width": 0, "reach": 0, "angle": 0}
         for k, box in enumerate(boxes):
             try:
-                expected[k] = decode_box(box, intr, 0.05).position
-            except (DegenerateBox, OutOfRange) as exc:
-                skipped[type(exc)] += 1
+                expected[k] = reference_box_position(box, intr, 0.05)
+            except DegenerateBox:
+                skipped["angle"] += 1
+            except OutOfRange:
+                skipped["reach"] += 1
+            except ValueError:
+                skipped["width"] += 1
         rows, positions = _box_positions([box + [0.9] for box in boxes], intr, 0.05)
         assert rows == sorted(expected)
         assert positions.shape == (len(rows), 3)
         assert positions.tobytes() == np.array([expected[k] for k in rows]).tobytes()
-        # the corpus's three zero-width boxes are degenerate
-        assert skipped[DegenerateBox] >= 3
-        assert (skipped[OutOfRange] >= 2) == (k1 < 0.0)
+        # the corpus's zero-width and reversed boxes; its one-ulp boxes
+        assert skipped["width"] >= 3 and skipped["angle"] >= 5
+        assert (skipped["reach"] >= 2) == (k1 < 0.0)
+        one_row = [decode_box(boxes[k], intr, 0.05).position for k in rows]
+        assert np.array(one_row).tobytes() == positions.tobytes()
 
     @pytest.mark.parametrize("k1", (-0.08, 0.0, 0.05))
     def test_rows_equal_numpy_formulas(self, k1):
@@ -261,23 +276,50 @@ class TestBatchedBoxDecoder:
     def test_box_at_the_corner_of_a_lens_folding_there_is_skipped(self):
         """`CameraIntrinsics` accepts a barrel lens whose fold lies exactly at
         the image corner; a box with an edge midpoint at that corner is past
-        the lens's reach, and is skipped as `decode_box` rejects it."""
+        the lens's reach: it is a degenerate box, and the rows skip it."""
         corner = math.hypot(160.0 / 170.0, 160.0 / 170.0)
         intr = CameraIntrinsics(fx=170.0, fy=170.0, cx=160.0, cy=160.0,
                                 k1=-4.0 / (27.0 * corner * corner))
         assert fold_radius(intr.k1) == corner
         boxes = [[150.0, 150.0, 170.0, 152.0], [0.0, 0.0, 10.0, 0.0], [140.0, 100.0, 160.0, 102.0]]
         with pytest.raises(OutOfRange):
+            norm_pixel_ray((0.0, 0.0), intr)
+        with pytest.raises(DegenerateBox):
             decode_box(boxes[1], intr, 0.05)
         rows, positions = _box_positions(boxes, intr, 0.05)
         assert rows == [0, 2]
         assert positions.tobytes() == np.array(
-            [decode_box(boxes[k], intr, 0.05).position for k in rows]).tobytes()
+            [reference_box_position(boxes[k], intr, 0.05) for k in rows]).tobytes()
 
     def test_no_boxes_give_no_rows(self, intr):
         rows, positions = _box_positions([], intr, 0.05)
         assert rows == [] and positions.shape == (0, 3)
-        assert decode_box_rows(np.empty((0, 5)), intr, 0.05).shape == (0, 3)
+        assert decode_detections(np.empty((0, 5)), intr, 0.05) == []
+
+    def test_no_detections_skip_the_decoder(self, intr, monkeypatch):
+        """Most frames hold no detection; `decode_detections` returns
+        without calling the decoder, whose fixed cost is most of a call."""
+        def fail(*args):
+            raise AssertionError("an empty box output reached the decoder")
+
+        monkeypatch.setattr(perception, "_box_positions", fail)
+        assert decode_detections(np.empty((0, 5)), intr, 0.05) == []
+
+    @pytest.mark.parametrize("huge", [
+        [0.0, 0.0, 1e300, 1e300], [-1e300, 0.0, 0.0, 10.0], [0.0, 1e200, 10.0, 1e200],
+        [1.7e308, 10.0, 1.79e308, 12.0],
+    ], ids=["corner", "left", "below", "near-max"])
+    def test_huge_pixels_give_no_position(self, huge):
+        """A box whose undistorted edge points' squared norms overflow gives
+        no position, and decoding it warns of no overflow; the good row
+        beside it keeps its bits."""
+        good = [100.0, 90.0, 120.0, 110.0, 0.9]
+        rows, positions = _box_positions([[*huge, 0.9], good], DEFAULT_INTRINSICS, 0.05)
+        assert rows == [1]
+        assert positions.tobytes() == \
+            _box_positions([good], DEFAULT_INTRINSICS, 0.05)[1].tobytes()
+        with pytest.raises(DegenerateBox):
+            decode_box(huge, DEFAULT_INTRINSICS, 0.05)
 
     @pytest.mark.parametrize("count", (1, 2, 2000))
     def test_dots_equal_ndarray_dot(self, count):
