@@ -1,8 +1,4 @@
-"""Command-line entry point.
-
-Subcommands: simulate (scenario -> annotated dataset), downwash-eval
-(dataset -> per-frame report), benchmark (yaw-rate x camera-pitch sweep),
-timesync (gyro log offset), and rerun (replay a recorded manifest).
+"""Command-line entry point: each command is declared once, in `_COMMANDS`.
 
 Exit codes: 0 success, 2 usage or configuration error, 3 data error.
 """
@@ -10,12 +6,15 @@ Exit codes: 0 success, 2 usage or configuration error, 3 data error.
 from __future__ import annotations
 
 import argparse
+import contextlib
+import io
 import itertools
 import json
 import math
 import sys
+from collections import namedtuple
 from dataclasses import replace
-from functools import partial
+from functools import cache, partial
 from pathlib import Path
 
 from . import __version__
@@ -51,7 +50,7 @@ def _write_manifest(out_dir: Path, command: str, args, outputs: list[str]) -> No
         "schema_version": SCHEMA_VERSION,
         "toolkit_version": __version__,
         "command": command,
-        "args": {key: getattr(args, key) for key in _COMMANDS[command][1]},
+        "args": {key: getattr(args, key) for key in _COMMANDS[command].flags},
         "outputs": outputs,
     }
     try:
@@ -214,16 +213,16 @@ def _manifest_argv(path: str) -> list[str]:
         if key not in manifest:
             raise InvalidConfig(f"{path}: manifest lacks {key!r}")
     command, stored = manifest["command"], manifest["args"]
-    recorded = _COMMANDS.get(command, (None, None))[1] if isinstance(command, str) else None
-    if recorded is None:
+    spec = _COMMANDS.get(command) if isinstance(command, str) else None
+    if spec is None or not spec.replayable:
         raise InvalidConfig(f"{path}: manifest command {command!r} cannot be re-run")
     if not isinstance(stored, dict):
         raise InvalidConfig(f"{path}: manifest 'args' must be an object")
-    missing = set(recorded) - set(stored)
+    missing = set(spec.flags) - set(stored)
     if missing:
         raise InvalidConfig(f"{path}: manifest args lack {sorted(missing)}")
     argv = [command]
-    for key in recorded:
+    for key in spec.flags:
         # a switch records true or false, an option its value or null when unset;
         # no command-line argument holds a NUL character
         value, flag = stored[key], "--" + key.replace("_", "-")
@@ -238,77 +237,78 @@ def _manifest_argv(path: str) -> list[str]:
 
 def _rerun(args) -> int:
     """Replay a manifest's command line through `main`, which checks each
-    recorded arg as it checks a typed flag."""
+    recorded arg as it checks a typed flag; a rejected replay's message,
+    naming the flag, key or file, becomes one line naming the manifest."""
     argv = _manifest_argv(args.manifest)
-    try:
-        code = main(argv)
-    except SystemExit as exc:  # the parser rejected a recorded arg, naming its flag
-        code = exc.code
+    replayed = io.StringIO()
+    with contextlib.redirect_stderr(replayed):
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # the parser rejected a recorded arg, after its usage lines
+            code = exc.code
     if code:
-        print(f"error: {args.manifest}: the recorded run exited {code}", file=sys.stderr)
+        # the message follows any usage lines; a recorded value may break it over lines
+        message = replayed.getvalue().partition("error: ")[2].rstrip("\n")
+        print(f"error: {args.manifest}: the recorded run exited {code}: "
+              + message.replace("\n", "\\n"), file=sys.stderr)
+    else:
+        sys.stderr.write(replayed.getvalue())
     return code
 
 
-# Each command's handler, and the args it records in its manifest, in order
-# (None: the command cannot be re-run).
+# Each command's handler, its help, whether `rerun` may replay its manifest, and
+# its flags: each dest's `add_argument` keywords, in the order a manifest records.
+Command = namedtuple("Command", "handler help replayable flags")
 _COMMANDS = {
-    "simulate": (_simulate, ("config", "out", "seed")),
-    "downwash-eval": (_downwash_eval, ("dataset", "out", "oracle", "noise", "mode", "ellipsoid")),
-    "benchmark": (_benchmark, ("config", "out", "yaw_rates", "pitches", "oracle", "noise",
-                               "mode", "seed")),
-    "timesync": (_timesync, None),
-    "rerun": (_rerun, None),
+    "simulate": Command(_simulate, "generate an annotated scenario dataset", True, {
+        "config": dict(required=True, help="scenario config (JSON)"),
+        "out": dict(required=True, help="output directory"),
+        "seed": dict(type=int, default=None, help="override the config rng seed")}),
+    "downwash-eval": Command(_downwash_eval, "belief-set downwash prediction report", True, {
+        "dataset": dict(required=True, help="dataset file from simulate"),
+        "out": dict(required=True, help="output directory"),
+        "oracle": dict(action="store_true", help="perfect perception"),
+        "noise": dict(default=None, help="noise model config (JSON)"),
+        "mode": dict(choices=("box", "grid"), default="box",
+                     help="detector style when using --noise"),
+        "ellipsoid": dict(default=None, metavar="RX,RY,RZ",
+                          help="override the dataset safety ellipsoid")}),
+    "benchmark": Command(_benchmark, "sweep yaw rates x camera pitches", True, {
+        "config": dict(required=True, help="base scenario config (JSON)"),
+        "out": dict(required=True, help="output directory"),
+        "yaw_rates": dict(default="2,4,6,8"),
+        "pitches": dict(default="forward,tilt45,up"),
+        "oracle": dict(action="store_true", help="perfect perception"),
+        "noise": dict(default=None, help="noise model config (JSON)"),
+        "mode": dict(choices=("box", "grid"), default="box"),
+        "seed": dict(type=int, default=None)}),
+    "timesync": Command(_timesync, "estimate temporal offset of two gyro logs", False, {
+        "log_a": dict(required=True),
+        "log_b": dict(required=True),
+        "window": dict(type=float, default=0.5, help="search window, seconds")}),
+    "rerun": Command(_rerun, "replay a run from its manifest", False, {
+        "manifest": dict(required=True)}),
 }
 
 
-def build_parser() -> argparse.ArgumentParser:
+@cache
+def _parser() -> argparse.ArgumentParser:
+    """The command line of `_COMMANDS`, built on first use and kept for the process."""
     parser = argparse.ArgumentParser(
-        prog="spincam",
-        description="Spinning-camera multi-robot localization toolkit",
-    )
+        prog="spincam", description="Spinning-camera multi-robot localization toolkit")
     parser.add_argument("--version", action="version", version=f"spincam {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p_sim = sub.add_parser("simulate", help="generate an annotated scenario dataset")
-    p_sim.add_argument("--config", required=True, help="scenario config (JSON)")
-    p_sim.add_argument("--out", required=True, help="output directory")
-    p_sim.add_argument("--seed", type=int, default=None, help="override the config rng seed")
-
-    p_eval = sub.add_parser("downwash-eval", help="belief-set downwash prediction report")
-    p_eval.add_argument("--dataset", required=True, help="dataset file from simulate")
-    p_eval.add_argument("--out", required=True, help="output directory")
-    p_eval.add_argument("--oracle", action="store_true", help="perfect perception")
-    p_eval.add_argument("--noise", default=None, help="noise model config (JSON)")
-    p_eval.add_argument("--mode", choices=("box", "grid"), default="box",
-                        help="detector style when using --noise")
-    p_eval.add_argument("--ellipsoid", default=None, metavar="RX,RY,RZ",
-                        help="override the dataset safety ellipsoid")
-
-    p_bench = sub.add_parser("benchmark", help="sweep yaw rates x camera pitches")
-    p_bench.add_argument("--config", required=True, help="base scenario config (JSON)")
-    p_bench.add_argument("--out", required=True, help="output directory")
-    p_bench.add_argument("--yaw-rates", default="2,4,6,8")
-    p_bench.add_argument("--pitches", default="forward,tilt45,up")
-    p_bench.add_argument("--oracle", action="store_true", help="perfect perception")
-    p_bench.add_argument("--noise", default=None, help="noise model config (JSON)")
-    p_bench.add_argument("--mode", choices=("box", "grid"), default="box")
-    p_bench.add_argument("--seed", type=int, default=None)
-
-    p_sync = sub.add_parser("timesync", help="estimate temporal offset of two gyro logs")
-    p_sync.add_argument("--log-a", required=True)
-    p_sync.add_argument("--log-b", required=True)
-    p_sync.add_argument("--window", type=float, default=0.5, help="search window, seconds")
-
-    p_rerun = sub.add_parser("rerun", help="replay a run from its manifest")
-    p_rerun.add_argument("--manifest", required=True)
-
+    for name, command in _COMMANDS.items():
+        p = sub.add_parser(name, help=command.help)
+        for key, keywords in command.flags.items():
+            p.add_argument("--" + key.replace("_", "-"), **keywords)
     return parser
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
-        return _COMMANDS[args.command][0](args)
+        return _COMMANDS[args.command].handler(args)
     except (InvalidConfig, FileNotFoundError, IsADirectoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

@@ -11,6 +11,8 @@ log (`a.csv`). Every case is held to one contract:
 - every fragment is in stderr, and stderr holds no traceback (in process,
   an exception escapes `main` and fails the test);
 - on exit 0, stderr is empty;
+- a rejected `rerun` writes one stderr line, starting `error: `, whether
+  the manifest or the replayed command line is at fault;
 - on exit 2 or 3, `{work}` holds exactly what the case's input put there,
   byte for byte: nothing is written and no input is changed.
 
@@ -397,6 +399,8 @@ MALFORMED_ARGS = [
     ("benchmark", {"seed": True}, 2, "--seed"),
     ("benchmark", {"oracle": "yes"}, 2, "--oracle"),
     ("benchmark", {"out": "a\0b"}, 2, "'out'"),
+    # a value that breaks the replayed command's message over two lines
+    ("benchmark", {"yaw_rates": "2\n3"}, 2, "--yaw-rates 2\\n3: could not convert"),
 ]
 MALFORMED_MANIFEST = [
     "{not json",
@@ -410,6 +414,10 @@ MALFORMED_MANIFEST = [
     json.dumps({"command": ["simulate"], "args": {}}),
     json.dumps({"command": {}, "args": {}}),
     '{"command": "simulate", "args": {"config": "c", "out": "o", "seed": NaN}}',
+    # commands that write no manifest, with every flag recorded
+    json.dumps({"command": "timesync", "args": {"log_a": "{run}/a.csv", "log_b": "{run}/a.csv",
+                                                "window": 0.5}}),
+    json.dumps({"command": "rerun", "args": {"manifest": "{run}/manifest.json"}}),
 ]
 
 # benchmark: a list flag's value and the whole stderr it gives
@@ -661,6 +669,11 @@ def _tree(root: Path) -> dict:
     return {path: path.read_bytes() if path.is_file() else None for path in root.rglob("*")}
 
 
+def one_error_line(err: str) -> bool:
+    """Whether stderr `err` is one line that starts `error: `."""
+    return err.startswith("error: ") and err.endswith("\n") and err.count("\n") == 1
+
+
 def check(case: Case, work: Path, run: Path, runner) -> list[str]:
     """Build `case`'s input in the empty directory `work`, run its argv there
     with `runner` and return how it breaks the contract (none: it passes)."""
@@ -679,6 +692,8 @@ def check(case: Case, work: Path, run: Path, runner) -> list[str]:
         problems.append("stderr holds a traceback")
     if case.code == 0 and err:
         problems.append("stderr is not empty")
+    if case.argv[0] == "rerun" and case.code and not one_error_line(err):
+        problems.append("the rejected rerun's stderr is not one line starting 'error: '")
     if case.code != 0 and _tree(work) != before:
         problems.append("the command wrote to, or changed, its directory")
     return problems + [f"stderr: {err!r}"] if problems else []

@@ -465,6 +465,101 @@ class TestRerun:
         assert [(out / name).read_bytes() for name in ("benchmark.csv", "manifest.json")] == first
 
 
+class TestCommandTable:
+    """`spincam.cli._COMMANDS` declares each command once; `main` builds the
+    parser from it on its first call and reuses it."""
+
+    COMMANDS = ["simulate", "downwash-eval", "benchmark", "timesync", "rerun"]
+
+    def test_one_parser_per_process(self, tmp_path, swap_config):
+        """Importing the command line builds no parser; three `main` calls
+        build the top-level parser and one per command once between them."""
+        sim, bench = str(tmp_path / "sim"), str(tmp_path / "bench")
+        calls = [["simulate", "--config", str(swap_config), "--out", sim],
+                 ["downwash-eval", "--dataset", f"{sim}/dataset.ndjson", "--oracle",
+                  "--out", str(tmp_path / "eval")],
+                 ["benchmark", "--config", str(swap_config), "--oracle", "--yaw-rates", "2",
+                  "--pitches", "up", "--out", bench]]
+        code = ("import argparse, contextlib, io\n"
+                "built, init = [], argparse.ArgumentParser.__init__\n"
+                "def counted(self, *args, **kwargs):\n"
+                "    built.append(self)\n"
+                "    init(self, *args, **kwargs)\n"
+                "argparse.ArgumentParser.__init__ = counted\n"
+                "from spincam.cli import main\n"
+                "print(len(built))\n"
+                "with contextlib.redirect_stdout(io.StringIO()):\n"
+                f"    codes = [main(argv) for argv in {calls!r}]\n"
+                "print(len(built), *codes)\n")
+        done = subprocess.run([sys.executable, "-c", code], check=True, capture_output=True,
+                              text=True)
+        assert done.stdout.split() == ["0", "6", "0", "0", "0"]
+
+    def test_a_reused_parser_keeps_no_state(self, tmp_path, swap_config, monkeypatch):
+        """A usage error and then a valid call, in one process, give the exit
+        codes, stdout, stderr and files that each gives in a fresh process."""
+        monkeypatch.setenv("COLUMNS", "80")
+        monkeypatch.setenv("PYTHONPATH", str(Path(spincam.downwash.__file__).parents[1]))
+        assert main(["simulate", "--config", str(swap_config), "--out", str(tmp_path)]) == 0
+        dataset = str(tmp_path / "dataset.ndjson")
+        calls = [["downwash-eval", "--dataset", dataset, "--oracle", "--mode", "xyz",
+                  "--out", "eval"],
+                 ["downwash-eval", "--dataset", dataset, "--oracle", "--out", "eval"]]
+        fresh, reused = tmp_path / "fresh", tmp_path / "reused"
+        fresh.mkdir()
+        reused.mkdir()
+        expected = []
+        for argv in calls:
+            done = subprocess.run([sys.executable, "-m", "spincam.cli", *argv], cwd=fresh,
+                                  capture_output=True, text=True)
+            expected.append((done.returncode, done.stdout, done.stderr))
+        monkeypatch.chdir(reused)
+        got = []
+        for argv in calls:
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                try:
+                    code = main(argv)
+                except SystemExit as exc:  # the parser's usage error
+                    code = exc.code
+            got.append((code, out.getvalue(), err.getvalue()))
+        assert [code for code, _, _ in got] == [2, 0]
+        assert got == expected
+        assert {path.relative_to(reused): path.read_bytes() for path in reused.rglob("*.*")} == {
+            path.relative_to(fresh): path.read_bytes() for path in fresh.rglob("*.*")}
+
+    def test_help_is_the_same_each_call(self, monkeypatch):
+        monkeypatch.setenv("COLUMNS", "80")
+        texts = []
+        for argv in [["--help"], *([command, "--help"] for command in self.COMMANDS)] * 2:
+            out = io.StringIO()
+            with contextlib.redirect_stdout(out), pytest.raises(SystemExit) as exc:
+                main(argv)
+            assert exc.value.code == 0
+            texts.append(out.getvalue())
+        assert texts[:6] == texts[6:]
+        assert all(f"usage: spincam {command} [-h]" in text
+                   for command, text in zip(self.COMMANDS, texts[1:6]))
+
+    def test_manifests_record_each_commands_flags_in_order(self, tmp_path, swap_config):
+        sim = tmp_path / "sim"
+        runs = {
+            "simulate": (["--config", str(swap_config), "--out", str(sim)],
+                         ["config", "out", "seed"]),
+            "downwash-eval": (["--dataset", str(sim / "dataset.ndjson"), "--oracle",
+                               "--out", str(tmp_path / "downwash-eval")],
+                              ["dataset", "out", "oracle", "noise", "mode", "ellipsoid"]),
+            "benchmark": (["--config", str(swap_config), "--oracle", "--yaw-rates", "2",
+                           "--pitches", "up", "--out", str(tmp_path / "benchmark")],
+                          ["config", "out", "yaw_rates", "pitches", "oracle", "noise", "mode",
+                           "seed"]),
+        }
+        for command, (flags, recorded) in runs.items():
+            assert main([command, *flags]) == 0
+            out = Path(flags[flags.index("--out") + 1])
+            assert list(json.loads((out / "manifest.json").read_text())["args"]) == recorded
+
+
 
 @pytest.fixture(scope="session")
 def base_run(tmp_path_factory):
@@ -545,18 +640,26 @@ def mutants(base: dict, paths) -> st.SearchStrategy:
     return st.lists(edit, min_size=1, max_size=3).map(lambda edits: mutate(base, edits))
 
 
-def exit_code(argv) -> int:
-    """main's exit code, in a fresh empty working directory."""
-    with tempfile.TemporaryDirectory() as work, contextlib.redirect_stdout(None):
+def exit_code_and_stderr(argv) -> tuple[int, str]:
+    """main's exit code and stderr, in a fresh empty working directory."""
+    err = io.StringIO()
+    with (tempfile.TemporaryDirectory() as work, contextlib.redirect_stdout(None),
+          contextlib.redirect_stderr(err)):
         home = os.getcwd()
         os.chdir(work)
         try:
-            return main(argv)
+            code = main(argv)
         except SystemExit as exc:  # the parser's usage error
             assert exc.code == 2
-            return 2
+            code = 2
         finally:
             os.chdir(home)
+    return code, err.getvalue()
+
+
+def exit_code(argv) -> int:
+    """main's exit code, in a fresh empty working directory."""
+    return exit_code_and_stderr(argv)[0]
 
 
 def write_json(path, obj) -> str:
@@ -663,7 +766,10 @@ class TestMutatedInputs:
         manifest = data.draw(mutants({"schema_version": 1, "command": command, "args": args},
                                      paths))
         path = write_json(root / "mutant.json", manifest)
-        assert exit_code(["rerun", "--manifest", path]) in (0, 2, 3)
+        code, err = exit_code_and_stderr(["rerun", "--manifest", path])
+        assert code in (0, 2, 3)
+        # a replay that runs writes nothing to stderr; a rejected one, one line
+        assert err == "" if code == 0 else cli_cases.one_error_line(err), err
 
     @PROPERTY_SETTINGS
     @given(edits=st.lists(st.tuples(st.sampled_from(FRAME_KEYS), st.sampled_from(FRAME_VALUES)),
