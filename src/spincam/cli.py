@@ -6,8 +6,6 @@ Exit codes: 0 success, 2 usage or configuration error, 3 data error.
 from __future__ import annotations
 
 import argparse
-import contextlib
-import io
 import itertools
 import json
 import math
@@ -236,24 +234,14 @@ def _manifest_argv(path: str) -> list[str]:
 
 
 def _rerun(args) -> int:
-    """Replay a manifest's command line through `main`, which checks each
-    recorded arg as it checks a typed flag; a rejected replay's message,
-    naming the flag, key or file, becomes one line naming the manifest."""
-    argv = _manifest_argv(args.manifest)
-    replayed = io.StringIO()
-    with contextlib.redirect_stderr(replayed):
-        try:
-            code = main(argv)
-        except SystemExit as exc:  # the parser rejected a recorded arg, after its usage lines
-            code = exc.code
-    if code:
-        # the message follows any usage lines; a recorded value may break it over lines
-        message = replayed.getvalue().partition("error: ")[2].rstrip("\n")
-        print(f"error: {args.manifest}: the recorded run exited {code}: "
-              + message.replace("\n", "\\n"), file=sys.stderr)
-    else:
-        sys.stderr.write(replayed.getvalue())
-    return code
+    """Replay a manifest's command line through `_run`, which checks each recorded arg
+    as it checks a typed flag; a rejection is raised again, naming the manifest."""
+    try:
+        return _run(_manifest_argv(args.manifest))
+    except (SpincamError, OSError) as exc:
+        code = _exit_code(exc)
+        raise (InvalidConfig if code == EXIT_CONFIG else SpincamError)(
+            f"{args.manifest}: the recorded run exited {code}: {exc}") from exc
 
 
 # Each command's handler, its help, whether `rerun` may replay its manifest, and
@@ -291,10 +279,17 @@ _COMMANDS = {
 }
 
 
+class _Parser(argparse.ArgumentParser):
+    """A usage error raises InvalidConfig naming the command; subparsers share the class."""
+
+    def error(self, message):
+        raise InvalidConfig(f"{self.prog}: {message}")
+
+
 @cache
 def _parser() -> argparse.ArgumentParser:
     """The command line of `_COMMANDS`, built on first use and kept for the process."""
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="spincam", description="Spinning-camera multi-robot localization toolkit")
     parser.add_argument("--version", action="version", version=f"spincam {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -305,16 +300,27 @@ def _parser() -> argparse.ArgumentParser:
     return parser
 
 
-def main(argv=None) -> int:
+def _run(argv) -> int:
+    """Run one command line; a rejection raises."""
     args = _parser().parse_args(argv)
+    return _COMMANDS[args.command].handler(args)
+
+
+def _exit_code(exc: Exception) -> int:
+    """The exit code of a rejection: a usage or configuration error, or a data error."""
+    config_errors = (InvalidConfig, FileNotFoundError, IsADirectoryError)
+    return EXIT_CONFIG if isinstance(exc, config_errors) else EXIT_DATA
+
+
+def main(argv=None) -> int:
+    """Run one command line and return its exit code; a rejection prints one `error:` line."""
     try:
-        return _COMMANDS[args.command].handler(args)
-    except (InvalidConfig, FileNotFoundError, IsADirectoryError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
+        return _run(argv)
     except (SpincamError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_DATA
+        breaks = "\n\r\v\f\x1c\x1d\x1e\x85\u2028\u2029"  # those str.splitlines counts
+        message = str(exc).translate({ord(c): repr(c)[1:-1] for c in breaks})
+        print(f"error: {message}", file=sys.stderr)
+        return _exit_code(exc)
 
 
 if __name__ == "__main__":

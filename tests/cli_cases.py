@@ -11,8 +11,9 @@ log (`a.csv`). Every case is held to one contract:
 - every fragment is in stderr, and stderr holds no traceback (in process,
   an exception escapes `main` and fails the test);
 - on exit 0, stderr is empty;
-- a rejected `rerun` writes one stderr line, starting `error: `, whether
-  the manifest or the replayed command line is at fault;
+- on exit 2 or 3, stderr is one line, starting `error: `, whatever is at
+  fault: the command line, an input, or a manifest or its replayed command
+  line;
 - on exit 2 or 3, `{work}` holds exactly what the case's input put there,
   byte for byte: nothing is written and no input is changed.
 
@@ -436,6 +437,28 @@ BAD_LIST_FLAG = [
     ("unknown-pitch", "--pitches", "up,sideways",
      "--pitches sideways: unknown camera pitch 'sideways'; expected one of "
      "['forward', 'tilt45', 'up']"),
+    # an item holding a line break, escaped so the message stays one line
+    ("newline", "--yaw-rates", "2\n3",
+     "--yaw-rates 2\\n3: could not convert string to float: '2\\n3'"),
+    ("carriage-return", "--yaw-rates", "2\r3",
+     "--yaw-rates 2\\r3: could not convert string to float: '2\\r3'"),
+]
+
+# a command line the parser rejects, and the start of the line it gives,
+# naming the command and the flag
+PARSER_REJECTS = [
+    ("no-command", (), "error: spincam: the following arguments are required: command"),
+    ("unknown-command", ("simulat",),
+     "error: spincam: argument command: invalid choice: 'simulat'"),
+    ("missing-config", ("simulate", "--out", "{work}/out"),
+     "error: spincam simulate: the following arguments are required: --config"),
+    ("bad-mode", (*EVAL_BASE, "--noise", "{run}/noise.json", "--mode", "xyz"),
+     "error: spincam downwash-eval: argument --mode: invalid choice: 'xyz'"),
+    ("bad-seed", ("simulate", "--config", "{run}/config.json", "--out", "{work}/out",
+                  "--seed", "abc"),
+     "error: spincam simulate: argument --seed: invalid int value: 'abc'"),
+    ("unrecognized-flag", (*SIMULATE, "--frames", "3"),
+     "error: spincam: unrecognized arguments: --frames 3"),
 ]
 
 # commands whose --out is a file, or lies under one
@@ -456,6 +479,8 @@ def _key_ids(rows, key_of=lambda row: row[0]) -> list[str]:
 
 
 CASES = [
+    *(Case(f"parser-{name}", argv, 2, (line,)) for name, argv, line in PARSER_REJECTS),
+
     # simulate
     Case("simulate-missing-config", ("simulate", "--config", "{work}/nope.json",
                                      "--out", "{work}/out"), 2, ("cannot read",)),
@@ -503,6 +528,11 @@ CASES = [
     # downwash-eval: the dataset file
     Case("eval-corrupt-dataset", (*EVAL, "--oracle"), 3, (f"{DATA}:2: invalid record",),
          File("data.ndjson", '{"record": "header", "schema_version": 1}\nnot json\n')),
+    # a line break in the path is escaped
+    Case("eval-corrupt-dataset-path-with-a-newline",
+         ("downwash-eval", "--dataset", "{work}/a\nb.ndjson", "--oracle", "--out", "{work}/out"),
+         3, ("error: {work}/a\\nb.ndjson:2: invalid record",),
+         File("a\nb.ndjson", '{"record": "header", "schema_version": 1}\nnot json\n')),
     Case("eval-not-utf8", (*EVAL, "--oracle"), 3, (f"{DATA}:6: not UTF-8 text",),
          Bytes(6, b'"r1"', b'"r\xff"')),
     *(Case(f"eval-header-{name}", (*EVAL, "--oracle"), 3, (HEADER, named), Edit(1, path, text))
@@ -624,10 +654,7 @@ def in_process(argv: list[str], cwd: Path) -> tuple[int, str]:
     os.chdir(cwd)
     try:
         with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
-            try:
-                code = main(argv)
-            except SystemExit as exc:  # the parser's usage error
-                code = exc.code
+            code = main(argv)
     finally:
         os.chdir(home)
     return code, err.getvalue()
@@ -670,8 +697,10 @@ def _tree(root: Path) -> dict:
 
 
 def one_error_line(err: str) -> bool:
-    """Whether stderr `err` is one line that starts `error: `."""
-    return err.startswith("error: ") and err.endswith("\n") and err.count("\n") == 1
+    """Whether stderr `err` is one line that starts `error: `: it ends at its
+    only line break, of any kind `str.splitlines` counts."""
+    line = err[:-1]
+    return err.startswith("error: ") and err.endswith("\n") and line.splitlines() == [line]
 
 
 def check(case: Case, work: Path, run: Path, runner) -> list[str]:
@@ -692,8 +721,8 @@ def check(case: Case, work: Path, run: Path, runner) -> list[str]:
         problems.append("stderr holds a traceback")
     if case.code == 0 and err:
         problems.append("stderr is not empty")
-    if case.argv[0] == "rerun" and case.code and not one_error_line(err):
-        problems.append("the rejected rerun's stderr is not one line starting 'error: '")
+    if case.code and not one_error_line(err):
+        problems.append("the rejection's stderr is not one line starting 'error: '")
     if case.code != 0 and _tree(work) != before:
         problems.append("the command wrote to, or changed, its directory")
     return problems + [f"stderr: {err!r}"] if problems else []

@@ -26,7 +26,13 @@ from reports import read_report
 
 import spincam.downwash
 from spincam import perception
-from spincam.camera import CameraIntrinsics, annotate_tracks, camera_for_pitch
+from spincam.camera import (
+    CameraIntrinsics,
+    annotate_poses,
+    annotate_tracks,
+    camera_for_pitch,
+    track_poses,
+)
 from spincam.cli import main
 from spincam.datasets import (
     GYRO_LOG_COLUMNS,
@@ -293,6 +299,52 @@ class TestDownwashEval:
             assert reports[0] == reports[1], perceive
             assert any(row.pred_downwash for row in read_report(out / "report.csv")[0])
 
+    @pytest.mark.parametrize("flight", [
+        {"kind": "swap", "camera_pitch": "up"},
+        {"kind": "hover_orbit", "num_robots": 3, "camera_pitch": "tilt45"},
+        {"kind": "random_waypoint", "num_robots": 4, "camera_pitch": "forward"}])
+    def test_an_unseen_robot_far_from_the_others_changes_no_report(self, tmp_path, flight):
+        """A robot held 1e5 m below the ego's start, which no camera sees and
+        which is near no robot, gets no neighbor row and changes no other row
+        of the annotated run; the oracle, box and grid reports of the written
+        dataset stay byte-identical."""
+        spec = load_simulation_config(write_config(tmp_path / "flight.json", duration=8.0,
+                                                   **flight))
+        times = frame_schedule(spec.scenario)
+        ids, positions, quats = track_poses(generate_scenario(spec.scenario), times)
+        below = np.broadcast_to(positions[:1, :1] - [0.0, 0.0, 1e5], (len(times), 1, 3))
+        level = np.broadcast_to([1.0, 0.0, 0.0, 0.0], (len(times), 1, 4))
+        runs = [annotate_poses(np.arange(len(times)), times, run_ids, run_positions, run_quats,
+                               spec.camera.rotation, spec.camera.translation,
+                               spec.camera.intrinsics, spec.geometry)
+                for run_ids, run_positions, run_quats in (
+                    (ids, positions, quats),
+                    ((*ids, "r9"), np.concatenate([positions, below], axis=1),
+                     np.concatenate([quats, level], axis=1)))]
+        base, more = runs
+        assert len(base.robot) and more.robot_ids == (*base.robot_ids, "r9")
+        for name in ("frame_ids", "timestamps", "owner", "robot", "rel_positions", "centers",
+                     "bboxes"):
+            assert getattr(more, name).tobytes() == getattr(base, name).tobytes(), name
+        assert more.positions[:, :-1].tobytes() == base.positions.tobytes()
+        assert more.quats[:, :-1].tobytes() == base.quats.tobytes()
+        noise = tmp_path / "noise.json"
+        noise.write_text('{"rng_seed": 3, "false_positive_rate": 0.5}')
+        for k, run in enumerate(runs):
+            write_dataset(Dataset(camera=spec.camera, geometry=spec.geometry,
+                                  ellipsoid=spec.scenario.ellipsoid, records=run),
+                          tmp_path / f"{k}.ndjson")
+        for perceive in (["--oracle"], ["--noise", str(noise), "--mode", "box"],
+                         ["--noise", str(noise), "--mode", "grid"]):
+            reports = []
+            for k in range(2):
+                out = tmp_path / f"eval-{k}"
+                with contextlib.redirect_stdout(io.StringIO()):
+                    assert main(["downwash-eval", "--dataset", str(tmp_path / f"{k}.ndjson"),
+                                 *perceive, "--out", str(out)]) == 0
+                reports.append((out / "report.csv").read_bytes())
+            assert reports[0] == reports[1], perceive
+
     def test_ellipsoid_override(self, tmp_path):
         dataset = self.simulate(tmp_path)
         out = tmp_path / "eval"
@@ -518,15 +570,19 @@ class TestCommandTable:
         for argv in calls:
             out, err = io.StringIO(), io.StringIO()
             with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-                try:
-                    code = main(argv)
-                except SystemExit as exc:  # the parser's usage error
-                    code = exc.code
+                code = main(argv)
             got.append((code, out.getvalue(), err.getvalue()))
         assert [code for code, _, _ in got] == [2, 0]
         assert got == expected
         assert {path.relative_to(reused): path.read_bytes() for path in reused.rglob("*.*")} == {
             path.relative_to(fresh): path.read_bytes() for path in fresh.rglob("*.*")}
+
+    def test_a_usage_error_returns_2(self, capsys):
+        """`main` returns a usage error's exit code, as any rejection's, and
+        prints one line naming the command."""
+        assert main(["simulate", "--out", "out"]) == 2
+        assert capsys.readouterr() == (
+            "", "error: spincam simulate: the following arguments are required: --config\n")
 
     def test_help_is_the_same_each_call(self, monkeypatch):
         monkeypatch.setenv("COLUMNS", "80")
@@ -582,6 +638,14 @@ def test_case_ids_are_unique():
     assert len(set(ids)) == len(ids)
 
 
+def test_one_error_line_counts_every_line_break():
+    assert cli_cases.one_error_line("error: a b\n")
+    assert not cli_cases.one_error_line("error: a b")
+    assert not any(cli_cases.one_error_line(f"error: a{brk}b\n")
+                   for brk in ("\n", "\r", "\r\n", "\v", "\f", "\x1c", "\x1d", "\x1e", "\x85",
+                               "\u2028", "\u2029"))
+
+
 class TestCaseRunner:
     """The runner reports a case it does not pass: a copy of a case with a
     wrong exit code, and one with a fragment stderr lacks, fail in both
@@ -616,11 +680,11 @@ class TestCaseRunner:
 
 
 # Property tests (Hypothesis: MacIver et al., JOSS 2019): mutated copies of
-# valid inputs make `main` return 0, 2 or 3, or the parser exit with 2, and
-# never raise anything else. Replacement values come from a small fixed set:
-# each JSON type, a string holding NUL, NaN, infinity, an integer beyond float
-# range and boundary numbers, none of them a float large enough to ask for a
-# long run.
+# valid inputs make `main` return 0, with nothing on stderr, or 2 or 3, with
+# one `error:` line, and never raise. Replacement values come from a small
+# fixed set: each JSON type, a string holding NUL, NaN, infinity, an integer
+# beyond float range and boundary numbers, none of them a float large enough
+# to ask for a long run.
 MUTANT_VALUES = [DROP, "x", "", "x\0", True, False, None, [], [1.0, 2.0], {}, {"a": 1}, math.nan,
                  math.inf, HUGE, 0, -1, 1e-9, 0.5, 1, 2.5]
 SMALL_SWAP = {"kind": "swap", "num_robots": 2, "duration": 2.0, "rng_seed": 3,
@@ -640,8 +704,9 @@ def mutants(base: dict, paths) -> st.SearchStrategy:
     return st.lists(edit, min_size=1, max_size=3).map(lambda edits: mutate(base, edits))
 
 
-def exit_code_and_stderr(argv) -> tuple[int, str]:
-    """main's exit code and stderr, in a fresh empty working directory."""
+def exit_code(argv) -> int:
+    """main's exit code, in a fresh empty working directory, once its stderr
+    is checked: empty on exit 0, one `error:` line on exit 2 or 3."""
     err = io.StringIO()
     with (tempfile.TemporaryDirectory() as work, contextlib.redirect_stdout(None),
           contextlib.redirect_stderr(err)):
@@ -649,17 +714,11 @@ def exit_code_and_stderr(argv) -> tuple[int, str]:
         os.chdir(work)
         try:
             code = main(argv)
-        except SystemExit as exc:  # the parser's usage error
-            assert exc.code == 2
-            code = 2
         finally:
             os.chdir(home)
-    return code, err.getvalue()
-
-
-def exit_code(argv) -> int:
-    """main's exit code, in a fresh empty working directory."""
-    return exit_code_and_stderr(argv)[0]
+    text = err.getvalue()
+    assert text == "" if code == 0 else cli_cases.one_error_line(text), text
+    return code
 
 
 def write_json(path, obj) -> str:
@@ -766,10 +825,7 @@ class TestMutatedInputs:
         manifest = data.draw(mutants({"schema_version": 1, "command": command, "args": args},
                                      paths))
         path = write_json(root / "mutant.json", manifest)
-        code, err = exit_code_and_stderr(["rerun", "--manifest", path])
-        assert code in (0, 2, 3)
-        # a replay that runs writes nothing to stderr; a rejected one, one line
-        assert err == "" if code == 0 else cli_cases.one_error_line(err), err
+        assert exit_code(["rerun", "--manifest", path]) in (0, 2, 3)
 
     @PROPERTY_SETTINGS
     @given(edits=st.lists(st.tuples(st.sampled_from(FRAME_KEYS), st.sampled_from(FRAME_VALUES)),
