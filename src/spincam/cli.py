@@ -15,8 +15,10 @@ from dataclasses import replace
 from functools import cache, partial
 from pathlib import Path
 
+import numpy as np
+
 from . import __version__
-from .camera import annotate_tracks, camera_for_pitch, track_poses
+from .camera import annotate_poses, camera_for_pitch
 from .datasets import (
     Dataset,
     SCHEMA_VERSION,
@@ -32,13 +34,12 @@ from .datasets import (
 from .downwash import Cell, EllipsoidSpec, evaluate_cells, evaluate_downwash_records
 from .errors import InvalidConfig, SpincamError
 from .metrics import ConfusionCounts, classification_metrics
-from .scenarios import frame_schedule, generate_scenario
+from .scenarios import frame_poses, frame_schedule
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_DATA = 3
 
-EGO_ID = "r0"
 
 def _write_manifest(out_dir: Path, command: str, args, outputs: list[str]) -> None:
     """Record the run before producing outputs; enough to replay it exactly.
@@ -62,10 +63,10 @@ def _write_manifest(out_dir: Path, command: str, args, outputs: list[str]) -> No
         fh.write("\n")
 
 
-def _tracks(scenario, config):
-    """The scenario's pose tracks; InvalidConfig names the config file."""
+def _frame_poses(scenarios, config):
+    """`frame_poses` of the scenarios, one flight; InvalidConfig names the config file."""
     try:
-        return generate_scenario(scenario)
+        return frame_poses(scenarios)
     except InvalidConfig as exc:  # such as an arena with no room for the waypoints
         raise InvalidConfig(f"{config}: {exc}") from exc
 
@@ -81,10 +82,11 @@ def _seeded(scenario, seed):
 def _simulate(args) -> int:
     spec = load_simulation_config(args.config)
     scenario = _seeded(spec.scenario, args.seed)
-    tracks = _tracks(scenario, args.config)
-    records = annotate_tracks(
-        tracks, spec.camera, spec.geometry, frame_schedule(scenario), ego_id=EGO_ID
-    )
+    ids, positions, quats = next(_frame_poses([scenario], args.config))
+    times, camera = frame_schedule(scenario), spec.camera
+    records = annotate_poses(np.arange(len(times)), times, ids, positions, quats,
+                             camera.rotation, camera.translation, camera.intrinsics,
+                             spec.geometry)
     dataset = Dataset(
         camera=spec.camera,
         geometry=spec.geometry,
@@ -95,7 +97,7 @@ def _simulate(args) -> int:
     _write_manifest(out_dir, "simulate", args, ["dataset.ndjson", "dataset.npz"])
     dataset_path = out_dir / "dataset.ndjson"
     write_dataset(dataset, dataset_path)
-    print(f"wrote {dataset_path} ({len(records)} frames, {len(tracks)} robots)")
+    print(f"wrote {dataset_path} ({len(records)} frames, {len(ids)} robots)")
     return EXIT_OK
 
 
@@ -160,12 +162,12 @@ def _benchmark(args) -> int:
     cameras = _flag_values("--pitches", args.pitches, partial(
         camera_for_pitch, intrinsics=spec.camera.intrinsics, translation=spec.camera.translation))
 
+    times, sweep = frame_schedule(base), _frame_poses(scenarios, args.config)
+
     def cells():
-        # the camera pitch does not enter the tracks: one flight per yaw rate,
-        # kept only as its poses at the frame times
-        for scenario in scenarios:
-            times = frame_schedule(scenario)
-            poses = track_poses(_tracks(scenario, args.config), times, EGO_ID)
+        # neither the camera pitch nor the yaw rate moves a robot: one flight per
+        # sweep, whose spinning robots each yaw rate re-spins
+        for poses in sweep:
             yield from (Cell(camera, times, *poses) for camera in cameras)
 
     results = evaluate_cells(cells(), base.ellipsoid, spec.geometry, mode, noise)
@@ -302,7 +304,9 @@ def _parser() -> argparse.ArgumentParser:
 
 def _run(argv) -> int:
     """Run one command line; a rejection raises."""
-    args = _parser().parse_args(argv)
+    args, extra = _parser().parse_known_args(argv)
+    if extra:  # what the command's parser left: name the command, not spincam
+        raise InvalidConfig(f"spincam {args.command}: unrecognized arguments: {' '.join(extra)}")
     return _COMMANDS[args.command].handler(args)
 
 

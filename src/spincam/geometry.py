@@ -226,6 +226,22 @@ class PoseTrack:
         return len(self.times)
 
 
+def bracket(times: np.ndarray, t, name: str) -> tuple[np.ndarray, ...]:
+    """Where times t (M,) fall among increasing sample times (N >= 2): the
+    sample at or before each (`idx`), the first of the two samples around it
+    (`lo`), the fraction of the way from one to the other (`alpha`), and
+    whether it lands on a sample (`exact`). OutOfRange names `name` when any
+    time lies outside the samples' span."""
+    t = np.asarray(t, dtype=float).reshape(-1)
+    outside = ~((t >= times[0]) & (t <= times[-1]))
+    if np.any(outside):
+        raise OutOfRange(f"t={t[outside][0]} outside {name} span [{times[0]}, {times[-1]}]")
+    idx = np.searchsorted(times, t, side="right") - 1
+    lo = np.minimum(idx, len(times) - 2)
+    alpha = (t - times[lo]) / (times[lo + 1] - times[lo])
+    return idx, lo, alpha, times[idx] == t
+
+
 def interpolate(track: PoseTrack, t) -> tuple[np.ndarray, np.ndarray]:
     """Positions (M, 3) and orientations (M, 4) of a track at times t (M,).
 
@@ -235,18 +251,7 @@ def interpolate(track: PoseTrack, t) -> tuple[np.ndarray, np.ndarray]:
     """
     if len(track) < 2:
         raise ValueError("interpolation needs a track with at least 2 samples")
-    t = np.asarray(t, dtype=float).reshape(-1)
-    times = track.times
-    outside = ~((t >= times[0]) & (t <= times[-1]))
-    if np.any(outside):
-        bad = t[outside][0]
-        raise OutOfRange(
-            f"t={bad} outside track {track.robot_id!r} span [{times[0]}, {times[-1]}]"
-        )
-    idx = np.searchsorted(times, t, side="right") - 1
-    exact = times[idx] == t
-    lo = np.minimum(idx, len(times) - 2)
-    alpha = (t - times[lo]) / (times[lo + 1] - times[lo])
+    idx, lo, alpha, exact = bracket(track.times, t, f"track {track.robot_id!r}")
     a = alpha[:, None]
     positions = (1.0 - a) * track.positions[lo] + a * track.positions[lo + 1]
     quats = slerp_arrays(track.quats[lo], track.quats[lo + 1], alpha)

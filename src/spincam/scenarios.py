@@ -3,20 +3,30 @@
 Tracks are generated as smooth interpolants sampled at a fixed rate, not by
 closed-loop simulation. Robot "r0" always carries the camera: it is the lower
 robot in the swap scenario and the circling robot in the hover-orbit
-scenario. Flying robots spin about +z at the configured auto-yaw rate.
+scenario. Flying robots spin about +z at the configured auto-yaw rate; the
+hover-orbit hoverers do not spin.
+
+Yaw is a spare degree of freedom: spinning changes where a robot points, not
+where it flies. So each kind's generator makes only a `_Flight`, the part of
+a scenario that no yaw rate changes, and a yaw rate reaches it only through
+`_spin_quats`, the orientations of its spinning robots. `frame_poses` uses
+this to sweep yaw rates over one flight.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Iterator, Sequence
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
 from .camera import PITCH_ANGLES
 from .downwash import DOWNWASH_MARGIN, EllipsoidSpec, ellipsoid_margin
 from .errors import InvalidConfig
-from .geometry import MAX_COORDINATE, PoseTrack, is_count, is_numbers, require_finite
+from .geometry import (MAX_COORDINATE, PoseTrack, bracket, is_count, is_numbers, require_finite,
+                       slerp_arrays)
 
 SCENARIO_KINDS = ("random_waypoint", "hover_orbit", "swap")
 CAMERA_PITCHES = tuple(PITCH_ANGLES)
@@ -154,13 +164,24 @@ def _sample_times(cfg: ScenarioConfig) -> np.ndarray:
     return np.linspace(0.0, cfg.duration, _sample_steps(cfg) + 1)
 
 
-def _spinning_track(robot_id: str, times: np.ndarray, positions: np.ndarray,
-                    yaw_rate: float) -> PoseTrack:
-    half_yaw = 0.5 * (yaw_rate * times)
-    quats = np.zeros((len(times), 4))
-    quats[:, 0] = np.cos(half_yaw)
-    quats[:, 3] = np.sin(half_yaw)
-    return PoseTrack(robot_id, times, positions, quats)
+class _Flight(NamedTuple):
+    """The yaw-invariant part of a scenario: its sample times (N,), and each
+    robot's id, positions (N, 3) and whether it spins."""
+
+    times: np.ndarray
+    ids: tuple[str, ...]
+    positions: tuple[np.ndarray, ...]
+    spins: tuple[bool, ...]
+
+
+def _spin_quats(yaw_rate, times) -> np.ndarray:
+    """Orientations (..., 4) of a robot turning about +z at `yaw_rate` (rad/s)
+    from yaw 0 at time 0, at `times`; rates and times broadcast."""
+    half_yaw = 0.5 * (yaw_rate * np.asarray(times))
+    quats = np.zeros(half_yaw.shape + (4,))
+    quats[..., 0] = np.cos(half_yaw)
+    quats[..., 3] = np.sin(half_yaw)
+    return quats
 
 
 def _smoothstep(tau: np.ndarray) -> np.ndarray:
@@ -168,7 +189,10 @@ def _smoothstep(tau: np.ndarray) -> np.ndarray:
     return tau * tau * (3.0 - 2.0 * tau)
 
 
-def _generate_swap(cfg: ScenarioConfig, times: np.ndarray) -> list[PoseTrack]:
+# Each generator returns its robots' positions (N, 3) at the sample times,
+# r0 first, and whether each robot spins.
+
+def _generate_swap(cfg: ScenarioConfig, times: np.ndarray) -> list[tuple[np.ndarray, bool]]:
     a = np.array(cfg.swap_start_a, dtype=float)
     b = np.array(cfg.swap_start_b, dtype=float)
     lower, upper = (a, b) if a[2] < b[2] else (b, a)
@@ -177,10 +201,7 @@ def _generate_swap(cfg: ScenarioConfig, times: np.ndarray) -> list[PoseTrack]:
     upper_xy = (1.0 - s) * upper[None, :2] + s * lower[None, :2]
     pos0 = np.column_stack([lower_xy, np.full(len(times), lower[2])])
     pos1 = np.column_stack([upper_xy, np.full(len(times), upper[2])])
-    return [
-        _spinning_track("r0", times, pos0, cfg.yaw_rate),
-        _spinning_track("r1", times, pos1, cfg.yaw_rate),
-    ]
+    return [(pos0, True), (pos1, True)]
 
 
 def _hover_layout(cfg: ScenarioConfig) -> list[np.ndarray]:
@@ -197,7 +218,7 @@ def _hover_layout(cfg: ScenarioConfig) -> list[np.ndarray]:
     return positions
 
 
-def _generate_hover_orbit(cfg: ScenarioConfig, times: np.ndarray) -> list[PoseTrack]:
+def _generate_hover_orbit(cfg: ScenarioConfig, times: np.ndarray) -> list[tuple[np.ndarray, bool]]:
     omega = cfg.orbit_speed / cfg.orbit_radius
     angles = math.pi + omega * times
     orbit = np.column_stack(
@@ -208,10 +229,8 @@ def _generate_hover_orbit(cfg: ScenarioConfig, times: np.ndarray) -> list[PoseTr
         ]
     )
     # the hovering robots do not spin
-    return [_spinning_track("r0", times, orbit, cfg.yaw_rate)] + [
-        _spinning_track(f"r{k + 1}", times, np.tile(position, (len(times), 1)), 0.0)
-        for k, position in enumerate(_hover_layout(cfg))
-    ]
+    return [(orbit, True)] + [(np.tile(position, (len(times), 1)), False)
+                              for position in _hover_layout(cfg)]
 
 
 def _trapezoid_timing(length: float, vmax: float, accel: float) -> tuple[float, float]:
@@ -288,26 +307,69 @@ def _waypoint_positions(times: np.ndarray, waypoints: np.ndarray, vmax: float,
 
 
 def _generate_waypoint(cfg: ScenarioConfig, times: np.ndarray,
-                       rng: np.random.Generator) -> list[PoseTrack]:
-    waypoint_sets = _draw_waypoints(cfg, rng)
-    return [
-        _spinning_track(
-            f"r{i}",
-            times,
-            _waypoint_positions(times, points, cfg.max_speed, cfg.accel),
-            cfg.yaw_rate,
-        )
-        for i, points in enumerate(waypoint_sets)
-    ]
+                       rng: np.random.Generator) -> list[tuple[np.ndarray, bool]]:
+    return [(_waypoint_positions(times, points, cfg.max_speed, cfg.accel), True)
+            for points in _draw_waypoints(cfg, rng)]
+
+
+def _flight(cfg: ScenarioConfig) -> _Flight:
+    times = _sample_times(cfg)
+    if cfg.kind == "swap":
+        robots = _generate_swap(cfg, times)
+    elif cfg.kind == "hover_orbit":
+        robots = _generate_hover_orbit(cfg, times)
+    else:  # only this kind draws: the others never load numpy.random
+        robots = _generate_waypoint(cfg, times, np.random.default_rng(cfg.rng_seed))
+    positions, spins = zip(*robots)
+    return _Flight(times, tuple(f"r{i}" for i in range(len(robots))), positions, spins)
+
+
+def _pose_tracks(flight: _Flight, yaw_rate: float) -> list[PoseTrack]:
+    return [PoseTrack(robot_id, flight.times, positions,
+                      _spin_quats(yaw_rate if spins else 0.0, flight.times))
+            for robot_id, positions, spins in zip(flight.ids, flight.positions, flight.spins)]
 
 
 def generate_scenario(cfg: ScenarioConfig) -> list[PoseTrack]:
     """Deterministic pose tracks for one scenario configuration."""
-    times = _sample_times(cfg)
-    if cfg.kind == "swap":
-        return _generate_swap(cfg, times)
-    if cfg.kind == "hover_orbit":
-        return _generate_hover_orbit(cfg, times)
-    # only this kind draws: the others never load numpy.random
-    return _generate_waypoint(cfg, times, np.random.default_rng(cfg.rng_seed))
+    return _pose_tracks(_flight(cfg), cfg.yaw_rate)
+
+
+def frame_poses(
+    configs: Sequence[ScenarioConfig],
+) -> Iterator[tuple[tuple[str, ...], np.ndarray, np.ndarray]]:
+    """For configurations that differ at most in `yaw_rate`, one at a time:
+    the robot ids, r0 first, and their poses at the frame times, positions
+    (F, R, 3) and orientations (F, R, 4). Each equals `track_poses` of
+    `generate_scenario(cfg)` at `frame_schedule(cfg)`, bit for bit.
+
+    The flight is generated, checked as pose tracks and interpolated once,
+    and every configuration shares its read-only positions. Each yaw rate
+    spins the robots that spin at the samples around each frame time, slerped
+    in one call; a frame time that lands on a sample takes the sample.
+    """
+    base = configs[0]
+    if any({**vars(cfg), "yaw_rate": base.yaw_rate} != vars(base) for cfg in configs):
+        raise ValueError("frame_poses takes configurations that differ at most in yaw_rate")
+    flight = _flight(base)
+    _pose_tracks(flight, base.yaw_rate)  # the PoseTrack checks, once per sweep
+    idx, lo, alpha, exact = bracket(flight.times, frame_schedule(base), "the flight's")
+    samples = np.stack(flight.positions, axis=1)
+    a = alpha[:, None, None]
+    positions = (1.0 - a) * samples[lo] + a * samples[lo + 1]
+    positions[exact] = samples[idx[exact]]
+    positions.flags.writeable = False
+    # per frame, the sample times around it and, where it lands on one, that sample's
+    t_lo, t_hi, t_at = (flight.times[i][:, None] for i in (lo, lo + 1, idx[exact]))
+    spins = np.array(flight.spins)
+
+    def spun():
+        for cfg in configs:
+            rates = np.where(spins, cfg.yaw_rate, 0.0)
+            quats = slerp_arrays(_spin_quats(rates, t_lo), _spin_quats(rates, t_hi),
+                                 alpha[:, None])
+            quats[exact] = _spin_quats(rates, t_at)
+            yield flight.ids, positions, quats
+
+    return spun()
 

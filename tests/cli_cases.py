@@ -458,7 +458,10 @@ PARSER_REJECTS = [
                   "--seed", "abc"),
      "error: spincam simulate: argument --seed: invalid int value: 'abc'"),
     ("unrecognized-flag", (*SIMULATE, "--frames", "3"),
-     "error: spincam: unrecognized arguments: --frames 3"),
+     "error: spincam simulate: unrecognized arguments: --frames 3"),
+    # argparse takes a flag's unique prefix, such as --yaw-rate, as the flag
+    ("unrecognized-benchmark-flag", (*BENCHMARK, "--rates", "2"),
+     "error: spincam benchmark: unrecognized arguments: --rates 2"),
 ]
 
 # commands whose --out is a file, or lies under one

@@ -25,7 +25,7 @@ from gyro_logs import write_gyro_log
 from reports import read_report
 
 import spincam.downwash
-from spincam import perception
+from spincam import perception, scenarios
 from spincam.camera import (
     CameraIntrinsics,
     annotate_poses,
@@ -371,16 +371,17 @@ class TestBenchmark:
         lines = (out / "benchmark.csv").read_text().splitlines()
         assert len(lines) == 13
 
-    def test_builds_one_flight_per_yaw_rate(self, tmp_path, swap_config, monkeypatch):
-        import spincam.cli
-
-        rates = []
-        generate = spincam.cli.generate_scenario
-        monkeypatch.setattr(spincam.cli, "generate_scenario",
-                            lambda cfg: rates.append(cfg.yaw_rate) or generate(cfg))
-        assert main(["benchmark", "--config", str(swap_config), "--out", str(tmp_path / "b"),
-                     "--oracle"]) == 0
-        assert rates == [2.0, 4.0, 6.0, 8.0]
+    def test_builds_one_flight_per_sweep(self, tmp_path, swap_config, monkeypatch):
+        """The yaw rates re-spin one flight; none is generated again, or as tracks."""
+        flights = []
+        flight = scenarios._flight
+        monkeypatch.setattr(scenarios, "_flight",
+                            lambda cfg: flights.append(cfg.yaw_rate) or flight(cfg))
+        monkeypatch.setattr(scenarios, "generate_scenario", None)
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert main(["benchmark", "--config", str(swap_config),
+                         "--out", str(tmp_path / "b"), "--oracle"]) == 0
+        assert flights == [2.0]
 
     @pytest.mark.parametrize("command,checks", [("simulate", 1), ("benchmark", 5)])
     def test_each_scenario_is_checked_once(self, tmp_path, swap_config, monkeypatch, command,
@@ -405,8 +406,8 @@ class TestBenchmark:
         assert [row.split(",")[:2] for row in rows] == [["2.0", "up"], ["4.0", "up"]]
 
     @staticmethod
-    def sweep(tmp_path, kind, k1, mode, out="bench"):
-        """A 20 s sweep over yaw rates 0 and 6 and every pitch, with a
+    def sweep(tmp_path, kind, k1, mode, out="bench", rates="0,6"):
+        """A 20 s sweep over the yaw rates (0 and 6) and every pitch, with a
         translated mount; returns its config path and benchmark.csv text."""
         config = write_config(tmp_path / f"{kind}.json", kind=kind,
                               num_robots=2 if kind == "swap" else 4, duration=20.0,
@@ -416,8 +417,18 @@ class TestBenchmark:
         perceive = ["--oracle"] if mode == "oracle" else ["--noise", str(noise), "--mode", mode]
         with contextlib.redirect_stdout(io.StringIO()):
             assert main(["benchmark", "--config", str(config), "--out", str(tmp_path / out),
-                         "--yaw-rates", "0,6", *perceive]) == 0
+                         "--yaw-rates", rates, *perceive]) == 0
         return config, (tmp_path / out / "benchmark.csv").read_text()
+
+    @pytest.mark.parametrize("kind", ["hover_orbit", "random_waypoint"])
+    @pytest.mark.parametrize("mode", ["oracle", "box", "grid"])
+    def test_a_sweep_gives_the_rows_of_its_one_rate_sweeps(self, tmp_path, mode, kind):
+        """The yaw rates of one sweep share a flight; each rate's rows are
+        those of a sweep of that rate alone, in the order of the rates."""
+        _config, swept = self.sweep(tmp_path, kind, 0.0, mode, rates="0,3,7.5")
+        alone = [self.sweep(tmp_path, kind, 0.0, mode, out=f"alone-{rate}", rates=rate)[1]
+                 for rate in ("0", "3", "7.5")]
+        assert swept.splitlines()[1:] == [row for text in alone for row in text.splitlines()[1:]]
 
     @pytest.mark.parametrize("k1", [0.0, -0.08])
     @pytest.mark.parametrize("kind", ["swap", "hover_orbit", "random_waypoint"])

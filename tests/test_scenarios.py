@@ -10,9 +10,10 @@ from hypothesis import strategies as st
 from scipy.spatial.transform import Rotation
 
 from spincam import scenarios
+from spincam.camera import track_poses
 from spincam.downwash import ellipsoid_margin
 from spincam.errors import InvalidConfig
-from spincam.scenarios import ScenarioConfig, frame_schedule, generate_scenario
+from spincam.scenarios import ScenarioConfig, frame_poses, frame_schedule, generate_scenario
 
 
 def swap_config(**overrides) -> ScenarioConfig:
@@ -262,6 +263,49 @@ class TestWaypointPositions:
                             lambda *args: calls.append(args) or position(*args))
         scenarios._waypoint_positions(times, waypoints, cfg.max_speed, cfg.accel)
         assert 0 < len(calls) <= starting < 10
+
+
+def just_under_the_yaw_bound(cfg: ScenarioConfig) -> float:
+    """The fastest yaw rate `cfg` accepts: one that turns just under pi
+    between pose samples."""
+    rate = math.pi * cfg.sample_rate
+    while True:
+        rate = math.nextafter(rate, 0.0)
+        try:
+            return dataclasses.replace(cfg, yaw_rate=rate).yaw_rate
+        except InvalidConfig:
+            pass
+
+
+class TestFramePoses:
+    """A sweep's poses, one flight re-spun per yaw rate, are each rate's own
+    tracks interpolated at its frame times, bit for bit."""
+
+    @pytest.mark.parametrize("frame_rate", [4.0, 7.0], ids=["on-samples", "between-samples"])
+    @pytest.mark.parametrize("kind,robots", [("swap", 2), ("hover_orbit", 4),
+                                             ("random_waypoint", 1), ("random_waypoint", 3)])
+    def test_each_rate_equals_its_own_tracks(self, kind, robots, frame_rate):
+        cfg = ScenarioConfig(kind=kind, num_robots=robots, duration=9.0, rng_seed=2,
+                             frame_rate=frame_rate)
+        times = frame_schedule(cfg)
+        on_samples = np.isin(times, scenarios._sample_times(cfg))
+        assert on_samples.all() if frame_rate == 4.0 else on_samples.sum() == 10
+        configs = [dataclasses.replace(cfg, yaw_rate=rate)
+                   for rate in (0.0, 2.0, 4.5, 8.0, just_under_the_yaw_bound(cfg))]
+        sweep = list(frame_poses(configs))
+        assert len(sweep) == len(configs)
+        for config, (ids, positions, quats) in zip(configs, sweep):
+            expected = track_poses(generate_scenario(config), times, "r0")
+            assert ids == expected[0] == tuple(f"r{i}" for i in range(robots))
+            for got, want in zip((positions, quats), expected[1:]):
+                assert got.shape == want.shape
+                assert np.array_equal(got.view(np.int64), want.view(np.int64)), config.yaw_rate
+        assert all(positions is sweep[0][1] for _ids, positions, _quats in sweep)
+
+    def test_configurations_must_share_the_flight(self):
+        cfg = swap_config()
+        with pytest.raises(ValueError, match="yaw_rate"):
+            frame_poses([cfg, dataclasses.replace(cfg, yaw_rate=2.0, duration=10.0)])
 
 
 class TestValidation:
