@@ -7,8 +7,7 @@ continuous with (0, 0) at the top-left image corner.
 `project_points` is the one projection kernel and `annotate_poses` the one
 annotation pipeline: it projects every frame x neighbor x corner of a run in
 a few array operations, through a camera mount per frame, and returns the
-run as `RunRecords` columns. `annotate_tracks` is its one-camera case on
-interpolated pose tracks, and `project` the kernel's one-point case.
+run as `RunRecords` columns. `project` is the kernel's one-point case.
 """
 
 from __future__ import annotations
@@ -440,8 +439,12 @@ def annotate_poses(
     `RunRecords` frame columns), seen through a robot-to-camera mount per
     frame, (F, 4) / (F, 3), or one mount (4,) / (3,) for every frame.
 
-    All frames are annotated in one `_annotate_neighbors` pass; see
-    `annotate_tracks` for the visibility and box rules.
+    A neighbor is visible when its center is `in_view`: positive depth, inside
+    the image and the lens fold. Its box is the min/max of the 8 projected body
+    corners, clipped to the image; corners share the center's distortion
+    model. Neighbors with any corner on or behind the image plane are dropped
+    (degenerate close-range case). All frames are annotated in one
+    `_annotate_neighbors` pass.
     """
     w2c_q, w2c_t = world_to_camera_arrays(quats[:, 0], positions[:, 0], mount_q, mount_t)
     frame, slot, rel_positions, centers, bboxes = _annotate_neighbors(
@@ -449,27 +452,3 @@ def annotate_poses(
     )
     return RunRecords(frame_ids, times, robot_ids, positions, quats,
                       frame, slot + 1, rel_positions, centers, bboxes)
-
-
-def annotate_tracks(
-    tracks: Sequence[PoseTrack],
-    camera: CameraModel,
-    geom: RobotGeometry,
-    times,
-    ego_id: str = "r0",
-) -> RunRecords:
-    """The annotated run at the given times (frame ids 0, 1, ...).
-
-    A neighbor is visible when its center is `in_view`: positive depth, inside
-    the image and the lens fold. Its box is the min/max of the 8 projected body
-    corners, clipped to the image; corners share the center's distortion
-    model. Neighbors with any corner on or behind the image plane are dropped
-    (degenerate close-range case).
-
-    The tracks give the (F, R, ·) pose columns through `track_poses`, and
-    `annotate_poses` annotates them through the camera's one mount.
-    """
-    times = np.asarray(times, dtype=float).reshape(-1)
-    ids, positions, quats = track_poses(tracks, times, ego_id)
-    return annotate_poses(np.arange(len(times)), times, ids, positions, quats,
-                          camera.rotation, camera.translation, camera.intrinsics, geom)

@@ -291,12 +291,12 @@ class _Parser(argparse.ArgumentParser):
 @cache
 def _parser() -> argparse.ArgumentParser:
     """The command line of `_COMMANDS`, built on first use and kept for the process."""
-    parser = _Parser(
-        prog="spincam", description="Spinning-camera multi-robot localization toolkit")
+    parser = _Parser(prog="spincam", allow_abbrev=False,
+                     description="Spinning-camera multi-robot localization toolkit")
     parser.add_argument("--version", action="version", version=f"spincam {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
     for name, command in _COMMANDS.items():
-        p = sub.add_parser(name, help=command.help)
+        p = sub.add_parser(name, help=command.help, allow_abbrev=False)
         for key, keywords in command.flags.items():
             p.add_argument("--" + key.replace("_", "-"), **keywords)
     return parser

@@ -443,6 +443,11 @@ def read_dataset(path) -> Dataset:
 # Column sidecars: a cache of a dataset file's RunRecords columns, keyed by
 # the sha256 of its bytes
 
+# Every column value takes fewer bytes than its text in the file, so a sidecar
+# unpacks to at most its file's length plus this, for the members' npy headers
+SIDECAR_SLACK = 4096
+
+
 def _sidecar_path(path) -> Path | None:
     """The column sidecar of a dataset file: its path with the suffix `.npz`,
     or None when that is the file itself."""
@@ -467,9 +472,11 @@ def _write_sidecar(records: RunRecords, path, sha256: bytes) -> None:
 
 def _read_sidecar(path, header: dict, data: bytes) -> RunRecords | None:
     """The columns of a dataset file whose bytes are `data` from its sidecar,
-    or None unless the sidecar loads without pickle, records the sha256 of
-    `data`, and holds columns of the `RunRecords` dtypes that pass every
-    check the text parser makes."""
+    or None unless the sidecar loads without pickle, its members unpack to
+    at most SIDECAR_SLACK bytes more than `data`, it records the sha256 of
+    `data`, and it holds columns of the `RunRecords` dtypes that pass every
+    check the text parser makes. Sizes and hash are checked before any
+    column is loaded."""
     import hashlib  # it maps OpenSSL: only runs that write or read a dataset load it
 
     sidecar = _sidecar_path(path)
@@ -477,12 +484,14 @@ def _read_sidecar(path, header: dict, data: bytes) -> RunRecords | None:
         return None
     try:
         with np.load(sidecar, allow_pickle=False) as npz:
-            arrays = {name: npz[name] for name in ("sha256", "robot_ids", *COLUMN_DTYPES)}
+            if (sum(info.file_size for info in npz.zip.infolist()) > len(data) + SIDECAR_SLACK
+                    or npz["sha256"].tobytes() != hashlib.sha256(data).digest()):
+                return None
+            arrays = {name: npz[name] for name in ("robot_ids", *COLUMN_DTYPES)}
         ids = json.loads(arrays.pop("robot_ids").tobytes())
     except Exception:  # a damaged file fails in zipfile's, numpy's or json's own ways
         return None
-    if not (arrays.pop("sha256").tobytes() == hashlib.sha256(data).digest()
-            and isinstance(ids, list) and all(isinstance(rid, str) for rid in ids)
+    if not (isinstance(ids, list) and all(isinstance(rid, str) for rid in ids)
             and all(arrays[name].dtype == dtype for name, dtype in COLUMN_DTYPES.items())):
         return None
     try:

@@ -459,9 +459,15 @@ PARSER_REJECTS = [
      "error: spincam simulate: argument --seed: invalid int value: 'abc'"),
     ("unrecognized-flag", (*SIMULATE, "--frames", "3"),
      "error: spincam simulate: unrecognized arguments: --frames 3"),
-    # argparse takes a flag's unique prefix, such as --yaw-rate, as the flag
     ("unrecognized-benchmark-flag", (*BENCHMARK, "--rates", "2"),
      "error: spincam benchmark: unrecognized arguments: --rates 2"),
+    # a flag is taken only whole, never by a unique prefix of its name
+    ("abbreviated-yaw-rates", (*BENCHMARK, "--yaw-rate", "2"),
+     "error: spincam benchmark: unrecognized arguments: --yaw-rate 2"),
+    ("abbreviated-pitches", (*BENCHMARK, "--yaw-rates", "2", "--pitch", "up"),
+     "error: spincam benchmark: unrecognized arguments: --pitch up"),
+    ("abbreviated-flags", (*BENCHMARK, "--yaw-rate", "2", "--pitch", "up"),
+     "error: spincam benchmark: unrecognized arguments: --yaw-rate 2 --pitch up"),
 ]
 
 # commands whose --out is a file, or lies under one

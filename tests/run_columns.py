@@ -1,8 +1,9 @@
-"""Hand-made runs for the tests, built as `RunRecords` columns."""
+"""Hand-made and annotated runs for the tests, built as `RunRecords` columns."""
 
 import numpy as np
 
-from spincam.camera import RunRecords
+from spincam.camera import RunRecords, annotate_poses
+from spincam.scenarios import frame_poses, frame_schedule
 
 IDENTITY = (1.0, 0.0, 0.0, 0.0)
 
@@ -29,3 +30,20 @@ def run_records(robot_ids, frames) -> RunRecords:
         centers=np.reshape(centers, (-1, 2)),
         bboxes=np.reshape(bboxes, (-1, 4)),
     )
+
+
+def annotated(times, poses, camera, geom) -> RunRecords:
+    """The annotated run of the frames at `times` (F,), frame ids 0, 1, ...,
+    whose poses are `(robot_ids, positions (F, R, 3), quats (F, R, 4))`, as
+    `track_poses` or `frame_poses` gives them, seen through the camera's one
+    mount."""
+    robot_ids, positions, quats = poses
+    return annotate_poses(np.arange(len(times)), np.asarray(times, dtype=float), robot_ids,
+                          positions, quats, camera.rotation, camera.translation,
+                          camera.intrinsics, geom)
+
+
+def simulated(cfg, camera, geom) -> RunRecords:
+    """The annotated run of a scenario configuration, as `spincam simulate`
+    makes it: `frame_poses` at `frame_schedule(cfg)`, through `annotated`."""
+    return annotated(frame_schedule(cfg), next(frame_poses([cfg])), camera, geom)

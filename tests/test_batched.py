@@ -20,7 +20,7 @@ import numpy as np
 import pytest
 from scipy.spatial.transform import Rotation
 
-from run_columns import IDENTITY, run_records
+from run_columns import IDENTITY, annotated, run_records, simulated
 from test_perception import clip_ray_position, norm_pixel_ray
 
 from spincam.camera import (
@@ -29,10 +29,11 @@ from spincam.camera import (
     FrameRecord,
     NeighborAnnotation,
     RunRecords,
-    annotate_tracks,
     camera_for_pitch,
     in_view,
     project,
+    project_points,
+    track_poses,
     undistort_normalized,
 )
 from spincam.cli import main
@@ -58,6 +59,7 @@ from spincam.perception import (
     NoiseModel,
     PositionEstimate,
     decode_detections,
+    grid_cell_of,
     perceive,
     simulate_detector,
 )
@@ -161,8 +163,12 @@ def oracle_frames(tracks, camera, geom, times, ego_id="r0"):
     return frames
 
 
+def config(kind, pitch):
+    return ScenarioConfig(**KINDS[kind], camera_pitch=pitch)
+
+
 def scenario(kind, pitch):
-    cfg = ScenarioConfig(**KINDS[kind], camera_pitch=pitch)
+    cfg = config(kind, pitch)
     return cfg, generate_scenario(cfg)
 
 
@@ -219,11 +225,13 @@ class TestPoseTrackArrays:
 @pytest.mark.parametrize("pitch", PITCHES)
 @pytest.mark.parametrize("kind", sorted(KINDS))
 def test_annotate_tracks_matches_per_frame_oracle(kind, pitch, k1):
+    """A scenario's frames annotated as `simulate` annotates them, against the
+    per-frame oracle on its pose tracks."""
     cfg, tracks = scenario(kind, pitch)
     intr = CameraIntrinsics(fx=170.0, fy=170.0, cx=160.0, cy=160.0, k1=k1)
     camera = camera_for_pitch(pitch, intr)
     times = frame_schedule(cfg)
-    records = annotate_tracks(tracks, camera, DEFAULT_ROBOT_GEOMETRY, times, ego_id="r0")
+    records = simulated(cfg, camera, DEFAULT_ROBOT_GEOMETRY)
     oracle = oracle_frames(tracks, camera, DEFAULT_ROBOT_GEOMETRY, times)
     assert len(records) == len(oracle) == len(times)
     assert records.frame_ids.tolist() == list(range(len(times)))
@@ -253,10 +261,9 @@ def test_annotated_rows_lie_inside_the_lens_fold(kind, pitch):
     """With a barrel k1 of -0.08, every annotated row's center back-projects
     to within 1e-6 rad of its neighbor's true direction: no row lies past
     the fold, where the lens mirrors."""
-    cfg, tracks = scenario(kind, pitch)
     intr = CameraIntrinsics(fx=170.0, fy=170.0, cx=160.0, cy=160.0, k1=-0.08)
-    records = annotate_tracks(tracks, camera_for_pitch(pitch, intr), DEFAULT_ROBOT_GEOMETRY,
-                              frame_schedule(cfg))
+    records = simulated(config(kind, pitch), camera_for_pitch(pitch, intr),
+                        DEFAULT_ROBOT_GEOMETRY)
     assert len(records.owner) > 0, "scenario never shows a neighbor; the check is vacuous"
     truth = records.rel_positions / np.linalg.norm(records.rel_positions, axis=1, keepdims=True)
     rays = np.array([norm_pixel_ray(center, intr) for center in records.centers.tolist()])
@@ -322,10 +329,10 @@ def assert_same_columns(a: RunRecords, b: RunRecords) -> None:
 @pytest.mark.parametrize("pitch", PITCHES)
 @pytest.mark.parametrize("kind", sorted(KINDS))
 def test_dataset_lines_match_json_dumps_oracle(tmp_path, kind, pitch, k1):
-    cfg, tracks = scenario(kind, pitch)
+    cfg = config(kind, pitch)
     camera = camera_for_pitch(pitch, CameraIntrinsics(fx=170.0, fy=170.0, cx=160.0, cy=160.0,
                                                       k1=k1))
-    records = annotate_tracks(tracks, camera, DEFAULT_ROBOT_GEOMETRY, frame_schedule(cfg))
+    records = simulated(cfg, camera, DEFAULT_ROBOT_GEOMETRY)
     path = tmp_path / "dataset.ndjson"
     write_dataset(Dataset(camera, DEFAULT_ROBOT_GEOMETRY, cfg.ellipsoid, records), path)
     _header, *lines = path.read_text(encoding="utf-8").split("\n")[:-1]
@@ -450,10 +457,9 @@ def test_detector_rows_match_object_oracle(kind, pitch, k1):
     """Detections and decoded positions are bitwise equal to those of the
     object-based detector and decoders, in box and grid mode, with false
     positives."""
-    cfg, tracks = scenario(kind, pitch)
     intr = CameraIntrinsics(fx=170.0, fy=170.0, cx=160.0, cy=160.0, k1=k1)
     geom = DEFAULT_ROBOT_GEOMETRY
-    records = annotate_tracks(tracks, camera_for_pitch(pitch, intr), geom, frame_schedule(cfg))
+    records = simulated(config(kind, pitch), camera_for_pitch(pitch, intr), geom)
     frames = [(ann.frame_id, [(n.rel_position, ObjectPixel(*n.center.tolist()),
                                ObjectBox(*n.bbox.tolist())) for n in ann.neighbors])
               for ann in records.annotations()]
@@ -485,10 +491,9 @@ def test_run_perception_matches_per_frame_detector(kind, pitch, k1):
     """The owners and positions that perception of a whole run gives, in box
     and grid mode with false positives, are bitwise equal to those of
     `simulate_detector` and `decode_detections` called frame by frame."""
-    cfg, tracks = scenario(kind, pitch)
     intr = CameraIntrinsics(fx=170.0, fy=170.0, cx=160.0, cy=160.0, k1=k1)
     camera = camera_for_pitch(pitch, intr)
-    records = annotate_tracks(tracks, camera, DEFAULT_ROBOT_GEOMETRY, frame_schedule(cfg))
+    records = simulated(config(kind, pitch), camera, DEFAULT_ROBOT_GEOMETRY)
     assert_run_perception_matches_per_frame(records, camera, seeds=(0, 3))
 
 
@@ -498,9 +503,8 @@ def test_run_perception_matches_per_frame_detector_on_wide_seeds(kind, pitch):
     """The same as `test_run_perception_matches_per_frame_detector`, with
     frame ids that straddle 2**32, so a run seeds one-word and two-word ids,
     and noise seeds of two and three 32-bit words."""
-    cfg, tracks = scenario(kind, pitch)
     camera = camera_for_pitch(pitch)
-    records = annotate_tracks(tracks, camera, DEFAULT_ROBOT_GEOMETRY, frame_schedule(cfg))
+    records = simulated(config(kind, pitch), camera, DEFAULT_ROBOT_GEOMETRY)
     ids = records.frame_ids + (2**32 - len(records) // 2)
     records = replace(records, frame_ids=ids)
     assert ids.min() < 2**32 <= ids.max()
@@ -525,18 +529,73 @@ def assert_run_perception_matches_per_frame(records, camera, seeds):
                 [e.position for estimates in frames for e in estimates], (-1, 3)).tobytes()
 
 
+def isolated_grid_rows(kind, pitch, k1):
+    """The intrinsics at `k1`, and each visible row of a scenario's frames
+    whose 3 x 3 block of grid cells holds no other row of its frame, as its
+    rel_position, its center and the estimates (E, 3) that grid perception
+    at zero noise gives its frame."""
+    intr = CameraIntrinsics(fx=170.0, fy=170.0, cx=160.0, cy=160.0, k1=k1)
+    radius = DEFAULT_ROBOT_GEOMETRY.sphere_radius
+    records = simulated(config(kind, pitch), camera_for_pitch(pitch, intr),
+                        DEFAULT_ROBOT_GEOMETRY)
+    owner, estimates = perceive(records, "grid", NoiseModel(0.0, 0.0, 0.0, 0.0), intr, radius)
+    cells = np.array([grid_cell_of(center, intr, DEFAULT_GRID_ROWS, DEFAULT_GRID_COLS)
+                      for center in records.centers.tolist()]).reshape(-1, 2)
+    rows = []
+    for k, f in enumerate(records.owner.tolist()):
+        others = (records.owner == f) & (np.arange(len(cells)) != k)
+        if not np.any(np.abs(cells[others] - cells[k]).max(axis=1) <= 1):
+            rows.append((records.rel_positions[k], records.centers[k], estimates[owner == f]))
+    assert rows, "no isolated row: the check is vacuous"
+    return intr, rows
+
+
+@pytest.mark.parametrize("k1", DISTORTIONS)
+@pytest.mark.parametrize("pitch", PITCHES)
+@pytest.mark.parametrize("kind", sorted(KINDS))
+def test_zero_noise_grid_decodes_every_isolated_row(kind, pitch, k1):
+    """At zero noise, grid perception decodes each row that no other row of
+    its frame crowds: an estimate at the row's exact depth whose pixel is
+    within half a grid cell of the row's center."""
+    intr, rows = isolated_grid_rows(kind, pitch, k1)
+    half_u, half_v = intr.width / DEFAULT_GRID_COLS / 2.0, intr.height / DEFAULT_GRID_ROWS / 2.0
+    for rel_position, center, estimates in rows:
+        at_depth = estimates[estimates[:, 2] == rel_position[2]]
+        offsets = np.abs(project_points(at_depth, intr) - center)
+        assert np.any((offsets[:, 0] <= half_u + 1e-9) & (offsets[:, 1] <= half_v + 1e-9))
+
+
+@pytest.mark.parametrize("k1", [
+    0.0, pytest.param(-0.08, marks=pytest.mark.xfail(strict=True, reason=(
+        "off axis, the barrel lens's inverse stretches half a cell past "
+        "criterion 6's bound, set in undistorted units"))),
+])
+@pytest.mark.parametrize("pitch", PITCHES)
+@pytest.mark.parametrize("kind", sorted(KINDS))
+def test_zero_noise_grid_lateral_error_within_half_a_cell(kind, pitch, k1):
+    """Criterion 6's bound on the isolated rows of a simulated flight: the
+    estimate at the row's exact depth lies within half a cell of it
+    laterally, in the camera's undistorted units times the depth."""
+    intr, rows = isolated_grid_rows(kind, pitch, k1)
+    bound_x = (intr.width / DEFAULT_GRID_COLS / 2.0) / intr.fx
+    bound_y = (intr.height / DEFAULT_GRID_ROWS / 2.0) / intr.fy
+    for (x, y, z), _center, estimates in rows:
+        at_depth = estimates[estimates[:, 2] == z]
+        assert np.any((np.abs(at_depth[:, 0] - x) <= z * bound_x + 1e-12)
+                      & (np.abs(at_depth[:, 1] - y) <= z * bound_y + 1e-12))
+
+
 @pytest.mark.parametrize("mode", ("oracle", "omni", "box", "grid"))
 @pytest.mark.parametrize("kind", sorted(KINDS))
 def test_evaluation_of_columns_ignores_frame_line_order(tmp_path, kind, mode):
     """The columns read from a file and the columns of the same file with its
     frame lines reversed, or shuffled, give the same per-frame results."""
-    cfg, tracks = scenario(kind, "tilt45")
+    cfg = config(kind, "tilt45")
     camera = camera_for_pitch("tilt45")
     noise = NoiseModel(rng_seed=5) if mode in ("box", "grid") else None
     path = tmp_path / "dataset.ndjson"
     write_dataset(Dataset(camera, DEFAULT_ROBOT_GEOMETRY, cfg.ellipsoid,
-                          annotate_tracks(tracks, camera, DEFAULT_ROBOT_GEOMETRY,
-                                          frame_schedule(cfg))), path)
+                          simulated(cfg, camera, DEFAULT_ROBOT_GEOMETRY)), path)
     header, *lines = path.read_text(encoding="utf-8").splitlines()
     dataset = read_dataset(path)
 
@@ -647,7 +706,7 @@ def test_belief_outlives_several_scan_windows(mode):
     noise = NoiseModel(rng_seed=5, false_positive_rate=0.0) if mode != "oracle" else None
     camera = camera_for_pitch("up")
     results = assert_matches_oracle(tracks, camera, times, EllipsoidSpec(), mode, noise)
-    records = annotate_tracks(tracks, camera, DEFAULT_ROBOT_GEOMETRY, times, ego_id="r0")
+    records = annotated(times, track_poses(tracks, times), camera, DEFAULT_ROBOT_GEOMETRY)
     last_seen = int(records.owner.max())
     late = [f for f, r in enumerate(results) if r.pred_downwash and f > last_seen + 100]
     assert late, "no prediction from a belief older than 100 frames"
@@ -658,7 +717,7 @@ def test_frames_without_estimates_predict_nothing(mode):
     tracks, times = climb_past_and_return(rate=10.0)
     camera = camera_for_pitch("forward")  # never sees the neighbor overhead
     noise = NoiseModel(miss_rate=1.0, false_positive_rate=0.0) if mode != "oracle" else None
-    records = annotate_tracks(tracks, camera, DEFAULT_ROBOT_GEOMETRY, times, ego_id="r0")
+    records = annotated(times, track_poses(tracks, times), camera, DEFAULT_ROBOT_GEOMETRY)
     assert len(records.owner) == 0
     results = assert_matches_oracle(tracks, camera, times, EllipsoidSpec(), mode, noise)
     assert any(r.gt_downwash for r in results)
@@ -701,7 +760,8 @@ def test_later_estimate_absorbs_earlier_and_beliefs_die_on_reprojection():
 def test_empty_record_list_gives_no_results(mode):
     noise = NoiseModel() if mode in ("box", "grid") else None
     camera = camera_for_pitch("up")
-    empty = annotate_tracks(climb_past_and_return()[0], camera, DEFAULT_ROBOT_GEOMETRY, [])
+    empty = annotated([], track_poses(climb_past_and_return()[0], []), camera,
+                      DEFAULT_ROBOT_GEOMETRY)
     assert evaluate_downwash_records(empty, camera, EllipsoidSpec(), mode=mode,
                                      noise=noise) == []
 

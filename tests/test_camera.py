@@ -11,10 +11,11 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.spatial.transform import Rotation
 
+from run_columns import annotated
+
 from spincam.camera import (
     CameraIntrinsics,
     CameraModel,
-    annotate_tracks,
     back_project,
     camera_for_pitch,
     distort_normalized,
@@ -23,6 +24,7 @@ from spincam.camera import (
     pitch_rotation,
     project,
     project_points,
+    track_poses,
     undistort_normalized,
 )
 from spincam.errors import NonPositiveDepth, OutOfRange
@@ -131,7 +133,7 @@ def annotate_still(ego_pose, neighbor_poses: dict, camera, geom):
     """The frame at time 0 of an ego "r0" and neighbors holding still."""
     tracks = [still_track("r0", ego_pose)] + [
         still_track(rid, pose) for rid, pose in neighbor_poses.items()]
-    return annotate_tracks(tracks, camera, geom, [0.0]).annotations()[0]
+    return annotated([0.0], track_poses(tracks, [0.0]), camera, geom).annotations()[0]
 
 
 class TestAnnotateFrame:
@@ -215,7 +217,9 @@ class TestAnnotateFrame:
     def test_annotation_records_frame_metadata(self, identity_camera, cube_geom):
         tracks = [still_track("r1", static_pose((0, 0, 0)), t=0.5),
                   still_track("r2", static_pose((0, 0, 1)), t=0.5)]
-        records = annotate_tracks(tracks, identity_camera, cube_geom, [0.5, 1.5], ego_id="r1")
+        times = [0.5, 1.5]
+        records = annotated(times, track_poses(tracks, times, ego_id="r1"), identity_camera,
+                            cube_geom)
         ann = records.annotations()[1]
         assert ann.frame_id == 1 and ann.timestamp == 1.5 and ann.ego_id == "r1"
         assert ann.neighbors[0].robot_id == "r2"

@@ -23,13 +23,13 @@ import cli_cases
 from cli_cases import DROP, HUGE, mutate, mutated_line
 from gyro_logs import write_gyro_log
 from reports import read_report
+from run_columns import annotated
 
 import spincam.downwash
 from spincam import perception, scenarios
 from spincam.camera import (
     CameraIntrinsics,
     annotate_poses,
-    annotate_tracks,
     camera_for_pitch,
     track_poses,
 )
@@ -159,7 +159,7 @@ class TestDownwashEval:
             camera=camera,
             geometry=DEFAULT_ROBOT_GEOMETRY,
             ellipsoid=EllipsoidSpec(),
-            records=annotate_tracks([track], camera, DEFAULT_ROBOT_GEOMETRY, []),
+            records=annotated([], track_poses([track], []), camera, DEFAULT_ROBOT_GEOMETRY),
         )
         path = tmp_path / "empty.ndjson"
         write_dataset(dataset, path)

@@ -5,6 +5,7 @@ import hashlib
 import json
 import math
 import re
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -12,10 +13,10 @@ import pytest
 
 from gyro_logs import write_gyro_log
 from reports import read_report
-from run_columns import run_records
+from run_columns import IDENTITY, run_records, simulated
 
 from spincam import datasets
-from spincam.camera import RunRecords, annotate_tracks, camera_for_pitch
+from spincam.camera import COLUMN_DTYPES, RunRecords, camera_for_pitch
 from spincam.datasets import (
     Dataset,
     GyroSequence,
@@ -38,7 +39,7 @@ from spincam.errors import (
     VersionMismatch,
 )
 from spincam.geometry import DEFAULT_ROBOT_GEOMETRY, MAX_COORDINATE, PoseTrack
-from spincam.scenarios import ScenarioConfig, frame_schedule, generate_scenario
+from spincam.scenarios import ScenarioConfig
 
 # The RunRecords columns, every field but the robot ids, and the neighbor-row ones.
 COLUMNS = [field.name for field in dataclasses.fields(RunRecords) if field.name != "robot_ids"]
@@ -193,15 +194,15 @@ class TestDatasetRoundTrip:
             read_dataset(path)
 
 
-def simulated_dataset(tmp_path, kind: str, pitch: str, k1: float):
-    """A 20 s simulated flight at rng_seed 7, written as a dataset file."""
+def simulated_dataset(tmp_path, kind: str, pitch: str, k1: float, duration: float = 20.0):
+    """A simulated flight at rng_seed 7, 20 s unless `duration` is given,
+    written as a dataset file."""
     config = tmp_path / "flight.json"
     config.write_text(json.dumps({"kind": kind, "num_robots": 2 if kind == "swap" else 4,
-                                  "duration": 20.0, "camera_pitch": pitch, "k1": k1,
+                                  "duration": duration, "camera_pitch": pitch, "k1": k1,
                                   "rng_seed": 7}))
     spec = load_simulation_config(config)
-    records = annotate_tracks(generate_scenario(spec.scenario), spec.camera, spec.geometry,
-                              frame_schedule(spec.scenario), ego_id="r0")
+    records = simulated(spec.scenario, spec.camera, spec.geometry)
     path = tmp_path / "dataset.ndjson"
     write_dataset(Dataset(spec.camera, spec.geometry, spec.scenario.ellipsoid, records), path)
     return path
@@ -384,6 +385,61 @@ class TestColumnSidecar:
         np.savez(sidecar_of(path), **arrays)
         assert read_dataset(path).records.robot_ids == ("r0\x00", "r1\x00\x00", "r2")
         assert text_reads == [path]
+
+    @pytest.mark.parametrize("right_hash", [False, True], ids=["wrong-hash", "right-hash"])
+    def test_oversized_sidecar_is_not_loaded(self, tmp_path, text_reads, right_hash):
+        """A 13-frame swap dataset whose sidecar holds a 1,000,000-row `bboxes`
+        column (32 MB unpacked, 100 KB packed) reads from its text, and the read
+        allocates less than a tenth of the column, whether or not the sidecar
+        records the file's sha256: its size in the zip directory rules it out."""
+        path = simulated_dataset(tmp_path, "swap", "up", 0.0, duration=2.0)
+        with np.load(sidecar_of(path)) as npz:
+            arrays = dict(npz)
+        if not right_hash:
+            arrays["sha256"] = arrays["sha256"][::-1].copy()
+        arrays["bboxes"] = np.broadcast_to(np.zeros(4), (1_000_000, 4))
+        np.savez_compressed(sidecar_of(path), **arrays)
+        tracemalloc.start()
+        try:
+            dataset = read_dataset(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert text_reads == [path] and len(dataset.records) == 13
+        assert peak < 3.2e6
+
+    @pytest.mark.parametrize("right_hash", [False, True], ids=["wrong-hash", "right-hash"])
+    def test_sidecar_loads_no_column_before_its_hash_matches(self, tmp_path, monkeypatch,
+                                                             text_reads, right_hash):
+        path = simulated_dataset(tmp_path, "swap", "up", 0.0, duration=2.0)
+        if not right_hash:
+            with np.load(sidecar_of(path)) as npz:
+                arrays = dict(npz)
+            np.savez(sidecar_of(path), **arrays | {"sha256": arrays["sha256"][::-1].copy()})
+        loaded, getitem = [], np.lib.npyio.NpzFile.__getitem__
+        monkeypatch.setattr(np.lib.npyio.NpzFile, "__getitem__",
+                            lambda npz, key: loaded.append(key) or getitem(npz, key))
+        read_dataset(path)
+        if right_hash:
+            assert loaded == ["sha256", "robot_ids", *COLUMN_DTYPES] and text_reads == []
+        else:
+            assert loaded == ["sha256"] and text_reads == [path]
+
+    def test_sidecar_of_the_shortest_text_is_used(self, tmp_path, text_reads):
+        """The sidecar size bound holds for the fewest text bytes a value can
+        take: one-letter robot ids, single-digit frame ids, every float 0.0
+        or 1.0, and 40 neighbor rows a frame."""
+        row = (1, [0.0, 0.0, 1.0], [0.0, 0.0], [0.0, 0.0, 0.0, 0.0])
+        frames = [(k, 0.0, np.zeros((2, 3)), [IDENTITY] * 2, [row] * 40) for k in range(10)]
+        dataset = Dataset(camera_for_pitch("up"), DEFAULT_ROBOT_GEOMETRY, EllipsoidSpec(),
+                          run_records(("a", "b"), frames))
+        path = tmp_path / "data.ndjson"
+        write_dataset(dataset, path)
+        with np.load(sidecar_of(path)) as npz:
+            unpacked = sum(info.file_size for info in npz.zip.infolist())
+        assert unpacked < path.stat().st_size
+        assert_datasets_equal(dataset, read_dataset(path))
+        assert text_reads == []
 
 
 def dataset_file(tmp_path, dataset: Dataset):

@@ -5,6 +5,8 @@ import math
 import numpy as np
 import pytest
 
+from run_columns import annotated
+
 from spincam import perception
 from spincam.camera import (
     DEFAULT_INTRINSICS,
@@ -12,10 +14,10 @@ from spincam.camera import (
     CameraModel,
     FrameAnnotation,
     NeighborAnnotation,
-    annotate_tracks,
     back_project,
     fold_radius,
     project,
+    track_poses,
 )
 from spincam.errors import DegenerateBox, NonPositiveDepth, OutOfRange
 from spincam.geometry import PoseTrack, RobotGeometry
@@ -543,7 +545,7 @@ class TestSimulateDetector:
         quats = np.tile([1.0, 0.0, 0.0, 0.0], (2, 1))
         tracks = [PoseTrack("r0", [0.0, 1.0], np.zeros((2, 3)), quats),
                   PoseTrack("r1", [0.0, 1.0], np.tile([0.2, -0.1, 2.0], (2, 1)), quats)]
-        return annotate_tracks(tracks, camera, geom, [0.0]).annotations()[0]
+        return annotated([0.0], track_poses(tracks, [0.0]), camera, geom).annotations()[0]
 
     def test_zero_noise_box_mode_is_identity(self, intr):
         # sphere-silhouette box passes through untouched and decodes exactly
