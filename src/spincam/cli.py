@@ -218,9 +218,11 @@ def _manifest_argv(path: str) -> list[str]:
         raise InvalidConfig(f"{path}: manifest command {command!r} cannot be re-run")
     if not isinstance(stored, dict):
         raise InvalidConfig(f"{path}: manifest 'args' must be an object")
-    missing = set(spec.flags) - set(stored)
+    missing, unknown = set(spec.flags) - set(stored), set(stored) - set(spec.flags)
     if missing:
         raise InvalidConfig(f"{path}: manifest args lack {sorted(missing)}")
+    if unknown:
+        raise InvalidConfig(f"{path}: manifest args hold unknown keys {sorted(unknown)}")
     argv = [command]
     for key in spec.flags:
         # a switch records true or false, an option its value or null when unset;

@@ -1,9 +1,9 @@
 """File formats and log ingestion.
 
 Datasets are newline-delimited JSON with an explicit schema version in the
-leading header record; pose and gyro logs are plain CSV; reports are CSV
-rows between '#' metadata lines. Floats serialize with shortest round-trip
-decimal form, so read(write(x)) is exact.
+leading header record; gyro logs are plain CSV; reports are CSV rows
+between '#' metadata lines. Floats serialize with shortest round-trip decimal
+form, so read(write(x)) is exact.
 """
 
 from __future__ import annotations
@@ -12,7 +12,6 @@ import csv
 import dataclasses
 import json
 import math
-import warnings
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain
@@ -41,7 +40,6 @@ from .errors import (
 from .geometry import (
     DEFAULT_ROBOT_GEOMETRY,
     MAX_COORDINATE,
-    PoseTrack,
     RobotGeometry,
     first_failure,
     invalid_pose_row,
@@ -57,7 +55,6 @@ from .scenarios import ScenarioConfig
 
 SCHEMA_VERSION = 1
 
-POSE_LOG_COLUMNS = ["robot_id", "t", "x", "y", "z", "qw", "qx", "qy", "qz"]
 GYRO_LOG_COLUMNS = ["t", "gx", "gy", "gz"]
 
 
@@ -504,71 +501,7 @@ def _read_sidecar(path, header: dict, data: bytes) -> RunRecords | None:
 
 
 # ---------------------------------------------------------------------------
-# Pose logs (CSV)
-
-def _numeric_rows(path, columns: list[str], first: int):
-    """Each data row of a CSV log whose header is `columns`: its line number,
-    its fields before column `first`, and the rest as finite floats.
-    ParseError or NonFiniteValue names the line of a bad row."""
-    try:
-        with open(path, "r", encoding="utf-8", newline="") as fh:
-            reader = csv.DictReader(fh)
-            if reader.fieldnames is None or [c.strip() for c in reader.fieldnames] != columns:
-                raise ParseError(f"{path}: header row must be '{','.join(columns)}'")
-            reader.fieldnames = columns
-            for row in reader:
-                line_no = reader.line_num
-                try:
-                    values = [float(row[c]) for c in columns[first:]]
-                except (TypeError, ValueError) as exc:
-                    raise ParseError(f"{path}:{line_no}: non-numeric field: {exc}") from exc
-                if not all(math.isfinite(v) for v in values):
-                    raise NonFiniteValue(f"{path}:{line_no}: non-finite value")
-                yield line_no, [row[c] for c in columns[:first]], values
-    except UnicodeDecodeError:
-        # the lines a CSV reader counts are the `bytes.splitlines` ones
-        for line_no, line in enumerate(Path(path).read_bytes().splitlines(), start=1):
-            _line_text(line, line_no, path)  # raises at the first line that is not UTF-8
-        raise ParseError(f"{path}: not UTF-8 text") from None
-
-
-def ingest_pose_log(path) -> list[PoseTrack]:
-    """Read a motion-capture style CSV into per-robot pose tracks."""
-    rows_by_robot: dict[str, list[list[float]]] = {}
-    for line_no, (robot_id,), values in _numeric_rows(path, POSE_LOG_COLUMNS, 1):
-        quat = values[4:]
-        norm = math.sqrt(sum(v * v for v in quat))
-        if norm < 1e-6:
-            raise NonFiniteValue(f"{path}:{line_no}: quaternion norm is zero")
-        if abs(norm - 1.0) > 1e-3:
-            warnings.warn(
-                f"{path}:{line_no}: quaternion norm {norm:.6f} deviates from 1; normalizing",
-                stacklevel=2,
-            )
-        rows_by_robot.setdefault(robot_id, []).append(values[:4] + [v / norm for v in quat])
-    tracks = []
-    for robot_id in sorted(rows_by_robot):
-        rows = np.array(sorted(rows_by_robot[robot_id], key=lambda r: r[0]))
-        if np.any(np.diff(rows[:, 0]) == 0.0):
-            raise ParseError(f"{path}: robot {robot_id!r} has duplicate timestamps")
-        try:
-            tracks.append(PoseTrack(robot_id, rows[:, 0], rows[:, 1:4], rows[:, 4:]))
-        except ValueError as exc:
-            raise ParseError(f"{path}: {exc}") from exc
-    return tracks
-
-
-def write_pose_log(tracks: Sequence[PoseTrack], path) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(",".join(POSE_LOG_COLUMNS) + "\n")
-        for track in tracks:
-            rows = np.column_stack([track.times, track.positions, track.quats]).tolist()
-            for row in rows:
-                fh.write(",".join([track.robot_id] + [repr(v) for v in row]) + "\n")
-
-
-# ---------------------------------------------------------------------------
-# Gyro sequences and time-offset estimation
+# Gyro logs (CSV), sequences and time-offset estimation
 
 @dataclass(eq=False)
 class GyroSequence:
@@ -591,7 +524,38 @@ class GyroSequence:
 
 
 def read_gyro_log(path) -> GyroSequence:
-    rows = np.reshape([v for _, _, v in _numeric_rows(path, GYRO_LOG_COLUMNS, 0)], (-1, 4))
+    """The samples of a CSV log whose header is `GYRO_LOG_COLUMNS`. ParseError
+    or NonFiniteValue names the line of a bad row: one with another field
+    count than the header's, a field that is not a finite number, or a time
+    not after the row before's."""
+    rows = []
+    try:
+        with open(path, "r", encoding="utf-8", newline="") as fh:
+            reader = csv.reader(fh)
+            header = next(reader, None)
+            if header is None or [c.strip() for c in header] != GYRO_LOG_COLUMNS:
+                raise ParseError(f"{path}: header row must be '{','.join(GYRO_LOG_COLUMNS)}'")
+            for fields in filter(None, reader):  # a blank line holds no row
+                where = f"{path}:{reader.line_num}"
+                if len(fields) != len(GYRO_LOG_COLUMNS):
+                    raise ParseError(f"{where}: expected {len(GYRO_LOG_COLUMNS)} fields, "
+                                     f"got {len(fields)}")
+                try:
+                    values = [float(field) for field in fields]
+                except ValueError as exc:
+                    raise ParseError(f"{where}: non-numeric field: {exc}") from exc
+                if not all(math.isfinite(v) for v in values):
+                    raise NonFiniteValue(f"{where}: non-finite value")
+                if rows and not values[0] > rows[-1][0]:
+                    raise ParseError(f"{where}: timestamps must be strictly increasing, "
+                                     f"got {values[0]!r} after {rows[-1][0]!r}")
+                rows.append(values)
+    except UnicodeDecodeError:
+        # the lines a CSV reader counts are the `bytes.splitlines` ones
+        for line_no, line in enumerate(Path(path).read_bytes().splitlines(), start=1):
+            _line_text(line, line_no, path)  # raises at the first line that is not UTF-8
+        raise ParseError(f"{path}: not UTF-8 text") from None
+    rows = np.reshape(rows, (-1, 4))
     try:
         return GyroSequence(rows[:, 0], rows[:, 1:])
     except ValueError as exc:

@@ -40,7 +40,7 @@ class VersionMismatch(SpincamError, ValueError):
 
 
 class NonFiniteValue(SpincamError, ValueError):
-    """A numeric field in an input file is NaN, infinite, or degenerate."""
+    """A numeric field in an input file is NaN or infinite."""
 
 
 class InsufficientOverlap(SpincamError, ValueError):

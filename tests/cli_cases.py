@@ -402,6 +402,8 @@ MALFORMED_ARGS = [
     ("benchmark", {"out": "a\0b"}, 2, "'out'"),
     # a value that breaks the replayed command's message over two lines
     ("benchmark", {"yaw_rates": "2\n3"}, 2, "--yaw-rates 2\\n3: could not convert"),
+    # keys that are none of the command's flags, such as `seed` misspelt
+    ("benchmark", {"sed": 5, "oracel": True}, 2, "args hold unknown keys ['oracel', 'sed']"),
 ]
 MALFORMED_MANIFEST = [
     "{not json",
@@ -419,6 +421,14 @@ MALFORMED_MANIFEST = [
     json.dumps({"command": "timesync", "args": {"log_a": "{run}/a.csv", "log_b": "{run}/a.csv",
                                                 "window": 0.5}}),
     json.dumps({"command": "rerun", "args": {"manifest": "{run}/manifest.json"}}),
+]
+
+# timesync: the data rows of a gyro log, the line of the bad row and its message
+BAD_GYRO_ROWS = [
+    ("long-row", "0.0,0,0,0,7\n0.1,0,0,0\n0.2,0,0,0\n", 2, "expected 4 fields, got 5"),
+    ("short-row", "0.0,0,0\n0.1,0,0,0\n0.2,0,0,0\n", 2, "expected 4 fields, got 3"),
+    ("backwards", "0.0,0,0,0\n0.2,0,0,0\n0.1,0,0,0\n0.3,0,0,0\n", 4,
+     "timestamps must be strictly increasing, got 0.1 after 0.2"),
 ]
 
 # benchmark: a list flag's value and the whole stderr it gives
@@ -621,6 +631,10 @@ CASES = [
                                        "--log-b", "{run}/a.csv", f"--window={window}"), 2,
            ("--window",))
       for name, window in (("nan", "nan"), ("inf", "inf"), ("zero", "0"), ("negative", "-1"))),
+    *(Case(f"timesync-{name}", ("timesync", "--log-a", "{run}/a.csv", "--log-b", "{work}/b.csv"),
+           3, stderr=f"error: {{work}}/b.csv:{line}: {message}\n",
+           input=File("b.csv", "t,gx,gy,gz\n" + rows))
+      for name, rows, line, message in BAD_GYRO_ROWS),
 
     # rerun
     *(Case(f"rerun-{command}-args-{k}", RERUN, code,

@@ -1,6 +1,7 @@
 """Command-line interface: exit codes, outputs, determinism, rerun."""
 
 import contextlib
+import csv
 import dataclasses
 import io
 import json
@@ -10,7 +11,6 @@ import shlex
 import subprocess
 import sys
 import tempfile
-import warnings
 from datetime import timedelta
 from pathlib import Path
 
@@ -36,18 +36,15 @@ from spincam.camera import (
 from spincam.cli import main
 from spincam.datasets import (
     GYRO_LOG_COLUMNS,
-    POSE_LOG_COLUMNS,
     Dataset,
     GyroSequence,
-    ingest_pose_log,
     load_noise_model,
     load_simulation_config,
     read_dataset,
     write_dataset,
-    write_pose_log,
 )
 from spincam.downwash import EllipsoidSpec, ellipsoid_margin, run_downwash_eval
-from spincam.errors import OutOfRange, SpincamError
+from spincam.errors import OutOfRange
 from spincam.geometry import DEFAULT_ROBOT_GEOMETRY, PoseTrack, RobotGeometry
 from spincam.perception import NoiseModel
 from spincam.metrics import ConfusionCounts
@@ -748,20 +745,23 @@ FRAME_KEYS = ["record", "frame_id", "timestamp", "ego_id", "neighbors", "poses",
               "poses.r0.t.0", "poses.r1.q.3"]
 FRAME_VALUES = [DROP, '"x"', '"5"', "true", "false", "null", "[]", "[1.0, 2.0]", "{}",
                 '{"a": 1}', "NaN", "1e400", str(HUGE), "-1", "5.5"]
-# CSV log rows: a field dropped (the row shifts left) or replaced, split in two
-# or quoted.
+# CSV log rows: a field dropped (the row shifts left), or one set or inserted,
+# split in two or quoted.
 CSV_VALUES = [DROP, "", "x", "nan", "inf", "-inf", "1e400", "-1", "0", "5.5", "true", "1,2",
               '"1,2"', '"0"']
 
 
 def mutated_csv(text: str, edits) -> str:
-    """CSV text with each (row, column, field text) edit applied to a data
-    row: the field dropped (DROP) or replaced by the text."""
+    """CSV text with each (row, column, field text, insert) edit applied to a
+    data row: the field dropped (DROP), the text inserted before it (or after
+    the last) or the field replaced by the text."""
     lines = text.splitlines()
-    for row, column, value in edits:
+    for row, column, value, insert in edits:
         fields = lines[row].split(",")
         if value is DROP:
             del fields[column % len(fields)]
+        elif insert:
+            fields.insert(column % (len(fields) + 1), value)
         else:
             fields[column % len(fields)] = value
         lines[row] = ",".join(fields)
@@ -770,8 +770,9 @@ def mutated_csv(text: str, edits) -> str:
 
 def csv_edits(rows, columns: int) -> st.SearchStrategy:
     """One to three edits of the given data rows of a CSV log."""
-    return st.lists(st.tuples(st.sampled_from(rows), st.integers(0, columns - 1),
-                              st.sampled_from(CSV_VALUES)), min_size=1, max_size=3)
+    return st.lists(st.tuples(st.sampled_from(rows), st.integers(0, columns),
+                              st.sampled_from(CSV_VALUES), st.booleans()),
+                    min_size=1, max_size=3)
 
 
 @pytest.fixture(scope="module")
@@ -785,13 +786,9 @@ def small_run(tmp_path_factory):
 
 @pytest.fixture(scope="module")
 def csv_logs(tmp_path_factory):
-    """The text of a pose log (2 robots x 5 samples), and of a 0.4 s gyro
-    log at 1 kHz that reads `a.csv` 20 ms later."""
+    """A 0.4 s gyro log at 1 kHz, `a.csv`, and the text of one that reads it
+    20 ms later."""
     root = tmp_path_factory.mktemp("logs")
-    times = np.arange(5.0)
-    write_pose_log([PoseTrack(rid, times, np.full((5, 3), float(k)),
-                              np.tile([1.0, 0.0, 0.0, 0.0], (5, 1)))
-                    for k, rid in enumerate(("r0", "r1"))], root / "poses.csv")
     t = np.arange(0.0, 0.4, 1e-3)
 
     def rates(tt):
@@ -799,7 +796,7 @@ def csv_logs(tmp_path_factory):
 
     write_gyro_log(GyroSequence(t, rates(t)), root / "a.csv")
     write_gyro_log(GyroSequence(t, rates(t + 0.02)), root / "b.csv")
-    return root, *((root / name).read_text() for name in ("poses.csv", "b.csv"))
+    return root, (root / "b.csv").read_text()
 
 
 class TestMutatedInputs:
@@ -860,24 +857,14 @@ class TestMutatedInputs:
                           "--out", "eval"]) in (0, 2, 3)
 
     @PROPERTY_SETTINGS
-    @given(edits=csv_edits([1, 2, 5, 6, 10], len(POSE_LOG_COLUMNS)))
-    def test_pose_log_rows(self, csv_logs, edits):
-        root, poses, _gyro = csv_logs
-        path = root / "mutant.csv"
-        path.write_text(mutated_csv(poses, edits))
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")  # quaternion norms off 1 warn
-            try:
-                ingest_pose_log(path)
-            except SpincamError:
-                pass
-
-    @PROPERTY_SETTINGS
     @given(edits=csv_edits([1, 2, 200, 400], len(GYRO_LOG_COLUMNS)), first=st.booleans())
     def test_gyro_log_rows(self, csv_logs, edits, first):
-        root, _poses, gyro = csv_logs
+        root, gyro = csv_logs
         path = root / "mutant.csv"
-        path.write_text(mutated_csv(gyro, edits))
+        text = mutated_csv(gyro, edits)
+        path.write_text(text)
         logs = [str(path), str(root / "a.csv")][::1 if first else -1]
-        assert exit_code(["timesync", "--log-a", logs[0], "--log-b", logs[1],
-                          "--window", "0.1"]) in (0, 2, 3)
+        code = exit_code(["timesync", "--log-a", logs[0], "--log-b", logs[1], "--window", "0.1"])
+        # a row with another field count than the header's is bad data
+        counts = {len(row) for row in csv.reader(io.StringIO(text)) if row}
+        assert code == 3 if counts != {len(GYRO_LOG_COLUMNS)} else code in (0, 2, 3)

@@ -21,13 +21,11 @@ from spincam.datasets import (
     Dataset,
     GyroSequence,
     estimate_time_offset,
-    ingest_pose_log,
     load_noise_model,
     load_simulation_config,
     read_dataset,
     read_gyro_log,
     write_dataset,
-    write_pose_log,
     write_report,
 )
 from spincam.downwash import DownwashFrameResult, EllipsoidSpec
@@ -38,7 +36,7 @@ from spincam.errors import (
     ParseError,
     VersionMismatch,
 )
-from spincam.geometry import DEFAULT_ROBOT_GEOMETRY, MAX_COORDINATE, PoseTrack
+from spincam.geometry import DEFAULT_ROBOT_GEOMETRY, MAX_COORDINATE
 from spincam.scenarios import ScenarioConfig
 
 # The RunRecords columns, every field but the robot ids, and the neighbor-row ones.
@@ -51,12 +49,6 @@ def random_pose(rng) -> tuple[np.ndarray, np.ndarray]:
     q = rng.normal(size=4)
     q /= np.linalg.norm(q)
     return rng.uniform(-2, 2, 3), q
-
-
-def random_track(rng, robot_id: str, n: int) -> PoseTrack:
-    """Random poses at times 0, 1, ..., n - 1."""
-    positions, quats = zip(*[random_pose(rng) for _ in range(n)])
-    return PoseTrack(robot_id, np.arange(float(n)), positions, quats)
 
 
 def random_dataset(rng, n_frames: int) -> Dataset:
@@ -650,65 +642,6 @@ class TestWriterFormat:
         assert len(lines) == -(-600 // frames)
 
 
-class TestPoseLog:
-    def test_round_trip(self, tmp_path):
-        rng = np.random.default_rng(5)
-        tracks = [random_track(rng, rid, 4) for rid in ("cf1", "cf2")]
-        path = tmp_path / "poses.csv"
-        write_pose_log(tracks, path)
-        loaded = ingest_pose_log(path)
-        assert [t.robot_id for t in loaded] == ["cf1", "cf2"]
-        for orig, back in zip(tracks, loaded):
-            assert back.times.tolist() == orig.times.tolist()
-            assert back.positions.tolist() == orig.positions.tolist()
-
-    def test_interleaved_rows_grouped_and_sorted(self, tmp_path):
-        path = tmp_path / "poses.csv"
-        path.write_text(
-            "robot_id,t,x,y,z,qw,qx,qy,qz\n"
-            "b,1.0,0,0,1,1,0,0,0\n"
-            "a,0.5,1,0,0,1,0,0,0\n"
-            "b,0.5,0,0,0.5,1,0,0,0\n"
-            "a,1.5,2,0,0,1,0,0,0\n"
-        )
-        tracks = ingest_pose_log(path)
-        assert [t.robot_id for t in tracks] == ["a", "b"]
-        assert tracks[0].times.tolist() == [0.5, 1.5]
-        assert tracks[1].times.tolist() == [0.5, 1.0]
-
-    def test_zero_norm_quaternion_rejected(self, tmp_path):
-        path = tmp_path / "poses.csv"
-        path.write_text("robot_id,t,x,y,z,qw,qx,qy,qz\nr0,0.0,0,0,0,0,0,0,0\n")
-        with pytest.raises(NonFiniteValue):
-            ingest_pose_log(path)
-
-    def test_denormalized_quaternion_warns_and_normalizes(self, tmp_path):
-        path = tmp_path / "poses.csv"
-        path.write_text("robot_id,t,x,y,z,qw,qx,qy,qz\nr0,0.0,0,0,0,1.01,0,0,0\n")
-        with pytest.warns(UserWarning, match="normalizing"):
-            tracks = ingest_pose_log(path)
-        assert np.linalg.norm(tracks[0].quats[0]) == pytest.approx(1.0, abs=1e-12)
-
-    def test_bad_header_rejected(self, tmp_path):
-        path = tmp_path / "poses.csv"
-        path.write_text("id,time,x,y,z,qw,qx,qy,qz\nr0,0,0,0,0,1,0,0,0\n")
-        with pytest.raises(ParseError):
-            ingest_pose_log(path)
-
-    def test_non_numeric_field(self, tmp_path):
-        path = tmp_path / "poses.csv"
-        path.write_text("robot_id,t,x,y,z,qw,qx,qy,qz\nr0,0.0,oops,0,0,1,0,0,0\n")
-        with pytest.raises(ParseError, match=":2"):
-            ingest_pose_log(path)
-
-    def test_non_utf8_byte_names_its_line(self, tmp_path):
-        path = tmp_path / "poses.csv"
-        path.write_bytes(b"robot_id,t,x,y,z,qw,qx,qy,qz\nr0,0,0,0,0,1,0,0,0\n"
-                         b"r\xff,1,0,0,0,1,0,0,0\n")
-        with pytest.raises(ParseError, match=re.escape(f"{path}:3: not UTF-8")):
-            ingest_pose_log(path)
-
-
 def banded_signal(times: np.ndarray, rng) -> "SignalEvaluator":
     freqs = rng.uniform(0.5, 20.0, (3, 6))
     amps = rng.uniform(0.2, 1.0, (3, 6))
@@ -834,6 +767,19 @@ class TestTimeOffset:
         path = tmp_path / "gyro.csv"
         path.write_text("t, gx, gy, gz\n0.0,1,2,3\n0.1,1,2,3\n\n0.2,x,2,3\n")
         with pytest.raises(ParseError, match=":5: non-numeric"):
+            read_gyro_log(path)
+
+    @pytest.mark.parametrize("row, error, message", [
+        ("0.2,1,2,3,7", ParseError, "expected 4 fields, got 5"),
+        ("0.2,1,2", ParseError, "expected 4 fields, got 3"),
+        ("0.2,1,nan,3", NonFiniteValue, "non-finite value"),
+        ("0.05,1,2,3", ParseError, "timestamps must be strictly increasing, got 0.05 after 0.1"),
+        ("0.1,1,2,3", ParseError, "timestamps must be strictly increasing, got 0.1 after 0.1"),
+    ], ids=["long", "short", "nan", "backwards", "repeated"])
+    def test_gyro_log_bad_row_names_its_line(self, tmp_path, row, error, message):
+        path = tmp_path / "gyro.csv"
+        path.write_text(f"t,gx,gy,gz\n0.0,1,2,3\n0.1,1,2,3\n{row}\n0.3,1,2,3\n")
+        with pytest.raises(error, match=re.escape(f"{path}:4: {message}")):
             read_gyro_log(path)
 
     @pytest.mark.parametrize("text", [
