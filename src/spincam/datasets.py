@@ -526,12 +526,13 @@ class GyroSequence:
 def read_gyro_log(path) -> GyroSequence:
     """The samples of a CSV log whose header is `GYRO_LOG_COLUMNS`. ParseError
     or NonFiniteValue names the line of a bad row: one with another field
-    count than the header's, a field that is not a finite number, or a time
-    not after the row before's."""
+    count than the header's, a field that is not a finite number or is over
+    the csv module's size limit, or a time not after the row before's. No
+    field is quoted, so a quote is a field's own character."""
     rows = []
     try:
         with open(path, "r", encoding="utf-8", newline="") as fh:
-            reader = csv.reader(fh)
+            reader = csv.reader(fh, quoting=csv.QUOTE_NONE)
             header = next(reader, None)
             if header is None or [c.strip() for c in header] != GYRO_LOG_COLUMNS:
                 raise ParseError(f"{path}: header row must be '{','.join(GYRO_LOG_COLUMNS)}'")
@@ -550,6 +551,8 @@ def read_gyro_log(path) -> GyroSequence:
                     raise ParseError(f"{where}: timestamps must be strictly increasing, "
                                      f"got {values[0]!r} after {rows[-1][0]!r}")
                 rows.append(values)
+    except csv.Error as exc:
+        raise ParseError(f"{path}:{reader.line_num}: {exc}") from None
     except UnicodeDecodeError:
         # the lines a CSV reader counts are the `bytes.splitlines` ones
         for line_no, line in enumerate(Path(path).read_bytes().splitlines(), start=1):

@@ -17,6 +17,10 @@ detector frame by frame, every frame's generator seeded from one
 `simulate_detector`, `decode_box`, `decode_grid` and `decode_detections` are
 the one-frame and one-row cases, over a `FrameAnnotation`, a
 `GridDetectionMap` and `PositionEstimate`s.
+
+A quiet frame, one with no neighbor rows whose false-positive count the
+first uniform of its stream alone makes 0 (`_quiet_below`), detects
+nothing: neither path builds its generator.
 """
 
 from __future__ import annotations
@@ -388,6 +392,16 @@ def detect_rows(
     return []
 
 
+def _quiet_below(noise: NoiseModel) -> float:
+    """The first uniforms at or below which a frame with no neighbor rows
+    detects nothing. Its one draw is numpy's poisson(lam), which below lam 10
+    multiplies uniforms while the product is above exp(-lam), so it is 0
+    exactly when the first uniform is not; at lam 0 it draws nothing, and
+    from 10 on it takes its PTRS branch, which one uniform does not decide."""
+    lam = noise.false_positive_rate
+    return math.exp(-lam) if lam < 10.0 else -1.0
+
+
 def perceive(records: RunRecords, mode: str, noise: NoiseModel | None, intr: CameraIntrinsics,
              radius: float) -> tuple[np.ndarray, np.ndarray]:
     """A run's perception in `mode` ("oracle", "box" or "grid"): each
@@ -395,17 +409,20 @@ def perceive(records: RunRecords, mode: str, noise: NoiseModel | None, intr: Cam
     position (E, 3). `radius` is the robots' sphere radius.
 
     Oracle perception is the visible neighbors' true positions. Box and grid
-    perception run `detect_rows` frame by frame, each frame's generator
-    seeded from one `seeding.frame_seeds` pass over the run, with the stream
-    that `frame_rng` gives. Every BATCH_FRAMES frames, their detections are
-    decoded together: box mode's rows in one `_box_positions` pass, and grid
-    mode's grids, written into one buffer, in one `decode_grid_frames` pass."""
+    perception run `detect_rows` on every frame that is not quiet, each
+    frame's generator seeded from one `seeding.frame_seeds` pass over the
+    run, with the stream that `frame_rng` gives. Every BATCH_FRAMES such
+    frames, their detections are decoded together: box mode's rows in one
+    `_box_positions` pass, and grid mode's grids, written into one buffer, in
+    one `decode_grid_frames` pass."""
     if mode == "oracle":
         return records.owner, records.rel_positions
     seeding = _seeding()
-    bounds = np.searchsorted(records.owner, np.arange(len(records) + 1)).tolist()
-    frame_ids = records.frame_ids.tolist()
+    bounds = np.searchsorted(records.owner, np.arange(len(records) + 1))
     seeds = seeding.frame_seeds(noise.rng_seed, records.frame_ids)
+    quiet = (np.diff(bounds) == 0) & (seeding.first_uniforms(seeds) <= _quiet_below(noise))
+    busy, bounds = np.flatnonzero(~quiet).tolist(), bounds.tolist()
+    frame_ids = records.frame_ids.tolist()
     rel_positions, centers = records.rel_positions.tolist(), records.centers.tolist()
     bboxes = records.bboxes.tolist()
 
@@ -418,8 +435,8 @@ def perceive(records: RunRecords, mode: str, noise: NoiseModel | None, intr: Cam
     if mode != "box":
         grids = np.zeros((2, BATCH_FRAMES, DEFAULT_GRID_ROWS, DEFAULT_GRID_COLS))
     owners, positions = [np.empty(0, dtype=np.int64)], [np.empty((0, 3))]
-    for start in range(0, len(records), BATCH_FRAMES):
-        frames = range(start, min(start + BATCH_FRAMES, len(records)))
+    for start in range(0, len(busy), BATCH_FRAMES):
+        frames = busy[start:start + BATCH_FRAMES]
         if mode == "box":
             owner, rows = [], []
             for f in frames:
@@ -429,11 +446,11 @@ def perceive(records: RunRecords, mode: str, noise: NoiseModel | None, intr: Cam
             decoded, estimates = _box_positions(rows, intr, radius)
             owners.append(np.array([owner[k] for k in decoded], dtype=np.int64))
         else:
-            for f in frames:
-                detect(f, (grids[0, f - start], grids[1, f - start]))
+            for k, f in enumerate(frames):
+                detect(f, (grids[0, k], grids[1, k]))
             frame, estimates = decode_grid_frames(grids[0, :len(frames)], grids[1, :len(frames)],
                                                   intr)
-            owners.append(frame + start)
+            owners.append(np.array(frames, dtype=np.int64)[frame])
             grids.fill(0.0)
         positions.append(estimates)
     return np.concatenate(owners), np.concatenate(positions)
@@ -456,6 +473,9 @@ def simulate_detector(
     if mode not in ("box", "grid"):
         raise ValueError(f"unknown detector mode {mode!r}")
     neighbors = annotation.neighbors
+    if not neighbors and (_seeding().frame_row(noise.rng_seed, annotation.frame_id)[1]
+                          <= _quiet_below(noise)):  # a quiet frame
+        return np.empty((0, 5)) if mode == "box" else GridDetectionMap.zeros()
     rng = frame_rng(noise, annotation.frame_id)
     rows = ([n.rel_position for n in neighbors], [n.center.tolist() for n in neighbors],
             [n.bbox.tolist() for n in neighbors])

@@ -11,6 +11,11 @@ again. `perception.perceive` seeds a run's frames in one `frame_seeds` pass;
 `perception.frame_rng`, one frame at a time, takes its row from a cached
 block of SEED_BLOCK ids, hashed together.
 
+`first_uniforms` gives each row's first `random()` as uint64 array
+arithmetic: a frame with no neighbor rows whose false-positive count that
+uniform alone makes 0 detects nothing, and `perception` builds it no
+generator (see `perception._quiet_below`).
+
 Only the noisy detector imports this module: numpy loads `numpy.random`
 lazily, and `FrameSeed` subclasses its `ISeedSequence`.
 """
@@ -29,6 +34,8 @@ INIT_B, MULT_B = 0x8B51F9DD, 0x58F38DED
 MIX_MULT_L, MIX_MULT_R = 0xCA01F9DD, 0x4973F715
 MASK32 = 0xFFFFFFFF
 INT64_MAX = 2**63 - 1
+# PCG64's 128-bit LCG multiplier, as its high and low 64-bit words
+PCG_MULT_HI, PCG_MULT_LO = 0x2360ED051FC65DA4, 0x4385DF649FCCF645
 # Frame ids per block of seed rows that `frame_generator` hashes together, and
 # the blocks it keeps: 8 blocks of 256 rows of 32 bytes are 64 KiB and hold
 # the ids of a 60 s run at 30 fps, so a second in-order pass over such a run
@@ -113,6 +120,39 @@ def frame_seeds(rng_seed: int, frame_ids) -> np.ndarray:
     return seeds
 
 
+def _mul_high(a: np.ndarray, b: int) -> np.ndarray:
+    """The high 64 bits of the 128-bit products of the uint64 words `a` and
+    the 64-bit constant `b`, from the products of their 32-bit halves."""
+    a0, a1, b0, b1 = a & MASK32, a >> 32, np.uint64(b & MASK32), np.uint64(b >> 32)
+    p01, p10 = a0 * b1, a1 * b0
+    mid = ((a0 * b0) >> 32) + (p01 & MASK32) + (p10 & MASK32)
+    return a1 * b1 + (p01 >> 32) + (p10 >> 32) + (mid >> 32)
+
+
+def first_uniforms(words) -> np.ndarray:
+    """The first `random()` (F,) of PCG64 seeded with each `frame_seeds` row
+    (F, 4): element f is `default_rng([rng_seed, frame_ids[f]]).random()`.
+
+    The row is a 128-bit initial state and stream, high words first. PCG64
+    steps state 0 with the increment `(stream << 1) | 1`, adds the initial
+    state and steps again; a draw steps once more and xors the state's
+    halves, rotated right by its top 6 bits (XSL-RR). Array arithmetic on the
+    64-bit halves wraps without a warning."""
+    w = np.asarray(words, dtype=np.uint64).reshape(-1, 4)
+    inc_hi, inc_lo = (w[:, 2] << 1) | (w[:, 3] >> 63), (w[:, 3] << 1) | 1
+    # state 0 steps to the increment
+    lo = inc_lo + w[:, 1]
+    hi = inc_hi + w[:, 0] + (lo < inc_lo)
+    mult_hi, mult_lo = np.uint64(PCG_MULT_HI), np.uint64(PCG_MULT_LO)
+    for _step in range(2):
+        hi = _mul_high(lo, PCG_MULT_LO) + lo * mult_hi + hi * mult_lo
+        lo = lo * mult_lo + inc_lo
+        hi += inc_hi + (lo < inc_lo)
+    x, rot = hi ^ lo, hi >> 58
+    x = (x >> rot) | (x << (-rot & 63))
+    return (x >> 11) * 2.0**-53
+
+
 class FrameSeed(ISeedSequence):
     """One frame's `SeedSequence([rng_seed, frame_id])` for a bit generator,
     with its `frame_seeds` row: `np.random.Generator(np.random.PCG64(seed))`
@@ -131,14 +171,26 @@ class FrameSeed(ISeedSequence):
 
 
 @functools.lru_cache(maxsize=SEED_CACHE_BLOCKS)
-def _seed_block(rng_seed: int, block: int) -> np.ndarray:
+def _seed_block(rng_seed: int, block: int) -> tuple[np.ndarray, np.ndarray]:
     """The read-only `frame_seeds` rows (SEED_BLOCK, 4) of the frame ids from
-    block * SEED_BLOCK on. SEED_BLOCK divides 2**63, so the last block ends
-    at the largest int64 id."""
+    block * SEED_BLOCK on, and their `first_uniforms` (SEED_BLOCK,).
+    SEED_BLOCK divides 2**63, so the last block ends at the largest int64 id."""
     ids = block * SEED_BLOCK + np.arange(SEED_BLOCK, dtype=np.int64)
     rows = frame_seeds(rng_seed, ids)
+    uniforms = first_uniforms(rows)
     rows.setflags(write=False)
-    return rows
+    uniforms.setflags(write=False)
+    return rows, uniforms
+
+
+def frame_row(rng_seed: int, frame_id: int) -> tuple[np.ndarray, float]:
+    """One frame's `frame_seeds` row and first uniform, from the cached block
+    of its id. A frame id is an int64 count."""
+    if not 0 <= frame_id <= INT64_MAX:
+        raise ValueError(f"frame id must be in [0, 2**63), got {frame_id}")
+    block, row = divmod(frame_id, SEED_BLOCK)
+    rows, uniforms = _seed_block(rng_seed, block)
+    return rows[row], uniforms.item(row)
 
 
 def frame_generator(rng_seed: int, frame_id: int, words: np.ndarray | None = None
@@ -146,10 +198,7 @@ def frame_generator(rng_seed: int, frame_id: int, words: np.ndarray | None = Non
     """The generator of one frame's detector draws, PCG64 seeded with the
     frame's `frame_seeds` row `words`: it draws what `default_rng([rng_seed,
     frame_id])` does. Without `words`, the row comes from the cached block of
-    the frame's id. A frame id is an int64 count."""
+    the frame's id."""
     if words is None:
-        if not 0 <= frame_id <= INT64_MAX:
-            raise ValueError(f"frame id must be in [0, 2**63), got {frame_id}")
-        block, row = divmod(frame_id, SEED_BLOCK)
-        words = _seed_block(rng_seed, block)[row]
+        words = frame_row(rng_seed, frame_id)[0]
     return np.random.Generator(np.random.PCG64(FrameSeed(rng_seed, frame_id, words)))

@@ -207,9 +207,13 @@ LEDGER = {
     "seeding.MIX_MULT_R": "cli",
     "seeding.MASK32": "cli",
     "seeding.INT64_MAX": "item 2c",
+    "seeding.PCG_MULT_HI": "cli",
+    "seeding.PCG_MULT_LO": "cli",
     "seeding.SEED_BLOCK": "item 2c",
     "seeding.SEED_CACHE_BLOCKS": "item 2c",
     "seeding.frame_seeds": "cli",
+    "seeding.first_uniforms": "cli",
+    "seeding.frame_row": "item 2c",
     "seeding.FrameSeed": "cli",
     "seeding.FrameSeed.generate_state": "cli",
     "seeding.frame_generator": "cli",

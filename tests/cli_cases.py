@@ -429,6 +429,11 @@ BAD_GYRO_ROWS = [
     ("short-row", "0.0,0,0\n0.1,0,0,0\n0.2,0,0,0\n", 2, "expected 4 fields, got 3"),
     ("backwards", "0.0,0,0,0\n0.2,0,0,0\n0.1,0,0,0\n0.3,0,0,0\n", 4,
      "timestamps must be strictly increasing, got 0.1 after 0.2"),
+    ("huge-field", "0.0,0,0,0\n0.1," + "1" * 200_000 + ",0,0\n0.2,0,0,0\n", 3,
+     "field larger than field limit (131072)"),
+    # a quote is no field delimiter: it does not swallow the lines after it
+    ("quote", "0.0,0,0,0\n\"0.1,0,0,0\n0.2,0,0,0\n", 3,
+     "non-numeric field: could not convert string to float: '\"0.1'"),
 ]
 
 # benchmark: a list flag's value and the whole stderr it gives

@@ -76,6 +76,15 @@ PITCHES = ("forward", "tilt45", "up")
 DISTORTIONS = (0.0, -0.08)
 
 
+def noise_models(seeds) -> list[NoiseModel]:
+    """Noise at false-positive rate 0.5 for every seed, and at the first seed
+    on each branch of numpy's poisson: no draw at rate 0, a zero decided by
+    one uniform below 10 (the frames `perceive` skips), and PTRS at 12."""
+    return ([NoiseModel(rng_seed=seed, false_positive_rate=0.5) for seed in seeds]
+            + [NoiseModel(rng_seed=seeds[0], false_positive_rate=rate)
+               for rate in (0.0, 0.05, 12.0)])
+
+
 def cross_formula(q, v) -> np.ndarray:
     """Quaternion rotation via np.cross, as the rotation kernel once computed it."""
     vec = np.asarray(v, dtype=float)
@@ -455,8 +464,8 @@ def object_decode(output, intr, radius) -> list[np.ndarray]:
 @pytest.mark.parametrize("kind", sorted(KINDS))
 def test_detector_rows_match_object_oracle(kind, pitch, k1):
     """Detections and decoded positions are bitwise equal to those of the
-    object-based detector and decoders, in box and grid mode, with false
-    positives."""
+    object-based detector and decoders, in box and grid mode, at false-positive
+    rates 0, 0.05, 0.5 and 12 (`noise_models`)."""
     intr = CameraIntrinsics(fx=170.0, fy=170.0, cx=160.0, cy=160.0, k1=k1)
     geom = DEFAULT_ROBOT_GEOMETRY
     records = simulated(config(kind, pitch), camera_for_pitch(pitch, intr), geom)
@@ -464,8 +473,7 @@ def test_detector_rows_match_object_oracle(kind, pitch, k1):
                                ObjectBox(*n.bbox.tolist())) for n in ann.neighbors])
               for ann in records.annotations()]
     radius, compared = geom.sphere_radius, 0
-    for seed in (0, 3):
-        noise = NoiseModel(rng_seed=seed, false_positive_rate=0.5)
+    for noise in noise_models((0, 3)):
         for mode in ("box", "grid"):
             for annotation, (frame_id, neighbors) in zip(records.annotations(), frames):
                 output = simulate_detector(annotation, noise, intr, mode, radius=radius)
@@ -513,10 +521,10 @@ def test_run_perception_matches_per_frame_detector_on_wide_seeds(kind, pitch):
 
 def assert_run_perception_matches_per_frame(records, camera, seeds):
     """`perceive` owners and positions, box and grid mode, bitwise equal to
-    per-frame `simulate_detector` and `decode_detections` at each noise seed."""
+    per-frame `simulate_detector` and `decode_detections` under each of
+    `noise_models(seeds)`."""
     intr, radius = camera.intrinsics, DEFAULT_ROBOT_GEOMETRY.sphere_radius
-    for seed in seeds:
-        noise = NoiseModel(rng_seed=seed, false_positive_rate=0.5)
+    for noise in noise_models(seeds):
         for mode in ("box", "grid"):
             owner, positions = perceive(records, mode, noise, intr, radius)
             frames = [decode_detections(simulate_detector(annotation, noise, intr, mode,

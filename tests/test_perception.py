@@ -36,7 +36,15 @@ from spincam.perception import (
     grid_cell_center,
     simulate_detector,
 )
-from spincam.seeding import SEED_BLOCK, SEED_CACHE_BLOCKS, FrameSeed, _seed_block, frame_seeds
+from spincam.seeding import (
+    SEED_BLOCK,
+    SEED_CACHE_BLOCKS,
+    FrameSeed,
+    _seed_block,
+    first_uniforms,
+    frame_seeds,
+    frame_row,
+)
 
 
 def sphere_silhouette_bbox(center, radius: float, intr: CameraIntrinsics) -> np.ndarray:
@@ -680,6 +688,37 @@ class TestFrameSeeds:
             assert row.tobytes() == expected.tobytes(), frame_id
 
     @pytest.mark.parametrize("seed", SEEDS)
+    def test_first_uniforms_equal_default_rng(self, seed):
+        """Each row's first uniform, computed from its seed words, is bitwise
+        the first `random()` of `default_rng`, for ids of one and two words."""
+        ids = random_frame_ids(40)
+        uniforms = first_uniforms(frame_seeds(seed, ids))
+        expected = [np.random.default_rng([seed, frame_id]).random() for frame_id in ids]
+        assert uniforms.tobytes() == np.array(expected).tobytes()
+        assert [frame_row(seed, frame_id)[1] for frame_id in ids] == expected
+
+    @pytest.mark.parametrize("lam", (0.0, 5e-324, 0.05, 0.5, 9.999999, 10.0, 12.0))
+    def test_quiet_frames_are_those_that_draw_no_false_positive(self, lam):
+        """A frame without neighbor rows is quiet exactly when its one draw,
+        `poisson(lam)`, is 0, and then it takes one uniform (none at lam 0).
+        From lam 10 on no frame is quiet, and none of these draws 0."""
+        ids = random_frame_ids(100)
+        below = perception._quiet_below(NoiseModel(rng_seed=3, false_positive_rate=lam))
+        assert (lam >= 10.0) == (below < 0.0)
+        quiet = (first_uniforms(frame_seeds(3, ids)) <= below).tolist()
+        counts = []
+        for frame_id, frame_quiet in zip(ids, quiet):
+            rng = np.random.default_rng([3, frame_id])
+            counts.append(int(rng.poisson(lam)))
+            if frame_quiet:
+                expected = np.random.default_rng([3, frame_id])
+                expected.random(int(lam > 0.0))
+                assert rng.bit_generator.state == expected.bit_generator.state
+        assert quiet == [count == 0 for count in counts]
+        # at lam 0.05 and 0.5 the frames are of both kinds
+        assert (0.01 < lam < 1.0) <= (0 < sum(quiet) < len(ids))
+
+    @pytest.mark.parametrize("seed", SEEDS)
     def test_row_generators_equal_frame_rng(self, seed):
         ids = random_frame_ids(10)
         noise = NoiseModel(rng_seed=seed)
@@ -733,6 +772,11 @@ class TestFrameSeeds:
     def test_frame_rng_rejects_ids_outside_int64_counts(self, frame_id):
         with pytest.raises(ValueError, match="frame id"):
             frame_rng(NoiseModel(), frame_id)
+        # a frame without neighbors reads its first uniform from the same blocks
+        for mode in ("box", "grid"):
+            with pytest.raises(ValueError, match="frame id"):
+                simulate_detector(annotation_with([], frame_id), NoiseModel(),
+                                  DEFAULT_INTRINSICS, mode)
 
     @pytest.mark.parametrize("n_words,dtype", [(4, np.uint32), (8, np.uint64), (2, np.uint64)])
     def test_other_state_requests_go_to_a_seed_sequence(self, n_words, dtype):
