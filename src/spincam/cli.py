@@ -123,15 +123,15 @@ def _downwash_eval(args) -> int:
     out_dir = Path(args.out)
     _write_manifest(out_dir, "downwash-eval", args, ["report.csv"])
     ellipsoid = dataset.ellipsoid if override is None else override
-    results = evaluate_downwash_records(
+    frame_ids, gt, pred = evaluate_downwash_records(
         dataset.records, dataset.camera, ellipsoid,
         mode=mode, noise=noise, geom=dataset.geometry,
     )
     report_path = out_dir / "report.csv"
-    counts = write_report(report_path, results)
+    counts = write_report(report_path, frame_ids, gt, pred)
     precision, recall, f1 = classification_metrics(counts)
     print(
-        f"frames={len(results)} tp={counts.tp} fp={counts.fp} fn={counts.fn} tn={counts.tn} "
+        f"frames={len(frame_ids)} tp={counts.tp} fp={counts.fp} fn={counts.fn} tn={counts.tn} "
         f"precision={precision:.4f} recall={recall:.4f} f1={f1:.4f}"
     )
     print(f"wrote {report_path}")
@@ -173,7 +173,7 @@ def _benchmark(args) -> int:
     results = evaluate_cells(cells(), base.ellipsoid, spec.geometry, mode, noise)
     rows = []
     for (scenario, camera), (gt, pred) in zip(itertools.product(scenarios, cameras), results):
-        counts = ConfusionCounts.from_pairs(zip(gt.tolist(), pred.tolist()))
+        counts = ConfusionCounts.from_columns(gt, pred)
         precision, recall, f1 = classification_metrics(counts)
         rows.append((scenario.yaw_rate, camera.pitch_label, f1, precision, recall, counts))
 
@@ -200,7 +200,10 @@ def _timesync(args) -> int:
                             f"got {args.window}")
     a = read_gyro_log(args.log_a)
     b = read_gyro_log(args.log_b)
-    offset = estimate_time_offset(a, b, args.window)
+    try:
+        offset = estimate_time_offset(a, b, args.window)
+    except InvalidConfig as exc:
+        raise InvalidConfig(f"--window: {exc}") from exc
     print(f"offset={offset:.6f}")
     return EXIT_OK
 

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain
 from pathlib import Path
-from typing import Iterator, Sequence
+from typing import Iterator
 
 import numpy as np
 
@@ -29,7 +29,7 @@ from .camera import (
     RunRecords,
     camera_for_pitch,
 )
-from .downwash import DownwashFrameResult, EllipsoidSpec
+from .downwash import EllipsoidSpec
 from .errors import (
     InsufficientOverlap,
     InvalidConfig,
@@ -56,6 +56,10 @@ from .scenarios import ScenarioConfig
 SCHEMA_VERSION = 1
 
 GYRO_LOG_COLUMNS = ["t", "gx", "gy", "gz"]
+# rad/s: an offset search's squared rate differences, and their means, stay finite
+MAX_GYRO_RATE = 1e6
+# offsets one time-offset search tests at most; each is one pass over the overlap
+MAX_OFFSETS = 10**6
 
 
 # ---------------------------------------------------------------------------
@@ -527,8 +531,9 @@ def read_gyro_log(path) -> GyroSequence:
     """The samples of a CSV log whose header is `GYRO_LOG_COLUMNS`. ParseError
     or NonFiniteValue names the line of a bad row: one with another field
     count than the header's, a field that is not a finite number or is over
-    the csv module's size limit, or a time not after the row before's. No
-    field is quoted, so a quote is a field's own character."""
+    the csv module's size limit, a rate beyond +/-MAX_GYRO_RATE, or a time
+    not after the row before's. No field is quoted, so a quote is a field's
+    own character."""
     rows = []
     try:
         with open(path, "r", encoding="utf-8", newline="") as fh:
@@ -547,6 +552,9 @@ def read_gyro_log(path) -> GyroSequence:
                     raise ParseError(f"{where}: non-numeric field: {exc}") from exc
                 if not all(math.isfinite(v) for v in values):
                     raise NonFiniteValue(f"{where}: non-finite value")
+                if max(map(abs, values[1:])) > MAX_GYRO_RATE:
+                    raise ParseError(f"{where}: rates must be within +/-{MAX_GYRO_RATE:g} rad/s, "
+                                     f"got {values[1:]}")
                 if rows and not values[0] > rows[-1][0]:
                     raise ParseError(f"{where}: timestamps must be strictly increasing, "
                                      f"got {values[0]!r} after {rows[-1][0]!r}")
@@ -586,7 +594,8 @@ def estimate_time_offset(a: GyroSequence, b: GyroSequence, search_window: float)
     """Offset delta minimizing the squared error between a(t) and b(t + delta).
 
     The discrete minimum over a sample-period grid is refined by parabolic
-    interpolation, giving sub-sample resolution on smooth signals.
+    interpolation, giving sub-sample resolution on smooth signals. A grid of
+    more than MAX_OFFSETS offsets raises InvalidConfig before it is built.
     """
     step = min(
         float(np.median(np.diff(a.timestamps))),
@@ -597,8 +606,12 @@ def estimate_time_offset(a: GyroSequence, b: GyroSequence, search_window: float)
     # two steps beyond it, so a wider window finds the same offset
     reach = max(b.timestamps[-1] - a.timestamps[0], a.timestamps[-1] - b.timestamps[0]) \
         - min_overlap
-    count = int(math.floor(min(search_window, reach + 2.0 * step) / step + 1e-9))
-    deltas = np.arange(-count, count + 1) * step
+    # a Python float, so a step too small for the float range gives inf, not a warning
+    count = np.floor(float(min(search_window, reach + 2.0 * step)) / step + 1e-9)
+    if not 2 * count + 1 <= MAX_OFFSETS:
+        raise InvalidConfig(f"a +/-{search_window} s search at a sample period of {step!r} s "
+                            f"needs {2 * count + 1:.0f} offsets, more than {MAX_OFFSETS}")
+    deltas = np.arange(-int(count), int(count) + 1) * step
     rates = np.ascontiguousarray(a.rates.T), np.ascontiguousarray(b.rates.T)
     errors = np.array([_offset_error(a, b, float(d), min_overlap, rates) for d in deltas])
     if not np.any(np.isfinite(errors)):
@@ -618,15 +631,15 @@ def estimate_time_offset(a: GyroSequence, b: GyroSequence, search_window: float)
 # ---------------------------------------------------------------------------
 # Reports
 
-def write_report(path, results: Sequence[DownwashFrameResult]) -> ConfusionCounts:
-    """Write per-frame rows plus a precision/recall/F1 footer; returns counts."""
-    counts = ConfusionCounts.from_pairs((r.gt_downwash, r.pred_downwash) for r in results)
+def write_report(path, frame_ids, gt, pred) -> ConfusionCounts:
+    """Write a row per frame of arrays (F,), then a precision/recall/F1 footer; returns counts."""
+    counts = ConfusionCounts.from_columns(gt, pred)
     precision, recall, f1 = classification_metrics(counts)
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(f"# spincam downwash report schema_version={SCHEMA_VERSION}\n")
         fh.write("frame_id,gt_downwash,pred_downwash\n")
-        for r in results:
-            fh.write(f"{r.frame_id},{int(r.gt_downwash)},{int(r.pred_downwash)}\n")
+        fh.writelines(f"{f},{g:d},{p:d}\n"
+                      for f, g, p in zip(frame_ids.tolist(), gt.tolist(), pred.tolist()))
         fh.write(
             f"# precision={precision:.4f} recall={recall:.4f} f1={f1:.4f}"
             f" tp={counts.tp} fp={counts.fp} fn={counts.fn} tn={counts.tn}\n"

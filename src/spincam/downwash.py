@@ -114,13 +114,6 @@ def _violates(positions: np.ndarray, ego_position, ellipsoid: EllipsoidSpec) -> 
     return ellipsoid_margins(positions - ego_position, ellipsoid) < DOWNWASH_MARGIN
 
 
-@dataclass(frozen=True)
-class DownwashFrameResult:
-    frame_id: int
-    gt_downwash: bool
-    pred_downwash: bool
-
-
 def _scan_lifetimes(
     positions: np.ndarray,
     born_at: np.ndarray,
@@ -242,21 +235,15 @@ def evaluate_downwash_records(
     mode: str = "oracle",
     noise: NoiseModel | None = None,
     geom: RobotGeometry = DEFAULT_ROBOT_GEOMETRY,
-) -> list[DownwashFrameResult]:
-    """Run the belief protocol over an annotated run, seen through the
-    camera's one mount.
-
-    Frames are processed in timestamp order regardless of row order; the
-    belief update is order-dependent.
-    """
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Frame ids, ground truth and prediction (F,) of an annotated run, seen
+    through the camera's one mount, in timestamp order regardless of row
+    order; the belief update is order-dependent."""
     order = np.argsort(records.timestamps, kind="stable")
     gt, pred = _evaluate_frames(records, order, np.full(len(order), len(order)),
                                 camera.intrinsics, camera.rotation, camera.translation,
                                 ellipsoid, mode, noise, geom.sphere_radius)
-    return [
-        DownwashFrameResult(frame_id=f, gt_downwash=g, pred_downwash=p)
-        for f, g, p in zip(records.frame_ids[order].tolist(), gt.tolist(), pred.tolist())
-    ]
+    return records.frame_ids[order], gt, pred
 
 
 class Cell(NamedTuple):
@@ -339,13 +326,12 @@ def run_downwash_eval(
     geom: RobotGeometry = DEFAULT_ROBOT_GEOMETRY,
     mode: str = "oracle",
     noise: NoiseModel | None = None,
-) -> list[DownwashFrameResult]:
-    """Full per-frame evaluation from pose tracks and a frame schedule: the
-    one-cell case of `evaluate_cells`, frame ids 0, 1, ... in time order."""
+) -> tuple[np.ndarray, np.ndarray]:
+    """Ground truth and prediction (F,) from pose tracks and a frame
+    schedule, in time order: the one-cell case of `evaluate_cells`."""
     if ego_id is None:
         ego_id = tracks[0].robot_id
     times = np.sort(np.asarray(frames, dtype=float).reshape(-1))
-    [(gt, pred)] = evaluate_cells([Cell(camera, times, *track_poses(tracks, times, ego_id))],
-                                  ellipsoid, geom, mode, noise)
-    return [DownwashFrameResult(frame_id=f, gt_downwash=g, pred_downwash=p)
-            for f, (g, p) in enumerate(zip(gt.tolist(), pred.tolist()))]
+    [result] = evaluate_cells([Cell(camera, times, *track_poses(tracks, times, ego_id))],
+                              ellipsoid, geom, mode, noise)
+    return result

@@ -138,19 +138,14 @@ class ConfusionCounts:
             raise ValueError("confusion counts must be non-negative")
 
     @staticmethod
-    def from_pairs(pairs: Iterable[tuple[bool, bool]]) -> "ConfusionCounts":
-        """Count (ground_truth, predicted) boolean pairs."""
-        tp = fp = fn = tn = 0
-        for gt, pred in pairs:
-            if gt and pred:
-                tp += 1
-            elif not gt and pred:
-                fp += 1
-            elif gt and not pred:
-                fn += 1
-            else:
-                tn += 1
-        return ConfusionCounts(tp=tp, fp=fp, fn=fn, tn=tn)
+    def from_columns(gt, pred) -> "ConfusionCounts":
+        """Count ground truth against prediction: boolean columns (F,) of one length."""
+        gt, pred = np.asarray(gt, dtype=bool), np.asarray(pred, dtype=bool)
+        if gt.ndim != 1 or gt.shape != pred.shape:
+            raise ValueError(f"gt and pred must be columns of one length, "
+                             f"got shapes {gt.shape} and {pred.shape}")
+        return ConfusionCounts(tp=int((gt & pred).sum()), fp=int((~gt & pred).sum()),
+                               fn=int((gt & ~pred).sum()), tn=int((~gt & ~pred).sum()))
 
 
 def classification_metrics(counts: ConfusionCounts) -> tuple[float, float, float]:

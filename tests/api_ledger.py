@@ -82,6 +82,8 @@ LEDGER = {
 
     "datasets.SCHEMA_VERSION": "cli",
     "datasets.GYRO_LOG_COLUMNS": "cli",
+    "datasets.MAX_GYRO_RATE": "cli",
+    "datasets.MAX_OFFSETS": "cli",
     "datasets.Dataset": "cli",
     "datasets.Dataset.frames": "item 2c",
     "datasets.WRITE_FRAMES": "cli",
@@ -108,7 +110,6 @@ LEDGER = {
     "downwash.EllipsoidSpec.as_array": "cli",
     "downwash.ellipsoid_margins": "cli",
     "downwash.ellipsoid_margin": "cli",
-    "downwash.DownwashFrameResult": "cli",
     "downwash.evaluate_downwash_records": "cli",
     "downwash.Cell": "cli",
     "downwash.evaluate_cells": "cli",
@@ -161,7 +162,7 @@ LEDGER = {
     "metrics.hungarian": "criterion 5",
     "metrics.position_errors": "item 2a",
     "metrics.ConfusionCounts": "cli",
-    "metrics.ConfusionCounts.from_pairs": "cli",
+    "metrics.ConfusionCounts.from_columns": "cli",
     "metrics.classification_metrics": "cli",
     "metrics.ErrorDistribution": "item 2a",
     "metrics.ErrorDistribution.from_samples": "item 2a",

@@ -434,6 +434,17 @@ BAD_GYRO_ROWS = [
     # a quote is no field delimiter: it does not swallow the lines after it
     ("quote", "0.0,0,0,0\n\"0.1,0,0,0\n0.2,0,0,0\n", 3,
      "non-numeric field: could not convert string to float: '\"0.1'"),
+    # a rate whose square overflows the offset search's squared differences
+    ("huge-rate", "0.0,0,0,0\n0.1,0,1e200,0\n0.2,0,0,0\n", 3,
+     "rates must be within +/-1e+06 rad/s, got [0.0, 1e+200, 0.0]"),
+]
+
+# timesync: the times of a 3-row gyro log searched against the base run's
+# 1 s log at the default --window, and the count of offsets that search needs
+DENSE_GYRO_LOGS = [
+    ("nanosecond", "0,1e-9,2e-9", "a sample period of 1e-09 s needs 999999999"),
+    # a period so small that the window over it is past the float range
+    ("subnormal", "0,5e-324,1e-323", "a sample period of 5e-324 s needs inf"),
 ]
 
 # benchmark: a list flag's value and the whole stderr it gives
@@ -640,6 +651,11 @@ CASES = [
            3, stderr=f"error: {{work}}/b.csv:{line}: {message}\n",
            input=File("b.csv", "t,gx,gy,gz\n" + rows))
       for name, rows, line, message in BAD_GYRO_ROWS),
+    *(Case(f"timesync-offset-grid-{name}",
+           ("timesync", "--log-a", "{run}/a.csv", "--log-b", "{work}/b.csv"), 2,
+           stderr=f"error: --window: a +/-0.5 s search at {needs} offsets, more than 1000000\n",
+           input=File("b.csv", "t,gx,gy,gz\n" + "".join(f"{t},0,0,0\n" for t in times.split(","))))
+      for name, times, needs in DENSE_GYRO_LOGS),
 
     # rerun
     *(Case(f"rerun-{command}-args-{k}", RERUN, code,

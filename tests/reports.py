@@ -1,10 +1,10 @@
 """Reading a `downwash-eval` report back, for the tests."""
 
-from spincam.downwash import DownwashFrameResult
 from spincam.errors import ParseError
 
 
-def read_report(path) -> tuple[list[DownwashFrameResult], dict[str, float]]:
+def read_report(path) -> tuple[list[tuple[int, bool, bool]], dict[str, float]]:
+    """The (frame_id, gt_downwash, pred_downwash) rows and the footer's values."""
     results = []
     summary: dict[str, float] = {}
     with open(path, "r", encoding="utf-8") as fh:
@@ -27,9 +27,7 @@ def read_report(path) -> tuple[list[DownwashFrameResult], dict[str, float]]:
         if len(parts) != 3:
             raise ParseError(f"{path}:{line_no}: expected 'frame_id,gt,pred' row")
         try:
-            results.append(
-                DownwashFrameResult(int(parts[0]), bool(int(parts[1])), bool(int(parts[2])))
-            )
+            results.append((int(parts[0]), bool(int(parts[1])), bool(int(parts[2]))))
         except ValueError as exc:
             raise ParseError(f"{path}:{line_no}: {exc}") from exc
     return results, summary

@@ -53,13 +53,11 @@ def test_criterion_1_downwash_table_trend():
             for pitch in ("forward", "tilt45", "up"):
                 cfg = replace(base, yaw_rate=rate, camera_pitch=pitch)
                 tracks = generate_scenario(cfg)
-                results = run_downwash_eval(
+                gt, pred = run_downwash_eval(
                     tracks, camera_for_pitch(pitch), frame_schedule(cfg), cfg.ellipsoid,
                     ego_id="r0", mode="oracle",
                 )
-                counts = ConfusionCounts.from_pairs(
-                    (r.gt_downwash, r.pred_downwash) for r in results
-                )
+                counts = ConfusionCounts.from_columns(gt, pred)
                 scores[(rate, pitch)] = classification_metrics(counts)[2]
         elapsed = time.monotonic() - start
         for rate in (2.0, 4.0, 6.0, 8.0):
@@ -252,13 +250,11 @@ def test_criterion_10_belief_oracle_equivalence():
         ]
         for cfg in cases:
             tracks = generate_scenario(cfg)
-            results = run_downwash_eval(
+            gt, pred = run_downwash_eval(
                 tracks, camera_for_pitch(cfg.camera_pitch), frame_schedule(cfg),
                 cfg.ellipsoid, ego_id="r0", mode="omni",
             )
-            assert all(r.pred_downwash == r.gt_downwash for r in results), cfg.kind
-            counts = ConfusionCounts.from_pairs(
-                (r.gt_downwash, r.pred_downwash) for r in results
-            )
+            assert np.array_equal(pred, gt), cfg.kind
+            counts = ConfusionCounts.from_columns(gt, pred)
             assert counts.tp >= 1, f"{cfg.kind}: no positive frames, F1 undefined"
             assert classification_metrics(counts)[2] == 1.0

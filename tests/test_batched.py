@@ -11,9 +11,13 @@ vectorized.
 
 import bisect
 import contextlib
+import importlib
+import inspect
 import io
 import json
 import math
+import pkgutil
+from collections import Counter
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -23,6 +27,7 @@ from scipy.spatial.transform import Rotation
 from run_columns import IDENTITY, annotated, run_records, simulated
 from test_perception import clip_ray_position, norm_pixel_ray
 
+import spincam
 from spincam.camera import (
     CameraIntrinsics,
     FrameAnnotation,
@@ -37,7 +42,7 @@ from spincam.camera import (
     undistort_normalized,
 )
 from spincam.cli import main
-from spincam.datasets import Dataset, read_dataset, write_dataset
+from spincam.datasets import WRITE_FRAMES, Dataset, read_dataset, write_dataset
 from spincam.downwash import (
     DOWNWASH_MARGIN,
     EllipsoidSpec,
@@ -608,8 +613,9 @@ def test_evaluation_of_columns_ignores_frame_line_order(tmp_path, kind, mode):
     dataset = read_dataset(path)
 
     def evaluate(records):
-        return [(r.frame_id, r.gt_downwash, r.pred_downwash) for r in evaluate_downwash_records(
-            records, camera, cfg.ellipsoid, mode=mode, noise=noise)]
+        columns = evaluate_downwash_records(records, camera, cfg.ellipsoid, mode=mode,
+                                            noise=noise)
+        return list(zip(*(column.tolist() for column in columns)))
 
     expected = evaluate(dataset.records)
     assert any(pred for _f, _gt, pred in expected)
@@ -674,12 +680,11 @@ def oracle_downwash(tracks, camera, times, ellipsoid, mode, noise,
 
 
 def assert_matches_oracle(tracks, camera, times, ellipsoid, mode, noise):
-    results = run_downwash_eval(tracks, camera, times, ellipsoid, ego_id="r0", mode=mode,
-                                noise=noise)
-    expected = oracle_downwash(tracks, camera, times, ellipsoid, mode, noise)
-    assert [(r.gt_downwash, r.pred_downwash) for r in results] == expected
-    assert [r.frame_id for r in results] == list(range(len(expected)))
-    return results
+    gt, pred = run_downwash_eval(tracks, camera, times, ellipsoid, ego_id="r0", mode=mode,
+                                 noise=noise)
+    assert list(zip(gt.tolist(), pred.tolist())) == oracle_downwash(
+        tracks, camera, times, ellipsoid, mode, noise)
+    return gt, pred
 
 
 @pytest.mark.parametrize("mode", ("oracle", "omni", "box", "grid"))
@@ -713,11 +718,11 @@ def test_belief_outlives_several_scan_windows(mode):
     tracks, times = climb_past_and_return()
     noise = NoiseModel(rng_seed=5, false_positive_rate=0.0) if mode != "oracle" else None
     camera = camera_for_pitch("up")
-    results = assert_matches_oracle(tracks, camera, times, EllipsoidSpec(), mode, noise)
+    _, pred = assert_matches_oracle(tracks, camera, times, EllipsoidSpec(), mode, noise)
     records = annotated(times, track_poses(tracks, times), camera, DEFAULT_ROBOT_GEOMETRY)
     last_seen = int(records.owner.max())
-    late = [f for f, r in enumerate(results) if r.pred_downwash and f > last_seen + 100]
-    assert late, "no prediction from a belief older than 100 frames"
+    late = np.flatnonzero(pred[last_seen + 101:])
+    assert late.size, "no prediction from a belief older than 100 frames"
 
 
 @pytest.mark.parametrize("mode", ("oracle", "box", "grid"))
@@ -727,9 +732,9 @@ def test_frames_without_estimates_predict_nothing(mode):
     noise = NoiseModel(miss_rate=1.0, false_positive_rate=0.0) if mode != "oracle" else None
     records = annotated(times, track_poses(tracks, times), camera, DEFAULT_ROBOT_GEOMETRY)
     assert len(records.owner) == 0
-    results = assert_matches_oracle(tracks, camera, times, EllipsoidSpec(), mode, noise)
-    assert any(r.gt_downwash for r in results)
-    assert not any(r.pred_downwash for r in results)
+    gt, pred = assert_matches_oracle(tracks, camera, times, EllipsoidSpec(), mode, noise)
+    assert gt.any()
+    assert not pred.any()
 
 
 def test_later_estimate_absorbs_earlier_and_beliefs_die_on_reprojection():
@@ -758,9 +763,9 @@ def test_later_estimate_absorbs_earlier_and_beliefs_die_on_reprojection():
                                               (step, identity)])
     ]
     for ordered in (frames, frames[::-1]):
-        results = evaluate_downwash_records(run_records(("r0", "r1", "r2"), ordered), camera,
+        columns = evaluate_downwash_records(run_records(("r0", "r1", "r2"), ordered), camera,
                                             ellipsoid)
-        assert [(r.frame_id, r.gt_downwash, r.pred_downwash) for r in results] == [
+        assert list(zip(*(column.tolist() for column in columns))) == [
             (0, False, False), (1, False, True), (2, False, False)]
 
 
@@ -770,50 +775,94 @@ def test_empty_record_list_gives_no_results(mode):
     camera = camera_for_pitch("up")
     empty = annotated([], track_poses(climb_past_and_return()[0], []), camera,
                       DEFAULT_ROBOT_GEOMETRY)
-    assert evaluate_downwash_records(empty, camera, EllipsoidSpec(), mode=mode,
-                                     noise=noise) == []
+    columns = evaluate_downwash_records(empty, camera, EllipsoidSpec(), mode=mode, noise=noise)
+    assert [column.shape for column in columns] == [(0,)] * 3
+
+
+def spincam_classes() -> list[type]:
+    """Every class that a module of the package defines."""
+    modules = [importlib.import_module(f"spincam.{info.name}")
+               for info in pkgutil.iter_modules(spincam.__path__)]
+    return [value for module in modules for value in vars(module).values()
+            if inspect.isclass(value) and value.__module__ == module.__name__]
+
+
+def count_constructions(monkeypatch) -> Counter:
+    """A Counter, by class name, of the objects of `spincam_classes` made
+    from now on: by a class's `__init__`, a named tuple's `__new__`, or
+    `GridDetectionMap.zeros`, which skips the constructor."""
+    built = Counter()
+
+    def counted(make):
+        def wrapper(first, *args, **kwargs):
+            built[first.__name__ if isinstance(first, type) else type(first).__name__] += 1
+            return make(first, *args, **kwargs)
+        return wrapper
+
+    # every original first: a subclass's inherited `__init__` is its base's unwrapped one
+    makers = [(cls, "__new__" if issubclass(cls, tuple) else "__init__") for cls in
+              spincam_classes()]
+    for cls, name, make in [(cls, name, getattr(cls, name)) for cls, name in makers]:
+        wrapper = counted(make)
+        monkeypatch.setattr(cls, name, staticmethod(wrapper) if name == "__new__" else wrapper)
+    zeros = GridDetectionMap.zeros
+    monkeypatch.setattr(GridDetectionMap, "zeros", staticmethod(
+        lambda *args: built.update(["GridDetectionMap"]) or zeros(*args)))
+    return built
+
+
+# Built once per frame that is not quiet, for its generator (`perception.perceive`).
+PER_FRAME_EXEMPT = {"FrameSeed"}
 
 
 def test_cli_builds_no_per_frame_objects(tmp_path, monkeypatch):
-    """simulate, downwash-eval and benchmark, with oracle and noisy
-    perception, carry frames as columns and perception as rows, not as
-    per-frame records, detection maps or estimates."""
-    built = []
-    for cls in (FrameRecord, FrameAnnotation, NeighborAnnotation, PositionEstimate,
-                GridDetectionMap):
-        init = cls.__init__
-        monkeypatch.setattr(cls, "__init__", lambda self, *args, init=init, **kwargs:
-                            built.append(type(self).__name__) or init(self, *args, **kwargs))
-    # an all-zero map is made without its constructor
-    monkeypatch.setattr(GridDetectionMap, "zeros", staticmethod(
-        lambda *args, zeros=GridDetectionMap.zeros: built.append("GridDetectionMap")
-        or zeros(*args)))
-    config = tmp_path / "wp.json"
-    config.write_text(json.dumps({
-        "kind": "random_waypoint", "num_robots": 4, "duration": 5.0, "frame_rate": 30.0,
-        "camera_pitch": "up", "rng_seed": 1,
-    }))
+    """simulate, oracle, box and grid downwash-eval, oracle and noisy
+    benchmark, and rerun build as many objects of the package's classes for
+    a 6 s flight as for a 2 s one: frames are carried as columns, not as
+    per-frame objects. The one exemption is PER_FRAME_EXEMPT."""
     noise = tmp_path / "noise.json"
     noise.write_text('{"rng_seed": 3, "false_positive_rate": 0.5}')
-    out = tmp_path / "run"
-    dataset = out / "dataset.ndjson"
-    with contextlib.redirect_stdout(io.StringIO()):
-        assert main(["simulate", "--config", str(config), "--out", str(out)]) == 0
-        assert main(["downwash-eval", "--dataset", str(dataset),
-                     "--oracle", "--out", str(out / "eval")]) == 0
-        for mode in ("box", "grid"):
-            assert main(["downwash-eval", "--dataset", str(dataset), "--noise", str(noise),
-                         "--mode", mode, "--out", str(out / mode)]) == 0
-        assert main(["benchmark", "--config", str(config), "--oracle",
-                     "--out", str(tmp_path / "bench")]) == 0
-        assert main(["benchmark", "--config", str(config), "--noise", str(noise),
-                     "--mode", "grid", "--out", str(tmp_path / "bench-grid")]) == 0
-    assert built == []
-    # positive control: the per-frame edges build each counted type
+
+    def run_matrix(duration: float):
+        out = tmp_path / f"{duration:g}s"
+        out.mkdir()
+        config = out / "wp.json"
+        config.write_text(json.dumps({
+            "kind": "random_waypoint", "num_robots": 4, "duration": duration,
+            "frame_rate": 30.0, "camera_pitch": "up", "rng_seed": 1,
+        }))
+        assert duration * 30.0 < WRITE_FRAMES  # one chunk: chunks are not frames
+        dataset = str(out / "run" / "dataset.ndjson")
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert main(["simulate", "--config", str(config), "--out", str(out / "run")]) == 0
+            assert main(["downwash-eval", "--dataset", dataset, "--oracle",
+                         "--out", str(out / "oracle")]) == 0
+            for mode in ("box", "grid"):
+                assert main(["downwash-eval", "--dataset", dataset, "--noise", str(noise),
+                             "--mode", mode, "--out", str(out / mode)]) == 0
+            assert main(["benchmark", "--config", str(config), "--oracle",
+                         "--out", str(out / "bench")]) == 0
+            assert main(["benchmark", "--config", str(config), "--noise", str(noise),
+                         "--mode", "grid", "--out", str(out / "bench-grid")]) == 0
+            assert main(["rerun", "--manifest", str(out / "box" / "manifest.json")]) == 0
+        return dataset
+
+    built = count_constructions(monkeypatch)
+    run_matrix(1.0)  # warm-up: the command parser is built once per process
+    counts = []
+    for duration in (2.0, 6.0):
+        built.clear()
+        dataset = run_matrix(duration)
+        counts.append(Counter({name: n for name, n in built.items()
+                               if name not in PER_FRAME_EXEMPT}))
+    assert counts[0] == counts[1]
+    assert counts[0]["Cell"], "the matrix ran the stacked evaluation"
+    # positive control: the per-frame edges build each per-frame type
+    built.clear()
     data = read_dataset(dataset)
     frame = next(f for f in data.frames if f.annotation.neighbors)
     intr = data.camera.intrinsics
     assert decode_detections(simulate_detector(frame.annotation, NoiseModel(miss_rate=0.0), intr,
                                                "grid"), intr)
-    assert set(built) == {"FrameRecord", "FrameAnnotation", "NeighborAnnotation",
-                          "PositionEstimate", "GridDetectionMap"}
+    assert {"FrameRecord", "FrameAnnotation", "NeighborAnnotation", "PositionEstimate",
+            "GridDetectionMap", *PER_FRAME_EXEMPT} <= set(built)

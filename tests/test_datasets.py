@@ -28,7 +28,7 @@ from spincam.datasets import (
     write_dataset,
     write_report,
 )
-from spincam.downwash import DownwashFrameResult, EllipsoidSpec
+from spincam.downwash import EllipsoidSpec
 from spincam.errors import (
     InsufficientOverlap,
     InvalidConfig,
@@ -741,6 +741,31 @@ class TestTimeOffset:
             assert max(map(abs, offsets)) <= 1.0 + 2.5e-3
             assert len(offsets) <= 2 * 1003 + 1
 
+    def test_offset_grid_over_the_bound_rejected_before_it_is_built(self, monkeypatch):
+        # 1 s at 1 kHz: a window of 0.1 s is 201 offsets, 0.101 s is 203
+        t = np.arange(0.0, 1.0, 1e-3)
+        a = GyroSequence(t, np.column_stack([np.sin(7.0 * t)] * 3))
+        monkeypatch.setattr(datasets, "MAX_OFFSETS", 201)
+        assert math.isfinite(estimate_time_offset(a, a, 0.1))
+        monkeypatch.setattr(datasets, "_offset_error", lambda *args: pytest.fail("grid built"))
+        with pytest.raises(InvalidConfig, match="needs 203 offsets, more than 201"):
+            estimate_time_offset(a, a, 0.101)
+
+    def test_offset_grid_past_the_float_range_rejected(self):
+        # a subnormal sample period against a 1000 s log, at a window past that reach
+        a = GyroSequence(np.array([0.0, 5e-324, 1e-323]), np.zeros((3, 3)))
+        b = GyroSequence(np.array([0.0, 500.0, 1000.0]), np.zeros((3, 3)))
+        with pytest.raises(InvalidConfig, match="needs inf offsets"):
+            estimate_time_offset(a, b, 1e4)
+
+    def test_rates_at_the_bound_search_finitely(self):
+        # every squared difference is (2 MAX_GYRO_RATE)^2 or 0, under error::RuntimeWarning
+        t = np.arange(0.0, 2.0, 1e-2)
+        square = datasets.MAX_GYRO_RATE * np.sign(np.sin(7.0 * t) + 0.5)
+        a = GyroSequence(t, np.column_stack([square, -square, square]))
+        b = GyroSequence(t, -a.rates)
+        assert abs(estimate_time_offset(a, b, 0.5)) <= 0.5
+
     @pytest.mark.parametrize("window", [0.12, 5.0, 1e3])
     def test_offset_errors_match_per_offset_oracle(self, monkeypatch, window):
         """Every offset's error, and so the offset found, is bitwise that of
@@ -775,7 +800,9 @@ class TestTimeOffset:
         ("0.2,1,nan,3", NonFiniteValue, "non-finite value"),
         ("0.05,1,2,3", ParseError, "timestamps must be strictly increasing, got 0.05 after 0.1"),
         ("0.1,1,2,3", ParseError, "timestamps must be strictly increasing, got 0.1 after 0.1"),
-    ], ids=["long", "short", "nan", "backwards", "repeated"])
+        ("0.2,1,-1000001,3", ParseError,
+         "rates must be within +/-1e+06 rad/s, got [1.0, -1000001.0, 3.0]"),
+    ], ids=["long", "short", "nan", "backwards", "repeated", "rate-past-bound"])
     def test_gyro_log_bad_row_names_its_line(self, tmp_path, row, error, message):
         path = tmp_path / "gyro.csv"
         path.write_text(f"t,gx,gy,gz\n0.0,1,2,3\n0.1,1,2,3\n{row}\n0.3,1,2,3\n")
@@ -810,14 +837,9 @@ class TestTimeOffset:
 
 class TestReport:
     def test_round_trip_with_footer(self, tmp_path):
-        results = [
-            DownwashFrameResult(0, False, False),
-            DownwashFrameResult(1, True, True),
-            DownwashFrameResult(2, True, False),
-            DownwashFrameResult(3, False, True),
-        ]
+        results = [(0, False, False), (1, True, True), (2, True, False), (3, False, True)]
         path = tmp_path / "report.csv"
-        counts = write_report(path, results)
+        counts = write_report(path, *map(np.array, zip(*results)))
         assert (counts.tp, counts.fn, counts.fp, counts.tn) == (1, 1, 1, 1)
         rows, summary = read_report(path)
         assert rows == results
@@ -828,7 +850,7 @@ class TestReport:
 
     def test_empty_report(self, tmp_path):
         path = tmp_path / "report.csv"
-        write_report(path, [])
+        write_report(path, *np.zeros((3, 0), dtype=bool))
         rows, summary = read_report(path)
         assert rows == []
         assert math.isnan(summary["precision"])

@@ -109,9 +109,9 @@ def record(frame, estimates=(), position=(0.0, 0.0, 0.0), quat=IDENTITY) -> tupl
 
 
 def predictions(records, camera, ellipsoid=E) -> list[bool]:
-    results = evaluate_downwash_records(run_records(("r0", *SEEN_IDS), records), camera,
-                                        ellipsoid)
-    return [r.pred_downwash for r in results]
+    _, _, pred = evaluate_downwash_records(run_records(("r0", *SEEN_IDS), records), camera,
+                                           ellipsoid)
+    return pred.tolist()
 
 
 class TestPredictDownwash:
@@ -119,8 +119,8 @@ class TestPredictDownwash:
         # a neighbor in the ellipsoid that perception never saw predicts nothing
         unseen = run_records(("r0", "r1"), [(0, 0.0, [[0.0, 0.0, 0.0], [0.0, 0.0, 0.2]],
                                              [IDENTITY] * 2, [])])
-        (result,) = evaluate_downwash_records(unseen, identity_camera, E)
-        assert result.gt_downwash and not result.pred_downwash
+        _, (gt,), (pred,) = evaluate_downwash_records(unseen, identity_camera, E)
+        assert gt and not pred
 
     def test_belief_directly_overhead(self, identity_camera):
         # identity extrinsic: camera looks along world +z; margin 0.2/0.3 = 0.667 < 2
@@ -217,11 +217,11 @@ class TestUpdateBelief:
                               [(f, float(f), row, [IDENTITY] * robots, []) for f in range(frames)])
         tracemalloc.start()
         try:
-            results = evaluate_downwash_records(records, identity_camera, E, mode="omni")
+            frame_ids, _, _ = evaluate_downwash_records(records, identity_camera, E, mode="omni")
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert len(results) == frames and peak < 16 * 2**20
+        assert len(frame_ids) == frames and peak < 16 * 2**20
 
     def test_idempotent_on_empty_frames(self, identity_camera):
         records = [record(0, [(0.0, 0.0, 1.5)])] + [
@@ -233,10 +233,10 @@ class TestRunDownwashEval:
     def test_single_robot_is_vacuous(self):
         cfg = ScenarioConfig(kind="random_waypoint", num_robots=1, duration=5.0, rng_seed=0)
         tracks = generate_scenario(cfg)
-        results = run_downwash_eval(
+        gt, pred = run_downwash_eval(
             tracks, camera_for_pitch("up"), frame_schedule(cfg), cfg.ellipsoid, ego_id="r0"
         )
-        assert results and all(not r.gt_downwash and not r.pred_downwash for r in results)
+        assert gt.size and not gt.any() and not pred.any()
 
     @pytest.mark.parametrize("kind,num,duration,seed", [
         ("swap", 2, 14.0, 0),
@@ -246,11 +246,11 @@ class TestRunDownwashEval:
     def test_omnidirectional_oracle_matches_ground_truth(self, kind, num, duration, seed):
         cfg = ScenarioConfig(kind=kind, num_robots=num, duration=duration, rng_seed=seed)
         tracks = generate_scenario(cfg)
-        results = run_downwash_eval(
+        gt, pred = run_downwash_eval(
             tracks, camera_for_pitch("forward"), frame_schedule(cfg), cfg.ellipsoid,
             ego_id="r0", mode="omni",
         )
-        assert all(r.pred_downwash == r.gt_downwash for r in results)
+        assert np.array_equal(pred, gt)
 
     def test_oracle_up_camera_beats_forward_on_swap(self):
         cfg = ScenarioConfig(kind="swap", num_robots=2, duration=14.0)
@@ -258,12 +258,12 @@ class TestRunDownwashEval:
         frames = frame_schedule(cfg)
 
         def f1_for(pitch: str) -> float:
-            results = run_downwash_eval(
+            gt, pred = run_downwash_eval(
                 tracks, camera_for_pitch(pitch), frames, cfg.ellipsoid, ego_id="r0"
             )
-            tp = sum(r.gt_downwash and r.pred_downwash for r in results)
-            fp = sum(not r.gt_downwash and r.pred_downwash for r in results)
-            fn = sum(r.gt_downwash and not r.pred_downwash for r in results)
+            tp = int((gt & pred).sum())
+            fp = int((~gt & pred).sum())
+            fn = int((gt & ~pred).sum())
             return 2.0 * tp / (2.0 * tp + fp + fn) if tp else 0.0
 
         assert f1_for("up") >= 0.95

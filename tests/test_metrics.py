@@ -242,10 +242,17 @@ class TestClassificationMetrics:
             p, r, f1 = classification_metrics(counts)
             assert min(p, r) - 1e-12 <= f1 <= max(p, r) + 1e-12
 
-    def test_from_pairs_counting(self):
-        pairs = [(True, True), (True, False), (False, True), (False, False), (True, True)]
-        counts = ConfusionCounts.from_pairs(pairs)
+    def test_from_columns_counting(self):
+        gt = np.array([True, True, False, False, True])
+        pred = np.array([True, False, True, False, True])
+        counts = ConfusionCounts.from_columns(gt, pred)
         assert (counts.tp, counts.fn, counts.fp, counts.tn) == (2, 1, 1, 1)
+        assert ConfusionCounts.from_columns([], []) == ConfusionCounts()
+
+    @pytest.mark.parametrize("gt, pred", [([True], [True, False]), ([[True]], [[True]])])
+    def test_from_columns_rejects_unequal_or_non_column_shapes(self, gt, pred):
+        with pytest.raises(ValueError, match="columns of one length"):
+            ConfusionCounts.from_columns(gt, pred)
 
     def test_negative_counts_rejected(self):
         with pytest.raises(ValueError):
