@@ -6,17 +6,22 @@ inverting the pinhole projection. A configurable noise model stands in for
 the neural detectors so the evaluation protocol can run without images.
 
 `detect_rows` simulates the detector on one frame's neighbor rows, in the
-`RunRecords` layout, with that frame's `frame_rng`. Each route has one
-decoder, which takes many detections at once: `_box_positions` decodes box
-rows with one BLAS pass for all their rays' dots, and `decode_grid_frames`
-finds the peaks of a stack of grids with one threshold pass. Per element,
-each does scalar arithmetic, so a position has the same bits however many
-are decoded together. `perceive` is a run's perception pass: it runs the
-detector frame by frame, every frame's generator seeded from one
-`seeding.frame_seeds` pass, and decodes BATCH_FRAMES frames at a time.
-`simulate_detector`, `decode_box`, `decode_grid` and `decode_detections` are
-the one-frame and one-row cases, over a `FrameAnnotation`, a
-`GridDetectionMap` and `PositionEstimate`s.
+`RunRecords` layout, with that frame's `frame_rng`; its arithmetic runs per
+row in Python, and its draws take as few generator calls as keep numpy's
+stream. Each route has one decoder, which takes many detections at once.
+`_box_positions` decodes box rows row by row below BOX_ARRAY_ROWS of them
+and in array passes from there on, with one BLAS pass for all their rays'
+dots either way; numpy's +, -, *, / and sqrt round as Python's floats do,
+while `math.acos`, `math.sin` and the lens inverse run per row.
+`decode_grid_frames` finds the peaks of a stack of grids with one
+threshold pass and compares per found cell. So a position has the same
+bits however many are decoded together. `perceive` is a run's perception
+pass: it runs the detector frame by frame, every frame's generator seeded
+from one `seeding.frame_seeds` pass, and decodes box rows BATCH_BOX_ROWS
+at a time and grids BATCH_FRAMES frames at a time, which bounds what it
+holds at any false-positive rate. `simulate_detector`, `decode_box`,
+`decode_grid` and `decode_detections` are the one-frame and one-row cases,
+over a `FrameAnnotation`, a `GridDetectionMap` and `PositionEstimate`s.
 
 A quiet frame, one with no neighbor rows whose false-positive count the
 first uniform of its stream alone makes 0 (`_quiet_below`), detects
@@ -45,11 +50,18 @@ DEFAULT_GRID_ROWS = 28
 DEFAULT_GRID_COLS = 40
 DEFAULT_GRID_THRESHOLD = 0.5
 # Upper bound on NoiseModel.false_positive_rate, the mean number of fabricated
-# detections per frame; each one is drawn one by one.
+# detections per frame; each one is made by Python arithmetic per row.
 MAX_FALSE_POSITIVE_RATE = 100.0
-# Frames whose detections `perceive` decodes together; their grids are a
-# (2, 8, 28, 40) buffer of float64, 143 KB
+# Frames whose grids `perceive` decodes together, in grid mode; their grids
+# are a (2, 8, 28, 40) buffer of float64, 143 KB
 BATCH_FRAMES = 8
+# Box rows that `perceive` decodes together, in box mode, whatever the
+# false-positive rate; the decoder's largest temporaries are (2048, 3)
+# float64, 48 KB
+BATCH_BOX_ROWS = 1024
+# Boxes from which `_box_positions` decodes in array passes; fewer are
+# decoded row by row, which costs less below it on a 2-vCPU Xeon
+BOX_ARRAY_ROWS = 16
 
 
 @dataclass(eq=False)
@@ -71,10 +83,11 @@ class GridDetectionMap:
 
     @staticmethod
     def zeros(rows: int = DEFAULT_GRID_ROWS, cols: int = DEFAULT_GRID_COLS) -> "GridDetectionMap":
-        """An all-zero map. Its channels are finite and of one shape as made,
-        so it skips the constructor's checks, which cost more than the map."""
-        gmap = object.__new__(GridDetectionMap)
-        gmap.confidence, gmap.depth = np.zeros((rows, cols)), np.zeros((rows, cols))
+        """An all-zero map, both channels from one allocation. Its channels
+        are finite and of one shape as made, so it skips the constructor's
+        checks, which cost more than the map."""
+        gmap, channels = object.__new__(GridDetectionMap), np.zeros((2, rows, cols))
+        gmap.confidence, gmap.depth = channels[0], channels[1]
         return gmap
 
 
@@ -114,20 +127,19 @@ class PositionEstimate:
             raise ValueError("estimate depth must be positive")
 
 
-def _dots(a: list, b: list | None = None) -> list[float]:
-    """Dot products of the rows (3,) of a with those of b, or with
+def _dots(a, b=None) -> np.ndarray:
+    """Dot products (N,) of the rows (3,) of a with those of b, or with
     themselves. Each equals `np.array(a[k]).dot(b[k])` bitwise: a stacked
     vector-vector matmul calls the BLAS dot that `ndarray.dot` does, whose
     order of summation `np.einsum` and a plain `x*x + y*y + z*z` do not
     keep."""
     a = np.array(a, dtype=float).reshape(-1, 3)
     b = a if b is None else np.array(b, dtype=float).reshape(-1, 3)
-    return np.matmul(a[:, None, :], b[:, :, None]).ravel().tolist()
+    return np.matmul(a[:, None, :], b[:, :, None]).ravel()
 
 
-def _box_positions(boxes: list, intr: CameraIntrinsics,
-                   radius: float) -> tuple[list[int], np.ndarray]:
-    """The rows of the boxes, a list of rows whose first four entries are a
+def _box_positions(boxes, intr: CameraIntrinsics, radius: float) -> tuple[list[int], np.ndarray]:
+    """The rows of the boxes (N, >= 4), rows whose first four entries are a
     box (u_min, v_min, u_max, v_max), that give a position, ascending, and
     their camera-frame positions (M, 3) for spheres of the known radius.
 
@@ -139,11 +151,22 @@ def _box_positions(boxes: list, intr: CameraIntrinsics,
     reach or its undistorted point's squared norm is not finite (huge
     pixels), or when its rays subtend no angle or are antipodal.
 
-    The rays, then the ray pairs' cosines and bisectors, take their BLAS
-    dots in one pass each over all the boxes (`_dots`). The rest is scalar
-    arithmetic per box, with min/max clipping a float to the value np.clip
-    gives, NaN included, so a position has the same bits however many boxes
-    are decoded together."""
+    Fewer than BOX_ARRAY_ROWS boxes are decoded row by row
+    (`_box_positions_by_row`), more in array passes
+    (`_box_positions_by_array`), whose fixed cost only that many rows repay.
+    Both take the rays' BLAS dots in one `_dots` pass each, and both do the
+    same IEEE arithmetic per element, so a position has the same bits
+    however many boxes are decoded together."""
+    boxes = np.asarray(boxes, dtype=float)
+    if len(boxes) < BOX_ARRAY_ROWS:
+        return _box_positions_by_row(boxes.tolist(), intr, radius)
+    return _box_positions_by_array(boxes, intr, radius)
+
+
+def _box_positions_by_row(boxes: list, intr: CameraIntrinsics,
+                          radius: float) -> tuple[list[int], np.ndarray]:
+    """`_box_positions` of a list of rows, in scalar arithmetic per box,
+    with min/max clipping a float to the value np.clip gives, NaN included."""
     cx, cy, fx, fy, k1 = intr.cx, intr.cy, intr.fx, intr.fy, intr.k1
     rows, points = [], []
     for k, (u_min, v_min, u_max, v_max, *_rest) in enumerate(boxes):
@@ -160,12 +183,13 @@ def _box_positions(boxes: list, intr: CameraIntrinsics,
         points += ((x1, y1, 1.0), (x2, y2, 1.0))
         rows.append(k)
     # a ray is its point at depth 1 over the point's norm
-    rays = [(x / n, y / n, z / n) for (x, y, z), n in zip(points, map(math.sqrt, _dots(points)))]
+    norms = map(math.sqrt, _dots(points).tolist())
+    rays = [(x / n, y / n, z / n) for (x, y, z), n in zip(points, norms)]
     a1, a2 = rays[0::2], rays[1::2]
     centers = [(0.5 * (x1 + x2), 0.5 * (y1 + y2), 0.5 * (z1 + z2))
                for (x1, y1, z1), (x2, y2, z2) in zip(a1, a2)]
     # one BLAS pass: the pairs' cosines, then the centers' squared norms
-    dots = _dots(a1 + centers, a2 + centers)
+    dots = _dots(a1 + centers, a2 + centers).tolist()
     decoded, positions = [], []
     for k, cosine, square, (x, y, z) in zip(rows, dots, dots[len(rows):], centers):
         alpha, norm = math.acos(min(max(cosine, -1.0), 1.0)), math.sqrt(square)
@@ -175,6 +199,55 @@ def _box_positions(boxes: list, intr: CameraIntrinsics,
         decoded.append(k)
         positions.append((d * x / norm, d * y / norm, d * z / norm))
     return decoded, np.array(positions, dtype=float).reshape(-1, 3)
+
+
+def _box_positions_by_array(boxes: np.ndarray, intr: CameraIntrinsics,
+                            radius: float) -> tuple[list[int], np.ndarray]:
+    """`_box_positions` of an (N, >= 4) array, in the by-row arithmetic done
+    elementwise. numpy's +, -, *, / and sqrt round as Python's floats do;
+    its SIMD arccos, sin and hypot loops need not, so `math.acos`,
+    `math.sin` and, for a lens with k1 != 0, `undistort_normalized` run per
+    row. Overflow and NaN arise only in rows the masks drop."""
+    cx, cy, fx, fy, k1 = intr.cx, intr.cy, intr.fx, intr.fy, intr.k1
+    u_min, v_min, u_max, v_max = boxes[:, :4].T
+    with np.errstate(over="ignore", invalid="ignore"):
+        rows = np.flatnonzero(~(u_max <= u_min))
+        y1 = (0.5 * (v_min[rows] + v_max[rows]) - cy) / fy
+        x1, x2, y2 = (u_min[rows] - cx) / fx, (u_max[rows] - cx) / fx, y1
+        if k1 != 0.0:
+            x1, y1, x2, y2, reach = _undistort_edges(x1, x2, y1, k1)
+            rows = rows[reach]
+        finite = (x1 * x1 + y1 * y1 < math.inf) & (x2 * x2 + y2 * y2 < math.inf)
+        rows, count = rows[finite], int(finite.sum())
+        points = np.ones((2 * count, 3))
+        points[:count, 0], points[:count, 1] = x1[finite], y1[finite]
+        points[count:, 0], points[count:, 1] = x2[finite], y2[finite]
+        # a ray is its point at depth 1 over the point's norm
+        rays = points / np.sqrt(_dots(points))[:, None]
+        a1, a2 = rays[:count], rays[count:]
+        centers = 0.5 * (a1 + a2)
+        # one BLAS pass: the pairs' cosines, then the centers' squared norms
+        dots = _dots(np.concatenate([a1, centers]), np.concatenate([a2, centers]))
+        cosines = np.minimum(np.maximum(dots[:count], -1.0), 1.0).tolist()
+        alpha, norm = np.array(list(map(math.acos, cosines))), np.sqrt(dots[count:])
+        good = ~(alpha <= 0.0) & ~(norm == 0.0)
+        d = radius / np.array(list(map(math.sin, (0.5 * alpha[good]).tolist())))
+        return rows[good].tolist(), d[:, None] * centers[good] / norm[good, None]
+
+
+def _undistort_edges(x1, x2, yd, k1: float):
+    """The undistorted edge points of boxes whose distorted ones are (x1,
+    yd) and (x2, yd), each by `undistort_normalized`, and the mask of the
+    boxes whose two points are within the lens's reach."""
+    out, reach = [], []
+    for xa, xb, y in zip(x1.tolist(), x2.tolist(), yd.tolist()):
+        try:
+            out.append((*undistort_normalized(xa, y, k1), *undistort_normalized(xb, y, k1)))
+            reach.append(True)
+        except OutOfRange:
+            reach.append(False)
+    x1, y1, x2, y2 = np.array(out, dtype=float).reshape(-1, 4).T
+    return x1, y1, x2, y2, np.array(reach, dtype=bool)
 
 
 def decode_box(box, intr: CameraIntrinsics, radius: float) -> PositionEstimate:
@@ -271,12 +344,17 @@ def decode_grid_frames(
     found = (~(cells < threshold)).nonzero()[0]
     if not len(found):
         return found, np.empty((0, 3))
-    values = dict(zip(found.tolist(), cells[found].tolist()))
+    flat, levels = found.tolist(), cells[found].tolist()
+    values = dict(zip(flat, levels))
     offsets, centers = _grid_cells(intr, rows, cols)
-    size, depths = rows * cols, depth.reshape(-1)
+    size, depths, last, reach = rows * cols, depth.reshape(-1), len(flat) - 1, cols + 1
     frames, positions = [], []
-    for cell, value in values.items():
-        if any(values.get(cell + offset, value) > value for offset in offsets[cell % size]):
+    for k, (cell, value) in enumerate(zip(flat, levels)):
+        # a neighbor lies at most `reach` cells away in flat order: a cell
+        # with no other found cell that near has no found neighbor
+        near = (k and cell - flat[k - 1] <= reach) or (k < last and flat[k + 1] - cell <= reach)
+        if near and any(values.get(cell + offset, value) > value
+                        for offset in offsets[cell % size]):
             continue
         z = depths.item(cell)
         if z <= 0.0:
@@ -342,7 +420,8 @@ def detect_rows(
     confidence and depth channels that must hold zeros, and returns no
     tuples. `radius` sizes the fabricated false-positive boxes.
     """
-    kept = [k for k in range(len(bboxes)) if rng.random() >= noise.miss_rate]
+    misses = rng.random(len(bboxes)).tolist() if len(bboxes) else []
+    kept = [k for k, draw in enumerate(misses) if draw >= noise.miss_rate]
     n_false = int(rng.poisson(noise.false_positive_rate))
 
     if mode == "box":
@@ -353,30 +432,34 @@ def detect_rows(
             u_lo, u_hi = sorted((u_min + du[0], u_max + du[1]))
             v_lo, v_hi = sorted((v_min + du[2], v_max + du[3]))
             detections.append((u_lo, v_lo, u_hi, v_hi, _uniform(rng, *noise.true_confidence)))
-        for _ in range(n_false):
-            depth = _uniform(rng, 0.5, 3.0)
+        # each false positive's four uniforms (`_uniform`'s draws), in order
+        draws = rng.random(4 * n_false).tolist() if n_false else []
+        conf_lo, conf_hi = noise.false_confidence
+        for k in range(0, 4 * n_false, 4):
+            depth = 0.5 + (3.0 - 0.5) * draws[k]
             half_w = intr.fx * radius / depth
             half_h = intr.fy * radius / depth
             # a box wider or taller than the image is centred on it
-            cu = _uniform(rng, min(half_w, intr.width / 2),
-                          max(intr.width - half_w, intr.width / 2))
-            cv = _uniform(rng, min(half_h, intr.height / 2),
-                          max(intr.height - half_h, intr.height / 2))
+            lo, hi = min(half_w, intr.width / 2), max(intr.width - half_w, intr.width / 2)
+            cu = lo + (hi - lo) * draws[k + 1]
+            lo, hi = min(half_h, intr.height / 2), max(intr.height - half_h, intr.height / 2)
+            cv = lo + (hi - lo) * draws[k + 2]
             detections.append((cu - half_w, cv - half_h, cu + half_w, cv + half_h,
-                               _uniform(rng, *noise.false_confidence)))
+                               conf_lo + (conf_hi - conf_lo) * draws[k + 3]))
         return detections
 
     confidence, depths = grid
     rows, cols = confidence.shape
     for k in kept:
         u, v = centers[k]
-        du, dv = rng.normal(0.0, noise.pixel_sigma, size=2).tolist()
+        # rng.normal(0.0, s), bitwise, for each of du, dv and the depth's
+        # factor: numpy draws 0.0 + s * standard_normal() too
+        zu, zv, zd = rng.standard_normal(3).tolist()
+        du, dv = 0.0 + noise.pixel_sigma * zu, 0.0 + noise.pixel_sigma * zv
         # min/max clip a float to the value np.clip gives, NaN included
         center = (min(max(u + du, 0.0), intr.width - 1e-9),
                   min(max(v + dv, 0.0), intr.height - 1e-9))
-        # rng.normal(0.0, s), bitwise: numpy draws 0.0 + s * standard_normal() too
-        depth = float(rel_positions[k][2]) * (
-            1.0 + (0.0 + noise.depth_rel_sigma * rng.standard_normal()))
+        depth = float(rel_positions[k][2]) * (1.0 + (0.0 + noise.depth_rel_sigma * zd))
         depth = max(depth, 1e-3)
         row, col = grid_cell_of(center, intr, rows, cols)
         if _claims_cell(confidence, depths, row, col, depth):
@@ -411,9 +494,12 @@ def perceive(records: RunRecords, mode: str, noise: NoiseModel | None, intr: Cam
     Oracle perception is the visible neighbors' true positions. Box and grid
     perception run `detect_rows` on every frame that is not quiet, each
     frame's generator seeded from one `seeding.frame_seeds` pass over the
-    run, with the stream that `frame_rng` gives. Every BATCH_FRAMES such
-    frames, their detections are decoded together: box mode's rows in one
-    `_box_positions` pass, and grid mode's grids, written into one buffer, in
+    run, with the stream that `frame_rng` gives; the detector's draws and
+    arithmetic are Python per frame and per row. Box mode gathers the
+    frames' detection rows and decodes every BATCH_BOX_ROWS of them, which
+    may split a frame, in one `_box_positions` call of array passes, so its
+    decoder's temporaries are bounded at any false-positive rate. Grid mode
+    writes BATCH_FRAMES frames' grids into one buffer and decodes them in
     one `decode_grid_frames` pass."""
     if mode == "oracle":
         return records.owner, records.rel_positions
@@ -432,27 +518,35 @@ def perceive(records: RunRecords, mode: str, noise: NoiseModel | None, intr: Cam
                            rel_positions[lo:hi], centers[lo:hi], bboxes[lo:hi],
                            noise, intr, mode, radius, grid)
 
-    if mode != "box":
-        grids = np.zeros((2, BATCH_FRAMES, DEFAULT_GRID_ROWS, DEFAULT_GRID_COLS))
     owners, positions = [np.empty(0, dtype=np.int64)], [np.empty((0, 3))]
+    if mode == "box":
+        budget, owner, rows = BATCH_BOX_ROWS, [], []
+
+        def decode():
+            decoded, estimates = _box_positions(rows[:budget], intr, radius)
+            owners.append(np.array(owner[:budget], dtype=np.int64)[decoded])
+            positions.append(estimates)
+            del owner[:budget], rows[:budget]
+
+        for f in busy:
+            detections = detect(f, None)
+            owner += [f] * len(detections)
+            rows += detections
+            while len(rows) >= budget:
+                decode()
+        if rows:
+            decode()
+        return np.concatenate(owners), np.concatenate(positions)
+    grids = np.zeros((2, BATCH_FRAMES, DEFAULT_GRID_ROWS, DEFAULT_GRID_COLS))
     for start in range(0, len(busy), BATCH_FRAMES):
         frames = busy[start:start + BATCH_FRAMES]
-        if mode == "box":
-            owner, rows = [], []
-            for f in frames:
-                detections = detect(f, None)
-                owner += [f] * len(detections)
-                rows += detections
-            decoded, estimates = _box_positions(rows, intr, radius)
-            owners.append(np.array([owner[k] for k in decoded], dtype=np.int64))
-        else:
-            for k, f in enumerate(frames):
-                detect(f, (grids[0, k], grids[1, k]))
-            frame, estimates = decode_grid_frames(grids[0, :len(frames)], grids[1, :len(frames)],
-                                                  intr)
-            owners.append(np.array(frames, dtype=np.int64)[frame])
-            grids.fill(0.0)
+        for k, f in enumerate(frames):
+            detect(f, (grids[0, k], grids[1, k]))
+        frame, estimates = decode_grid_frames(grids[0, :len(frames)], grids[1, :len(frames)],
+                                              intr)
+        owners.append(np.array(frames, dtype=np.int64)[frame])
         positions.append(estimates)
+        grids.fill(0.0)
     return np.concatenate(owners), np.concatenate(positions)
 
 
@@ -494,10 +588,10 @@ def decode_detections(
 ) -> list[PositionEstimate]:
     """Decode either detector output form into position estimates: one
     frame of `decode_grid_frames`, or the (D, 5) box rows in one
-    `_box_positions` pass."""
+    `_box_positions` call."""
     if isinstance(output, GridDetectionMap):
         return decode_grid(output, intr)
     if not len(output):  # most frames: skip the decoder's fixed cost
         return []
-    _rows, positions = _box_positions(output.tolist(), intr, radius)
+    _rows, positions = _box_positions(output, intr, radius)
     return [PositionEstimate(position=p) for p in positions]

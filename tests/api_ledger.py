@@ -172,6 +172,8 @@ LEDGER = {
     "perception.DEFAULT_GRID_THRESHOLD": "cli",
     "perception.MAX_FALSE_POSITIVE_RATE": "cli",
     "perception.BATCH_FRAMES": "cli",
+    "perception.BATCH_BOX_ROWS": "cli",
+    "perception.BOX_ARRAY_ROWS": "cli",
     "perception.GridDetectionMap": "criterion 6",
     "perception.GridDetectionMap.zeros": "criterion 6",
     "perception.NoiseModel": "cli",

@@ -28,6 +28,7 @@ from run_columns import IDENTITY, annotated, run_records, simulated
 from test_perception import clip_ray_position, norm_pixel_ray
 
 import spincam
+from spincam import perception
 from spincam.camera import (
     CameraIntrinsics,
     FrameAnnotation,
@@ -84,10 +85,13 @@ DISTORTIONS = (0.0, -0.08)
 def noise_models(seeds) -> list[NoiseModel]:
     """Noise at false-positive rate 0.5 for every seed, and at the first seed
     on each branch of numpy's poisson: no draw at rate 0, a zero decided by
-    one uniform below 10 (the frames `perceive` skips), and PTRS at 12."""
+    one uniform below 10 (the frames `perceive` skips), and PTRS at 12; and
+    at both ends of the miss rate, where a frame's one miss draw keeps every
+    row (0) or none (1)."""
     return ([NoiseModel(rng_seed=seed, false_positive_rate=0.5) for seed in seeds]
             + [NoiseModel(rng_seed=seeds[0], false_positive_rate=rate)
-               for rate in (0.0, 0.05, 12.0)])
+               for rate in (0.0, 0.05, 12.0)]
+            + [NoiseModel(rng_seed=seeds[0], miss_rate=rate) for rate in (0.0, 1.0)])
 
 
 def cross_formula(q, v) -> np.ndarray:
@@ -524,22 +528,57 @@ def test_run_perception_matches_per_frame_detector_on_wide_seeds(kind, pitch):
     assert_run_perception_matches_per_frame(records, camera, seeds=(2**64, 2**64 + 5, 2**32))
 
 
-def assert_run_perception_matches_per_frame(records, camera, seeds):
+def assert_run_perception_matches_per_frame(records, camera, seeds=(), noises=()):
     """`perceive` owners and positions, box and grid mode, bitwise equal to
     per-frame `simulate_detector` and `decode_detections` under each of
-    `noise_models(seeds)`."""
+    `noise_models(seeds)`, or of `noises`."""
     intr, radius = camera.intrinsics, DEFAULT_ROBOT_GEOMETRY.sphere_radius
-    for noise in noise_models(seeds):
+    for noise in noises or noise_models(seeds):
         for mode in ("box", "grid"):
             owner, positions = perceive(records, mode, noise, intr, radius)
             frames = [decode_detections(simulate_detector(annotation, noise, intr, mode,
                                                           radius=radius), intr, radius=radius)
                       for annotation in records.annotations()]
             counts = [len(estimates) for estimates in frames]
-            assert sum(counts) > len(records.owner) // 2, "too few estimates for a comparison"
+            # a detector that misses every row perceives false positives alone
+            assert sum(counts) > len(records.owner) // 2 or noise.miss_rate == 1.0, \
+                "too few estimates for a comparison"
             assert owner.tobytes() == np.repeat(np.arange(len(records)), counts).tobytes()
             assert positions.tobytes() == np.reshape(
                 [e.position for estimates in frames for e in estimates], (-1, 3)).tobytes()
+
+
+@pytest.mark.parametrize("budget", (7, 37))
+def test_box_row_budget_may_split_a_frame(monkeypatch, budget):
+    """Box perception decodes its rows BATCH_BOX_ROWS at a time. A budget
+    that splits frames' rows between calls, row by row below BOX_ARRAY_ROWS
+    (7) and in array passes from it on (37), gives the owners and positions
+    of the default budget and of the per-frame detector, at false-positive
+    rate 12, about a dozen rows a frame."""
+    camera = camera_for_pitch("tilt45")
+    intr, radius = camera.intrinsics, DEFAULT_ROBOT_GEOMETRY.sphere_radius
+    records = simulated(config("hover_orbit", "tilt45"), camera, DEFAULT_ROBOT_GEOMETRY)
+    noise = NoiseModel(rng_seed=3, false_positive_rate=12.0)
+    owner, positions = perceive(records, "box", noise, intr, radius)
+    counts = np.cumsum([len(simulate_detector(annotation, noise, intr, "box", radius=radius))
+                        for annotation in records.annotations()])
+    assert counts[-1] > perception.BATCH_BOX_ROWS, "the default budget decodes one chunk"
+    calls, decoder = [], perception._box_positions
+
+    def decode(rows, *args):
+        calls.append(len(rows))
+        return decoder(rows, *args)
+
+    monkeypatch.setattr(perception, "BATCH_BOX_ROWS", budget)
+    monkeypatch.setattr(perception, "_box_positions", decode)
+    split_owner, split_positions = perceive(records, "box", noise, intr, radius)
+    assert split_owner.tobytes() == owner.tobytes()
+    assert split_positions.tobytes() == positions.tobytes()
+    full, rest = divmod(int(counts[-1]), budget)
+    assert calls == [budget] * full + [rest] * (rest > 0)
+    # chunk ends that fall inside a frame's rows
+    assert set(range(budget, int(counts[-1]), budget)) - set(counts.tolist())
+    assert_run_perception_matches_per_frame(records, camera, noises=[noise])
 
 
 def isolated_grid_rows(kind, pitch, k1):

@@ -10,6 +10,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.optimize import linear_sum_assignment
 
+from spincam import metrics
 from spincam.errors import CardinalityMismatch
 from spincam.metrics import (
     AssignmentResult,
@@ -215,6 +216,97 @@ class TestPositionErrors:
     def test_rejects_non_finite_positions(self):
         with pytest.raises(ValueError, match="finite"):
             position_errors([(0.0, 0.0, math.nan)], [(0.0, 0.0, 1.0)])
+
+    @pytest.mark.parametrize("bad", (math.nan, math.inf, -math.inf))
+    @pytest.mark.parametrize("pairs", (1, 2, 3))
+    def test_rejects_non_finite_positions_matched_with_or_without_the_loop(self, bad, pairs):
+        preds = [(0.0, 0.0, 1.0 + k) for k in range(pairs)]
+        with pytest.raises(ValueError, match="finite"):
+            position_errors(preds[:-1] + [(0.0, 0.0, bad)], preds)
+        with pytest.raises(ValueError, match="finite"):
+            position_errors(preds, [(bad, 0.0, 1.0)] + preds[1:])
+
+
+def loop_matched_costs(preds, gts) -> list[float]:
+    """The costs that the shortest-path loop, `metrics._shortest_path_columns`,
+    matches on the cost matrix of `position_errors`."""
+    preds, gts = np.asarray(preds, dtype=float), np.asarray(gts, dtype=float)
+    cost = [[math.sqrt(d.dot(d)) for d in (p - g for g in gts)] for p in preds]
+    return [row[j] for row, j in zip(cost, metrics._shortest_path_columns(cost))]
+
+
+def ulp_apart(cost: list[list[float]]) -> tuple[list[list[float]], ...]:
+    """Copies of a 2x2 `cost` whose last entry makes the two pairings' totals
+    tie up to rounding, and that entry one ulp above and below."""
+    (a, b), (c, _d) = cost
+    tie = b + c - a
+    return [[a, b], [c, tie]], [[a, b], [c, math.nextafter(tie, math.inf)]], \
+        [[a, b], [c, math.nextafter(tie, -math.inf)]]
+
+
+POSITIONS = st.lists(st.floats(-100.0, 100.0), min_size=3, max_size=3)
+SMALL_COSTS = st.integers(1, 2).flatmap(lambda n: st.lists(st.lists(st.one_of(
+    st.floats(-1e300, 1e300), st.integers(-3, 3).map(float), st.just(-0.0),
+    st.sampled_from([1.7e308, -1.7e308, 1e308, -1e308, 5e-324])),
+    min_size=n, max_size=n), min_size=n, max_size=n))
+
+
+class TestSmallFrameMatching:
+    """A 1x1 or 2x2 cost is matched without the shortest-path loop, to the
+    columns the loop matches; a larger cost still runs it."""
+
+    @settings(max_examples=400, deadline=None, derandomize=True, database=None)
+    @given(st.integers(1, 2).flatmap(lambda n: st.tuples(
+        st.lists(POSITIONS, min_size=n, max_size=n), st.lists(POSITIONS, min_size=n, max_size=n))))
+    @example(([[1.0, 0.0, 2.0], [-1.0, 0.0, 2.0]], [[0.0, 1.0, 2.0], [0.0, -1.0, 2.0]]))
+    @example(([[0.0, 0.0, 1.0], [0.0, 0.0, 1.0]], [[0.0, 0.0, 2.0], [0.0, 0.0, 2.0]]))
+    @example(([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0]], [[0.0, 0.0, 0.0], [1.0, 0.0, 0.0]]))
+    def test_position_errors_match_the_loop(self, frame):
+        preds, gts = frame
+        errors = position_errors(preds, gts)
+        assert [e.hex() for e in errors] == [e.hex() for e in loop_matched_costs(preds, gts)]
+
+    @settings(max_examples=400, deadline=None, derandomize=True, database=None)
+    @given(SMALL_COSTS)
+    @example([[1e308, -1e308], [-1e308, 1e308]])
+    @example([[-1.7e308, 1.7e308], [-0.9e308, 0.9e308]])
+    @example([[8e307, -4e307], [1.0, 4e307]])
+    @example([[0.0, -0.0], [-0.0, 0.0]])
+    @example([[5e-324, 0.0], [0.0, 5e-324]])
+    def test_columns_equal_the_loop_at_ties_and_one_ulp(self, cost):
+        """Exact ties, totals one ulp apart, subnormal costs and costs whose
+        magnitudes sum near or past the float range: the columns, or the
+        overflow's ValueError, are the loop's."""
+        for case in (cost, *ulp_apart(cost)) if len(cost) == 2 else (cost,):
+            try:
+                expected = metrics._shortest_path_columns(case)
+            except ValueError:
+                with pytest.raises(ValueError):
+                    metrics._assignment_columns(case)
+                continue
+            assert metrics._assignment_columns(case) == expected
+
+    def test_ties_and_one_ulp_reach_the_loop(self, monkeypatch):
+        """Only a 2x2 whose totals lie further apart than rounding, and a 1x1,
+        skip the loop; a 3-pair frame runs it."""
+        calls, loop = [], metrics._shortest_path_columns
+
+        def spy(cost):
+            calls.append(len(cost))
+            return loop(cost)
+
+        monkeypatch.setattr(metrics, "_shortest_path_columns", spy)
+        tie, above, below = ulp_apart([[1.0, 2.0], [2.5, 0.0]])
+        for cost in ([[3.0]], [[1.0, 2.0], [2.0, 1.0]], [[2.0, 1.0], [1.0, 2.0]]):
+            metrics._assignment_columns(cost)
+        assert calls == []
+        for cost in (tie, above, below, [[1.0, 2.0, 3.0], [2.0, 1.0, 3.0], [3.0, 2.0, 1.0]]):
+            metrics._assignment_columns(cost)
+        assert calls == [2, 2, 2, 3]
+        calls.clear()
+        preds = [(0.0, 0.0, 1.0), (0.0, 0.5, 1.0), (0.5, 0.0, 2.0)]
+        position_errors(preds, preds[::-1])
+        assert calls == [3]
 
 
 class TestClassificationMetrics:

@@ -203,11 +203,22 @@ class TestScalarKernelsMatchNumpyFormulas:
                 clip_ray_position(a, -a, 0.05)
 
 
+# huge pixels, whose undistorted edge points' squared norms overflow
+HUGE_BOXES = [[0.0, 0.0, 1e300, 1e300], [-1e300, 0.0, 0.0, 10.0], [0.0, 1e200, 10.0, 1e200],
+              [1.7e308, 10.0, 1.79e308, 12.0]]
+# a barrel lens that `CameraIntrinsics` accepts, whose fold lies exactly at
+# the corner of the default 320x320 image
+CORNER_RADIUS = math.hypot(160.0 / 170.0, 160.0 / 170.0)
+CORNER_FOLD_K1 = -4.0 / (27.0 * CORNER_RADIUS * CORNER_RADIUS)
+
+
 def box_corpus(rng) -> list[list[float]]:
     """Boxes for the default 320x320 image: random ones in and around it,
     ones clipped at its edges, degenerate ones (u_min == u_max), ones one
-    ulp wide, whose rays mostly subtend no angle, and ones whose edge
-    midpoints lie past the fold of a barrel lens with k1 -0.08."""
+    ulp wide, whose rays mostly subtend no angle, ones whose edge midpoints
+    lie past the fold of a barrel lens with k1 -0.08, ones with an edge
+    midpoint at the image corner, and huge pixels (HUGE_BOXES, and a box
+    whose v_min + v_max overflows)."""
     boxes = []
     for _ in range(300):
         u_min, u_max = np.sort(rng.uniform(-40.0, 360.0, 2)).tolist()
@@ -223,50 +234,94 @@ def box_corpus(rng) -> list[list[float]]:
         boxes.append([u_min, v_min, math.nextafter(u_min, math.inf), v_min + 5.0])
     boxes += [[-200.0, 150.0, 100.0, 170.0], [-300.0, -300.0, 600.0, 600.0],
               [150.0, 160.0, 500.0, 160.0]]
-    return boxes
+    boxes += [[0.0, 0.0, 10.0, 0.0], [300.0, 320.0, 320.0, 320.0]]
+    return boxes + HUGE_BOXES + [[0.0, 1.7e308, 10.0, 1.7e308]]
 
 
 def reference_box_position(box, intr: CameraIntrinsics, radius: float) -> np.ndarray:
     """The position (3,) of one box from the tests' numpy formulas; raises
     ValueError where a box has no width, OutOfRange where an edge midpoint
-    lies past the lens's reach, and DegenerateBox where its rays subtend no
-    angle."""
+    lies past the lens's reach, OverflowError where an undistorted edge
+    point's squared norm is not finite, and DegenerateBox where its rays
+    subtend no angle."""
     u_min, v_min, u_max, v_max = box[:4]
     if u_max <= u_min:
         raise ValueError("box has no width")
     v_mid = 0.5 * (v_min + v_max)
+    for u in (u_min, u_max):
+        x, y, _z = back_project((u, v_mid), 1.0, intr).tolist()
+        if not x * x + y * y < math.inf:
+            raise OverflowError(f"edge point ({x}, {y}) is past the float range")
     return clip_ray_position(norm_pixel_ray((u_min, v_mid), intr),
                              norm_pixel_ray((u_max, v_mid), intr), radius)
 
 
 class TestBatchedBoxDecoder:
     """`_box_positions`, the one box decoder, decodes many boxes in one
-    pass; each row is the tests' one-row reference, bit for bit, and the
-    rows the reference rejects are the rows it skips."""
+    call, row by row below BOX_ARRAY_ROWS boxes and in array passes from it
+    on; each row is the tests' one-row reference, bit for bit, and the rows
+    the reference rejects are the rows it skips."""
 
-    @pytest.mark.parametrize("k1", (-0.08, 0.0, 0.05))
-    def test_rows_equal_one_row_decoder(self, k1):
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("k1", (-0.08, 0.0, 0.05, pytest.param(CORNER_FOLD_K1,
+                                                                   id="fold-at-corner")))
+    def test_rows_equal_one_row_decoder(self, k1, monkeypatch):
+        """The corpus in one call, each row alone, and in calls of BOX_ARRAY_ROWS
+        boxes and of one fewer, on both sides of the switch, give the
+        reference's rows and positions."""
         intr = CameraIntrinsics(fx=170.0, fy=170.0, cx=160.0, cy=160.0, k1=k1)
-        boxes = box_corpus(np.random.default_rng(21))
-        expected, skipped = {}, {"width": 0, "reach": 0, "angle": 0}
+        boxes = [box + [0.9] for box in box_corpus(np.random.default_rng(21))]
+        expected, skipped = {}, []
         for k, box in enumerate(boxes):
             try:
                 expected[k] = reference_box_position(box, intr, 0.05)
             except DegenerateBox:
-                skipped["angle"] += 1
+                skipped.append("angle")
             except OutOfRange:
-                skipped["reach"] += 1
+                skipped.append("reach")
+            except OverflowError:
+                skipped.append("range")
             except ValueError:
-                skipped["width"] += 1
-        rows, positions = _box_positions([box + [0.9] for box in boxes], intr, 0.05)
-        assert rows == sorted(expected)
-        assert positions.shape == (len(rows), 3)
-        assert positions.tobytes() == np.array([expected[k] for k in rows]).tobytes()
-        # the corpus's zero-width and reversed boxes; its one-ulp boxes
-        assert skipped["width"] >= 3 and skipped["angle"] >= 5
-        assert (skipped["reach"] >= 2) == (k1 < 0.0)
-        one_row = [decode_box(boxes[k], intr, 0.05).position for k in rows]
-        assert np.array(one_row).tobytes() == positions.tobytes()
+                skipped.append("width")
+        # the corpus's zero-width and reversed boxes; its one-ulp boxes; the
+        # boxes past a barrel lens's fold; its huge pixels, the last rows
+        huge = len(HUGE_BOXES) + 1
+        assert skipped.count("width") >= 3 and skipped.count("angle") >= 5
+        assert (skipped[:-huge].count("reach") >= 2) == (k1 < 0.0)
+        assert sorted(expected)[-1] < len(boxes) - huge
+        assert set(skipped[-huge:]) <= {"range", "reach"}
+        passes = []
+
+        def spy(name, decoder):
+            def decode(chunk, *args):
+                passes.append((name, len(chunk)))
+                return decoder(chunk, *args)
+            return decode
+
+        for name in ("_box_positions_by_row", "_box_positions_by_array"):
+            monkeypatch.setattr(perception, name, spy(name, getattr(perception, name)))
+        switch = perception.BOX_ARRAY_ROWS
+        calls = {"corpus": [(0, boxes)], "alone": [(k, [box]) for k, box in enumerate(boxes)]}
+        for size in (switch - 1, switch):
+            calls[size] = [(k, boxes[k:k + size]) for k in range(0, len(boxes), size)]
+        for way, chunks in calls.items():
+            passes.clear()
+            rows, positions = [], []
+            for start, chunk in chunks:
+                chunk_rows, chunk_positions = _box_positions(chunk, intr, 0.05)
+                rows += [start + k for k in chunk_rows]
+                positions.append(chunk_positions)
+            positions = np.concatenate(positions)
+            assert rows == sorted(expected), way
+            assert positions.shape == (len(rows), 3)
+            assert positions.tobytes() == np.array([expected[k] for k in rows]).tobytes(), way
+            # the first call holds the most boxes
+            assert [name == "_box_positions_by_array" for name, _ in passes] == \
+                [count >= switch for _name, count in passes]
+            assert (passes[0][1] >= switch) == (way in ("corpus", switch)), way
+        one_row = [decode_box(boxes[k][:4], intr, 0.05).position for k in sorted(expected)]
+        assert np.array(one_row).tobytes() == np.array(
+            [expected[k] for k in sorted(expected)]).tobytes()
 
     @pytest.mark.parametrize("k1", (-0.08, 0.0, 0.05))
     def test_rows_equal_numpy_formulas(self, k1):
